@@ -1,7 +1,7 @@
 """Benchmark: regenerate the sync-vs-deadline-vs-buffered comparison.
 
 Smoke scale with one width algorithm on the computation case; the full
-table runs via ``python -m repro async_compare demo``.
+table runs via ``python -m repro run async_compare --scale demo``.
 """
 
 from repro.experiments import format_table

@@ -1,7 +1,8 @@
 """Benchmark: regenerate Figure 4 (computation-limited MHFL).
 
 Smoke scale, all eight algorithms on one dataset per data track (CV / HAR) —
-the full six-dataset grid runs via ``python -m repro.experiments.fig4 demo``.
+the full six-dataset grid runs via
+``python -m repro.experiments.fig4 --scale demo``.
 """
 
 from repro.experiments import fig4, format_table

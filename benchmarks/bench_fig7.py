@@ -1,7 +1,8 @@
 """Benchmark: regenerate Figure 7 (constraint combinations on CIFAR-100).
 
 Smoke scale with one representative algorithm per heterogeneity level; the
-full eight-algorithm sweep runs via ``python -m repro.experiments.fig7 demo``.
+full eight-algorithm sweep runs via
+``python -m repro.experiments.fig7 --scale demo``.
 """
 
 from repro.experiments import fig7, format_table

@@ -29,9 +29,6 @@ figures.
 Perfetto / ``chrome://tracing`` and prints the sectioned telemetry report
 instead of the artifact's own rows.  Telemetry is observation-only, so the
 profiled run produces byte-identical histories to a plain ``run``.
-
-The historical positional form (``python -m repro fig4 demo``) keeps
-working as a deprecated alias for ``run fig4 --scale demo``.
 """
 
 from __future__ import annotations
@@ -46,16 +43,12 @@ from .experiments.cache import (DEFAULT_CACHE_DIR, RunCache,
                                 set_default_cache)
 from .experiments.registry import all_artifacts, get_artifact
 from .experiments.reporting import write_rows
-from .experiments.runner import (DEFAULT_CHECKPOINT_DIR, Checkpointing,
-                                 set_default_checkpointing,
-                                 set_default_parallelism)
-from .fl.sanitizers import set_strict_mode
+from .experiments.runner import (DEFAULT_CHECKPOINT_DIR, RunDefaults,
+                                 run_defaults)
 from .telemetry.logs import LOG_LEVELS, configure_logging, get_logger
 from .telemetry.report import report_rows
 from .telemetry.runtime import telemetry_session
 from .telemetry.tracing import validate_chrome_trace
-
-_SUBCOMMANDS = ("list", "describe", "run", "profile", "lint", "sweep")
 
 #: where ``repro profile`` drops traces unless ``--trace-out`` overrides it.
 DEFAULT_PROFILE_DIR = Path("results") / "profile"
@@ -402,41 +395,35 @@ def _artifact_kwargs(artifact, args) -> dict:
 
 @contextlib.contextmanager
 def _run_defaults(args):
-    """Install the process-wide cache/parallelism/checkpoint defaults an
-    artifact run should see; restore the previous ones on exit.
+    """Install the process-wide cache and run defaults an artifact run
+    should see; restore the previous ones on exit.
 
     Yields the active :class:`RunCache` (or ``None``) so the caller can
     report hit/miss counts afterwards.
     """
     cache = None if args.no_cache else RunCache(args.cache_dir
                                                 or DEFAULT_CACHE_DIR)
-    checkpointing = None
-    if (args.checkpoint_every is not None or args.checkpoint_dir is not None
-            or args.resume):
-        checkpointing = Checkpointing(
-            directory=args.checkpoint_dir or DEFAULT_CHECKPOINT_DIR,
-            every=args.checkpoint_every if args.checkpoint_every is not None
-            else 1,
-            resume=args.resume)
-        if args.resume and cache is not None:
-            # A cache hit would mask the resume path entirely; resumed
-            # cells must actually re-enter the round loop.
-            _warn("--resume bypasses the run cache for this invocation")
-            cache = None
-    previous = set_default_cache(cache)
-    previous_parallelism = set_default_parallelism(
+    checkpoint_every = args.checkpoint_every
+    if checkpoint_every is None and (args.checkpoint_dir is not None
+                                     or args.resume):
+        checkpoint_every = 1
+    if args.resume and cache is not None:
+        # A cache hit would mask the resume path entirely; resumed
+        # cells must actually re-enter the round loop.
+        _warn("--resume bypasses the run cache for this invocation")
+        cache = None
+    defaults = RunDefaults(
         workers=args.workers if args.workers is not None else 1,
-        executor=args.executor or "auto")
-    previous_checkpointing = set_default_checkpointing(checkpointing)
-    previous_strict = set_strict_mode(getattr(args, "strict", False))
+        executor=args.executor or "auto",
+        checkpoint_every=checkpoint_every,
+        checkpoint_dir=args.checkpoint_dir or DEFAULT_CHECKPOINT_DIR,
+        resume=args.resume, strict=args.strict)
+    previous = set_default_cache(cache)
     try:
-        yield cache
+        with run_defaults(defaults):
+            yield cache
     finally:
         set_default_cache(previous)
-        set_default_parallelism(previous_parallelism.workers,
-                                previous_parallelism.executor)
-        set_default_checkpointing(previous_checkpointing)
-        set_strict_mode(previous_strict)
 
 
 def _report_cache(cache: RunCache | None) -> None:
@@ -594,23 +581,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         print()
         return _cmd_list()
-    head = argv[0]
-    if head not in _SUBCOMMANDS and not head.startswith("-"):
-        # Deprecated positional form: `python -m repro fig4 [demo]`.
-        try:
-            get_artifact(head)
-        except ValueError as error:
-            _log.error("%s", error)
-            return 2
-        translated = ["run", head]
-        rest = argv[1:]
-        if rest and not rest[0].startswith("-"):
-            translated += ["--scale", rest[0]]
-            rest = rest[1:]
-        translated += rest
-        _warn(f"`python -m repro {' '.join(argv)}` is deprecated; "
-              f"use `python -m repro {' '.join(translated)}`")
-        argv = translated
     args = parser.parse_args(argv)
     level = ("error" if getattr(args, "quiet", False)
              else getattr(args, "log_level", "info"))

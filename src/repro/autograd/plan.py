@@ -1,20 +1,10 @@
-"""Cached step plans: reuse per-step graph work across training steps.
+"""Cached step plans: recycle per-step scratch buffers across training steps.
 
 Federated simulation has a structure classic autograd engines ignore: every
 client trains the *same graph shapes* every round (same model variant, same
-batch size), so per-step derived state — the seq-sorted topological order of
-the backward tape and the scratch buffers behind im2col / col2im — is
-recomputed and reallocated thousands of times for identical graphs.  A
-:class:`StepPlan` captures that state once and replays it:
-
-* **Topo-order schedules.**  While a plan step is active, every tape node is
-  recorded in creation order.  The first ``backward()`` computes the normal
-  topological order and stores it *structurally* — tape nodes by their
-  creation index, grad leaves as ``(child index, parent slot)`` references —
-  so the next step's isomorphic graph resolves the same order with a single
-  list comprehension instead of a full traversal + sort.  A schedule is only
-  replayed when the step's node count matches the recording exactly;
-  any structural drift falls back to a fresh traversal (which re-records).
+batch size), so the scratch buffers behind im2col / col2im are reallocated
+thousands of times for identical graphs.  A :class:`StepPlan` owns them
+once and hands them back every step:
 
 * **Workspace arenas.**  :func:`workspace` hands out shape-keyed scratch
   buffers that ops fully overwrite (the im2col gather target, the col2im
@@ -24,141 +14,62 @@ recomputed and reallocated thousands of times for identical graphs.  A
   read, reuse is *value-invisible*: planned and plan-free steps produce
   byte-identical results (pinned by ``tests/test_plan_cache.py``).
 
+What the arenas buy is resident memory, not time: on the end-to-end ledger
+(``benchmarks/e2e``) running without them costs x1.08-x1.15 peak RSS on
+the conv cells and nothing measurable in wall-clock.
+
 Plans live in a **per-thread** registry keyed by ``(model signature, batch
 shape)``: the thread executor's workers and every process-pool worker each
 own their plans, so no scratch state is ever shared across concurrently
-training clients.  Plan caching is a pure wall-clock/allocation knob —
-results, histories and spec content hashes are identical with it on or off
-(``REPRO_PLAN_CACHE=0`` or :func:`set_plan_caching` disables it).
+training clients.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
+import threading
 from collections import OrderedDict
 
 import numpy as np
 
-from .tensor import _PLAN_STATE
-
 __all__ = ["StepPlan", "step", "workspace", "current_step", "model_plan_key",
-           "set_plan_caching", "plan_caching_enabled", "clear_thread_plans",
-           "thread_plans"]
+           "clear_thread_plans", "thread_plans"]
 
 #: soft cap on cached plans per thread (a sweep cycling over many model
 #: variants keeps only the most recently used plans; each plan holds a few
 #: conv-sized scratch buffers, so the cap bounds worker memory).
 MAX_PLANS_PER_THREAD = 16
 
-_ENABLED = os.environ.get("REPRO_PLAN_CACHE", "1") != "0"
+class _PlanState(threading.local):
+    """Per-thread plan state (``__init__`` runs once in each thread)."""
+
+    def __init__(self):
+        #: the active :class:`StepPlan` while a training step runs under
+        #: :func:`step`, else ``None``.
+        self.step: StepPlan | None = None
+        #: this thread's plan registry, least recently used first.
+        self.plans: OrderedDict = OrderedDict()
 
 
-def set_plan_caching(enabled: bool) -> None:
-    """Globally enable/disable plan caching (hash-invisible, results
-    byte-identical either way — this is a wall-clock/allocation knob)."""
-    global _ENABLED
-    _ENABLED = bool(enabled)
-
-
-def plan_caching_enabled() -> bool:
-    return _ENABLED
+_PLAN_STATE = _PlanState()
 
 
 class StepPlan:
     """Reusable per-step state for one ``(model slice, batch shape)`` cell."""
 
-    __slots__ = ("key", "nodes", "steps", "schedule_hits",
-                 "_token", "_schedules", "_arenas", "_cursors")
+    __slots__ = ("key", "steps", "_arenas", "_cursors")
 
     def __init__(self, key):
         self.key = key
-        #: tape nodes created during the active step, in creation order.
-        self.nodes: list = []
         self.steps = 0
-        self.schedule_hits = 0
-        self._token: object | None = None
-        #: root index -> (node_count_at_backward, structural order entries).
-        self._schedules: dict[int, tuple[int, tuple]] = {}
         #: (shape, dtype str) -> recycled scratch buffers.
         self._arenas: dict[tuple, list[np.ndarray]] = {}
         self._cursors: dict[tuple, int] = {}
 
-    # -- step lifecycle -------------------------------------------------
     def begin(self) -> None:
-        self._token = object()
-        self.nodes.clear()
         for key in self._cursors:
             self._cursors[key] = 0
         self.steps += 1
-
-    def end(self) -> None:
-        # Drop node references so finished graphs free immediately; stale
-        # ``_plan_tag`` tokens on dead tensors can never match a new step.
-        self._token = None
-        self.nodes.clear()
-
-    # -- tape recording (called from Tensor._make) ----------------------
-    def record(self, node) -> None:
-        node._plan_tag = (self._token, len(self.nodes))
-        self.nodes.append(node)
-
-    # -- topo-order schedules (called from Tensor._topo_order) ----------
-    def cached_order(self, root) -> list | None:
-        """Replay the stored schedule for ``root``'s structural position,
-        or ``None`` when there is no trustworthy recording."""
-        tag = root._plan_tag
-        if tag is None or tag[0] is not self._token:
-            return None
-        sched = self._schedules.get(tag[1])
-        if sched is None or sched[0] != len(self.nodes):
-            return None
-        nodes = self.nodes
-        order = []
-        try:
-            for entry in sched[1]:
-                if type(entry) is int:
-                    tensor = nodes[entry]
-                else:
-                    tensor = nodes[entry[0]]._parents[entry[1]]
-                    # A resolved reference must still be backward-relevant:
-                    # a frozen leaf here means the recording came from a
-                    # graph with a different trainable mask — replaying it
-                    # would silently drop gradient contributions.
-                    if tensor._backward is None and not tensor.requires_grad:
-                        return None
-                order.append(tensor)
-        except IndexError:  # structural drift: recompute and re-record
-            return None
-        self.schedule_hits += 1
-        return order
-
-    def store_order(self, root, order) -> None:
-        """Encode ``order`` structurally so the next isomorphic graph can
-        resolve it without traversal.  Bails (caches nothing) if any node
-        is neither step-recorded nor reachable as a recorded node's parent
-        — e.g. a tensor shared from outside the step."""
-        tag = root._plan_tag
-        if tag is None or tag[0] is not self._token:
-            return
-        token = self._token
-        parent_ref: dict[int, tuple[int, int]] = {}
-        for tensor in order:
-            ttag = tensor._plan_tag
-            if ttag is not None and ttag[0] is token:
-                for slot, parent in enumerate(tensor._parents):
-                    parent_ref.setdefault(id(parent), (ttag[1], slot))
-        entries = []
-        for tensor in order:
-            ttag = tensor._plan_tag
-            if ttag is not None and ttag[0] is token:
-                entries.append(ttag[1])
-            else:
-                ref = parent_ref.get(id(tensor))
-                if ref is None:
-                    return
-                entries.append(ref)
-        self._schedules[tag[1]] = (len(self.nodes), tuple(entries))
 
     # -- workspace arenas ------------------------------------------------
     def workspace(self, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -188,22 +99,18 @@ class StepPlan:
 
 def current_step() -> StepPlan | None:
     """The plan step active on this thread, if any."""
-    return getattr(_PLAN_STATE, "step", None)
+    return _PLAN_STATE.step
 
 
 def thread_plans() -> "OrderedDict":
     """This thread's plan registry (visible for tests / introspection)."""
-    plans = getattr(_PLAN_STATE, "plans", None)
-    if plans is None:
-        plans = OrderedDict()
-        _PLAN_STATE.plans = plans
-    return plans
+    return _PLAN_STATE.plans
 
 
 def clear_thread_plans() -> None:
     """Drop every cached plan owned by the calling thread (releases the
     scratch arenas; the next planned step rebuilds from scratch)."""
-    _PLAN_STATE.plans = OrderedDict()
+    thread_plans().clear()
 
 
 def _plan_for(full_key) -> StepPlan:
@@ -226,10 +133,9 @@ def model_plan_key(model) -> tuple:
 
     The trainable mask is part of the key because it is part of the *graph
     structure*: freezing a layer removes its parameters (and any frozen
-    prefix) from the backward order, so e.g. FeDepth's sliding trainable
-    segment yields a different tape per segment position even though the
-    state dict never changes shape.  Keying on the mask keeps every
-    schedule isomorphic to the graphs it replays on."""
+    prefix) from the backward pass, so e.g. FeDepth's sliding trainable
+    segment requests a different set of scratch buffers per segment
+    position even though the state dict never changes shape."""
     return (type(model).__qualname__,
             tuple((name, value.shape)
                   for name, value in model.state_dict().items()),
@@ -241,12 +147,12 @@ def model_plan_key(model) -> tuple:
 def step(key, batch_shape):
     """Run one training step under the plan for ``(key, batch_shape)``.
 
-    No-op (plain execution) when plan caching is disabled or when a plan
-    step is already active on this thread — nested graphs (distillation
-    losses built inside a step) are recorded into the *outer* step, which
-    is exactly where their backward runs.
+    No-op (plain execution) when a plan step is already active on this
+    thread — nested graphs (distillation losses built inside a step) draw
+    their scratch from the *outer* step, which is exactly where their
+    backward runs.
     """
-    if not _ENABLED or getattr(_PLAN_STATE, "step", None) is not None:
+    if _PLAN_STATE.step is not None:
         yield None
         return
     plan = _plan_for((key, tuple(batch_shape)))
@@ -256,7 +162,6 @@ def step(key, batch_shape):
         yield plan
     finally:
         _PLAN_STATE.step = None
-        plan.end()
 
 
 def workspace(shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -264,7 +169,7 @@ def workspace(shape: tuple[int, ...], dtype) -> np.ndarray:
     plan step is active.  Callers must fully overwrite it; both paths hand
     back writable memory of identical shape/dtype, so results are
     bit-identical with plans on or off."""
-    plan = getattr(_PLAN_STATE, "step", None)
+    plan = _PLAN_STATE.step
     if plan is None:
         return np.empty(shape, dtype=dtype)
     return plan.workspace(shape, dtype)

@@ -55,12 +55,6 @@ _GRAD_STATE = threading.local()
 # safe across worker threads — ordering only needs to be monotonic.)
 _SEQ = itertools.count()
 
-# Plan-cache state is likewise *per thread* (see ``autograd/plan.py``, which
-# owns this local): ``_PLAN_STATE.step`` is the active ``StepPlan`` while a
-# training step runs under ``plan.step(...)``, else absent/None.  Tensor
-# only ever reads it — one ``getattr`` per op when inactive.
-_PLAN_STATE = threading.local()
-
 
 @contextlib.contextmanager
 def no_grad():
@@ -112,7 +106,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "_seq", "_order", "_plan_tag")
+                 "_seq", "_order")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -127,8 +121,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._seq: int = next(_SEQ)
         self._order: list[Tensor] | None = None
-        # (step token, creation index) while recorded by an active StepPlan.
-        self._plan_tag: tuple | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -189,9 +181,6 @@ class Tensor:
         if needs:
             out._parents = tuple(parents)
             out._backward = backward
-            step = getattr(_PLAN_STATE, "step", None)
-            if step is not None:
-                step.record(out)
         return out
 
     def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
@@ -219,12 +208,6 @@ class Tensor:
         """
         order = self._order
         if order is None:
-            step = getattr(_PLAN_STATE, "step", None)
-            if step is not None:
-                order = step.cached_order(self)
-                if order is not None:
-                    self._order = order
-                    return order
             seen = {id(self)}
             order = [self]
             stack = [self]
@@ -240,8 +223,6 @@ class Tensor:
             # Children first: creation sequence numbers are a topo order.
             order.sort(key=lambda t: t._seq, reverse=True)
             self._order = order
-            if step is not None:
-                step.store_order(self, order)
         return order
 
     def backward(self, grad: np.ndarray | None = None) -> None:

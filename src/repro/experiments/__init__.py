@@ -19,12 +19,10 @@ from .registry import (Artifact, all_artifacts, artifact_names, get_artifact,
                        register_artifact)
 from .reporting import (aggregate_seed_rows, format_radar, format_table,
                         rows_to_csv, rows_to_json, write_rows)
-from .runner import (Checkpointing, Parallelism, RunResult,
-                     build_worker_scenario, default_checkpointing,
-                     default_parallelism, execute_spec, execute_specs,
-                     prepare_scenario, resolve_target_accuracy, run_one,
-                     run_suite, set_default_checkpointing,
-                     set_default_parallelism)
+from .runner import (RunDefaults, RunResult, build_worker_scenario,
+                     execute_spec, execute_specs, prepare_scenario,
+                     resolve_target_accuracy, run_defaults, run_one,
+                     run_suite)
 from .scales import SCALES, ExperimentScale, get_scale, resolve_scale
 from .spec import RunSpec
 from .sweep import (CellStatus, Shard, SweepManifest, SweepRunReport,
@@ -40,8 +38,7 @@ __all__ = [
     "RunResult", "RunSpec", "execute_spec", "execute_specs",
     "prepare_scenario", "build_worker_scenario",
     "resolve_target_accuracy", "run_one", "run_suite",
-    "Parallelism", "default_parallelism", "set_default_parallelism",
-    "Checkpointing", "default_checkpointing", "set_default_checkpointing",
+    "RunDefaults", "run_defaults",
     "RunCache", "default_cache", "set_default_cache",
     "Artifact", "all_artifacts", "artifact_names", "get_artifact",
     "register_artifact",

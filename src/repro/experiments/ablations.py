@@ -97,4 +97,4 @@ if __name__ == "__main__":
     import sys
 
     from repro.__main__ import main
-    raise SystemExit(main(["ablations", *sys.argv[1:]]))
+    raise SystemExit(main(["run", "ablations", *sys.argv[1:]]))

@@ -122,4 +122,4 @@ if __name__ == "__main__":
     import sys
 
     from repro.__main__ import main
-    raise SystemExit(main(["async_compare", *sys.argv[1:]]))
+    raise SystemExit(main(["run", "async_compare", *sys.argv[1:]]))

@@ -84,4 +84,4 @@ if __name__ == "__main__":
     import sys
 
     from repro.__main__ import main
-    raise SystemExit(main(["fault_compare", *sys.argv[1:]]))
+    raise SystemExit(main(["run", "fault_compare", *sys.argv[1:]]))

@@ -37,4 +37,4 @@ if __name__ == "__main__":
     import sys
 
     from repro.__main__ import main
-    raise SystemExit(main(["fig1", *sys.argv[1:]]))
+    raise SystemExit(main(["run", "fig1", *sys.argv[1:]]))

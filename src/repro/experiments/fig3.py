@@ -49,4 +49,4 @@ if __name__ == "__main__":
     import sys
 
     from repro.__main__ import main
-    raise SystemExit(main(["fig3", *sys.argv[1:]]))
+    raise SystemExit(main(["run", "fig3", *sys.argv[1:]]))

@@ -31,4 +31,4 @@ if __name__ == "__main__":
     import sys
 
     from repro.__main__ import main
-    raise SystemExit(main(["fig4", *sys.argv[1:]]))
+    raise SystemExit(main(["run", "fig4", *sys.argv[1:]]))

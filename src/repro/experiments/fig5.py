@@ -30,4 +30,4 @@ if __name__ == "__main__":
     import sys
 
     from repro.__main__ import main
-    raise SystemExit(main(["fig5", *sys.argv[1:]]))
+    raise SystemExit(main(["run", "fig5", *sys.argv[1:]]))

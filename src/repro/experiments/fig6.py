@@ -34,4 +34,4 @@ if __name__ == "__main__":
     import sys
 
     from repro.__main__ import main
-    raise SystemExit(main(["fig6", *sys.argv[1:]]))
+    raise SystemExit(main(["run", "fig6", *sys.argv[1:]]))

@@ -60,4 +60,4 @@ if __name__ == "__main__":
     import sys
 
     from repro.__main__ import main
-    raise SystemExit(main(["fig7", *sys.argv[1:]]))
+    raise SystemExit(main(["run", "fig7", *sys.argv[1:]]))

@@ -61,4 +61,4 @@ if __name__ == "__main__":
     import sys
 
     from repro.__main__ import main
-    raise SystemExit(main(["fig8", *sys.argv[1:]]))
+    raise SystemExit(main(["run", "fig8", *sys.argv[1:]]))

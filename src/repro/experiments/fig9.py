@@ -70,4 +70,4 @@ if __name__ == "__main__":
     import sys
 
     from repro.__main__ import main
-    raise SystemExit(main(["fig9", *sys.argv[1:]]))
+    raise SystemExit(main(["run", "fig9", *sys.argv[1:]]))

@@ -13,18 +13,26 @@ rows.  Everything scale-dependent comes from
 Parallelism enters at two granularities, both with byte-identical results:
 
 * **within a cell** — ``RunSpec.workers``/``executor`` (or the process
-  default from :func:`set_default_parallelism`, which the CLI's
-  ``--workers`` sets) hand client training to a thread/process pool via
-  :mod:`repro.fl.executor`;
+  defaults, which the CLI's ``--workers`` sets) hand client training to a
+  thread/process pool via :mod:`repro.fl.executor`;
 * **across cells** — :func:`execute_specs` fans independent sweep cells
   (``run_suite`` grids, multi-seed sweeps) out over a process pool; each
   worker writes the shared run cache through atomic renames, and cells
   run inline internally so the machine is never oversubscribed.
+
+Run *mechanics* — parallelism, checkpointing, strict-mode sanitizers —
+resolve in exactly one place: a spec's own ``workers``/``executor`` win,
+the process-wide :class:`RunDefaults` (installed with
+:func:`run_defaults`) fill the rest, and :func:`execute_spec` hands
+:func:`~repro.fl.simulation.run_simulation` a fully explicit
+:class:`~repro.fl.simulation.SimulationConfig`.  Nothing below the runner
+reads process-global state.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as _dc_replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -49,10 +57,8 @@ from .spec import RunSpec, spec_scale_fields
 
 __all__ = ["RunResult", "execute_spec", "execute_specs", "prepare_scenario",
            "build_worker_scenario", "run_one", "run_suite",
-           "resolve_target_accuracy", "DEFAULT", "Parallelism",
-           "default_parallelism", "set_default_parallelism",
-           "Checkpointing", "default_checkpointing",
-           "set_default_checkpointing", "DEFAULT_CHECKPOINT_DIR"]
+           "resolve_target_accuracy", "DEFAULT", "RunDefaults",
+           "run_defaults", "DEFAULT_CHECKPOINT_DIR"]
 
 _log = get_logger("runner")
 
@@ -72,87 +78,61 @@ def _resolve_cache(cache) -> RunCache | None:
 
 
 # ----------------------------------------------------------------------
-# Process-wide parallelism default (the CLI's --workers sets it)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class Parallelism:
-    """How runs parallelise when a spec doesn't say (mechanics only —
-    results are identical at any setting)."""
-
-    workers: int = 1
-    executor: str = "auto"
-
-
-_DEFAULT_PARALLELISM = Parallelism()
-
-
-def default_parallelism() -> Parallelism:
-    return _DEFAULT_PARALLELISM
-
-
-def set_default_parallelism(workers: int = 1,
-                            executor: str = "auto") -> Parallelism:
-    """Install the process-wide parallelism default; returns the previous
-    value (mirror of :func:`repro.experiments.cache.set_default_cache`)."""
-    global _DEFAULT_PARALLELISM
-    previous = _DEFAULT_PARALLELISM
-    _DEFAULT_PARALLELISM = Parallelism(workers=max(1, int(workers)),
-                                       executor=executor)
-    return previous
-
-
-def _resolve_parallelism(workers: int | None,
-                         executor: str | None) -> tuple[int, str]:
-    default = default_parallelism()
-    return (default.workers if workers is None else max(1, int(workers)),
-            default.executor if executor is None else executor)
-
-
-# ----------------------------------------------------------------------
-# Process-wide checkpointing default (the CLI's --checkpoint-every sets it)
+# Process-wide run defaults (the CLI's --workers/--checkpoint-*/--strict)
 # ----------------------------------------------------------------------
 #: where the CLI keeps run snapshots unless ``--checkpoint-dir`` overrides.
 DEFAULT_CHECKPOINT_DIR = Path("results") / "checkpoints"
 
 
 @dataclass(frozen=True)
-class Checkpointing:
-    """Crash-safety policy applied to runs that don't specify their own
-    (mechanics only — checkpointing is invisible in results).  Each run
-    snapshots to ``<directory>/<content_hash>.ckpt.json``, so a sweep's
-    cells never collide and ``--resume`` finds each cell's own snapshot."""
+class RunDefaults:
+    """How runs execute when their spec doesn't say.  Mechanics only:
+    results are byte-identical at any setting, so none of it is hashed."""
 
-    directory: str | Path = DEFAULT_CHECKPOINT_DIR
-    every: int = 1
+    #: client-work parallelism (and sweep fan-out) for specs whose own
+    #: ``workers``/``executor`` are ``None``.
+    workers: int = 1
+    executor: str = "auto"
+    #: crash-safety: snapshot every N-th round (``None`` = off) to
+    #: ``<checkpoint_dir>/<content_hash>.ckpt.json`` — one file per spec,
+    #: so a sweep's cells never collide and ``resume`` finds each cell's
+    #: own snapshot.
+    checkpoint_every: int | None = None
+    checkpoint_dir: str | Path = DEFAULT_CHECKPOINT_DIR
     resume: bool = False
+    #: strict-mode runtime sanitizers (:mod:`repro.fl.sanitizers`).
+    strict: bool = False
 
 
-_DEFAULT_CHECKPOINTING: Checkpointing | None = None
+_DEFAULTS = RunDefaults()
 
 
-def default_checkpointing() -> Checkpointing | None:
-    return _DEFAULT_CHECKPOINTING
+@contextmanager
+def run_defaults(defaults: RunDefaults):
+    """Install ``defaults`` process-wide for the duration of the block
+    (yields them); the previous defaults come back on exit."""
+    global _DEFAULTS
+    previous = _DEFAULTS
+    _DEFAULTS = defaults
+    try:
+        yield defaults
+    finally:
+        _DEFAULTS = previous
 
 
-def set_default_checkpointing(checkpointing: Checkpointing | None
-                              ) -> Checkpointing | None:
-    """Install (or clear, with ``None``) the process-wide checkpointing
-    default; returns the previous value (mirror of
-    :func:`set_default_parallelism`)."""
-    global _DEFAULT_CHECKPOINTING
-    previous = _DEFAULT_CHECKPOINTING
-    _DEFAULT_CHECKPOINTING = checkpointing
-    return previous
+def _resolve_parallelism(workers: int | None,
+                         executor: str | None) -> tuple[int, str]:
+    return (max(1, int(_DEFAULTS.workers if workers is None else workers)),
+            _DEFAULTS.executor if executor is None else executor)
 
 
 def _spec_checkpoint(spec: RunSpec) -> CheckpointConfig | None:
-    """The per-spec checkpoint config under the process default."""
-    policy = default_checkpointing()
-    if policy is None:
+    """The per-spec checkpoint config under the process defaults."""
+    if _DEFAULTS.checkpoint_every is None:
         return None
-    path = Path(policy.directory) / f"{spec.content_hash()}.ckpt.json"
-    return CheckpointConfig(path=path, every=policy.every,
-                            resume=policy.resume)
+    path = Path(_DEFAULTS.checkpoint_dir) / f"{spec.content_hash()}.ckpt.json"
+    return CheckpointConfig(path=path, every=_DEFAULTS.checkpoint_every,
+                            resume=_DEFAULTS.resume)
 
 
 @dataclass
@@ -321,7 +301,8 @@ def _execute_spec_live(spec: RunSpec, cache: RunCache | None,
                            eval_every=scale.eval_every, seed=spec.seed,
                            execution=execution,
                            workers=workers, executor=executor_kind,
-                           checkpoint=_spec_checkpoint(spec))
+                           checkpoint=_spec_checkpoint(spec),
+                           strict=_DEFAULTS.strict)
     with telemetry.span("run_simulation", algorithm=spec.algorithm,
                         dataset=spec.dataset, seed=spec.seed):
         history = run_simulation(scenario.algorithm, sim)
@@ -334,13 +315,13 @@ def _execute_spec_live(spec: RunSpec, cache: RunCache | None,
 
 
 def _execute_spec_payload(payload: dict, cache_dir: str | None,
-                          with_telemetry: bool = False) -> dict:
+                          with_telemetry: bool, defaults: RunDefaults) -> dict:
     """Sweep-pool worker: execute one spec, return a picklable result.
 
-    Runs in its own process with the parallelism default reset to one
-    worker, so the cell executes inline — sweep fan-out and within-cell
-    pools never nest.  (The reset is explicit because fork-start pools
-    inherit the parent's module globals, including a CLI-set default.)
+    Runs in its own process under the parent's run ``defaults`` with
+    parallelism reset to one worker, so the cell executes inline — sweep
+    fan-out and within-cell pools never nest.  (The defaults travel as an
+    argument so fork- and spawn-start pools behave alike.)
     The worker writes the shared cache itself (atomic renames make the
     concurrent writes safe) and ships the history back for the parent.
 
@@ -351,17 +332,17 @@ def _execute_spec_payload(payload: dict, cache_dir: str | None,
     written a sidecar for this cell — no more (a telemetry-less sweep
     writes no sidecars at any worker count), no less.
     """
-    set_default_parallelism(1, "auto")
     # to_dict strips parallelism fields, so the rebuilt spec inherits the
     # (reset) default; the explicit replace makes the no-nesting invariant
     # hold even for hand-authored payloads that smuggle a workers key in.
     spec = RunSpec.from_dict(payload).replace(workers=1, executor="inline")
     cache = RunCache(cache_dir) if cache_dir is not None else None
-    if with_telemetry:
-        with telemetry.telemetry_session():
+    with run_defaults(_dc_replace(defaults, workers=1, executor="auto")):
+        if with_telemetry:
+            with telemetry.telemetry_session():
+                result = execute_spec(spec, cache=cache)
+        else:
             result = execute_spec(spec, cache=cache)
-    else:
-        result = execute_spec(spec, cache=cache)
     return {
         "history": history_to_dict(result.history),
         "num_classes": result.num_classes,
@@ -377,8 +358,8 @@ def execute_specs(specs: Sequence[RunSpec], *, cache=DEFAULT,
                   = None) -> list[RunResult]:
     """Execute a sweep of independent cells, fanning out across processes.
 
-    With one worker (the default when :func:`set_default_parallelism` was
-    never called) this is exactly ``[execute_spec(s) for s in specs]``.
+    With one worker (the default :class:`RunDefaults`) this is exactly
+    ``[execute_spec(s) for s in specs]``.
     With more, whole cells run in a process pool: each worker rebuilds its
     cell, consults/writes the shared run cache (atomic renames keep
     concurrent writes safe), and returns the history.  Cells are
@@ -413,7 +394,7 @@ def execute_specs(specs: Sequence[RunSpec], *, cache=DEFAULT,
             max_workers=min(sweep_workers, len(specs))) as pool:
         futures = [pool.submit(_execute_spec_payload,
                                spec.to_dict(), cache_dir,
-                               telemetry.enabled())
+                               telemetry.enabled(), _DEFAULTS)
                    for spec in specs]
         for spec, future in zip(specs, futures):
             with telemetry.span("sweep_cell", algorithm=spec.algorithm,
@@ -454,10 +435,12 @@ def run_one(algorithm: str, dataset_name: str, spec: ConstraintSpec,
 
     Back-compat wrapper over :func:`execute_spec`: the arguments are packed
     into a :class:`RunSpec`, so the run is cacheable and addressable.
-    ``execution`` selects the event-driven runtime; when omitted, a spec
-    with a non-trivial availability scenario still routes through the event
-    engine so the scenario is honoured.  ``workers``/``executor`` select
-    within-cell client parallelism (results identical at any setting).
+    ``execution`` is the run's execution block; when omitted, a spec with a
+    non-trivial availability scenario or fault profile gets the block that
+    honours it (:meth:`RunSpec.resolved_execution`), and a plain spec runs
+    synchronous rounds on an always-on fleet.  ``workers``/``executor``
+    select within-cell client parallelism (results identical at any
+    setting).
     """
     scale_name, packed_overrides = spec_scale_fields(scale)
     packed_overrides.update(scale_overrides or {})

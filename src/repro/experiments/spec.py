@@ -77,10 +77,10 @@ class RunSpec:
     #: execution configs) so they cache under their own hash.
     tag: str = ""
     #: client-work parallelism for this cell (``None`` inherits the
-    #: process default set by :func:`repro.experiments.runner.
-    #: set_default_parallelism`).  Parallelism cannot change results — the
-    #: executor determinism contract — so neither field is serialised or
-    #: hashed: the same cell caches identically at any worker count.
+    #: process defaults, :class:`repro.experiments.runner.RunDefaults`).
+    #: Parallelism cannot change results — the executor determinism
+    #: contract — so neither field is serialised or hashed: the same cell
+    #: caches identically at any worker count.
     workers: int | None = None
     executor: str | None = None    # "auto" | "inline" | "thread" | "process"
 
@@ -101,10 +101,11 @@ class RunSpec:
     def resolved_execution(self) -> ExecutionConfig | None:
         """The execution block the runner will actually use.
 
-        Mirrors the legacy ``run_one`` behaviour: an explicit execution
-        wins; otherwise a non-trivial availability scenario — or a fault
-        profile, which only the event engine can inject — routes through
-        the event engine so the scenario is honoured.
+        An explicit execution wins; otherwise a non-trivial availability
+        scenario or a fault profile derives the block that honours it
+        (:meth:`ConstraintSpec.execution_config`).  ``None`` — a plain
+        spec — runs synchronous rounds on an always-on fleet and keeps the
+        block-less record format (no event timeline).
         """
         if self.execution is not None:
             return self.execution

@@ -82,4 +82,4 @@ if __name__ == "__main__":
     import sys
 
     from repro.__main__ import main
-    raise SystemExit(main(["table1", *sys.argv[1:]]))
+    raise SystemExit(main(["run", "table1", *sys.argv[1:]]))

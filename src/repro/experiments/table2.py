@@ -33,4 +33,4 @@ if __name__ == "__main__":
     import sys
 
     from repro.__main__ import main
-    raise SystemExit(main(["table2", *sys.argv[1:]]))
+    raise SystemExit(main(["run", "table2", *sys.argv[1:]]))

@@ -26,4 +26,4 @@ if __name__ == "__main__":
     import sys
 
     from repro.__main__ import main
-    raise SystemExit(main(["table3", *sys.argv[1:]]))
+    raise SystemExit(main(["run", "table3", *sys.argv[1:]]))

@@ -1,9 +1,9 @@
-"""Federated simulation engine: local training, round loops, history.
+"""Federated simulation engine: local training, the round loop, history.
 
-Includes the event-driven asynchronous runtime: a discrete-event scheduler
-(:mod:`repro.fl.events`), client availability models
-(:mod:`repro.fl.availability`) and pluggable aggregation policies
-(:mod:`repro.fl.aggregation`).
+One runtime: :func:`run_simulation` drives an aggregation policy
+(:mod:`repro.fl.aggregation`) over a discrete-event scheduler
+(:mod:`repro.fl.events`) against a client availability model
+(:mod:`repro.fl.availability`).
 """
 
 from .client import LocalTrainConfig, train_local, make_optimizer
@@ -24,8 +24,7 @@ from .executor import (ScenarioHandle, ClientWorkItem, ClientResult,
 from .faults import FaultSpec, FaultModel, FaultPlan, corrupt_update
 from .checkpoint import CheckpointConfig, Checkpointer, make_checkpointer
 from .seeding import client_seed_key, client_rng, fault_rng, reseed_dropout
-from .simulation import (SimulationConfig, run_simulation,
-                         run_event_simulation, sample_clients)
+from .simulation import SimulationConfig, run_simulation, sample_clients
 from .serialization import (history_to_dict, history_from_dict, save_history,
                             load_history, client_update_to_dict,
                             client_update_from_dict)
@@ -47,8 +46,7 @@ __all__ = [
     "FaultSpec", "FaultModel", "FaultPlan", "corrupt_update",
     "CheckpointConfig", "Checkpointer", "make_checkpointer",
     "client_seed_key", "client_rng", "fault_rng", "reseed_dropout",
-    "SimulationConfig", "run_simulation", "run_event_simulation",
-    "sample_clients",
+    "SimulationConfig", "run_simulation", "sample_clients",
     "history_to_dict", "history_from_dict", "save_history", "load_history",
     "client_update_to_dict", "client_update_from_dict",
 ]

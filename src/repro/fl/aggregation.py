@@ -1,29 +1,37 @@
-"""Pluggable server aggregation policies for the event-driven runtime.
+"""Server aggregation policies: the one way a federated run executes.
 
-Two policies cover the design space the systems literature converges on for
+Every run is an :class:`AggregationPolicy` playing client
+download/train/upload events through an
+:class:`~repro.fl.events.EventQueue` on the simulated clock;
+:func:`repro.fl.simulation.run_simulation` only wires one up.  Two
+policies cover the design space the systems literature converges on for
 constrained fleets (Pfeiffer et al.'s survey; FedBuff, Nguyen et al.
 AISTATS'22):
 
 * :class:`SynchronousPolicy` — round-based aggregation with an optional
   wall-clock **deadline** (late uploads are dropped) and **over-selection**
   (dispatch extra clients so a round survives dropouts/stragglers).  With no
-  deadline, no over-selection and an always-on fleet it reproduces the
-  legacy ``run_simulation`` loop event-for-event.
+  deadline, no over-selection and an always-on fleet — what a run given no
+  execution block resolves to — every sampled client finishes and the
+  round waits for the straggler.
 * :class:`BufferedPolicy` — FedBuff-style semi-asynchronous aggregation:
   the server keeps ``max_concurrency`` clients training at all times and
   aggregates whenever ``buffer_size`` updates have arrived, discounting each
   update by ``(1 + staleness) ** -staleness_exponent`` where staleness is
   the number of server versions that elapsed while it was in flight.
 
-Both drive the same :class:`~repro.fl.events.EventQueue` and the same
-per-client algorithm primitives (``run_client`` / ``ingest``), so every
-algorithm in the registry works under every policy unchanged.  Client work
-is *snapshotted* at dispatch time — the state a client downloads is the
-server state at its dispatch timestamp, which is exactly what staleness
-means — and handed to a pluggable :class:`~repro.fl.executor.Executor`
-(inline, thread pool or process pool); the queue orders arrivals, drops
-and aggregations on the simulated clock, so the History is identical for
-any worker count.
+Both drive the same per-client algorithm primitives (``run_client`` /
+``ingest``), so every algorithm in the registry works under every policy
+unchanged.  Client work is *snapshotted* at dispatch time — the state a
+client downloads is the server state at its dispatch timestamp, which is
+exactly what staleness means — and handed to a pluggable
+:class:`~repro.fl.executor.Executor` (inline, thread pool or process
+pool); the queue orders arrivals, drops and aggregations on the simulated
+clock, so the History is identical for any worker count.
+
+:class:`ExecutionConfig` holds only what changes results (and is hashed
+with the spec); how a run is parallelised, hardened, checkpointed or
+sanitised lives on :class:`~repro.fl.simulation.SimulationConfig`.
 """
 
 from __future__ import annotations
@@ -32,7 +40,6 @@ import math
 import time
 import warnings
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
@@ -43,24 +50,29 @@ from .checkpoint import make_checkpointer
 from .events import (CLIENT_DROPPED, CLIENT_FAILED, DOWNLOAD_START,
                      EVAL_TICK, SERVER_AGGREGATE, TRAIN_COMPLETE,
                      UPDATE_REJECTED, UPLOAD_COMPLETE, Event, EventQueue)
-from .executor import (EXECUTOR_KINDS, Executor, InlineExecutor,
-                       make_work_item)
+from .executor import Executor, InlineExecutor, make_work_item
 from .faults import FaultModel, FaultSpec, corrupt_update
 from .history import History, RoundRecord
-from .sanitizers import freeze_arrays, frozen_arrays, resolve_strict
+from .sanitizers import freeze_arrays, frozen_arrays
 
 __all__ = ["ExecutionConfig", "AggregationPolicy", "SynchronousPolicy",
            "BufferedPolicy", "AGGREGATION_POLICIES", "make_policy",
-           "sample_count", "validate_update"]
+           "sample_count", "sample_clients", "validate_update"]
 
 _log = get_logger("aggregation")
 
 
 def sample_count(num_clients: int, sample_ratio: float) -> int:
-    """Participants per round — the single formula behind both
-    :func:`repro.fl.simulation.sample_clients` and the policies' sampling
-    (the bit-exact legacy-equivalence contract depends on them agreeing)."""
+    """Participants per round — the single formula behind
+    :func:`sample_clients` and the policies' sampling."""
     return min(max(1, int(round(num_clients * sample_ratio))), num_clients)
+
+
+def sample_clients(num_clients: int, sample_ratio: float,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Sample the round's participants without replacement."""
+    count = sample_count(num_clients, sample_ratio)
+    return rng.choice(num_clients, size=count, replace=False)
 
 
 # ----------------------------------------------------------------------
@@ -128,7 +140,7 @@ class ExecutionConfig:
     availability: str = "always_on"
     availability_kwargs: dict = field(default_factory=dict)
     #: sync: wall-clock budget per round; updates arriving later are dropped
-    #: (None = wait for the straggler, the legacy behaviour).
+    #: (None = wait for the straggler).
     deadline_s: float | None = None
     #: sync: dispatch ceil(target * (1 + over_select)) clients to hedge
     #: against dropouts and stragglers.
@@ -151,41 +163,13 @@ class ExecutionConfig:
     #: sync: minimum fraction of dispatched clients that must arrive (by
     #: the deadline) for the round to aggregate.  Unmet quorum extends the
     #: deadline once (doubling it); still unmet, the round is skipped —
-    #: never crashed.  ``None`` aggregates whatever arrived (legacy).
+    #: never crashed.  ``None`` aggregates whatever arrived.
     quorum: float | None = None
     #: coordinator defense: run :func:`validate_update` on every arrived
     #: update and quarantine failures (``dropped_quarantined`` extras).
     validate: bool = True
     #: optional max-abs bound for the ``"norm"`` validation check.
     norm_bound: float | None = None
-    #: executor hardening (purely mechanical, like ``workers``): per-item
-    #: result timeout and bounded transparent retries on transient
-    #: failures.  ``None`` inherits the executor defaults.
-    item_timeout_s: float | None = None
-    item_retries: int | None = None
-    #: client-work parallelism (see :mod:`repro.fl.executor`).  Purely a
-    #: *mechanical* setting: results are identical for any worker count,
-    #: so neither field is serialised by :meth:`to_dict` — the same cell
-    #: hashes (and caches) the same however it is parallelised.  ``None``
-    #: inherits the ``SimulationConfig`` setting; an explicit value
-    #: (including ``workers=1``) always wins.
-    workers: int | None = None
-    executor: str | None = None
-    #: strict-mode runtime sanitizers (:mod:`repro.fl.sanitizers`):
-    #: freeze broadcast arrays during dispatch and trip on legacy global
-    #: RNG use.  Observation-only — a strict run is byte-identical to a
-    #: non-strict one — so, like ``workers``, it is never serialised or
-    #: hashed.  ``None`` inherits the process default
-    #: (:func:`repro.fl.sanitizers.set_strict_mode`).
-    strict: bool | None = None
-
-    #: fields deliberately absent from :meth:`to_dict` and therefore from
-    #: the spec content hash: execution mechanics that cannot change
-    #: results.  ``repro lint``'s hash-field-coverage rule enforces that
-    #: every field is either serialised or listed here, so a new field
-    #: can never be hash-invisible by accident.
-    HASH_EXCLUDED: ClassVar[frozenset[str]] = frozenset({
-        "workers", "executor", "item_timeout_s", "item_retries", "strict"})
 
     def __post_init__(self):
         if self.policy not in AGGREGATION_POLICIES:
@@ -195,11 +179,6 @@ class ExecutionConfig:
             raise ValueError("buffer_size must be >= 1")
         if self.over_select < 0:
             raise ValueError("over_select must be >= 0")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.executor is not None and self.executor not in EXECUTOR_KINDS:
-            raise ValueError(f"unknown executor {self.executor!r}; "
-                             f"known: {EXECUTOR_KINDS}")
         if isinstance(self.faults, dict):
             object.__setattr__(self, "faults", FaultSpec.from_dict(self.faults))
         if self.quorum is not None:
@@ -208,10 +187,6 @@ class ExecutionConfig:
             if self.policy != "sync":
                 raise ValueError("quorum is a synchronous-round concept; "
                                  "the buffered policy has no round to gate")
-        if self.item_timeout_s is not None and self.item_timeout_s <= 0:
-            raise ValueError("item_timeout_s must be > 0")
-        if self.item_retries is not None and self.item_retries < 0:
-            raise ValueError("item_retries must be >= 0")
 
     def fault_model(self, run_seed: int) -> FaultModel | None:
         """The run's seeded fault model (``None`` = healthy fleet)."""
@@ -232,15 +207,11 @@ class ExecutionConfig:
     def to_dict(self) -> dict:
         """JSON-safe dict; inverse of :meth:`from_dict`.
 
-        ``workers``/``executor`` (and the ``item_timeout_s``/
-        ``item_retries`` hardening knobs) are deliberately omitted: they
-        cannot change results (the executor determinism contract), so two
-        configs differing only in parallelism serialise — and content-hash
-        — identically.  :meth:`from_dict` still accepts payloads that
-        carry them.  The robustness fields (``faults``/``quorum``/
-        ``validate``/``norm_bound``) *do* change results, but serialise
-        only when set away from their defaults — pre-existing configs keep
-        their exact serialised form, so no cached spec hash ever moves.
+        Every field changes results, so every field is serialised — but
+        the robustness fields (``faults``/``quorum``/``validate``/
+        ``norm_bound``) only when set away from their defaults:
+        pre-existing configs keep their exact serialised form, so no
+        cached spec hash ever moves.
         """
         payload = {
             "policy": self.policy,
@@ -289,15 +260,15 @@ class AggregationPolicy:
         self._participation: dict[int, int] = {}
         #: seeded fault model, bound by :meth:`run` (None = healthy fleet).
         self.faults: FaultModel | None = None
-        #: strict-mode sanitizers (:mod:`repro.fl.sanitizers`): the
-        #: execution block's setting wins, then the sim config's, then
-        #: the process default.  Observation-only either way.
-        self.strict: bool = resolve_strict(
-            execution.strict, getattr(sim_config, "strict", None))
+        #: a run given no execution block keeps the record format its
+        #: stored results were written in — no event timeline, no
+        #: ``dispatched``/``received`` extras — so cached histories and
+        #: goldens do not move.  Derived from the config, never set.
+        self._plain_records: bool = sim_config.execution is None
 
     # -- shared plumbing ------------------------------------------------
     def emit(self, event: Event) -> Event:
-        if self.execution.record_events:
+        if self.execution.record_events and not self._plain_records:
             self.timeline.append(event)
         return event
 
@@ -373,7 +344,7 @@ class SynchronousPolicy(AggregationPolicy):
         self.faults = execution.fault_model(config.seed)
 
         start_round = 0
-        checkpointer = make_checkpointer(getattr(config, "checkpoint", None))
+        checkpointer = make_checkpointer(config.checkpoint)
         if checkpointer is not None:
             restored = checkpointer.maybe_resume(algorithm, rng)
             if restored is not None:
@@ -420,8 +391,9 @@ class SynchronousPolicy(AggregationPolicy):
                 self.emit(Event(sim_time, EVAL_TICK,
                                 info={"round": round_index, "accuracy": acc}))
             extras = dict(outcome.extras) if outcome else {}
-            extras.update({"dispatched": len(sampled),
-                           "received": len(received)})
+            if not self._plain_records:
+                extras.update({"dispatched": len(sampled),
+                               "received": len(received)})
             extras.update({f"dropped_{k}": v for k, v in drops.items() if v})
             extras.update(notes)
             record = RoundRecord(
@@ -449,11 +421,11 @@ class SynchronousPolicy(AggregationPolicy):
     # -- helpers --------------------------------------------------------
     def _sample(self, online: list[int], num_clients: int,
                 rng: np.random.Generator) -> np.ndarray:
-        from .simulation import sample_clients  # circular at module load
         target = self.sample_size(num_clients)
         extra = int(math.ceil(target * self.execution.over_select))
         if extra == 0 and len(online) == num_clients:
-            # Bit-for-bit the legacy sampling stream (equivalence contract).
+            # A fully-online fleet samples by count, not from an id array:
+            # the stream every stored always-on history was drawn from.
             return sample_clients(num_clients, self.sim_config.sample_ratio,
                                   rng)
         count = min(target + extra, len(online))
@@ -543,7 +515,7 @@ class SynchronousPolicy(AggregationPolicy):
                                 shared_broadcast=shared)
                  for cid in to_train]
         wall_timings: dict[int, dict] = {}
-        if self.strict:
+        if self.sim_config.strict:
             # Freeze the shared broadcast and the live global state for
             # the whole batch: workers may only read them, so a mutation
             # race raises at the offending write instead of corrupting a
@@ -648,8 +620,8 @@ class SynchronousPolicy(AggregationPolicy):
         if wall_timings:
             notes["client_timings"] = wall_timings
         #: updates kept in dispatch order — a synchronous server treats the
-        #: round's batch as a set, and dispatch order is the legacy loop's
-        #: accumulation order (the equivalence contract is bit-exact).
+        #: round's batch as a set, and accumulation order is part of the
+        #: result (float sums do not commute bit-for-bit).
         received.sort(key=lambda u: dispatch_order[u.client_id])
         return received, duration, drops, notes
 
@@ -680,7 +652,7 @@ class BufferedPolicy(AggregationPolicy):
         self._fault_counts: dict[int, int] = {}
         self._retry_pending = False
         self.faults = execution.fault_model(config.seed)
-        if getattr(config, "checkpoint", None) is not None:
+        if config.checkpoint is not None:
             warnings.warn("checkpointing is not supported by the buffered "
                           "policy (in-flight futures cannot be snapshotted); "
                           "running without checkpoints", stacklevel=2)
@@ -891,7 +863,7 @@ class BufferedPolicy(AggregationPolicy):
         item = make_work_item(algorithm, cid, version, self.sim_config.seed,
                               executor.needs_broadcast,
                               dispatch_index=repeat)
-        if self.strict:
+        if self.sim_config.strict:
             # The item's broadcast is its private snapshot of the server
             # state at dispatch time (that snapshot *is* the staleness
             # semantics) — freeze it for the item's whole flight so no

@@ -68,10 +68,9 @@ def train_local(model: SliceableModel, x: np.ndarray, y: np.ndarray,
 
     Each step runs under a cached step plan (:mod:`repro.autograd.plan`)
     keyed by the model's structural signature and the batch shape: clients
-    training the same slice at the same batch size reuse topo-order
-    schedules and im2col scratch arenas across steps and rounds.  Plans are
-    per worker thread/process and change results by zero bits — histories
-    are byte-identical with ``REPRO_PLAN_CACHE=0``.
+    training the same slice at the same batch size reuse im2col scratch
+    arenas across steps and rounds.  Plans are per worker thread/process
+    and change results by zero bits.
     """
     config = config.resolve(model)
     optimizer = make_optimizer(model, config)

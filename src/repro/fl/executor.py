@@ -190,9 +190,9 @@ def _worker_algorithm(handle: ScenarioHandle | None):
             # Replica churn signals a sweep cycling over many specs: drop
             # this worker's step plans too, so scratch arenas sized for
             # evicted scenarios don't outlive them.  Plans are pure derived
-            # state (value-invisible scratch + schedules), so clearing can
-            # change cost but never results; thread-pool workers never take
-            # this path and stay bounded by plan.MAX_PLANS_PER_THREAD.
+            # state (value-invisible scratch), so clearing can change cost
+            # but never results; thread-pool workers never take this path
+            # and stay bounded by plan.MAX_PLANS_PER_THREAD.
             agplan.clear_thread_plans()
         algorithm = build_worker_scenario(handle.payload).algorithm
         # repro: allow[pure-work-items] same content-addressed memo as above.
@@ -329,15 +329,6 @@ class Executor:
         futures = [self.submit(item) for item in items]
         return [future.result() for future in futures]
 
-    def stream(self, items):
-        """Yield results in item order.  Pools submit everything up front
-        (that is the parallelism) and drain in order; the inline executor
-        overrides this to run one item at a time, so the sequential path
-        keeps its one-update-alive memory profile."""
-        futures = [self.submit(item) for item in items]
-        for future in futures:
-            yield future.result()
-
     def close(self) -> None:
         """Release pool resources (idempotent)."""
 
@@ -358,19 +349,12 @@ class InlineExecutor(Executor):
         super().__init__(workers=1)
         self.algorithm = algorithm
 
-    def _execute(self, item: ClientWorkItem) -> ClientResult:
+    def submit(self, item: ClientWorkItem):
         telemetry.inc("executor.items", kind=self.kind)
         result = execute_work_item(item, self.algorithm)
         # Eager execution: no queue wait, no retries; total == execute.
         _finalize_timing(result, result.timing["execute_s"], retries=0)
-        return result
-
-    def submit(self, item: ClientWorkItem):
-        return _Immediate(self._execute(item))
-
-    def stream(self, items):
-        for item in items:
-            yield self._execute(item)
+        return _Immediate(result)
 
 
 class _ResilientFuture:

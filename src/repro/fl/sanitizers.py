@@ -18,8 +18,9 @@ walk can rule out:
 Both sanitizers are **observation-only**: a strict run produces a
 ``History.to_json()`` byte-identical to a non-strict run (pinned by
 ``tests/test_analysis.py``).  Enable per run via
-``ExecutionConfig(strict=True)`` / ``SimulationConfig(strict=True)``, or
-process-wide via :func:`set_strict_mode` (the CLI's ``--strict``).
+``SimulationConfig(strict=True)``; the experiment runner sets it from its
+process defaults (:func:`repro.experiments.runner.run_defaults`, the CLI's
+``--strict``).  This module itself holds no state.
 """
 
 from __future__ import annotations
@@ -29,47 +30,12 @@ from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["StrictModeViolation", "set_strict_mode", "strict_enabled",
-           "resolve_strict", "collect_arrays", "frozen_arrays",
+__all__ = ["StrictModeViolation", "collect_arrays", "frozen_arrays",
            "freeze_arrays", "rng_tripwire"]
 
 
 class StrictModeViolation(RuntimeError):
     """A determinism contract was broken at runtime under ``--strict``."""
-
-
-#: process-wide default, consulted when neither the ExecutionConfig nor
-#: the SimulationConfig sets ``strict`` explicitly.
-_STRICT_DEFAULT = False
-
-
-def set_strict_mode(enabled: bool) -> bool:
-    """Set the process-wide strict default; returns the previous value.
-
-    Mirrors :func:`repro.experiments.runner.set_default_parallelism`: the
-    CLI's ``--strict`` flips this once, and every run without an explicit
-    per-config setting inherits it.
-    """
-    global _STRICT_DEFAULT
-    previous = _STRICT_DEFAULT
-    _STRICT_DEFAULT = bool(enabled)
-    return previous
-
-
-def strict_enabled() -> bool:
-    return _STRICT_DEFAULT
-
-
-def resolve_strict(*flags: bool | None) -> bool:
-    """First explicit flag wins; the process default is the fallback.
-
-    Call as ``resolve_strict(execution.strict, sim_config.strict)`` — the
-    same inheritance order as ``workers``/``executor``.
-    """
-    for flag in flags:
-        if flag is not None:
-            return bool(flag)
-    return _STRICT_DEFAULT
 
 
 def collect_arrays(value):

@@ -70,7 +70,7 @@ class TestCLI:
         assert out.returncode == 2
 
     def test_table3_via_cli(self):
-        out = subprocess.run([sys.executable, "-m", "repro", "table3"],
+        out = subprocess.run([sys.executable, "-m", "repro", "run", "table3"],
                              capture_output=True, text=True)
         assert out.returncode == 0
         assert "raspberry_pi_4b" in out.stdout

@@ -35,12 +35,11 @@ from repro.analysis.rules.determinism import (NoGlobalRng,
 from repro.analysis.rules.hygiene import (LoggerNaming, NoBareExcept,
                                           PureWorkItems)
 from repro.constraints import ConstraintSpec
-from repro.experiments import RunSpec, execute_spec
+from repro.experiments import (RunDefaults, RunSpec, execute_spec,
+                               run_defaults)
 from repro.fl import ExecutionConfig
 from repro.fl.sanitizers import (StrictModeViolation, collect_arrays,
-                                 freeze_arrays, frozen_arrays,
-                                 resolve_strict, rng_tripwire,
-                                 set_strict_mode, strict_enabled)
+                                 freeze_arrays, frozen_arrays, rng_tripwire)
 
 
 def make_module(rel: str, source: str) -> ModuleSource:
@@ -684,41 +683,63 @@ class TestCli:
         assert payload["findings"][0]["rule"] == "no-global-rng"
 
 
+def _scribble_on_global_state(algorithm):
+    real_run_client = algorithm.run_client
+
+    def run_client(client_id, round_index, rng, broadcast=None):
+        next(iter(algorithm.global_state.values()))[...] = 0.0
+        return real_run_client(client_id, round_index, rng,
+                               broadcast=broadcast)
+
+    algorithm.run_client = run_client
+
+
+def _draw_from_global_rng(algorithm):
+    real_run_client = algorithm.run_client
+
+    def run_client(client_id, round_index, rng, broadcast=None):
+        np.random.random()    # repro: allow[no-global-rng] seeds the very
+        # violation the tripwire must catch.
+        return real_run_client(client_id, round_index, rng,
+                               broadcast=broadcast)
+
+    algorithm.run_client = run_client
+
+
 class TestStrictModeResolution:
-    def test_resolve_strict_precedence(self):
-        assert resolve_strict(True, False) is True
-        assert resolve_strict(None, True) is True
-        assert resolve_strict(None, False) is False
-        assert resolve_strict(None, None) is strict_enabled()
+    """The process default is the only way strict reaches a spec-driven
+    run: the runner copies it onto the run's SimulationConfig."""
 
-    def test_set_strict_mode_returns_previous(self):
-        previous = set_strict_mode(True)
-        try:
-            assert strict_enabled()
-            assert resolve_strict(None) is True
-            assert resolve_strict(False) is False
-        finally:
-            set_strict_mode(previous)
-        assert strict_enabled() is previous
+    SPEC = RunSpec(algorithm="sheterofl", dataset="harbox",
+                   constraints=ConstraintSpec(constraints=("computation",)),
+                   scale="smoke")
 
-    def test_strict_field_is_hash_invisible(self):
-        # strict is a hardening knob, not a behaviour knob: flipping it
-        # must not change ExecutionConfig serialisation or RunSpec hashes
-        # (byte-identity is proven separately below).
-        assert "strict" in ExecutionConfig.HASH_EXCLUDED
-        assert (ExecutionConfig(strict=True).to_dict()
-                == ExecutionConfig().to_dict())
-        base = RunSpec(algorithm="sheterofl", dataset="harbox",
-                       constraints=ConstraintSpec(
-                           constraints=("computation",)),
-                       scale="smoke",
-                       execution=ExecutionConfig())
-        hardened = RunSpec(algorithm="sheterofl", dataset="harbox",
-                           constraints=ConstraintSpec(
-                               constraints=("computation",)),
-                           scale="smoke",
-                           execution=ExecutionConfig(strict=True))
-        assert base.content_hash() == hardened.content_hash()
+    def test_process_default_trips_on_frozen_broadcast_write(self):
+        with run_defaults(RunDefaults(strict=True)):
+            with pytest.raises(ValueError, match="read-only"):
+                execute_spec(self.SPEC, cache=None,
+                             mutate=_scribble_on_global_state)
+        # the default is back off: the same write goes unnoticed.
+        execute_spec(self.SPEC, cache=None, mutate=_scribble_on_global_state)
+
+    def test_process_default_trips_on_global_rng_draw(self):
+        with run_defaults(RunDefaults(strict=True)):
+            with pytest.raises(StrictModeViolation, match="numpy"):
+                execute_spec(self.SPEC, cache=None,
+                             mutate=_draw_from_global_rng)
+        execute_spec(self.SPEC, cache=None, mutate=_draw_from_global_rng)
+
+    def test_run_defaults_nest_and_restore(self):
+        from repro.experiments import runner
+        before = runner._DEFAULTS
+        with run_defaults(RunDefaults(strict=True)) as outer:
+            assert runner._DEFAULTS is outer
+            with pytest.raises(RuntimeError):
+                with run_defaults(RunDefaults(workers=3)) as inner:
+                    assert runner._DEFAULTS is inner and not inner.strict
+                    raise RuntimeError("restore must survive exceptions")
+            assert runner._DEFAULTS is outer
+        assert runner._DEFAULTS is before
 
 
 class TestFreezeArrays:
@@ -813,8 +834,7 @@ class TestStrictByteIdentity:
 
     def test_strict_runs_byte_identical_across_executors(self):
         baseline = smoke_history(workers=1, executor="inline")
-        previous = set_strict_mode(True)
-        try:
+        with run_defaults(RunDefaults(strict=True)):
             # the tripwire sweep: each strict run would raise
             # StrictModeViolation if any stage touched a global RNG, and
             # ValueError if anything wrote into a frozen broadcast.
@@ -823,18 +843,16 @@ class TestStrictByteIdentity:
                 assert smoke_history(workers=workers,
                                      executor=executor) == baseline, \
                     f"strict {executor}x{workers} diverged"
-        finally:
-            set_strict_mode(previous)
 
     def test_strict_event_runtime_byte_identical(self):
         baseline = smoke_history(execution=ExecutionConfig())
-        strict = smoke_history(execution=ExecutionConfig(strict=True))
+        with run_defaults(RunDefaults(strict=True)):
+            strict = smoke_history(execution=ExecutionConfig())
         assert strict == baseline
 
     def test_strict_buffered_policy_byte_identical(self):
-        baseline = smoke_history(
-            execution=ExecutionConfig(policy="buffered", buffer_size=3))
-        strict = smoke_history(
-            execution=ExecutionConfig(policy="buffered", buffer_size=3,
-                                      strict=True))
+        execution = ExecutionConfig(policy="buffered", buffer_size=3)
+        baseline = smoke_history(execution=execution)
+        with run_defaults(RunDefaults(strict=True)):
+            strict = smoke_history(execution=execution)
         assert strict == baseline

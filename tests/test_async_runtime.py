@@ -1,12 +1,16 @@
-"""Tests for the event-driven asynchronous FL runtime.
+"""Tests for the FL runtime: one round loop, driven by aggregation policies.
 
-Covers the equivalence contract (event engine with always-on fleet, sync
-policy and no deadline reproduces the legacy loop bit-for-bit), buffered
-staleness accounting, deadline/dropout/churn handling, the availability
-models, and the async_compare experiment end-to-end.
+Covers the unified-runtime contract (a run given no execution block is the
+default block minus the event timeline and ``dispatched``/``received``
+extras, with stored History bytes pinned), buffered staleness accounting,
+deadline/dropout/churn handling, the availability models, and the
+async_compare experiment end-to-end.
 """
 
+import hashlib
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,9 +19,12 @@ from repro.constraints import ConstraintSpec, build_scenario
 from repro.data import load_dataset
 from repro.fl import (BufferedPolicy, Event, EventQueue, ExecutionConfig,
                       LocalTrainConfig, SimulationConfig, SynchronousPolicy,
-                      make_availability, run_event_simulation, run_simulation)
+                      make_availability, run_simulation)
+from repro.fl.checkpoint import CheckpointConfig
 from repro.fl.events import (CLIENT_DROPPED, DOWNLOAD_START, SERVER_AGGREGATE,
                              UPLOAD_COMPLETE)
+from repro.fl.sanitizers import StrictModeViolation
+from repro.fl.serialization import history_to_dict
 from repro.models import build_model
 
 
@@ -60,26 +67,53 @@ class TestEventQueue:
                          "staleness": 2}
 
 
-class TestLegacyEquivalence:
-    """ExecutionConfig() defaults must reproduce the legacy loop exactly."""
+#: sha256 of ``History.to_json()`` for the four ``execution=None`` tiny
+#: cells, recorded at the commit *before* the legacy synchronous loop was
+#: deleted: stored results must not move when the runtime is unified.
+NO_BLOCK_HISTORY_SHA256 = {
+    "sheterofl":
+        "427a1f5697d01c5da13bfb76356279cf2c6338d12dc8d125fb83743736593573",
+    "fedrolex":
+        "ddbe63547153310cc5aa3a5ed61162237515da58778a99dc53bd16a05243a50a",
+    "fedproto":
+        "49edfcae72e4ad1e24fae9e2990a3bb5c33cbeaefa019a92cb20654c427d70e2",
+    "fedet":
+        "a73c594a4d3f06af2cdcf236e9a952abf326c614e8484698c45f4a2f1975c5a0",
+}
 
-    @pytest.mark.parametrize("algorithm",
-                             ["sheterofl", "fedrolex", "fedproto", "fedet"])
+ALGORITHMS = sorted(NO_BLOCK_HISTORY_SHA256)
+
+
+class TestLegacyEquivalence:
+    """A run given no execution block *is* ``ExecutionConfig()`` — same
+    policy, same code — recorded in the block-less format stored results
+    were written in."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_history_matches_legacy(self, algorithm):
-        legacy = run_simulation(tiny_scenario(algorithm).algorithm,
-                                SimulationConfig(**SIM))
-        event = run_simulation(
+        plain = run_simulation(tiny_scenario(algorithm).algorithm,
+                               SimulationConfig(**SIM))
+        block = run_simulation(
             tiny_scenario(algorithm).algorithm,
             SimulationConfig(**SIM, execution=ExecutionConfig()))
 
-        assert len(legacy.records) == len(event.records)
-        for a, b in zip(legacy.records, event.records):
-            assert a.round_index == b.round_index
-            assert a.sim_time_s == b.sim_time_s
-            assert a.round_time_s == b.round_time_s
-            assert a.train_loss == b.train_loss
-            assert a.global_accuracy == b.global_accuracy
-        assert legacy.final_device_accuracies == event.final_device_accuracies
+        # Every record field agrees; the block adds exactly the event
+        # timeline and the dispatched/received extras, nothing else.
+        assert all(r.events == [] for r in plain.records)
+        assert all(r.events for r in block.records)
+        stripped = history_to_dict(block)
+        for record in stripped["records"]:
+            record["events"] = []
+            assert record["extras"].pop("dispatched") \
+                == record["extras"].pop("received")
+        assert stripped == history_to_dict(plain)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_no_block_history_bytes_pinned(self, algorithm):
+        history = run_simulation(tiny_scenario(algorithm).algorithm,
+                                 SimulationConfig(**SIM))
+        digest = hashlib.sha256(history.to_json().encode()).hexdigest()
+        assert digest == NO_BLOCK_HISTORY_SHA256[algorithm]
 
     def test_event_run_records_timeline(self):
         history = run_simulation(
@@ -101,6 +135,92 @@ class TestLegacyEquivalence:
             SimulationConfig(**SIM,
                              execution=ExecutionConfig(record_events=False)))
         assert all(r.events == [] for r in history.records)
+        assert all("dispatched" in r.extras for r in history.records)
+
+    def test_no_block_run_quarantines_nonfinite_update(self):
+        """The one semantic change of the unified runtime: update
+        validation now also guards runs given no execution block."""
+        algo = tiny_scenario().algorithm
+        real_run_client = algo.run_client
+        poisoned = []
+
+        def run_client(client_id, round_index, rng, broadcast=None):
+            update = real_run_client(client_id, round_index, rng,
+                                     broadcast=broadcast)
+            if not poisoned:
+                poisoned.append(client_id)
+                update.train_loss = float("nan")
+            return update
+
+        algo.run_client = run_client
+        history = run_simulation(algo, SimulationConfig(**SIM))
+        assert history.records[0].extras["dropped_quarantined"] == 1
+        assert all("dropped_quarantined" not in r.extras
+                   for r in history.records[1:])
+        assert all(math.isfinite(r.train_loss) for r in history.records)
+
+    def test_resumes_checkpoint_without_participation_key(self, tmp_path):
+        """Snapshots written by the deleted synchronous loop carried no
+        per-client participation counts; they must keep resuming to the
+        uninterrupted History."""
+        reference = run_simulation(tiny_scenario().algorithm,
+                                   SimulationConfig(**SIM)).to_json()
+
+        class Interrupt(RuntimeError):
+            pass
+
+        path = tmp_path / "run.ckpt.json"
+        algo = tiny_scenario().algorithm
+        real_ingest, calls = algo.ingest, []
+
+        def bomb(updates, round_index, rng):
+            if len(calls) >= 2:
+                raise Interrupt()
+            calls.append(round_index)
+            return real_ingest(updates, round_index, rng)
+
+        algo.ingest = bomb
+        with pytest.raises(Interrupt):
+            run_simulation(algo, SimulationConfig(
+                **SIM, checkpoint=CheckpointConfig(path=path, every=1)))
+        payload = json.loads(path.read_text())
+        assert payload["next_round"] == 2
+        del payload["participation"]
+        path.write_text(json.dumps(payload))
+
+        resumed = run_simulation(
+            tiny_scenario().algorithm,
+            SimulationConfig(**SIM, checkpoint=CheckpointConfig(
+                path=path, every=1, resume=True)))
+        assert resumed.to_json() == reference
+
+    def test_strict_config_trips_on_frozen_broadcast_write(self):
+        algo = tiny_scenario().algorithm
+        real_run_client = algo.run_client
+
+        def scribbling(client_id, round_index, rng, broadcast=None):
+            next(iter(algo.global_state.values()))[...] = 0.0
+            return real_run_client(client_id, round_index, rng,
+                                   broadcast=broadcast)
+
+        algo.run_client = scribbling
+        with pytest.raises(ValueError, match="read-only"):
+            run_simulation(algo, SimulationConfig(**SIM, strict=True))
+
+    def test_strict_config_trips_on_global_rng_draw(self):
+        algo = tiny_scenario().algorithm
+        real_run_client = algo.run_client
+
+        def drawing(client_id, round_index, rng, broadcast=None):
+            np.random.rand()
+            return real_run_client(client_id, round_index, rng,
+                                   broadcast=broadcast)
+
+        algo.run_client = drawing
+        with pytest.raises(StrictModeViolation, match="numpy"):
+            run_simulation(algo, SimulationConfig(**SIM, strict=True))
+        # Off by default: the same draw goes unnoticed without strict.
+        run_simulation(algo, SimulationConfig(**SIM))
 
 
 class TestSynchronousDeadline:
@@ -279,11 +399,22 @@ class TestExecutionConfig:
         with pytest.raises(ValueError):
             ConstraintSpec(availability="sometimes")
 
-    def test_run_event_simulation_override(self):
-        history = run_event_simulation(
-            tiny_scenario().algorithm, SimulationConfig(**SIM),
-            execution=ExecutionConfig(policy="buffered", buffer_size=2))
+    def test_execution_block_swaps_via_replace(self):
+        base = SimulationConfig(**SIM)
+        history = run_simulation(
+            tiny_scenario().algorithm,
+            replace(base, execution=ExecutionConfig(policy="buffered",
+                                                    buffer_size=2)))
         assert len(history.records) == SIM["num_rounds"]
+
+    def test_execution_config_is_semantics_only(self):
+        """Mechanics live on SimulationConfig; every ExecutionConfig field
+        is serialised (hashed), so there is nothing to exclude."""
+        for knob in ("workers", "executor", "strict", "item_timeout_s",
+                     "item_retries"):
+            with pytest.raises(TypeError):
+                ExecutionConfig(**{knob: 1})
+        assert not hasattr(ExecutionConfig, "HASH_EXCLUDED")
 
     def test_policy_classes_registered(self):
         assert ExecutionConfig(policy="sync")

@@ -21,8 +21,8 @@ from repro.constraints import ConstraintSpec, build_scenario
 from repro.data import load_dataset
 from repro.experiments import RunSpec, execute_spec
 from repro.experiments.cache import RunCache
-from repro.experiments.runner import (Checkpointing, _spec_checkpoint,
-                                      set_default_checkpointing)
+from repro.experiments.runner import (RunDefaults, _spec_checkpoint,
+                                      run_defaults)
 from repro.fl import (ExecutionConfig, LocalTrainConfig, SimulationConfig,
                       run_simulation, validate_update)
 from repro.fl.checkpoint import (CHECKPOINT_VERSION, CheckpointConfig,
@@ -107,10 +107,6 @@ class TestFaultSpec:
             ExecutionConfig(quorum=1.5)
         with pytest.raises(ValueError, match="synchronous"):
             ExecutionConfig(policy="buffered", quorum=0.5)
-        with pytest.raises(ValueError, match="item_timeout_s"):
-            ExecutionConfig(item_timeout_s=0.0)
-        with pytest.raises(ValueError, match="item_retries"):
-            ExecutionConfig(item_retries=-1)
 
     def test_fault_model_none_when_disabled(self):
         assert ExecutionConfig().fault_model(0) is None
@@ -131,9 +127,6 @@ class TestZeroFaultHashStability:
         assert set(ExecutionConfig().to_dict()) == self.LEGACY_KEYS
         # an all-zero (disabled) spec serialises like no spec at all
         assert set(ExecutionConfig(faults=FaultSpec()).to_dict()) \
-            == self.LEGACY_KEYS
-        assert set(ExecutionConfig(item_timeout_s=30.0,
-                                   item_retries=5).to_dict()) \
             == self.LEGACY_KEYS
 
     def test_execution_config_emits_when_set(self):
@@ -702,17 +695,15 @@ class TestRunnerCheckpointing:
         spec = RunSpec(algorithm="sheterofl", dataset="harbox",
                        constraints=SMOKE, scale="smoke", seed=0)
         assert _spec_checkpoint(spec) is None
-        previous = set_default_checkpointing(
-            Checkpointing(directory=tmp_path, every=3, resume=True))
-        try:
+        with run_defaults(RunDefaults(checkpoint_dir=tmp_path,
+                                      checkpoint_every=3, resume=True)):
             checkpoint = _spec_checkpoint(spec)
             assert checkpoint.path \
                 == tmp_path / f"{spec.content_hash()}.ckpt.json"
             assert checkpoint.every == 3 and checkpoint.resume
             other = _spec_checkpoint(spec.with_seed(1))
             assert other.path != checkpoint.path
-        finally:
-            set_default_checkpointing(previous)
+        assert _spec_checkpoint(spec) is None
 
 
 # ----------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 The contract under test: a client's local round is a pure function of
 ``(run_seed, round, client_id)`` plus the broadcast state, so
-``run_simulation``/``run_event_simulation`` produce **byte-identical**
+``run_simulation`` produces **byte-identical**
 ``History.to_json()`` for any executor (inline / thread / process) and any
 worker count; sweeps fan out with identical results; the run cache
 tolerates concurrent writers; and every algorithm's uplink payload
@@ -20,8 +20,8 @@ from repro import autograd as ag
 from repro import nn
 from repro.algorithms import ClientUpdate
 from repro.constraints import ConstraintSpec
-from repro.experiments import (RunSpec, execute_spec, execute_specs,
-                               prepare_scenario, set_default_parallelism)
+from repro.experiments import (RunDefaults, RunSpec, execute_spec,
+                               execute_specs, prepare_scenario, run_defaults)
 from repro.experiments.cache import RunCache
 from repro.fl import (ExecutionConfig, ExecutorError, InlineExecutor,
                       ProcessExecutor, SimulationConfig, ThreadExecutor,
@@ -173,15 +173,31 @@ class TestWorkItems:
         with pytest.raises(ExecutorError):
             execute_work_item(item)
 
-    def test_execution_config_validates_parallelism(self):
-        with pytest.raises(ValueError):
-            ExecutionConfig(workers=0)
-        with pytest.raises(ValueError):
-            ExecutionConfig(executor="quantum")
-        cfg = ExecutionConfig(workers=3, executor="thread")
-        assert "workers" not in cfg.to_dict()
-        assert "executor" not in cfg.to_dict()
-        assert ExecutionConfig.from_dict(cfg.to_dict()) == ExecutionConfig()
+    def test_simulation_config_validates_mechanics(self):
+        with pytest.raises(ValueError, match="workers"):
+            SimulationConfig(workers=0)
+        with pytest.raises(ValueError, match="executor"):
+            SimulationConfig(executor="quantum")
+        with pytest.raises(ValueError, match="item_timeout_s"):
+            SimulationConfig(item_timeout_s=0.0)
+        with pytest.raises(ValueError, match="item_retries"):
+            SimulationConfig(item_retries=-1)
+
+    def test_simulation_config_mechanics_reach_the_executor(self, monkeypatch):
+        from repro.fl import simulation
+        built = {}
+
+        def capture(algorithm, **kwargs):
+            built.update(kwargs)
+            return make_executor(algorithm, **kwargs)
+
+        monkeypatch.setattr(simulation, "make_executor", capture)
+        scenario, _ = prepare_scenario(smoke_spec())
+        run_simulation(scenario.algorithm, SimulationConfig(
+            num_rounds=1, sample_ratio=0.3, workers=2, executor="thread",
+            item_timeout_s=30.0, item_retries=1))
+        assert built == {"workers": 2, "kind": "thread", "timeout_s": 30.0,
+                         "retries": 1}
 
 
 class TestPayloadSerialization:
@@ -392,13 +408,15 @@ class TestParallelSweeps:
         assert all(r.from_cache for r in again)
 
     def test_default_parallelism_round_trip(self):
-        previous = set_default_parallelism(workers=2, executor="thread")
-        try:
-            from repro.experiments import default_parallelism
-            assert default_parallelism().workers == 2
-            assert default_parallelism().executor == "thread"
-        finally:
-            set_default_parallelism(previous.workers, previous.executor)
+        """A spec that doesn't say inherits the process defaults; one that
+        does wins; the previous defaults come back on exit."""
+        from repro.experiments.runner import _resolve_parallelism
+        assert _resolve_parallelism(None, None) == (1, "auto")
+        with run_defaults(RunDefaults(workers=2, executor="thread")):
+            assert _resolve_parallelism(None, None) == (2, "thread")
+            assert _resolve_parallelism(4, None) == (4, "thread")
+            assert _resolve_parallelism(None, "inline") == (2, "inline")
+        assert _resolve_parallelism(None, None) == (1, "auto")
 
     def test_spec_payload_cleared_for_mutations(self, tmp_path):
         spec = smoke_spec("fjord").replace(tag="ablation-test")

@@ -8,10 +8,12 @@ Three invariants pinned here:
   dropout RNG stream;
 * the vectorised ``_col2im`` adjoint matches the reference scatter loop for
   overlapping, tiling and gapped (stride > kernel) geometries;
-* step plans are pure derived state — reused across steps, keyed by
-  (model signature, batch shape), and **byte-invisible**: histories are
-  identical with plan caching on or off, for every executor.
+* step plans are pure derived state — scratch arenas reused across steps,
+  keyed by (model signature, batch shape), and **byte-invisible**: training
+  and histories are identical with and without an active plan step.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -28,12 +30,17 @@ from repro.experiments.spec import ConstraintSpec, RunSpec
 
 @pytest.fixture(autouse=True)
 def _plan_cache_reset():
-    """Each test starts with caching on and an empty thread registry."""
-    plan.set_plan_caching(True)
+    """Each test starts and ends with an empty thread registry."""
     plan.clear_thread_plans()
     yield
-    plan.set_plan_caching(True)
     plan.clear_thread_plans()
+
+
+@contextlib.contextmanager
+def _no_step(key, batch_shape):
+    """Test-owned stand-in for ``plan.step``: plain execution, every
+    ``workspace()`` call a fresh allocation — the plan-free reference."""
+    yield None
 
 
 def _t(shape, seed=0, scale=1.0):
@@ -202,8 +209,6 @@ class TestStepPlans:
             seen.append(p)
         assert all(p is seen[0] for p in seen)
         assert seen[0].steps == 4
-        # first step records the schedule; every later one replays it
-        assert seen[0].schedule_hits == 3
 
     def test_distinct_plans_across_shapes_and_keys(self):
         conv, lin, params = self._make_model()
@@ -238,12 +243,6 @@ class TestStepPlans:
         b = plan.workspace((3, 3), np.float32)
         assert a is not b
 
-    def test_disabled_caching_is_a_no_op(self):
-        plan.set_plan_caching(False)
-        with plan.step("k", (1,)) as p:
-            assert p is None
-        assert len(plan.thread_plans()) == 0
-
     def test_nested_steps_pass_through(self):
         with plan.step("outer", (1,)) as outer:
             with plan.step("inner", (1,)) as inner:
@@ -251,9 +250,9 @@ class TestStepPlans:
             assert plan.current_step() is outer
 
     def test_training_identical_with_and_without_plans(self):
-        """Same seeds, plans on vs off: every parameter byte-identical."""
-        def run(enabled):
-            plan.set_plan_caching(enabled)
+        """Same seeds, with vs without an active step (recycled arenas vs
+        fresh allocations): every parameter byte-identical."""
+        def run(step):
             plan.clear_thread_plans()
             conv, lin, params = self._make_model(seed=3)
             opt = nn.SGD(params, lr=0.05, momentum=0.9)
@@ -262,11 +261,11 @@ class TestStepPlans:
             for _ in range(5):
                 xb = drng.standard_normal((8, 3, 8, 8)).astype(np.float32)
                 yb = drng.integers(0, 4, size=8)
-                with plan.step(key, xb.shape):
+                with step(key, xb.shape):
                     self._train_step(params, conv, lin, xb, yb, opt)
             return [p.data.copy() for p in params]
 
-        cached, plain = run(True), run(False)
+        cached, plain = run(plan.step), run(_no_step)
         for a, b in zip(cached, plain):
             assert np.array_equal(a, b)
 
@@ -291,35 +290,24 @@ class TestStepPlans:
 SMOKE = ConstraintSpec(constraints=("computation",))
 
 
-def _smoke_history(algorithm, workers=None, executor=None) -> str:
+def _smoke_history(algorithm) -> str:
     spec = RunSpec(algorithm=algorithm, dataset="harbox", constraints=SMOKE,
-                   scale="smoke", seed=0, workers=workers, executor=executor)
+                   scale="smoke", seed=0, workers=1, executor="inline")
     return execute_spec(spec, cache=None).history.to_json()
 
 
 class TestPlanCacheHistoryIdentity:
-    """Plan caching must be invisible in results for every executor."""
+    """Arena recycling must be invisible in results."""
 
     # fedepth is the adversarial case: its sliding trainable segment means
-    # the same model signature covers many distinct backward graphs, which
-    # once collided in the schedule cache and silently dropped gradients.
+    # one model signature covers many distinct backward graphs, each
+    # requesting a different set of scratch buffers from the same arenas.
     @pytest.mark.parametrize("algorithm", ["sheterofl", "fedproto", "fedepth"])
-    def test_history_identical_plan_on_off(self, algorithm):
-        plan.set_plan_caching(False)
-        plan.clear_thread_plans()
-        plain = _smoke_history(algorithm)
-        plan.set_plan_caching(True)
-        plan.clear_thread_plans()
+    def test_history_identical_plan_on_off(self, algorithm, monkeypatch):
         cached = _smoke_history(algorithm)
+        assert plan.thread_plans(), "the cell trained without step plans"
+        plan.clear_thread_plans()
+        monkeypatch.setattr(plan, "step", _no_step)
+        plain = _smoke_history(algorithm)
+        assert not plan.thread_plans()
         assert cached == plain
-
-    def test_history_identical_across_executors_with_plans(self):
-        plan.set_plan_caching(False)
-        reference = _smoke_history("sheterofl")
-        plan.set_plan_caching(True)
-        for executor, workers in (("inline", 1), ("thread", 1),
-                                  ("thread", 2), ("process", 2)):
-            plan.clear_thread_plans()
-            assert _smoke_history("sheterofl", workers=workers,
-                                  executor=executor) == reference, \
-                f"history drifted for executor={executor} workers={workers}"

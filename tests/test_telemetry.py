@@ -346,7 +346,8 @@ class TestObservationOnly:
         assert session.metrics.counter_total("aggregation.rounds") > 0
         assert session.metrics.counter_total("executor.items") > 0
         names = {s.name for s in session.tracer.spans}
-        assert {"execute_spec", "run_simulation", "round"} <= names
+        assert {"execute_spec", "run_simulation", "dispatch_round",
+                "aggregate", "evaluate", "client_step"} <= names
         assert session.sim_rounds, "round timeline not recorded"
         assert session.sim_rounds[0]["wall"]["clients"] > 0
         rows = report_rows(session)
