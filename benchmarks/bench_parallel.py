@@ -1,24 +1,22 @@
-"""Wall-clock benchmark for the parallel client executors.
+"""Wall-clock benchmark for the parallel client executor.
 
 Runs one figure-4 cell (an algorithm on one dataset under the computation
-constraint, demo scale by default) at several worker counts and records
-wall-clock plus speedup over the inline executor in ``BENCH_parallel.json``
-at the repo root.  Every run's ``History.to_json()`` is compared against
-the inline reference — the benchmark double-checks the determinism
-contract while it measures.
+constraint, demo scale by default) inline and through the process pool at
+several worker counts, and records wall-clock plus speedup over the inline
+executor in ``BENCH_parallel.json`` at the repo root.  Every run's
+``History.to_json()`` is compared against the inline reference — the
+benchmark double-checks the determinism contract while it measures.
 
 Usage (standalone)::
 
     PYTHONPATH=src python benchmarks/bench_parallel.py
     PYTHONPATH=src python benchmarks/bench_parallel.py --workers 1 2 4 8 \
-        --executor process --rounds 20
+        --rounds 20
 
-Interpretation: speedup tracks *physical cores*.  The process executor
-wins when client steps are Python-bound (small models, small batches — the
-common demo-scale case); the thread executor wins when steps are dominated
-by BLAS GEMMs that release the GIL (large conv/linear layers).  On a
-single-core host every executor degrades gracefully to ~1x with a small
-pool/pickling overhead — determinism, not speed, is the invariant.
+Interpretation: speedup tracks *physical cores*.  Client steps are
+Python-bound, so separate worker processes are what buys a speedup; on a
+single-core host the pool degrades gracefully to ~1x minus a small
+spawn/rebuild/pickling overhead — determinism, not speed, is the invariant.
 """
 
 from __future__ import annotations
@@ -35,28 +33,26 @@ DEFAULT_JSON = REPO_ROOT / "BENCH_parallel.json"
 
 
 def _cell_spec(algorithm: str, dataset: str, scale: str,
-               rounds: int | None, workers: int, executor: str):
+               rounds: int | None, workers: int):
     from repro.constraints import ConstraintSpec
     from repro.experiments import RunSpec
     overrides = {} if rounds is None else {"num_rounds": rounds}
     return RunSpec(algorithm=algorithm, dataset=dataset,
                    constraints=ConstraintSpec(constraints=("computation",)),
-                   scale=scale, scale_overrides=overrides,
-                   workers=workers, executor=executor)
+                   scale=scale, scale_overrides=overrides, workers=workers)
 
 
 def run_benchmark(algorithm: str = "sheterofl", dataset: str = "cifar100",
                   scale: str = "demo", rounds: int | None = None,
-                  worker_counts=(1, 2, 4),
-                  executor: str = "process") -> dict:
+                  worker_counts=(1, 2, 4)) -> dict:
     """Time the cell at each worker count; returns the results document."""
     from repro.experiments import execute_spec
 
     results = {}
     reference_json = None
     for workers in worker_counts:
-        kind = "inline" if workers == 1 else executor
-        spec = _cell_spec(algorithm, dataset, scale, rounds, workers, kind)
+        kind = "inline" if workers == 1 else "process"
+        spec = _cell_spec(algorithm, dataset, scale, rounds, workers)
         start = time.perf_counter()
         history = execute_spec(spec, cache=None).history
         elapsed = time.perf_counter() - start
@@ -116,16 +112,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=None,
                         help="override the scale's num_rounds")
     parser.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4])
-    parser.add_argument("--executor", default="process",
-                        choices=("thread", "process"),
-                        help="pool type for the multi-worker runs")
     parser.add_argument("--json", type=Path, default=DEFAULT_JSON)
     args = parser.parse_args(argv)
 
     doc = record(run_benchmark(
         algorithm=args.algorithm, dataset=args.dataset, scale=args.scale,
-        rounds=args.rounds, worker_counts=tuple(args.workers),
-        executor=args.executor), json_path=args.json)
+        rounds=args.rounds, worker_counts=tuple(args.workers)),
+        json_path=args.json)
 
     print(f"cell: {doc['cell']}")
     print(f"{'workers':>8}  {'executor':>8}  {'wall s':>8}  {'speedup':>8}")

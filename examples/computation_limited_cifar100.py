@@ -8,23 +8,26 @@ train inside the fleet-derived round deadline.
 Run:  python examples/computation_limited_cifar100.py
 """
 
-from repro.constraints import ConstraintSpec
-from repro.experiments import format_table, run_one, run_suite
+from repro.experiments import (execute_specs, expand_grid, format_table,
+                               prepare_scenario, summarize_results)
+
+ALGORITHMS = ["sheterofl", "depthfl", "fedet"]
 
 
 def main() -> None:
-    spec = ConstraintSpec(constraints=("computation",))
+    specs = expand_grid(ALGORITHMS, ["cifar100"], ("computation",),
+                        scale="demo", seeds=[0])
 
-    # Peek at the assignment the constraint produces for SHeteroFL.
-    result = run_one("sheterofl", "cifar100", spec, scale="demo", seed=0)
+    # Peek at the assignment the constraint produces for SHeteroFL: build
+    # its scenario without running it.
+    scenario, _ = prepare_scenario(specs[0])
     print("SHeteroFL capacity-level assignment under the deadline "
-          f"({result.scenario.assigner.round_deadline_s:.0f}s):")
-    for key, count in sorted(result.scenario.level_distribution().items()):
+          f"({scenario.assigner.round_deadline_s:.0f}s):")
+    for key, count in sorted(scenario.level_distribution().items()):
         print(f"  {key}: {count} clients")
     print()
 
-    summaries = run_suite(["sheterofl", "depthfl", "fedet"], "cifar100",
-                          spec, scale="demo", seed=0)
+    summaries = summarize_results(execute_specs(specs), ALGORITHMS)
     print(format_table([s.as_row() for s in summaries],
                        title="CIFAR-100, computation-limited "
                              "(one algorithm per heterogeneity level)"))

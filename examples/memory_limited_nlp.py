@@ -9,21 +9,24 @@ while FeDepth's segment training stays feasible.
 Run:  python examples/memory_limited_nlp.py
 """
 
-from repro.constraints import ConstraintSpec
-from repro.experiments import format_table, run_one, run_suite
+from repro.experiments import (execute_specs, expand_grid, format_table,
+                               summarize_results)
+
+ALGORITHMS = ["sheterofl", "depthfl", "fedepth"]
 
 
 def main() -> None:
-    spec = ConstraintSpec(constraints=("memory",))
+    results = execute_specs(expand_grid(ALGORITHMS, ["stackoverflow"],
+                                        ("memory",), scale="demo",
+                                        seeds=[0]))
 
     print("Capacity levels assigned per algorithm (memory tiers binding):")
+    levels = {r.spec.algorithm: r.level_distribution() for r in results}
     for name in ("depthfl", "fedepth", "sheterofl"):
-        result = run_one(name, "stackoverflow", spec, scale="demo", seed=0)
-        print(f"  {name:12s} {result.scenario.level_distribution()}")
+        print(f"  {name:12s} {levels[name]}")
     print()
 
-    summaries = run_suite(["sheterofl", "depthfl", "fedepth"],
-                          "stackoverflow", spec, scale="demo", seed=0)
+    summaries = summarize_results(results, ALGORITHMS)
     print(format_table([s.as_row() for s in summaries],
                        title="Stack Overflow (ALBERT), memory-limited"))
 

@@ -8,12 +8,15 @@ PracMHBench metrics against the smallest-homogeneous baseline.
 Run:  python examples/quickstart.py
 """
 
-from repro.constraints import ConstraintSpec
-from repro.experiments import format_table, run_suite
+from repro.experiments import (execute_specs, expand_grid, format_table,
+                               summarize_results)
+
 
 def main() -> None:
-    spec = ConstraintSpec(constraints=("computation",))
-    summaries = run_suite(["sheterofl"], "harbox", spec, scale="demo", seed=0)
+    # The grid is SHeteroFL plus the FedAvg-smallest effectiveness baseline.
+    specs = expand_grid(["sheterofl"], ["harbox"], ("computation",),
+                        scale="demo", seeds=[0])
+    summaries = summarize_results(execute_specs(specs), ["sheterofl"])
     print(format_table([s.as_row() for s in summaries],
                        title="SHeteroFL on HAR-BOX (computation-limited)"))
     print("\nColumns: global_acc = final global-test accuracy;")

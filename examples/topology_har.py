@@ -9,16 +9,19 @@ Run:  python examples/topology_har.py
 """
 
 from repro.constraints import ConstraintSpec
-from repro.experiments import format_table, run_one
+from repro.experiments import RunSpec, execute_specs, format_table
 
 
 def main() -> None:
     spec = ConstraintSpec(constraints=("computation",))
     rows = []
-    for name in ("fedproto", "fedet"):
-        result = run_one(name, "ucihar", spec, scale="demo", seed=0)
+    for result in execute_specs(
+            [RunSpec(algorithm=name, dataset="ucihar", constraints=spec,
+                     scale="demo", seed=0)
+             for name in ("fedproto", "fedet")]):
+        name = result.spec.algorithm
         print(f"{name} architecture assignment: "
-              f"{result.scenario.level_distribution()}")
+              f"{result.level_distribution()}")
         accs = result.history.final_device_accuracies
         rows.append({
             "algorithm": name,

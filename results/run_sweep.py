@@ -76,7 +76,7 @@ PLAN = [
 ]
 
 #: which (constraint kind, datasets) grids the warm manifest covers —
-#: exactly the run_suite grids behind the PLAN's constraint figures.
+#: exactly the expand_grid grids behind the PLAN's constraint figures.
 WARM_GRIDS = [
     (("computation",), ["cifar100", "harbox", "agnews"]),
     (("memory",), ["cifar100", "stackoverflow"]),

@@ -124,12 +124,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=None, metavar="N",
                         help="parallel workers: sweep cells fan out across "
                              "a process pool (single cells parallelise "
-                             "their clients instead); results are "
-                             "identical for any N")
-    parser.add_argument("--executor", default=None,
-                        choices=("auto", "inline", "thread", "process"),
-                        help="within-cell client executor (default: auto — "
-                             "inline for 1 worker, processes otherwise)")
+                             "their clients across one instead); results "
+                             "are identical for any N")
     parser.add_argument("--checkpoint-every", type=int, default=None,
                         metavar="N",
                         help="snapshot each run every N rounds so an "
@@ -263,10 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                metavar="N",
                                help="cells in flight at once (process "
                                     "pool; results identical for any N)")
-        sweep_run.add_argument("--executor", default=None,
-                               choices=("auto", "inline", "thread",
-                                        "process"),
-                               help="cell fan-out executor (default: auto)")
         sweep_run.add_argument("--cache-dir", default=None, metavar="DIR",
                                help="override the manifest's cache "
                                     "directory")
@@ -414,7 +406,6 @@ def _run_defaults(args):
         cache = None
     defaults = RunDefaults(
         workers=args.workers if args.workers is not None else 1,
-        executor=args.executor or "auto",
         checkpoint_every=checkpoint_every,
         checkpoint_dir=args.checkpoint_dir or DEFAULT_CHECKPOINT_DIR,
         resume=args.resume, strict=args.strict)
@@ -555,7 +546,7 @@ def _cmd_sweep(args) -> int:
             stack.enter_context(telemetry_session(
                 meta={"sweep": manifest.name, "shard": shard.label}))
         report = run_sweep(manifest, shard, cache=cache,
-                           workers=args.workers, executor=args.executor)
+                           workers=args.workers)
     # The exact "# sweep: ..." text is CLI contract like "# cache: ..."
     # below — CI greps it to assert a completed sweep re-runs as all-hits.
     _log.info("# sweep: total=%d done=%d executed=%d already_done=%d "

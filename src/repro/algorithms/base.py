@@ -295,7 +295,7 @@ class MHFLAlgorithm:
     # is supplied, and every random draw comes from the caller's ``rng``
     # (derived from ``(run_seed, round, client_id)`` by the execution
     # layer).  That purity is what lets :mod:`repro.fl.executor` run clients
-    # in threads or processes with results bit-identical to the inline path.
+    # in pool processes with results bit-identical to the inline path.
     # ``pack_broadcast`` / ``pack_client_state`` / ``apply_client_state``
     # are the transport hooks: what the server sends down, what persistent
     # per-client state a worker must hand back, and how the coordinator

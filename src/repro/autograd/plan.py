@@ -19,8 +19,8 @@ What the arenas buy is resident memory, not time: on the end-to-end ledger
 the conv cells and nothing measurable in wall-clock.
 
 Plans live in a **per-thread** registry keyed by ``(model signature, batch
-shape)``: the thread executor's workers and every process-pool worker each
-own their plans, so no scratch state is ever shared across concurrently
+shape)``: every process-pool worker (and any thread a library user trains
+on) owns its plans, so no scratch state is ever shared across concurrently
 training clients.
 """
 

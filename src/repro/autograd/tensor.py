@@ -43,10 +43,9 @@ from . import profiler
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "as_tensor"]
 
-# Grad mode is *per thread*: the parallel client executor trains one client
-# per worker thread, and a ``no_grad()`` block in one client's round (e.g.
-# FedProto's prototype extraction) must not stop a concurrently-training
-# client from recording its backward tape.
+# Grad mode is *per thread*: a ``no_grad()`` block on one thread (e.g.
+# FedProto's prototype extraction) must not stop a model training
+# concurrently on another thread from recording its backward tape.
 _GRAD_STATE = threading.local()
 
 # Creation-order sequence numbers; parents always precede children, so

@@ -21,8 +21,8 @@ from .reporting import (aggregate_seed_rows, format_radar, format_table,
                         rows_to_csv, rows_to_json, write_rows)
 from .runner import (RunDefaults, RunResult, build_worker_scenario,
                      execute_spec, execute_specs, prepare_scenario,
-                     resolve_target_accuracy, run_defaults, run_one,
-                     run_suite)
+                     resolve_target_accuracy, run_defaults,
+                     summarize_results)
 from .scales import SCALES, ExperimentScale, get_scale, resolve_scale
 from .spec import RunSpec
 from .sweep import (CellStatus, Shard, SweepManifest, SweepRunReport,
@@ -37,7 +37,7 @@ __all__ = [
     "rows_to_csv", "rows_to_json", "write_rows",
     "RunResult", "RunSpec", "execute_spec", "execute_specs",
     "prepare_scenario", "build_worker_scenario",
-    "resolve_target_accuracy", "run_one", "run_suite",
+    "resolve_target_accuracy", "summarize_results",
     "RunDefaults", "run_defaults",
     "RunCache", "default_cache", "set_default_cache",
     "Artifact", "all_artifacts", "artifact_names", "get_artifact",

@@ -9,9 +9,9 @@ so a hit is verified against the spec (not just the hash) and every cached
 artifact is self-describing.
 
 The cache is **off by default for the library API** (importing repro and
-calling :func:`~repro.experiments.runner.run_one` writes nothing to disk);
-the CLI turns it on via :func:`set_default_cache`, and callers can pass an
-explicit :class:`RunCache` (or ``None``) to any runner entry point.
+calling :func:`~repro.experiments.runner.execute_spec` writes nothing to
+disk); the CLI turns it on via :func:`set_default_cache`, and callers can
+pass an explicit :class:`RunCache` (or ``None``) to any runner entry point.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ task — under a different active constraint.
 from __future__ import annotations
 
 from ..algorithms import MHFL_ALGORITHMS
-from ..constraints import ConstraintSpec
 from ..data.registry import DATASET_NAMES
-from .runner import run_suite
+from .runner import execute_specs, summarize_results
+from .sweep import expand_grid
 
 __all__ = ["run_constraint_figure"]
 
@@ -31,11 +31,12 @@ def run_constraint_figure(constraints: tuple[str, ...],
     """
     datasets = datasets or list(DATASET_NAMES)
     algorithms = algorithms or list(MHFL_ALGORITHMS)
-    spec = ConstraintSpec(constraints=constraints, availability=availability)
+    results = execute_specs(expand_grid(
+        algorithms, datasets, constraints, availability=availability,
+        scale=scale, seeds=seeds if seeds else [seed],
+        scale_overrides=scale_overrides))
     rows = []
     for dataset in datasets:
-        summaries = run_suite(algorithms, dataset, spec, scale=scale,
-                              seed=seed, seeds=seeds,
-                              scale_overrides=scale_overrides)
-        rows.extend(s.as_row() for s in summaries)
+        cells = [res for res in results if res.spec.dataset == dataset]
+        rows.extend(s.as_row() for s in summarize_results(cells, algorithms))
     return rows

@@ -11,7 +11,8 @@ from ..algorithms import MHFL_ALGORITHMS
 from ..constraints import ConstraintSpec
 from .registry import register_artifact
 from .reporting import aggregate_seed_rows
-from .runner import run_one
+from .runner import execute_specs
+from .spec import RunSpec
 
 __all__ = ["run", "COMBOS"]
 
@@ -24,21 +25,6 @@ COMBOS: list[tuple[str, ...]] = [
 ]
 
 
-def _rows_for_seed(seed: int, scale: str, dataset: str,
-                   algorithms: list[str], combos: list[tuple[str, ...]],
-                   availability: str,
-                   scale_overrides: dict | None) -> list[dict]:
-    rows = []
-    for combo in combos:
-        spec = ConstraintSpec(constraints=combo, availability=availability)
-        for name in algorithms:
-            result = run_one(name, dataset, spec, scale=scale, seed=seed,
-                             scale_overrides=scale_overrides)
-            rows.append({"constraints": spec.label, "algorithm": name,
-                         "accuracy": round(result.final_accuracy, 4)})
-    return rows
-
-
 @register_artifact("fig7",
                    title="Figure 7: constraint combinations (CIFAR-100)")
 def run(scale: str = "demo", seed: int = 0, dataset: str = "cifar100",
@@ -48,11 +34,21 @@ def run(scale: str = "demo", seed: int = 0, dataset: str = "cifar100",
         availability: str = "always_on",
         scale_overrides: dict | None = None) -> list[dict]:
     algorithms = algorithms or list(MHFL_ALGORITHMS)
-    combos = list(combos or COMBOS)
+    seed_list = seeds if seeds else [seed]
+    specs = [RunSpec(algorithm=name, dataset=dataset,
+                     constraints=ConstraintSpec(constraints=combo,
+                                                availability=availability),
+                     scale=scale, scale_overrides=dict(scale_overrides or {}),
+                     seed=one_seed)
+             for one_seed in seed_list for combo in (combos or COMBOS)
+             for name in algorithms]
+    results = execute_specs(specs)
     return aggregate_seed_rows(
-        [_rows_for_seed(s, scale, dataset, algorithms, combos, availability,
-                        scale_overrides)
-         for s in (seeds if seeds else [seed])],
+        [[{"constraints": res.spec.constraints.label,
+           "algorithm": res.spec.algorithm,
+           "accuracy": round(res.final_accuracy, 4)}
+          for res in results if res.spec.seed == one_seed]
+         for one_seed in seed_list],
         value_keys=["accuracy"])
 
 

@@ -11,7 +11,8 @@ from ..algorithms import MHFL_ALGORITHMS
 from ..constraints import ConstraintSpec
 from .registry import register_artifact
 from .reporting import aggregate_seed_rows
-from .runner import run_one
+from .runner import execute_specs
+from .spec import RunSpec
 
 __all__ = ["run", "PARTITIONS", "NONIID_DATASETS"]
 
@@ -19,24 +20,6 @@ __all__ = ["run", "PARTITIONS", "NONIID_DATASETS"]
 PARTITIONS = [("iid", "iid", 0.0), ("niid-0.5", "dirichlet", 0.5),
               ("niid-5", "dirichlet", 5.0)]
 NONIID_DATASETS = ["cifar100", "cifar10", "agnews"]
-
-
-def _rows_for_seed(seed: int, scale: str, datasets: list[str],
-                   algorithms: list[str], availability: str,
-                   scale_overrides: dict | None) -> list[dict]:
-    spec = ConstraintSpec(constraints=("computation",),
-                          availability=availability)
-    rows = []
-    for dataset in datasets:
-        for label, scheme, alpha in PARTITIONS:
-            for name in algorithms:
-                result = run_one(name, dataset, spec, scale=scale, seed=seed,
-                                 partition_scheme=scheme, alpha=alpha,
-                                 scale_overrides=scale_overrides)
-                rows.append({"dataset": dataset, "partition": label,
-                             "algorithm": name,
-                             "accuracy": round(result.final_accuracy, 4)})
-    return rows
 
 
 @register_artifact("fig8",
@@ -49,11 +32,25 @@ def run(scale: str = "demo", seed: int = 0,
         availability: str = "always_on",
         scale_overrides: dict | None = None) -> list[dict]:
     algorithms = algorithms or list(MHFL_ALGORITHMS)
-    datasets = list(datasets or NONIID_DATASETS)
+    seed_list = seeds if seeds else [seed]
+    constraints = ConstraintSpec(constraints=("computation",),
+                                 availability=availability)
+    cells = [(label, RunSpec(algorithm=name, dataset=dataset,
+                             constraints=constraints, scale=scale,
+                             scale_overrides=dict(scale_overrides or {}),
+                             partition_scheme=scheme, alpha=alpha,
+                             seed=one_seed))
+             for one_seed in seed_list
+             for dataset in (datasets or NONIID_DATASETS)
+             for label, scheme, alpha in PARTITIONS for name in algorithms]
+    results = execute_specs([spec for _, spec in cells])
     return aggregate_seed_rows(
-        [_rows_for_seed(s, scale, datasets, algorithms, availability,
-                        scale_overrides)
-         for s in (seeds if seeds else [seed])],
+        [[{"dataset": res.spec.dataset, "partition": label,
+           "algorithm": res.spec.algorithm,
+           "accuracy": round(res.final_accuracy, 4)}
+          for (label, _), res in zip(cells, results)
+          if res.spec.seed == one_seed]
+         for one_seed in seed_list],
         value_keys=["accuracy"])
 
 

@@ -12,8 +12,9 @@ from ..algorithms import MHFL_ALGORITHMS
 from ..constraints import ConstraintSpec
 from .registry import register_artifact
 from .reporting import aggregate_seed_rows
-from .runner import resolve_target_accuracy, run_one
+from .runner import execute_specs, resolve_target_accuracy
 from .scales import get_scale
+from .spec import RunSpec
 
 __all__ = ["run", "client_counts_for"]
 
@@ -26,26 +27,18 @@ def client_counts_for(scale_name: str) -> list[int]:
     return [base, base * 2, base * 5]
 
 
-def _rows_for_seed(seed: int, scale: str, dataset: str,
-                   algorithms: list[str], counts: list[int],
-                   availability: str,
-                   scale_overrides: dict | None) -> list[dict]:
-    spec = ConstraintSpec(constraints=("memory",), availability=availability)
+def _rows(results) -> list[dict]:
+    """Rows of one (seed, client count) group: every algorithm measured
+    against the group's shared time-to-accuracy target."""
+    target = resolve_target_accuracy([res.history for res in results],
+                                     results[0].num_classes)
     rows = []
-    for num_clients in counts:
-        results = {}
-        for name in algorithms:
-            results[name] = run_one(name, dataset, spec, scale=scale,
-                                    seed=seed, num_clients=num_clients,
-                                    scale_overrides=scale_overrides)
-        num_classes = next(iter(results.values())).num_classes
-        target = resolve_target_accuracy(
-            [r.history for r in results.values()], num_classes)
-        for name, result in results.items():
-            tta = result.history.time_to_accuracy(target)
-            rows.append({"clients": num_clients, "algorithm": name,
-                         "accuracy": round(result.final_accuracy, 4),
-                         "tta_s": None if tta is None else round(tta, 1)})
+    for res in results:
+        tta = res.history.time_to_accuracy(target)
+        rows.append({"clients": res.spec.num_clients,
+                     "algorithm": res.spec.algorithm,
+                     "accuracy": round(res.final_accuracy, 4),
+                     "tta_s": None if tta is None else round(tta, 1)})
     return rows
 
 
@@ -59,10 +52,21 @@ def run(scale: str = "demo", seed: int = 0, dataset: str = "cifar100",
         scale_overrides: dict | None = None) -> list[dict]:
     algorithms = algorithms or list(_FIG9_ALGORITHMS)
     counts = client_counts or client_counts_for(get_scale(scale).name)
+    seed_list = seeds if seeds else [seed]
+    constraints = ConstraintSpec(constraints=("memory",),
+                                 availability=availability)
+    results = execute_specs(
+        [RunSpec(algorithm=name, dataset=dataset, constraints=constraints,
+                 scale=scale, scale_overrides=dict(scale_overrides or {}),
+                 num_clients=num_clients, seed=one_seed)
+         for one_seed in seed_list for num_clients in counts
+         for name in algorithms])
     return aggregate_seed_rows(
-        [_rows_for_seed(s, scale, dataset, algorithms, counts, availability,
-                        scale_overrides)
-         for s in (seeds if seeds else [seed])],
+        [[row for num_clients in counts
+          for row in _rows([res for res in results
+                            if (res.spec.seed, res.spec.num_clients)
+                            == (one_seed, num_clients)])]
+         for one_seed in seed_list],
         value_keys=["accuracy", "tta_s"])
 
 

@@ -4,25 +4,27 @@
 :class:`~repro.experiments.spec.RunSpec` into a built scenario, runs the
 simulation, and (when a :class:`~repro.experiments.cache.RunCache` is
 active) serves repeated cells from disk instead of recomputing them.
-:func:`run_one` and :func:`run_suite` keep their historical signatures as
-thin wrappers; :func:`run_suite` additionally sweeps seeds
-(``seeds=[0, 1, 2]``) into mean±std :class:`~repro.metrics.MetricSummary`
-rows.  Everything scale-dependent comes from
+:func:`execute_specs` runs a list of them (a grid from
+:func:`~repro.experiments.sweep.expand_grid`, or any plain list), and
+:func:`summarize_results` turns one dataset's results into the
+:class:`~repro.metrics.MetricSummary` rows the constraint figures print
+(shared time-to-accuracy target and baseline per seed, mean±std across
+seeds).  Everything scale-dependent comes from
 :mod:`repro.experiments.scales`.
 
 Parallelism enters at two granularities, both with byte-identical results:
 
-* **within a cell** — ``RunSpec.workers``/``executor`` (or the process
-  defaults, which the CLI's ``--workers`` sets) hand client training to a
-  thread/process pool via :mod:`repro.fl.executor`;
-* **across cells** — :func:`execute_specs` fans independent sweep cells
-  (``run_suite`` grids, multi-seed sweeps) out over a process pool; each
-  worker writes the shared run cache through atomic renames, and cells
-  run inline internally so the machine is never oversubscribed.
+* **within a cell** — ``RunSpec.workers`` (or the process default, which
+  the CLI's ``--workers`` sets) hands client training to a process pool
+  via :mod:`repro.fl.executor`;
+* **across cells** — :func:`execute_specs` fans independent cells out
+  over a process pool; each worker writes the shared run cache through
+  atomic renames, and cells run inline internally so the machine is never
+  oversubscribed.
 
 Run *mechanics* — parallelism, checkpointing, strict-mode sanitizers —
-resolve in exactly one place: a spec's own ``workers``/``executor`` win,
-the process-wide :class:`RunDefaults` (installed with
+resolve in exactly one place: a spec's own ``workers`` wins, the
+process-wide :class:`RunDefaults` (installed with
 :func:`run_defaults`) fill the rest, and :func:`execute_spec` hands
 :func:`~repro.fl.simulation.run_simulation` a fully explicit
 :class:`~repro.fl.simulation.SimulationConfig`.  Nothing below the runner
@@ -38,10 +40,9 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from ..algorithms import get_algorithm
-from ..constraints import BuiltScenario, ConstraintSpec, build_scenario
+from ..constraints import BuiltScenario, build_scenario
 from ..data.dataset import FederatedDataset
 from ..data.registry import load_dataset
-from ..fl.aggregation import ExecutionConfig
 from ..fl.checkpoint import CheckpointConfig
 from ..fl.client import LocalTrainConfig
 from ..fl.history import History
@@ -52,11 +53,11 @@ from ..telemetry import runtime as telemetry
 from ..telemetry.logs import get_logger
 from .cache import RunCache, default_cache
 from .mapping import build_base_model
-from .scales import ExperimentScale, get_scale
-from .spec import RunSpec, spec_scale_fields
+from .scales import ExperimentScale
+from .spec import RunSpec
 
 __all__ = ["RunResult", "execute_spec", "execute_specs", "prepare_scenario",
-           "build_worker_scenario", "run_one", "run_suite",
+           "build_worker_scenario", "summarize_results",
            "resolve_target_accuracy", "DEFAULT", "RunDefaults",
            "run_defaults", "DEFAULT_CHECKPOINT_DIR"]
 
@@ -90,9 +91,8 @@ class RunDefaults:
     results are byte-identical at any setting, so none of it is hashed."""
 
     #: client-work parallelism (and sweep fan-out) for specs whose own
-    #: ``workers``/``executor`` are ``None``.
+    #: ``workers`` is ``None``.
     workers: int = 1
-    executor: str = "auto"
     #: crash-safety: snapshot every N-th round (``None`` = off) to
     #: ``<checkpoint_dir>/<content_hash>.ckpt.json`` — one file per spec,
     #: so a sweep's cells never collide and ``resume`` finds each cell's
@@ -120,10 +120,8 @@ def run_defaults(defaults: RunDefaults):
         _DEFAULTS = previous
 
 
-def _resolve_parallelism(workers: int | None,
-                         executor: str | None) -> tuple[int, str]:
-    return (max(1, int(_DEFAULTS.workers if workers is None else workers)),
-            _DEFAULTS.executor if executor is None else executor)
+def _resolve_workers(workers: int | None) -> int:
+    return max(1, int(_DEFAULTS.workers if workers is None else workers))
 
 
 def _spec_checkpoint(spec: RunSpec) -> CheckpointConfig | None:
@@ -173,8 +171,8 @@ def prepare_scenario(spec: RunSpec, dataset_loader: Callable | None = None
                      ) -> tuple[BuiltScenario, FederatedDataset]:
     """Build (but do not run) the scenario a spec describes.
 
-    The build order is the historical ``run_one`` order — dataset, base
-    model, scenario — so specs reproduce pre-RunSpec runs bit-for-bit.
+    The build order — dataset, base model, scenario — is fixed, so specs
+    reproduce pre-RunSpec runs bit-for-bit.
     The built algorithm carries ``spec.to_dict()`` as its
     ``spec_payload``, which is what lets process-pool executors rebuild an
     identical replica per worker.  ``dataset_loader`` overrides the
@@ -295,12 +293,12 @@ def _execute_spec_live(spec: RunSpec, cache: RunCache | None,
         execution = execution_factory(scenario)
     else:
         execution = spec.resolved_execution()
-    workers, executor_kind = _resolve_parallelism(spec.workers, spec.executor)
     sim = SimulationConfig(num_rounds=scale.num_rounds,
                            sample_ratio=scale.sample_ratio,
                            eval_every=scale.eval_every, seed=spec.seed,
                            execution=execution,
-                           workers=workers, executor=executor_kind,
+                           workers=_resolve_workers(spec.workers),
+                           executor=spec.executor or "auto",
                            checkpoint=_spec_checkpoint(spec),
                            strict=_DEFAULTS.strict)
     with telemetry.span("run_simulation", algorithm=spec.algorithm,
@@ -337,7 +335,7 @@ def _execute_spec_payload(payload: dict, cache_dir: str | None,
     # hold even for hand-authored payloads that smuggle a workers key in.
     spec = RunSpec.from_dict(payload).replace(workers=1, executor="inline")
     cache = RunCache(cache_dir) if cache_dir is not None else None
-    with run_defaults(_dc_replace(defaults, workers=1, executor="auto")):
+    with run_defaults(_dc_replace(defaults, workers=1)):
         if with_telemetry:
             with telemetry.telemetry_session():
                 result = execute_spec(spec, cache=cache)
@@ -353,7 +351,6 @@ def _execute_spec_payload(payload: dict, cache_dir: str | None,
 
 def execute_specs(specs: Sequence[RunSpec], *, cache=DEFAULT,
                   workers: int | None = None,
-                  executor: str | None = None,
                   on_result: Callable[[RunSpec, RunResult], None] | None
                   = None) -> list[RunResult]:
     """Execute a sweep of independent cells, fanning out across processes.
@@ -376,8 +373,8 @@ def execute_specs(specs: Sequence[RunSpec], *, cache=DEFAULT,
     """
     specs = list(specs)
     cache = _resolve_cache(cache)
-    sweep_workers, kind = _resolve_parallelism(workers, executor)
-    if sweep_workers <= 1 or len(specs) <= 1 or kind == "inline":
+    sweep_workers = _resolve_workers(workers)
+    if sweep_workers <= 1 or len(specs) <= 1:
         results = []
         for spec in specs:
             result = execute_spec(spec, cache=cache)
@@ -423,37 +420,6 @@ def execute_specs(specs: Sequence[RunSpec], *, cache=DEFAULT,
     return results
 
 
-def run_one(algorithm: str, dataset_name: str, spec: ConstraintSpec,
-            scale: str | ExperimentScale = "demo", seed: int = 0,
-            partition_scheme: str = "auto", alpha: float = 0.5,
-            num_clients: int | None = None,
-            execution: ExecutionConfig | None = None,
-            scale_overrides: dict | None = None,
-            cache=DEFAULT, workers: int | None = None,
-            executor: str | None = None) -> RunResult:
-    """Run one algorithm on one dataset under one constraint case.
-
-    Back-compat wrapper over :func:`execute_spec`: the arguments are packed
-    into a :class:`RunSpec`, so the run is cacheable and addressable.
-    ``execution`` is the run's execution block; when omitted, a spec with a
-    non-trivial availability scenario or fault profile gets the block that
-    honours it (:meth:`RunSpec.resolved_execution`), and a plain spec runs
-    synchronous rounds on an always-on fleet.  ``workers``/``executor``
-    select within-cell client parallelism (results identical at any
-    setting).
-    """
-    scale_name, packed_overrides = spec_scale_fields(scale)
-    packed_overrides.update(scale_overrides or {})
-    run_spec = RunSpec(algorithm=algorithm, dataset=dataset_name,
-                       constraints=spec, scale=scale_name,
-                       scale_overrides=packed_overrides,
-                       execution=execution,
-                       partition_scheme=partition_scheme, alpha=alpha,
-                       num_clients=num_clients, seed=seed,
-                       workers=workers, executor=executor)
-    return execute_spec(run_spec, cache=cache)
-
-
 def resolve_target_accuracy(histories: list[History],
                             num_classes: int) -> float:
     """Preset accuracy for the time-to-accuracy metric.
@@ -468,55 +434,32 @@ def resolve_target_accuracy(histories: list[History],
     return chance + 0.5 * max(best - chance, 0.02)
 
 
-def run_suite(algorithms: list[str], dataset_name: str, spec: ConstraintSpec,
-              scale: str | ExperimentScale = "demo", seed: int = 0,
-              partition_scheme: str = "auto", alpha: float = 0.5,
-              num_clients: int | None = None,
-              with_baseline: bool = True,
-              seeds: list[int] | None = None,
-              scale_overrides: dict | None = None,
-              cache=DEFAULT, workers: int | None = None,
-              executor: str | None = None) -> list[MetricSummary]:
-    """Run a set of algorithms plus the effectiveness baseline.
+#: the effectiveness baseline every grid carries one cell of per seed.
+BASELINE_ALGORITHM = "fedavg_smallest"
 
-    Returns one :class:`MetricSummary` per algorithm.  Within each seed all
-    algorithms share the same adaptive time-to-accuracy target and the same
-    FedAvg-smallest baseline; ``seeds=[0, 1, 2]`` sweeps the whole suite
-    and aggregates each algorithm's per-seed summaries into mean±std form
-    (``seeds`` takes precedence over the scalar ``seed``).
 
-    The whole (algorithm + baseline) × seed grid is one
-    :func:`execute_specs` sweep, so with ``workers`` (or the process-wide
-    parallelism default) above one, independent cells fan out across a
-    process pool; summaries are computed afterwards on identical results.
+def summarize_results(results: Sequence[RunResult],
+                      algorithms: Sequence[str]) -> list[MetricSummary]:
+    """One :class:`MetricSummary` per algorithm from one dataset's
+    (algorithm + baseline) x seed results.
+
+    Within each seed all ``algorithms`` share the same adaptive
+    time-to-accuracy target and the same :data:`BASELINE_ALGORITHM` run —
+    the extra cell a grid from
+    :func:`~repro.experiments.sweep.expand_grid` computes once (without
+    it, effectiveness is ``None``); several seeds aggregate into mean±std
+    form.
     """
-    scale_name, packed_overrides = spec_scale_fields(scale)
-    packed_overrides.update(scale_overrides or {})
-    seed_list = list(seeds) if seeds else [seed]
-    # Order-preserving dedupe: with the baseline also listed explicitly in
-    # ``algorithms`` the cell would otherwise be submitted to the pool
-    # twice and computed twice in parallel (a sequential run would have
-    # served the repeat from the cache).
-    names = list(dict.fromkeys(
-        list(algorithms) + (["fedavg_smallest"] if with_baseline else [])))
-    grid = [RunSpec(algorithm=name, dataset=dataset_name, constraints=spec,
-                    scale=scale_name, scale_overrides=packed_overrides,
-                    partition_scheme=partition_scheme, alpha=alpha,
-                    num_clients=num_clients, seed=one_seed)
-            for one_seed in seed_list for name in names]
-    sweep = execute_specs(grid, cache=cache, workers=workers,
-                          executor=executor)
-    by_cell = {(res.spec.algorithm, res.spec.seed): res for res in sweep}
-
-    per_algorithm: dict[str, list[MetricSummary]] = {n: [] for n in algorithms}
-    for one_seed in seed_list:
-        results = {name: by_cell[(name, one_seed)] for name in algorithms}
-        baseline_history = (by_cell[("fedavg_smallest", one_seed)].history
-                            if with_baseline else None)
-        num_classes = next(iter(results.values())).num_classes
-        target = resolve_target_accuracy(
-            [r.history for r in results.values()], num_classes)
-        for name, result in results.items():
+    by_cell = {(res.spec.algorithm, res.spec.seed): res for res in results}
+    names = list(dict.fromkeys(algorithms))
+    per_algorithm: dict[str, list[MetricSummary]] = {n: [] for n in names}
+    for seed in dict.fromkeys(res.spec.seed for res in results):
+        cells = [by_cell[(name, seed)] for name in names]
+        baseline = by_cell.get((BASELINE_ALGORITHM, seed))
+        baseline_history = baseline.history if baseline else None
+        target = resolve_target_accuracy([c.history for c in cells],
+                                         cells[0].num_classes)
+        for name, cell in zip(names, cells):
             per_algorithm[name].append(
-                summarize(result.history, target, baseline_history))
+                summarize(cell.history, target, baseline_history))
     return [aggregate_summaries(per_algorithm[name]) for name in algorithms]

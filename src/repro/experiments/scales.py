@@ -55,12 +55,6 @@ class ExperimentScale:
                              f"known fields: {sorted(known - {'name'})}")
         return replace(self, **overrides)
 
-    def overrides_from(self, base: "ExperimentScale") -> dict:
-        """Fields of this scale that differ from ``base`` (name excluded)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)
-                if f.name != "name"
-                and getattr(self, f.name) != getattr(base, f.name)}
-
 
 SCALES: dict[str, ExperimentScale] = {
     "smoke": ExperimentScale(

@@ -29,31 +29,13 @@ from typing import ClassVar
 
 from ..constraints import ConstraintSpec
 from ..fl.aggregation import ExecutionConfig
-from .scales import ExperimentScale, SCALES, resolve_scale
+from ..fl.executor import EXECUTOR_KINDS
+from .scales import ExperimentScale, resolve_scale
 
-__all__ = ["RunSpec", "spec_scale_fields"]
+__all__ = ["RunSpec"]
 
 #: bump when the serialised form changes incompatibly (invalidates caches).
 SPEC_VERSION = 1
-
-
-def spec_scale_fields(scale: str | ExperimentScale) -> tuple[str, dict]:
-    """Split a scale reference into RunSpec's ``(scale, scale_overrides)``.
-
-    Preset names pass through; an :class:`ExperimentScale` object is stored
-    as its name plus the fields that differ from the same-named preset (or
-    all fields when the name is not a preset), so hand-built scales remain
-    serialisable and hash stably.
-    """
-    if isinstance(scale, str):
-        return scale, {}
-    preset = SCALES.get(scale.name)
-    if preset is not None:
-        return scale.name, scale.overrides_from(preset)
-    from dataclasses import asdict
-    payload = asdict(scale)
-    payload.pop("name")
-    return scale.name, payload
 
 
 @dataclass(frozen=True)
@@ -76,13 +58,15 @@ class RunSpec:
     #: marks out-of-spec behaviour changes (ablation mutations, derived
     #: execution configs) so they cache under their own hash.
     tag: str = ""
-    #: client-work parallelism for this cell (``None`` inherits the
-    #: process defaults, :class:`repro.experiments.runner.RunDefaults`).
-    #: Parallelism cannot change results — the executor determinism
-    #: contract — so neither field is serialised or hashed: the same cell
-    #: caches identically at any worker count.
+    #: client-work parallelism for this cell: ``workers=None`` inherits
+    #: the process default (:class:`repro.experiments.runner.RunDefaults`),
+    #: ``executor=None`` means ``"auto"`` (a process pool when there is
+    #: more than one worker, else inline).  Parallelism cannot change
+    #: results — the executor determinism contract — so neither field is
+    #: serialised or hashed: the same cell caches identically at any
+    #: worker count.
     workers: int | None = None
-    executor: str | None = None    # "auto" | "inline" | "thread" | "process"
+    executor: str | None = None    # "auto" | "inline" | "process"
 
     #: fields deliberately absent from :meth:`to_dict` and therefore from
     #: :meth:`content_hash`: execution mechanics that cannot change
@@ -91,6 +75,11 @@ class RunSpec:
     #: never be hash-invisible by accident.
     HASH_EXCLUDED: ClassVar[frozenset[str]] = frozenset({"workers",
                                                          "executor"})
+
+    def __post_init__(self):
+        if self.executor is not None and self.executor not in EXECUTOR_KINDS:
+            raise ValueError(f"unknown executor {self.executor!r}; "
+                             f"known: {EXECUTOR_KINDS}")
 
     # ------------------------------------------------------------------
     # Resolution

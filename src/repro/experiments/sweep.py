@@ -45,7 +45,7 @@ from ..data.registry import DATASET_NAMES
 from ..telemetry.logs import get_logger
 from ..telemetry.report import sidecar_wall_seconds
 from .cache import DEFAULT_CACHE_DIR, RunCache, atomic_write_text
-from .runner import RunResult, execute_specs
+from .runner import BASELINE_ALGORITHM, RunResult, execute_specs
 from .spec import RunSpec
 
 __all__ = ["MANIFEST_VERSION", "Shard", "shard_of", "expand_grid",
@@ -121,23 +121,25 @@ def expand_grid(algorithms: Sequence[str] | None = None,
                 partition_scheme: str = "auto",
                 alpha: float = 0.5,
                 num_clients: int | None = None,
-                with_baseline: bool = True) -> list[RunSpec]:
+                with_baseline: bool = True,
+                scale_overrides: dict | None = None) -> list[RunSpec]:
     """Expand a (dataset x seed x algorithm) grid into unique RunSpecs.
 
-    Mirrors :func:`~repro.experiments.runner.run_suite`'s grid — including
-    the shared ``fedavg_smallest`` effectiveness baseline — so a completed
-    sweep makes rendering the corresponding figure artifacts pure cache
-    hits.  Duplicate cells (e.g. the baseline listed explicitly) are
-    dropped order-preservingly by content hash.
+    The one grid builder: the constraint figures execute exactly these
+    cells — including the shared ``fedavg_smallest`` effectiveness
+    baseline — so a completed sweep makes rendering them pure cache hits.
+    Duplicate cells (e.g. the baseline listed explicitly) are dropped
+    order-preservingly by content hash.
     """
     names = list(algorithms) if algorithms else list(MHFL_ALGORITHMS)
     if with_baseline:
-        names = list(dict.fromkeys(names + ["fedavg_smallest"]))
+        names = list(dict.fromkeys(names + [BASELINE_ALGORITHM]))
     data = list(datasets) if datasets else list(DATASET_NAMES)
     constraint_spec = ConstraintSpec(constraints=tuple(constraints),
                                      availability=availability)
     grid = [RunSpec(algorithm=name, dataset=dataset,
                     constraints=constraint_spec, scale=scale,
+                    scale_overrides=dict(scale_overrides or {}),
                     partition_scheme=partition_scheme, alpha=alpha,
                     num_clients=num_clients, seed=seed)
             for dataset in data for seed in seeds for name in names]
@@ -390,7 +392,6 @@ class SweepRunReport:
 
 def run_sweep(manifest: SweepManifest, shard: Shard | None = None, *,
               cache: RunCache | None = None, workers: int | None = None,
-              executor: str | None = None,
               on_cell: Callable[[RunSpec, RunResult], None] | None = None,
               ) -> SweepRunReport:
     """Run (or resume — same call) the shard's pending cells.
@@ -432,8 +433,7 @@ def run_sweep(manifest: SweepManifest, shard: Shard | None = None, *,
         if on_cell is not None:
             on_cell(spec, result)
 
-    execute_specs(pending, cache=cache, workers=workers,
-                  executor=executor, on_result=_note)
+    execute_specs(pending, cache=cache, workers=workers, on_result=_note)
     return SweepRunReport(manifest=manifest.name, shard=shard.label,
                           total=len(specs), already_done=already_done,
                           executed=len(pending) - progress["served"],

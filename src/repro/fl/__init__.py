@@ -18,7 +18,7 @@ from .aggregation import (ExecutionConfig, AggregationPolicy,
                           AGGREGATION_POLICIES, make_policy, validate_update)
 from .executor import (ScenarioHandle, ClientWorkItem, ClientResult,
                        execute_work_item, Executor, InlineExecutor,
-                       ThreadExecutor, ProcessExecutor, EXECUTORS,
+                       ProcessExecutor, EXECUTOR_KINDS,
                        make_executor, ExecutorError, TransientExecutorError,
                        failure_is_transient)
 from .faults import FaultSpec, FaultModel, FaultPlan, corrupt_update
@@ -40,8 +40,8 @@ __all__ = [
     "BufferedPolicy", "AGGREGATION_POLICIES", "make_policy",
     "validate_update",
     "ScenarioHandle", "ClientWorkItem", "ClientResult", "execute_work_item",
-    "Executor", "InlineExecutor", "ThreadExecutor", "ProcessExecutor",
-    "EXECUTORS", "make_executor", "ExecutorError", "TransientExecutorError",
+    "Executor", "InlineExecutor", "ProcessExecutor",
+    "EXECUTOR_KINDS", "make_executor", "ExecutorError", "TransientExecutorError",
     "failure_is_transient",
     "FaultSpec", "FaultModel", "FaultPlan", "corrupt_update",
     "CheckpointConfig", "Checkpointer", "make_checkpointer",

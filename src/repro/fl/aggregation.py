@@ -25,8 +25,8 @@ Both drive the same per-client algorithm primitives (``run_client`` /
 unchanged.  Client work is *snapshotted* at dispatch time — the state a
 client downloads is the server state at its dispatch timestamp, which is
 exactly what staleness means — and handed to a pluggable
-:class:`~repro.fl.executor.Executor` (inline, thread pool or process
-pool); the queue orders arrivals, drops and aggregations on the simulated
+:class:`~repro.fl.executor.Executor` (inline or process pool); the
+queue orders arrivals, drops and aggregations on the simulated
 clock, so the History is identical for any worker count.
 
 :class:`ExecutionConfig` holds only what changes results (and is hashed

@@ -1,4 +1,4 @@
-"""Pluggable client-work executors: inline, thread pool, process pool.
+"""Pluggable client-work executors: inline and process pool.
 
 The simulation layer never trains a client directly any more; it packages
 each local round as a :class:`ClientWorkItem` — a *pure, picklable* job —
@@ -16,17 +16,15 @@ determines the result:
   serialised form, so a pool worker can rebuild an identical replica and
   cache it across items.
 
-Three executors implement one contract:
+Two executors implement one contract:
 
 * :class:`InlineExecutor` — eager, in-place, zero-copy (``broadcast=None``
   reads live state); bit-for-bit the pre-executor sequential semantics and
-  the reference every other executor must match;
-* :class:`ThreadExecutor` — shares the coordinator's algorithm object
-  across worker threads.  Wins when local training is BLAS-bound (conv /
-  GEMM releases the GIL); loses when clients are Python-bound;
-* :class:`ProcessExecutor` — full process pool; each worker rebuilds the
-  scenario from the handle once and caches it by spec hash.  Wins when
-  clients are Python-bound; pays pickling for broadcasts and updates.
+  the reference the pool must match;
+* :class:`ProcessExecutor` — process pool; each worker rebuilds the
+  scenario from the handle once and caches it by spec hash.  Client steps
+  are Python-bound, so separate interpreters are what buys a speedup; the
+  price is pickling broadcasts and updates.
 
 Because items are pure and ingestion happens on the coordinator in
 dispatch order, **results are identical for any executor and any worker
@@ -41,7 +39,6 @@ import threading
 import time
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import ProcessPoolExecutor as _ProcessPool
-from concurrent.futures import ThreadPoolExecutor as _ThreadPool
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass
 
@@ -54,7 +51,7 @@ _log = get_logger("executor")
 
 __all__ = ["ScenarioHandle", "ClientWorkItem", "ClientResult",
            "execute_work_item", "Executor", "InlineExecutor",
-           "ThreadExecutor", "ProcessExecutor", "EXECUTORS",
+           "ProcessExecutor", "EXECUTOR_KINDS",
            "make_executor", "resolve_executor_kind", "ExecutorError",
            "TransientExecutorError", "failure_is_transient",
            "DEFAULT_RETRIES"]
@@ -109,7 +106,7 @@ class ScenarioHandle:
 
     ``payload`` is the owning :class:`~repro.experiments.spec.RunSpec` in
     dict form (``None`` when the run was not built from a spec — direct
-    library use — in which case only in-process executors can serve it);
+    library use — in which case only the inline executor can serve it);
     ``key`` is its content hash, the worker-side cache key.
     """
 
@@ -176,7 +173,7 @@ def _worker_algorithm(handle: ScenarioHandle | None):
     if handle is None or handle.payload is None:
         raise ExecutorError(
             "work item carries no rebuildable scenario; runs not built "
-            "from a RunSpec can only use the inline or thread executor")
+            "from a RunSpec can only use the inline executor")
     algorithm = _WORKER_ALGORITHMS.get(handle.key)
     if algorithm is None:
         from ..experiments.runner import build_worker_scenario
@@ -191,8 +188,7 @@ def _worker_algorithm(handle: ScenarioHandle | None):
             # this worker's step plans too, so scratch arenas sized for
             # evicted scenarios don't outlive them.  Plans are pure derived
             # state (value-invisible scratch), so clearing can change cost
-            # but never results; thread-pool workers never take this path
-            # and stay bounded by plan.MAX_PLANS_PER_THREAD.
+            # but never results.
             agplan.clear_thread_plans()
         algorithm = build_worker_scenario(handle.payload).algorithm
         # repro: allow[pure-work-items] same content-addressed memo as above.
@@ -203,9 +199,9 @@ def _worker_algorithm(handle: ScenarioHandle | None):
 def execute_work_item(item: ClientWorkItem, algorithm=None) -> ClientResult:
     """Run one client's local round; the free function every executor calls.
 
-    ``algorithm`` injects the coordinator's live object (inline/thread
-    executors); when omitted the scenario is rebuilt from the item's
-    handle and cached per process (process pools).  Either way the result
+    ``algorithm`` injects the coordinator's live object (the inline
+    executor); when omitted the scenario is rebuilt from the item's
+    handle and cached per process (pool workers).  Either way the result
     is a pure function of the item: state comes from ``item.broadcast``
     (or, inline-only, live state that is guaranteed quiescent during the
     batch) and randomness from the derived seed.
@@ -305,14 +301,14 @@ class Executor:
     """Executor contract: ``submit`` one item, or ``run_batch`` many.
 
     ``needs_broadcast`` tells dispatchers whether items must carry a state
-    snapshot (every asynchronous executor) or may read live coordinator
-    state (inline only — it executes eagerly, so the state is quiescent).
+    snapshot (the pool) or may read live coordinator state (inline only —
+    it executes eagerly, so the state is quiescent).
     """
 
     kind = "base"
     needs_broadcast = True
-    #: hardening knobs (pool executors honour them; inline has no failure
-    #: modes to harden against).
+    #: hardening knobs (the pool honours them; inline has no failure modes
+    #: to harden against).
     timeout_s: float | None = None
     retries: int = 0
 
@@ -372,7 +368,7 @@ class _ResilientFuture:
     __slots__ = ("_executor", "_item", "_future", "_generation", "_attempts",
                  "_submitted")
 
-    def __init__(self, executor: "_PoolExecutor", item: ClientWorkItem,
+    def __init__(self, executor: "ProcessExecutor", item: ClientWorkItem,
                  future, generation: int):
         self._executor = executor
         self._item = item
@@ -407,20 +403,29 @@ class _ResilientFuture:
                     self._item, self._generation, error)
 
 
-class _PoolExecutor(Executor):
-    """Shared machinery of the thread/process pools: a rebuildable pool
-    plus retrying futures.  ``_recover`` is the crash path: when the pool
-    itself broke (a worker process died taking the pool down), it swaps in
-    a fresh pool — exactly once per breakage, guarded by a generation
-    counter so concurrent failed futures don't rebuild N times — and
-    re-dispatches the caller's item; in-flight items each re-dispatch
-    themselves the same way when their own ``result()`` calls observe the
-    breakage."""
+class ProcessExecutor(Executor):
+    """Process pool; workers rebuild and cache the scenario by spec hash.
+
+    The pool is rebuildable and its futures retry.  ``_recover`` is the
+    crash path: when the pool itself broke (a worker process died taking
+    the pool down), it swaps in a fresh pool — exactly once per breakage,
+    guarded by a generation counter so concurrent failed futures don't
+    rebuild N times — and re-dispatches the caller's item; in-flight items
+    each re-dispatch themselves the same way when their own ``result()``
+    calls observe the breakage.  ``_build_pool``/``_submit_raw`` are the
+    seam the retry tests substitute a scripted pool through."""
+
+    kind = "process"
 
     def __init__(self, algorithm=None, workers: int = 2,
                  timeout_s: float | None = None, retries: int | None = None):
+        if (algorithm is not None
+                and getattr(algorithm, "spec_payload", None) is None):
+            raise ExecutorError(
+                "process executor needs a rebuildable scenario; run this "
+                "simulation through a RunSpec (experiments.runner) or leave "
+                "executor='auto', which runs spec-less scenarios inline")
         super().__init__(workers=workers)
-        self.algorithm = algorithm
         self.timeout_s = timeout_s
         self.retries = DEFAULT_RETRIES if retries is None else max(0, int(retries))
         self._lock = threading.Lock()
@@ -428,10 +433,14 @@ class _PoolExecutor(Executor):
         self._pool = self._build_pool()
 
     def _build_pool(self):
-        raise NotImplementedError
+        return _ProcessPool(max_workers=self.workers)
 
     def _submit_raw(self, item: ClientWorkItem):
-        raise NotImplementedError
+        if item.scenario is None or item.scenario.payload is None:
+            raise ExecutorError(
+                "work item carries no rebuildable scenario; the process "
+                "executor cannot serve it")
+        return self._pool.submit(execute_work_item, item)
 
     def submit(self, item: ClientWorkItem):
         telemetry.inc("executor.items", kind=self.kind)
@@ -464,70 +473,25 @@ class _PoolExecutor(Executor):
         self._pool.shutdown(wait=True, cancel_futures=True)
 
 
-class ThreadExecutor(_PoolExecutor):
-    """Thread pool sharing the coordinator's algorithm object.
-
-    Work items carry broadcast snapshots, so worker threads never read
-    state the coordinator might advance; per-client persistent models
-    (FedProto/Fed-ET) are safe because a client is never in flight twice.
-    """
-
-    kind = "thread"
-
-    def _build_pool(self):
-        return _ThreadPool(max_workers=self.workers,
-                           thread_name_prefix="repro-client")
-
-    def _submit_raw(self, item: ClientWorkItem):
-        return self._pool.submit(execute_work_item, item, self.algorithm)
-
-
-class ProcessExecutor(_PoolExecutor):
-    """Process pool; workers rebuild and cache the scenario by spec hash."""
-
-    kind = "process"
-
-    def __init__(self, algorithm=None, workers: int = 2,
-                 timeout_s: float | None = None, retries: int | None = None):
-        payload = getattr(algorithm, "spec_payload", None)
-        if algorithm is not None and payload is None:
-            raise ExecutorError(
-                "process executor needs a rebuildable scenario; run this "
-                "simulation through a RunSpec (experiments.runner) or use "
-                "the thread executor")
-        super().__init__(algorithm=algorithm, workers=workers,
-                         timeout_s=timeout_s, retries=retries)
-
-    def _build_pool(self):
-        return _ProcessPool(max_workers=self.workers)
-
-    def _submit_raw(self, item: ClientWorkItem):
-        if item.scenario is None or item.scenario.payload is None:
-            raise ExecutorError(
-                "work item carries no rebuildable scenario; the process "
-                "executor cannot serve it")
-        return self._pool.submit(execute_work_item, item)
-
-
-EXECUTORS: dict[str, type[Executor]] = {
-    InlineExecutor.kind: InlineExecutor,
-    ThreadExecutor.kind: ThreadExecutor,
-    ProcessExecutor.kind: ProcessExecutor,
-}
-
 #: accepted ``executor=`` settings ("auto" resolves per run).
-EXECUTOR_KINDS = ("auto", *sorted(EXECUTORS))
+EXECUTOR_KINDS = ("auto", InlineExecutor.kind, ProcessExecutor.kind)
 
 
 def resolve_executor_kind(kind: str | None, workers: int,
                           has_scenario: bool) -> str:
-    """Resolve ``"auto"``: inline for one worker; otherwise processes when
-    the scenario is rebuildable from a spec, else threads."""
+    """Resolve ``"auto"``: a process pool when there is more than one
+    worker and the scenario is rebuildable from a spec, otherwise inline."""
     if kind in (None, "auto"):
         if workers <= 1:
             return "inline"
-        return "process" if has_scenario else "thread"
-    if kind not in EXECUTORS:
+        if has_scenario:
+            return "process"
+        _log.info("scenario is not rebuildable from a RunSpec (hand-built "
+                  "or mutated after the build), so pool workers cannot "
+                  "replicate it: running clients inline instead of across "
+                  "%d workers", workers)
+        return "inline"
+    if kind not in EXECUTOR_KINDS:
         raise ValueError(f"unknown executor {kind!r}; "
                          f"known: {EXECUTOR_KINDS}")
     return kind
@@ -541,14 +505,12 @@ def make_executor(algorithm, workers: int = 1,
 
     The resolved kind honours the determinism contract automatically —
     whatever comes back, `History` output is identical; only wall-clock
-    and memory profiles differ.  ``timeout_s``/``retries`` tune the pool
-    executors' hardening (per-item result timeout, bounded transparent
-    retry); the inline executor has no failure modes and ignores them.
+    and memory profiles differ.  ``timeout_s``/``retries`` tune the pool's
+    hardening (per-item result timeout, bounded transparent retry); the
+    inline executor has no failure modes and ignores them.
     """
     has_scenario = getattr(algorithm, "spec_payload", None) is not None
-    resolved = resolve_executor_kind(kind, workers, has_scenario)
-    if resolved == "inline":
+    if resolve_executor_kind(kind, workers, has_scenario) == "inline":
         return InlineExecutor(algorithm=algorithm)
-    cls = EXECUTORS[resolved]
-    return cls(algorithm=algorithm, workers=workers,
-               timeout_s=timeout_s, retries=retries)
+    return ProcessExecutor(algorithm=algorithm, workers=workers,
+                           timeout_s=timeout_s, retries=retries)

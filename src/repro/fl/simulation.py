@@ -59,7 +59,7 @@ class SimulationConfig:
     #: memory profiles change, so neither field participates in RunSpec
     #: hashing.
     workers: int = 1
-    executor: str = "auto"    # "auto" | "inline" | "thread" | "process"
+    executor: str = "auto"    # "auto" | "inline" | "process"
     #: pool-executor hardening: per-item result timeout and bounded
     #: transparent retries on transient failures.  Work items are pure, so
     #: a retry is byte-identical to the attempt it replaces.  ``None``
@@ -116,7 +116,7 @@ def run_simulation(algorithm, config: SimulationConfig,
                                  retries=config.item_retries)
     try:
         # Policy construction happens inside the guard: if it raises, the
-        # just-created thread/process pool must still be shut down rather
+        # just-created process pool must still be shut down rather
         # than leak workers.
         policy = make_policy(config, execution, availability,
                              executor=executor)

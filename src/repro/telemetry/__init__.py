@@ -16,7 +16,7 @@ Zero-dependency observability for federated runs.  The package splits into
 
 The whole package is observation-only: with telemetry enabled or disabled,
 ``History.to_json()`` and spec content hashes are byte-identical across
-inline/thread/process executors (pinned by ``tests/test_telemetry.py``).
+inline/process executors (pinned by ``tests/test_telemetry.py``).
 """
 
 from .logs import (LOG_LEVELS, JsonLogFormatter, configure_logging,

@@ -15,8 +15,8 @@ Prometheus-style metrics, minus any dependency: everything here is stdlib
 and JSON-serialisable (:meth:`MetricsRegistry.to_dict` /
 :meth:`MetricsRegistry.from_dict` round-trip losslessly).
 
-Thread-safe by a single registry lock: the thread executor's workers record
-client-step metrics concurrently with the coordinator.  Process-pool
+Thread-safe by a single registry lock, so recording from several threads
+of one process never loses an update.  Process-pool
 workers hold their *own* (empty, disabled) registry — their measurements
 ride back to the coordinator on the work-item result instead (see
 :mod:`repro.fl.executor`).

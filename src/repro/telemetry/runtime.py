@@ -7,7 +7,7 @@ helpers below — :func:`inc`, :func:`observe`, :func:`span`,
 :func:`record_round` — which are near-zero-cost no-ops until a collector is
 installed.  Nothing here draws randomness, mutates a History, or feeds back
 into control flow, so ``History.to_json()`` is byte-identical with
-telemetry on or off, across inline/thread/process executors (pinned by
+telemetry on or off, across inline/process executors (pinned by
 ``tests/test_telemetry.py`` and the CI ``telemetry-smoke`` job).
 
 Two scopes:

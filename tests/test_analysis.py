@@ -12,7 +12,7 @@ Two layers under test:
   broadcast freezing and the global-RNG tripwire trap violations at the
   offending line, and — the headline guarantee — a ``--strict`` run
   produces a ``History.to_json()`` byte-identical to a non-strict run
-  across inline/thread/process executors.
+  across inline/process executors.
 """
 
 import ast
@@ -838,8 +838,7 @@ class TestStrictByteIdentity:
             # the tripwire sweep: each strict run would raise
             # StrictModeViolation if any stage touched a global RNG, and
             # ValueError if anything wrote into a frozen broadcast.
-            for workers, executor in ((1, "inline"), (2, "thread"),
-                                      (2, "process")):
+            for workers, executor in ((1, "inline"), (2, "process")):
                 assert smoke_history(workers=workers,
                                      executor=executor) == baseline, \
                     f"strict {executor}x{workers} diverged"

@@ -1,13 +1,17 @@
 """Smoke-scale integration tests: every table/figure harness produces rows."""
 
+import hashlib
+
 import pytest
 
-from repro.experiments import (get_scale, run_one, run_suite, format_table,
+from repro.__main__ import main as cli_main
+from repro.experiments import (RunSpec, get_scale, execute_spec,
+                               execute_specs, expand_grid, format_table,
                                format_radar, base_arch_for,
-                               resolve_target_accuracy)
+                               resolve_target_accuracy, summarize_results)
 from repro.experiments import scales
 from repro.constraints import ConstraintSpec
-from repro.fl import History, RoundRecord
+from repro.fl import History, RoundRecord, simulation
 
 
 class TestScales:
@@ -160,22 +164,79 @@ class TestHarnesses:
         assert rows  # fig1 reuses fig4 rows
 
 
+#: ``repro run <argv> --out json --no-cache`` stdout sha256 and trained-cell
+#: count per figure, recorded at the commit before the figures were ported
+#: from ``run_one``/``run_suite`` loops to ``expand_grid``/``RunSpec`` lists
+#: + ``execute_specs``: the port is row-for-row.
+FIGURE_ROWS = {
+    "fig4": (["--datasets", "harbox", "--algorithms", "sheterofl,fjord",
+              "--seeds", "0,1"], 6,
+             "306af0b7275b0c193fd4ff9c2a1364c391131a77c96cf4372f10c405de2640e4"),
+    "fig7": (["--algorithms", "sheterofl"], 5,
+             "998ae67fa589c02b2e2896c7074fff312a4d9e58bfa467ea584975f3814b0654"),
+    "fig8": (["--datasets", "cifar10", "--algorithms", "sheterofl"], 3,
+             "abaaf9ee1496701e99884d4924193733de2e459e6d802c86c2eb49a461f928f6"),
+    "fig9": (["--algorithms", "sheterofl"], 3,
+             "001a599717415a2726eb427ecdfc0c56bbacccbb81075d0c6ed50d20f698c5f3"),
+}
+
+
+def _figure_rows_sha(capsys, figure, *extra):
+    """Run the pinned smoke invocation of ``figure``; returns the sha256 of
+    its JSON rows, its stderr and how many simulations this process ran."""
+    before = simulation.RUN_COUNT
+    assert cli_main(["run", figure, "--scale", "smoke", "--out", "json",
+                     *FIGURE_ROWS[figure][0], *extra]) == 0
+    captured = capsys.readouterr()
+    return (hashlib.sha256(captured.out.encode()).hexdigest(), captured.err,
+            simulation.RUN_COUNT - before)
+
+
+class TestFigureRowPins:
+    @pytest.mark.parametrize("figure", sorted(FIGURE_ROWS))
+    def test_rows_match_the_pre_port_recording(self, figure, capsys):
+        _, cells, expected = FIGURE_ROWS[figure]
+        digest, _, trained = _figure_rows_sha(capsys, figure, "--no-cache")
+        assert digest == expected
+        assert trained == cells      # every cell trained exactly once
+
+    def test_fig7_fans_out_under_workers(self, tmp_path, capsys):
+        """fig7's cells are one ``execute_specs`` sweep: two workers give
+        the inline rows, train each cell once (in the pool, not here) and
+        leave a cache that serves the whole figure."""
+        _, cells, expected = FIGURE_ROWS["fig7"]
+        argv = ("--workers", "2", "--cache-dir", str(tmp_path))
+        digest, err, trained = _figure_rows_sha(capsys, "fig7", *argv)
+        assert digest == expected
+        assert f"hits=0 misses={cells}" in err and trained == 0
+        digest, err, trained = _figure_rows_sha(capsys, "fig7", *argv)
+        assert digest == expected
+        assert f"hits={cells} misses=0" in err and trained == 0
+
+
 class TestRunnerEndToEnd:
-    def test_run_one_smoke(self):
+    def test_execute_spec_smoke(self):
         spec = ConstraintSpec(constraints=("computation",))
-        result = run_one("sheterofl", "harbox", spec, scale="smoke", seed=0)
+        result = execute_spec(RunSpec("sheterofl", "harbox", spec,
+                                      scale="smoke", seed=0))
         assert 0.0 <= result.final_accuracy <= 1.0
         assert result.history.total_sim_time_s > 0
 
-    def test_run_suite_shares_baseline(self):
-        spec = ConstraintSpec(constraints=("computation",))
-        summaries = run_suite(["sheterofl", "fjord"], "harbox", spec,
-                              scale="smoke", seed=0)
+    def test_summary_shares_baseline(self):
+        algorithms = ["sheterofl", "fjord"]
+        grid = expand_grid(algorithms, ["harbox"], scale="smoke")
+        # the baseline is one cell of the grid, computed once for both rows
+        assert [s.algorithm for s in grid] == algorithms + ["fedavg_smallest"]
+        before = simulation.RUN_COUNT
+        summaries = summarize_results(execute_specs(grid), algorithms)
+        assert simulation.RUN_COUNT == before + 3
         assert len(summaries) == 2
         assert all(s.effectiveness is not None for s in summaries)
 
     def test_dirichlet_partition_run(self):
         spec = ConstraintSpec(constraints=("computation",))
-        result = run_one("sheterofl", "cifar10", spec, scale="smoke",
-                         partition_scheme="dirichlet", alpha=0.5)
+        result = execute_spec(RunSpec("sheterofl", "cifar10", spec,
+                                      scale="smoke",
+                                      partition_scheme="dirichlet",
+                                      alpha=0.5))
         assert result.final_accuracy >= 0.0

@@ -10,8 +10,7 @@ are byte-identical to uninterrupted ones, and zero-fault runs serialise
 
 import json
 import threading
-import time
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from repro.fl import (ExecutionConfig, LocalTrainConfig, SimulationConfig,
 from repro.fl.checkpoint import (CHECKPOINT_VERSION, CheckpointConfig,
                                  Checkpointer, make_checkpointer)
 from repro.fl.executor import (DEFAULT_RETRIES, ClientResult, ClientWorkItem,
-                               ExecutorError, InlineExecutor, ThreadExecutor,
+                               ExecutorError, InlineExecutor, ProcessExecutor,
                                TransientExecutorError, failure_is_transient,
                                make_executor)
 from repro.fl.faults import FaultModel, FaultSpec, corrupt_update
@@ -344,8 +343,8 @@ class TestFaultedRounds:
                            constraints=("computation",), faults=FAULTS),
                        scale="smoke", seed=0)
         inline = execute_spec(spec.replace(workers=1, executor="inline"))
-        thread = execute_spec(spec.replace(workers=2, executor="thread"))
-        assert inline.history.to_json() == thread.history.to_json()
+        pooled = execute_spec(spec.replace(workers=2, executor="process"))
+        assert inline.history.to_json() == pooled.history.to_json()
 
     def test_buffered_policy_faults(self):
         execution = ExecutionConfig(policy="buffered", buffer_size=2,
@@ -430,9 +429,17 @@ class TestQuorum:
 # ----------------------------------------------------------------------
 # Hardened executors
 # ----------------------------------------------------------------------
-class _ScriptedExecutor(ThreadExecutor):
-    """Thread pool whose work is a per-item script of failures, so retry
-    and rebuild behaviour can be pinned without real crashes."""
+class _InProcessPool(ProcessExecutor):
+    """The pool executor's retry/rebuild/timeout machinery over a
+    test-owned in-process pool, so no worker processes are spawned."""
+
+    def _build_pool(self):
+        return ThreadPoolExecutor(max_workers=self.workers)
+
+
+class _ScriptedExecutor(_InProcessPool):
+    """Pool whose work is a per-item script of failures, so retry and
+    rebuild behaviour can be pinned without real crashes."""
 
     def __init__(self, failures, exception=TransientExecutorError, **kwargs):
         self.failures = failures        # attempts that should fail per item
@@ -499,17 +506,20 @@ class TestExecutorHardening:
             assert executor._generation == 1
 
     def test_item_timeout_enforced(self):
-        class Hanging(ThreadExecutor):
+        release = threading.Event()
+
+        class Hanging(_InProcessPool):
             def _submit_raw(self, item):
-                return self._pool.submit(time.sleep, 30)
+                return self._pool.submit(release.wait, 30)
 
         with Hanging(algorithm=None, workers=1, timeout_s=0.05,
                      retries=0) as executor:
             with pytest.raises(TimeoutError):
                 executor.submit(_item()).result()
+            release.set()
 
     def test_make_executor_threads_knobs(self):
-        executor = make_executor(None, workers=2, kind="thread",
+        executor = make_executor(None, workers=2, kind="process",
                                  timeout_s=12.5, retries=4)
         try:
             assert executor.timeout_s == 12.5
@@ -517,7 +527,7 @@ class TestExecutorHardening:
         finally:
             executor.close()
         # pools default to the bounded retry budget
-        executor = make_executor(None, workers=2, kind="thread")
+        executor = make_executor(None, workers=2, kind="process")
         try:
             assert executor.retries == DEFAULT_RETRIES
         finally:

@@ -3,7 +3,7 @@
 The contract under test: a client's local round is a pure function of
 ``(run_seed, round, client_id)`` plus the broadcast state, so
 ``run_simulation`` produces **byte-identical**
-``History.to_json()`` for any executor (inline / thread / process) and any
+``History.to_json()`` for either executor (inline / process) and any
 worker count; sweeps fan out with identical results; the run cache
 tolerates concurrent writers; and every algorithm's uplink payload
 round-trips both pickle (pool transport) and the JSON codec.
@@ -24,7 +24,7 @@ from repro.experiments import (RunDefaults, RunSpec, execute_spec,
                                execute_specs, prepare_scenario, run_defaults)
 from repro.experiments.cache import RunCache
 from repro.fl import (ExecutionConfig, ExecutorError, InlineExecutor,
-                      ProcessExecutor, SimulationConfig, ThreadExecutor,
+                      ProcessExecutor, SimulationConfig,
                       client_rng, client_update_from_dict,
                       client_update_to_dict, execute_work_item,
                       history_to_dict, reseed_dropout, run_simulation,
@@ -151,13 +151,23 @@ class TestWorkItems:
         assert replay.update.train_loss == first.update.train_loss
         assert repeat.update.train_loss != first.update.train_loss
 
-    def test_resolve_executor_kind(self):
+    def test_resolve_executor_kind(self, monkeypatch):
         assert resolve_executor_kind("auto", 1, True) == "inline"
         assert resolve_executor_kind(None, 4, True) == "process"
-        assert resolve_executor_kind("auto", 4, False) == "thread"
-        assert resolve_executor_kind("thread", 1, True) == "thread"
-        with pytest.raises(ValueError):
-            resolve_executor_kind("quantum", 2, True)
+        assert resolve_executor_kind("process", 1, True) == "process"
+        assert resolve_executor_kind("inline", 4, True) == "inline"
+        for unknown in ("quantum", "thread"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                resolve_executor_kind(unknown, 2, True)
+        # No rebuildable scenario: auto falls back to inline and says so.
+        from repro.fl import executor
+        assert executor._log.name == "repro.executor"
+        lines = []
+        monkeypatch.setattr(executor._log, "info",
+                            lambda message, *args: lines.append(message % args))
+        assert resolve_executor_kind("auto", 4, False) == "inline"
+        assert resolve_executor_kind("auto", 1, False) == "inline"
+        assert len(lines) == 1 and "inline instead of across 4" in lines[0]
 
     def test_process_executor_requires_spec(self):
         class Bare:
@@ -176,8 +186,11 @@ class TestWorkItems:
     def test_simulation_config_validates_mechanics(self):
         with pytest.raises(ValueError, match="workers"):
             SimulationConfig(workers=0)
-        with pytest.raises(ValueError, match="executor"):
-            SimulationConfig(executor="quantum")
+        for unknown in ("quantum", "thread"):
+            with pytest.raises(ValueError, match="unknown executor"):
+                SimulationConfig(executor=unknown)
+            with pytest.raises(ValueError, match="unknown executor"):
+                smoke_spec(executor=unknown)
         with pytest.raises(ValueError, match="item_timeout_s"):
             SimulationConfig(item_timeout_s=0.0)
         with pytest.raises(ValueError, match="item_retries"):
@@ -194,9 +207,9 @@ class TestWorkItems:
         monkeypatch.setattr(simulation, "make_executor", capture)
         scenario, _ = prepare_scenario(smoke_spec())
         run_simulation(scenario.algorithm, SimulationConfig(
-            num_rounds=1, sample_ratio=0.3, workers=2, executor="thread",
+            num_rounds=1, sample_ratio=0.3, workers=2, executor="process",
             item_timeout_s=30.0, item_retries=1))
-        assert built == {"workers": 2, "kind": "thread", "timeout_s": 30.0,
+        assert built == {"workers": 2, "kind": "process", "timeout_s": 30.0,
                          "retries": 1}
 
 
@@ -266,8 +279,6 @@ class TestWorkerCountInvariance:
     @pytest.mark.parametrize("algorithm", ["sheterofl", "fedproto"])
     def test_sync_loop(self, algorithm):
         reference = run_history(algorithm, workers=1, executor="inline")
-        assert run_history(algorithm, workers=2, executor="thread") \
-            == reference
         assert run_history(algorithm, workers=2, executor="process") \
             == reference
         assert run_history(algorithm, workers=4, executor="process") \
@@ -280,8 +291,6 @@ class TestWorkerCountInvariance:
         reference = run_history("sheterofl", workers=1, executor="inline",
                                 execution=execution)
         assert run_history("sheterofl", workers=2, executor="process",
-                           execution=execution) == reference
-        assert run_history("sheterofl", workers=2, executor="thread",
                            execution=execution) == reference
 
     def test_event_engine_sync_policy(self):
@@ -408,15 +417,14 @@ class TestParallelSweeps:
         assert all(r.from_cache for r in again)
 
     def test_default_parallelism_round_trip(self):
-        """A spec that doesn't say inherits the process defaults; one that
-        does wins; the previous defaults come back on exit."""
-        from repro.experiments.runner import _resolve_parallelism
-        assert _resolve_parallelism(None, None) == (1, "auto")
-        with run_defaults(RunDefaults(workers=2, executor="thread")):
-            assert _resolve_parallelism(None, None) == (2, "thread")
-            assert _resolve_parallelism(4, None) == (4, "thread")
-            assert _resolve_parallelism(None, "inline") == (2, "inline")
-        assert _resolve_parallelism(None, None) == (1, "auto")
+        """A spec that doesn't say inherits the process default; one that
+        does wins; the previous default comes back on exit."""
+        from repro.experiments.runner import _resolve_workers
+        assert _resolve_workers(None) == 1
+        with run_defaults(RunDefaults(workers=2)):
+            assert _resolve_workers(None) == 2
+            assert _resolve_workers(4) == 4
+        assert _resolve_workers(None) == 1
 
     def test_spec_payload_cleared_for_mutations(self, tmp_path):
         spec = smoke_spec("fjord").replace(tag="ablation-test")
@@ -455,8 +463,7 @@ class TestScenarioHandle:
         finally:
             ex2.close()
         bare = type("Bare", (), {"spec_payload": None})()
-        ex3 = make_executor(bare, workers=2, kind="auto")
-        try:
-            assert isinstance(ex3, ThreadExecutor)
-        finally:
-            ex3.close()
+        assert isinstance(make_executor(bare, workers=2, kind="auto"),
+                          InlineExecutor)
+        with pytest.raises(ExecutorError, match="executor='auto'"):
+            make_executor(bare, workers=2, kind="process")

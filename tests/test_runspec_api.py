@@ -3,7 +3,7 @@
 Pins the PR-3 acceptance criteria: stable spec hashing and JSON round
 trips, cache hit/miss semantics ("a hit trains nothing", asserted via the
 simulation run counter), bit-for-bit equivalence of the RunSpec path with
-the historical imperative ``run_one`` sequence, registry completeness, and
+the historical imperative build-and-run sequence, registry completeness, and
 CLI argument parsing including ``--seeds`` and ``--out json``.
 """
 
@@ -18,11 +18,11 @@ from repro.constraints import ConstraintSpec, build_scenario
 from repro.data.registry import load_dataset
 from repro.experiments import (RunCache, RunSpec, aggregate_seed_rows,
                                all_artifacts, artifact_names, execute_spec,
-                               format_table, get_scale, resolve_scale,
-                               rows_to_csv, rows_to_json, run_one, run_suite,
-                               set_default_cache, write_rows)
+                               execute_specs, expand_grid, format_table,
+                               get_scale, resolve_scale, rows_to_csv,
+                               rows_to_json, set_default_cache,
+                               summarize_results, write_rows)
 from repro.experiments.mapping import build_base_model
-from repro.experiments.spec import spec_scale_fields
 from repro.fl import simulation
 from repro.fl.aggregation import ExecutionConfig
 from repro.fl.client import LocalTrainConfig
@@ -104,13 +104,6 @@ class TestRunSpecSerialization:
         payload["version"] = 999
         with pytest.raises(ValueError):
             RunSpec.from_dict(payload)
-
-    def test_spec_scale_fields(self):
-        assert spec_scale_fields("demo") == ("demo", {})
-        preset = get_scale("smoke")
-        assert spec_scale_fields(preset) == ("smoke", {})
-        tweaked = preset.with_overrides(num_rounds=9)
-        assert spec_scale_fields(tweaked) == ("smoke", {"num_rounds": 9})
 
     def test_resolved_scale_overrides(self):
         spec = _smoke_spec(scale_overrides={"num_rounds": 2})
@@ -210,8 +203,7 @@ class TestLegacyEquivalence:
 
     def test_bit_for_bit_always_on(self):
         legacy = self._legacy_run("sheterofl", "harbox", SMOKE, "smoke", 0)
-        modern = run_one("sheterofl", "harbox", SMOKE, scale="smoke",
-                         seed=0, cache=None)
+        modern = execute_spec(_smoke_spec(), cache=None)
         assert history_to_dict(modern.history) == history_to_dict(legacy)
 
     def test_bit_for_bit_availability_scenario(self):
@@ -219,24 +211,27 @@ class TestLegacyEquivalence:
                               availability="dropout",
                               availability_kwargs={"prob": 0.2})
         legacy = self._legacy_run("fedepth", "harbox", spec, "smoke", 1)
-        modern = run_one("fedepth", "harbox", spec, scale="smoke", seed=1,
-                         cache=None)
+        modern = execute_spec(_smoke_spec(algorithm="fedepth",
+                                          constraints=spec, seed=1),
+                              cache=None)
         assert history_to_dict(modern.history) == history_to_dict(legacy)
 
 
+def _smoke_summaries(algorithms, seeds=(0,)):
+    grid = expand_grid(algorithms, ["harbox"], scale="smoke", seeds=seeds)
+    return summarize_results(execute_specs(grid, cache=None), algorithms)
+
+
 class TestMultiSeed:
-    def test_run_suite_single_seed_rows_unchanged(self):
-        summaries = run_suite(["sheterofl"], "harbox", SMOKE, scale="smoke",
-                              seed=0, cache=None)
+    def test_summary_single_seed_rows_unchanged(self):
+        summaries = _smoke_summaries(["sheterofl"])
         row = summaries[0].as_row()
         assert set(row) == {"algorithm", "dataset", "global_acc", "tta_s",
                             "stability_var", "effectiveness"}
         assert summaries[0].num_seeds == 1
 
-    def test_run_suite_seed_sweep(self):
-        summaries = run_suite(["sheterofl"], "harbox", SMOKE, scale="smoke",
-                              seeds=[0, 1], cache=None)
-        summary = summaries[0]
+    def test_summary_seed_sweep(self):
+        summary = _smoke_summaries(["sheterofl"], seeds=(0, 1))[0]
         assert summary.num_seeds == 2
         assert summary.global_accuracy_std is not None
         row = summary.as_row()
@@ -278,15 +273,14 @@ class TestMultiSeed:
 
 class TestNumClassesPlumbing:
     def test_run_result_exposes_num_classes(self):
-        result = run_one("sheterofl", "harbox", SMOKE, scale="smoke",
-                         cache=None)
+        result = execute_spec(_smoke_spec(), cache=None)
         scale = get_scale("smoke")
         dataset = load_dataset("harbox", seed=0,
                                **scale.kwargs_for("harbox"))
         assert result.num_classes == dataset.num_classes
         assert result.scenario.num_classes == dataset.num_classes
 
-    def test_run_suite_loads_dataset_once_per_run(self, monkeypatch):
+    def test_grid_loads_dataset_once_per_cell(self, monkeypatch):
         from repro.experiments import runner
         calls = []
         original = runner.load_dataset
@@ -296,8 +290,7 @@ class TestNumClassesPlumbing:
             return original(name, **kwargs)
 
         monkeypatch.setattr(runner, "load_dataset", counting)
-        run_suite(["sheterofl", "fjord"], "harbox", SMOKE, scale="smoke",
-                  cache=None)
+        _smoke_summaries(["sheterofl", "fjord"])
         # 2 algorithms + 1 baseline; no extra reload for num_classes.
         assert len(calls) == 3
 
@@ -357,7 +350,9 @@ class TestCLI:
         assert cli_main(["run", "fig99"]) == 2
         # a first word that is not a subcommand is argparse's own error
         # (the positional `repro fig4 demo` alias is gone).
-        for argv in (["fig99"], ["table3"]):
+        # ... and so is the removed --executor flag.
+        for argv in (["fig99"], ["table3"],
+                     ["run", "fig4", "--executor", "process"]):
             with pytest.raises(SystemExit) as exit_info:
                 cli_main(argv)
             assert exit_info.value.code == 2

@@ -148,17 +148,32 @@ class TestExpandGrid:
         grid = _grid(with_baseline=False)
         assert all(s.algorithm != "fedavg_smallest" for s in grid)
 
-    def test_matches_run_suite_cells(self):
-        """The grid covers exactly the specs run_suite would execute, so a
-        warmed manifest makes figure rendering pure cache hits."""
+    def test_matches_run_suite_cells(self, monkeypatch):
+        """The constraint figures execute exactly ``expand_grid``'s cells,
+        so a warmed manifest makes figure rendering pure cache hits."""
+        from repro.experiments import constraint_figs
         grid = expand_grid(algorithms=["sheterofl"], datasets=["harbox"],
-                           scale="smoke", seeds=(0, 1))
+                           scale="smoke", seeds=(0, 1),
+                           scale_overrides={"num_rounds": 2})
         expected = {
             RunSpec(algorithm=name, dataset="harbox", constraints=SMOKE,
-                    scale="smoke", seed=seed).content_hash()
+                    scale="smoke", scale_overrides={"num_rounds": 2},
+                    seed=seed).content_hash()
             for seed in (0, 1)
             for name in ("sheterofl", "fedavg_smallest")}
         assert {s.content_hash() for s in grid} == expected
+
+        executed = []
+
+        def recording(specs, **kwargs):
+            executed.extend(specs)
+            return execute_specs(specs, **kwargs)
+
+        monkeypatch.setattr(constraint_figs, "execute_specs", recording)
+        constraint_figs.run_constraint_figure(
+            ("computation",), datasets=["harbox"], algorithms=["sheterofl"],
+            scale="smoke", seeds=[0, 1], scale_overrides={"num_rounds": 2})
+        assert executed == grid
 
 
 # ----------------------------------------------------------------------

@@ -329,8 +329,6 @@ class TestObservationOnly:
     def test_histories_byte_identical_with_telemetry(self):
         reference = self._history_json()
         assert self._history_json(telemetry=True) == reference
-        assert self._history_json(workers=2, executor="thread",
-                                  telemetry=True) == reference
         assert self._history_json(workers=2, executor="process",
                                   telemetry=True) == reference
 
