@@ -162,6 +162,8 @@ class MHFLAlgorithm:
         self.x_eval = dataset.x_test[:cap]
         self.y_eval = dataset.y_test[:cap]
         self._eval_model: SliceableModel | None = None
+        #: sorted ``client_overrides`` items -> (sub-model, its state shapes).
+        self._client_models: dict[tuple, tuple[SliceableModel, dict]] = {}
 
     # ------------------------------------------------------------------
     # Identity / plumbing
@@ -206,22 +208,36 @@ class MHFLAlgorithm:
                            rng: np.random.Generator,
                            state: dict | None = None
                            ) -> tuple[SliceableModel, dict]:
-        """Instantiate the client's variant and load its slice of the state.
+        """Load the client's slice of the state into its variant's model.
 
         ``state`` is the global state to slice from; ``None`` reads the
         live coordinator state (executors pass the work item's broadcast
         copy instead, so training never races coordinator aggregation).
+
+        One model is kept per distinct ``client_overrides`` (a handful of
+        keys) and handed out again, so it is valid only until the next call
+        at the same level.  Reuse cannot change results: ``load_state_dict``
+        overwrites every parameter and buffer, gradients and the trainable
+        mask are reset here, and callers reseed dropout.
         """
         if state is None:
             state = self.global_state
         overrides = self.client_overrides(ctx, round_index, rng)
-        model = self.base_model.variant(**overrides)
+        key = tuple(sorted(overrides.items()))
+        if key not in self._client_models:
+            model = self.base_model.variant(**overrides)
+            shapes = {n: p.data.shape for n, p in model.named_parameters()}
+            shapes.update((n, b.shape) for n, b in model.named_buffers())
+            self._client_models[key] = (model, shapes)
+        model, sub_shapes = self._client_models[key]
         maps = width_index_maps(
-            self.global_shapes,
-            {k: v.shape for k, v in model.state_dict().items()},
+            self.global_shapes, sub_shapes,
             self.scale_axes, mode=self.slicing_mode,
             shift=self.rolling_shift(round_index))
         model.load_state_dict(extract_substate(state, maps))
+        for param in model.parameters():
+            param.grad = None
+            param.requires_grad = True
         self.prepare_client_model(model, ctx, round_index)
         return model, maps
 

@@ -10,7 +10,6 @@ baseline's.
 from __future__ import annotations
 
 from ..fl.evaluate import accuracy
-from ..models.slicing import extract_substate, width_index_maps
 from .base import MHFLAlgorithm
 
 __all__ = ["FedAvgSmallest"]
@@ -27,14 +26,15 @@ class FedAvgSmallest(MHFLAlgorithm):
     # determine each client's feasible set; the scenario then assigns every
     # client the *minimum* feasible entry (see constraints.assignment).
 
-    def _common_entry(self):
-        entries = {self.clients[cid].entry.key: self.clients[cid].entry
-                   for cid in sorted(self.clients)}
-        if len(entries) != 1:
+    def _common_client(self):
+        """The first client of the (required) homogeneous assignment."""
+        ids = sorted(self.clients)
+        keys = {self.clients[cid].entry.key for cid in ids}
+        if len(keys) != 1:
             raise ValueError(
                 "FedAvgSmallest expects a homogeneous assignment; got levels "
-                f"{sorted(entries)}")
-        return next(iter(entries.values()))
+                f"{sorted(keys)}")
+        return self.clients[ids[0]]
 
     def evaluate_global(self) -> float:
         """Evaluate the (single) deployed variant, not the full server model.
@@ -43,10 +43,6 @@ class FedAvgSmallest(MHFLAlgorithm):
         global state is meaningful; evaluating the full model would mix
         trained and never-touched coordinates.
         """
-        entry = self._common_entry()
-        model = entry.build(self.base_model)
-        model_state_shapes = {k: v.shape for k, v in model.state_dict().items()}
-        maps = width_index_maps(self.global_shapes, model_state_shapes,
-                                self.scale_axes, mode="prefix")
-        model.load_state_dict(extract_substate(self.global_state, maps))
+        model, _ = self.build_client_model(self._common_client(),
+                                           round_index=0, rng=None)
         return accuracy(model, self.x_eval, self.y_eval)

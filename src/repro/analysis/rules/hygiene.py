@@ -210,8 +210,8 @@ class PureWorkItems(ProjectRule):
             if not isinstance(node, ast.Call):
                 continue
             # function references escaping as call arguments
-            # (``dataset_loader=_memoised_load_dataset``) are edges too:
-            # the callee may invoke them on the work-item path.
+            # (``pool.submit(_run_item, ...)``, ``loader=_load``) are edges
+            # too: the callee may invoke them on the work-item path.
             for value in ([a for a in node.args]
                           + [kw.value for kw in node.keywords]):
                 if isinstance(value, ast.Name) and value.id not in locals_:

@@ -298,6 +298,12 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
     ``running_mean``/``running_var`` are updated **in place** in training
     mode, mirroring the usual framework contract.
+
+    The batch statistics are ``np.mean`` / ``np.var`` spelled out once (same
+    ufuncs, axes and operand order, hence the same bits): one mean reduction
+    instead of two, the centred input becomes ``xhat`` in place, and backward
+    reduces ``grad`` and ``grad * xhat`` once for ``dx``/``dgamma``/``dbeta``.
+    ``running_mean`` and ``running_var`` must share a dtype.
     """
     if x.ndim == 4:
         axes: tuple[int, ...] = (0, 2, 3)
@@ -308,35 +314,43 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     else:
         raise ValueError(f"batch_norm expects 2-D or 4-D input, got {x.ndim}-D")
 
-    if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    else:
-        mean, var = running_mean, running_var
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean.reshape(shape)) * inv_std.reshape(shape)
-    out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
-
     m = x.size // x.shape[1]
 
+    if training:
+        # np.intp is numpy's own divisor type: float64 divide, cast back.
+        count = np.intp(m)
+        mean = np.add.reduce(x.data, axis=axes, keepdims=True)
+        np.true_divide(mean, count, out=mean, casting="unsafe")
+        xhat = x.data - mean  # centred here, scaled in place below
+        var = np.add.reduce(xhat * xhat, axis=axes, keepdims=True)
+        np.true_divide(var, count, out=var, casting="unsafe")
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean.reshape(-1)
+        running_var *= 1.0 - momentum
+        running_var += momentum * var.reshape(-1)
+    else:
+        var = running_var.reshape(shape)
+        xhat = x.data - running_mean.reshape(shape)
+
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std
+    out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
+
     def backward(grad: np.ndarray) -> tuple:
-        dgamma = (grad * xhat).sum(axis=axes) if _needs_grad(gamma) else None
-        dbeta = grad.sum(axis=axes) if _needs_grad(beta) else None
-        dx = None
-        if _needs_grad(x):
+        need_x, need_gamma, need_beta = map(_needs_grad, (x, gamma, beta))
+        g_sum = gx_sum = dx = None
+        if need_beta or (need_x and training):
+            g_sum = grad.sum(axis=axes, keepdims=True)
+        if need_gamma or (need_x and training):
+            gx_sum = (grad * xhat).sum(axis=axes, keepdims=True)
+        if need_x:
             if training:
-                g_sum = grad.sum(axis=axes, keepdims=True)
-                gx_sum = (grad * xhat).sum(axis=axes, keepdims=True)
-                dx = (gamma.data.reshape(shape) * inv_std.reshape(shape) / m) * (
+                dx = (gamma.data.reshape(shape) * inv_std / m) * (
                     m * grad - g_sum - xhat * gx_sum)
             else:
-                dx = grad * gamma.data.reshape(shape) * inv_std.reshape(shape)
-        return dx, dgamma, dbeta
+                dx = grad * gamma.data.reshape(shape) * inv_std
+        return (dx, gx_sum.reshape(-1) if need_gamma else None,
+                g_sum.reshape(-1) if need_beta else None)
 
     return Tensor._make(out, (x, gamma, beta), backward)
 

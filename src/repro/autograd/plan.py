@@ -136,11 +136,11 @@ def model_plan_key(model) -> tuple:
     prefix) from the backward pass, so e.g. FeDepth's sliding trainable
     segment requests a different set of scratch buffers per segment
     position even though the state dict never changes shape."""
+    params = list(model.named_parameters())
     return (type(model).__qualname__,
-            tuple((name, value.shape)
-                  for name, value in model.state_dict().items()),
-            tuple(name for name, p in model.named_parameters()
-                  if p.requires_grad))
+            tuple((name, p.data.shape) for name, p in params)
+            + tuple((name, b.shape) for name, b in model.named_buffers()),
+            tuple(name for name, p in params if p.requires_grad))
 
 
 @contextlib.contextmanager

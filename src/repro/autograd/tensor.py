@@ -23,8 +23,10 @@ allocated itself, donating them to leaf ``.grad`` slots when possible.
 Topological ordering uses monotonically increasing creation sequence numbers:
 parents are always created before their children, so a single reachability
 sweep plus one C-level sort replaces the seed engine's two-pass DFS.  The
-order is cached on the root tensor (keyed on graph identity), so repeated
-``backward()`` calls on the same graph skip re-traversal entirely.
+order is a local of each ``backward()`` call and nothing on the tape points
+back at a child, so a finished step holds **no reference cycle**: its
+tensors, closures and im2col / activation arrays are freed by refcount the
+moment ``loss`` goes out of scope, not by a later cyclic-GC generation.
 
 Only float computations are differentiated; integer label / index arrays are
 passed around as plain numpy arrays.
@@ -102,10 +104,13 @@ class Tensor:
     requires_grad:
         Whether gradients should be accumulated into :attr:`grad` during
         :meth:`backward`.
+
+    A tensor references its parents, never its children or itself, so
+    dropping the last reference to an output frees its tape by refcount.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "_seq", "_order")
+                 "_seq")
 
     def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
@@ -119,7 +124,6 @@ class Tensor:
         self._backward: Callable[[np.ndarray], tuple] | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._seq: int = next(_SEQ)
-        self._order: list[Tensor] | None = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -202,26 +206,23 @@ class Tensor:
     def _topo_order(self) -> list["Tensor"]:
         """Reverse topological order of tape nodes / grad leaves from here.
 
-        Cached on the root (graph identity == root identity): a second
-        ``backward()`` on the same output reuses the order with no traversal.
+        Recomputed per call and never stored on a tensor: a list holding
+        the root, kept by the root, would be a reference cycle.
         """
-        order = self._order
-        if order is None:
-            seen = {id(self)}
-            order = [self]
-            stack = [self]
-            while stack:
-                for parent in stack.pop()._parents:
-                    if id(parent) not in seen:
-                        seen.add(id(parent))
-                        if parent._backward is not None:
-                            order.append(parent)
-                            stack.append(parent)
-                        elif parent.requires_grad:
-                            order.append(parent)
-            # Children first: creation sequence numbers are a topo order.
-            order.sort(key=lambda t: t._seq, reverse=True)
-            self._order = order
+        seen = {id(self)}
+        order = [self]
+        stack = [self]
+        while stack:
+            for parent in stack.pop()._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    if parent._backward is not None:
+                        order.append(parent)
+                        stack.append(parent)
+                    elif parent.requires_grad:
+                        order.append(parent)
+        # Children first: creation sequence numbers are a topo order.
+        order.sort(key=lambda t: t._seq, reverse=True)
         return order
 
     def backward(self, grad: np.ndarray | None = None) -> None:

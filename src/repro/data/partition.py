@@ -33,10 +33,19 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float,
     large ``alpha`` approaches IID.  Re-draws until every client has at
     least ``min_samples`` samples (the convention of Li et al.'s non-IID
     benchmark, which the paper follows).
+
+    When no draw in 100 qualifies (classes of a few samples floor every
+    early client's share to zero, e.g. smoke-scale ``cifar100``) the last
+    draw is repaired: each starved client, in index order, takes the last
+    sample of the largest shard (lowest index on ties).
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     labels = np.asarray(labels)
+    if len(labels) < num_clients * min_samples:
+        raise ValueError(
+            f"cannot give {num_clients} clients >={min_samples} samples "
+            f"each from {len(labels)} samples")
     num_classes = int(labels.max()) + 1
     for _attempt in range(100):
         shards: list[list[int]] = [[] for _ in range(num_clients)]
@@ -50,9 +59,11 @@ def dirichlet_partition(labels: np.ndarray, num_clients: int, alpha: float,
         sizes = [len(s) for s in shards]
         if min(sizes) >= min_samples:
             return [np.sort(np.asarray(s)) for s in shards]
-    raise RuntimeError(
-        f"could not build a Dirichlet({alpha}) partition with "
-        f">={min_samples} samples per client after 100 attempts")
+    for starved in shards:
+        while len(starved) < min_samples:
+            donor = max(shards, key=len)  # first (lowest-index) largest
+            starved.append(donor.pop())
+    return [np.sort(np.asarray(s)) for s in shards]
 
 
 def by_user_partition(user_ids: np.ndarray,

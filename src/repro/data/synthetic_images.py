@@ -24,11 +24,18 @@ __all__ = ["make_cifar10_like", "make_cifar100_like", "IMAGE_SHAPE"]
 IMAGE_SHAPE = (3, 16, 16)
 
 
-def _smooth_field(rng: np.random.Generator, channels: int, size: int,
-                  coarse: int = 4) -> np.ndarray:
-    """Low-frequency random texture: coarse grid upsampled to size x size."""
-    grid = rng.standard_normal((channels, coarse, coarse))
-    return np.kron(grid, np.ones((size // coarse, size // coarse)))
+def _smooth_fields(rng: np.random.Generator, count: int, channels: int,
+                   size: int, coarse: int = 4) -> np.ndarray:
+    """``count`` low-frequency random textures: coarse grids upsampled to
+    size x size.
+
+    One draw for all of them consumes ``rng`` exactly as ``count``
+    per-texture draws would, and ``repeat`` on both spatial axes is
+    ``np.kron`` with a block of ones, so a batch is bit-identical to
+    textures made one at a time.
+    """
+    grids = rng.standard_normal((count, channels, coarse, coarse))
+    return grids.repeat(size // coarse, axis=2).repeat(size // coarse, axis=3)
 
 
 def _generate_images(rng: np.random.Generator, prototypes: np.ndarray,
@@ -36,9 +43,8 @@ def _generate_images(rng: np.random.Generator, prototypes: np.ndarray,
                      distortion: float) -> np.ndarray:
     """Render samples: prototype + per-sample smooth distortion + noise."""
     channels, size = prototypes.shape[1], prototypes.shape[2]
-    images = prototypes[labels].copy()
-    for i in range(len(labels)):
-        images[i] += distortion * _smooth_field(rng, channels, size)
+    images = prototypes[labels] + distortion * _smooth_fields(
+        rng, len(labels), channels, size)
     images += noise * rng.standard_normal(images.shape)
     return images.astype(np.float32)
 
@@ -53,15 +59,11 @@ def _make_image_task(name: str, num_classes: int, train_per_class: int,
 
     if num_superclasses:
         # CIFAR-100-like hierarchy: prototype = superclass base + fine delta.
-        supers = np.stack([_smooth_field(rng, channels, size)
-                           for _ in range(num_superclasses)])
-        prototypes = np.empty((num_classes, channels, size, size))
-        for cls in range(num_classes):
-            base = supers[cls % num_superclasses]
-            prototypes[cls] = base + 0.6 * _smooth_field(rng, channels, size)
+        supers = _smooth_fields(rng, num_superclasses, channels, size)
+        prototypes = (supers[np.arange(num_classes) % num_superclasses]
+                      + 0.6 * _smooth_fields(rng, num_classes, channels, size))
     else:
-        prototypes = np.stack([1.2 * _smooth_field(rng, channels, size)
-                               for _ in range(num_classes)])
+        prototypes = 1.2 * _smooth_fields(rng, num_classes, channels, size)
 
     y_train = np.repeat(np.arange(num_classes), train_per_class)
     y_test = np.repeat(np.arange(num_classes), test_per_class)

@@ -33,6 +33,7 @@ reads process-global state.
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as _dc_replace
@@ -167,21 +168,42 @@ def _train_config(scale: ExperimentScale) -> LocalTrainConfig:
                             max_batches=scale.max_batches)
 
 
-def prepare_scenario(spec: RunSpec, dataset_loader: Callable | None = None
-                     ) -> tuple[BuiltScenario, FederatedDataset]:
+#: per-process dataset memo: figures and sweeps run many (algorithm ×
+#: constraint) cells over few (dataset, seed, sizes) keys, and pool workers
+#: rebuild a scenario per cell.  Datasets are read-only once built.
+_DATASETS: dict[str, FederatedDataset] = {}
+_DATASET_LIMIT = 4
+
+
+def _load_dataset(name: str, seed: int = 0, **kwargs) -> FederatedDataset:
+    key = json.dumps([name, seed, kwargs], sort_keys=True, default=str)
+    dataset = _DATASETS.get(key)
+    if dataset is None:
+        while len(_DATASETS) >= _DATASET_LIMIT:
+            # Oldest-first eviction (insertion order), one entry at a time.
+            # repro: allow[pure-work-items] seeded-key dataset memo: entries
+            # are rebuilt deterministically from (name, seed, kwargs), so
+            # cache state changes cost but never results.
+            _DATASETS.pop(next(iter(_DATASETS)))
+        dataset = load_dataset(name, seed=seed, **kwargs)
+        # repro: allow[pure-work-items] same seeded-key memo as above.
+        _DATASETS[key] = dataset
+    return dataset
+
+
+def prepare_scenario(spec: RunSpec) -> tuple[BuiltScenario, FederatedDataset]:
     """Build (but do not run) the scenario a spec describes.
 
     The build order — dataset, base model, scenario — is fixed, so specs
     reproduce pre-RunSpec runs bit-for-bit.
     The built algorithm carries ``spec.to_dict()`` as its
     ``spec_payload``, which is what lets process-pool executors rebuild an
-    identical replica per worker.  ``dataset_loader`` overrides the
-    dataset source (the worker path passes a memoising loader).
+    identical replica per worker.  The dataset comes from the per-process
+    memo (``_load_dataset``), on the coordinator and in workers alike.
     """
     scale = spec.resolved_scale()
-    loader = dataset_loader if dataset_loader is not None else load_dataset
-    dataset = loader(spec.dataset, seed=spec.seed,
-                     **scale.kwargs_for(spec.dataset))
+    dataset = _load_dataset(spec.dataset, seed=spec.seed,
+                            **scale.kwargs_for(spec.dataset))
     level = get_algorithm(spec.algorithm).level
     model_level = "width" if level == "homogeneous" else level
     base_model = build_base_model(dataset, model_level, seed=spec.seed)
@@ -195,43 +217,14 @@ def prepare_scenario(spec: RunSpec, dataset_loader: Callable | None = None
     return scenario, dataset
 
 
-# ----------------------------------------------------------------------
-# Pool-worker scenario rebuilds
-# ----------------------------------------------------------------------
-#: per-process dataset memo for worker-side rebuilds: sweeps run many
-#: (algorithm × constraint × seed) cells over few datasets, so a worker
-#: that rebuilds scenarios should not regenerate the arrays every time.
-_WORKER_DATASETS: dict[str, FederatedDataset] = {}
-_WORKER_DATASET_LIMIT = 4
-
-
-def _memoised_load_dataset(name: str, seed: int = 0, **kwargs):
-    import json
-    key = json.dumps([name, seed, kwargs], sort_keys=True, default=str)
-    dataset = _WORKER_DATASETS.get(key)
-    if dataset is None:
-        while len(_WORKER_DATASETS) >= _WORKER_DATASET_LIMIT:
-            # Oldest-first eviction (insertion order), one entry at a time.
-            # repro: allow[pure-work-items] seeded-key dataset memo: entries
-            # are rebuilt deterministically from (name, seed, kwargs), so
-            # cache state changes cost but never results.
-            _WORKER_DATASETS.pop(next(iter(_WORKER_DATASETS)))
-        dataset = load_dataset(name, seed=seed, **kwargs)
-        # repro: allow[pure-work-items] same seeded-key memo as above.
-        _WORKER_DATASETS[key] = dataset
-    return dataset
-
-
 def build_worker_scenario(payload: dict) -> BuiltScenario:
     """Rebuild the scenario a work item references, inside a pool worker.
 
     Deterministic by construction — the payload is the spec's canonical
     dict form, and every build step is seeded — so the replica's clients,
     shards and initial models are bit-identical to the coordinator's.
-    Datasets are memoised per process (see ``_memoised_load_dataset``).
     """
-    return prepare_scenario(RunSpec.from_dict(payload),
-                            dataset_loader=_memoised_load_dataset)[0]
+    return prepare_scenario(RunSpec.from_dict(payload))[0]
 
 
 def execute_spec(spec: RunSpec, *, cache=DEFAULT,

@@ -81,10 +81,24 @@ def width_index_maps(global_shapes: dict[str, tuple[int, ...]],
 
 def _as_ix(per_axis: tuple[np.ndarray | None, ...],
            shape: tuple[int, ...]):
-    """Open-mesh index selecting the mapped block of a global array."""
-    arrays = [np.arange(dim) if idx is None else idx
-              for idx, dim in zip(per_axis, shape)]
-    return np.ix_(*arrays) if arrays else ()
+    """Index selecting the mapped block of a global array.
+
+    When every mapped axis is one ascending contiguous window (always for
+    ``prefix``; for ``rolling`` unless the window wraps) basic slices
+    address the block as a *view*: extraction copies it once, accumulation
+    adds into it, and the elements touched and the arithmetic on each are
+    those of a gather / scatter.  Wrapped rolling windows fall back to an
+    ``np.ix_`` open mesh.
+    """
+    if all(idx is None for idx in per_axis):
+        return ...  # the whole array (depth variants map nothing)
+    if all(idx is None or (idx[1:] - idx[:-1] == 1).all()
+           for idx in per_axis):
+        return tuple(slice(None) if idx is None
+                     else slice(int(idx[0]), int(idx[-1]) + 1)
+                     for idx in per_axis)
+    return np.ix_(*(np.arange(dim) if idx is None else idx
+                    for idx, dim in zip(per_axis, shape)))
 
 
 def extract_substate(global_state: dict[str, np.ndarray],
@@ -93,10 +107,7 @@ def extract_substate(global_state: dict[str, np.ndarray],
     sub = {}
     for name, per_axis in maps.items():
         array = global_state[name]
-        if all(idx is None for idx in per_axis):
-            sub[name] = array.copy()
-        else:
-            sub[name] = array[_as_ix(per_axis, array.shape)].copy()
+        sub[name] = array[_as_ix(per_axis, array.shape)].copy()
     return sub
 
 
@@ -118,14 +129,9 @@ def scatter_accumulate(sum_state: dict[str, np.ndarray],
     aggregation rule shared by HeteroFL, Fjord and FedRolex.
     """
     for name, per_axis in maps.items():
-        value = sub_state[name]
-        if all(idx is None for idx in per_axis):
-            sum_state[name] += weight * value
-            count_state[name] += weight
-        else:
-            ix = _as_ix(per_axis, sum_state[name].shape)
-            sum_state[name][ix] += weight * value
-            count_state[name][ix] += weight
+        ix = _as_ix(per_axis, sum_state[name].shape)
+        sum_state[name][ix] += weight * sub_state[name]
+        count_state[name][ix] += weight
 
 
 def finalize_mean(sum_state: dict[str, np.ndarray],

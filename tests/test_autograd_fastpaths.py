@@ -7,6 +7,9 @@ grad-checked primitives (pad/slice/matmul/concat), numpy ``np.add.at``
 scatters, and central-difference numerical gradients.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from repro import autograd as ag
 from repro import nn
 from repro.autograd import Tensor, check_gradients
 from repro.autograd.grad_check import compare_gradients
+from repro.autograd.tensor import _needs_grad
 
 
 def _t(shape, seed=0, scale=1.0):
@@ -103,6 +107,165 @@ class TestConvStridedFastPath:
             [x, w], atol=1e-9, rtol=1e-7)
 
 
+def batch_norm_reference(x, gamma, beta, running_mean, running_var, training,
+                         momentum=0.1, eps=1e-5):
+    """``batch_norm`` as it was before the statistics were spelled out:
+    ``ndarray.mean`` / ``ndarray.var`` forward, four reductions backward."""
+    axes, shape = ((0, 2, 3), (1, -1, 1, 1)) if x.ndim == 4 else ((0,), (1, -1))
+    if training:
+        mean = x.data.mean(axis=axes)
+        var = x.data.var(axis=axes)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mean.reshape(shape)) * inv_std.reshape(shape)
+    out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
+    m = x.size // x.shape[1]
+
+    def backward(grad):
+        dgamma = (grad * xhat).sum(axis=axes) if _needs_grad(gamma) else None
+        dbeta = grad.sum(axis=axes) if _needs_grad(beta) else None
+        dx = None
+        if _needs_grad(x):
+            if training:
+                g_sum = grad.sum(axis=axes, keepdims=True)
+                gx_sum = (grad * xhat).sum(axis=axes, keepdims=True)
+                dx = (gamma.data.reshape(shape) * inv_std.reshape(shape) / m) * (
+                    m * grad - g_sum - xhat * gx_sum)
+            else:
+                dx = grad * gamma.data.reshape(shape) * inv_std.reshape(shape)
+        return dx, dgamma, dbeta
+
+    return Tensor._make(out, (x, gamma, beta), backward)
+
+
+class TestBatchNormSinglePass:
+    """The single-pass statistics must be the old ones bit for bit."""
+
+    SHAPES = [(16, 16, 8, 8), (16, 64, 4, 4), (3, 7, 5, 9),   # 4-D
+              (32, 10), (6, 4),                               # 2-D
+              (1, 8, 3, 3), (1, 5),                           # batch 1
+              (4, 6, 1, 1), (1, 3, 1, 1)]                     # 1x1 spatial
+
+    @staticmethod
+    def _run(fn, arrays, training, affine_grad, x_grad=True):
+        x, gamma, beta, mean, var, upstream = (a.copy() for a in arrays)
+        xt = Tensor(x, requires_grad=x_grad)
+        gt = Tensor(gamma, requires_grad=affine_grad)
+        bt = Tensor(beta, requires_grad=affine_grad)
+        out = fn(xt, gt, bt, mean, var, training)
+        if x_grad or affine_grad:
+            out.backward(upstream)
+        return out.data, xt.grad, gt.grad, bt.grad, mean, var
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("affine_grad", [True, False])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bit_identical_to_mean_var_reference(self, shape, training,
+                                                 affine_grad, dtype):
+        rng = np.random.default_rng(len(shape) * 100 + shape[1])
+        c = shape[1]
+        arrays = [(rng.standard_normal(shape) * 3 + 1).astype(dtype),
+                  rng.standard_normal(c).astype(dtype),
+                  rng.standard_normal(c).astype(dtype),
+                  rng.standard_normal(c).astype(dtype),
+                  (rng.random(c) + 0.5).astype(dtype),
+                  rng.standard_normal(shape).astype(dtype)]
+        new = self._run(ag.batch_norm, arrays, training, affine_grad)
+        old = self._run(batch_norm_reference, arrays, training, affine_grad)
+        names = ["out", "dx", "dgamma", "dbeta", "running_mean", "running_var"]
+        for name, a, b in zip(names, new, old):
+            if b is None:
+                assert a is None, name
+                continue
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+
+    def test_frozen_input_still_gets_affine_grads(self):
+        """A BN directly on the data (x needs no grad) skips dx only."""
+        rng = np.random.default_rng(3)
+        arrays = [rng.standard_normal((8, 4, 3, 3)).astype(np.float32),
+                  np.ones(4, np.float32), np.zeros(4, np.float32),
+                  np.zeros(4, np.float32), np.ones(4, np.float32),
+                  rng.standard_normal((8, 4, 3, 3)).astype(np.float32)]
+        for training in (True, False):
+            new = self._run(ag.batch_norm, arrays, training, True, x_grad=False)
+            old = self._run(batch_norm_reference, arrays, training, True,
+                            x_grad=False)
+            assert new[1] is None and old[1] is None
+            assert np.array_equal(new[2], old[2])
+            assert np.array_equal(new[3], old[3])
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape", [(4, 3, 2, 2), (6, 4), (1, 3, 2, 2),
+                                       (3, 2, 1, 1)])
+    def test_float64_central_differences(self, shape, training):
+        """Gradcheck under a non-uniform upstream gradient (a plain
+        ``.sum()`` loss has a zero input gradient in training mode)."""
+        if training and shape[0] * int(np.prod(shape[2:])) == 1:
+            pytest.skip("one sample per channel: xhat is identically zero")
+        c = shape[1]
+        x, g, b = _t(shape, 40), _t((c,), 41), _t((c,), 42)
+        weights = np.random.default_rng(43).standard_normal(shape)
+        mean = np.random.default_rng(44).standard_normal(c)
+        var = np.random.default_rng(45).random(c) + 0.5
+
+        def loss():
+            out = ag.batch_norm(x, g, b, mean.copy(), var.copy(),
+                                training=training)
+            return (out * Tensor(weights)).sum()
+
+        check_gradients(loss, [x, g, b], atol=1e-6, rtol=1e-5, eps=1e-5)
+
+
+class TestTapeIsAcyclic:
+    """A finished step must be freed by refcount, not by the cycle GC."""
+
+    def test_train_local_step_leaves_no_cyclic_garbage(self):
+        from repro.data import load_dataset
+        from repro.fl.client import LocalTrainConfig, train_local
+        from repro.models import build_model
+        ds = load_dataset("harbox", seed=0, num_users=4, samples_per_user=8,
+                          test_size=8)
+        model = build_model("har_cnn", num_classes=ds.num_classes, seed=0)
+        x, y = ds.x_train[:8], ds.y_train[:8]
+        config = LocalTrainConfig(batch_size=8, max_batches=1)
+        train_local(model, x, y, config, np.random.default_rng(1))  # warm-up
+        gc.collect()
+        gc.disable()
+        try:
+            train_local(model, x, y, config, np.random.default_rng(1))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_activation_dies_with_the_loss(self):
+        a = _t((4, 3), 50)
+        hidden = ag.relu(a * 2.0)
+        # (Tensor has __slots__ and takes no weakrefs; its array does, and
+        # is owned by the tensor and the closures that read it.)
+        alive = weakref.ref(hidden.data)
+        loss = (hidden * hidden).sum()
+        del hidden
+        gc.disable()
+        try:
+            loss.backward()
+            first = a.grad.copy()
+            assert alive() is not None      # the tape still holds it
+            a.zero_grad()
+            loss.backward()                 # same root, same gradients
+            assert np.array_equal(a.grad, first)
+            del loss
+            assert alive() is None          # no collector ran
+        finally:
+            gc.enable()
+
+
 class TestGetitemFastPath:
     @pytest.mark.parametrize("index", [
         slice(1, 4),
@@ -185,7 +348,7 @@ class TestBackwardReentrancy:
         loss = (a * a).sum()
         loss.backward()
         first = a.grad.copy()
-        loss.backward()          # reuses the cached topological order
+        loss.backward()          # re-walks the same tape
         np.testing.assert_allclose(a.grad, 2.0 * first)
 
     def test_shared_leaf_graphs_do_not_leak(self):

@@ -43,6 +43,55 @@ class TestDatasets:
         a, b = _small(name, seed=1), _small(name, seed=2)
         assert not np.array_equal(a.x_train, b.x_train)
 
+    @staticmethod
+    def _image_task_reference(num_classes, train_per_class, test_per_class,
+                              seed, num_superclasses, noise, distortion):
+        """The image generator as it was: one ``np.kron`` per texture."""
+        def smooth_field(rng, channels, size, coarse=4):
+            grid = rng.standard_normal((channels, coarse, coarse))
+            return np.kron(grid, np.ones((size // coarse, size // coarse)))
+
+        def generate(rng, prototypes, labels):
+            images = prototypes[labels].copy()
+            for i in range(len(labels)):
+                images[i] += distortion * smooth_field(rng, 3, 16)
+            images += noise * rng.standard_normal(images.shape)
+            return images.astype(np.float32)
+
+        rng = np.random.default_rng(seed)
+        if num_superclasses:
+            supers = np.stack([smooth_field(rng, 3, 16)
+                               for _ in range(num_superclasses)])
+            prototypes = np.empty((num_classes, 3, 16, 16))
+            for cls in range(num_classes):
+                prototypes[cls] = (supers[cls % num_superclasses]
+                                   + 0.6 * smooth_field(rng, 3, 16))
+        else:
+            prototypes = np.stack([1.2 * smooth_field(rng, 3, 16)
+                                   for _ in range(num_classes)])
+        y_train = np.repeat(np.arange(num_classes), train_per_class)
+        y_test = np.repeat(np.arange(num_classes), test_per_class)
+        rng.shuffle(y_train)
+        rng.shuffle(y_test)
+        x_train = generate(rng, prototypes, y_train)
+        x_test = generate(rng, prototypes, y_test)
+        return x_train, y_train.astype(np.int64), x_test, y_test.astype(np.int64)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("name", ["cifar10", "cifar100"])
+    def test_batched_image_synthesis_is_bit_identical(self, name, seed):
+        kw = SMALL_KW[name]
+        reference = self._image_task_reference(
+            *((10, kw["train_per_class"], kw["test_per_class"], seed + 10,
+               None, 1.4, 0.8) if name == "cifar10" else
+              (100, kw["train_per_class"], kw["test_per_class"], seed + 100,
+               20, 0.8, 0.5)))
+        ds = _small(name, seed=seed)
+        for got, want in zip((ds.x_train, ds.y_train, ds.x_test, ds.y_test),
+                             reference):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
     def test_natural_datasets_have_user_ids(self):
         for name in ("stackoverflow", "harbox", "ucihar"):
             assert _small(name).user_ids is not None
@@ -148,6 +197,54 @@ class TestPartitions:
             return np.mean(ents)
 
         assert mean_entropy(0.1) < mean_entropy(5.0) < mean_entropy(1000.0) + 1e-9
+
+    @staticmethod
+    def _dirichlet_reference(labels, num_clients, alpha, rng, min_samples=2):
+        """The redraw loop as it was when exhaustion was an error."""
+        num_classes = int(labels.max()) + 1
+        for _attempt in range(100):
+            shards = [[] for _ in range(num_clients)]
+            for cls in range(num_classes):
+                cls_idx = np.flatnonzero(labels == cls)
+                rng.shuffle(cls_idx)
+                shares = rng.dirichlet(np.full(num_clients, alpha))
+                cuts = (np.cumsum(shares) * len(cls_idx)).astype(int)[:-1]
+                for client, part in enumerate(np.split(cls_idx, cuts)):
+                    shards[client].extend(part.tolist())
+            if min(len(s) for s in shards) >= min_samples:
+                return [np.sort(np.asarray(s)) for s in shards]
+        return None
+
+    @pytest.mark.parametrize("alpha,k,seed", [(0.5, 8, 0), (5.0, 4, 1),
+                                              (0.1, 3, 2), (100.0, 8, 3)])
+    def test_dirichlet_successful_draws_unchanged(self, alpha, k, seed):
+        """Partitions that always succeeded: same shards, same rng use."""
+        labels = np.repeat(np.arange(5), 40)
+        old_rng, new_rng = (np.random.default_rng(seed) for _ in range(2))
+        expected = self._dirichlet_reference(labels, k, alpha, old_rng)
+        assert expected is not None
+        shards = dirichlet_partition(labels, k, alpha, new_rng)
+        assert all(np.array_equal(a, b) for a, b in zip(shards, expected))
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    def test_dirichlet_repairs_starved_clients(self):
+        """Two samples per class floor every early client's share to zero
+        (smoke-scale cifar100, fig8's niid-5 leg): no draw qualifies, so
+        the last one is repaired instead of raising."""
+        labels = np.repeat(np.arange(100), 2)
+        assert self._dirichlet_reference(
+            labels, 8, 5.0, np.random.default_rng(0)) is None
+        shards = dirichlet_partition(labels, 8, 5.0, np.random.default_rng(0))
+        assert min(len(s) for s in shards) >= 2
+        assert np.array_equal(np.sort(np.concatenate(shards)),
+                              np.arange(len(labels)))
+        again = dirichlet_partition(labels, 8, 5.0, np.random.default_rng(0))
+        assert all(np.array_equal(a, b) for a, b in zip(shards, again))
+
+    def test_dirichlet_too_few_samples_names_the_sizes(self):
+        with pytest.raises(ValueError, match="4 clients.*5 samples"):
+            dirichlet_partition(np.zeros(5, int), 4, 1.0,
+                                np.random.default_rng(0))
 
     def test_dirichlet_invalid_alpha(self):
         with pytest.raises(ValueError):

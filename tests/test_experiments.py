@@ -147,9 +147,11 @@ class TestHarnesses:
 
     def test_fig8_smoke(self):
         from repro.experiments import fig8
-        rows = fig8.run(scale="smoke", datasets=["cifar10"],
+        rows = fig8.run(scale="smoke", datasets=["cifar10", "cifar100"],
                         algorithms=["sheterofl"])
-        assert {r["partition"] for r in rows} == {"iid", "niid-0.5", "niid-5"}
+        assert {(r["dataset"], r["partition"]) for r in rows} == {
+            (dataset, partition) for dataset in ("cifar10", "cifar100")
+            for partition in ("iid", "niid-0.5", "niid-5")}
 
     def test_fig9_counts(self):
         from repro.experiments import fig9

@@ -110,6 +110,107 @@ class TestWeightedMeanProperties:
         np.testing.assert_allclose(merged, 2.0)
 
 
+def _ix_reference(per_axis, shape):
+    """The open-mesh index every map went through before slices."""
+    return np.ix_(*(np.arange(dim) if idx is None else idx
+                    for idx, dim in zip(per_axis, shape)))
+
+
+@st.composite
+def _sliced_parameter(draw):
+    """(global shape, sub shape, scaled axes) of one width-sliced array."""
+    global_shape = tuple(draw(st.lists(st.integers(1, 7), min_size=1,
+                                       max_size=4)))
+    scaled = tuple(axis for axis in range(len(global_shape))
+                   if draw(st.booleans()))
+    sub_shape = tuple(draw(st.integers(1, dim)) if axis in scaled else dim
+                      for axis, dim in enumerate(global_shape))
+    return global_shape, sub_shape, scaled
+
+
+class TestSlicePathEqualsOpenMesh:
+    @given(param=_sliced_parameter(), mode=st.sampled_from(["prefix", "rolling"]),
+           shift=st.integers(0, 20), weight=st.floats(0.5, 20.0),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=200, deadline=None)
+    def test_extract_and_scatter_match_np_ix(self, param, mode, shift,
+                                             weight, seed):
+        from repro.models.slicing import _as_ix
+        global_shape, sub_shape, scaled = param
+        rng = np.random.default_rng(seed)
+        state = {"w": rng.standard_normal(global_shape).astype(np.float32)}
+        maps = width_index_maps({"w": global_shape}, {"w": sub_shape},
+                                {"w": scaled}, mode=mode, shift=shift)
+        per_axis = maps["w"]
+        reference = _ix_reference(per_axis, global_shape)
+
+        # Basic indexing (slices, or ... when nothing is mapped) exactly
+        # when no mapped window wraps around.
+        wraps = any(idx is not None and idx[-1] < idx[0] for idx in per_axis)
+        index = _as_ix(per_axis, global_shape)
+        basic = index is ... or all(isinstance(i, slice) for i in index)
+        assert basic == (not wraps)
+
+        sub = extract_substate(state, maps)["w"]
+        assert sub.shape == sub_shape and sub.base is None
+        assert np.array_equal(sub, state["w"][reference])
+        before = state["w"].copy()
+        sub += 1.0                          # a copy: the global is untouched
+        assert np.array_equal(state["w"], before)
+
+        update = rng.standard_normal(sub_shape).astype(np.float32)
+        sums, counts = zeros_like_state(state), zeros_like_state(state)
+        for _ in range(2):                  # accumulates, does not assign
+            scatter_accumulate(sums, counts, {"w": update}, maps, weight)
+        want_sums, want_counts = (np.zeros(global_shape) for _ in range(2))
+        for _ in range(2):
+            want_sums[reference] += weight * update
+            want_counts[reference] += weight
+        assert np.array_equal(sums["w"], want_sums)
+        assert np.array_equal(counts["w"], want_counts)
+
+
+class TestSubModelReuse:
+    def test_second_client_sees_no_trace_of_the_first(self, task, monkeypatch):
+        """One model per level, handed out clean: trained weights, BN
+        statistics, gradients and a frozen mask must not leak across."""
+        from repro.fl.client import train_local
+        from repro.models.base import SliceableModel
+        algo = _algo("sheterofl", task)
+        built = []
+        original = SliceableModel.variant
+        monkeypatch.setattr(
+            SliceableModel, "variant",
+            lambda self, **kw: built.append(kw) or original(self, **kw))
+        first_ctx, second_ctx = [
+            ctx for ctx in algo.clients.values()
+            if ctx.entry.overrides.get("width_mult") == 0.5][:2]
+        rng = np.random.default_rng(0)
+
+        model, _ = algo.build_client_model(first_ctx, round_index=0, rng=rng)
+        train_local(model, first_ctx.shard.x, first_ctx.shard.y,
+                    algo.train_config, rng)
+        model.set_trainable_stages([0], train_stem=False)   # FeDepth-style
+        assert any(p.grad is not None for p in model.parameters())
+
+        again, maps = algo.build_client_model(second_ctx, round_index=0,
+                                              rng=rng)
+        assert again is model and built == [{"width_mult": 0.5}]
+        expected = extract_substate(algo.global_state, maps)
+        loaded = again.state_dict()
+        assert set(loaded) == set(expected)
+        for name, value in expected.items():
+            assert np.array_equal(loaded[name], value), name
+        assert all(p.grad is None and p.requires_grad
+                   for p in again.parameters())
+
+        # A different level is a different model.
+        other_ctx = next(ctx for ctx in algo.clients.values()
+                         if ctx.entry.overrides.get("width_mult") == 0.25)
+        other, _ = algo.build_client_model(other_ctx, round_index=0, rng=rng)
+        assert other is not model and len(built) == 2
+
+
 class TestFeDepthIsolation:
     def test_frozen_stage_upload_does_not_dilute(self, task):
         """A FeDepth client's frozen stages never reach the accumulator."""

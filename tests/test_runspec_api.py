@@ -10,6 +10,7 @@ CLI argument parsing including ``--seeds`` and ``--out json``.
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.__main__ import main as cli_main, _parse_int_list
@@ -280,19 +281,43 @@ class TestNumClassesPlumbing:
         assert result.num_classes == dataset.num_classes
         assert result.scenario.num_classes == dataset.num_classes
 
-    def test_grid_loads_dataset_once_per_cell(self, monkeypatch):
+    def test_grid_loads_dataset_once_per_key(self, monkeypatch):
         from repro.experiments import runner
         calls = []
         original = runner.load_dataset
 
         def counting(name, **kwargs):
-            calls.append(name)
+            calls.append((name, kwargs["seed"]))
             return original(name, **kwargs)
 
         monkeypatch.setattr(runner, "load_dataset", counting)
+        monkeypatch.setattr(runner, "_DATASETS", {})
         _smoke_summaries(["sheterofl", "fjord"])
-        # 2 algorithms + 1 baseline; no extra reload for num_classes.
-        assert len(calls) == 3
+        # 2 algorithms + 1 baseline over one (name, seed, sizes): one load.
+        assert calls == [("harbox", 0)]
+        # Same dataset, new seed: the key changed, so exactly one more load.
+        _smoke_summaries(["sheterofl"], seeds=(1,))
+        assert calls == [("harbox", 0), ("harbox", 1)]
+        # ... and new sizes under an old (name, seed) are a new key too.
+        execute_spec(_smoke_spec(scale_overrides={"dataset_kwargs": {
+            "harbox": {"num_users": 8, "samples_per_user": 12,
+                       "test_size": 60}}}), cache=None)
+        assert calls[2:] == [("harbox", 0)]
+        assert len(runner._DATASETS) == 3
+
+    def test_dataset_memo_keeps_at_most_four(self, monkeypatch):
+        from repro.experiments import runner
+        monkeypatch.setattr(runner, "_DATASETS", {})
+        kwargs = get_scale("smoke").kwargs_for("harbox")
+        first = runner._load_dataset("harbox", seed=0, **kwargs)
+        assert runner._load_dataset("harbox", seed=0, **kwargs) is first
+        for seed in range(1, 5):
+            runner._load_dataset("harbox", seed=seed, **kwargs)
+        assert len(runner._DATASETS) == runner._DATASET_LIMIT == 4
+        # seed 0 was the oldest entry: evicted, so it is rebuilt (equal).
+        again = runner._load_dataset("harbox", seed=0, **kwargs)
+        assert again is not first
+        assert np.array_equal(again.x_train, first.x_train)
 
 
 class TestRegistry:
