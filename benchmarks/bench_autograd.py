@@ -158,7 +158,6 @@ def _train_step_case(arch: str, batch=8, image=16, classes=10):
     x = rng.standard_normal((batch, 3, image, image)).astype(np.float32)
     labels = rng.integers(0, classes, size=batch)
     opt = nn.SGD(model.parameters(), lr=0.01, momentum=0.9)
-    plan_key = ag.plan.model_plan_key(model)
 
     def forward():
         model.eval()
@@ -166,15 +165,12 @@ def _train_step_case(arch: str, batch=8, image=16, classes=10):
             model(x)
 
     def fwd_bwd():
-        # Mirror the production client loop: the whole step runs under a
-        # cached step plan so schedule reuse and workspace arenas are in
-        # the measured path.
+        # Mirror the production client loop (``fl/client.py::train_local``).
         model.train()
-        with ag.plan.step(plan_key, x.shape):
-            opt.zero_grad()
-            loss = ag.cross_entropy(model(x), labels)
-            loss.backward()
-            opt.step()
+        opt.zero_grad()
+        loss = ag.cross_entropy(model(x), labels)
+        loss.backward()
+        opt.step()
 
     return forward, fwd_bwd
 
@@ -276,9 +272,9 @@ CASES: dict[str, tuple] = {
 def _count_one_call(fwd_bwd) -> dict[str, int]:
     """Deterministic per-call counters: tracemalloc peak + GEMM dispatches.
 
-    Run after the timing loops so caches (col2im plans, workspace arenas)
-    are warm — the numbers then depend only on the engine code path, not
-    on machine speed or CPU count.
+    Run after the timing loops so lazily-built state (optimizer moments)
+    exists — the numbers then depend only on the engine code path, not on
+    machine speed or CPU count.
     """
     with profiler.profile() as report:
         tracemalloc.start()

@@ -21,7 +21,7 @@ accounts paper-scale time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,7 +67,6 @@ class RoundOutcome:
 
     slowest_client_s: float
     mean_train_loss: float
-    extras: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -471,13 +470,17 @@ class MHFLAlgorithm:
         """Global accuracy: the full aggregated model on the global test set."""
         return accuracy(self._global_model(), self.x_eval, self.y_eval)
 
-    def per_device_accuracies(self) -> list[float]:
-        """Final accuracy of each evaluation client's own deployed variant."""
+    def _eval_ids(self) -> list[int]:
+        """The evaluation clients: an even stride through the fleet."""
         ids = sorted(self.clients)
         stride = max(1, len(ids) // self.eval_clients)
+        return ids[::stride][:self.eval_clients]
+
+    def per_device_accuracies(self) -> list[float]:
+        """Final accuracy of each evaluation client's own deployed variant."""
         rng = np.random.default_rng(0)
         accs = []
-        for client_id in ids[::stride][:self.eval_clients]:
+        for client_id in self._eval_ids():
             ctx = self.clients[client_id]
             model, _ = self.build_client_model(ctx, round_index=0, rng=rng)
             accs.append(accuracy(model, self.x_eval, self.y_eval))

@@ -16,21 +16,18 @@ from __future__ import annotations
 import numpy as np
 
 from .. import autograd as ag
-from ..fl.client import train_local
 from ..fl.evaluate import accuracy
-from ..fl.seeding import reseed_dropout
 from ..models.base import SliceableModel
-from .base import ClientContext, ClientUpdate, MHFLAlgorithm, RoundOutcome
-from .fedproto import topology_variant_space
+from .base import ClientContext, RoundOutcome
+from .personal import PersonalModelAlgorithm
 
 __all__ = ["FedET"]
 
 
-class FedET(MHFLAlgorithm):
+class FedET(PersonalModelAlgorithm):
     """Server-model ensemble distillation across heterogeneous clients."""
 
     name = "fedet"
-    level = "topology"
 
     #: size of the unlabeled public transfer set.
     public_size: int = 128
@@ -42,10 +39,6 @@ class FedET(MHFLAlgorithm):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._personal: dict[int, SliceableModel] = {}
-        #: trained-but-not-yet-absorbed states (run_client fills,
-        #: pack_client_state drains; per-client keys are thread-safe).
-        self._trained: dict[int, dict] = {}
         # Server model: the largest family member.
         space = self.variant_space(self.base_model)
         largest_key = list(space)[-1]
@@ -57,30 +50,16 @@ class FedET(MHFLAlgorithm):
         self.x_public = self.dataset.x_train[idx]
         self._consensus: np.ndarray | None = None
 
-    @classmethod
-    def variant_space(cls, base_model: SliceableModel) -> dict[str, dict]:
-        return topology_variant_space(base_model)
-
     # ------------------------------------------------------------------
     def _build_personal(self, ctx: ClientContext) -> SliceableModel:
         """A freshly-initialised personal model (deterministic per client)."""
         model = ctx.entry.build(self.base_model)
         return model.variant(seed=2000 + ctx.client_id)
 
-    def personal_model(self, ctx: ClientContext) -> SliceableModel:
-        """The coordinator's canonical copy of one client's deployed model
-        (advanced only by :meth:`apply_client_state` — ``run_client``
-        trains a detached clone, so state lands when the upload does,
-        identically under every executor)."""
-        model = self._personal.get(ctx.client_id)
-        if model is None:
-            model = self._build_personal(ctx)
-            self._personal[ctx.client_id] = model
-        return model
-
-    def _client_loss(self, model: SliceableModel,
-                     rng: np.random.Generator,
-                     consensus: np.ndarray | None):
+    def _local_loss(self, model: SliceableModel, rng: np.random.Generator,
+                    broadcast: dict | None):
+        consensus = (self._consensus if broadcast is None
+                     else broadcast["consensus"])
         mu = self.transfer_weight
         x_public = self.x_public
 
@@ -94,55 +73,21 @@ class FedET(MHFLAlgorithm):
 
         return loss
 
-    # ------------------------------------------------------------------
-    # Work-item transport: the downlink is the current consensus plus the
-    # client's persistent personal-model state; the uplink returns the
-    # trained personal state (the server model and its distillation stay
-    # on the coordinator — they belong to ``ingest``).
-    # ------------------------------------------------------------------
+    # The round half of the downlink: the current consensus (the server
+    # model and its distillation stay on the coordinator — they belong to
+    # ``ingest``).
     def pack_round_broadcast(self, version: int) -> dict:
         return {"consensus": (None if self._consensus is None
                               else self._consensus.copy())}
 
-    def pack_client_broadcast(self, client_id: int, version: int) -> dict:
-        ctx = self.clients[int(client_id)]
-        return {"personal": self.personal_model(ctx).state_dict()}
-
-    def pack_client_state(self, client_id: int) -> dict | None:
-        return {"personal": self._trained.pop(int(client_id))}
-
-    def apply_client_state(self, client_id: int, state: dict | None) -> None:
-        if state is not None:
-            ctx = self.clients[int(client_id)]
-            self.personal_model(ctx).load_state_dict(state["personal"])
-
-    def run_client(self, client_id: int, version: int, rng,
-                   broadcast: dict | None = None) -> ClientUpdate:
-        ctx = self.clients[int(client_id)]
-        # Train a detached clone; the canonical personal model advances via
-        # apply_client_state when the upload is accepted.
-        model = self._build_personal(ctx)
-        if broadcast is None:
-            model.load_state_dict(self.personal_model(ctx).state_dict())
-            consensus = self._consensus
-        else:
-            model.load_state_dict(broadcast["personal"])
-            consensus = broadcast["consensus"]
-        reseed_dropout(model, rng)
-        loss = train_local(model, ctx.shard.x, ctx.shard.y,
-                           self.train_config, rng,
-                           loss_fn=self._client_loss(model, rng, consensus))
-        self._trained[ctx.client_id] = model.state_dict()
+    def _upload(self, model: SliceableModel, ctx: ClientContext):
         # Client predictions on the public transfer set; confidence
         # weighting makes more certain members count more.
         model.eval()
         with ag.no_grad():
             probs = ag.softmax(model(self.x_public)).data
         model.train()
-        return ClientUpdate(
-            client_id=ctx.client_id, version=version, train_loss=loss,
-            round_time_s=self.client_round_time_s(ctx),
-            weight=float(probs.max(axis=1).mean()), payload=probs)
+        return float(probs.max(axis=1).mean()), probs
 
     def ingest(self, updates, round_index: int, rng) -> RoundOutcome:
         updates = list(updates)  # may arrive as a single-pass generator
@@ -170,27 +115,22 @@ class FedET(MHFLAlgorithm):
             optimizer.step()
 
     # ------------------------------------------------------------------
-    # Resumable server-side state: the distilled server model, the last
-    # consensus, and every materialised personal model.  The public set and
-    # the per-round Adam are derived (seeded / rebuilt fresh each round),
-    # so they need no snapshot.
+    # Resumable server-side state: the distilled server model and the last
+    # consensus (+ the base's personal models).  The public set and the
+    # per-round Adam are derived (seeded / rebuilt fresh each round), so
+    # they need no snapshot.
     def checkpoint_state(self) -> dict:
-        return {
-            "server_model": self.server_model.state_dict(),
-            "consensus": (None if self._consensus is None
-                          else self._consensus.copy()),
-            "personal": {cid: model.state_dict()
-                         for cid, model in self._personal.items()},
-        }
+        return {"server_model": self.server_model.state_dict(),
+                "consensus": (None if self._consensus is None
+                              else self._consensus.copy()),
+                **super().checkpoint_state()}
 
     def restore_checkpoint_state(self, state: dict) -> None:
         self.server_model.load_state_dict(state["server_model"])
         consensus = state["consensus"]
         self._consensus = (None if consensus is None
                            else np.asarray(consensus))
-        for cid, personal_state in state["personal"].items():
-            ctx = self.clients[int(cid)]
-            self.personal_model(ctx).load_state_dict(personal_state)
+        super().restore_checkpoint_state(state)
 
     # ------------------------------------------------------------------
     def client_payload_bytes(self, ctx: ClientContext) -> tuple[float, float]:
@@ -200,12 +140,3 @@ class FedET(MHFLAlgorithm):
 
     def evaluate_global(self) -> float:
         return accuracy(self.server_model, self.x_eval, self.y_eval)
-
-    def per_device_accuracies(self) -> list[float]:
-        ids = sorted(self.clients)
-        stride = max(1, len(ids) // self.eval_clients)
-        accs = []
-        for client_id in ids[::stride][:self.eval_clients]:
-            model = self.personal_model(self.clients[client_id])
-            accs.append(accuracy(model, self.x_eval, self.y_eval))
-        return accs

@@ -10,7 +10,6 @@ from .functional import (conv2d, max_pool2d, avg_pool2d, global_avg_pool2d,
                          soft_cross_entropy, mse_loss, linear)
 from .grad_check import check_gradients, numerical_gradient
 from .profiler import profile, ProfileReport
-from . import plan
 
 __all__ = [
     "Tensor", "as_tensor", "is_grad_enabled", "no_grad",
@@ -23,5 +22,4 @@ __all__ = [
     "linear",
     "check_gradients", "numerical_gradient",
     "profile", "ProfileReport",
-    "plan",
 ]

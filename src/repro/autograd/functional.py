@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from . import plan as _plan
 from . import profiler
 from .tensor import Tensor, _needs_grad
 
@@ -150,9 +149,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     else:
         view = _im2col_view(xd, kh, kw, stride)
         # The only copy of the forward pass: C-level gather into GEMM
-        # layout.  The destination comes from the step-plan arena when one
-        # is active, so repeated steps recycle the (largest) conv buffers.
-        buf = _plan.workspace((n, c, kh, kw, oh, ow), xd.dtype)
+        # layout, into a fresh buffer — the tape is refcount-freed, so the
+        # allocator hands last step's block straight back.
+        buf = np.empty((n, c, kh, kw, oh, ow), dtype=xd.dtype)
         np.copyto(buf, view)
         cols = buf.reshape(n, groups, k, span)
 

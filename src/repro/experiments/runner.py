@@ -286,13 +286,22 @@ def _execute_spec_live(spec: RunSpec, cache: RunCache | None,
         execution = execution_factory(scenario)
     else:
         execution = spec.resolved_execution()
+    checkpoint = _spec_checkpoint(spec)
+    if (checkpoint is not None and execution is not None
+            and execution.policy == "buffered"):
+        # Decided on the *resolved* block (a factory may have built it):
+        # in-flight futures cannot be snapshotted and SimulationConfig
+        # refuses the pair, so a mixed sweep checkpoints the cells it can.
+        _log.info("cell %s: buffered aggregation cannot be checkpointed; "
+                  "running without checkpoints", spec.label)
+        checkpoint = None
     sim = SimulationConfig(num_rounds=scale.num_rounds,
                            sample_ratio=scale.sample_ratio,
                            eval_every=scale.eval_every, seed=spec.seed,
                            execution=execution,
                            workers=_resolve_workers(spec.workers),
                            executor=spec.executor or "auto",
-                           checkpoint=_spec_checkpoint(spec),
+                           checkpoint=checkpoint,
                            strict=_DEFAULTS.strict)
     with telemetry.span("run_simulation", algorithm=spec.algorithm,
                         dataset=spec.dataset, seed=spec.seed):

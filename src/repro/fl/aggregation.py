@@ -22,7 +22,10 @@ AISTATS'22):
 
 Both drive the same per-client algorithm primitives (``run_client`` /
 ``ingest``), so every algorithm in the registry works under every policy
-unchanged.  Client work is *snapshotted* at dispatch time — the state a
+unchanged, and both play each client through the one lifecycle
+:class:`AggregationPolicy` owns (launch, land, admit, close round), so a
+device behaves the same whatever the server does with its update.  Client
+work is *snapshotted* at dispatch time — the state a
 client downloads is the server state at its dispatch timestamp, which is
 exactly what staleness means — and handed to a pluggable
 :class:`~repro.fl.executor.Executor` (inline or process pool); the
@@ -38,7 +41,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +53,7 @@ from .events import (CLIENT_DROPPED, CLIENT_FAILED, DOWNLOAD_START,
                      EVAL_TICK, SERVER_AGGREGATE, TRAIN_COMPLETE,
                      UPDATE_REJECTED, UPLOAD_COMPLETE, Event, EventQueue)
 from .executor import Executor, InlineExecutor, make_work_item
-from .faults import FaultModel, FaultSpec, corrupt_update
+from .faults import FaultModel, FaultPlan, FaultSpec, corrupt_update
 from .history import History, RoundRecord
 from .sanitizers import freeze_arrays, frozen_arrays
 
@@ -60,6 +62,9 @@ __all__ = ["ExecutionConfig", "AggregationPolicy", "SynchronousPolicy",
            "sample_count", "sample_clients", "validate_update"]
 
 _log = get_logger("aggregation")
+
+#: the fault plan of a dispatch on a healthy fleet (no fault model bound).
+_HEALTHY = FaultPlan()
 
 
 def sample_count(num_clients: int, sample_ratio: float) -> int:
@@ -241,9 +246,22 @@ class ExecutionConfig:
 
 
 class AggregationPolicy:
-    """Base: owns the queue/clock/history plumbing both policies share."""
+    """Base: the queue/clock plumbing and the per-client lifecycle, written
+    once for every policy.
+
+    A client's dispatch is *launched* (time segments, fault plan, then its
+    fate: dropout, churn, crash, provably late — or it trains), its trained
+    result *lands* (client state absorbed, straggler time and corruption
+    applied), the update is *admitted* or quarantined, and a round is
+    *closed* (aggregate, evaluate, write the record); :meth:`open_run` /
+    :meth:`close_run` bracket the run.  A fault or availability rule
+    changed here holds for both policies by construction — subclasses own
+    only their schedule: who is dispatched when, and when a round closes.
+    """
 
     name = "base"
+    #: what the server index is called in ``DOWNLOAD_START`` info.
+    index_key = "round"
 
     def __init__(self, sim_config, execution: ExecutionConfig,
                  availability: AvailabilityModel,
@@ -258,8 +276,16 @@ class AggregationPolicy:
         self.timeline: list[Event] = []
         #: per-client count of accepted dispatches so far.
         self._participation: dict[int, int] = {}
-        #: seeded fault model, bound by :meth:`run` (None = healthy fleet).
+        #: seeded fault model, bound by :meth:`open_run` (None = healthy).
         self.faults: FaultModel | None = None
+        #: ``(plan, slowed total)`` of training clients whose dispatch drew
+        #: a non-clean fault plan, until :meth:`land` applies it.
+        self._fault_plans: dict[int, tuple] = {}
+        #: drops since the last closed round, by reason.
+        self.drops = {"dropout": 0, "churn": 0, "deadline": 0,
+                      "crash": 0, "quarantined": 0}
+        #: wall-clock records of results landed since the last closed round.
+        self._timings: dict[int, dict] = {}
         #: a run given no execution block keeps the record format its
         #: stored results were written in — no event timeline, no
         #: ``dispatched``/``received`` extras — so cached histories and
@@ -277,6 +303,13 @@ class AggregationPolicy:
         self.timeline = []
         return entries
 
+    def next_event(self) -> Event:
+        """Pop the queue onto the timeline; a drop counts when it fires."""
+        event = self.emit(self.queue.pop())
+        if event.type in (CLIENT_DROPPED, CLIENT_FAILED):
+            self.drops[event.info["reason"]] += 1
+        return event
+
     def participation_index(self, client_id: int) -> int:
         """The client's k-th dispatch, counted per client — the dropout
         key, so a client's k-th participation draws the same mid-round
@@ -292,26 +325,6 @@ class AggregationPolicy:
             self.executor = InlineExecutor(algorithm)
         return self.executor
 
-    def _record_run_telemetry(self, history: History,
-                              wall_start: float) -> None:
-        """End-of-run gauges: sim-vs-wall-clock skew and queue statistics.
-
-        Observation-only and computed from values the run produced anyway;
-        a no-op (beyond one ``enabled()`` check) when telemetry is off.
-        """
-        if not telemetry.enabled():
-            return
-        wall_s = time.perf_counter() - wall_start
-        sim_s = (history.records[-1].sim_time_s if history.records else 0.0)
-        telemetry.set_gauge("simulation.wall_s", wall_s, policy=self.name)
-        telemetry.set_gauge("simulation.sim_s", sim_s, policy=self.name)
-        if wall_s > 0:
-            # >1 means the simulated clock outruns the wall clock.
-            telemetry.set_gauge("simulation.sim_speedup", sim_s / wall_s,
-                                policy=self.name)
-        telemetry.max_gauge("events.queue_depth_max", self.queue.max_depth)
-        telemetry.inc("events.pushed", self.queue.pushed)
-
     def sample_size(self, num_clients: int) -> int:
         return sample_count(num_clients, self.sim_config.sample_ratio)
 
@@ -324,6 +337,156 @@ class AggregationPolicy:
         return target is not None and accuracy is not None \
             and accuracy >= target
 
+    # -- the client lifecycle -------------------------------------------
+    def launch(self, algorithm, cid: int, now: float, index: int,
+               fault_dispatch: int = 0, horizon: float = math.inf):
+        """Dispatch ``cid`` at ``now`` for server ``index`` and decide its
+        fate on the coordinator; returns the ``(down, train, total)``
+        segments of a client that must train, ``None`` for one whose fate
+        is already sealed (its events are queued).
+
+        Availability is consulted in a fixed order — dropout, then churn —
+        because those draws advance its stream; injected fault plans are
+        order-independent by construction.  Segments, not offsets, are
+        returned: float addition does not associate and each policy places
+        its own train/upload events.  ``horizon`` is the latest a
+        deadline-bound policy could still accept an upload.
+        """
+        ctx = algorithm.clients[cid]
+        down, train, up = algorithm.client_time_segments(ctx)
+        plan = (self.faults.plan(index, cid, fault_dispatch)
+                if self.faults is not None else _HEALTHY)
+        if plan.slowdown != 1.0:
+            train *= plan.slowdown
+            total = train + (down + up)
+        else:
+            # No slowdown: keep the algorithm's own total (bit-exact
+            # with the zero-fault path, overrides included).
+            total = algorithm.client_round_time_s(ctx)
+        self.queue.push(Event(now, DOWNLOAD_START, cid,
+                              info={self.index_key: index}))
+        if self.availability.drops_round(cid, self.participation_index(cid)):
+            # Device killed the job after training, before upload.
+            self.queue.push(Event(now + down + train, CLIENT_DROPPED, cid,
+                                  info={"reason": "dropout"}))
+            return None
+        online_until = self.availability.online_until(cid, now)
+        if online_until < now + total:
+            self.queue.push(Event(min(online_until, now + total),
+                                  CLIENT_DROPPED, cid,
+                                  info={"reason": "churn"}))
+            return None
+        if plan.crash:
+            # Injected fault: the device dies after training, before its
+            # upload lands — the work is lost either way, so skip the
+            # (expensive) local training too.
+            self.queue.push(Event(now + down + train, CLIENT_FAILED, cid,
+                                  info={"reason": "crash"}))
+            return None
+        if total > horizon:
+            # Provably late: the arrival will be discarded, so skip the
+            # (expensive) local training and schedule the late upload.
+            self.queue.push(Event(now + total, UPLOAD_COMPLETE, cid,
+                                  info={"late": True}))
+            return None
+        if not plan.clean:
+            self._fault_plans[cid] = (plan, total)
+        return down, train, total
+
+    def land(self, algorithm, cid: int, result):
+        """A trained result reaches the coordinator: absorb the client's
+        state and apply what its dispatch's fault plan does to the upload
+        (straggler time, corruption); returns the update."""
+        if result.timing is not None:
+            self._timings[cid] = result.timing
+        algorithm.apply_client_state(cid, result.client_state)
+        update = result.update
+        plan, total = self._fault_plans.pop(cid, (None, None))
+        if plan is not None:
+            if plan.slowdown != 1.0:
+                update.round_time_s = total
+            if plan.corrupt is not None:
+                corrupt_update(update, plan.corrupt,
+                               self.faults.spec.corrupt_factor)
+        return update
+
+    def verdict(self, update) -> str | None:
+        """Coordinator defense: the :func:`validate_update` reason an
+        arrived update must not be aggregated (``None`` = admit)."""
+        if not self.execution.validate:
+            return None
+        return validate_update(update, self.execution.norm_bound)
+
+    def quarantine(self, event: Event, verdict: str) -> None:
+        """Refuse the upload that arrived with ``event``."""
+        self.drops["quarantined"] += 1
+        telemetry.inc("aggregation.quarantined", reason=verdict)
+        self.emit(Event(event.time_s, UPDATE_REJECTED, event.client_id,
+                        info={"reason": verdict}))
+
+    def close_round(self, algorithm, history: History, index: int,
+                    updates: list, sim_time: float, round_time: float,
+                    extras: dict, notes: dict | None = None) -> float | None:
+        """Aggregate ``updates`` as server round ``index`` ending at
+        ``sim_time``, evaluate if due and write the round's record
+        (``extras``, then the drops since the last record, then ``notes``,
+        then client timings); returns the global accuracy, if evaluated."""
+        with telemetry.span("aggregate", round=index):
+            outcome = (algorithm.ingest(updates, index, self.rng)
+                       if updates else None)
+        self.emit(Event(sim_time, SERVER_AGGREGATE,
+                        info={"round": index, "received": len(updates)}))
+        acc = None
+        if self.is_eval_round(index):
+            with telemetry.span("evaluate", round=index):
+                acc = algorithm.evaluate_global()
+            self.emit(Event(sim_time, EVAL_TICK,
+                            info={"round": index, "accuracy": acc}))
+        extras.update({f"dropped_{k}": v for k, v in self.drops.items() if v})
+        self.drops = dict.fromkeys(self.drops, 0)
+        extras.update(notes or {})
+        if self._timings:
+            extras["client_timings"], self._timings = self._timings, {}
+        record = RoundRecord(
+            round_index=index, sim_time_s=sim_time, round_time_s=round_time,
+            train_loss=outcome.mean_train_loss if outcome else 0.0,
+            global_accuracy=acc, extras=extras, events=self.take_timeline())
+        history.append(record)
+        telemetry.record_round(record)
+        telemetry.inc("aggregation.rounds", policy=self.name)
+        return acc
+
+    # -- the run ---------------------------------------------------------
+    def open_run(self, algorithm) -> History:
+        """Bind the run's rng and fault model; returns its empty History."""
+        self._wall_start = time.perf_counter()
+        #: the coordinator's one stream: sampling, dispatch, ingestion.
+        self.rng = np.random.default_rng(self.sim_config.seed)
+        self.faults = self.execution.fault_model(self.sim_config.seed)
+        return History(algorithm=algorithm.name,
+                       dataset=algorithm.dataset_name)
+
+    def close_run(self, algorithm, history: History) -> History:
+        """Final per-device accuracies, then the end-of-run gauges
+        (sim-vs-wall-clock skew, queue statistics): observation-only and
+        computed from values the run produced anyway."""
+        history.final_device_accuracies = algorithm.per_device_accuracies()
+        if telemetry.enabled():
+            wall_s = time.perf_counter() - self._wall_start
+            sim_s = (history.records[-1].sim_time_s if history.records
+                     else 0.0)
+            telemetry.set_gauge("simulation.wall_s", wall_s,
+                                policy=self.name)
+            telemetry.set_gauge("simulation.sim_s", sim_s, policy=self.name)
+            if wall_s > 0:
+                # >1 means the simulated clock outruns the wall clock.
+                telemetry.set_gauge("simulation.sim_speedup", sim_s / wall_s,
+                                    policy=self.name)
+            telemetry.max_gauge("events.queue_depth_max",
+                                self.queue.max_depth)
+            telemetry.inc("events.pushed", self.queue.pushed)
+        return history
+
     def run(self, algorithm) -> History:
         raise NotImplementedError
 
@@ -334,14 +497,11 @@ class SynchronousPolicy(AggregationPolicy):
     name = "sync"
 
     def run(self, algorithm) -> History:
-        config, execution = self.sim_config, self.execution
-        wall_start = time.perf_counter()
-        rng = np.random.default_rng(config.seed)
-        history = History(algorithm=algorithm.name,
-                          dataset=algorithm.dataset_name)
+        config = self.sim_config
+        history = self.open_run(algorithm)
+        rng = self.rng
         all_ids = sorted(algorithm.clients)
         sim_time = 0.0
-        self.faults = execution.fault_model(config.seed)
 
         start_round = 0
         checkpointer = make_checkpointer(config.checkpoint)
@@ -367,43 +527,18 @@ class SynchronousPolicy(AggregationPolicy):
 
             sampled = self._sample(online, len(all_ids), rng)
             with telemetry.span("dispatch_round", round=round_index):
-                received, duration, drops, notes = self._dispatch_round(
-                    algorithm, sampled, round_index, sim_time, rng)
-            for reason, count in drops.items():
+                received, duration, notes = self._dispatch_round(
+                    algorithm, sampled, round_index, sim_time)
+            for reason, count in self.drops.items():
                 if count:
                     telemetry.inc("aggregation.dropped", count,
                                   reason=reason)
-
-            with telemetry.span("aggregate", round=round_index):
-                outcome = (algorithm.ingest(received, round_index, rng)
-                           if received else None)
-            mean_loss = outcome.mean_train_loss if outcome else 0.0
             round_time = duration + config.server_overhead_s
             sim_time = sim_time + round_time
-            self.emit(Event(sim_time, SERVER_AGGREGATE,
-                            info={"round": round_index,
-                                  "received": len(received)}))
-
-            acc = None
-            if self.is_eval_round(round_index):
-                with telemetry.span("evaluate", round=round_index):
-                    acc = algorithm.evaluate_global()
-                self.emit(Event(sim_time, EVAL_TICK,
-                                info={"round": round_index, "accuracy": acc}))
-            extras = dict(outcome.extras) if outcome else {}
-            if not self._plain_records:
-                extras.update({"dispatched": len(sampled),
-                               "received": len(received)})
-            extras.update({f"dropped_{k}": v for k, v in drops.items() if v})
-            extras.update(notes)
-            record = RoundRecord(
-                round_index=round_index, sim_time_s=sim_time,
-                round_time_s=round_time, train_loss=mean_loss,
-                global_accuracy=acc, extras=extras,
-                events=self.take_timeline())
-            history.append(record)
-            telemetry.record_round(record)
-            telemetry.inc("aggregation.rounds", policy=self.name)
+            extras = ({} if self._plain_records else
+                      {"dispatched": len(sampled), "received": len(received)})
+            acc = self.close_round(algorithm, history, round_index, received,
+                                   sim_time, round_time, extras, notes)
             if checkpointer is not None and checkpointer.due(round_index):
                 checkpointer.save(algorithm, rng, history,
                                   next_round=round_index + 1,
@@ -412,10 +547,9 @@ class SynchronousPolicy(AggregationPolicy):
             if self.should_stop(acc):
                 break
 
-        history.final_device_accuracies = algorithm.per_device_accuracies()
+        self.close_run(algorithm, history)
         if checkpointer is not None:
             checkpointer.clear()
-        self._record_run_telemetry(history, wall_start)
         return history
 
     # -- helpers --------------------------------------------------------
@@ -432,14 +566,13 @@ class SynchronousPolicy(AggregationPolicy):
         return rng.choice(np.asarray(online), size=count, replace=False)
 
     def _dispatch_round(self, algorithm, sampled, round_index: int,
-                        start_s: float, rng: np.random.Generator):
+                        start_s: float):
         """Train the round's clients and play their events through the
         queue; returns (received updates, round duration before server
-        overhead, drop counters, quorum notes for the round's extras).
+        overhead, quorum notes for the round's extras).
 
-        Three phases: (1) decide each client's fate on the coordinator
-        (availability draws must happen in dispatch order; injected fault
-        plans are order-independent by construction); (2) run every
+        Three phases: (1) launch every sampled client in dispatch order
+        (availability draws must happen in that order); (2) run every
         surviving client's work item through the executor as one batch;
         (3) schedule their train/upload events and *settle* the round
         against the deadline.  Phase 2 is where worker parallelism happens
@@ -455,57 +588,13 @@ class SynchronousPolicy(AggregationPolicy):
         #: be judged against the extension or a recoverable client would
         #: have been skipped before the extension could save it.
         horizon = deadline if execution.quorum is None else deadline * 2
-        drops = {"dropout": 0, "churn": 0, "deadline": 0,
-                 "crash": 0, "quarantined": 0}
         dispatch_order = {int(cid): i for i, cid in enumerate(sampled)}
-        to_train: list[int] = []
-        timings: dict[int, tuple[float, float]] = {}
-        plans: dict[int, object] = {}
-
-        for client_id in sampled:
-            cid = int(client_id)
-            ctx = algorithm.clients[cid]
-            down, train, up = algorithm.client_time_segments(ctx)
-            plan = (self.faults.plan(round_index, cid)
-                    if self.faults is not None else None)
-            if plan is not None and plan.slowdown != 1.0:
-                train *= plan.slowdown
-                total = train + (down + up)
-            else:
-                # No slowdown: keep the algorithm's own total (bit-exact
-                # with the zero-fault path, overrides included).
-                total = algorithm.client_round_time_s(ctx)
-            if plan is not None and not plan.clean:
-                plans[cid] = plan
-            timings[cid] = (down + train, total)
-            self.queue.push(Event(start_s, DOWNLOAD_START, cid,
-                                  info={"round": round_index}))
-            if self.availability.drops_round(cid,
-                                             self.participation_index(cid)):
-                # Device killed the job after training, before upload.
-                self.queue.push(Event(start_s + down + train, CLIENT_DROPPED,
-                                      cid, info={"reason": "dropout"}))
-                continue
-            online_until = self.availability.online_until(cid, start_s)
-            if online_until < start_s + total:
-                self.queue.push(Event(min(online_until, start_s + total),
-                                      CLIENT_DROPPED, cid,
-                                      info={"reason": "churn"}))
-                continue
-            if plan is not None and plan.crash:
-                # Injected fault: the device dies after training, before
-                # its upload lands — the work is lost either way, so skip
-                # the (expensive) local training too.
-                self.queue.push(Event(start_s + down + train, CLIENT_FAILED,
-                                      cid, info={"reason": "crash"}))
-                continue
-            if total > horizon:
-                # Provably late: the arrival will be discarded, so skip the
-                # (expensive) local training and schedule the late upload.
-                self.queue.push(Event(start_s + total, UPLOAD_COMPLETE, cid,
-                                      info={"late": True}))
-                continue
-            to_train.append(cid)
+        segments: dict[int, tuple[float, float, float]] = {}
+        for cid in dispatch_order:
+            launched = self.launch(algorithm, cid, start_s, round_index,
+                                   horizon=horizon)
+            if launched is not None:
+                segments[cid] = launched
 
         shared = (algorithm.pack_round_broadcast(round_index)
                   if executor.needs_broadcast else None)
@@ -513,8 +602,7 @@ class SynchronousPolicy(AggregationPolicy):
                                 self.sim_config.seed,
                                 executor.needs_broadcast,
                                 shared_broadcast=shared)
-                 for cid in to_train]
-        wall_timings: dict[int, dict] = {}
+                 for cid in segments]
         if self.sim_config.strict:
             # Freeze the shared broadcast and the live global state for
             # the whole batch: workers may only read them, so a mutation
@@ -526,21 +614,13 @@ class SynchronousPolicy(AggregationPolicy):
                 batch = executor.run_batch(items)
         else:
             batch = executor.run_batch(items)
-        for cid, result in zip(to_train, batch):
-            if result.timing is not None:
-                wall_timings[cid] = result.timing
-            algorithm.apply_client_state(cid, result.client_state)
-            trained_at, total = timings[cid]
-            plan = plans.get(cid)
-            if plan is not None:
-                if plan.slowdown != 1.0:
-                    result.update.round_time_s = total
-                if plan.corrupt is not None:
-                    corrupt_update(result.update, plan.corrupt,
-                                   self.faults.spec.corrupt_factor)
-            self.queue.push(Event(start_s + trained_at, TRAIN_COMPLETE, cid))
+        for (cid, (down, train, total)), result in zip(segments.items(),
+                                                       batch):
+            update = self.land(algorithm, cid, result)
+            self.queue.push(Event(start_s + (down + train), TRAIN_COMPLETE,
+                                  cid))
             self.queue.push(Event(start_s + total, UPLOAD_COMPLETE, cid,
-                                  info={"update": result.update}))
+                                  info={"update": update}))
 
         #: drain the queue once, then settle (possibly twice, under an
         #: extended deadline) — pure recomputation over the drained events,
@@ -548,9 +628,8 @@ class SynchronousPolicy(AggregationPolicy):
         arrivals: list[tuple[Event, object]] = []
         drop_events: list[Event] = []
         while self.queue:
-            event = self.emit(self.queue.pop())
+            event = self.next_event()
             if event.type in (CLIENT_DROPPED, CLIENT_FAILED):
-                drops[event.info["reason"]] += 1
                 drop_events.append(event)
             elif event.type == UPLOAD_COMPLETE:
                 arrivals.append((event, event.info.pop("update", None)))
@@ -562,8 +641,7 @@ class SynchronousPolicy(AggregationPolicy):
             settle never judges (or counts) the same update twice."""
             key = id(update)
             if key not in verdicts:
-                verdicts[key] = (validate_update(update, execution.norm_bound)
-                                 if execution.validate else None)
+                verdicts[key] = self.verdict(update)
             return verdicts[key]
 
         def settle(effective_deadline: float):
@@ -584,7 +662,7 @@ class SynchronousPolicy(AggregationPolicy):
                 duration = max(duration, update.round_time_s)
                 verdict = judge(update)
                 if verdict is not None:
-                    rejected.append((event, update, verdict))
+                    rejected.append((event, verdict))
                 else:
                     kept.append(update)
             return kept, rejected, duration, late
@@ -611,32 +689,25 @@ class SynchronousPolicy(AggregationPolicy):
                              "round skipped", round_index, len(received),
                              target)
                 received = []
-        drops["deadline"] = late
-        drops["quarantined"] = len(rejected)
-        for event, update, verdict in rejected:
-            telemetry.inc("aggregation.quarantined", reason=verdict)
-            self.emit(Event(event.time_s, UPDATE_REJECTED, event.client_id,
-                            info={"reason": verdict}))
-        if wall_timings:
-            notes["client_timings"] = wall_timings
+        self.drops["deadline"] = late
+        for event, verdict in rejected:
+            self.quarantine(event, verdict)
         #: updates kept in dispatch order — a synchronous server treats the
         #: round's batch as a set, and accumulation order is part of the
         #: result (float sums do not commute bit-for-bit).
         received.sort(key=lambda u: dispatch_order[u.client_id])
-        return received, duration, drops, notes
+        return received, duration, notes
 
 
 class BufferedPolicy(AggregationPolicy):
     """FedBuff-style buffered semi-asynchronous aggregation."""
 
     name = "buffered"
+    index_key = "version"
 
     def run(self, algorithm) -> History:
         config, execution = self.sim_config, self.execution
-        wall_start = time.perf_counter()
-        rng = np.random.default_rng(config.seed)
-        history = History(algorithm=algorithm.name,
-                          dataset=algorithm.dataset_name)
+        history = self.open_run(algorithm)
         self._all_ids = sorted(algorithm.clients)
         self._in_flight: set[int] = set()
         self._dispatches = 0
@@ -647,15 +718,11 @@ class BufferedPolicy(AggregationPolicy):
         #: double-weight one gradient in the buffer).
         self._version_dispatches: dict[tuple[int, int], int] = {}
         #: per-client fault-draw counter, separate from both participation
-        #: and version dispatch counts so consulting the fault model never
-        #: shifts any pre-existing stream (zero-fault runs are unchanged).
+        #: and version dispatch counts: it exists solely for the fault
+        #: stream, so consulting the fault model never shifts any
+        #: pre-existing stream (zero-fault runs are unchanged).
         self._fault_counts: dict[int, int] = {}
         self._retry_pending = False
-        self.faults = execution.fault_model(config.seed)
-        if config.checkpoint is not None:
-            warnings.warn("checkpointing is not supported by the buffered "
-                          "policy (in-flight futures cannot be snapshotted); "
-                          "running without checkpoints", stacklevel=2)
         self._concurrency = (execution.max_concurrency
                              or self.sample_size(len(self._all_ids)))
         #: hard cap on dispatches — keeps pathological fleets (e.g. dropout
@@ -665,52 +732,33 @@ class BufferedPolicy(AggregationPolicy):
         version = 0
         last_agg_time = 0.0
         buffer: list = []
-        drops = {"dropout": 0, "churn": 0, "crash": 0, "quarantined": 0}
-        #: wall-clock records of updates arrived since the last aggregation.
-        round_timings: dict[int, dict] = {}
 
-        self._refill(algorithm, 0.0, version, rng)
+        self._refill(algorithm, 0.0, version)
 
         while self.queue and version < config.num_rounds:
-            event = self.emit(self.queue.pop())
+            event = self.next_event()
             now = event.time_s
             if event.type in (CLIENT_DROPPED, CLIENT_FAILED):
                 self._in_flight.discard(event.client_id)
-                drops[event.info["reason"]] += 1
-                self._refill(algorithm, now, version, rng)
+                self._refill(algorithm, now, version)
                 continue
             if event.type == DOWNLOAD_START and event.client_id is None:
                 # Deferred dispatch: the fleet was fully offline/busy.
                 self._retry_pending = False
-                self._refill(algorithm, now, version, rng)
+                self._refill(algorithm, now, version)
                 continue
             if event.type != UPLOAD_COMPLETE:
                 continue
 
             self._in_flight.discard(event.client_id)
-            result = event.info.pop("future").result()
-            if result.timing is not None:
-                round_timings[event.client_id] = result.timing
-            algorithm.apply_client_state(event.client_id, result.client_state)
-            update = result.update
-            plan = event.info.pop("plan", None)
-            if plan is not None:
-                slowed_total = event.info.pop("total", None)
-                if slowed_total is not None and plan.slowdown != 1.0:
-                    update.round_time_s = slowed_total
-                if plan.corrupt is not None:
-                    corrupt_update(update, plan.corrupt,
-                                   self.faults.spec.corrupt_factor)
-            if execution.validate:
-                verdict = validate_update(update, execution.norm_bound)
-                if verdict is not None:
-                    # Quarantine: the upload never reaches the buffer.
-                    drops["quarantined"] += 1
-                    telemetry.inc("aggregation.quarantined", reason=verdict)
-                    self.emit(Event(now, UPDATE_REJECTED, event.client_id,
-                                    info={"reason": verdict}))
-                    self._refill(algorithm, now, version, rng)
-                    continue
+            update = self.land(algorithm, event.client_id,
+                               event.info.pop("future").result())
+            verdict = self.verdict(update)
+            if verdict is not None:
+                # Quarantine: the upload never reaches the buffer.
+                self.quarantine(event, verdict)
+                self._refill(algorithm, now, version)
+                continue
             update.staleness = version - update.version
             update.discount = float(
                 (1.0 + update.staleness) ** -execution.staleness_exponent)
@@ -719,22 +767,12 @@ class BufferedPolicy(AggregationPolicy):
             event.info["staleness"] = update.staleness
             event.info["discount"] = update.discount
             buffer.append(update)
-            self._refill(algorithm, now, version, rng)
+            self._refill(algorithm, now, version)
             if len(buffer) < execution.buffer_size:
                 continue
 
             # Buffer full: aggregate, advance the server version.
-            with telemetry.span("aggregate", round=version):
-                outcome = algorithm.ingest(buffer, version, rng)
             agg_time = now + config.server_overhead_s
-            self.emit(Event(agg_time, SERVER_AGGREGATE,
-                            info={"round": version, "received": len(buffer)}))
-            acc = None
-            if self.is_eval_round(version):
-                with telemetry.span("evaluate", round=version):
-                    acc = algorithm.evaluate_global()
-                self.emit(Event(agg_time, EVAL_TICK,
-                                info={"round": version, "accuracy": acc}))
             staleness = [u.staleness for u in buffer]
             extras = {
                 "received": len(buffer),
@@ -743,19 +781,8 @@ class BufferedPolicy(AggregationPolicy):
                 "max_staleness": int(max(staleness)),
                 "mean_discount": float(np.mean([u.discount for u in buffer])),
             }
-            extras.update({f"dropped_{k}": v for k, v in drops.items() if v})
-            drops = {k: 0 for k in drops}
-            if round_timings:
-                extras["client_timings"] = round_timings
-                round_timings = {}
-            record = RoundRecord(
-                round_index=version, sim_time_s=agg_time,
-                round_time_s=agg_time - last_agg_time,
-                train_loss=outcome.mean_train_loss, global_accuracy=acc,
-                extras=extras, events=self.take_timeline())
-            history.append(record)
-            telemetry.record_round(record)
-            telemetry.inc("aggregation.rounds", policy=self.name)
+            acc = self.close_round(algorithm, history, version, buffer,
+                                   agg_time, agg_time - last_agg_time, extras)
             last_agg_time = agg_time
             buffer = []
             version += 1
@@ -779,24 +806,20 @@ class BufferedPolicy(AggregationPolicy):
         # fold them into the final record so dropped_counts() stays honest.
         if history.records:
             tail = history.records[-1].extras
-            for reason, count in drops.items():
+            for reason, count in self.drops.items():
                 if count:
                     key = f"dropped_{reason}"
                     tail[key] = tail.get(key, 0) + count
-        history.final_device_accuracies = algorithm.per_device_accuracies()
-        self._record_run_telemetry(history, wall_start)
-        return history
+        return self.close_run(algorithm, history)
 
     # -- helpers --------------------------------------------------------
-    def _refill(self, algorithm, now: float, version: int,
-                rng: np.random.Generator) -> None:
+    def _refill(self, algorithm, now: float, version: int) -> None:
         """Top the in-flight pool back up to the concurrency target."""
         while len(self._in_flight) < self._concurrency:
-            if not self._dispatch(algorithm, now, version, rng):
+            if not self._dispatch(algorithm, now, version):
                 break
 
-    def _dispatch(self, algorithm, now: float, version: int,
-                  rng: np.random.Generator) -> bool:
+    def _dispatch(self, algorithm, now: float, version: int) -> bool:
         """Hand the next available client a job at time ``now``; returns
         False when no idle client is online (a deferred retry is queued)."""
         if self._dispatches >= self._dispatch_budget:
@@ -814,45 +837,15 @@ class BufferedPolicy(AggregationPolicy):
                                           None, info={"deferred": True}))
             return False
 
-        cid = int(rng.choice(np.asarray(candidates)))
+        cid = int(self.rng.choice(np.asarray(candidates)))
         self._in_flight.add(cid)
         self._dispatches += 1
-        ctx = algorithm.clients[cid]
-        down, train, up = algorithm.client_time_segments(ctx)
-        plan = None
-        if self.faults is not None:
-            # Fault plans key on a policy-owned per-client dispatch count:
-            # unlike participation/version counters it exists solely for
-            # the fault stream, so healthy draws are untouched.
-            fault_dispatch = self._fault_counts.get(cid, 0)
-            self._fault_counts[cid] = fault_dispatch + 1
-            plan = self.faults.plan(version, cid, fault_dispatch)
-            if plan.clean:
-                plan = None
-        if plan is not None and plan.slowdown != 1.0:
-            train *= plan.slowdown
-            total = train + (down + up)
-        else:
-            total = algorithm.client_round_time_s(ctx)
-        self.queue.push(Event(now, DOWNLOAD_START, cid,
-                              info={"version": version}))
-        if self.availability.drops_round(cid,
-                                         self.participation_index(cid)):
-            self.queue.push(Event(now + down + train, CLIENT_DROPPED, cid,
-                                  info={"reason": "dropout"}))
+        fault_dispatch = self._fault_counts.get(cid, 0)
+        self._fault_counts[cid] = fault_dispatch + 1
+        launched = self.launch(algorithm, cid, now, version, fault_dispatch)
+        if launched is None:
             return True
-        online_until = self.availability.online_until(cid, now)
-        if online_until < now + total:
-            self.queue.push(Event(min(online_until, now + total),
-                                  CLIENT_DROPPED, cid,
-                                  info={"reason": "churn"}))
-            return True
-        if plan is not None and plan.crash:
-            # Injected fault: device dies post-train, pre-upload; the work
-            # is lost either way, so skip the local training too.
-            self.queue.push(Event(now + down + train, CLIENT_FAILED, cid,
-                                  info={"reason": "crash"}))
-            return True
+        down, train, total = launched
         # Submit the work item now — the broadcast snapshot taken at this
         # instant *is* the staleness semantics (the client downloads the
         # server state at its dispatch timestamp) — and resolve the future
@@ -876,14 +869,8 @@ class BufferedPolicy(AggregationPolicy):
         else:
             future = executor.submit(item)
         self.queue.push(Event(now + down + train, TRAIN_COMPLETE, cid))
-        info: dict = {"future": future}
-        if plan is not None:
-            # Stash the plan for the arrival handler (corruption/straggler
-            # bookkeeping happens when the upload lands); popped before the
-            # timeline serialises, so it never reaches the JSON record.
-            info["plan"] = plan
-            info["total"] = total
-        self.queue.push(Event(now + total, UPLOAD_COMPLETE, cid, info=info))
+        self.queue.push(Event(now + total, UPLOAD_COMPLETE, cid,
+                              info={"future": future}))
         return True
 
 

@@ -66,18 +66,15 @@ def train_local(model: SliceableModel, x: np.ndarray, y: np.ndarray,
                 loss_fn: LossFn | None = None) -> float:
     """Run one client's local round in place; returns the mean train loss.
 
-    Each step runs under a cached step plan (:mod:`repro.autograd.plan`)
-    keyed by the model's structural signature and the batch shape: clients
-    training the same slice at the same batch size reuse im2col scratch
-    arenas across steps and rounds.  Plans are per worker thread/process
-    and change results by zero bits.
+    A step is ``zero_grad -> loss -> backward -> step`` with nothing
+    around it: scratch buffers are left to the allocator, because a
+    step's tape is freed by refcount the moment ``loss`` is rebound.
     """
     config = config.resolve(model)
     optimizer = make_optimizer(model, config)
     if loss_fn is None:
         loss_fn = lambda m, xb, yb: ag.cross_entropy(m(xb), yb)  # noqa: E731
 
-    plan_key = ag.plan.model_plan_key(model)
     model.train()
     losses: list[float] = []
     for _ in range(config.local_epochs):
@@ -85,11 +82,10 @@ def train_local(model: SliceableModel, x: np.ndarray, y: np.ndarray,
         for xb, yb in batches(x, y, config.batch_size, rng):
             if config.max_batches is not None and used >= config.max_batches:
                 break
-            with ag.plan.step(plan_key, xb.shape):
-                optimizer.zero_grad()
-                loss = loss_fn(model, xb, yb)
-                loss.backward()
-                optimizer.step()
+            optimizer.zero_grad()
+            loss = loss_fn(model, xb, yb)
+            loss.backward()
+            optimizer.step()
             losses.append(loss.item())
             used += 1
     return float(np.mean(losses)) if losses else 0.0

@@ -42,7 +42,6 @@ from concurrent.futures import ProcessPoolExecutor as _ProcessPool
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass
 
-from ..autograd import plan as agplan
 from ..telemetry import runtime as telemetry
 from ..telemetry.logs import get_logger
 from .seeding import client_rng
@@ -184,12 +183,6 @@ def _worker_algorithm(handle: ScenarioHandle | None):
             # are keyed by spec content hash and rebuilt deterministically,
             # so cache state can change cost but never results.
             _WORKER_ALGORITHMS.pop(next(iter(_WORKER_ALGORITHMS)))
-            # Replica churn signals a sweep cycling over many specs: drop
-            # this worker's step plans too, so scratch arenas sized for
-            # evicted scenarios don't outlive them.  Plans are pure derived
-            # state (value-invisible scratch), so clearing can change cost
-            # but never results.
-            agplan.clear_thread_plans()
         algorithm = build_worker_scenario(handle.payload).algorithm
         # repro: allow[pure-work-items] same content-addressed memo as above.
         _WORKER_ALGORITHMS[handle.key] = algorithm

@@ -86,6 +86,11 @@ class SimulationConfig:
             raise ValueError("item_timeout_s must be > 0")
         if self.item_retries is not None and self.item_retries < 0:
             raise ValueError("item_retries must be >= 0")
+        if (self.checkpoint is not None and self.execution is not None
+                and self.execution.policy == "buffered"):
+            raise ValueError(
+                "checkpoint cannot be combined with execution.policy="
+                "'buffered': in-flight futures cannot be snapshotted")
 
 
 #: Simulations started in this process.  The run cache's "a cache hit does

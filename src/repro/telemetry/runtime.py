@@ -182,20 +182,28 @@ def telemetry_session(meta: dict | None = None, trace_memory: bool = False):
     inside (including run-scope children, merged back on their exit).
     ``trace_memory`` starts :mod:`tracemalloc` for the session so top-level
     spans record peak memory; tracing state is restored on exit.  Sessions
-    may nest — the inner session shadows the outer for its lifetime.
+    may nest — the inner session shadows the outer for its lifetime, shares
+    its epoch and is absorbed into it on exit (as :func:`run_scope`
+    children are), so an outer ``repro profile`` sees what an artifact
+    that opens its own session ran.
     """
     global _CURRENT
-    session = RunTelemetry(meta=meta, trace_memory=trace_memory)
+    previous = _CURRENT
+    session = RunTelemetry(
+        meta=meta, trace_memory=trace_memory,
+        epoch=None if previous is None else previous.tracer.epoch)
     started_tracemalloc = trace_memory and not tracemalloc.is_tracing()
     if started_tracemalloc:
         tracemalloc.start()
-    previous, _CURRENT = _CURRENT, session
+    _CURRENT = session
     try:
         yield session
     finally:
         _CURRENT = previous
         if started_tracemalloc:
             tracemalloc.stop()
+        if previous is not None:
+            previous.absorb(session)
 
 
 @contextmanager

@@ -21,8 +21,9 @@ from repro.fl import (BufferedPolicy, Event, EventQueue, ExecutionConfig,
                       LocalTrainConfig, SimulationConfig, SynchronousPolicy,
                       make_availability, run_simulation)
 from repro.fl.checkpoint import CheckpointConfig
-from repro.fl.events import (CLIENT_DROPPED, DOWNLOAD_START, SERVER_AGGREGATE,
-                             UPLOAD_COMPLETE)
+from repro.fl.events import (CLIENT_DROPPED, CLIENT_FAILED, DOWNLOAD_START,
+                             SERVER_AGGREGATE, UPLOAD_COMPLETE)
+from repro.fl.faults import FaultPlan, FaultSpec
 from repro.fl.sanitizers import StrictModeViolation
 from repro.fl.serialization import history_to_dict
 from repro.models import build_model
@@ -40,6 +41,164 @@ def tiny_scenario(algorithm="sheterofl", seed=0, num_clients=10):
 
 
 SIM = dict(num_rounds=4, sample_ratio=0.3, eval_every=2, seed=3)
+
+
+# Segment values where float addition does not associate:
+# (NOW + DOWN) + TRAIN != NOW + (DOWN + TRAIN).
+NOW, DOWN, TRAIN, UP = 0.3, 0.1, 0.7, 0.25
+TOTAL = TRAIN + (DOWN + UP)
+
+
+class _StubAlgorithm:
+    """Just what ``launch`` reads: one client with fixed time segments."""
+
+    clients = {7: object()}
+
+    def client_time_segments(self, ctx):
+        return DOWN, TRAIN, UP
+
+    def client_round_time_s(self, ctx):
+        return TOTAL
+
+
+class _StubAvailability:
+    def __init__(self, drops=False, online_until=math.inf):
+        self.drops, self.until, self.consulted = drops, online_until, []
+
+    def drops_round(self, cid, participation):
+        self.consulted.append(("drops_round", cid, participation))
+        return self.drops
+
+    def online_until(self, cid, now):
+        self.consulted.append(("online_until", cid, now))
+        return self.until
+
+
+class _StubFaults:
+    spec = FaultSpec()
+
+    def __init__(self, plan):
+        self.fixed, self.asked = plan, []
+
+    def plan(self, version, client_id, dispatch=0):
+        self.asked.append((version, client_id, dispatch))
+        return self.fixed
+
+
+def _launch(policy_cls, *, drops=False, online_until=math.inf, plan=None,
+            horizon=math.inf):
+    """One ``launch`` under ``policy_cls``: (returned segments, queued
+    events as comparable tuples, the policy, the availability stub)."""
+    execution = ExecutionConfig(policy=policy_cls.name)
+    availability = _StubAvailability(drops, online_until)
+    policy = policy_cls(SimulationConfig(execution=execution), execution,
+                        availability)
+    policy.faults = None if plan is None else _StubFaults(plan)
+    launched = policy.launch(_StubAlgorithm(), 7, NOW, 3, horizon=horizon)
+    events = []
+    while policy.queue:
+        event = policy.queue.pop()
+        events.append((event.time_s, event.type, event.client_id,
+                       dict(event.info)))
+    return launched, events, policy, availability
+
+
+class TestSharedLaunch:
+    """The per-client fate rules live once, on ``AggregationPolicy``: the
+    same client under the same conditions produces the same events at the
+    same simulated times whatever the server does with the updates."""
+
+    FATES = {
+        "trains": (dict(), None),
+        "dropout": (dict(drops=True),
+                    (NOW + DOWN + TRAIN, CLIENT_DROPPED, 7,
+                     {"reason": "dropout"})),
+        "churn": (dict(online_until=NOW + 0.5),
+                  (NOW + 0.5, CLIENT_DROPPED, 7, {"reason": "churn"})),
+        "crash": (dict(plan=FaultPlan(crash=True)),
+                  (NOW + DOWN + TRAIN, CLIENT_FAILED, 7,
+                   {"reason": "crash"})),
+        "late": (dict(horizon=1.0),
+                 (NOW + TOTAL, UPLOAD_COMPLETE, 7, {"late": True})),
+    }
+
+    @pytest.mark.parametrize("fate", sorted(FATES))
+    def test_same_events_under_both_policies(self, fate):
+        kwargs, expected = self.FATES[fate]
+        outcomes = {}
+        for cls in (SynchronousPolicy, BufferedPolicy):
+            launched, events, policy, _ = _launch(cls, **kwargs)
+            # DOWNLOAD_START first, at the dispatch instant, carrying the
+            # server index under the policy's own name for it.
+            key = {"sync": "round", "buffered": "version"}[cls.name]
+            assert events[0] == (NOW, DOWNLOAD_START, 7, {key: 3})
+            outcomes[cls.name] = (launched, events[1:])
+            assert policy._participation == {7: 1}
+        assert outcomes["sync"] == outcomes["buffered"]
+        launched, rest = outcomes["sync"]
+        if expected is None:
+            assert launched == (DOWN, TRAIN, TOTAL) and rest == []
+        else:
+            assert launched is None and rest == [expected]
+
+    def test_post_train_events_are_left_associated(self):
+        assert NOW + DOWN + TRAIN != NOW + (DOWN + TRAIN)  # the trap
+        _, events, _, _ = _launch(SynchronousPolicy,
+                                  plan=FaultPlan(crash=True))
+        assert events[1][0] == (NOW + DOWN) + TRAIN
+
+    def test_availability_is_consulted_dropout_first(self):
+        _, _, _, dropped = _launch(BufferedPolicy, drops=True)
+        assert dropped.consulted == [("drops_round", 7, 0)]
+        _, _, _, healthy = _launch(BufferedPolicy)
+        assert healthy.consulted == [("drops_round", 7, 0),
+                                     ("online_until", 7, NOW)]
+
+    def test_fate_precedence(self):
+        """dropout > churn > crash > provably late."""
+        everything = dict(plan=FaultPlan(crash=True), horizon=1.0)
+        for availability, reason in (
+                (dict(drops=True, online_until=NOW), "dropout"),
+                (dict(online_until=NOW), "churn"),
+                (dict(), "crash")):
+            _, events, _, _ = _launch(SynchronousPolicy, **availability,
+                                      **everything)
+            assert [e[3].get("reason") for e in events[1:]] == [reason]
+
+    @pytest.mark.parametrize("cls", [SynchronousPolicy, BufferedPolicy])
+    def test_clean_fault_plan_equals_no_plan(self, cls):
+        healthy = _launch(cls)
+        clean = _launch(cls, plan=FaultPlan())
+        assert clean[:2] == healthy[:2]
+        assert clean[2]._fault_plans == healthy[2]._fault_plans == {}
+        assert clean[2].faults.asked == [(3, 7, 0)]
+
+    def test_straggler_stretches_train_and_lands_with_the_update(self):
+        plan = FaultPlan(slowdown=4.0, corrupt="zero")
+        launched, _, policy, _ = _launch(BufferedPolicy, plan=plan)
+        slowed = TRAIN * 4.0
+        assert launched == (DOWN, slowed, slowed + (DOWN + UP))
+        assert policy._fault_plans == {7: (plan, launched[2])}
+
+        class _Algo:
+            absorbed = []
+
+            def apply_client_state(self, cid, state):
+                self.absorbed.append((cid, state))
+
+        from repro.algorithms import ClientUpdate
+        from repro.fl.executor import ClientResult
+        update = ClientUpdate(client_id=7, version=3, train_loss=1.0,
+                              round_time_s=TOTAL, weight=1.0,
+                              payload=np.ones(4, dtype=np.float32))
+        result = ClientResult(client_id=7, update=update,
+                              client_state={"k": 1}, timing={"execute_s": 1.0})
+        landed = policy.land(_Algo(), 7, result)
+        assert landed is update and _Algo.absorbed == [(7, {"k": 1})]
+        assert update.round_time_s == launched[2]
+        assert not update.payload.any()        # "zero" corruption applied
+        assert policy._fault_plans == {}
+        assert policy._timings == {7: {"execute_s": 1.0}}
 
 
 class TestEventQueue:

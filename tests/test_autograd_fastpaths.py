@@ -4,7 +4,10 @@ The strided-im2col conv2d, slice-fast-path getitem, reduceat embedding
 scatter and the stash-free backward engine are checked here against
 *independent* references: a convolution composed purely from separately
 grad-checked primitives (pad/slice/matmul/concat), numpy ``np.add.at``
-scatters, and central-difference numerical gradients.
+scatters, and central-difference numerical gradients.  The fused
+:func:`repro.autograd.attention` op is held to the composed
+matmul/softmax/dropout/matmul chain (outputs, gradients, dropout RNG
+stream) and the vectorised ``_col2im`` adjoint to the seed's scatter loop.
 """
 
 import gc
@@ -16,6 +19,7 @@ import pytest
 from repro import autograd as ag
 from repro import nn
 from repro.autograd import Tensor, check_gradients
+from repro.autograd import functional as F
 from repro.autograd.grad_check import compare_gradients
 from repro.autograd.tensor import _needs_grad
 
@@ -434,3 +438,133 @@ class TestDropoutDeterminism:
     def test_seed_and_rng_are_exclusive(self):
         with pytest.raises(ValueError, match="not both"):
             nn.Dropout(0.5, seed=1, rng=np.random.default_rng(0))
+
+
+def composed_attention(q, k, v, scale, rng=None, p=0.0, training=False):
+    """The pre-fusion five-node chain, as ``nn/attention.py`` used to
+    build it (scale applied as a python float so both formulations run in
+    the inputs' dtype)."""
+    scores = ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))) * float(scale)
+    weights = ag.softmax(scores)
+    if training and p > 0.0:
+        weights = ag.dropout(weights, p, training=True, rng=rng)
+    return ag.matmul(weights, v)
+
+
+class TestFusedAttention:
+    SHAPE = (2, 3, 5, 4)  # (B, H, S, Dh)
+
+    def test_matches_composed_reference(self):
+        q, k, v = _t(self.SHAPE, 1), _t(self.SHAPE, 2), _t(self.SHAPE, 3)
+        scale = 1.0 / np.sqrt(self.SHAPE[-1])
+        compare_gradients(
+            lambda: (ag.attention(q, k, v, scale) ** 2).sum(),
+            lambda: (composed_attention(q, k, v, scale) ** 2).sum(),
+            [q, k, v], atol=1e-9, rtol=1e-9)
+
+    def test_matches_composed_reference_with_dropout(self):
+        q, k, v = _t(self.SHAPE, 4), _t(self.SHAPE, 5), _t(self.SHAPE, 6)
+        scale = 1.0 / np.sqrt(self.SHAPE[-1])
+        # Same seed => both formulations must draw the identical mask.
+        compare_gradients(
+            lambda: (ag.attention(q, k, v, scale,
+                                  rng=np.random.default_rng(99), p=0.4,
+                                  training=True) ** 2).sum(),
+            lambda: (composed_attention(q, k, v, scale,
+                                        rng=np.random.default_rng(99), p=0.4,
+                                        training=True) ** 2).sum(),
+            [q, k, v], atol=1e-9, rtol=1e-9)
+
+    def test_dropout_rng_stream_parity(self):
+        """The fused op consumes exactly the draws dropout() would, so a
+        layer's mask stream is unchanged by fusion (reseed semantics)."""
+        q, k, v = _t(self.SHAPE, 7), _t(self.SHAPE, 8), _t(self.SHAPE, 9)
+        r_fused, r_composed = (np.random.default_rng(5),
+                               np.random.default_rng(5))
+        ag.attention(q, k, v, 0.5, rng=r_fused, p=0.3, training=True)
+        composed_attention(q, k, v, 0.5, rng=r_composed, p=0.3, training=True)
+        assert (r_fused.bit_generator.state
+                == r_composed.bit_generator.state)
+
+    def test_numerical_gradients(self):
+        q, k, v = _t(self.SHAPE, 10), _t(self.SHAPE, 11), _t(self.SHAPE, 12)
+        check_gradients(
+            lambda: (ag.attention(q, k, v, 0.5) ** 2).sum(), [q, k, v])
+
+    def test_eval_mode_ignores_dropout(self):
+        q, k, v = _t(self.SHAPE, 13), _t(self.SHAPE, 14), _t(self.SHAPE, 15)
+        rng = np.random.default_rng(0)
+        a = ag.attention(q, k, v, 0.5, rng=rng, p=0.5, training=False)
+        b = ag.attention(q, k, v, 0.5)
+        assert np.array_equal(a.data, b.data)
+        # and no draws were consumed
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_training_dropout_requires_rng(self):
+        q, k, v = _t(self.SHAPE, 16), _t(self.SHAPE, 17), _t(self.SHAPE, 18)
+        with pytest.raises(ValueError, match="Generator"):
+            ag.attention(q, k, v, 0.5, p=0.5, training=True)
+
+    def test_float32_stays_float32(self):
+        """The composed chain silently promoted to float64 through the 0-d
+        scale tensor (NEP 50); the fused op must not."""
+        rng = np.random.default_rng(0)
+        q, k, v = (Tensor(rng.standard_normal(self.SHAPE).astype(np.float32),
+                          requires_grad=True) for _ in range(3))
+        out = ag.attention(q, k, v, 1.0 / np.sqrt(4))
+        assert out.data.dtype == np.float32
+        out.sum().backward()
+        assert q.grad.dtype == np.float32
+
+    def test_single_tape_node(self):
+        q, k, v = _t(self.SHAPE, 19), _t(self.SHAPE, 20), _t(self.SHAPE, 21)
+        out = ag.attention(q, k, v, 0.5)
+        assert out._parents == (q, k, v)
+        assert len(out._topo_order()) == 4  # out + the three leaves
+
+
+def col2im_reference(cols, x_shape, kh, kw, stride):
+    """The seed engine's scatter loop, kept as an independent reference."""
+    n, c, h, w = x_shape
+    oh = (h - kh) // stride + 1
+    ow = (w - kw) // stride + 1
+    x = np.zeros(x_shape, dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            x[:, :, i:i + stride * oh:stride,
+              j:j + stride * ow:stride] += cols[:, :, i, j]
+    return x
+
+
+class TestCol2Im:
+    GEOMETRIES = [
+        # (h, w, kh, kw, stride) — overlapping, tiling, gapped, ragged
+        (8, 8, 3, 3, 1),     # classic overlapping 3x3
+        (9, 9, 3, 3, 2),     # overlapping with stride
+        (8, 8, 2, 2, 2),     # exact tiling (pure assignment path)
+        (10, 10, 3, 3, 3),   # stride == kernel, ragged tail
+        (10, 10, 2, 2, 3),   # stride > kernel: gaps must stay zero
+        (11, 7, 5, 3, 2),    # rectangular kernel, odd sizes
+        (7, 9, 2, 3, 1),     # rectangular overlapping
+        (6, 6, 1, 1, 2),     # 1x1 kernel with stride (gapped)
+    ]
+
+    @pytest.mark.parametrize("h,w,kh,kw,stride", GEOMETRIES)
+    def test_matches_reference_loop(self, h, w, kh, kw, stride):
+        oh = (h - kh) // stride + 1
+        ow = (w - kw) // stride + 1
+        rng = np.random.default_rng(h * 100 + w * 10 + stride)
+        cols = rng.standard_normal((2, 3, kh, kw, oh, ow)).astype(np.float32)
+        fast = F._col2im(cols, (2, 3, h, w), kh, kw, stride)
+        ref = col2im_reference(cols, (2, 3, h, w), kh, kw, stride)
+        np.testing.assert_allclose(fast, ref, atol=1e-5, rtol=1e-5)
+        # Disjoint-window geometries have one contribution per pixel, so
+        # no summation is reordered: those must be bit-exact.
+        if stride >= kh and stride >= kw:
+            assert np.array_equal(fast, ref)
+
+    def test_float64(self):
+        cols = np.random.default_rng(0).standard_normal((1, 2, 3, 3, 6, 6))
+        fast = F._col2im(cols, (1, 2, 8, 8), 3, 3, 1)
+        ref = col2im_reference(cols, (1, 2, 8, 8), 3, 3, 1)
+        np.testing.assert_allclose(fast, ref, atol=1e-12, rtol=1e-12)

@@ -9,6 +9,7 @@ are byte-identical to uninterrupted ones, and zero-fault runs serialise
 """
 
 import json
+import logging
 import threading
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 
@@ -32,6 +33,7 @@ from repro.fl.executor import (DEFAULT_RETRIES, ClientResult, ClientWorkItem,
                                make_executor)
 from repro.fl.faults import FaultModel, FaultSpec, corrupt_update
 from repro.models import build_model
+from repro.telemetry import reset_logging
 
 
 def tiny_scenario(algorithm="sheterofl", seed=0):
@@ -688,16 +690,15 @@ class TestKillAndResume:
         assert resumed.to_json() == reference.to_json()
         assert not path.exists()    # cleared after a completed run
 
-    def test_buffered_policy_declines_with_warning(self, tmp_path):
-        execution = ExecutionConfig(policy="buffered", buffer_size=2)
-        with pytest.warns(UserWarning, match="buffered"):
-            history = run_simulation(
-                tiny_scenario().algorithm,
-                SimulationConfig(**SIM, execution=execution,
-                                 checkpoint=CheckpointConfig(
-                                     path=tmp_path / "b.ckpt.json")))
-        assert len(history.records) > 0
-        assert not (tmp_path / "b.ckpt.json").exists()
+    def test_buffered_policy_refuses_checkpoint(self, tmp_path):
+        """In-flight futures cannot be snapshotted: the pair is refused
+        where the config is built, naming both fields."""
+        with pytest.raises(ValueError,
+                           match=r"checkpoint.*execution\.policy='buffered'"):
+            SimulationConfig(
+                **SIM,
+                execution=ExecutionConfig(policy="buffered", buffer_size=2),
+                checkpoint=CheckpointConfig(path=tmp_path / "b.ckpt.json"))
 
 
 class TestRunnerCheckpointing:
@@ -714,6 +715,28 @@ class TestRunnerCheckpointing:
             other = _spec_checkpoint(spec.with_seed(1))
             assert other.path != checkpoint.path
         assert _spec_checkpoint(spec) is None
+
+    @pytest.mark.parametrize("via_factory", [False, True])
+    def test_buffered_cell_runs_without_checkpoints(self, tmp_path, caplog,
+                                                    via_factory):
+        """The runner decides on the *resolved* execution block — the
+        spec's own or the factory's — and says so once."""
+        buffered = ExecutionConfig(policy="buffered", buffer_size=2)
+        spec = RunSpec(algorithm="sheterofl", dataset="harbox",
+                       constraints=SMOKE, scale="smoke", seed=0,
+                       execution=None if via_factory else buffered)
+        factory = (lambda scenario: buffered) if via_factory else None
+        reset_logging()  # an earlier CLI test may have stopped propagation
+        with run_defaults(RunDefaults(checkpoint_dir=tmp_path,
+                                      checkpoint_every=1)), \
+                caplog.at_level(logging.INFO, logger="repro.runner"):
+            result = execute_spec(spec, cache=None,
+                                  execution_factory=factory)
+        assert len(result.history.records) > 0
+        assert list(tmp_path.iterdir()) == []
+        notes = [r for r in caplog.records if r.name == "repro.runner"
+                 and "cannot be checkpointed" in r.getMessage()]
+        assert len(notes) == 1
 
 
 # ----------------------------------------------------------------------

@@ -334,7 +334,7 @@ class TestInlineReferenceSemantics:
                 round_index=round_index, sim_time_s=sim_time,
                 round_time_s=round_time,
                 train_loss=outcome.mean_train_loss, global_accuracy=acc,
-                extras=dict(outcome.extras)))
+                extras={}))
         history.final_device_accuracies = algorithm.per_device_accuracies()
         return history
 

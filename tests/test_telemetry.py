@@ -297,6 +297,19 @@ class TestRuntimeScopes:
         assert session.metrics.counter_value("n") == 1
         assert [s.name for s in session.tracer.spans] == ["inner"]
 
+    def test_nested_session_is_absorbed_into_the_one_it_shadowed(self):
+        with telemetry_session() as outer:
+            with telemetry_session(meta={"inner": True}) as inner:
+                assert telemetry_runtime.current() is inner
+                telemetry_runtime.inc("n")
+                with telemetry_runtime.span("inner"):
+                    pass
+            assert telemetry_runtime.current() is outer
+            assert inner.tracer.epoch == outer.tracer.epoch
+        assert inner.metrics.counter_value("n") == 1
+        assert outer.metrics.counter_value("n") == 1
+        assert [s.name for s in outer.tracer.spans] == ["inner"]
+
     def test_run_scope_without_session_yields_none(self):
         with run_scope(spec="abc") as child:
             assert child is None
@@ -432,3 +445,41 @@ class TestTelemetryReportArtifact:
                        if row["section"] == "cache"}
         assert cache_stats["lookups"] == cache_stats["hits"] \
             + cache_stats["misses"]
+
+
+class TestProfileVerb:
+    """``repro profile`` on an artifact that opens its own session: the
+    CLI's outer session must see what the inner one collected."""
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_profile_telemetry_report_is_not_empty(self, tmp_path, capsys,
+                                                   cached):
+        from repro.__main__ import main
+        cache_dir = tmp_path / "cache"
+        trace_path = tmp_path / "trace.json"
+        argv = ["profile", "telemetry_report", "--scale", "smoke",
+                "--out", "json", "--trace-out", str(trace_path)]
+        argv += ["--cache-dir", str(cache_dir)] if cached else ["--no-cache"]
+        assert main(argv) == 0
+        rows = json.loads(capsys.readouterr().out)
+        spans = {row["name"]: row["count"] for row in rows
+                 if row["section"] == "span"}
+        assert spans["execute_spec"] >= 1 and spans["client_step"] >= 1
+        trace = json.loads(trace_path.read_text())
+        assert sum(e.get("cat") == "span" for e in trace["traceEvents"]) \
+            == sum(spans.values())
+        if not cached:
+            return  # --no-cache performs no lookups: nothing to count
+        stats = {row["name"]: row["value"] for row in rows
+                 if row["section"] == "cache"}
+        assert stats["misses"] >= 1 and stats["puts"] >= 1
+        # Observation-only: the profiled cell's History is byte-identical
+        # to an unobserved run of the same spec.
+        spec = RunSpec(algorithm="sheterofl", dataset="cifar100",
+                       constraints=ConstraintSpec(
+                           constraints=("computation",)),
+                       scale="smoke", seed=0)
+        profiled = RunCache(cache_dir).get(spec)
+        assert profiled is not None
+        assert profiled.history.to_json() \
+            == execute_spec(spec, cache=None).history.to_json()
