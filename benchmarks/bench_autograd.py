@@ -2,9 +2,9 @@
 
 Measures forward and forward+backward throughput (ops/sec) for the operators
 that dominate every PracMHBench run — conv2d variants, linear, attention,
-batch_norm — plus full MobileNet / ResNet training steps, and records the
-numbers in ``BENCH_autograd.json`` at the repo root so subsequent PRs have a
-perf trajectory to hold.
+batch_norm, layer_norm — plus full MobileNet / ResNet training steps, and
+records the numbers in ``BENCH_autograd.json`` at the repo root so subsequent
+PRs have a perf trajectory to hold.
 
 Besides wall-clock throughput each case also records two machine-independent
 counter columns measured over a single fwd+bwd call: ``peak_alloc_bytes``
@@ -135,6 +135,28 @@ def _batch_norm_case(shape=(16, 32, 16, 16)):
     return forward, fwd_bwd
 
 
+def _layer_norm_case(train_shape=(8, 32, 32), eval_shape=(100, 32, 32)):
+    """``layer_norm`` at the two shapes the ledger's ``transformer`` cell
+    runs it at (``d`` = 32): the 'forward' column is the 100-sample
+    evaluation batch under ``no_grad``, fwd_bwd the 8-sample training batch.
+    """
+    rng = np.random.default_rng(8)
+    x_train = rng.standard_normal(train_shape).astype(np.float32)
+    x_eval = rng.standard_normal(eval_shape).astype(np.float32)
+    g = np.ones(train_shape[-1], np.float32)
+    b = np.zeros(train_shape[-1], np.float32)
+
+    def forward():
+        with ag.no_grad():
+            ag.layer_norm(Tensor(x_eval), Tensor(g), Tensor(b))
+
+    def fwd_bwd():
+        xt, gt, bt = Tensor(x_train, True), Tensor(g, True), Tensor(b, True)
+        ag.layer_norm(xt, gt, bt).sum().backward()
+
+    return forward, fwd_bwd
+
+
 def _attention_case(batch=4, seq=32, dim=64, heads=4, ffn=128):
     rng = np.random.default_rng(3)
     layer = TransformerEncoderLayer(dim, heads, ffn, rng)
@@ -260,6 +282,7 @@ CASES: dict[str, tuple] = {
                                          2, 1, 1),
     "linear": _linear_case,
     "batch_norm": _batch_norm_case,
+    "layer_norm": _layer_norm_case,
     "attention": _attention_case,
     "attention_core": _attention_core_case,
     "depthwise_backward": _depthwise_backward_case,

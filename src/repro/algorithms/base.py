@@ -477,11 +477,19 @@ class MHFLAlgorithm:
         return ids[::stride][:self.eval_clients]
 
     def per_device_accuracies(self) -> list[float]:
-        """Final accuracy of each evaluation client's own deployed variant."""
+        """Final accuracy of each evaluation client's own deployed variant.
+
+        Every client is built, in order (Fjord draws from ``rng``), but
+        ``build_client_model`` hands out one model per resolved overrides,
+        loaded with the same round-0 slice: each is evaluated once.
+        """
         rng = np.random.default_rng(0)
+        seen: dict[SliceableModel, float] = {}  # keyed by the object itself
         accs = []
         for client_id in self._eval_ids():
             ctx = self.clients[client_id]
             model, _ = self.build_client_model(ctx, round_index=0, rng=rng)
-            accs.append(accuracy(model, self.x_eval, self.y_eval))
+            if model not in seen:
+                seen[model] = accuracy(model, self.x_eval, self.y_eval)
+            accs.append(seen[model])
         return accs

@@ -53,8 +53,8 @@ class FedET(PersonalModelAlgorithm):
     # ------------------------------------------------------------------
     def _build_personal(self, ctx: ClientContext) -> SliceableModel:
         """A freshly-initialised personal model (deterministic per client)."""
-        model = ctx.entry.build(self.base_model)
-        return model.variant(seed=2000 + ctx.client_id)
+        return self.base_model.variant(**ctx.entry.overrides,
+                                       seed=2000 + ctx.client_id)
 
     def _local_loss(self, model: SliceableModel, rng: np.random.Generator,
                     broadcast: dict | None):

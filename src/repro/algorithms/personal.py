@@ -3,9 +3,16 @@
 FedProto and Fed-ET exchange knowledge (prototypes, public-set logits), not
 parameters, so each client's model of its own architecture persists across
 rounds on the coordinator.  This base owns that lifecycle once — the
-canonical copies, their work-item transport, the detached-clone training
-step and their share of checkpoints and evaluation; a subclass supplies
+canonical copies, their work-item transport, the detached training step
+and their share of checkpoints and evaluation; a subclass supplies
 ``_build_personal``, its local loss, its upload and its server side.
+
+Two reuses, neither able to change a result: training runs in one *skeleton*
+per capacity level (``load_state_dict`` overwrites every parameter and buffer,
+dropout is reseeded, the optimiser is per round, gradients are dropped after
+the upload), and a deployed model's accuracy on the fixed evaluation split is
+kept until a writer of the canonical copy (``apply_client_state``,
+``restore_checkpoint_state``) replaces its weights.
 """
 
 from __future__ import annotations
@@ -30,9 +37,14 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
         super().__init__(*args, **kwargs)
         self._personal: dict[int, nn.Module] = {}
         #: trained-but-not-yet-absorbed states, keyed by client id (filled
-        #: by run_client, drained by pack_client_state; per-client keys, so
-        #: concurrent worker threads never collide).
+        #: by run_client, drained by pack_client_state — two hooks addressed
+        #: by client id; a pool worker is a process with its own replica).
         self._trained: dict[int, dict] = {}
+        #: ``ctx.entry.key`` -> the model every client at that level trains in.
+        self._skeletons: dict[str, nn.Module] = {}
+        #: client id -> accuracy of its canonical model as it stands (derived
+        #: state of the coordinator: never checkpointed, never serialised).
+        self._accuracies: dict[int, float] = {}
 
     @classmethod
     def variant_space(cls, base_model: SliceableModel) -> dict[str, dict]:
@@ -67,7 +79,7 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
         """The coordinator's canonical copy of one client's deployed model.
 
         Only :meth:`apply_client_state` advances it — ``run_client`` trains
-        a detached clone, so a client's deployed model updates exactly when
+        a detached copy, so a client's deployed model updates exactly when
         its upload is accepted, identically under every executor (an
         in-flight client evaluated mid-round still shows its old model).
         """
@@ -94,14 +106,17 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
         if state is not None:
             ctx = self.clients[int(client_id)]
             self.personal_model(ctx).load_state_dict(state["personal"])
+            self._accuracies.pop(ctx.client_id, None)
 
     def run_client(self, client_id: int, version: int, rng,
                    broadcast: dict | None = None) -> ClientUpdate:
         ctx = self.clients[int(client_id)]
-        # Train a detached clone; the canonical personal model advances via
-        # apply_client_state when the upload is accepted (see
-        # personal_model's docstring for why the split matters).
-        model = self._build_personal(ctx)
+        # Train detached, in the level's skeleton; the canonical personal
+        # model advances via apply_client_state when the upload is accepted
+        # (see personal_model's docstring for why the split matters).
+        model = self._skeletons.get(ctx.entry.key)
+        if model is None:
+            model = self._skeletons[ctx.entry.key] = self._build_personal(ctx)
         model.load_state_dict(self.personal_model(ctx).state_dict()
                               if broadcast is None
                               else broadcast["personal"])
@@ -111,6 +126,7 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
                            loss_fn=self._local_loss(model, rng, broadcast))
         self._trained[ctx.client_id] = model.state_dict()
         weight, payload = self._upload(model, ctx)
+        model.zero_grad()  # grads to None: the skeleton keeps weights only
         return ClientUpdate(
             client_id=ctx.client_id, version=version, train_loss=loss,
             round_time_s=self.client_round_time_s(ctx), weight=weight,
@@ -128,8 +144,14 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
         for cid, personal_state in state["personal"].items():
             ctx = self.clients[int(cid)]
             self.personal_model(ctx).load_state_dict(personal_state)
+        self._accuracies.clear()
 
     def per_device_accuracies(self) -> list[float]:
-        return [accuracy(self.personal_model(self.clients[client_id]),
-                         self.x_eval, self.y_eval)
-                for client_id in self._eval_ids()]
+        """Each evaluation client's deployed model, evaluated once per
+        version of its weights (FedProto's ``evaluate_global`` averages it)."""
+        for client_id in self._eval_ids():
+            if client_id not in self._accuracies:
+                self._accuracies[client_id] = accuracy(
+                    self.personal_model(self.clients[client_id]),
+                    self.x_eval, self.y_eval)
+        return [self._accuracies[client_id] for client_id in self._eval_ids()]

@@ -4,7 +4,9 @@ Includes the fused / structured operations that a layer library needs but that
 are awkward to express with elementwise primitives: im2col convolution,
 pooling, batch / layer normalisation, embeddings, softmax-family losses and
 dropout.  Every operator here is covered by numerical gradient checks in
-``tests/test_autograd.py`` and ``tests/test_autograd_fastpaths.py``.
+``tests/test_autograd.py`` and ``tests/test_autograd_fastpaths.py`` — in the
+latter ``layer_norm`` and ``attention`` (with and without dropout) in float64
+under a weighted loss, whose input gradient a plain ``.sum()`` would zero.
 
 The convolution hot path uses ``numpy.lib.stride_tricks.as_strided`` patch
 *views* over the (padded) input: the only copy in the forward pass is the
@@ -356,13 +358,21 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                eps: float = 1e-5) -> Tensor:
-    """Layer normalisation over the last axis."""
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
-    out = gamma.data * xhat + beta.data
+    """Layer normalisation over the last axis.
+
+    ``np.mean`` / ``np.var`` spelled out once as in :func:`batch_norm` (same
+    ufuncs and operand order, hence the same bits), ``xhat`` scaled in place.
+    """
     d = x.shape[-1]
+    count = np.intp(d)  # numpy's own divisor type: float64 divide, cast back
+    mean = np.add.reduce(x.data, axis=-1, keepdims=True)
+    np.true_divide(mean, count, out=mean, casting="unsafe")
+    xhat = x.data - mean
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    np.true_divide(var, count, out=var, casting="unsafe")
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std
+    out = gamma.data * xhat + beta.data
 
     def backward(grad: np.ndarray) -> tuple:
         reduce_axes = tuple(range(x.ndim - 1))
@@ -579,6 +589,23 @@ def dropout(x: Tensor, p: float, training: bool,
 # Fused attention
 # ----------------------------------------------------------------------
 
+def _row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)`` by halving: ``np.maximum`` over the
+    two halves of the last axis, repeated, vectorises across rows where the
+    contiguous-axis reduce goes row by row (x2 at 32-long rows; not worth it
+    for ``_shifted_exp``'s class-count rows).  A maximum does not round, so
+    the value is exact (a zero may take either sign — ``exp`` erases it) and
+    NaN still propagates."""
+    n = x.shape[-1]
+    while n > 1:
+        half = n // 2
+        top = np.maximum(x[..., :half], x[..., half:2 * half])
+        if n % 2:  # fold the odd straggler into the first column
+            np.maximum(top[..., :1], x[..., n - 1:], out=top[..., :1])
+        x, n = top, half
+    return x
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
               rng: np.random.Generator | None = None, p: float = 0.0,
               training: bool = False) -> Tensor:
@@ -590,7 +617,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     weights (plus the dropout mask when active) survive into the closure —
     no per-node score/transpose temporaries on the tape.  ``scale`` is
     applied as a python float, so float32 inputs stay float32 (a 0-d
-    float64 scale array would promote the whole chain under NEP 50).
+    float64 scale array would promote the whole chain under NEP 50).  The
+    softmax shift is :func:`_row_max`, exactly ``ndarray.max``'s value.
 
     ``rng``/``p`` fuse inverted dropout on the attention weights; the mask
     is drawn exactly like :func:`dropout` would on the softmax output, so
@@ -606,7 +634,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
 
     weights = np.matmul(qd, np.swapaxes(kd, -1, -2))   # (B, H, S, S)
     weights *= scale
-    weights -= weights.max(axis=-1, keepdims=True)
+    weights -= _row_max(weights)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
 

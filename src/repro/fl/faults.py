@@ -7,7 +7,7 @@ NaN/Inf/garbage updates (Abdelmoniem et al., arXiv:2102.07500).  This module
 injects those failures *deterministically*: every decision for a client's
 dispatch is drawn from :func:`repro.fl.seeding.fault_rng`, a pure function
 of ``(run_seed, round, client_id, dispatch)``, so a fault-injected run is
-byte-identical across inline/thread/process executors and worker counts —
+byte-identical across the inline and process executors and worker counts —
 the same determinism contract the healthy runtime pins.
 
 All decisions are made and applied **coordinator-side** by the aggregation

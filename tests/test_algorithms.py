@@ -225,3 +225,191 @@ class TestLearning:
                                seed=0, stop_at_accuracy=0.26)
         history = run_simulation(algo, sim)
         assert len(history.records) < 40
+
+
+def _counting(fn, calls):
+    """``fn`` wrapped so every call appends its first argument to ``calls``."""
+    def wrapper(first, *args, **kwargs):
+        calls.append(first)
+        return fn(first, *args, **kwargs)
+    return wrapper
+
+
+def _payload_arrays(payload):
+    return payload if isinstance(payload, tuple) else (payload,)
+
+
+class TestFedETBuildsOnce:
+    """``variant`` re-invokes the constructor from the recorded kwargs, so
+    one call with the level's overrides *and* the client seed is the same
+    construction as building the level and re-seeding it."""
+
+    @pytest.mark.parametrize("arch,num_classes", [("mobilenet_v2", 10),
+                                                  ("transformer", 4)])
+    def test_single_build_equals_two_step_build(self, arch, num_classes):
+        from types import SimpleNamespace
+        cls = ALGORITHMS["fedet"]
+        base = build_model(arch, num_classes=num_classes, seed=0)
+        space = cls.variant_space(base)
+        assert len(space) >= 3
+        for client_id, overrides in enumerate(space.values(), start=5):
+            ctx = SimpleNamespace(client_id=client_id,
+                                  entry=SimpleNamespace(overrides=overrides))
+            new = cls._build_personal(SimpleNamespace(base_model=base), ctx)
+            two_step = base.variant(**overrides).variant(
+                seed=2000 + client_id)
+            assert type(new) is type(two_step)
+            new_state, old_state = new.state_dict(), two_step.state_dict()
+            assert list(new_state) == list(old_state)
+            for key, value in old_state.items():
+                assert np.array_equal(new_state[key], value), key
+
+
+class TestEvaluateOncePerDeployment:
+    """Evaluation results are reused only while they cannot have changed."""
+
+    def test_fedproto_reevaluates_exactly_the_clients_it_updated(
+            self, task, monkeypatch):
+        from repro.algorithms import personal
+        from repro.fl.evaluate import accuracy
+        calls = []
+        monkeypatch.setattr(personal, "accuracy", _counting(accuracy, calls))
+        algo = _build("fedproto", task)
+        eval_ids = algo._eval_ids()
+
+        def fresh(algorithm):
+            return [accuracy(algorithm.personal_model(algorithm.clients[cid]),
+                             algorithm.x_eval, algorithm.y_eval)
+                    for cid in eval_ids]
+
+        assert algo.per_device_accuracies() == fresh(algo)
+        assert len(calls) == len(eval_ids)
+
+        # A round over two evaluation clients and one that is never
+        # evaluated: only the first two are looked at again.
+        outsider = next(cid for cid in sorted(algo.clients)
+                        if cid not in eval_ids)
+        calls.clear()
+        algo.run_round(0, [eval_ids[0], eval_ids[1], outsider],
+                       np.random.default_rng(0))
+        after_round = algo.per_device_accuracies()
+        assert after_round == fresh(algo)
+        assert calls == [algo._personal[eval_ids[0]],
+                         algo._personal[eval_ids[1]]]
+        calls.clear()
+        assert algo.per_device_accuracies() == after_round
+        assert algo.evaluate_global() == float(np.mean(after_round))
+        assert calls == []
+
+        # A restored checkpoint rewrites canonical models: nothing evaluated
+        # before it may be trusted.
+        other = _build("fedproto", task)
+        other.per_device_accuracies()
+        calls.clear()
+        other.restore_checkpoint_state(algo.checkpoint_state())
+        assert other.per_device_accuracies() == after_round
+        assert len(calls) == len(eval_ids)
+
+    def test_a_rejected_upload_keeps_the_evaluation(self, task, monkeypatch):
+        """``apply_client_state(None)`` writes nothing, so it drops nothing."""
+        from repro.algorithms import personal
+        from repro.fl.evaluate import accuracy
+        calls = []
+        monkeypatch.setattr(personal, "accuracy", _counting(accuracy, calls))
+        algo = _build("fedproto", task)
+        before = algo.per_device_accuracies()
+        calls.clear()
+        algo.apply_client_state(algo._eval_ids()[0], None)
+        assert algo.per_device_accuracies() == before and calls == []
+
+    @pytest.mark.parametrize("name", ["sheterofl", "fedrolex", "fjord",
+                                      "depthfl", "fedepth", "inclusivefl"])
+    def test_sliced_fan_out_equals_evaluating_every_client(self, name, task,
+                                                           monkeypatch):
+        from repro.algorithms import base
+        from repro.fl.evaluate import accuracy
+        algo = _build(name, task, eval_clients=16)
+        algo.run_round(0, [0, 1, 2, 3, 5], np.random.default_rng(0))
+        resolved = []
+        resolve = algo.client_overrides
+
+        def recording(ctx, round_index, rng):
+            overrides = resolve(ctx, round_index, rng)
+            resolved.append((ctx.client_id, tuple(sorted(overrides.items()))))
+            return overrides
+
+        algo.client_overrides = recording
+
+        # The parent's loop: every evaluation client built and evaluated.
+        rng = np.random.default_rng(0)
+        expected = []
+        for client_id in algo._eval_ids():
+            model, _ = algo.build_client_model(algo.clients[client_id],
+                                               round_index=0, rng=rng)
+            expected.append(accuracy(model, algo.x_eval, algo.y_eval))
+        expected_resolved, resolved[:] = list(resolved), []
+
+        calls = []
+        monkeypatch.setattr(base, "accuracy", _counting(accuracy, calls))
+        assert algo.per_device_accuracies() == expected
+        # Fjord draws its width from the generator on every call: skipping
+        # one build would shift every later client's draw.
+        assert resolved == expected_resolved
+        assert len(resolved) == len(algo._eval_ids()) == 16
+        distinct = {key for _, key in resolved}
+        assert len(calls) == len(distinct) < 16
+
+
+class TestTrainingSkeleton:
+    """One training model per capacity level, nothing carried over."""
+
+    @pytest.mark.parametrize("name", ["fedproto", "fedet"])
+    def test_second_client_trains_as_if_first_never_ran(self, name, task,
+                                                        monkeypatch):
+        from repro.models.base import SliceableModel
+        algo, lone = _build(name, task), _build(name, task)
+        by_level = {}
+        for cid, ctx in sorted(algo.clients.items()):
+            by_level.setdefault(ctx.entry.key, []).append(cid)
+        level, (first, second) = next((key, ids[:2])
+                                      for key, ids in by_level.items()
+                                      if len(ids) >= 2)
+        for cid in (first, second):     # canonical models exist already
+            algo.personal_model(algo.clients[cid])
+        lone.personal_model(lone.clients[second])
+
+        variants = []
+        monkeypatch.setattr(SliceableModel, "variant",
+                            _counting(SliceableModel.variant, variants))
+        algo.run_client(first, 0, np.random.default_rng((0, 0, first)))
+        algo.pack_client_state(first)
+        update = algo.run_client(second, 0,
+                                 np.random.default_rng((0, 0, second)))
+        state = algo.pack_client_state(second)["personal"]
+        assert len(variants) == 1       # the level's skeleton, built once
+        assert list(algo._skeletons) == [level]
+        assert all(p.grad is None
+                   for p in algo._skeletons[level].parameters())
+
+        expected = lone.run_client(second, 0,
+                                   np.random.default_rng((0, 0, second)))
+        expected_state = lone.pack_client_state(second)["personal"]
+        assert list(state) == list(expected_state)
+        for key, value in expected_state.items():
+            assert np.array_equal(state[key], value), key
+        assert (update.train_loss, update.weight, update.round_time_s) == (
+            expected.train_loss, expected.weight, expected.round_time_s)
+        for got, want in zip(_payload_arrays(update.payload),
+                             _payload_arrays(expected.payload), strict=True):
+            assert np.array_equal(got, want)
+
+    def test_skeleton_is_not_the_deployed_model(self, task):
+        """Training must not move what evaluation reads until the upload
+        is applied."""
+        algo = _build("fedproto", task)
+        ctx = algo.clients[0]
+        deployed = algo.personal_model(ctx).state_dict()
+        algo.run_client(0, 0, np.random.default_rng(0))
+        assert algo._skeletons[ctx.entry.key] is not algo.personal_model(ctx)
+        for key, value in algo.personal_model(ctx).state_dict().items():
+            assert np.array_equal(value, deployed[key]), key

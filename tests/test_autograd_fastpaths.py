@@ -8,6 +8,9 @@ scatters, and central-difference numerical gradients.  The fused
 :func:`repro.autograd.attention` op is held to the composed
 matmul/softmax/dropout/matmul chain (outputs, gradients, dropout RNG
 stream) and the vectorised ``_col2im`` adjoint to the seed's scatter loop.
+The single-pass ``batch_norm`` / ``layer_norm`` statistics and ``attention``'s
+halving row maximum are held, bit for bit, to the ``ndarray.mean`` / ``.var``
+/ ``.max`` bodies they replaced, which live on here as references.
 """
 
 import gc
@@ -15,6 +18,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import autograd as ag
 from repro import nn
@@ -225,6 +229,103 @@ class TestBatchNormSinglePass:
             return (out * Tensor(weights)).sum()
 
         check_gradients(loss, [x, g, b], atol=1e-6, rtol=1e-5, eps=1e-5)
+
+
+def layer_norm_reference(x, gamma, beta, eps=1e-5):
+    """``layer_norm`` as it was before the statistics were spelled out:
+    the generic ``ndarray.mean`` / ``ndarray.var`` reductions."""
+    mean = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mean) * inv_std
+    out = gamma.data * xhat + beta.data
+    d = x.shape[-1]
+
+    def backward(grad):
+        reduce_axes = tuple(range(x.ndim - 1))
+        dgamma = ((grad * xhat).sum(axis=reduce_axes)
+                  if _needs_grad(gamma) else None)
+        dbeta = grad.sum(axis=reduce_axes) if _needs_grad(beta) else None
+        dx = None
+        if _needs_grad(x):
+            gg = grad * gamma.data
+            g_sum = gg.sum(axis=-1, keepdims=True)
+            gx_sum = (gg * xhat).sum(axis=-1, keepdims=True)
+            dx = (inv_std / d) * (d * gg - g_sum - xhat * gx_sum)
+        return dx, dgamma, dbeta
+
+    return Tensor._make(out, (x, gamma, beta), backward)
+
+
+class TestLayerNormSinglePass:
+    """The single-pass statistics must be the old ones bit for bit."""
+
+    SHAPES = [(8, 32, 32), (100, 32, 32),      # the transformer cell's two
+              (3, 7, 5), (2, 3, 4, 6),         # odd sizes, 4-D
+              (6, 10), (16, 33),               # 2-D
+              (1, 9), (1, 1, 16),              # batch 1
+              (4, 1), (2, 3, 1)]               # last-axis length 1
+
+    @staticmethod
+    def _run(fn, arrays, affine_grad, x_grad=True):
+        x, gamma, beta, upstream = (a.copy() for a in arrays)
+        xt = Tensor(x, requires_grad=x_grad)
+        gt = Tensor(gamma, requires_grad=affine_grad)
+        bt = Tensor(beta, requires_grad=affine_grad)
+        out = fn(xt, gt, bt)
+        if x_grad or affine_grad:
+            out.backward(upstream)
+        return out.data, xt.grad, gt.grad, bt.grad
+
+    @staticmethod
+    def _arrays(shape, dtype):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        return [(rng.standard_normal(shape) * 3 + 1).astype(dtype),
+                rng.standard_normal(shape[-1]).astype(dtype),
+                rng.standard_normal(shape[-1]).astype(dtype),
+                rng.standard_normal(shape).astype(dtype)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("affine_grad", [True, False])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bit_identical_to_mean_var_reference(self, shape, affine_grad,
+                                                 dtype):
+        arrays = self._arrays(shape, dtype)
+        new = self._run(ag.layer_norm, arrays, affine_grad)
+        old = self._run(layer_norm_reference, arrays, affine_grad)
+        for name, a, b in zip(["out", "dx", "dgamma", "dbeta"], new, old):
+            if b is None:
+                assert a is None, name
+                continue
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+
+    def test_frozen_input_still_gets_affine_grads(self):
+        """A norm directly on the data (x needs no grad) skips dx only."""
+        arrays = self._arrays((8, 32, 32), np.float32)
+        new = self._run(ag.layer_norm, arrays, True, x_grad=False)
+        old = self._run(layer_norm_reference, arrays, True, x_grad=False)
+        assert new[1] is None and old[1] is None
+        assert np.array_equal(new[2], old[2])
+        assert np.array_equal(new[3], old[3])
+
+    def test_input_is_not_written(self):
+        """``xhat`` is scaled in place — it must be a fresh array."""
+        x = np.random.default_rng(0).standard_normal((4, 6)).astype(np.float32)
+        kept = x.copy()
+        ag.layer_norm(Tensor(x), Tensor(np.ones(6, np.float32)),
+                      Tensor(np.zeros(6, np.float32)))
+        assert np.array_equal(x, kept)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 5), (6, 4), (1, 7), (2, 2, 2, 3)])
+    def test_float64_central_differences(self, shape):
+        """Gradcheck under a non-uniform upstream gradient: the ``.sum()``
+        loss of ``tests/test_autograd.py`` has ``dx`` identically ~ 0."""
+        d = shape[-1]
+        x, g, b = _t(shape, 50), _t((d,), 51), _t((d,), 52)
+        weights = Tensor(np.random.default_rng(53).standard_normal(shape))
+        check_gradients(lambda: (ag.layer_norm(x, g, b) * weights).sum(),
+                        [x, g, b], atol=1e-6, rtol=1e-5, eps=1e-5)
 
 
 class TestTapeIsAcyclic:
@@ -521,6 +622,158 @@ class TestFusedAttention:
         out = ag.attention(q, k, v, 0.5)
         assert out._parents == (q, k, v)
         assert len(out._topo_order()) == 4  # out + the three leaves
+
+
+def attention_reference(q, k, v, scale, rng=None, p=0.0, training=False):
+    """The fused op's body as it was while its row maximum was the
+    ``ndarray.max`` reduce (profiler calls dropped)."""
+    qd, kd, vd = q.data, k.data, v.data
+    scale = float(scale)
+    drop = training and p > 0.0
+    weights = np.matmul(qd, np.swapaxes(kd, -1, -2))
+    weights *= scale
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    if drop:
+        mask = (rng.random(weights.shape) >= p).astype(weights.dtype)
+        mask /= (1.0 - p)
+        out = np.matmul(weights * mask, vd)
+    else:
+        mask = None
+        out = np.matmul(weights, vd)
+
+    def backward(grad):
+        w_used = weights if mask is None else weights * mask
+        dv = np.matmul(np.swapaxes(w_used, -1, -2), grad)
+        dw = np.matmul(grad, np.swapaxes(vd, -1, -2))
+        if mask is not None:
+            dw *= mask
+        dot = (dw * weights).sum(axis=-1, keepdims=True)
+        dscores = weights * (dw - dot)
+        dscores *= scale
+        return (np.matmul(dscores, kd),
+                np.matmul(np.swapaxes(dscores, -1, -2), qd), dv)
+
+    return Tensor._make(out, (q, k, v), backward)
+
+
+def _softmax_numerator(x, row_max):
+    """What ``attention`` keeps of the row maximum: ``exp(x - max)``, where
+    a ``-0.0`` and a ``+0.0`` maximum coincide."""
+    with np.errstate(invalid="ignore"):  # inf - inf on rows holding +inf
+        return np.exp(x - row_max)
+
+
+class TestRowMax:
+    """``_row_max`` is ``ndarray.max(axis=-1, keepdims=True)`` exactly."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_length_1_to_70(self, dtype):
+        rng = np.random.default_rng(7)
+        for n in range(1, 71):  # odd, prime and power-of-two lengths alike
+            x = rng.standard_normal((3, 5, n)).astype(dtype)
+            got = F._row_max(x)
+            want = x.max(axis=-1, keepdims=True)
+            assert got.shape == want.shape and got.dtype == want.dtype, n
+            assert np.array_equal(got, want), n
+
+    def test_nan_in_any_column_propagates(self):
+        for n in range(1, 71):
+            x = np.random.default_rng(n).standard_normal((n, n))
+            x[np.arange(n), np.arange(n)] = np.nan  # row i: NaN in column i
+            got = F._row_max(x)
+            assert np.isnan(got).all(), n
+            assert np.array_equal(
+                _softmax_numerator(x, got),
+                _softmax_numerator(x, x.max(axis=-1, keepdims=True)),
+                equal_nan=True), n
+
+    @given(n=st.integers(1, 70), rows=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 16),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           layout=st.sampled_from(["contiguous", "strided", "transposed"]),
+           specials=st.lists(st.sampled_from(
+               [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5]), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_special_values_ties_and_layouts(self, n, rows, seed, dtype,
+                                             layout, specials):
+        rng = np.random.default_rng(seed)
+        # Few distinct values => ties in almost every row.
+        x = rng.integers(-2, 3, size=(rows, 2, n)).astype(dtype)
+        for value in specials:
+            x[rng.random(x.shape) < 0.2] = value
+        if layout == "strided":
+            wide = np.zeros((rows, 2, 2 * n), dtype=dtype)
+            wide[..., ::2] = x
+            x = wide[..., ::2]
+        elif layout == "transposed":
+            x = np.ascontiguousarray(x.transpose(2, 1, 0)).transpose(2, 1, 0)
+        if layout != "contiguous" and n > 1:
+            assert not x.flags.c_contiguous
+        got = F._row_max(x)
+        want = x.max(axis=-1, keepdims=True)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=True)  # -0.0 == +0.0 here
+        a, b = _softmax_numerator(x, got), _softmax_numerator(x, want)
+        assert np.array_equal(a, b, equal_nan=True)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_is_private(self):
+        """Not an op: the ledger's tracer wraps ``ag.__all__`` only."""
+        assert "_row_max" not in ag.__all__
+        assert "_row_max" not in F.__all__
+
+
+class TestAttentionRowMax:
+    """``attention`` with the halving maximum against its former body."""
+
+    # (B, H, S, Dh): the transformer cell's training and evaluation
+    # batches, then odd / prime / length-1 sequence lengths.
+    SHAPES = [(8, 4, 32, 8), (100, 4, 32, 8), (2, 3, 7, 4), (1, 2, 13, 5),
+              (3, 1, 1, 4)]
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bit_identical_to_ndarray_max_body(self, shape, dtype, dropout):
+        rng = np.random.default_rng(sum(shape))
+        arrays = [(rng.standard_normal(shape) * 2).astype(dtype)
+                  for _ in range(4)]
+        scale = 1.0 / np.sqrt(shape[-1])
+        results = []
+        for fn in (ag.attention, attention_reference):
+            q, k, v = (Tensor(a.copy(), requires_grad=True)
+                       for a in arrays[:3])
+            out = fn(q, k, v, scale, rng=np.random.default_rng(11),
+                     p=dropout, training=True)
+            out.backward(arrays[3])
+            results.append((out.data, q.grad, k.grad, v.grad))
+        for name, a, b in zip(["out", "dq", "dk", "dv"], *results):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+
+    def test_float64_central_differences(self):
+        shape = (2, 2, 5, 3)
+        q, k, v = _t(shape, 60), _t(shape, 61), _t(shape, 62)
+        weights = Tensor(np.random.default_rng(63).standard_normal(shape))
+        check_gradients(
+            lambda: (ag.attention(q, k, v, 0.6) * weights).sum(),
+            [q, k, v], atol=1e-6, rtol=1e-5, eps=1e-5)
+
+    def test_float64_central_differences_with_dropout(self):
+        """The generator is re-seeded inside the loss, so every evaluation
+        draws the same mask and the function differentiated is fixed."""
+        shape = (2, 2, 5, 3)
+        q, k, v = _t(shape, 64), _t(shape, 65), _t(shape, 66)
+        weights = Tensor(np.random.default_rng(67).standard_normal(shape))
+
+        def loss():
+            out = ag.attention(q, k, v, 0.6, rng=np.random.default_rng(5),
+                               p=0.3, training=True)
+            return (out * weights).sum()
+
+        check_gradients(loss, [q, k, v], atol=1e-6, rtol=1e-5, eps=1e-5)
 
 
 def col2im_reference(cols, x_shape, kh, kw, stride):
