@@ -15,6 +15,14 @@ engine profiler; batched matmul counts one per batch element).  These feed
 the ``results/compare_bench.py`` counter gate, which stays tight even when
 the wall-clock threshold is loosened for noisy CI hosts.
 
+The counters are the tight part for a second reason.  An isolated loop whose
+temporaries reach glibc's 128 kB ``mmap`` threshold page-faults on every call
+until the dynamic threshold adapts (192 minor faults per ``(8,16,8,8)`` conv
+backward in a bare loop, none inside a ledger cell, where an earlier, larger
+free has already raised it), so the ops/s of the conv rows — the
+``conv2d_4x4`` / ``conv2d_har`` / ``conv2d_depthwise_4x4`` rows at the shapes
+the ledger cells run included — are the loose part.
+
 Usage (standalone)::
 
     PYTHONPATH=src python benchmarks/bench_autograd.py --label after
@@ -280,6 +288,12 @@ CASES: dict[str, tuple] = {
                                            1, 1, 32, bias=False),
     "conv2d_stride2": lambda: _conv_case((4, 16, 32, 32), (32, 16, 3, 3),
                                          2, 1, 1),
+    # The shapes the ledger cells run (narrow maps: the gathered side of
+    # conv2d's selection; the 16x16 / 32x32 rows above are the strided side).
+    "conv2d_4x4": lambda: _conv_case((8, 32, 4, 4), (32, 32, 3, 3), 1, 1, 1),
+    "conv2d_har": lambda: _conv_case((8, 9, 8, 4), (8, 9, 3, 3), 1, 1, 1),
+    "conv2d_depthwise_4x4": lambda: _conv_case(
+        (8, 64, 4, 4), (64, 1, 3, 3), 2, 1, 64, bias=False),
     "linear": _linear_case,
     "batch_norm": _batch_norm_case,
     "layer_norm": _layer_norm_case,

@@ -8,16 +8,20 @@ dropout.  Every operator here is covered by numerical gradient checks in
 latter ``layer_norm`` and ``attention`` (with and without dropout) in float64
 under a weighted loss, whose input gradient a plain ``.sum()`` would zero.
 
-The convolution hot path uses ``numpy.lib.stride_tricks.as_strided`` patch
-*views* over the (padded) input: the only copy in the forward pass is the
-single C-level reshape that lays the patches out for a batched BLAS GEMM —
-and pointwise (1x1, stride 1) convolutions, which dominate the MobileNet
-families, skip even that and run as pure reshaped matmuls.  Bias addition is
-fused into the ``linear`` / ``conv2d`` output in place, so it never costs an
-extra tape node or temporary.
+The convolution lays its patches out for a batched BLAS GEMM, and picks the
+data movement from the output width: wide maps zero-pad the input and copy a
+``numpy.lib.stride_tricks.as_strided`` patch *view* of it; narrow maps
+(``ow <= 8``, where that copy crawls ``ow`` elements at a time) gather
+through an index plan memoised per geometry, forward (``np.take``) and
+backward (gather-then-add).  Pointwise (1x1, stride 1) convolutions, which
+dominate the MobileNet families, skip the patch copy and run as pure
+reshaped matmuls.  Bias addition is fused into the ``linear`` / ``conv2d``
+output in place, so it never costs an extra tape node or temporary.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -64,10 +68,11 @@ def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
     pixels, so the adjoint is ``kh*kw`` plain strided *assignments* into
     uninitialised memory — no zero fill, no read-modify-write passes.
     Overlapping windows keep the ``kh*kw`` strided-add loop: each pass is a
-    dense slice add over the full batch, which beats gather/
-    ``np.add.reduceat`` formulations whose per-segment ufunc dispatch
-    dominates at the tiny (``kh*kw``-element) segment sizes conv gradients
-    produce.
+    slice add over the full batch.  It beats ``np.add.reduceat`` (ufunc
+    dispatch per ``kh*kw``-element segment) and an ``np.take`` gather at
+    every width (4x4 map: 107 us here, 61 taken), but loses to an
+    index-major fancy gather on maps up to 8 wide (``_GATHER_MAX_OW``), so
+    ``conv2d`` calls this only for wider maps and disjoint windows.
     """
     n, c, h, w = x_shape
     oh = (h + 2 * pad - kh) // stride + 1
@@ -105,6 +110,58 @@ def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
     return x
 
 
+# Output maps at most this wide gather by index instead of the strided copy /
+# add, whose inner loop is one ``ow``-long row.  3x3, pad 1, isolated, us
+# strided -> gathered, forward / backward: ow=2 70->23 / 45->16, ow=4
+# 62->27 / 107->33, ow=8 57->47 / 120->57, ow=12 74->98 / 164->169, ow=16
+# 102->162 / 232->398 (``BENCH_autograd.json`` label ``round6``: both sides).
+_GATHER_MAX_OW = 8
+
+
+@functools.lru_cache(maxsize=None)
+def _gather_plan(h: int, w: int, kh: int, kw: int, stride: int,
+                 padding: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Read-only ``(fwd_index, bwd_index)`` for one conv geometry — no
+    batch, channel or group term, so a cell builds about a dozen.
+
+    Patch slots are numbered in ``(kh, kw, oh, ow)`` order.
+    ``fwd_index[slot]`` is the pixel of the flattened ``h*w`` map the slot
+    reads, or ``h*w`` — an appended zero — for a padding tap.
+    ``bwd_index[:, pixel]`` lists, behind one leading zero slot (number
+    ``len(fwd_index)``), the slots that read the pixel in ascending = kernel
+    order, zero-filled to the deepest pixel's length; ``None`` for disjoint
+    windows, where ``_col2im`` assigns: a leading ``0 +`` would turn a
+    ``-0.0`` gradient into ``+0.0``.
+    """
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    i, j, oy, ox = np.ix_(*map(np.arange, (kh, kw, oh, ow)))
+    y, x = oy * stride + i - padding, ox * stride + j - padding
+    inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)
+    fwd_index = np.where(inside, y * w + x, h * w).reshape(-1)
+    fwd_index.setflags(write=False)
+    if padding == 0 and stride >= kh and stride >= kw:
+        return fwd_index, None
+    readers: list[list[int]] = [[] for _ in range(h * w)]
+    for slot, pixel in enumerate(fwd_index.tolist()):
+        if pixel < h * w:  # a padding tap carries no input gradient
+            readers[pixel].append(slot)
+    depth = 1 + max(1, max(map(len, readers)))
+    bwd_index = np.full((depth, h * w), fwd_index.size, dtype=np.intp)
+    for pixel, slots in enumerate(readers):
+        bwd_index[1:1 + len(slots), pixel] = slots
+    bwd_index.setflags(write=False)
+    return fwd_index, bwd_index
+
+
+def _zero_column(rows: np.ndarray) -> np.ndarray:
+    """2-D ``rows`` with one trailing column of zeros appended (a copy)."""
+    out = np.empty((rows.shape[0], rows.shape[1] + 1), dtype=rows.dtype)
+    out[:, :-1] = rows
+    out[:, -1] = 0.0
+    return out
+
+
 # ----------------------------------------------------------------------
 # Convolution
 # ----------------------------------------------------------------------
@@ -124,16 +181,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ValueError(f"weight expects {cg} in-channels/group, input has {c // groups}")
 
     xd = x.data
-    if padding:
-        # Manual zero-fill + centre assignment: np.pad's generic machinery
-        # costs ~4x as much for this (constant, symmetric, 2-axis) case.
-        padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding),
-                          dtype=xd.dtype)
-        padded[:, :, padding:-padding, padding:-padding] = xd
-        xd = padded
-    hp, wp = xd.shape[2], xd.shape[3]
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
     span = oh * ow
     ocg = oc // groups
     k = cg * kh * kw
@@ -146,16 +195,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     # Pointwise (1x1, stride 1) convs are pure channel mixes: the GEMM input
     # is just a reshape of the (padded) input — no patch copy at all.
     pointwise = (kh == 1 and kw == 1 and stride == 1)
-    if pointwise:
-        cols = xd.reshape(n, groups, k, span)
+    bwd_index = None
+    if not pointwise and ow <= _GATHER_MAX_OW:
+        # Narrow map: one planned gather, padding taps read an appended
+        # zero.  np.take, not ``flat[:, fwd_index]``: that alone is x2
+        # faster but index-major (F-ordered); the C-contiguous (n, k, span)
+        # the GEMM has always seen would then cost a second, slower copy.
+        fwd_index, bwd_index = _gather_plan(h, w, kh, kw, stride, padding)
+        flat = xd.reshape(n * c, h * w)
+        cols = np.take(_zero_column(flat) if padding else flat, fwd_index,
+                       axis=1).reshape(n, groups, k, span)
     else:
-        view = _im2col_view(xd, kh, kw, stride)
-        # The only copy of the forward pass: C-level gather into GEMM
-        # layout, into a fresh buffer — the tape is refcount-freed, so the
-        # allocator hands last step's block straight back.
-        buf = np.empty((n, c, kh, kw, oh, ow), dtype=xd.dtype)
-        np.copyto(buf, view)
-        cols = buf.reshape(n, groups, k, span)
+        if padding:
+            # Manual zero-fill + centre assignment: np.pad's generic
+            # machinery costs ~4x as much for this (constant, symmetric,
+            # 2-axis) case.
+            padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding),
+                              dtype=xd.dtype)
+            padded[:, :, padding:-padding, padding:-padding] = xd
+            xd = padded
+        if pointwise:
+            cols = xd.reshape(n, groups, k, span)
+        else:
+            # Wide map: one C-level strided copy into GEMM layout.
+            buf = np.empty((n, c, kh, kw, oh, ow), dtype=xd.dtype)
+            np.copyto(buf, _im2col_view(xd, kh, kw, stride))
+            cols = buf.reshape(n, groups, k, span)
 
     if groups == 1:
         wmat = weight.data.reshape(oc, k)
@@ -219,10 +284,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                 dxp = dcols.reshape(padded_shape)
                 dx = (dxp[:, :, padding:-padding, padding:-padding]
                       if padding else dxp)
-            else:
+            elif bwd_index is None:
                 # col2im scatters straight into the unpadded gradient.
                 dx = _col2im(dcols.reshape(n, c, kh, kw, oh, ow),
                              (n, c, h, w), kh, kw, stride, pad=padding)
+            else:
+                # Gathered col2im: the fancy index lays ``taps`` out
+                # index-major (each tap a run of n*c, not of ``ow``), and
+                # the explicit loop is _col2im's order of additions,
+                # ((0 + c1) + c2) + ..., sign of zero included.
+                slots = _zero_column(dcols.reshape(n * c, -1))
+                del dcols  # not alive beside the (larger) gathered copy
+                taps = slots[:, bwd_index]
+                acc = taps[:, 0] + taps[:, 1]
+                for t in range(2, len(bwd_index)):
+                    acc += taps[:, t]
+                dx = np.ascontiguousarray(acc).reshape(n, c, h, w)
         if bias is None:
             return dx, dw
         return dx, dw, db
@@ -246,7 +323,8 @@ def max_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
 
     def backward(grad: np.ndarray) -> tuple:
         mask = view == out[:, :, :, None, :, None]
-        counts = mask.sum(axis=(3, 5), keepdims=True)
+        # int64 tie count cast to grad's dtype: NEP 50 would promote it.
+        counts = mask.sum(axis=(3, 5), keepdims=True).astype(grad.dtype)
         g = grad[:, :, :, None, :, None] * mask / counts
         return (g.reshape(n, c, h, w),)
 

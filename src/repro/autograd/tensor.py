@@ -479,7 +479,8 @@ def tmax(a: Tensor, axis: int | None = None, keepdims: bool = False,
         # Split gradient equally between ties (rare for float activations).
         counts = mask.sum() if axis is None else mask.sum(axis=axis,
                                                           keepdims=True)
-        return (g * mask / counts,)
+        # int64 count cast to g's dtype: NEP 50 would promote to float64.
+        return (g * mask / counts.astype(g.dtype),)
 
     return Tensor._make(data, (a,), backward)
 

@@ -262,3 +262,123 @@ class TestGraphSemantics:
                 x = ag.tanh(x * 0.9 + 0.1)
             return x.sum()
         check_gradients(fn, [a])
+
+
+def _f32(shape, seed=0, positive=False):
+    data = np.random.default_rng(seed).standard_normal(shape)
+    if positive:
+        data = np.abs(data) + 0.5
+    return Tensor(data.astype(np.float32), requires_grad=True)
+
+
+def _bn(x):
+    c = x.shape[1]
+    return ag.batch_norm(x, _f32((c,), 1), _f32((c,), 2),
+                         np.zeros(c, np.float32), np.ones(c, np.float32),
+                         training=True)
+
+
+_LABELS = np.array([0, 2, 1, 2])
+_PROBS = np.full((4, 3), 1.0 / 3.0)
+
+# name -> builder of one tape node from float32 leaves.  Every differentiable
+# name in ``ag.__all__`` has a row here or in ``_SCALAR_DRIFT`` below
+# (``test_every_public_op_is_listed``), then the ``Tensor`` operators.
+FLOAT32_OPS = {
+    "exp": lambda: ag.exp(_f32((3, 4))),
+    "log": lambda: ag.log(_f32((3, 4), positive=True)),
+    "sqrt": lambda: ag.sqrt(_f32((3, 4), positive=True)),
+    "tanh": lambda: ag.tanh(_f32((3, 4))),
+    "sigmoid": lambda: ag.sigmoid(_f32((3, 4))),
+    "relu": lambda: ag.relu(_f32((3, 4))),
+    "relu6": lambda: ag.relu6(_f32((3, 4))),
+    "hardswish": lambda: ag.hardswish(_f32((3, 4))),
+    "gelu": lambda: ag.gelu(_f32((3, 4))),
+    "tsum": lambda: ag.tsum(_f32((3, 4)), axis=1),
+    "tmax": lambda: ag.tmax(_f32((3, 4)), axis=1),
+    "tmax_all": lambda: ag.tmax(_f32((3, 4))),
+    "reshape": lambda: ag.reshape(_f32((3, 4)), 4, 3),
+    "transpose": lambda: ag.transpose(_f32((3, 4)), (1, 0)),
+    "concat": lambda: ag.concat([_f32((3, 4)), _f32((2, 4), 1)], axis=0),
+    "matmul": lambda: ag.matmul(_f32((3, 4)), _f32((4, 2), 1)),
+    "pad2d": lambda: ag.pad2d(_f32((2, 3, 4, 4)), 1),
+    "conv2d": lambda: ag.conv2d(_f32((2, 3, 4, 4)), _f32((4, 3, 3, 3), 1),
+                                _f32((4,), 2), padding=1),
+    "conv2d_wide": lambda: ag.conv2d(_f32((2, 3, 4, 12)),
+                                     _f32((4, 3, 3, 3), 1), padding=1),
+    "conv2d_depthwise": lambda: ag.conv2d(
+        _f32((2, 3, 4, 4)), _f32((3, 1, 3, 3), 1), stride=2, padding=1,
+        groups=3),
+    "max_pool2d": lambda: ag.max_pool2d(_f32((2, 3, 4, 4))),
+    "avg_pool2d": lambda: ag.avg_pool2d(_f32((2, 3, 4, 4))),
+    "global_avg_pool2d": lambda: ag.global_avg_pool2d(_f32((2, 3, 4, 4))),
+    "batch_norm": lambda: _bn(_f32((4, 3, 2, 2))),
+    "layer_norm": lambda: ag.layer_norm(_f32((2, 5, 8)), _f32((8,), 1),
+                                        _f32((8,), 2)),
+    "embedding": lambda: ag.embedding(_f32((10, 4)), np.array([[1, 2, 2]])),
+    "dropout": lambda: ag.dropout(_f32((3, 4)), 0.5, True,
+                                  np.random.default_rng(0)),
+    "attention": lambda: ag.attention(_f32((2, 2, 4, 3)), _f32((2, 2, 4, 3), 1),
+                                      _f32((2, 2, 4, 3), 2), 0.5),
+    "softmax": lambda: ag.softmax(_f32((4, 3))),
+    "log_softmax": lambda: ag.log_softmax(_f32((4, 3))),
+    "cross_entropy": lambda: ag.cross_entropy(_f32((4, 3)), _LABELS),
+    "soft_cross_entropy": lambda: ag.soft_cross_entropy(_f32((4, 3)), _PROBS),
+    "mse_loss": lambda: ag.mse_loss(_f32((4, 3)), np.zeros((4, 3))),
+    "linear": lambda: ag.linear(_f32((2, 5, 4)), _f32((3, 4), 1),
+                                _f32((3,), 2)),
+    "t + t": lambda: _f32((3, 4)) + _f32((4,), 1),
+    "t - t": lambda: _f32((3, 4)) - _f32((4,), 1),
+    "t * t": lambda: _f32((3, 4)) * _f32((4,), 1),
+    "t / t": lambda: _f32((3, 4)) / _f32((4,), 1, positive=True),
+    "t ** 2": lambda: _f32((3, 4)) ** 2,
+    "-t": lambda: -_f32((3, 4)),
+    "t @ t": lambda: _f32((3, 4)) @ _f32((4, 2), 1),
+    "t[slice]": lambda: _f32((3, 4))[1:, ::2],
+    "t[fancy]": lambda: _f32((3, 4))[np.array([0, 0, 2])],
+    "t.sum()": lambda: _f32((3, 4)).sum(),
+    "t.max()": lambda: _f32((3, 4)).max(axis=0, keepdims=True),
+    "t.reshape": lambda: _f32((3, 4)).reshape(12),
+    "t.transpose": lambda: _f32((3, 4)).transpose((1, 0)),
+}
+
+# A python scalar operand is wrapped as a 0-d float64 array, which NEP 50
+# promotes against: ROADMAP Open item 5, "NEP 50 float64 drift".  Fixing it
+# changes History digits, so it is a titled re-golden PR; strict xfail makes
+# that PR delete these marks.
+_SCALAR_DRIFT = {
+    "tmean": lambda: ag.tmean(_f32((3, 4)), axis=1),
+    "t.mean()": lambda: _f32((3, 4)).mean(),
+    "t * 0.5": lambda: _f32((3, 4)) * 0.5,
+    "t + 1.0": lambda: _f32((3, 4)) + 1.0,
+    "1.0 - t": lambda: 1.0 - _f32((3, 4)),
+    "1.0 / t": lambda: 1.0 / _f32((3, 4), positive=True),
+}
+FLOAT32_OPS.update(_SCALAR_DRIFT)
+
+_NOT_OPS = {"Tensor", "as_tensor", "is_grad_enabled", "no_grad",
+            "check_gradients", "numerical_gradient", "profile",
+            "ProfileReport"}
+
+
+class TestFloat32StaysFloat32:
+    """float32 in -> float32 out and float32 gradients from the node's own
+    backward: one float64 gradient makes every backward upstream of it run
+    in float64."""
+
+    def test_every_public_op_is_listed(self):
+        assert set(ag.__all__) - _NOT_OPS <= set(FLOAT32_OPS)
+
+    @pytest.mark.parametrize("name", [
+        pytest.param(name, marks=pytest.mark.xfail(
+            strict=True, reason="python scalar -> 0-d float64 (ROADMAP 5)"))
+        if name in _SCALAR_DRIFT else name for name in FLOAT32_OPS])
+    def test_forward_and_backward_dtype(self, name):
+        node = FLOAT32_OPS[name]()
+        assert node._backward is not None, "not a tape node"
+        assert node.dtype == np.float32
+        grads = node._backward(np.ones_like(node.data))
+        assert len(grads) == len(node._parents)
+        for parent, grad in zip(node._parents, grads):
+            if grad is not None:
+                assert grad.dtype == np.float32, parent.shape

@@ -10,7 +10,9 @@ matmul/softmax/dropout/matmul chain (outputs, gradients, dropout RNG
 stream) and the vectorised ``_col2im`` adjoint to the seed's scatter loop.
 The single-pass ``batch_norm`` / ``layer_norm`` statistics and ``attention``'s
 halving row maximum are held, bit for bit, to the ``ndarray.mean`` / ``.var``
-/ ``.max`` bodies they replaced, which live on here as references.
+/ ``.max`` bodies they replaced, which live on here as references; so is
+``conv2d``'s narrow-map gather to the strided pad / copy / ``_col2im`` body
+it stands in for, signed zeros included.
 """
 
 import gc
@@ -18,7 +20,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro import autograd as ag
 from repro import nn
@@ -821,3 +823,239 @@ class TestCol2Im:
         fast = F._col2im(cols, (1, 2, 8, 8), 3, 3, 1)
         ref = col2im_reference(cols, (1, 2, 8, 8), 3, 3, 1)
         np.testing.assert_allclose(fast, ref, atol=1e-12, rtol=1e-12)
+
+
+def conv2d_strided_reference(x, weight, bias, stride, padding, groups, grad):
+    """``conv2d`` as it moved data before the narrow-map gather, on plain
+    arrays: zero-fill pad -> ``as_strided`` copy -> GEMM -> ``_col2im``, at
+    every width.  Returns ``(out, dx, dw, db)``; the GEMM expressions are
+    the op's own, so the gathered path must reproduce every bit.
+    """
+    n, c, h, w = x.shape
+    oc, cg, kh, kw = weight.shape
+    xd = x
+    if padding:
+        xd = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
+        xd[:, :, padding:-padding, padding:-padding] = x
+    oh = (xd.shape[2] - kh) // stride + 1
+    ow = (xd.shape[3] - kw) // stride + 1
+    span, ocg, k = oh * ow, oc // groups, cg * kh * kw
+    pointwise = kh == 1 and kw == 1 and stride == 1
+    if pointwise:
+        cols = xd.reshape(n, groups, k, span)
+    else:
+        buf = np.empty((n, c, kh, kw, oh, ow), dtype=xd.dtype)
+        np.copyto(buf, F._im2col_view(xd, kh, kw, stride))
+        cols = buf.reshape(n, groups, k, span)
+    if groups == 1:
+        wmat = weight.reshape(oc, k)
+        out = wmat @ cols.reshape(n, k, span)
+    else:
+        wmat = weight.reshape(groups, ocg, k)
+        out = wmat @ cols
+    out = out.reshape(n, oc, oh, ow)
+    if bias is not None:
+        out += bias.reshape(1, oc, 1, 1)
+    if groups == 1:
+        g = grad.reshape(n, oc, span)
+        dw = np.matmul(g, cols.reshape(n, k, span).transpose(0, 2, 1))
+        dw = dw.sum(axis=0).reshape(weight.shape)
+        dcols = wmat.T @ g
+    else:
+        g = grad.reshape(n, groups, ocg, span)
+        dw = np.matmul(g, cols.transpose(0, 1, 3, 2)).sum(axis=0)
+        dw = dw.reshape(weight.shape)
+        if ocg == 1:
+            dcols = (wmat.reshape(1, groups, k, 1)
+                     * grad.reshape(n, groups, 1, span))
+        else:
+            dcols = np.matmul(wmat.transpose(0, 2, 1), g)
+    if pointwise:
+        dx = dcols.reshape(xd.shape)
+        if padding:
+            dx = dx[:, :, padding:-padding, padding:-padding]
+    else:
+        dx = F._col2im(dcols.reshape(n, c, kh, kw, oh, ow), (n, c, h, w),
+                       kh, kw, stride, pad=padding)
+    db = None if bias is None else grad.sum(axis=(0, 2, 3))
+    return out, dx, dw, db
+
+
+def _same_bits(a, b):
+    """Equal values (NaN where NaN) and equal sign bits, zeros included.
+
+    The sign of a NaN is the one bit not compared: when NaNs of both signs
+    meet in one sum (``inf - inf`` is ``-nan`` on x86, ``np.nan`` is
+    ``+nan``) the survivor is whichever operand the compiled inner loop
+    happens to put first, and ``_col2im``'s strided loop and a contiguous
+    one already disagree on that.  Nothing downstream reads it.
+    """
+    number = ~np.isnan(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a)[number], np.signbit(b)[number]))
+
+
+_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+class TestConvGatheredPath:
+    """Narrow output maps (``ow <= 8``) gather through a memoised index
+    plan; the result is the strided path's, bit for bit."""
+
+    @given(n=st.sampled_from([1, 7, 8, 50]),
+           hw=st.one_of(st.sampled_from([(8, 4), (2, 1), (1, 1), (4, 4)]),
+                        st.tuples(st.integers(1, 12), st.integers(1, 12))),
+           kernel=st.sampled_from([1, 3, 5]), stride=st.integers(1, 3),
+           padding=st.integers(0, 2),
+           layout=st.sampled_from(["dense", "grouped", "depthwise"]),
+           cg=st.integers(1, 3), ocg=st.integers(1, 3),
+           with_bias=st.booleans(), seed=st.integers(0, 2 ** 16),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           specials=st.lists(st.sampled_from(_SPECIALS), max_size=3))
+    @settings(max_examples=250, deadline=None)
+    def test_bit_identical_to_strided_reference(
+            self, n, hw, kernel, stride, padding, layout, cg, ocg, with_bias,
+            seed, dtype, specials):
+        h, w = hw
+        assume(h + 2 * padding >= kernel and w + 2 * padding >= kernel)
+        groups = 1 if layout == "dense" else 3
+        if layout == "depthwise":
+            cg = ocg = 1
+        self._check(n, cg * groups, h, w, ocg * groups, kernel, stride,
+                    padding, groups, with_bias, seed, dtype, specials)
+
+    @pytest.mark.parametrize("w,stride,ow", [(8, 1, 8), (9, 1, 9),
+                                             (16, 2, 8), (18, 2, 9)])
+    @pytest.mark.parametrize("groups", [1, 4])
+    def test_both_sides_of_the_threshold(self, w, stride, ow, groups):
+        assert (w + 2 - 3) // stride + 1 == ow
+        assert (ow <= F._GATHER_MAX_OW) == (ow == 8)
+        self._check(7, 4, 5, w, 4, 3, stride, 1, groups, True, ow,
+                    np.float32, _SPECIALS)
+
+    @staticmethod
+    def _check(n, c, h, w, oc, kernel, stride, padding, groups, with_bias,
+               seed, dtype, specials):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w)).astype(dtype)
+        wt = rng.standard_normal((oc, c // groups, kernel, kernel)
+                                 ).astype(dtype)
+        b = rng.standard_normal(oc).astype(dtype) if with_bias else None
+        oh = (h + 2 * padding - kernel) // stride + 1
+        ow = (w + 2 * padding - kernel) // stride + 1
+        grad = rng.standard_normal((n, oc, oh, ow)).astype(dtype)
+        for value in specials:
+            # Signed zeros everywhere a sum can see them; inf / NaN in the
+            # input and the upstream gradient.
+            for array in (x, wt, grad):
+                array[rng.random(array.shape) < 0.1] = value
+        xt, wtt = Tensor(x.copy(), True), Tensor(wt.copy(), True)
+        bt = Tensor(b.copy(), True) if with_bias else None
+        with np.errstate(invalid="ignore"):  # inf * 0, inf - inf in GEMMs
+            out = ag.conv2d(xt, wtt, bt, stride=stride, padding=padding,
+                            groups=groups)
+            out.backward(grad)
+            want = conv2d_strided_reference(x, wt, b, stride, padding,
+                                            groups, grad)
+        got = (out.data, xt.grad, wtt.grad, bt.grad if with_bias else None)
+        for name, a, ref in zip(("out", "dx", "dw", "db"), got, want):
+            if ref is not None:
+                assert _same_bits(a, ref), name
+        assert xt.grad.flags.c_contiguous
+
+    GEOMETRIES = [
+        # (h, w, kh, kw, stride, padding)
+        (4, 4, 3, 3, 1, 1), (8, 4, 3, 3, 1, 1), (2, 1, 3, 3, 1, 1),
+        (1, 1, 3, 3, 1, 1), (8, 8, 3, 3, 2, 1), (7, 5, 5, 3, 2, 2),
+        (6, 6, 2, 2, 1, 0), (5, 5, 3, 3, 3, 1), (4, 4, 1, 1, 2, 0),
+        (6, 6, 2, 2, 2, 0), (7, 7, 2, 2, 3, 0), (1, 1, 1, 1, 3, 1),
+    ]
+
+    @pytest.mark.parametrize("h,w,kh,kw,stride,padding", GEOMETRIES)
+    def test_plan_laws(self, h, w, kh, kw, stride, padding):
+        fwd_index, bwd_index = F._gather_plan(h, w, kh, kw, stride, padding)
+        # Forward: the positions an as_strided patch view reads from an
+        # arange map, padding taps <-> the zero slot h*w.
+        padded = np.full((1, 1, h + 2 * padding, w + 2 * padding), h * w)
+        padded[0, 0, padding:padding + h, padding:padding + w] = \
+            np.arange(h * w).reshape(h, w)
+        view = F._im2col_view(padded, kh, kw, stride)
+        assert np.array_equal(fwd_index, view.reshape(-1))
+        assert fwd_index.dtype == np.intp and not fwd_index.flags.writeable
+        if padding == 0 and stride >= kh and stride >= kw:
+            assert bwd_index is None  # disjoint windows: _col2im assigns
+            return
+        # Backward: behind one zero slot, exactly the slots whose forward
+        # index is the pixel, ascending; zero slots fill the remainder.
+        zero_slot = fwd_index.size
+        assert bwd_index.dtype == np.intp and not bwd_index.flags.writeable
+        assert bwd_index.shape[1] == h * w
+        assert (bwd_index[0] == zero_slot).all()
+        deepest = 0
+        for pixel in range(h * w):
+            readers = np.flatnonzero(fwd_index == pixel)
+            column = bwd_index[1:, pixel]
+            assert np.array_equal(column[:readers.size], readers)
+            assert (column[readers.size:] == zero_slot).all()
+            deepest = max(deepest, readers.size)
+        assert len(bwd_index) == 1 + max(1, deepest)
+
+    def test_stride_compacts_the_backward_depth(self):
+        assert len(F._gather_plan(8, 8, 3, 3, 1, 1)[1]) == 10
+        assert len(F._gather_plan(8, 8, 3, 3, 2, 1)[1]) == 5
+
+    def test_plan_is_memoised_by_geometry_alone(self):
+        F._gather_plan.cache_clear()
+        rng = np.random.default_rng(0)
+        for n, c, oc, groups in [(2, 4, 4, 1), (5, 4, 8, 1), (2, 6, 6, 2),
+                                 (3, 6, 6, 6)]:
+            x = Tensor(rng.standard_normal((n, c, 6, 4)).astype(np.float32))
+            wt = Tensor(rng.standard_normal(
+                (oc, c // groups, 3, 3)).astype(np.float32))
+            ag.conv2d(x, wt, padding=1, groups=groups)
+        info = F._gather_plan.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+    def test_wide_and_pointwise_maps_build_no_plan(self):
+        F._gather_plan.cache_clear()
+        rng = np.random.default_rng(1)
+        wide = Tensor(rng.standard_normal((2, 3, 4, 9)).astype(np.float32))
+        ag.conv2d(wide, Tensor(np.ones((2, 3, 3, 3), np.float32)), padding=1)
+        narrow = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32))
+        ag.conv2d(narrow, Tensor(np.ones((2, 3, 1, 1), np.float32)))
+        assert F._gather_plan.cache_info().currsize == 0
+
+    def test_helpers_are_private(self):
+        """Not ops: the ledger's tracer wraps ``ag.__all__`` only."""
+        for name in ("_gather_plan", "_zero_column", "_GATHER_MAX_OW"):
+            assert name not in ag.__all__ and name not in F.__all__
+
+    @pytest.mark.parametrize("xs,ws,stride,padding,groups", [
+        # depthwise at stride > kernel: narrow (ow 3), wide (ow 9)
+        ((2, 3, 3, 11), (3, 1, 3, 3), 4, 0, 3),
+        ((1, 2, 3, 35), (2, 1, 3, 3), 4, 0, 2),
+        ((2, 3, 4, 9), (3, 1, 2, 2), 3, 1, 3),      # ... padded: adds
+        # 1x1 spatial input: narrow (ow 1), wide (ow 9, all-padding taps)
+        ((2, 3, 1, 1), (4, 3, 3, 3), 1, 1, 1),
+        ((2, 2, 1, 1), (3, 2, 3, 3), 1, 5, 1),
+        ((3, 2, 1, 1), (2, 1, 3, 3), 1, 1, 2),      # ... depthwise
+        # batch 1: narrow (ow 4), wide (ow 10)
+        ((1, 3, 4, 4), (4, 3, 3, 3), 1, 1, 1),
+        ((1, 2, 3, 10), (3, 2, 3, 3), 1, 1, 1),
+        ((1, 4, 5, 3), (4, 1, 3, 3), 2, 1, 4),      # ... depthwise
+    ])
+    def test_float64_central_differences(self, xs, ws, stride, padding,
+                                         groups):
+        x, w, b = _t(xs, 60), _t(ws, 61, 0.5), _t((ws[0],), 62)
+        oh = (xs[2] + 2 * padding - ws[2]) // stride + 1
+        ow = (xs[3] + 2 * padding - ws[3]) // stride + 1
+        weights = Tensor(np.random.default_rng(63).standard_normal(
+            (xs[0], ws[0], oh, ow)))
+
+        def loss():
+            out = ag.conv2d(x, w, b, stride=stride, padding=padding,
+                            groups=groups)
+            return (out * weights).sum()
+
+        check_gradients(loss, [x, w, b], atol=1e-6, rtol=1e-5, eps=1e-5)
