@@ -106,6 +106,33 @@ def _conv_case(xshape, wshape, stride, padding, groups, bias=True):
     return forward, fwd_bwd
 
 
+def _conv_bn_relu_case(xshape=(8, 32, 4, 4), wshape=(32, 32, 3, 3)):
+    """``conv2d(norm=..., act="relu")`` — the zoo's conv -> batch_norm ->
+    relu block as one tape node — at ``conv2d_4x4``'s shape, training-mode
+    statistics."""
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal(xshape).astype(np.float32)
+    w = (rng.standard_normal(wshape) * 0.1).astype(np.float32)
+    c = wshape[0]
+    g, b = np.ones(c, np.float32), np.zeros(c, np.float32)
+
+    def call(requires_grad):
+        norm = (Tensor(g, requires_grad), Tensor(b, requires_grad),
+                np.zeros(c, np.float32), np.ones(c, np.float32), True, 0.1,
+                1e-5)
+        return ag.conv2d(Tensor(x, requires_grad), Tensor(w, requires_grad),
+                         padding=1, norm=norm, act="relu")
+
+    def forward():
+        with ag.no_grad():
+            call(False)
+
+    def fwd_bwd():
+        call(True).sum().backward()
+
+    return forward, fwd_bwd
+
+
 def _linear_case(batch=64, in_f=256, out_f=256):
     rng = np.random.default_rng(1)
     x = rng.standard_normal((batch, in_f)).astype(np.float32)
@@ -294,6 +321,7 @@ CASES: dict[str, tuple] = {
     "conv2d_har": lambda: _conv_case((8, 9, 8, 4), (8, 9, 3, 3), 1, 1, 1),
     "conv2d_depthwise_4x4": lambda: _conv_case(
         (8, 64, 4, 4), (64, 1, 3, 3), 2, 1, 64, bias=False),
+    "conv_bn_relu_4x4": _conv_bn_relu_case,
     "linear": _linear_case,
     "batch_norm": _batch_norm_case,
     "layer_norm": _layer_norm_case,

@@ -17,6 +17,9 @@ backward (gather-then-add).  Pointwise (1x1, stride 1) convolutions, which
 dominate the MobileNet families, skip the patch copy and run as pure
 reshaped matmuls.  Bias addition is fused into the ``linear`` / ``conv2d``
 output in place, so it never costs an extra tape node or temporary.
+
+Hot reductions call the ufuncs ``ndarray.sum`` / ``.max`` / ``.mean`` forward
+to (``mean`` as numpy's sum, then intp-count divide): same bits, no python frame.
 """
 
 from __future__ import annotations
@@ -167,12 +170,58 @@ def _zero_column(rows: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0, groups: int = 1) -> Tensor:
+           stride: int = 1, padding: int = 0, groups: int = 1, *,
+           norm: tuple | None = None, act: str | None = None) -> Tensor:
     """Grouped 2-D convolution on NCHW input.
 
     ``weight`` has shape ``(out_channels, in_channels // groups, kh, kw)``;
     depthwise convolution is ``groups == in_channels``.
+
+    ``norm=(gamma, beta, running_mean, running_var, training, momentum,
+    eps)`` and ``act`` (``"relu"`` / ``"relu6"``, applied in place) make
+    it ``act(batch_norm(conv2d(x)))`` as one tape node: the same forward and
+    backward bodies, hence the same bits.  The backward reads the activation
+    mask off the output (the pre-activation mask, NaN included); the
+    profiler still counts the three outputs as three activations.
     """
+    if act not in (None, "relu", "relu6") or (act and norm is None):
+        raise ValueError(f"act must be None, or 'relu' / 'relu6' with norm=; "
+                         f"got {act!r}")
+    out, conv_backward = _conv2d_core(x, weight, bias, stride, padding, groups)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    if norm is None:
+        return Tensor._make(out, parents, conv_backward)
+    if profiler.profiling_active():
+        profiler.add_activation_bytes(out.nbytes)
+    # the norm's need_x: as an op, the conv output needs a grad iff a parent did
+    conv_needs = (x.requires_grad or weight.requires_grad
+                  or (bias is not None and bias.requires_grad))
+    out, norm_backward = _batch_norm_core(out, conv_needs, *norm)
+    parents += norm[:2]
+    if act is not None:
+        if profiler.profiling_active():
+            profiler.add_activation_bytes(out.nbytes)
+        if act == "relu":
+            np.maximum(out, 0.0, out=out)
+        else:
+            np.clip(out, 0.0, 6.0, out=out)
+
+    def backward(grad: np.ndarray) -> tuple:
+        if act == "relu":
+            grad = grad * (out > 0)
+        elif act == "relu6":
+            grad = grad * ((out > 0) & (out < 6.0))
+        dy, dgamma, dbeta = norm_backward(grad)
+        if dy is None:
+            return (None,) * (len(parents) - 2) + (dgamma, dbeta)
+        return conv_backward(dy) + (dgamma, dbeta)
+
+    return Tensor._make(out, parents, backward)
+
+
+def _conv2d_core(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int,
+                 padding: int, groups: int) -> tuple:
+    """:func:`conv2d`'s forward: ``(out, backward)``, no tape node."""
     n, c, h, w = x.shape
     oc, cg, kh, kw = weight.shape
     if c % groups or oc % groups:
@@ -242,7 +291,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                 # Batched GEMM over stride views (no operand copies), then
                 # reduce the batch axis.
                 dw = np.matmul(g, cols.reshape(n, k, span).transpose(0, 2, 1))
-                dw = dw.sum(axis=0).reshape(weight.shape)
+                dw = np.add.reduce(dw, axis=0).reshape(weight.shape)
                 if profiler.profiling_active():
                     profiler.add_gemm_calls(n)
             if _needs_grad(x):
@@ -259,8 +308,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             # reformulation measured slower.
             g = grad.reshape(n, groups, ocg, span)
             if _needs_grad(weight):
-                dw = np.matmul(g, cols.transpose(0, 1, 3, 2)).sum(axis=0)
-                dw = dw.reshape(weight.shape)
+                dw = np.matmul(g, cols.transpose(0, 1, 3, 2))
+                dw = np.add.reduce(dw, axis=0).reshape(weight.shape)
                 if profiler.profiling_active():
                     profiler.add_gemm_calls(n * groups)
             if _needs_grad(x):
@@ -269,8 +318,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         else:
             g = grad.reshape(n, groups, ocg, span)
             if _needs_grad(weight):
-                dw = np.matmul(g, cols.transpose(0, 1, 3, 2)).sum(axis=0)
-                dw = dw.reshape(weight.shape)
+                dw = np.matmul(g, cols.transpose(0, 1, 3, 2))
+                dw = np.add.reduce(dw, axis=0).reshape(weight.shape)
                 if profiler.profiling_active():
                     profiler.add_gemm_calls(n * groups)
             if _needs_grad(x):
@@ -278,7 +327,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                 if profiler.profiling_active():
                     profiler.add_gemm_calls(n * groups)
         if bias is not None and _needs_grad(bias):
-            db = grad.sum(axis=(0, 2, 3))
+            db = np.add.reduce(grad, axis=(0, 2, 3))
         if _needs_grad(x):
             if pointwise:
                 dxp = dcols.reshape(padded_shape)
@@ -304,8 +353,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             return dx, dw
         return dx, dw, db
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._make(out, parents, backward)
+    return out, backward
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +403,8 @@ def avg_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """Mean over the spatial axes, producing (N, C)."""
     n, c, h, w = x.shape
-    out = x.data.mean(axis=(2, 3))
+    out = np.add.reduce(x.data, axis=(2, 3))
+    np.true_divide(out, np.intp(h * w), out=out, casting="unsafe")
 
     def backward(grad: np.ndarray) -> tuple:
         full = np.empty(x.shape, dtype=grad.dtype)
@@ -384,23 +433,33 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     reduces ``grad`` and ``grad * xhat`` once for ``dx``/``dgamma``/``dbeta``.
     ``running_mean`` and ``running_var`` must share a dtype.
     """
-    if x.ndim == 4:
+    out, backward = _batch_norm_core(x.data, _needs_grad(x), gamma, beta,
+                                     running_mean, running_var, training,
+                                     momentum, eps)
+    return Tensor._make(out, (x, gamma, beta), backward)
+
+
+def _batch_norm_core(xd: np.ndarray, need_x: bool, gamma: Tensor, beta: Tensor,
+                     running_mean: np.ndarray, running_var: np.ndarray,
+                     training: bool, momentum: float, eps: float) -> tuple:
+    """:func:`batch_norm` on an array: ``(out, backward)``, no tape node."""
+    if xd.ndim == 4:
         axes: tuple[int, ...] = (0, 2, 3)
         shape = (1, -1, 1, 1)
-    elif x.ndim == 2:
+    elif xd.ndim == 2:
         axes = (0,)
         shape = (1, -1)
     else:
-        raise ValueError(f"batch_norm expects 2-D or 4-D input, got {x.ndim}-D")
+        raise ValueError(f"batch_norm expects 2-D or 4-D input, got {xd.ndim}-D")
 
-    m = x.size // x.shape[1]
+    m = xd.size // xd.shape[1]
 
     if training:
         # np.intp is numpy's own divisor type: float64 divide, cast back.
         count = np.intp(m)
-        mean = np.add.reduce(x.data, axis=axes, keepdims=True)
+        mean = np.add.reduce(xd, axis=axes, keepdims=True)
         np.true_divide(mean, count, out=mean, casting="unsafe")
-        xhat = x.data - mean  # centred here, scaled in place below
+        xhat = xd - mean  # centred here, scaled in place below
         var = np.add.reduce(xhat * xhat, axis=axes, keepdims=True)
         np.true_divide(var, count, out=var, casting="unsafe")
         running_mean *= 1.0 - momentum
@@ -409,19 +468,19 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         running_var += momentum * var.reshape(-1)
     else:
         var = running_var.reshape(shape)
-        xhat = x.data - running_mean.reshape(shape)
+        xhat = xd - running_mean.reshape(shape)
 
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
     out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
 
     def backward(grad: np.ndarray) -> tuple:
-        need_x, need_gamma, need_beta = map(_needs_grad, (x, gamma, beta))
+        need_gamma, need_beta = _needs_grad(gamma), _needs_grad(beta)
         g_sum = gx_sum = dx = None
         if need_beta or (need_x and training):
-            g_sum = grad.sum(axis=axes, keepdims=True)
+            g_sum = np.add.reduce(grad, axis=axes, keepdims=True)
         if need_gamma or (need_x and training):
-            gx_sum = (grad * xhat).sum(axis=axes, keepdims=True)
+            gx_sum = np.add.reduce(grad * xhat, axis=axes, keepdims=True)
         if need_x:
             if training:
                 dx = (gamma.data.reshape(shape) * inv_std / m) * (
@@ -431,7 +490,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         return (dx, gx_sum.reshape(-1) if need_gamma else None,
                 g_sum.reshape(-1) if need_beta else None)
 
-    return Tensor._make(out, (x, gamma, beta), backward)
+    return out, backward
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -547,9 +606,9 @@ def _shifted_exp(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``esum`` is the last-axis sum of ``e`` (keepdims).  Softmax is
     ``e / esum``; log-softmax is ``z - log(esum)``.
     """
-    z = x - x.max(axis=-1, keepdims=True)
+    z = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     e = np.exp(z)
-    return z, e, e.sum(axis=-1, keepdims=True)
+    return z, e, np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def _softmax_np(x: np.ndarray) -> np.ndarray:
@@ -587,7 +646,9 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     z, _, esum = _shifted_exp(logits.data)
     logp = z - np.log(esum)
 
-    loss = -logp[np.arange(n), labels].mean()
+    picked = logp[np.arange(n), labels]
+    total = np.add.reduce(picked, axis=None)
+    loss = -total.dtype.type(total / np.intp(picked.size))  # picked.mean()
 
     def backward(grad: np.ndarray) -> tuple:
         # exp(logp) rather than e / esum for bit-identity with pinned runs.
@@ -609,7 +670,9 @@ def soft_cross_entropy(logits: Tensor, target_probs: np.ndarray) -> Tensor:
     n = logits.shape[0]
     z, _, esum = _shifted_exp(logits.data)
     logp = z - np.log(esum)
-    loss = -(target * logp).sum(axis=-1).mean()
+    rows = np.add.reduce(target * logp, axis=-1)
+    total = np.add.reduce(rows, axis=None)
+    loss = -total.dtype.type(total / np.intp(rows.size))  # rows.mean()
 
     def backward(grad: np.ndarray) -> tuple:
         # exp(logp) rather than e / esum for bit-identity with pinned runs.

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import operator
 import threading
 from typing import Callable, Sequence
 
@@ -55,6 +56,9 @@ _GRAD_STATE = threading.local()
 # (``itertools.count`` is atomic under the GIL, so one shared sequence is
 # safe across worker threads — ordering only needs to be monotonic.)
 _SEQ = itertools.count()
+
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+_requires_grad = operator.attrgetter("requires_grad")  # no python frame
 
 
 @contextlib.contextmanager
@@ -175,15 +179,20 @@ class Tensor:
 
         ``backward`` maps the output gradient to a tuple of per-parent
         gradients aligned with ``parents`` (entries may be ``None``).
+        A float ndarray (what ops produce) is wrapped without ``__init__``.
         """
         if profiler.profiling_active():
             profiler.add_activation_bytes(data.nbytes)
         needs = (getattr(_GRAD_STATE, "enabled", True)
-                 and any(p.requires_grad for p in parents))
-        out = Tensor(data, requires_grad=needs)
-        if needs:
-            out._parents = tuple(parents)
-            out._backward = backward
+                 and any(map(_requires_grad, parents)))
+        if type(data) is np.ndarray and data.dtype in _FLOAT_DTYPES:
+            out = Tensor.__new__(Tensor)
+            out.data, out.grad, out._seq = data, None, next(_SEQ)
+        else:
+            out = Tensor(data)
+        out.requires_grad = needs
+        out._parents = tuple(parents) if needs else ()
+        out._backward = backward if needs else None
         return out
 
     def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:

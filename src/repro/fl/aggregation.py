@@ -84,16 +84,18 @@ def sample_clients(num_clients: int, sample_ratio: float,
 # Coordinator defense: update validation
 # ----------------------------------------------------------------------
 
-def _payload_arrays(value):
-    """Yield every ndarray leaf of an uplink payload (any nesting)."""
+def _float_leaves(value, leaves: list[np.ndarray]) -> None:
+    """Append every non-empty float ndarray leaf of an uplink payload (any
+    nesting) to ``leaves``, in payload order."""
     if isinstance(value, np.ndarray):
-        yield value
+        if value.size and value.dtype.kind == "f":
+            leaves.append(value)
     elif isinstance(value, dict):
         for item in value.values():
-            yield from _payload_arrays(item)
+            _float_leaves(item, leaves)
     elif isinstance(value, (list, tuple)):
         for item in value:
-            yield from _payload_arrays(item)
+            _float_leaves(item, leaves)
 
 
 def validate_update(update, norm_bound: float | None = None) -> str | None:
@@ -126,14 +128,23 @@ def validate_update(update, norm_bound: float | None = None) -> str | None:
             return "shape"
     if not math.isfinite(loss):
         return "nonfinite"
-    for array in _payload_arrays(payload):
-        if array.size and np.issubdtype(array.dtype, np.floating):
-            if not np.all(np.isfinite(array)):
-                return "nonfinite"
-            if (norm_bound is not None
-                    and float(np.max(np.abs(array))) > norm_bound):
-                return "norm"
-    return None
+    leaves: list[np.ndarray] = []
+    _float_leaves(payload, leaves)
+    if not leaves:
+        return None
+    # One pass over all leaves (widening is exact): a finite peak is no NaN/Inf.
+    peak = float(np.maximum.reduce(np.abs(np.concatenate(leaves, axis=None)),
+                                   axis=None))
+    if math.isfinite(peak):
+        return "norm" if norm_bound is not None and peak > norm_bound else None
+    # A bound violation in a leaf ahead of the first non-finite one wins.
+    for array in leaves:
+        if not np.isfinite(array).all():
+            break
+        if (norm_bound is not None
+                and float(np.max(np.abs(array))) > norm_bound):
+            return "norm"
+    return "nonfinite"
 
 
 @dataclass(frozen=True)

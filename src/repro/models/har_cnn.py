@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..autograd import Tensor, relu
+from ..autograd import Tensor
+from ..nn import conv_bn
 from .base import IndexedModules, SliceableModel, scaled_channels
 
 __all__ = ["HarCNN", "HAR_CONFIGS", "HAR_INPUT_SHAPE"]
@@ -43,7 +44,7 @@ class _HarStem(nn.Module):
     def forward(self, x) -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(x)
-        return relu(self.bn(self.conv(x)))
+        return conv_bn(x, self.conv, self.bn, "relu")
 
 
 class _ConvBlock(nn.Module):
@@ -55,7 +56,7 @@ class _ConvBlock(nn.Module):
         self.bn = nn.BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        return relu(self.bn(self.conv(x)))
+        return conv_bn(x, self.conv, self.bn, "relu")
 
 
 class HarCNN(SliceableModel):

@@ -12,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..autograd import Tensor, relu, relu6, hardswish, sigmoid, global_avg_pool2d
+from ..autograd import Tensor, relu, hardswish, sigmoid, global_avg_pool2d
+from ..nn import conv_bn
 from .base import IndexedModules, SliceableModel, scaled_channels
 
 __all__ = ["MobileNet", "MOBILENET_CONFIGS"]
@@ -50,7 +51,9 @@ MOBILENET_CONFIGS: dict[str, dict] = {
     },
 }
 
-_ACT_FNS = {"relu": relu, "relu6": relu6, "hardswish": hardswish}
+#: activation -> (what the fused conv_bn applies, the op applied after it).
+_ACTS = {"relu": ("relu", None), "relu6": ("relu6", None),
+         "hardswish": (None, hardswish)}
 
 
 class _ConvBNAct(nn.Module):
@@ -64,10 +67,10 @@ class _ConvBNAct(nn.Module):
                               padding=padding, groups=groups,
                               scale_in=scale_in)
         self.bn = nn.BatchNorm2d(out_ch)
-        self._act = _ACT_FNS.get(act)
+        self._fused, self._act = _ACTS.get(act, (None, None))
 
     def forward(self, x: Tensor) -> Tensor:
-        out = self.bn(self.conv(x))
+        out = conv_bn(x, self.conv, self.bn, self._fused)
         return self._act(out) if self._act else out
 
 
@@ -124,12 +127,13 @@ class _MobileStem(nn.Module):
         self.conv = nn.Conv2d(in_channels, out_channels, 3, rng, stride=1,
                               padding=1, scale_in=False)
         self.bn = nn.BatchNorm2d(out_channels)
-        self._act = _ACT_FNS[act]
+        self._fused, self._act = _ACTS[act]
 
     def forward(self, x) -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(x)
-        return self._act(self.bn(self.conv(x)))
+        out = conv_bn(x, self.conv, self.bn, self._fused)
+        return self._act(out) if self._act else out
 
 
 class MobileNet(SliceableModel):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .. import nn
 from ..autograd import Tensor, relu
+from ..nn import conv_bn
 from .base import IndexedModules, SliceableModel, scaled_channels
 
 __all__ = ["ResNet", "RESNET_CONFIGS"]
@@ -53,7 +54,7 @@ class _ImageStem(nn.Module):
     def forward(self, x) -> Tensor:
         if not isinstance(x, Tensor):
             x = Tensor(x)
-        return relu(self.bn(self.conv(x)))
+        return conv_bn(x, self.conv, self.bn, "relu")
 
 
 class _BasicBlock(nn.Module):
@@ -75,10 +76,10 @@ class _BasicBlock(nn.Module):
             self.shortcut_conv = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = relu(self.bn1(self.conv1(x)))
-        out = self.bn2(self.conv2(out))
+        out = conv_bn(x, self.conv1, self.bn1, "relu")
+        out = conv_bn(out, self.conv2, self.bn2)
         if self.shortcut_conv is not None:
-            x = self.shortcut_bn(self.shortcut_conv(x))
+            x = conv_bn(x, self.shortcut_conv, self.shortcut_bn)
         return relu(out + x)
 
 
@@ -104,11 +105,11 @@ class _BottleneckBlock(nn.Module):
             self.shortcut_conv = None
 
     def forward(self, x: Tensor) -> Tensor:
-        out = relu(self.bn1(self.conv1(x)))
-        out = relu(self.bn2(self.conv2(out)))
-        out = self.bn3(self.conv3(out))
+        out = conv_bn(x, self.conv1, self.bn1, "relu")
+        out = conv_bn(out, self.conv2, self.bn2, "relu")
+        out = conv_bn(out, self.conv3, self.bn3)
         if self.shortcut_conv is not None:
-            x = self.shortcut_bn(self.shortcut_conv(x))
+            x = conv_bn(x, self.shortcut_conv, self.shortcut_bn)
         return relu(out + x)
 
 

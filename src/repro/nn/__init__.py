@@ -2,7 +2,7 @@
 
 from .module import Module, Parameter
 from .layers import (Linear, Conv2d, BatchNorm2d, BatchNorm1d, LayerNorm,
-                     Embedding, Dropout, Identity,
+                     conv_bn, Embedding, Dropout, Identity,
                      ReLU, ReLU6, HardSwish, GELU, Sigmoid, activation)
 from .containers import Sequential, ModuleList
 from .attention import MultiHeadAttention, TransformerEncoderLayer
@@ -11,7 +11,7 @@ from . import init
 
 __all__ = [
     "Module", "Parameter",
-    "Linear", "Conv2d", "BatchNorm2d", "BatchNorm1d", "LayerNorm",
+    "Linear", "Conv2d", "BatchNorm2d", "BatchNorm1d", "LayerNorm", "conv_bn",
     "Embedding", "Dropout", "Identity",
     "ReLU", "ReLU6", "HardSwish", "GELU", "Sigmoid", "activation",
     "Sequential", "ModuleList",

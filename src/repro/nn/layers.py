@@ -17,7 +17,7 @@ from . import init
 from .module import Module, Parameter
 
 __all__ = ["Linear", "Conv2d", "BatchNorm2d", "BatchNorm1d", "LayerNorm",
-           "Embedding", "Dropout", "Identity",
+           "conv_bn", "Embedding", "Dropout", "Identity",
            "ReLU", "ReLU6", "HardSwish", "GELU", "Sigmoid", "activation"]
 
 
@@ -109,6 +109,17 @@ class BatchNorm2d(_BatchNorm):
 
 class BatchNorm1d(_BatchNorm):
     """Per-feature batch norm for NC inputs."""
+
+
+def conv_bn(x: Tensor, conv: Conv2d, bn: BatchNorm2d,
+            act: str | None = None) -> Tensor:
+    """``act(bn(conv(x)))`` (``act``: ``"relu"`` / ``"relu6"`` / ``None``)
+    as one tape node: :func:`repro.autograd.conv2d`'s ``norm=`` / ``act=``."""
+    return ag.conv2d(x, conv.weight, conv.bias, stride=conv.stride,
+                     padding=conv.padding, groups=conv.groups,
+                     norm=(bn.weight, bn.bias, bn.running_mean,
+                           bn.running_var, bn.training, bn.momentum, bn.eps),
+                     act=act)
 
 
 class LayerNorm(Module):

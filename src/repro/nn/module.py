@@ -7,13 +7,14 @@ module tree) is what makes sub-model extraction and aggregation possible.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
 
 from ..autograd import Tensor
 
 __all__ = ["Parameter", "Module"]
+
+#: bumped by every child-module assignment; a walk stored before it is stale.
+_structure = 0
 
 
 class Parameter(Tensor):
@@ -54,6 +55,8 @@ class Module:
             self.__dict__.setdefault("_parameters", {})[name] = value
         elif isinstance(value, Module):
             self.__dict__.setdefault("_modules", {})[name] = value
+            global _structure
+            _structure += 1  # every stored walk is now stale
         object.__setattr__(self, name, value)
 
     def register_buffer(self, name: str, value: np.ndarray,
@@ -70,27 +73,34 @@ class Module:
     # ------------------------------------------------------------------
     # Tree iteration
     # ------------------------------------------------------------------
-    def named_modules(self, prefix: str = "") -> Iterator[tuple[str, "Module"]]:
-        yield prefix, self
-        for name, child in self._modules.items():
-            child_prefix = f"{prefix}.{name}" if prefix else name
-            yield from child.named_modules(child_prefix)
+    def named_modules(self) -> list[tuple[str, "Module"]]:
+        """``(dotted path, module)`` for this module and all below, pre-order.
+        The walk is kept here alone (one per descendant costs MiBs) until a
+        child module is assigned anywhere; never holding ``self``: no cycle."""
+        walk = self.__dict__.get("_walk")
+        if walk is None or walk[0] != _structure:
+            walk, stack = (_structure, []), list(reversed(self._modules.items()))
+            while stack:
+                path, module = stack.pop()
+                walk[1].append((path, module))
+                stack += reversed([(f"{path}.{name}", child)
+                                   for name, child in module._modules.items()])
+            self.__dict__["_walk"] = walk
+        return [("", self), *walk[1]]
 
-    def named_parameters(self) -> Iterator[tuple[str, Parameter]]:
-        for mod_name, module in self.named_modules():
-            for name, param in module._parameters.items():
-                full = f"{mod_name}.{name}" if mod_name else name
-                yield full, param
+    def named_parameters(self) -> list[tuple[str, Parameter]]:
+        return [(f"{mod_name}.{name}" if mod_name else name, param)
+                for mod_name, module in self.named_modules()
+                for name, param in module._parameters.items()]
 
     def parameters(self) -> list[Parameter]:
-        return [p for _, p in self.named_parameters()]
+        return [param for _, module in self.named_modules()
+                for param in module._parameters.values()]
 
-    def named_buffers(self) -> Iterator[tuple[str, np.ndarray]]:
-        for mod_name, module in self.named_modules():
-            for name in module._buffers:
-                full = f"{mod_name}.{name}" if mod_name else name
-                # Read through the attribute so in-place replacement works.
-                yield full, module._buffers[name]
+    def named_buffers(self) -> list[tuple[str, np.ndarray]]:
+        return [(f"{mod_name}.{name}" if mod_name else name, buf)
+                for mod_name, module in self.named_modules()
+                for name, buf in module._buffers.items()]
 
     # ------------------------------------------------------------------
     # State dict

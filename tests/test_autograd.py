@@ -309,6 +309,10 @@ FLOAT32_OPS = {
     "conv2d_depthwise": lambda: ag.conv2d(
         _f32((2, 3, 4, 4)), _f32((3, 1, 3, 3), 1), stride=2, padding=1,
         groups=3),
+    "conv2d_norm_relu6": lambda: ag.conv2d(
+        _f32((2, 3, 4, 4)), _f32((4, 3, 3, 3), 1), _f32((4,), 2), padding=1,
+        norm=(_f32((4,), 3), _f32((4,), 4), np.zeros(4, np.float32),
+              np.ones(4, np.float32), True, 0.1, 1e-5), act="relu6"),
     "max_pool2d": lambda: ag.max_pool2d(_f32((2, 3, 4, 4))),
     "avg_pool2d": lambda: ag.avg_pool2d(_f32((2, 3, 4, 4))),
     "global_avg_pool2d": lambda: ag.global_avg_pool2d(_f32((2, 3, 4, 4))),

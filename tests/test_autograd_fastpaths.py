@@ -1059,3 +1059,162 @@ class TestConvGatheredPath:
             return (out * weights).sum()
 
         check_gradients(loss, [x, w, b], atol=1e-6, rtol=1e-5, eps=1e-5)
+
+
+def conv_bn_act_chain(x, w, b, norm, act, stride, padding, groups):
+    """The three tape nodes ``conv2d(norm=, act=)`` stands in for, built
+    from the public ops: ``conv2d``, ``batch_norm`` and ``relu`` /
+    ``relu6``."""
+    gamma, beta, mean, var, training, momentum, eps = norm
+    out = ag.batch_norm(ag.conv2d(x, w, b, stride=stride, padding=padding,
+                                  groups=groups),
+                        gamma, beta, mean, var, training, momentum, eps)
+    if act == "relu":
+        return ag.relu(out)
+    if act == "relu6":
+        return ag.relu6(out)
+    return out
+
+
+class TestFusedConvBatchNormAct:
+    """``conv2d(norm=..., act=...)`` is the conv2d -> batch_norm -> act
+    chain bit for bit — output, every gradient, both running buffers —
+    in one tape node."""
+
+    @given(n=st.sampled_from([1, 3, 8]),
+           # output widths on both sides of _GATHER_MAX_OW at stride 1 and 2
+           hw=st.sampled_from([(4, 4), (8, 4), (2, 1), (1, 1), (5, 9),
+                               (3, 18), (2, 20)]),
+           layout=st.sampled_from(["dense", "grouped", "depthwise",
+                                   "pointwise"]),
+           stride=st.integers(1, 2), padding=st.integers(0, 1),
+           act=st.sampled_from([None, "relu", "relu6"]),
+           training=st.booleans(), no_grad=st.booleans(),
+           # which leaves train: input (not for a stem), conv, norm (FeDepth
+           # freezes whole stages: conv and norm together or separately)
+           x_grad=st.booleans(), conv_grad=st.booleans(),
+           norm_grad=st.booleans(), with_bias=st.booleans(),
+           seed=st.integers(0, 2 ** 16),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           specials=st.lists(st.sampled_from(_SPECIALS), max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_the_three_op_chain(
+            self, n, hw, layout, stride, padding, act, training, no_grad,
+            x_grad, conv_grad, norm_grad, with_bias, seed, dtype, specials):
+        h, w = hw
+        kernel = 1 if layout == "pointwise" else 3
+        assume(h + 2 * padding >= kernel and w + 2 * padding >= kernel)
+        groups = {"dense": 1, "pointwise": 1, "grouped": 2, "depthwise": 4}[
+            layout]
+        c, oc = (4, 4) if layout == "depthwise" else (4, 6)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w)).astype(dtype)
+        wt = rng.standard_normal((oc, c // groups, kernel, kernel)
+                                 ).astype(dtype)
+        b = rng.standard_normal(oc).astype(dtype)
+        # gamma up to ~4 so relu6's upper clip is exercised too
+        gamma = (rng.standard_normal(oc) * 2.0).astype(dtype)
+        beta = rng.standard_normal(oc).astype(dtype)
+        mean = rng.standard_normal(oc).astype(dtype)
+        var = (rng.random(oc) + 0.5).astype(dtype)
+        oh = (h + 2 * padding - kernel) // stride + 1
+        ow = (w + 2 * padding - kernel) // stride + 1
+        grad = rng.standard_normal((n, oc, oh, ow)).astype(dtype)
+        for value in specials:
+            # signed zeros in gamma and beta make signed-zero norm outputs
+            for array in (x, wt, grad, gamma, beta):
+                array[rng.random(array.shape) < 0.1] = value
+
+        def run(fused):
+            leaves = [Tensor(x.copy(), x_grad), Tensor(wt.copy(), conv_grad),
+                      Tensor(b.copy(), conv_grad) if with_bias else None,
+                      Tensor(gamma.copy(), norm_grad),
+                      Tensor(beta.copy(), norm_grad)]
+            xt, wtt, bt, gt, btt = leaves
+            norm = (gt, btt, mean.copy(), var.copy(), training, 0.1, 1e-5)
+            conv = dict(stride=stride, padding=padding, groups=groups)
+            if fused:
+                out = ag.conv2d(xt, wtt, bt, **conv, norm=norm, act=act)
+            else:
+                out = conv_bn_act_chain(xt, wtt, bt, norm, act, **conv)
+            if out._backward is not None:
+                out.backward(grad)
+            return out, [None if t is None else t.grad for t in leaves], norm
+
+        with np.errstate(all="ignore"):  # inf * 0, inf - inf, NaN statistics
+            if no_grad:
+                with ag.no_grad():
+                    (out, grads, norm), (ref, ref_grads, ref_norm) = \
+                        run(True), run(False)
+                assert out._backward is None
+            else:
+                (out, grads, norm), (ref, ref_grads, ref_norm) = \
+                    run(True), run(False)
+        assert (out._backward is None) == (ref._backward is None)
+        assert _same_bits(out.data, ref.data)
+        names = ("dx", "dw", "db", "dgamma", "dbeta")
+        for name, got, want in zip(names, grads, ref_grads):
+            if want is None:
+                assert got is None, name
+            else:
+                assert _same_bits(got, want), name
+        assert _same_bits(norm[2], ref_norm[2]), "running_mean"
+        assert _same_bits(norm[3], ref_norm[3]), "running_var"
+        if out._backward is not None:
+            assert len(out._parents) == (5 if with_bias else 4)
+
+    def test_one_tape_node_and_three_activations(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32), True)
+        w = Tensor(rng.standard_normal((5, 3, 3, 3)).astype(np.float32), True)
+        norm = (Tensor(np.ones(5, np.float32), True),
+                Tensor(np.zeros(5, np.float32), True),
+                np.zeros(5, np.float32), np.ones(5, np.float32), True, 0.1,
+                1e-5)
+        for act, outputs in ((None, 2), ("relu", 3), ("relu6", 3)):
+            with ag.profile() as report:
+                out = ag.conv2d(x, w, padding=1, norm=norm, act=act)
+            assert out._parents == (x, w, norm[0], norm[1])
+            assert report.activation_bytes == outputs * out.data.nbytes
+            assert report.op_counts == {"conv2d": 1}
+
+    def test_act_needs_a_norm_and_a_known_name(self):
+        x = Tensor(np.ones((1, 1, 2, 2), np.float32))
+        w = Tensor(np.ones((1, 1, 1, 1), np.float32))
+        norm = (Tensor(np.ones(1, np.float32)), Tensor(np.zeros(1, np.float32)),
+                np.zeros(1, np.float32), np.ones(1, np.float32), False, 0.1,
+                1e-5)
+        with pytest.raises(ValueError):
+            ag.conv2d(x, w, act="relu")
+        with pytest.raises(ValueError):
+            ag.conv2d(x, w, norm=norm, act="gelu")
+
+    @pytest.mark.parametrize("act", [None, "relu", "relu6"])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("xs,ws,stride,padding,groups", [
+        ((3, 2, 4, 4), (3, 2, 3, 3), 1, 1, 1),      # gathered
+        ((2, 2, 3, 10), (3, 2, 3, 3), 2, 1, 1),     # ... stride 2 (ow 5)
+        ((2, 3, 2, 11), (3, 3, 3, 3), 1, 1, 1),     # strided (ow 11)
+        ((2, 4, 4, 4), (4, 1, 3, 3), 2, 1, 4),      # depthwise
+        ((3, 4, 3, 3), (5, 4, 1, 1), 1, 0, 1),      # pointwise
+    ])
+    def test_float64_central_differences(self, xs, ws, stride, padding,
+                                         groups, training, act):
+        oc = ws[0]
+        x, w, b = _t(xs, 70), _t(ws, 71, 0.5), _t((oc,), 72)
+        gamma, beta = _t((oc,), 73, 2.0), _t((oc,), 74)
+        mean = np.random.default_rng(75).standard_normal(oc)
+        var = np.random.default_rng(76).random(oc) + 0.5
+        oh = (xs[2] + 2 * padding - ws[2]) // stride + 1
+        ow = (xs[3] + 2 * padding - ws[3]) // stride + 1
+        weights = Tensor(np.random.default_rng(77).standard_normal(
+            (xs[0], oc, oh, ow)))
+
+        def loss():
+            norm = (gamma, beta, mean.copy(), var.copy(), training, 0.1, 1e-5)
+            out = ag.conv2d(x, w, b, stride=stride, padding=padding,
+                            groups=groups, norm=norm, act=act)
+            return (out * weights).sum()
+
+        check_gradients(loss, [x, w, b, gamma, beta], atol=1e-6, rtol=1e-5,
+                        eps=1e-5)

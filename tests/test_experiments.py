@@ -180,6 +180,13 @@ FIGURE_ROWS = {
              "abaaf9ee1496701e99884d4924193733de2e459e6d802c86c2eb49a461f928f6"),
     "fig9": (["--algorithms", "sheterofl"], 3,
              "001a599717415a2726eb427ecdfc0c56bbacccbb81075d0c6ed50d20f698c5f3"),
+    # Model measurements only (no cell trains).  Recorded while conv ->
+    # batch_norm -> activation were still three tape nodes: a fused block
+    # must keep counting three activations, or these rows move.
+    "fig3": ([], 0,
+             "b10a5539cdec42e3b292eac9ecb3f6d881de5654394a10159711871267ce6a78"),
+    "table1": ([], 0,
+               "9e00c90cb45e90b767a86f12f1068c3407304eb8c4d7c26b521fae2f27b46f03"),
 }
 
 

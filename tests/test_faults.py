@@ -15,6 +15,7 @@ from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import ClientUpdate
 from repro.constraints import ConstraintSpec, build_scenario
@@ -290,6 +291,86 @@ class TestValidateUpdate:
         assert validate_update(
             _update(({"layer.w": [1, 2, 3]}, maps))) == "shape"
         assert validate_update(_update((state, {}))) == "shape"
+
+    def test_the_first_offending_leaf_decides(self):
+        big = np.full(5, 1e6, np.float32)
+        nan = np.array([1.0, np.nan])
+        assert validate_update(_update([big, nan]), norm_bound=1e3) == "norm"
+        assert validate_update(_update([nan, big]),
+                               norm_bound=1e3) == "nonfinite"
+        assert validate_update(_update([big, nan])) == "nonfinite"
+        inf = np.array([np.inf], np.float16)
+        assert validate_update(_update({"a": [np.ones(3)], "b": {"c": inf}}),
+                               norm_bound=1e3) == "nonfinite"
+
+    def test_int_and_empty_leaves_are_ignored(self):
+        ints = np.array([10 ** 9, -10 ** 9])
+        empty = np.empty((0, 3), np.float32)
+        assert validate_update(_update([ints, empty, np.ones(2)]),
+                               norm_bound=1.0) is None
+        assert validate_update(_update([ints, empty])) is None
+        assert validate_update(_update({})) is None
+
+    def test_mixed_float_dtypes(self):
+        leaves = [np.array([65504.0], np.float16), np.ones(4, np.float32),
+                  np.array([-2.5])]
+        assert validate_update(_update(leaves)) is None
+        assert validate_update(_update(leaves), norm_bound=7e4) is None
+        assert validate_update(_update(leaves), norm_bound=6e4) == "norm"
+        leaves[1][2] = np.nan
+        assert validate_update(_update(leaves), norm_bound=6e4) == "norm"
+        assert validate_update(_update(leaves), norm_bound=7e4) == "nonfinite"
+
+    @given(leaves=st.lists(st.tuples(
+        st.sampled_from([np.float16, np.float32, np.float64, np.int64]),
+        st.integers(0, 4),
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -3.0, 50.0, 1e5, np.inf,
+                                  -np.inf, np.nan]), max_size=3)),
+        max_size=5),
+        nest=st.sampled_from(["list", "dict", "state_maps"]),
+        norm_bound=st.sampled_from([None, 10.0, 1e4]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_verdict_as_the_per_leaf_loop(self, leaves, nest,
+                                               norm_bound):
+        arrays = []
+        for dtype, size, values in leaves:
+            array = np.arange(size).astype(dtype)
+            with np.errstate(over="ignore"):    # 1e5 is inf in float16
+                for index, value in enumerate(values[:size]):
+                    array[index] = value if dtype != np.int64 else 7
+            arrays.append(array)
+        if nest == "list":
+            payload = [arrays[:2], tuple(arrays[2:])]
+        elif nest == "dict":
+            payload = {"head": {"w": arrays}, "tail": []}
+        else:
+            state = {str(i): a for i, a in enumerate(arrays)}
+            payload = (state, {key: (np.arange(2),) for key in state})
+        assert validate_update(_update(payload), norm_bound) == \
+            _per_leaf_verdict(payload, norm_bound)
+
+
+def _per_leaf_verdict(payload, norm_bound):
+    """``validate_update``'s array check as it was, one leaf at a time in
+    payload order: the reference the one-pass check must agree with."""
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, dict):
+            for item in value.values():
+                yield from arrays(item)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                yield from arrays(item)
+
+    for array in arrays(payload):
+        if array.size and np.issubdtype(array.dtype, np.floating):
+            if not np.all(np.isfinite(array)):
+                return "nonfinite"
+            if (norm_bound is not None
+                    and float(np.max(np.abs(array))) > norm_bound):
+                return "norm"
+    return None
 
 
 # ----------------------------------------------------------------------

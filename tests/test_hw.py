@@ -62,6 +62,58 @@ class TestMeasurement:
             / one.flops_per_sample < 0.01
 
 
+#: ``measure_model(build_model(arch, num_classes=10, seed=0, width_mult=w))``
+#: as ``(params, flops_per_sample, activation_bytes_per_sample)``, recorded
+#: while conv -> batch_norm -> activation were three tape nodes.  The cost
+#: models (time, memory constraint, fig3, table1) read these numbers; a fused
+#: block that counted only its final output would halve the conv nets'
+#: activation bytes and nothing else in the suite would notice.
+MEASURED = {
+    ("albert_base", 1.0): (14090, 1196672, 187856),
+    ("albert_base", 0.5): (7306, 336192, 95504),
+    ("albert_large", 1.0): (24970, 5137344, 550544),
+    ("albert_large", 0.5): (10186, 1389024, 276848),
+    ("albert_xxlarge", 1.0): (39946, 13403392, 1093456),
+    ("albert_xxlarge", 0.5): (14090, 3555968, 548304),
+    ("har_cnn", 1.0): (13250, 138880, 9192),
+    ("har_cnn", 0.5): (3606, 45248, 4616),
+    ("har_cnn_deep", 1.0): (30690, 270208, 15144),
+    ("har_cnn_deep", 0.5): (8006, 78080, 7592),
+    ("har_cnn_lite", 1.0): (7672, 86016, 6904),
+    ("har_cnn_lite", 0.5): (2140, 29400, 3472),
+    ("har_cnn_wide", 1.0): (28942, 280896, 13768),
+    ("har_cnn_wide", 0.5): (7672, 86016, 6904),
+    ("mobilenet_v2", 1.0): (13370, 856000, 380136),
+    ("mobilenet_v2", 0.5): (4450, 283360, 190088),
+    ("mobilenet_v3_large", 1.0): (56691, 1052272, 424560),
+    ("mobilenet_v3_large", 0.5): (16254, 335600, 212296),
+    ("mobilenet_v3_small", 1.0): (18172, 301568, 112088),
+    ("mobilenet_v3_small", 0.5): (5652, 113088, 56072),
+    ("resnet101", 1.0): (208530, 6076928, 753192),
+    ("resnet101", 0.5): (53406, 1547520, 376616),
+    ("resnet18", 1.0): (78002, 2077952, 146728),
+    ("resnet18", 0.5): (19902, 547456, 73384),
+    ("resnet34", 1.0): (101234, 3257600, 189736),
+    ("resnet34", 0.5): (25758, 842368, 94888),
+    ("resnet50", 1.0): (164370, 4372992, 609832),
+    ("resnet50", 0.5): (42142, 1121536, 304936),
+    ("transformer", 1.0): (43786, 1180288, 188880),
+    ("transformer", 0.5): (13706, 328000, 94480),
+}
+
+
+def test_measure_model_pins_every_architecture():
+    from repro.models.zoo import known_architectures
+
+    assert {arch for arch, _ in MEASURED} == set(known_architectures())
+    for (arch, width), expected in MEASURED.items():
+        stats = measure_model(build_model(arch, num_classes=10, seed=0,
+                                          width_mult=width))
+        got = (stats.params, stats.flops_per_sample,
+               stats.activation_bytes_per_sample)
+        assert got == expected, (arch, width)
+
+
 class TestCostModel:
     def test_training_time_monotone_in_flops(self, resnet):
         cm = DEFAULT_COST_MODEL

@@ -1,5 +1,8 @@
 """Tests for the module system, layers, containers and optimisers."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -67,6 +70,13 @@ class TestModuleSystem:
         mlp.train()
         assert all(m.training for _, m in mlp.named_modules())
 
+    def test_named_modules_pre_order(self):
+        rng = _rng()
+        net = nn.Sequential(nn.Sequential(nn.Linear(2, 2, rng)),
+                            nn.Linear(2, 2, rng))
+        assert [name for name, _ in net.named_modules()] == ["", "0", "0.0",
+                                                             "1"]
+
     def test_buffers_in_state_dict(self):
         bn = nn.BatchNorm2d(4)
         state = bn.state_dict()
@@ -88,6 +98,73 @@ class TestModuleSystem:
     def test_num_parameters(self):
         mlp = self._mlp()
         assert mlp.num_parameters() == 4 * 8 + 8 + 8 * 3 + 3
+
+
+class TestStoredWalk:
+    """``named_modules`` keeps its walk until a child module is assigned
+    anywhere — every later structure change is seen — and the stored walk
+    never makes a model a reference cycle."""
+
+    @staticmethod
+    def _names(model):
+        return [name for name, _ in model.named_parameters()]
+
+    def test_sequential_append_after_a_walk(self):
+        rng = _rng()
+        net = nn.Sequential(nn.Linear(2, 3, rng))
+        assert self._names(net) == ["0.weight", "0.bias"]
+        net.append(nn.Linear(3, 1, rng, bias=False))
+        assert self._names(net) == ["0.weight", "0.bias", "1.weight"]
+
+    def test_nested_module_list_append_after_a_walk(self):
+        rng = _rng()
+        inner = nn.ModuleList()
+        outer = nn.Sequential(inner)
+        assert self._names(outer) == []
+        inner.append(nn.Linear(2, 2, rng))    # below the walked root
+        assert self._names(outer) == ["0.0.weight", "0.0.bias"]
+        assert len(outer.parameters()) == 2
+
+    def test_indexed_modules_add_after_a_walk(self):
+        from repro.models import build_model
+        model = build_model("har_cnn", num_classes=3, seed=0)
+        before = set(model.state_dict())
+        model.heads.add(0, nn.Linear(8, 3, _rng()))
+        after = set(model.state_dict())
+        assert after - before == {"heads.0.weight", "heads.0.bias"}
+
+    def test_child_replacement_after_a_walk(self):
+        rng = _rng()
+        net = nn.Sequential(nn.Sequential(nn.Linear(2, 2, rng)))
+        old = net.parameters()
+        net[0].swap = nn.BatchNorm2d(2)          # assigned to a child
+        names = [name for name, _ in net.named_modules()]
+        assert names == ["", "0", "0.0", "0.swap"]
+        assert "0.swap.running_mean" in net.state_dict()
+        net.eval()
+        assert not net[0].swap.training
+        replacement = nn.Linear(2, 2, _rng(1))
+        setattr(net[0], "0", replacement)          # a child replaced
+        assert net.parameters()[0] is replacement.weight
+        assert net.parameters()[0] is not old[0]
+
+    def test_walked_model_dies_by_refcount(self):
+        from repro.fl.seeding import reseed_dropout
+        from repro.models import build_model
+        gc.collect()
+        gc.disable()
+        try:
+            model = build_model("transformer", num_classes=3, seed=0)
+            model.train()
+            model.state_dict()
+            model.load_state_dict(model.state_dict())
+            reseed_dropout(model, np.random.default_rng(0))
+            model.stem.named_modules()            # a stored walk below, too
+            alive = weakref.ref(model)
+            del model
+            assert alive() is None                # no collector ran
+        finally:
+            gc.enable()
 
 
 class TestLayers:
