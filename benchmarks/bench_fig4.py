@@ -2,7 +2,7 @@
 
 Smoke scale, all eight algorithms on one dataset per data track (CV / HAR) —
 the full six-dataset grid runs via
-``python -m repro.experiments.fig4 --scale demo``.
+``python -m repro run fig4 --scale demo``.
 """
 
 from repro.experiments import fig4, format_table

@@ -1,7 +1,7 @@
 """Benchmark: regenerate Figure 5 (communication-limited MHFL).
 
 Smoke scale on the NLP track plus UCI-HAR; full grid via
-``python -m repro.experiments.fig5 --scale demo``.
+``python -m repro run fig5 --scale demo``.
 """
 
 from repro.experiments import fig5, format_table

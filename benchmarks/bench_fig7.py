@@ -2,7 +2,7 @@
 
 Smoke scale with one representative algorithm per heterogeneity level; the
 full eight-algorithm sweep runs via
-``python -m repro.experiments.fig7 --scale demo``.
+``python -m repro run fig7 --scale demo``.
 """
 
 from repro.experiments import fig7, format_table

@@ -2,7 +2,7 @@
 
 Smoke scale on CIFAR-10 with one algorithm per heterogeneity level; full
 three-dataset, eight-algorithm sweep via
-``python -m repro.experiments.fig8 --scale demo``.
+``python -m repro run fig8 --scale demo``.
 """
 
 from repro.experiments import fig8, format_table

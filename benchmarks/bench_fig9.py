@@ -2,7 +2,7 @@
 
 Smoke scale with a 1:2 client sweep and one algorithm per width/depth level;
 the paper's 100/200/500 sweep runs via
-``python -m repro.experiments.fig9 --scale paper``.
+``python -m repro run fig9 --scale paper``.
 """
 
 from repro.experiments import fig9, format_table

@@ -11,7 +11,6 @@ Usage::
     python -m repro run fig4 --strict              # + runtime sanitizers
     python -m repro run fig4 --log-json --log-level debug
     python -m repro profile fig4 smoke             # trace + telemetry report
-    python -m repro lint                           # determinism contracts
     python -m repro sweep create results/grid.manifest.json --scale demo
     python -m repro sweep run results/grid.manifest.json --shard 0/4
     python -m repro sweep status results/grid.manifest.json --shards 4
@@ -287,19 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_status.add_argument("--out", default="table",
                               choices=("table", "json", "csv"),
                               help="output format (default: table)")
-
-    lint = sub.add_parser(
-        "lint", parents=[logging_options],
-        help="statically check the determinism contracts",
-        description="Run the AST rule catalog (repro.analysis.rules) over "
-                    "the repro package: no global RNG, no wall clock in "
-                    "serialised state, hash-covered spec fields, lossless "
-                    "payload round-trips, ordered client iteration, pure "
-                    "work items, repro.* logger naming, no swallowed "
-                    "exceptions on executor paths.  Exits non-zero on any "
-                    "unsuppressed finding or stale allow comment.")
-    from .analysis.cli import add_lint_options
-    add_lint_options(lint)
     return parser
 
 
@@ -587,9 +573,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_profile(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
-    if args.command == "lint":
-        from .analysis.cli import lint_command
-        return lint_command(args)
     parser.print_help()
     return 0
 

@@ -3,10 +3,10 @@
 Includes the fused / structured operations that a layer library needs but that
 are awkward to express with elementwise primitives: im2col convolution,
 pooling, batch / layer normalisation, embeddings, softmax-family losses and
-dropout.  Every operator here is covered by numerical gradient checks in
-``tests/test_autograd.py`` and ``tests/test_autograd_fastpaths.py`` — in the
-latter ``layer_norm`` and ``attention`` (with and without dropout) in float64
-under a weighted loss, whose input gradient a plain ``.sum()`` would zero.
+dropout.  Every operator in ``__all__`` has a row in the float64 gradcheck
+table of ``tests/test_autograd.py`` (central differences under a weighted
+loss, whose input gradient a plain ``.sum()`` would zero); an operator
+without one fails that test.
 
 The convolution lays its patches out for a batched BLAS GEMM, and picks the
 data movement from the output width: wide maps zero-pad the input and copy a
@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import profiler
-from .tensor import Tensor, _needs_grad
+from .tensor import Tensor
 
 __all__ = [
     "conv2d", "max_pool2d", "avg_pool2d", "global_avg_pool2d",
@@ -191,16 +191,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     parents = (x, weight) if bias is None else (x, weight, bias)
     if norm is None:
         return Tensor._make(out, parents, conv_backward)
-    if profiler.profiling_active():
-        profiler.add_activation_bytes(out.nbytes)
+    report = profiler.active
+    if report is not None:
+        report.activation_bytes += out.nbytes
     # the norm's need_x: as an op, the conv output needs a grad iff a parent did
     conv_needs = (x.requires_grad or weight.requires_grad
                   or (bias is not None and bias.requires_grad))
     out, norm_backward = _batch_norm_core(out, conv_needs, *norm)
     parents += norm[:2]
     if act is not None:
-        if profiler.profiling_active():
-            profiler.add_activation_bytes(out.nbytes)
+        if report is not None:
+            report.activation_bytes += out.nbytes
         if act == "relu":
             np.maximum(out, 0.0, out=out)
         else:
@@ -236,10 +237,11 @@ def _conv2d_core(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int,
     ocg = oc // groups
     k = cg * kh * kw
 
-    if profiler.profiling_active():
-        macs = n * oc * oh * ow * cg * kh * kw
-        profiler.add_flops(2 * macs, kind="conv2d")
-        profiler.add_gemm_calls(n if groups == 1 else n * groups)
+    report = profiler.active
+    if report is not None:
+        report.flops += 2 * n * oc * oh * ow * cg * kh * kw
+        report.op_counts["conv2d"] = report.op_counts.get("conv2d", 0) + 1
+        report.gemm_calls += n if groups == 1 else n * groups
 
     # Pointwise (1x1, stride 1) convs are pure channel mixes: the GEMM input
     # is just a reshape of the (padded) input — no patch copy at all.
@@ -287,17 +289,17 @@ def _conv2d_core(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int,
         dx = dw = db = None
         if groups == 1:
             g = grad.reshape(n, oc, span)
-            if _needs_grad(weight):
+            if weight.requires_grad:
                 # Batched GEMM over stride views (no operand copies), then
                 # reduce the batch axis.
                 dw = np.matmul(g, cols.reshape(n, k, span).transpose(0, 2, 1))
                 dw = np.add.reduce(dw, axis=0).reshape(weight.shape)
-                if profiler.profiling_active():
-                    profiler.add_gemm_calls(n)
-            if _needs_grad(x):
+                if profiler.active is not None:
+                    profiler.active.gemm_calls += n
+            if x.requires_grad:
                 dcols = wmat.T @ g                          # (n, k, span)
-                if profiler.profiling_active():
-                    profiler.add_gemm_calls(n)
+                if profiler.active is not None:
+                    profiler.active.gemm_calls += n
         elif ocg == 1:
             # Depthwise (one output channel per group): each dcols "GEMM"
             # is (k,1)@(1,span) — an outer product — so batched matmul
@@ -307,28 +309,28 @@ def _conv2d_core(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int,
             # row-matrix products batch well, and every einsum/multiply-sum
             # reformulation measured slower.
             g = grad.reshape(n, groups, ocg, span)
-            if _needs_grad(weight):
+            if weight.requires_grad:
                 dw = np.matmul(g, cols.transpose(0, 1, 3, 2))
                 dw = np.add.reduce(dw, axis=0).reshape(weight.shape)
-                if profiler.profiling_active():
-                    profiler.add_gemm_calls(n * groups)
-            if _needs_grad(x):
+                if profiler.active is not None:
+                    profiler.active.gemm_calls += n * groups
+            if x.requires_grad:
                 dcols = (wmat.reshape(1, groups, k, 1)
                          * grad.reshape(n, groups, 1, span))
         else:
             g = grad.reshape(n, groups, ocg, span)
-            if _needs_grad(weight):
+            if weight.requires_grad:
                 dw = np.matmul(g, cols.transpose(0, 1, 3, 2))
                 dw = np.add.reduce(dw, axis=0).reshape(weight.shape)
-                if profiler.profiling_active():
-                    profiler.add_gemm_calls(n * groups)
-            if _needs_grad(x):
+                if profiler.active is not None:
+                    profiler.active.gemm_calls += n * groups
+            if x.requires_grad:
                 dcols = np.matmul(wmat.transpose(0, 2, 1), g)
-                if profiler.profiling_active():
-                    profiler.add_gemm_calls(n * groups)
-        if bias is not None and _needs_grad(bias):
+                if profiler.active is not None:
+                    profiler.active.gemm_calls += n * groups
+        if bias is not None and bias.requires_grad:
             db = np.add.reduce(grad, axis=(0, 2, 3))
-        if _needs_grad(x):
+        if x.requires_grad:
             if pointwise:
                 dxp = dcols.reshape(padded_shape)
                 dx = (dxp[:, :, padding:-padding, padding:-padding]
@@ -433,7 +435,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     reduces ``grad`` and ``grad * xhat`` once for ``dx``/``dgamma``/``dbeta``.
     ``running_mean`` and ``running_var`` must share a dtype.
     """
-    out, backward = _batch_norm_core(x.data, _needs_grad(x), gamma, beta,
+    out, backward = _batch_norm_core(x.data, x.requires_grad, gamma, beta,
                                      running_mean, running_var, training,
                                      momentum, eps)
     return Tensor._make(out, (x, gamma, beta), backward)
@@ -475,7 +477,7 @@ def _batch_norm_core(xd: np.ndarray, need_x: bool, gamma: Tensor, beta: Tensor,
     out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
 
     def backward(grad: np.ndarray) -> tuple:
-        need_gamma, need_beta = _needs_grad(gamma), _needs_grad(beta)
+        need_gamma, need_beta = gamma.requires_grad, beta.requires_grad
         g_sum = gx_sum = dx = None
         if need_beta or (need_x and training):
             g_sum = np.add.reduce(grad, axis=axes, keepdims=True)
@@ -514,10 +516,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     def backward(grad: np.ndarray) -> tuple:
         reduce_axes = tuple(range(x.ndim - 1))
         dgamma = ((grad * xhat).sum(axis=reduce_axes)
-                  if _needs_grad(gamma) else None)
-        dbeta = grad.sum(axis=reduce_axes) if _needs_grad(beta) else None
+                  if gamma.requires_grad else None)
+        dbeta = grad.sum(axis=reduce_axes) if beta.requires_grad else None
         dx = None
-        if _needs_grad(x):
+        if x.requires_grad:
             gg = grad * gamma.data
             g_sum = gg.sum(axis=-1, keepdims=True)
             gx_sum = (gg * xhat).sum(axis=-1, keepdims=True)
@@ -573,19 +575,21 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     The bias add is fused in place into the GEMM output.
     """
     out = x.data @ weight.data.T
-    if profiler.profiling_active():
-        profiler.add_flops(2 * out.size * x.shape[-1], kind="linear")
+    report = profiler.active
+    if report is not None:
+        report.flops += 2 * out.size * x.shape[-1]
+        report.op_counts["linear"] = report.op_counts.get("linear", 0) + 1
     if bias is not None:
         out += bias.data
 
     def backward(grad: np.ndarray) -> tuple:
         dx = dw = db = None
         g2 = grad.reshape(-1, weight.shape[0])
-        if _needs_grad(weight):
+        if weight.requires_grad:
             dw = g2.T @ x.data.reshape(-1, x.shape[-1])
-        if bias is not None and _needs_grad(bias):
+        if bias is not None and bias.requires_grad:
             db = g2.sum(axis=0)
-        if _needs_grad(x):
+        if x.requires_grad:
             dx = (grad @ weight.data).reshape(x.shape)
         if bias is None:
             return dx, dw
@@ -787,20 +791,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
         mask = None
         out = np.matmul(weights, vd)
 
-    if profiler.profiling_active():
+    report = profiler.active
+    if report is not None:
         # Two batched GEMMs (scores and context), 2 FLOPs per MAC each.
         batch = int(np.prod(out.shape[:-2], dtype=np.int64))
         s, dh = out.shape[-2], vd.shape[-1]
-        profiler.add_flops(4 * batch * s * weights.shape[-1] * dh,
-                           kind="attention")
-        profiler.add_gemm_calls(2 * batch)
+        report.flops += 4 * batch * s * weights.shape[-1] * dh
+        report.op_counts["attention"] = report.op_counts.get("attention",
+                                                             0) + 1
+        report.gemm_calls += 2 * batch
 
     def backward(grad: np.ndarray) -> tuple:
         dq = dk = dv = None
         w_used = weights if mask is None else weights * mask
-        if _needs_grad(v):
+        if v.requires_grad:
             dv = np.matmul(np.swapaxes(w_used, -1, -2), grad)
-        if _needs_grad(q) or _needs_grad(k):
+        if q.requires_grad or k.requires_grad:
             dw = np.matmul(grad, np.swapaxes(vd, -1, -2))
             if mask is not None:
                 dw *= mask
@@ -808,9 +814,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
             dot = (dw * weights).sum(axis=-1, keepdims=True)
             dscores = weights * (dw - dot)
             dscores *= scale
-            if _needs_grad(q):
+            if q.requires_grad:
                 dq = np.matmul(dscores, kd)
-            if _needs_grad(k):
+            if k.requires_grad:
                 dk = np.matmul(np.swapaxes(dscores, -1, -2), qd)
         return dq, dk, dv
 

@@ -13,55 +13,29 @@ from __future__ import annotations
 import contextlib
 from dataclasses import dataclass, field
 
-__all__ = ["profile", "ProfileReport", "add_flops", "add_activation_bytes",
-           "add_gemm_calls", "profiling_active"]
+__all__ = ["profile", "ProfileReport"]
 
 
 @dataclass
 class ProfileReport:
-    """Counters collected during a profiled region."""
+    """Counters collected during a profiled region.
+
+    ``gemm_calls`` counts BLAS GEMM dispatches (batched matmul counts one per
+    batch element — per-group small GEMMs show up here as call inflation even
+    when the FLOP totals are identical); ``op_counts`` counts FLOP-bearing
+    ops by kind.
+    """
 
     flops: int = 0
     activation_bytes: int = 0
     gemm_calls: int = 0
     op_counts: dict[str, int] = field(default_factory=dict)
 
-    def record_op(self, kind: str) -> None:
-        self.op_counts[kind] = self.op_counts.get(kind, 0) + 1
 
-
-class _ProfilerState:
-    def __init__(self):
-        self.active = False
-        self.report: ProfileReport | None = None
-
-
-_STATE = _ProfilerState()
-
-
-def profiling_active() -> bool:
-    return _STATE.active
-
-
-def add_flops(count: int, kind: str = "op") -> None:
-    """Record ``count`` floating-point operations (no-op when not profiling)."""
-    if _STATE.active:
-        _STATE.report.flops += int(count)
-        _STATE.report.record_op(kind)
-
-
-def add_activation_bytes(nbytes: int) -> None:
-    """Record bytes of a produced activation (no-op when not profiling)."""
-    if _STATE.active:
-        _STATE.report.activation_bytes += int(nbytes)
-
-
-def add_gemm_calls(count: int) -> None:
-    """Record ``count`` BLAS GEMM dispatches (batched matmul counts one per
-    batch element — per-group small GEMMs show up here as call inflation
-    even when the FLOP totals are identical)."""
-    if _STATE.active:
-        _STATE.report.gemm_calls += int(count)
+#: the live report while a :func:`profile` block runs, ``None`` otherwise.
+#: Ops test it and add to its counters in place, so an op run outside a
+#: profiled region pays one attribute read.
+active: ProfileReport | None = None
 
 
 @contextlib.contextmanager
@@ -71,13 +45,11 @@ def profile():
     Yields the live :class:`ProfileReport`; nested profiling is not
     supported (the inner block would steal the outer block's counters).
     """
-    if _STATE.active:
+    global active
+    if active is not None:
         raise RuntimeError("profiler does not support nesting")
-    report = ProfileReport()
-    _STATE.active = True
-    _STATE.report = report
+    active = ProfileReport()
     try:
-        yield report
+        yield active
     finally:
-        _STATE.active = False
-        _STATE.report = None
+        active = None

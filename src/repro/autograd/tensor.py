@@ -92,11 +92,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _needs_grad(t: "Tensor") -> bool:
-    """Whether a gradient must be routed to ``t`` (leaf param or op node)."""
-    return t.requires_grad or t._backward is not None
-
-
 class Tensor:
     """A numpy array with an optional gradient and backward tape entry.
 
@@ -180,9 +175,12 @@ class Tensor:
         ``backward`` maps the output gradient to a tuple of per-parent
         gradients aligned with ``parents`` (entries may be ``None``).
         A float ndarray (what ops produce) is wrapped without ``__init__``.
+        The tape is wired only on outputs marked ``requires_grad``, so that
+        flag alone says whether a gradient must reach a tensor (leaf or op
+        node) — backward closures read it instead of ``_backward``.
         """
-        if profiler.profiling_active():
-            profiler.add_activation_bytes(data.nbytes)
+        if profiler.active is not None:
+            profiler.active.activation_bytes += data.nbytes
         needs = (getattr(_GRAD_STATE, "enabled", True)
                  and any(map(_requires_grad, parents)))
         if type(data) is np.ndarray and data.dtype in _FLOAT_DTYPES:
@@ -264,7 +262,7 @@ class Tensor:
                 continue
             parent_grads = node._backward(node_grad)
             for parent, pgrad in zip(node._parents, parent_grads):
-                if pgrad is None or not _needs_grad(parent):
+                if pgrad is None or not parent.requires_grad:
                     continue
                 pkey = id(parent)
                 existing = grads.get(pkey)
@@ -294,9 +292,9 @@ def _binary(a: Tensor, b, forward, grad_a, grad_b) -> Tensor:
 
     def backward(grad: np.ndarray) -> tuple:
         ga = gb = None
-        if _needs_grad(a):
+        if a.requires_grad:
             ga = _unbroadcast(grad_a(grad, a.data, b.data), a.shape)
-        if _needs_grad(b):
+        if b.requires_grad:
             gb = _unbroadcast(grad_b(grad, a.data, b.data), b.shape)
         return ga, gb
 
@@ -567,7 +565,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     def backward(grad: np.ndarray) -> tuple:
         pieces = []
         for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if not _needs_grad(tensor):
+            if not tensor.requires_grad:
                 pieces.append(None)
                 continue
             slicer = [slice(None)] * grad.ndim
@@ -603,22 +601,24 @@ Tensor.__getitem__ = getitem
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     b = as_tensor(b)
     data = a.data @ b.data
-    if profiler.profiling_active():
+    report = profiler.active
+    if report is not None:
         # MACs = output elements * contraction length; 2 FLOPs per MAC.
-        profiler.add_flops(2 * data.size * a.shape[-1], kind="matmul")
+        report.flops += 2 * data.size * a.shape[-1]
+        report.op_counts["matmul"] = report.op_counts.get("matmul", 0) + 1
 
     def backward(grad: np.ndarray) -> tuple:
         ga = gb = None
         if a.ndim == b.ndim == 2:
-            if _needs_grad(a):
+            if a.requires_grad:
                 ga = grad @ b.data.T
-            if _needs_grad(b):
+            if b.requires_grad:
                 gb = a.data.T @ grad
         else:
             # Batched matmul with broadcasting.
-            if _needs_grad(a):
+            if a.requires_grad:
                 ga = _unbroadcast(grad @ np.swapaxes(b.data, -1, -2), a.shape)
-            if _needs_grad(b):
+            if b.requires_grad:
                 gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ grad, b.shape)
         return ga, gb
 

@@ -18,7 +18,6 @@ all*, and the event-driven runtime consumes both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 __all__ = ["ConstraintSpec", "CONSTRAINT_KINDS", "AVAILABILITY_KINDS"]
 
@@ -57,11 +56,6 @@ class ConstraintSpec:
     #: kwargs (empty = healthy fleet).  Availability shapes whether a
     #: client is there to train; faults shape whether its work *survives*.
     faults: dict = field(default_factory=dict)
-
-    #: every ConstraintSpec field is semantic (changes results), so every
-    #: one is serialised and content-hashed; the empty set states that
-    #: decision explicitly for ``repro lint``'s hash-field-coverage rule.
-    HASH_EXCLUDED: ClassVar[frozenset[str]] = frozenset()
 
     def __post_init__(self):
         unknown = set(self.constraints) - set(CONSTRAINT_KINDS)

@@ -91,10 +91,3 @@ def run(scale: str = "demo", seed: int = 0,
                      "mechanism_gain": round(acc_full - acc_ablated, 4),
                      "description": description})
     return rows
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.__main__ import main
-    raise SystemExit(main(["run", "ablations", *sys.argv[1:]]))

@@ -116,10 +116,3 @@ def run(scale: str = "demo", seed: int = 0, dataset: str = "harbox",
                     "stale": history.stale_update_count(),
                 })
     return rows
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.__main__ import main
-    raise SystemExit(main(["run", "async_compare", *sys.argv[1:]]))

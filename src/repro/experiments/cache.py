@@ -16,14 +16,12 @@ pass an explicit :class:`RunCache` (or ``None``) to any runner entry point.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..fl.serialization import history_from_dict, history_to_dict
+from ..fl.serialization import (atomic_write_text, history_from_dict,
+                                history_to_dict)
 from ..telemetry import runtime as telemetry
 from ..telemetry.logs import get_logger
 
@@ -34,39 +32,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 _log = get_logger("cache")
 
 __all__ = ["RunCache", "CachedRun", "DEFAULT_CACHE_DIR",
-           "default_cache", "set_default_cache", "atomic_write_text"]
+           "default_cache", "set_default_cache"]
 
 #: layout version of the on-disk entries; mismatches read as misses.
 CACHE_VERSION = 1
 
 #: where the CLI keeps run artifacts unless ``--cache-dir`` overrides it.
 DEFAULT_CACHE_DIR = Path("results") / "cache"
-
-
-def atomic_write_text(directory: Path, path: Path, text: str) -> None:
-    """Publish ``text`` at ``path`` via a unique temp file + atomic rename.
-
-    Concurrency-safe for parallel sweep cells sharing one cache directory:
-    bytes never interleave, readers never see a half-written file, and
-    same-content racers each publish a complete file (last rename wins).
-    """
-    directory.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=directory,
-                                    prefix=f".{path.stem}-",
-                                    suffix=".tmp")
-    try:
-        # mkstemp creates 0600; published entries should get the usual
-        # umask-governed mode so shared cache dirs stay shareable.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_name)
-        raise
 
 
 class CachedRun:
@@ -164,7 +136,7 @@ class RunCache:
         # Serialise before touching the filesystem: an unserialisable
         # payload then raises without ever creating a temp file.
         text = json.dumps(payload, indent=1)
-        atomic_write_text(self.directory, path, text)
+        atomic_write_text(path, text)
         telemetry.inc("cache.puts")
         return path
 
@@ -181,7 +153,7 @@ class RunCache:
         text = json.dumps({"cache_version": CACHE_VERSION,
                            "spec": spec.to_dict(),
                            "telemetry": payload}, indent=1)
-        atomic_write_text(self.directory, path, text)
+        atomic_write_text(path, text)
         return path
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -78,10 +78,3 @@ def run(scale: str = "demo", seed: int = 0, dataset: str = "harbox",
                 "total_s": round(history.total_sim_time_s, 1),
             })
     return rows
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.__main__ import main
-    raise SystemExit(main(["run", "fault_compare", *sys.argv[1:]]))

@@ -31,10 +31,3 @@ def run(scale: str = "demo", seed: int = 0,
     return run_fig4(scale=scale, seed=seed, datasets=[dataset],
                     algorithms=algorithms, seeds=seeds,
                     scale_overrides=scale_overrides)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.__main__ import main
-    raise SystemExit(main(["run", "fig1", *sys.argv[1:]]))

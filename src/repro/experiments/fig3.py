@@ -43,10 +43,3 @@ def run(scale: str = "paper", seed: int = 0) -> list[dict]:
                     entry.stats, orin, _ROUND_SAMPLES), 1),
             })
     return rows
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.__main__ import main
-    raise SystemExit(main(["run", "fig3", *sys.argv[1:]]))

@@ -28,10 +28,3 @@ def run(scale: str = "demo", seed: int = 0,
                                  seed=seed, seeds=seeds,
                                  availability=availability,
                                  scale_overrides=scale_overrides)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.__main__ import main
-    raise SystemExit(main(["run", "fig6", *sys.argv[1:]]))

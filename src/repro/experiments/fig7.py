@@ -50,10 +50,3 @@ def run(scale: str = "demo", seed: int = 0, dataset: str = "cifar100",
           for res in results if res.spec.seed == one_seed]
          for one_seed in seed_list],
         value_keys=["accuracy"])
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.__main__ import main
-    raise SystemExit(main(["run", "fig7", *sys.argv[1:]]))

@@ -52,10 +52,3 @@ def run(scale: str = "demo", seed: int = 0,
           if res.spec.seed == one_seed]
          for one_seed in seed_list],
         value_keys=["accuracy"])
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.__main__ import main
-    raise SystemExit(main(["run", "fig8", *sys.argv[1:]]))

@@ -68,10 +68,3 @@ def run(scale: str = "demo", seed: int = 0, dataset: str = "cifar100",
                             == (one_seed, num_clients)])]
          for one_seed in seed_list],
         value_keys=["accuracy", "tta_s"])
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.__main__ import main
-    raise SystemExit(main(["run", "fig9", *sys.argv[1:]]))

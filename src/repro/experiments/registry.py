@@ -62,15 +62,8 @@ def register_artifact(name: str, title: str | None = None,
                             render_kwargs=dict(render_kwargs))
         existing = _ARTIFACTS.get(name)
         if existing is not None and existing.module != artifact.module:
-            # `python -m repro.experiments.fig4` first registers the module
-            # as __main__, then discovery re-imports it under its real name:
-            # the same artifact seen twice, not a clash.  Keep the real-name
-            # registration (it is the one `describe` should point at).
-            if artifact.module == "__main__":
-                return func
-            if existing.module != "__main__":
-                raise ValueError(f"artifact {name!r} already registered by "
-                                 f"{existing.module}")
+            raise ValueError(f"artifact {name!r} already registered by "
+                             f"{existing.module}")
         _ARTIFACTS[name] = artifact
         return func
 

@@ -181,12 +181,10 @@ def _load_dataset(name: str, seed: int = 0, **kwargs) -> FederatedDataset:
     if dataset is None:
         while len(_DATASETS) >= _DATASET_LIMIT:
             # Oldest-first eviction (insertion order), one entry at a time.
-            # repro: allow[pure-work-items] seeded-key dataset memo: entries
-            # are rebuilt deterministically from (name, seed, kwargs), so
-            # cache state changes cost but never results.
+            # Entries are rebuilt deterministically from (name, seed,
+            # kwargs), so cache state changes cost, never results.
             _DATASETS.pop(next(iter(_DATASETS)))
         dataset = load_dataset(name, seed=seed, **kwargs)
-        # repro: allow[pure-work-items] same seeded-key memo as above.
         _DATASETS[key] = dataset
     return dataset
 

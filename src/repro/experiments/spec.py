@@ -70,9 +70,9 @@ class RunSpec:
 
     #: fields deliberately absent from :meth:`to_dict` and therefore from
     #: :meth:`content_hash`: execution mechanics that cannot change
-    #: results.  ``repro lint``'s hash-field-coverage rule enforces that
-    #: every field is either serialised or listed here, so a new field can
-    #: never be hash-invisible by accident.
+    #: results.  ``tests/test_contracts.py`` checks that changing any other
+    #: field changes the hash, so a new field can never be hash-invisible
+    #: by accident.
     HASH_EXCLUDED: ClassVar[frozenset[str]] = frozenset({"workers",
                                                          "executor"})
 

@@ -42,9 +42,10 @@ from typing import Callable, Sequence
 from ..algorithms import MHFL_ALGORITHMS
 from ..constraints import ConstraintSpec
 from ..data.registry import DATASET_NAMES
+from ..fl.serialization import atomic_write_text
 from ..telemetry.logs import get_logger
 from ..telemetry.report import sidecar_wall_seconds
-from .cache import DEFAULT_CACHE_DIR, RunCache, atomic_write_text
+from .cache import DEFAULT_CACHE_DIR, RunCache
 from .runner import BASELINE_ALGORITHM, RunResult, execute_specs
 from .spec import RunSpec
 
@@ -230,7 +231,7 @@ class SweepManifest:
     def save(self, path: str | Path) -> Path:
         """Write the manifest atomically; returns the path."""
         path = Path(path)
-        atomic_write_text(path.parent, path, self.to_json())
+        atomic_write_text(path, self.to_json())
         return path
 
     @classmethod

@@ -76,10 +76,3 @@ PAPER_REFERENCE = ("SHeteroFL 10.66M N430/O213 593MB | "
                    "DepthFL 10.29M N516/O255 1220MB | "
                    "FedRolex 10.75M N465/O234 780MB | "
                    "FeDepth 10.54M N451/O222 631MB")
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.__main__ import main
-    raise SystemExit(main(["run", "table1", *sys.argv[1:]]))

@@ -27,10 +27,3 @@ def run(scale: str = "demo", seed: int = 0) -> list[dict]:
             row[f"{track}_data"] = "/".join(datasets)
         rows.append(row)
     return rows
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.__main__ import main
-    raise SystemExit(main(["run", "table2", *sys.argv[1:]]))

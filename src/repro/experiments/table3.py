@@ -20,10 +20,3 @@ def run(scale: str = "demo", seed: int = 0) -> list[dict]:
             "effective_GFLOPs": round(device.effective_train_flops / 1e9, 2),
         })
     return rows
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.__main__ import main
-    raise SystemExit(main(["run", "table3", *sys.argv[1:]]))

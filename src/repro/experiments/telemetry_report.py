@@ -50,10 +50,3 @@ def run(scale: str = "smoke", seed: int = 0, dataset: str = "cifar100",
                       "for timings", spec.label)
             execute_spec(spec, cache=None)
     return report_rows(session)
-
-
-if __name__ == "__main__":
-    import sys
-
-    from repro.__main__ import main
-    raise SystemExit(main(["run", "telemetry_report", *sys.argv[1:]]))

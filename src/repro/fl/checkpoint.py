@@ -6,9 +6,9 @@ synchronous drivers snapshot everything the next round depends on — the
 :class:`~repro.fl.history.History` so far, the algorithm's aggregate state
 (global model slices, prototypes, personal models), the coordinator RNG
 state, and the per-client participation counters that key dropout draws —
-into one JSON file, written atomically (``mkstemp`` + ``os.replace``, the
-:mod:`repro.experiments.cache` idiom) so a crash mid-write leaves either
-the previous snapshot or the new one, never a torn file.
+into one JSON file, written atomically (:func:`repro.fl.serialization.
+atomic_write_text`, as every run-cache entry is) so a crash mid-write
+leaves either the previous snapshot or the new one, never a torn file.
 
 Resuming replays nothing: the restored run continues from ``next_round``
 with bit-identical RNG and algorithm state, so its final History equals the
@@ -26,16 +26,15 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .history import History
-from .serialization import (decode_payload, encode_payload,
-                            history_from_dict, history_to_dict)
+from .serialization import (atomic_write_text, decode_payload,
+                            encode_payload, history_from_dict,
+                            history_to_dict)
 
 __all__ = ["CheckpointConfig", "Checkpointer", "make_checkpointer",
            "CHECKPOINT_VERSION"]
@@ -94,22 +93,7 @@ class Checkpointer:
         }
         # Serialise before touching the filesystem: an encoding failure
         # must not leave a temp file behind (or clobber the old snapshot).
-        text = json.dumps(payload)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=self.path.parent,
-                                        prefix=f".{self.path.stem}-",
-                                        suffix=".tmp")
-        try:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-            raise
+        atomic_write_text(self.path, json.dumps(payload))
         return self.path
 
     # ------------------------------------------------------------------

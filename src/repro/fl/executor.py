@@ -179,12 +179,10 @@ def _worker_algorithm(handle: ScenarioHandle | None):
         while len(_WORKER_ALGORITHMS) >= _WORKER_CACHE_LIMIT:
             # Evict the oldest replica only (insertion order), so a sweep
             # cycling over limit+1 specs doesn't rebuild everything.
-            # repro: allow[pure-work-items] content-addressed memo: replicas
-            # are keyed by spec content hash and rebuilt deterministically,
-            # so cache state can change cost but never results.
+            # Replicas are keyed by spec content hash and rebuilt
+            # deterministically, so cache state changes cost, never results.
             _WORKER_ALGORITHMS.pop(next(iter(_WORKER_ALGORITHMS)))
         algorithm = build_worker_scenario(handle.payload).algorithm
-        # repro: allow[pure-work-items] same content-addressed memo as above.
         _WORKER_ALGORITHMS[handle.key] = algorithm
     return algorithm
 
@@ -451,8 +449,8 @@ class ProcessExecutor(Executor):
                 # First observer of this breakage: replace the pool.
                 try:
                     self._pool.shutdown(wait=False, cancel_futures=True)
-                # repro: allow[no-bare-except] best-effort teardown of an
-                # already-broken pool; the item is re-dispatched either way.
+                # Best-effort teardown of an already-broken pool; the item
+                # is re-dispatched either way.
                 except Exception:  # pragma: no cover - dying pools may throw
                     pass
                 self._pool = self._build_pool()

@@ -1,8 +1,8 @@
-"""Strict-mode runtime sanitizers: trap what static analysis cannot see.
+"""Strict-mode runtime sanitizers: trap determinism violations where they
+happen.
 
-``repro lint`` (:mod:`repro.analysis`) proves the determinism contracts
-on every *line*; this module guards the two dynamic failure modes no AST
-walk can rule out:
+This module guards the two failure modes that golden histories only catch
+after the fact, if the offending path runs at all:
 
 * **cross-client mutation races** — a worker writing into a broadcast
   snapshot (or the live global state) while other clients train from it.
@@ -17,7 +17,7 @@ walk can rule out:
 
 Both sanitizers are **observation-only**: a strict run produces a
 ``History.to_json()`` byte-identical to a non-strict run (pinned by
-``tests/test_analysis.py``).  Enable per run via
+``tests/test_sanitizers.py``).  Enable per run via
 ``SimulationConfig(strict=True)``; the experiment runner sets it from its
 process defaults (:func:`repro.experiments.runner.run_defaults`, the CLI's
 ``--strict``).  This module itself holds no state.
@@ -98,15 +98,10 @@ def rng_tripwire(context: str = "run"):
     the states without drawing from them, so the tripwire itself is
     invisible to both streams.
     """
-    # repro: allow[no-global-rng] the tripwire must read the legacy global
-    # state to guard it; get_state() observes without drawing.
     before_np = _describe_np_state(np.random.get_state())
-    # repro: allow[no-global-rng] same observation-only read, stdlib side.
     before_py = random.getstate()
     yield
-    # repro: allow[no-global-rng] observation-only read (see above).
     after_np = _describe_np_state(np.random.get_state())
-    # repro: allow[no-global-rng] observation-only read (see above).
     after_py = random.getstate()
     if after_np != before_np:
         raise StrictModeViolation(

@@ -17,7 +17,10 @@ Two families live here:
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,8 @@ from .history import History, RoundRecord
 
 __all__ = ["history_to_dict", "history_from_dict", "save_history",
            "load_history", "encode_payload", "decode_payload",
-           "client_update_to_dict", "client_update_from_dict"]
+           "client_update_to_dict", "client_update_from_dict",
+           "atomic_write_text"]
 
 
 #: extras keys that carry measured wall-clock (nondeterministic) values —
@@ -40,8 +44,8 @@ VOLATILE_EXTRA_KEYS = frozenset({"client_timings"})
 #: dataclass *fields* (as opposed to extras keys) that are deliberately
 #: dropped from the serialised form, keyed by payload class name.  Empty
 #: today: every field of ClientUpdate/RoundRecord/History round-trips.
-#: ``repro lint``'s serialization-coverage rule reads this declaration, so
-#: a field can only be dropped by naming it here — never by accident.
+#: ``tests/test_contracts.py`` round-trips every other field, so a field
+#: can only be dropped by naming it here — never by accident.
 VOLATILE_FIELDS: dict[str, frozenset] = {}
 
 
@@ -89,7 +93,8 @@ def history_from_dict(payload: dict) -> History:
 # ----------------------------------------------------------------------
 
 def _encode_array(array: np.ndarray) -> dict:
-    array = np.ascontiguousarray(array)
+    # ``tobytes`` copies any layout out in C order; ``np.ascontiguousarray``
+    # first would turn a 0-d array into shape (1,).
     return {"__ndarray__": {
         "dtype": array.dtype.str,
         "shape": list(array.shape),
@@ -170,8 +175,35 @@ def client_update_from_dict(payload: dict):
         payload=decode_payload(payload["payload"]))
 
 
+def atomic_write_text(path: Path, text: str) -> None:
+    """Publish ``text`` at ``path`` via a unique temp file + atomic rename.
+
+    A crash mid-write leaves the previous file or the new one, never a torn
+    one, and concurrent writers sharing a directory (parallel sweep cells,
+    one run cache) never interleave bytes: each publishes a complete file
+    and the last rename wins.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.stem}-",
+                                    suffix=".tmp")
+    try:
+        # mkstemp creates 0600; published files should get the usual
+        # umask-governed mode so shared cache dirs stay shareable.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_name)
+        raise
+
+
 def save_history(history: History, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(history_to_dict(history), indent=1))
+    atomic_write_text(Path(path), json.dumps(history_to_dict(history),
+                                             indent=1))
 
 
 def load_history(path: str | Path) -> History:

@@ -65,9 +65,8 @@ class Tracer:
     def __init__(self, trace_memory: bool = False, epoch: float | None = None):
         #: perf_counter value all span offsets are relative to.
         self.epoch = time.perf_counter() if epoch is None else epoch
-        #: wall-clock (unix seconds) at the epoch, for trace metadata.
-        # repro: allow[no-wallclock-in-state] trace metadata only: the
-        # epoch stamps exported trace files, never run results.
+        #: wall-clock (unix seconds) at the epoch, for trace metadata only:
+        #: it stamps exported trace files, never run results.
         self.epoch_unix = time.time()
         self.trace_memory = trace_memory
         self.spans: list[Span] = []

@@ -5,6 +5,7 @@ import pytest
 
 from repro import autograd as ag
 from repro.autograd import Tensor, check_gradients
+from repro.autograd import functional as F
 
 
 def _t(shape, seed=0, scale=1.0):
@@ -80,58 +81,91 @@ class TestReductionsAndShapes:
         check_gradients(lambda: (a @ b).sum(), [a, b])
 
 
+_TARGET = np.random.default_rng(0).dirichlet(np.ones(6), size=4)
+_ATTENTION = [(2, 2, 5, 3)] * 3
+
+# functional op -> case -> (builder over float64 leaves, the leaves' shapes).
+# Checked against central differences under a weighted upstream gradient: a
+# plain ``.sum()`` loss zeroes a norm's input gradient and hides transposed
+# layouts.  Running statistics, indices and dropout generators are built
+# inside the builder, so every evaluation differentiates the same function.
+GRADCHECKS = {
+    "conv2d": {
+        "3x3_bias": (lambda x, w, b: ag.conv2d(x, w, b, padding=1),
+                     [(2, 3, 6, 6), (4, 3, 3, 3), (4,)]),
+        "stride2": (lambda x, w: ag.conv2d(x, w, stride=2, padding=1),
+                    [(1, 2, 8, 8), (3, 2, 3, 3)]),
+        "depthwise": (lambda x, w: ag.conv2d(x, w, padding=1, groups=4),
+                      [(2, 4, 6, 6), (4, 1, 3, 3)]),
+        "1x1": (ag.conv2d, [(2, 4, 5, 5), (6, 4, 1, 1)]),
+    },
+    "max_pool2d": {"2x2": (ag.max_pool2d, [(2, 3, 4, 4)])},
+    "avg_pool2d": {"2x2": (ag.avg_pool2d, [(2, 3, 4, 4)])},
+    "global_avg_pool2d": {"5x5": (ag.global_avg_pool2d, [(2, 3, 5, 5)])},
+    "batch_norm": {
+        "4d_training": (lambda x, g, b: ag.batch_norm(
+            x, g, b, np.zeros(3), np.ones(3), training=True),
+            [(4, 3, 2, 2), (3,), (3,)]),
+        "2d_training": (lambda x, g, b: ag.batch_norm(
+            x, g, b, np.zeros(4), np.ones(4), training=True),
+            [(6, 4), (4,), (4,)]),
+        "4d_eval": (lambda x, g, b: ag.batch_norm(
+            x, g, b, np.full(3, 0.5), np.full(3, 2.0), training=False),
+            [(4, 3, 2, 2), (3,), (3,)]),
+    },
+    "layer_norm": {"3d": (ag.layer_norm, [(3, 4, 5), (5,), (5,)])},
+    "embedding": {"duplicates": (
+        lambda w: ag.embedding(w, np.array([[1, 2, 3], [3, 3, 9]])),
+        [(10, 4)])},
+    "dropout": {"training": (
+        lambda x: ag.dropout(x, 0.3, True, np.random.default_rng(0)),
+        [(5, 6)])},
+    "attention": {
+        "plain": (lambda q, k, v: ag.attention(q, k, v, 0.6), _ATTENTION),
+        "dropout": (lambda q, k, v: ag.attention(
+            q, k, v, 0.6, rng=np.random.default_rng(5), p=0.3,
+            training=True), _ATTENTION),
+    },
+    "softmax": {"rows": (ag.softmax, [(3, 5)])},
+    "log_softmax": {"rows": (ag.log_softmax, [(3, 5)])},
+    "cross_entropy": {"labels": (
+        lambda x: ag.cross_entropy(x, np.array([0, 2, 5, 1])), [(4, 6)])},
+    "soft_cross_entropy": {"dirichlet": (
+        lambda x: ag.soft_cross_entropy(x, _TARGET), [(4, 6)])},
+    "mse_loss": {"zeros": (lambda x: ag.mse_loss(x, np.zeros((3, 4))),
+                           [(3, 4)])},
+    "linear": {
+        "bias": (ag.linear, [(4, 3), (5, 3), (5,)]),
+        "no_bias": (ag.linear, [(4, 3), (5, 3)]),
+        "3d_bias": (ag.linear, [(2, 3, 4), (6, 4), (6,)]),
+        "3d_no_bias": (ag.linear, [(2, 3, 4), (6, 4)]),
+    },
+}
+_GRADCHECK_CASES = [(op, case) for op, cases in GRADCHECKS.items()
+                    for case in cases]
+
+
+class TestGradcheckTable:
+    def test_every_functional_op_has_a_row(self):
+        assert set(GRADCHECKS) == set(F.__all__)
+
+    @pytest.mark.parametrize("op,case", _GRADCHECK_CASES,
+                             ids=[f"{op}-{case}"
+                                  for op, case in _GRADCHECK_CASES])
+    def test_float64_central_differences(self, op, case):
+        fn, shapes = GRADCHECKS[op][case]
+        leaves = [_t(shape, seed) for seed, shape in enumerate(shapes, 1)]
+        upstream = Tensor(np.random.default_rng(0).standard_normal(
+            fn(*leaves).shape))
+        check_gradients(lambda: (fn(*leaves) * upstream).sum(), leaves,
+                        atol=1e-6, rtol=1e-5, eps=1e-5)
+
+
 class TestNNOps:
-    def test_linear(self):
-        x, w, b = _t((4, 3), 1), _t((5, 3), 2), _t((5,), 3)
-        check_gradients(lambda: ag.linear(x, w, b).sum(), [x, w, b])
-
-    def test_linear_3d_input(self):
-        x, w = _t((2, 3, 4), 4), _t((6, 4), 5)
-        check_gradients(lambda: ag.linear(x, w).sum(), [x, w])
-
-    def test_conv2d_basic(self):
-        x, w, b = _t((2, 3, 6, 6), 6), _t((4, 3, 3, 3), 7, 0.3), _t((4,), 8)
-        check_gradients(
-            lambda: ag.conv2d(x, w, b, stride=1, padding=1).sum(), [x, w, b])
-
-    def test_conv2d_stride2(self):
-        x, w = _t((1, 2, 8, 8), 9), _t((3, 2, 3, 3), 10, 0.3)
-        check_gradients(lambda: ag.conv2d(x, w, stride=2, padding=1).sum(),
-                        [x, w])
-
-    def test_conv2d_depthwise(self):
-        x, w = _t((2, 4, 6, 6), 11), _t((4, 1, 3, 3), 12, 0.3)
-        check_gradients(
-            lambda: ag.conv2d(x, w, stride=1, padding=1, groups=4).sum(),
-            [x, w])
-
-    def test_conv2d_1x1(self):
-        x, w = _t((2, 4, 5, 5), 13), _t((6, 4, 1, 1), 14, 0.3)
-        check_gradients(lambda: ag.conv2d(x, w).sum(), [x, w])
-
     def test_conv2d_shape_validation(self):
         x, w = _t((1, 3, 4, 4)), _t((4, 2, 3, 3))
         with pytest.raises(ValueError):
             ag.conv2d(x, w)
-
-    def test_max_pool(self):
-        x = _t((2, 3, 4, 4), 15)
-        check_gradients(lambda: ag.max_pool2d(x, 2).sum(), [x])
-
-    def test_avg_pool(self):
-        x = _t((2, 3, 4, 4), 16)
-        check_gradients(lambda: ag.avg_pool2d(x, 2).sum(), [x])
-
-    def test_global_avg_pool(self):
-        x = _t((2, 3, 5, 5), 17)
-        check_gradients(lambda: ag.global_avg_pool2d(x).sum(), [x])
-
-    def test_batch_norm_training(self):
-        x, g, b = _t((4, 3, 2, 2), 18), _t((3,), 19), _t((3,), 20)
-        rm, rv = np.zeros(3, np.float32), np.ones(3, np.float32)
-        check_gradients(
-            lambda: ag.batch_norm(x, g, b, rm.copy(), rv.copy(),
-                                  training=True).sum(), [x, g, b])
 
     def test_batch_norm_eval_uses_running_stats(self):
         x = _t((4, 3, 2, 2), 21)
@@ -152,36 +186,10 @@ class TestNNOps:
         batch_mean = x.data.mean(axis=(0, 2, 3))
         np.testing.assert_allclose(rm, 0.5 * batch_mean, rtol=1e-5)
 
-    def test_batch_norm_2d_input(self):
-        x, g, b = _t((6, 4), 25), _t((4,), 26), _t((4,), 27)
-        rm, rv = np.zeros(4, np.float32), np.ones(4, np.float32)
-        check_gradients(
-            lambda: ag.batch_norm(x, g, b, rm.copy(), rv.copy(),
-                                  training=True).sum(), [x, g, b])
-
-    def test_layer_norm(self):
-        x, g, b = _t((3, 4, 5), 28), _t((5,), 29), _t((5,), 30)
-        check_gradients(lambda: ag.layer_norm(x, g, b).sum(), [x, g, b])
-
-    def test_embedding(self):
-        w = _t((10, 4), 31)
-        idx = np.array([[1, 2, 3], [3, 3, 9]])
-        check_gradients(lambda: ag.embedding(w, idx).sum(), [w])
-
     def test_softmax_rows_sum_to_one(self):
         x = _t((4, 7), 32)
         out = ag.softmax(x)
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, rtol=1e-5)
-
-    def test_softmax_grad(self):
-        x = _t((3, 5), 33)
-        weights = np.linspace(0.5, 1.5, 15).reshape(3, 5).astype(np.float32)
-        check_gradients(lambda: (ag.softmax(x) * Tensor(weights)).sum(), [x])
-
-    def test_log_softmax_grad(self):
-        x = _t((3, 5), 34)
-        weights = np.linspace(0.5, 1.5, 15).reshape(3, 5).astype(np.float32)
-        check_gradients(lambda: (ag.log_softmax(x) * Tensor(weights)).sum(), [x])
 
     def test_cross_entropy_matches_manual(self):
         x = _t((4, 6), 35)
@@ -190,22 +198,6 @@ class TestNNOps:
         logp = ag.log_softmax(x).data
         manual = -logp[np.arange(4), labels].mean()
         assert abs(loss.item() - manual) < 1e-6
-
-    def test_cross_entropy_grad(self):
-        x = _t((4, 6), 36)
-        labels = np.array([0, 2, 5, 1])
-        check_gradients(lambda: ag.cross_entropy(x, labels), [x])
-
-    def test_soft_cross_entropy_grad(self):
-        x = _t((4, 6), 37)
-        rng = np.random.default_rng(0)
-        target = rng.dirichlet(np.ones(6), size=4).astype(np.float32)
-        check_gradients(lambda: ag.soft_cross_entropy(x, target), [x])
-
-    def test_mse_grad(self):
-        x = _t((3, 4), 38)
-        target = np.zeros((3, 4), np.float32)
-        check_gradients(lambda: ag.mse_loss(x, target), [x])
 
     def test_dropout_eval_is_identity(self):
         x = _t((5, 5), 39)

@@ -27,7 +27,6 @@ from repro import nn
 from repro.autograd import Tensor, check_gradients
 from repro.autograd import functional as F
 from repro.autograd.grad_check import compare_gradients
-from repro.autograd.tensor import _needs_grad
 
 
 def _t(shape, seed=0, scale=1.0):
@@ -137,10 +136,10 @@ def batch_norm_reference(x, gamma, beta, running_mean, running_var, training,
     m = x.size // x.shape[1]
 
     def backward(grad):
-        dgamma = (grad * xhat).sum(axis=axes) if _needs_grad(gamma) else None
-        dbeta = grad.sum(axis=axes) if _needs_grad(beta) else None
+        dgamma = (grad * xhat).sum(axis=axes) if gamma.requires_grad else None
+        dbeta = grad.sum(axis=axes) if beta.requires_grad else None
         dx = None
-        if _needs_grad(x):
+        if x.requires_grad:
             if training:
                 g_sum = grad.sum(axis=axes, keepdims=True)
                 gx_sum = (grad * xhat).sum(axis=axes, keepdims=True)
@@ -246,10 +245,10 @@ def layer_norm_reference(x, gamma, beta, eps=1e-5):
     def backward(grad):
         reduce_axes = tuple(range(x.ndim - 1))
         dgamma = ((grad * xhat).sum(axis=reduce_axes)
-                  if _needs_grad(gamma) else None)
-        dbeta = grad.sum(axis=reduce_axes) if _needs_grad(beta) else None
+                  if gamma.requires_grad else None)
+        dbeta = grad.sum(axis=reduce_axes) if beta.requires_grad else None
         dx = None
-        if _needs_grad(x):
+        if x.requires_grad:
             gg = grad * gamma.data
             g_sum = gg.sum(axis=-1, keepdims=True)
             gx_sum = (gg * xhat).sum(axis=-1, keepdims=True)
@@ -371,6 +370,46 @@ class TestTapeIsAcyclic:
             assert alive() is None          # no collector ran
         finally:
             gc.enable()
+
+
+class TestRequiresGradIsTheTapeFlag:
+    """Backward closures route a gradient to a tensor iff it
+    ``requires_grad``: that only holds because an op output gets a closure
+    (and parents) exactly when it requires grad, and a leaf never does."""
+
+    @pytest.mark.parametrize("arch,dataset", [("har_cnn", "harbox"),
+                                              ("transformer", "stackoverflow")])
+    def test_training_step_tape(self, arch, dataset):
+        from repro.data import load_dataset
+        from repro.fl.client import LocalTrainConfig, train_local
+        from repro.models import build_model
+        ds = load_dataset(dataset, seed=0, num_users=4, samples_per_user=8,
+                          test_size=8)
+        model = build_model(arch, num_classes=ds.num_classes, seed=0)
+        next(iter(model.parameters())).requires_grad = False  # frozen stem
+        losses = []
+
+        def loss_fn(m, xb, yb):
+            losses.append(ag.cross_entropy(m(xb), yb))
+            return losses[-1]
+
+        train_local(model, ds.x_train[:8], ds.y_train[:8],
+                    LocalTrainConfig(batch_size=8, max_batches=1),
+                    np.random.default_rng(1), loss_fn=loss_fn)
+        seen, stack, nodes, frozen = set(), [losses[0]], 0, 0
+        while stack:
+            t = stack.pop()
+            if id(t) in seen:
+                continue
+            seen.add(id(t))
+            if t._backward is None:
+                assert t._parents == ()
+                frozen += not t.requires_grad
+            else:
+                assert t.requires_grad and t._parents
+                nodes += 1
+            stack.extend(t._parents)
+        assert nodes > 5 and frozen > 0
 
 
 class TestGetitemFastPath:

@@ -836,3 +836,28 @@ class TestCachePutLeak:
         with pytest.raises(TypeError):
             cache.put(spec, history)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestAtomicWrite:
+    """Every persisted file (cache entry, telemetry sidecar, manifest,
+    checkpoint, saved History) goes through one writer."""
+
+    @pytest.mark.parametrize("writer", ["atomic_write_text", "save_history"])
+    def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch,
+                                              writer):
+        from repro.fl import History, serialization
+        path = tmp_path / "run.json"
+        path.write_text("old")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(serialization.os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            if writer == "save_history":
+                serialization.save_history(
+                    History(algorithm="a", dataset="d"), path)
+            else:
+                serialization.atomic_write_text(path, "new")
+        assert path.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]

@@ -409,20 +409,6 @@ class TestCLI:
         assert simulation.RUN_COUNT > before
         assert "# cache:" not in capsys.readouterr().err
 
-    def test_direct_module_execution(self, tmp_path):
-        """`python -m repro.experiments.<artifact>` registers the module
-        once as __main__ and once under its real name; that must not trip
-        the duplicate-registration guard."""
-        import pathlib
-        import subprocess
-        import sys
-        out = subprocess.run(
-            [sys.executable, "-m", "repro.experiments.table3"],
-            capture_output=True, text=True,
-            cwd=pathlib.Path(__file__).resolve().parent.parent)
-        assert out.returncode == 0, out.stderr
-        assert "raspberry_pi_4b" in out.stdout
-
     def test_default_cache_restored_after_run(self, tmp_path):
         from repro.experiments import default_cache
         sentinel = RunCache(tmp_path / "outer")

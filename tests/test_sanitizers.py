@@ -1,0 +1,191 @@
+"""Strict mode: the runtime sanitizers trap violations and perturb nothing.
+
+The strict-mode sanitizers (:mod:`repro.fl.sanitizers`): broadcast freezing
+and the global-RNG tripwire trap violations at the offending line, and — the
+headline guarantee — a ``--strict`` run produces a ``History.to_json()``
+byte-identical to a non-strict run across inline/process executors.
+"""
+
+import numpy as np
+import pytest
+
+from repro.constraints import ConstraintSpec
+from repro.experiments import (RunDefaults, RunSpec, execute_spec,
+                               run_defaults)
+from repro.fl import ExecutionConfig
+from repro.fl.sanitizers import (StrictModeViolation, collect_arrays,
+                                 freeze_arrays, frozen_arrays, rng_tripwire)
+
+
+def _scribble_on_global_state(algorithm):
+    real_run_client = algorithm.run_client
+
+    def run_client(client_id, round_index, rng, broadcast=None):
+        next(iter(algorithm.global_state.values()))[...] = 0.0
+        return real_run_client(client_id, round_index, rng,
+                               broadcast=broadcast)
+
+    algorithm.run_client = run_client
+
+
+def _draw_from_global_rng(algorithm):
+    real_run_client = algorithm.run_client
+
+    def run_client(client_id, round_index, rng, broadcast=None):
+        np.random.random()    # seeds the very violation the tripwire
+        # must catch.
+        return real_run_client(client_id, round_index, rng,
+                               broadcast=broadcast)
+
+    algorithm.run_client = run_client
+
+
+class TestStrictModeResolution:
+    """The process default is the only way strict reaches a spec-driven
+    run: the runner copies it onto the run's SimulationConfig."""
+
+    SPEC = RunSpec(algorithm="sheterofl", dataset="harbox",
+                   constraints=ConstraintSpec(constraints=("computation",)),
+                   scale="smoke")
+
+    def test_process_default_trips_on_frozen_broadcast_write(self):
+        with run_defaults(RunDefaults(strict=True)):
+            with pytest.raises(ValueError, match="read-only"):
+                execute_spec(self.SPEC, cache=None,
+                             mutate=_scribble_on_global_state)
+        # the default is back off: the same write goes unnoticed.
+        execute_spec(self.SPEC, cache=None, mutate=_scribble_on_global_state)
+
+    def test_process_default_trips_on_global_rng_draw(self):
+        with run_defaults(RunDefaults(strict=True)):
+            with pytest.raises(StrictModeViolation, match="numpy"):
+                execute_spec(self.SPEC, cache=None,
+                             mutate=_draw_from_global_rng)
+        execute_spec(self.SPEC, cache=None, mutate=_draw_from_global_rng)
+
+    def test_run_defaults_nest_and_restore(self):
+        from repro.experiments import runner
+        before = runner._DEFAULTS
+        with run_defaults(RunDefaults(strict=True)) as outer:
+            assert runner._DEFAULTS is outer
+            with pytest.raises(RuntimeError):
+                with run_defaults(RunDefaults(workers=3)) as inner:
+                    assert runner._DEFAULTS is inner and not inner.strict
+                    raise RuntimeError("restore must survive exceptions")
+            assert runner._DEFAULTS is outer
+        assert runner._DEFAULTS is before
+
+
+class TestFreezeArrays:
+    def test_collect_arrays_walks_nested_payloads(self):
+        a, b, c = (np.zeros(2) for _ in range(3))
+        payload = {"x": a, "nested": {"y": [b, (c, 1)]}, "other": "str"}
+        found = list(collect_arrays(payload))
+        assert [arr is original for arr, original
+                in zip(found, (a, b, c))] == [True, True, True]
+
+    def test_frozen_arrays_traps_writes_then_restores(self):
+        arr = np.zeros(4)
+        with frozen_arrays({"w": arr}):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        arr[0] = 1.0    # thawed on exit
+        assert arr[0] == 1.0
+
+    def test_already_frozen_arrays_stay_frozen(self):
+        arr = np.zeros(4)
+        arr.flags.writeable = False
+        with frozen_arrays([arr]):
+            pass
+        assert not arr.flags.writeable    # not ours to thaw
+
+    def test_freeze_arrays_returns_only_flipped(self):
+        writeable = np.zeros(2)
+        frozen = np.zeros(2)
+        frozen.flags.writeable = False
+        flipped = freeze_arrays([writeable, frozen])
+        try:
+            assert flipped == [writeable]
+        finally:
+            for arr in flipped:
+                arr.flags.writeable = True
+
+    def test_nesting_is_safe_for_shared_arrays(self):
+        arr = np.zeros(2)
+        with frozen_arrays(arr):
+            with frozen_arrays(arr):    # inner call flips nothing
+                pass
+            with pytest.raises(ValueError):
+                arr[0] = 1.0    # outer freeze still holds
+        arr[0] = 1.0
+
+
+class TestRngTripwire:
+    def test_trips_on_numpy_global_draw(self):
+        with pytest.raises(StrictModeViolation, match="numpy"):
+            with rng_tripwire("test"):
+                np.random.random()    # the test seeds the very violation
+                # the tripwire must catch.
+
+    def test_trips_on_stdlib_global_draw(self):
+        import random
+        with pytest.raises(StrictModeViolation, match="stdlib"):
+            with rng_tripwire("test"):
+                random.random()    # seeded violation under test, as
+                # above.
+
+    def test_names_the_context(self):
+        with pytest.raises(StrictModeViolation, match="my-run"):
+            with rng_tripwire("my-run"):
+                np.random.random()    # seeded violation under test, as
+                # above.
+
+    def test_silent_on_derived_generators(self):
+        with rng_tripwire("test"):
+            rng = np.random.default_rng(0)
+            rng.normal(size=8)
+
+    def test_tripwire_itself_is_invisible(self):
+        # nesting tripwires must not trip each other: the state reads
+        # observe without drawing.
+        with rng_tripwire("outer"):
+            with rng_tripwire("inner"):
+                pass
+
+
+SMOKE = ConstraintSpec(constraints=("computation",))
+
+
+def smoke_history(workers=None, executor=None, execution=None) -> str:
+    spec = RunSpec(algorithm="sheterofl", dataset="harbox",
+                   constraints=SMOKE, scale="smoke", seed=0,
+                   execution=execution, workers=workers, executor=executor)
+    return execute_spec(spec, cache=None).history.to_json()
+
+
+class TestStrictByteIdentity:
+    """The acceptance bar: strict mode observes, never perturbs."""
+
+    def test_strict_runs_byte_identical_across_executors(self):
+        baseline = smoke_history(workers=1, executor="inline")
+        with run_defaults(RunDefaults(strict=True)):
+            # the tripwire sweep: each strict run would raise
+            # StrictModeViolation if any stage touched a global RNG, and
+            # ValueError if anything wrote into a frozen broadcast.
+            for workers, executor in ((1, "inline"), (2, "process")):
+                assert smoke_history(workers=workers,
+                                     executor=executor) == baseline, \
+                    f"strict {executor}x{workers} diverged"
+
+    def test_strict_event_runtime_byte_identical(self):
+        baseline = smoke_history(execution=ExecutionConfig())
+        with run_defaults(RunDefaults(strict=True)):
+            strict = smoke_history(execution=ExecutionConfig())
+        assert strict == baseline
+
+    def test_strict_buffered_policy_byte_identical(self):
+        execution = ExecutionConfig(policy="buffered", buffer_size=3)
+        baseline = smoke_history(execution=execution)
+        with run_defaults(RunDefaults(strict=True)):
+            strict = smoke_history(execution=execution)
+        assert strict == baseline
