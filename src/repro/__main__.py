@@ -38,6 +38,7 @@ import json
 import sys
 from pathlib import Path
 
+from .constraints import AVAILABILITY_KINDS
 from .experiments.cache import (DEFAULT_CACHE_DIR, RunCache,
                                 set_default_cache)
 from .experiments.registry import all_artifacts, get_artifact
@@ -109,8 +110,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rounds", type=int, default=None,
                         help="override the scale's num_rounds")
     parser.add_argument("--availability", default=None,
-                        choices=("always_on", "diurnal", "markov",
-                                 "dropout"),
+                        choices=AVAILABILITY_KINDS,
                         help="fleet availability scenario")
     parser.add_argument("--out", default="table",
                         choices=("table", "json", "csv"),
@@ -220,8 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               default=["computation"], metavar="C1,C2",
                               help="constraint kinds (default: computation)")
     sweep_create.add_argument("--availability", default="always_on",
-                              choices=("always_on", "diurnal", "markov",
-                                       "dropout"),
+                              choices=AVAILABILITY_KINDS,
                               help="fleet availability scenario")
     sweep_create.add_argument("--scale", default="demo",
                               help="scale preset: smoke | demo | paper")

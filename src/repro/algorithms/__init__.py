@@ -11,13 +11,12 @@ from .inclusivefl import InclusiveFL
 from .fedepth import FeDepth
 from .fedproto import FedProto, ProtoModel
 from .fedet import FedET
-from .registry import (ALGORITHMS, MHFL_ALGORITHMS, get_algorithm,
-                       algorithms_by_level)
+from .registry import ALGORITHMS, MHFL_ALGORITHMS, get_algorithm
 
 __all__ = [
     "ClientContext", "ClientUpdate", "RoundOutcome", "MHFLAlgorithm",
     "WIDTH_LEVELS", "DEPTH_LEVELS", "assign_levels_uniformly",
     "FedAvgSmallest", "Fjord", "SHeteroFL", "FedRolex",
     "DepthFL", "InclusiveFL", "FeDepth", "FedProto", "ProtoModel", "FedET",
-    "ALGORITHMS", "MHFL_ALGORITHMS", "get_algorithm", "algorithms_by_level",
+    "ALGORITHMS", "MHFL_ALGORITHMS", "get_algorithm",
 ]

@@ -288,9 +288,7 @@ class MHFLAlgorithm:
         """Fleet quantile of per-client round times under *this* algorithm's
         cost accounting (honours ``client_payload_bytes`` overrides — e.g.
         FedProto uploads prototypes, not parameters).  The canonical way to
-        derive a binding round deadline for the event-driven runtime; see
-        :meth:`repro.hw.CostModel.fleet_round_time_quantile` for the
-        algorithm-free fleet-planning variant.
+        derive a binding round deadline for the event-driven runtime.
         """
         times = [self.client_round_time_s(self.clients[cid])
                  for cid in sorted(self.clients)]
@@ -299,11 +297,12 @@ class MHFLAlgorithm:
     # ------------------------------------------------------------------
     # The round, as per-client primitives
     # ------------------------------------------------------------------
-    # ``run_client`` and ``ingest`` are the two halves every execution
-    # policy composes: the legacy synchronous loop calls them back-to-back
-    # through :meth:`run_round`, while the event-driven runtime runs clients
-    # at dispatch time and ingests whatever survived availability, dropout
-    # and deadline filtering — one code path for all eleven algorithms.
+    # ``run_client`` and ``ingest`` are the two halves every aggregation
+    # policy composes: the runtime runs clients at dispatch time and
+    # ingests whatever survived availability, dropout and deadline
+    # filtering — one code path for all nine registered algorithms.
+    # :meth:`run_round` calls them back-to-back, the reference loop the
+    # tests compare the runtime against.
     #
     # ``run_client`` is a *pure* function of ``(broadcast, rng)``: it reads
     # no coordinator state that changes between rounds when a ``broadcast``

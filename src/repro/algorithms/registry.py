@@ -13,8 +13,7 @@ from .fjord import Fjord
 from .heterofl import SHeteroFL
 from .inclusivefl import InclusiveFL
 
-__all__ = ["ALGORITHMS", "MHFL_ALGORITHMS", "get_algorithm",
-           "algorithms_by_level"]
+__all__ = ["ALGORITHMS", "MHFL_ALGORITHMS", "get_algorithm"]
 
 #: Every algorithm, including the homogeneous effectiveness baseline.
 ALGORITHMS: dict[str, type[MHFLAlgorithm]] = {
@@ -37,11 +36,3 @@ def get_algorithm(name: str) -> type[MHFLAlgorithm]:
     except KeyError:
         raise ValueError(f"unknown algorithm {name!r}; "
                          f"known: {sorted(ALGORITHMS)}") from None
-
-
-def algorithms_by_level(level: str) -> list[str]:
-    """Algorithm names at one heterogeneity level (Figure 2's grouping)."""
-    names = [name for name, cls in ALGORITHMS.items() if cls.level == level]
-    if not names:
-        raise ValueError(f"unknown heterogeneity level {level!r}")
-    return names

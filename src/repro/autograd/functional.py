@@ -2,11 +2,12 @@
 
 Includes the fused / structured operations that a layer library needs but that
 are awkward to express with elementwise primitives: im2col convolution,
-pooling, batch / layer normalisation, embeddings, softmax-family losses and
-dropout.  Every operator in ``__all__`` has a row in the float64 gradcheck
-table of ``tests/test_autograd.py`` (central differences under a weighted
-loss, whose input gradient a plain ``.sum()`` would zero); an operator
-without one fails that test.
+global average pooling, batch / layer normalisation, embeddings, softmax and
+the cross-entropy losses, attention and dropout.  Every operator in
+``__all__`` has a row in the float64 gradcheck table of
+``tests/test_autograd.py`` (central differences under a weighted loss, whose
+input gradient a plain ``.sum()`` would zero); an operator without one fails
+that test.
 
 The convolution lays its patches out for a batched BLAS GEMM, and picks the
 data movement from the output width: wide maps zero-pad the input and copy a
@@ -33,10 +34,9 @@ from . import profiler
 from .tensor import Tensor
 
 __all__ = [
-    "conv2d", "max_pool2d", "avg_pool2d", "global_avg_pool2d",
-    "batch_norm", "layer_norm", "embedding", "dropout", "attention",
-    "softmax", "log_softmax", "cross_entropy", "soft_cross_entropy",
-    "mse_loss", "linear",
+    "conv2d", "global_avg_pool2d", "batch_norm", "layer_norm", "embedding",
+    "dropout", "attention", "softmax", "cross_entropy", "soft_cross_entropy",
+    "linear",
 ]
 
 
@@ -362,46 +362,6 @@ def _conv2d_core(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int,
 # Pooling
 # ----------------------------------------------------------------------
 
-def max_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
-    """Non-overlapping max pooling (stride == kernel); H, W must divide."""
-    n, c, h, w = x.shape
-    if h % kernel or w % kernel:
-        raise ValueError(f"spatial dims {(h, w)} not divisible by kernel {kernel}")
-    oh, ow = h // kernel, w // kernel
-    view = x.data.reshape(n, c, oh, kernel, ow, kernel)
-    out = view.max(axis=(3, 5))
-
-    def backward(grad: np.ndarray) -> tuple:
-        mask = view == out[:, :, :, None, :, None]
-        # int64 tie count cast to grad's dtype: NEP 50 would promote it.
-        counts = mask.sum(axis=(3, 5), keepdims=True).astype(grad.dtype)
-        g = grad[:, :, :, None, :, None] * mask / counts
-        return (g.reshape(n, c, h, w),)
-
-    return Tensor._make(out, (x,), backward)
-
-
-def avg_pool2d(x: Tensor, kernel: int = 2) -> Tensor:
-    """Non-overlapping average pooling (stride == kernel)."""
-    n, c, h, w = x.shape
-    if h % kernel or w % kernel:
-        raise ValueError(f"spatial dims {(h, w)} not divisible by kernel {kernel}")
-    oh, ow = h // kernel, w // kernel
-    view = x.data.reshape(n, c, oh, kernel, ow, kernel)
-    out = view.mean(axis=(3, 5))
-
-    def backward(grad: np.ndarray) -> tuple:
-        # Materialise the broadcast directly into a C-contiguous buffer
-        # (broadcast_to(...).reshape(...) forced the same copy *plus* an
-        # intermediate; 0-stride views also hit slow paths downstream).
-        g = grad[:, :, :, None, :, None] / (kernel * kernel)
-        full = np.empty((n, c, h, w), dtype=g.dtype)
-        full.reshape(n, c, oh, kernel, ow, kernel)[...] = g
-        return (full,)
-
-    return Tensor._make(out, (x,), backward)
-
-
 def global_avg_pool2d(x: Tensor) -> Tensor:
     """Mean over the spatial axes, producing (N, C)."""
     n, c, h, w = x.shape
@@ -630,19 +590,6 @@ def softmax(x: Tensor) -> Tensor:
     return Tensor._make(out, (x,), backward)
 
 
-def log_softmax(x: Tensor) -> Tensor:
-    z, _, esum = _shifted_exp(x.data)
-    out = z - np.log(esum)
-
-    def backward(grad: np.ndarray) -> tuple:
-        # ``np.exp(out)``, not ``e / esum``: the two round differently in the
-        # last bit and pinned histories require the exp(log_softmax) form.
-        soft = np.exp(out)
-        return (grad - soft * grad.sum(axis=-1, keepdims=True),)
-
-    return Tensor._make(out, (x,), backward)
-
-
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean cross-entropy between ``logits`` (N, K) and integer ``labels``."""
     labels = np.asarray(labels)
@@ -687,19 +634,6 @@ def soft_cross_entropy(logits: Tensor, target_probs: np.ndarray) -> Tensor:
         return (soft,)
 
     return Tensor._make(np.asarray(loss, dtype=logits.dtype), (logits,), backward)
-
-
-def mse_loss(pred: Tensor, target) -> Tensor:
-    """Mean squared error against a fixed target array."""
-    target = np.asarray(target.data if isinstance(target, Tensor) else target,
-                        dtype=pred.dtype)
-    diff = pred.data - target
-    loss = np.asarray((diff * diff).mean(), dtype=pred.dtype)
-
-    def backward(grad: np.ndarray) -> tuple:
-        return (grad * 2.0 * diff / diff.size,)
-
-    return Tensor._make(loss, (pred,), backward)
 
 
 # ----------------------------------------------------------------------

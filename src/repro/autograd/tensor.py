@@ -356,24 +356,8 @@ Tensor.__neg__ = _neg
 
 
 # ----------------------------------------------------------------------
-# Unary math
+# Activations
 # ----------------------------------------------------------------------
-
-def exp(a: Tensor) -> Tensor:
-    return _unary(a, np.exp, lambda g, x, out: g * out)
-
-
-def log(a: Tensor) -> Tensor:
-    return _unary(a, np.log, lambda g, x, out: g / x)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    return _unary(a, np.sqrt, lambda g, x, out: g * 0.5 / out)
-
-
-def tanh(a: Tensor) -> Tensor:
-    return _unary(a, np.tanh, lambda g, x, out: g * (1.0 - out * out))
-
 
 def sigmoid(a: Tensor) -> Tensor:
     def fwd(x):
@@ -456,49 +440,8 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return tsum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
-def tmax(a: Tensor, axis: int | None = None, keepdims: bool = False,
-         **kwargs) -> Tensor:
-    """Maximum along ``axis`` (all elements when ``axis is None``).
-
-    Mirrors ``numpy.ndarray.max`` for the differentiable subset; gradient is
-    split equally between ties.  Numpy kwargs that have no differentiable
-    meaning here (``initial``, ``where``, ``out``) are rejected explicitly.
-    """
-    if kwargs:
-        raise TypeError(
-            f"tmax: unsupported keyword arguments {sorted(kwargs)}; only "
-            f"'axis' (int or None) and 'keepdims' are supported")
-    if axis is not None and not isinstance(axis, (int, np.integer)):
-        raise TypeError(
-            f"tmax: axis must be an int or None, got {axis!r} "
-            f"(reduce one axis at a time)")
-    data = a.data.max(axis=axis, keepdims=keepdims)
-
-    def backward(grad: np.ndarray) -> tuple:
-        g, full = grad, data
-        if not keepdims:
-            if axis is None:
-                full = np.asarray(data)  # 0-d; broadcasts against a.data
-            else:
-                g = np.expand_dims(g, axis=axis)
-                full = np.expand_dims(data, axis=axis)
-        mask = (a.data == full)
-        # Split gradient equally between ties (rare for float activations).
-        counts = mask.sum() if axis is None else mask.sum(axis=axis,
-                                                          keepdims=True)
-        # int64 count cast to g's dtype: NEP 50 would promote to float64.
-        return (g * mask / counts.astype(g.dtype),)
-
-    return Tensor._make(data, (a,), backward)
-
-
 Tensor.sum = tsum
 Tensor.mean = tmean
-Tensor.max = tmax
-Tensor.exp = exp
-Tensor.log = log
-Tensor.tanh = tanh
-Tensor.sqrt = sqrt
 
 
 # ----------------------------------------------------------------------

@@ -59,8 +59,8 @@ class ConstraintAssigner:
 
     def _comm_time(self, entry: PoolEntry, cap: ClientCapability,
                    shard_size: int) -> float:
-        payload = entry.stats.param_bytes
-        return payload / cap.downlink_bps + payload / cap.uplink_bps
+        return self.cost_model.communication_time_s(entry.stats,
+                                                    cap.as_device())
 
     def _resolve_deadline(self) -> float | None:
         if "computation" not in self.spec.constraints:

@@ -48,12 +48,6 @@ class BuiltScenario:
             counts[key] = counts.get(key, 0) + 1
         return counts
 
-    def execution_config(self, policy: str = "sync", **overrides):
-        """Execution block for this scenario's availability case (see
-        :meth:`repro.constraints.spec.ConstraintSpec.execution_config`)."""
-        spec = self.spec if self.spec is not None else ConstraintSpec()
-        return spec.execution_config(policy=policy, **overrides)
-
 
 def build_scenario(algorithm_name: str, base_model: SliceableModel,
                    dataset: FederatedDataset, num_clients: int,

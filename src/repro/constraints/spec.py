@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..fl.availability import AVAILABILITY_MODELS
+
 __all__ = ["ConstraintSpec", "CONSTRAINT_KINDS", "AVAILABILITY_KINDS"]
 
 CONSTRAINT_KINDS = ("computation", "communication", "memory")
 
-#: Availability scenarios (registry names in :mod:`repro.fl.availability`).
-AVAILABILITY_KINDS = ("always_on", "diurnal", "markov", "dropout")
+#: Availability scenarios: the registry names of :mod:`repro.fl.availability`.
+AVAILABILITY_KINDS = tuple(AVAILABILITY_MODELS)
 
 #: Memory budget per fleet tier, as a fraction of the pool's largest entry's
 #: training memory.  Mirrors the paper's tiers: 16 GB devices train the
@@ -83,22 +85,6 @@ class ConstraintSpec:
         if self.availability != "always_on":
             label = f"{label}/{self.availability}"
         return label
-
-    def with_constraints(self, *constraints: str) -> "ConstraintSpec":
-        from dataclasses import replace
-        return replace(self, constraints=tuple(constraints))
-
-    def with_availability(self, availability: str,
-                          **availability_kwargs) -> "ConstraintSpec":
-        from dataclasses import replace
-        return replace(self, availability=availability,
-                       availability_kwargs=availability_kwargs)
-
-    def with_faults(self, **faults) -> "ConstraintSpec":
-        """This spec with a fault-injection profile (FaultSpec kwargs);
-        ``with_faults()`` clears it."""
-        from dataclasses import replace
-        return replace(self, faults=faults)
 
     def execution_config(self, policy: str = "sync", **overrides):
         """Build an :class:`~repro.fl.aggregation.ExecutionConfig` running

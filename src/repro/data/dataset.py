@@ -70,10 +70,6 @@ class Subset:
     def y(self) -> np.ndarray:
         return self.parent.y_train[self.indices]
 
-    def label_distribution(self) -> np.ndarray:
-        """Per-class sample counts in this shard."""
-        return np.bincount(self.y, minlength=self.parent.num_classes)
-
 
 def batches(x: np.ndarray, y: np.ndarray, batch_size: int,
             rng: np.random.Generator | None = None,

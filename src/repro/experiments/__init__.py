@@ -15,7 +15,7 @@ computed once.
 
 from .cache import RunCache, default_cache, set_default_cache
 from .mapping import base_arch_for, build_base_model
-from .registry import (Artifact, all_artifacts, artifact_names, get_artifact,
+from .registry import (Artifact, all_artifacts, get_artifact,
                        register_artifact)
 from .reporting import (aggregate_seed_rows, format_radar, format_table,
                         rows_to_csv, rows_to_json, write_rows)
@@ -40,7 +40,7 @@ __all__ = [
     "resolve_target_accuracy", "summarize_results",
     "RunDefaults", "run_defaults",
     "RunCache", "default_cache", "set_default_cache",
-    "Artifact", "all_artifacts", "artifact_names", "get_artifact",
+    "Artifact", "all_artifacts", "get_artifact",
     "register_artifact",
     "SCALES", "ExperimentScale", "get_scale", "resolve_scale",
     "SweepManifest", "SweepStatus", "SweepRunReport", "CellStatus",

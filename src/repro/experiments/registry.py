@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 __all__ = ["Artifact", "register_artifact", "get_artifact",
-           "artifact_names", "all_artifacts", "discover_artifacts"]
+           "all_artifacts", "discover_artifacts"]
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,6 @@ def discover_artifacts() -> None:
     for info in pkgutil.iter_modules(package.__path__):
         importlib.import_module(f"repro.experiments.{info.name}")
     _DISCOVERED = True
-
-
-def artifact_names() -> list[str]:
-    """Sorted, de-duplicated registered artifact names."""
-    discover_artifacts()
-    return sorted(_ARTIFACTS)
 
 
 def all_artifacts() -> dict[str, Artifact]:

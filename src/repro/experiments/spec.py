@@ -13,7 +13,7 @@ is a sweep of RunSpecs, which buys three things:
   losslessly, so the exact cell a number came from can be stored next to
   the number;
 * **composability** — sweeps are plain data transformations
-  (:meth:`with_seed`, :meth:`replace`), not copies of runner plumbing.
+  (:meth:`replace`), not copies of runner plumbing.
 
 The ``tag`` field distinguishes runs whose behaviour is altered *outside*
 the spec (an ablation mutating the built algorithm, a derived execution
@@ -23,7 +23,6 @@ hash stays faithful.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import ClassVar
 
@@ -109,9 +108,6 @@ class RunSpec:
     def replace(self, **changes) -> "RunSpec":
         return _dc_replace(self, **changes)
 
-    def with_seed(self, seed: int) -> "RunSpec":
-        return self.replace(seed=seed)
-
     # ------------------------------------------------------------------
     # Serialisation + content addressing
     # ------------------------------------------------------------------
@@ -152,13 +148,6 @@ class RunSpec:
         payload["execution"] = (None if execution is None
                                 else ExecutionConfig.from_dict(execution))
         return cls(**payload)
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "RunSpec":
-        return cls.from_dict(json.loads(payload))
 
     def content_hash(self) -> str:
         """Deterministic digest of the canonical JSON form.

@@ -283,21 +283,6 @@ class SweepStatus:
     def pending_count(self) -> int:
         return self.total - self.done_count
 
-    def done_specs(self) -> list[RunSpec]:
-        return [cell.spec for cell in self.cells if cell.done]
-
-    def pending_specs(self) -> list[RunSpec]:
-        return [cell.spec for cell in self.cells if not cell.done]
-
-    def as_mapping(self) -> dict[str, bool]:
-        """``{spec.content_hash(): done}`` — the exact contract the status
-        derives from: equal, cell for cell, to
-        ``{spec.content_hash(): cache.contains(spec)}``.  (Keyed by the
-        content hash because specs hold dict fields and are unhashable;
-        within one manifest the hash <-> spec mapping is bijective —
-        duplicates are rejected at construction.)"""
-        return {cell.spec.content_hash(): cell.done for cell in self.cells}
-
 
 def _cell_wall_seconds(cache: RunCache, spec: RunSpec) -> float | None:
     """Wall-clock seconds the cell's telemetry sidecar recorded, if any.

@@ -52,7 +52,7 @@ from .checkpoint import make_checkpointer
 from .events import (CLIENT_DROPPED, CLIENT_FAILED, DOWNLOAD_START,
                      EVAL_TICK, SERVER_AGGREGATE, TRAIN_COMPLETE,
                      UPDATE_REJECTED, UPLOAD_COMPLETE, Event, EventQueue)
-from .executor import Executor, InlineExecutor, make_work_item
+from .executor import Executor, make_work_item
 from .faults import FaultModel, FaultPlan, FaultSpec, corrupt_update
 from .history import History, RoundRecord
 from .sanitizers import freeze_arrays, frozen_arrays
@@ -275,13 +275,11 @@ class AggregationPolicy:
     index_key = "round"
 
     def __init__(self, sim_config, execution: ExecutionConfig,
-                 availability: AvailabilityModel,
-                 executor: Executor | None = None):
+                 availability: AvailabilityModel, executor: Executor):
         self.sim_config = sim_config
         self.execution = execution
         self.availability = availability
-        #: client-work executor; ``None`` falls back to inline execution
-        #: bound to the algorithm at :meth:`run` time.
+        #: client-work executor (inline or process pool).
         self.executor = executor
         self.queue = EventQueue()
         self.timeline: list[Event] = []
@@ -329,24 +327,12 @@ class AggregationPolicy:
         self._participation[client_id] = k + 1
         return k
 
-    def _executor_for(self, algorithm) -> Executor:
-        """The run's executor (an inline one bound to ``algorithm`` when
-        none was injected)."""
-        if self.executor is None:
-            self.executor = InlineExecutor(algorithm)
-        return self.executor
-
     def sample_size(self, num_clients: int) -> int:
         return sample_count(num_clients, self.sim_config.sample_ratio)
 
     def is_eval_round(self, round_index: int) -> bool:
         return (round_index % self.sim_config.eval_every == 0
                 or round_index == self.sim_config.num_rounds - 1)
-
-    def should_stop(self, accuracy: float | None) -> bool:
-        target = self.sim_config.stop_at_accuracy
-        return target is not None and accuracy is not None \
-            and accuracy >= target
 
     # -- the client lifecycle -------------------------------------------
     def launch(self, algorithm, cid: int, now: float, index: int,
@@ -437,11 +423,11 @@ class AggregationPolicy:
 
     def close_round(self, algorithm, history: History, index: int,
                     updates: list, sim_time: float, round_time: float,
-                    extras: dict, notes: dict | None = None) -> float | None:
+                    extras: dict, notes: dict | None = None) -> None:
         """Aggregate ``updates`` as server round ``index`` ending at
         ``sim_time``, evaluate if due and write the round's record
         (``extras``, then the drops since the last record, then ``notes``,
-        then client timings); returns the global accuracy, if evaluated."""
+        then client timings)."""
         with telemetry.span("aggregate", round=index):
             outcome = (algorithm.ingest(updates, index, self.rng)
                        if updates else None)
@@ -465,7 +451,6 @@ class AggregationPolicy:
         history.append(record)
         telemetry.record_round(record)
         telemetry.inc("aggregation.rounds", policy=self.name)
-        return acc
 
     # -- the run ---------------------------------------------------------
     def open_run(self, algorithm) -> History:
@@ -548,15 +533,13 @@ class SynchronousPolicy(AggregationPolicy):
             sim_time = sim_time + round_time
             extras = ({} if self._plain_records else
                       {"dispatched": len(sampled), "received": len(received)})
-            acc = self.close_round(algorithm, history, round_index, received,
-                                   sim_time, round_time, extras, notes)
+            self.close_round(algorithm, history, round_index, received,
+                             sim_time, round_time, extras, notes)
             if checkpointer is not None and checkpointer.due(round_index):
                 checkpointer.save(algorithm, rng, history,
                                   next_round=round_index + 1,
                                   sim_time_s=sim_time,
                                   participation=self._participation)
-            if self.should_stop(acc):
-                break
 
         self.close_run(algorithm, history)
         if checkpointer is not None:
@@ -590,8 +573,7 @@ class SynchronousPolicy(AggregationPolicy):
         — the decisions and the queue never leave the coordinator, so the
         round is deterministic for any worker count.
         """
-        execution = self.execution
-        executor = self._executor_for(algorithm)
+        execution, executor = self.execution, self.executor
         deadline = (execution.deadline_s if execution.deadline_s is not None
                     else math.inf)
         #: latest deadline settlement may use: with a quorum the round may
@@ -792,13 +774,11 @@ class BufferedPolicy(AggregationPolicy):
                 "max_staleness": int(max(staleness)),
                 "mean_discount": float(np.mean([u.discount for u in buffer])),
             }
-            acc = self.close_round(algorithm, history, version, buffer,
-                                   agg_time, agg_time - last_agg_time, extras)
+            self.close_round(algorithm, history, version, buffer,
+                             agg_time, agg_time - last_agg_time, extras)
             last_agg_time = agg_time
             buffer = []
             version += 1
-            if self.should_stop(acc):
-                break
 
         # Updates still in flight when the run ends are never aggregated,
         # but their training *happened* — a trained result exists for
@@ -861,7 +841,7 @@ class BufferedPolicy(AggregationPolicy):
         # instant *is* the staleness semantics (the client downloads the
         # server state at its dispatch timestamp) — and resolve the future
         # when the upload event fires on the simulated clock.
-        executor = self._executor_for(algorithm)
+        executor = self.executor
         repeat = self._version_dispatches.get((version, cid), 0)
         self._version_dispatches[(version, cid)] = repeat + 1
         item = make_work_item(algorithm, cid, version, self.sim_config.seed,
@@ -893,7 +873,7 @@ AGGREGATION_POLICIES: dict[str, type[AggregationPolicy]] = {
 
 def make_policy(sim_config, execution: ExecutionConfig,
                 availability: AvailabilityModel,
-                executor: Executor | None = None) -> AggregationPolicy:
+                executor: Executor) -> AggregationPolicy:
     """Instantiate the execution block's aggregation policy."""
     cls = AGGREGATION_POLICIES[execution.policy]
     return cls(sim_config, execution, availability, executor=executor)

@@ -108,7 +108,3 @@ class EventQueue:
         if not self._heap:
             raise IndexError("pop from an empty EventQueue")
         return heapq.heappop(self._heap)[2]
-
-    def peek_time(self) -> float | None:
-        """Timestamp of the next event, or None when the queue is empty."""
-        return self._heap[0][0] if self._heap else None

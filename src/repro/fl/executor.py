@@ -238,10 +238,7 @@ def scenario_handle_for(algorithm) -> ScenarioHandle:
     cached = getattr(algorithm, "_scenario_handle", None)
     if cached is None or cached[0] is not payload:
         cached = (payload, ScenarioHandle.from_spec_payload(payload))
-        try:
-            algorithm._scenario_handle = cached
-        except AttributeError:  # pragma: no cover - exotic algorithm objects
-            pass
+        algorithm._scenario_handle = cached
     return cached[1]
 
 

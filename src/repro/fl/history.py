@@ -59,23 +59,15 @@ class History:
         return evaluated[-1].global_accuracy
 
     @property
-    def best_accuracy(self) -> float:
-        evaluated = self.evaluated
-        if not evaluated:
-            raise ValueError("run has no evaluated rounds")
-        return max(r.global_accuracy for r in evaluated)
-
-    @property
     def total_sim_time_s(self) -> float:
         """Simulated wall-clock at the end of the last recorded round.
 
         Raises :class:`ValueError` on an empty history — an empty run has
         no clock, and the historical ``0.0`` silently poisoned downstream
         time metrics.  Note that for a *partial* history (a run still in
-        progress, or one truncated by early stopping) this is the clock up
-        to the last recorded round, not a full-run estimate; resumed
-        (checkpointed) runs re-load their pre-resume rounds, so their
-        total covers the whole run.
+        progress) this is the clock up to the last recorded round, not a
+        full-run estimate; resumed (checkpointed) runs re-load their
+        pre-resume rounds, so their total covers the whole run.
         """
         if not self.records:
             raise ValueError("history has no rounds; total_sim_time_s is "
@@ -100,12 +92,6 @@ class History:
                     and record.global_accuracy >= target:
                 return record.sim_time_s
         return None
-
-    def accuracy_curve(self) -> tuple[np.ndarray, np.ndarray]:
-        """(sim_time_s, accuracy) arrays over evaluated rounds."""
-        evaluated = self.evaluated
-        return (np.array([r.sim_time_s for r in evaluated]),
-                np.array([r.global_accuracy for r in evaluated]))
 
     def stability(self) -> float:
         """Variance of final per-device accuracies (paper metric iii)."""

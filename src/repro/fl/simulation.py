@@ -47,8 +47,6 @@ class SimulationConfig:
     #: server-side work per round (aggregation, bookkeeping), seconds.
     server_overhead_s: float = 2.0
     seed: int = 0
-    #: stop early once this global accuracy is reached (None = never).
-    stop_at_accuracy: float | None = None
     #: how rounds execute (availability model + aggregation policy).
     #: ``None`` means ``ExecutionConfig()`` — synchronous rounds on an
     #: always-on fleet — recorded without the per-event timeline and

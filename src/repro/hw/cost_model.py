@@ -23,9 +23,6 @@ stages — exactly what the estimator reproduces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
 
 from .device import DeviceProfile
 from .flops import ModelStats
@@ -69,43 +66,6 @@ class CostModel:
         activations = (stats.activation_bytes_per_sample * batch_size
                        * self.activation_factor)
         return weights + optimizer + activations + self.framework_overhead_bytes
-
-    def round_time_s(self, stats: ModelStats, device: DeviceProfile,
-                     num_samples: int, local_epochs: int = 1) -> float:
-        """One client's full round: local training plus both transfers."""
-        return self.training_time_s(stats, device, num_samples,
-                                    local_epochs) \
-            + self.communication_time_s(stats, device)
-
-    def fleet_round_time_quantile(self, stats, devices:
-                                  Iterable[DeviceProfile],
-                                  quantile: float, num_samples,
-                                  local_epochs: int = 1) -> float:
-        """Fleet quantile of the full round time.
-
-        ``stats`` and ``num_samples`` are either one value for the whole
-        fleet or sequences parallel to ``devices`` (per-client assigned
-        variants / shard sizes).  Fleet-planning utility for sizing round
-        deadlines before an algorithm exists (e.g. the 0.8 quantile drops
-        the slowest ~20% of the fleet), the same way the constraint cases
-        derive their relative budgets; once a scenario is built, prefer
-        :meth:`repro.algorithms.base.MHFLAlgorithm.fleet_round_time_quantile`,
-        which honours per-algorithm payload overrides.
-        """
-        devices = list(devices)
-        if isinstance(stats, ModelStats):
-            stats = [stats] * len(devices)
-        if isinstance(num_samples, (int, float)):
-            num_samples = [num_samples] * len(devices)
-        times = [self.round_time_s(s, device, n, local_epochs)
-                 for s, device, n in zip(stats, devices, num_samples)]
-        return float(np.quantile(times, quantile))
-
-    def fits_in_memory(self, stats: ModelStats, device: DeviceProfile,
-                       batch_size: int = 8, headroom: float = 0.8) -> bool:
-        """Whether a variant can train on ``device`` (with OS headroom)."""
-        budget = device.memory_bytes * headroom
-        return self.training_memory_bytes(stats, batch_size) <= budget
 
 
 DEFAULT_COST_MODEL = CostModel()

@@ -4,8 +4,9 @@ PracMHBench's constraint cases pick each client's model from a measured pool:
 every candidate variant (width multiplier, depth level, or family member) is
 profiled for parameters, FLOPs, activation footprint — and, through the cost
 model, training time / communication time / training memory on any device.
-The pool then answers "largest variant that satisfies this client's budget",
-which is the paper's assignment principle for all three constraint cases.
+:class:`~repro.constraints.assignment.ConstraintAssigner` then gives each
+client the largest variant that satisfies its budgets, the paper's assignment
+principle for all three constraint cases.
 """
 
 from __future__ import annotations
@@ -111,26 +112,5 @@ class ModelPool:
             time_s = self.cost_model.training_time_s(
                 entry.stats, device, num_samples, local_epochs)
             if time_s <= deadline_s:
-                best = entry
-        return best
-
-    def largest_within_comm(self, device: DeviceProfile,
-                            budget_s: float) -> PoolEntry:
-        """Largest variant whose up+down transfer meets the budget."""
-        best = self.entries[0]
-        for entry in self.entries:
-            if self.cost_model.communication_time_s(entry.stats,
-                                                    device) <= budget_s:
-                best = entry
-        return best
-
-    def largest_within_memory(self, device: DeviceProfile,
-                              batch_size: int = 8,
-                              headroom: float = 0.8) -> PoolEntry:
-        """Largest variant that trains within the device's memory."""
-        best = self.entries[0]
-        for entry in self.entries:
-            if self.cost_model.fits_in_memory(entry.stats, device,
-                                              batch_size, headroom):
                 best = entry
         return best

@@ -8,7 +8,7 @@ from .mobilenet import MobileNet, MOBILENET_CONFIGS
 from .har_cnn import HarCNN, HAR_CONFIGS, HAR_INPUT_SHAPE
 from .transformer import TextTransformer
 from .albert import AlbertClassifier, ALBERT_CONFIGS
-from .zoo import build_model, MODEL_FAMILIES, family_of, known_architectures
+from .zoo import build_model, MODEL_FAMILIES, known_architectures
 
 __all__ = [
     "IndexedModules", "SliceableModel", "scaled_channels",
@@ -17,5 +17,5 @@ __all__ = [
     "ResNet", "RESNET_CONFIGS", "MobileNet", "MOBILENET_CONFIGS",
     "HarCNN", "HAR_CONFIGS", "HAR_INPUT_SHAPE", "TextTransformer",
     "AlbertClassifier", "ALBERT_CONFIGS",
-    "build_model", "MODEL_FAMILIES", "family_of", "known_architectures",
+    "build_model", "MODEL_FAMILIES", "known_architectures",
 ]

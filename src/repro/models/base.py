@@ -69,9 +69,6 @@ class IndexedModules(nn.Module):
     def get(self, index: int) -> nn.Module:
         return self._modules[str(index)]
 
-    def has(self, index: int) -> bool:
-        return str(index) in self._modules
-
     @property
     def indices(self) -> list[int]:
         return list(self._indices)
@@ -135,9 +132,6 @@ class SliceableModel(nn.Module):
     @property
     def top_stage_index(self) -> int:
         return self.num_owned_stages - 1
-
-    def owned_head_indices(self) -> list[int]:
-        return self.heads.indices
 
     def pool(self, h: Tensor) -> Tensor:
         """Collapse a stage output into a (N, D) representation."""

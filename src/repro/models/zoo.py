@@ -16,7 +16,7 @@ from .mobilenet import MOBILENET_CONFIGS, MobileNet
 from .resnet import RESNET_CONFIGS, ResNet
 from .transformer import TextTransformer
 
-__all__ = ["build_model", "MODEL_FAMILIES", "family_of", "known_architectures"]
+__all__ = ["build_model", "MODEL_FAMILIES", "known_architectures"]
 
 #: Architecture families used for topology heterogeneity (Table II).
 MODEL_FAMILIES: dict[str, list[str]] = {
@@ -77,13 +77,3 @@ def build_model(arch: str, num_classes: int, **kwargs) -> SliceableModel:
         raise ValueError(f"unknown architecture {arch!r}; "
                          f"known: {known_architectures()}") from None
     return builder(arch, num_classes, **kwargs)
-
-
-def family_of(arch: str) -> str:
-    """Family name for a registered architecture."""
-    for family, members in MODEL_FAMILIES.items():
-        if arch in members:
-            return family
-    if arch == "transformer":
-        return "transformer"
-    raise ValueError(f"{arch!r} does not belong to a registered family")

@@ -1,9 +1,8 @@
 """Layer / module library built on :mod:`repro.autograd`."""
 
 from .module import Module, Parameter
-from .layers import (Linear, Conv2d, BatchNorm2d, BatchNorm1d, LayerNorm,
-                     conv_bn, Embedding, Dropout, Identity,
-                     ReLU, ReLU6, HardSwish, GELU, Sigmoid, activation)
+from .layers import (Linear, Conv2d, BatchNorm2d, LayerNorm, conv_bn,
+                     Embedding, Dropout)
 from .containers import Sequential, ModuleList
 from .attention import MultiHeadAttention, TransformerEncoderLayer
 from .optim import Optimizer, SGD, Adam
@@ -11,9 +10,8 @@ from . import init
 
 __all__ = [
     "Module", "Parameter",
-    "Linear", "Conv2d", "BatchNorm2d", "BatchNorm1d", "LayerNorm", "conv_bn",
-    "Embedding", "Dropout", "Identity",
-    "ReLU", "ReLU6", "HardSwish", "GELU", "Sigmoid", "activation",
+    "Linear", "Conv2d", "BatchNorm2d", "LayerNorm", "conv_bn",
+    "Embedding", "Dropout",
     "Sequential", "ModuleList",
     "MultiHeadAttention", "TransformerEncoderLayer",
     "Optimizer", "SGD", "Adam",

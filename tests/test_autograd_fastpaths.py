@@ -523,38 +523,6 @@ class TestBackwardReentrancy:
         assert a.grad is not seed_grad
 
 
-class TestTmax:
-    def test_global_max_gradient(self):
-        a = _t((4, 5), 30)
-        check_gradients(lambda: a.max(), [a])
-
-    def test_global_max_value(self):
-        a = _t((3, 7), 31)
-        assert a.max().item() == pytest.approx(a.data.max())
-
-    def test_global_max_keepdims(self):
-        a = _t((2, 3), 32)
-        out = a.max(keepdims=True)
-        assert out.shape == (1, 1)
-        check_gradients(lambda: a.max(keepdims=True).sum(), [a])
-
-    def test_axis_max_still_works(self):
-        a = _t((5, 7), 33)
-        check_gradients(lambda: a.max(axis=1).sum(), [a])
-
-    def test_ties_split_gradient(self):
-        a = Tensor(np.array([1.0, 3.0, 3.0, 0.0]), requires_grad=True)
-        a.max().backward()
-        np.testing.assert_allclose(a.grad, [0.0, 0.5, 0.5, 0.0])
-
-    def test_unsupported_kwargs_raise(self):
-        a = _t((3, 3), 34)
-        with pytest.raises(TypeError, match="unsupported keyword"):
-            a.max(axis=1, initial=0.0)
-        with pytest.raises(TypeError, match="axis must be an int"):
-            a.max(axis=(0, 1))
-
-
 class TestDropoutDeterminism:
     def test_training_requires_rng(self):
         x = _t((4, 4), 40)

@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.constraints import (ConstraintSpec, ConstraintAssigner,
-                               build_scenario)
+from repro.constraints import (AVAILABILITY_KINDS, ConstraintSpec,
+                               ConstraintAssigner, build_scenario)
 from repro.data import load_dataset, partition_dataset
-from repro.hw import sample_fleet
+from repro.fl import AVAILABILITY_MODELS, make_availability
+from repro.hw import DEFAULT_COST_MODEL, sample_fleet
 from repro.models import build_model
 from repro.algorithms import get_algorithm
+
+_POOL_KEYS = ("x0.25", "x0.50", "x0.75", "x1.00")
+_CONSTRAINT_COMBOS = (("computation",), ("communication",), ("memory",),
+                      ("computation", "communication", "memory"))
 
 
 @pytest.fixture(scope="module")
@@ -32,11 +37,15 @@ class TestSpec:
         assert spec.label == "mem+comm"
         assert ConstraintSpec(constraints=()).label == "none"
 
-    def test_with_constraints(self):
-        spec = ConstraintSpec(constraints=("computation",))
-        combo = spec.with_constraints("memory", "computation")
-        assert combo.constraints == ("memory", "computation")
-        assert combo.deadline_quantile == spec.deadline_quantile
+    def test_availability_kinds_are_the_registry(self):
+        assert AVAILABILITY_KINDS == tuple(AVAILABILITY_MODELS)
+
+    @pytest.mark.parametrize("kind", AVAILABILITY_KINDS)
+    def test_every_availability_kind_builds_its_model(self, kind):
+        execution = ConstraintSpec(availability=kind).execution_config()
+        assert execution.availability == kind
+        model = make_availability(kind, 6, seed=0)
+        assert type(model) is AVAILABILITY_MODELS[kind]
 
 
 class TestAssigner:
@@ -110,6 +119,67 @@ class TestAssigner:
         ds, fleet, shards, base, pool = setup
         with pytest.raises(ValueError):
             ConstraintAssigner(ConstraintSpec(), pool, fleet, [1, 2])
+
+    @pytest.mark.parametrize("key", _POOL_KEYS)
+    def test_comm_time_is_the_cost_model_formula(self, setup, key):
+        """Bit-identical to the download + upload payload formula."""
+        ds, fleet, shards, base, pool = setup
+        assigner = self._assigner(setup, constraints=("communication",))
+        entry = pool.get(key)
+        payload = entry.stats.param_bytes
+        for cap, shard in zip(fleet, shards):
+            got = assigner._comm_time(entry, cap, len(shard))
+            assert got == DEFAULT_COST_MODEL.communication_time_s(
+                entry.stats, cap.as_device())
+            assert got == payload / cap.downlink_bps \
+                + payload / cap.uplink_bps
+
+    def test_tight_comm_budget_shrinks_everyone(self, setup):
+        assigner = self._assigner(setup, constraints=("communication",),
+                                  comm_budget_s=1e-9)
+        assert all(e.key == "x0.25" for e in assigner.assign())
+
+    def test_loose_comm_budget_gives_largest(self, setup):
+        assigner = self._assigner(setup, constraints=("communication",),
+                                  comm_budget_s=1e9)
+        assert all(e.key == "x1.00" for e in assigner.assign())
+
+    def test_comm_budget_resolution_quantile(self, setup):
+        ds, fleet, shards, base, pool = setup
+        assigner = self._assigner(setup, constraints=("communication",),
+                                  comm_quantile=0.5)
+        assert assigner.round_deadline_s is None
+        times = [assigner._comm_time(pool.largest, cap, len(shard))
+                 for cap, shard in zip(fleet, shards)]
+        assert min(times) <= assigner.comm_budget_s <= max(times)
+        assert assigner.comm_budget_s == float(np.quantile(times, 0.5))
+
+    def test_comm_assignment_monotone_in_link_time(self, setup):
+        """Every client's transfer time scales with the same payload, so a
+        client with a faster link never gets a smaller model."""
+        ds, fleet, shards, base, pool = setup
+        entries = self._assigner(setup,
+                                 constraints=("communication",)).assign()
+        seconds_per_byte = [1 / c.downlink_bps + 1 / c.uplink_bps
+                            for c in fleet]
+        order = np.argsort(seconds_per_byte)   # fastest link first
+        flops = [entries[i].stats.flops_per_sample for i in order]
+        assert all(a >= b for a, b in zip(flops, flops[1:]))
+
+    @pytest.mark.parametrize("constraints", _CONSTRAINT_COMBOS,
+                             ids=lambda c: "+".join(c))
+    def test_assignment_is_largest_feasible(self, setup, constraints):
+        """Each client gets the largest feasible entry, or the smallest
+        when nothing fits — Section IV's selection rule."""
+        ds, fleet, shards, base, pool = setup
+        assigner = self._assigner(setup, constraints=constraints)
+        for cap, shard, entry in zip(fleet, shards, assigner.assign()):
+            feasible = [e for e in pool.entries
+                        if assigner.feasible(e, cap, len(shard))]
+            if feasible:
+                assert entry is feasible[-1]
+            else:
+                assert entry is pool.smallest
 
 
 class TestScenario:

@@ -157,7 +157,8 @@ class TestZeroFaultHashStability:
             constraints=("computation",), faults=FAULTS))
         assert empty.content_hash() == plain.content_hash()
         assert faulted.content_hash() != plain.content_hash()
-        assert RunSpec.from_json(faulted.to_json()) == faulted
+        assert RunSpec.from_dict(
+            json.loads(json.dumps(faulted.to_dict()))) == faulted
 
     def test_faulted_spec_routes_to_event_engine(self):
         healthy = RunSpec(algorithm="sheterofl", dataset="harbox",
@@ -793,7 +794,7 @@ class TestRunnerCheckpointing:
             assert checkpoint.path \
                 == tmp_path / f"{spec.content_hash()}.ckpt.json"
             assert checkpoint.every == 3 and checkpoint.resume
-            other = _spec_checkpoint(spec.with_seed(1))
+            other = _spec_checkpoint(spec.replace(seed=1))
             assert other.path != checkpoint.path
         assert _spec_checkpoint(spec) is None
 

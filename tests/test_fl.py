@@ -114,21 +114,14 @@ class TestHistory:
                                  global_accuracy=acc))
         return h
 
-    def test_final_best_accuracy(self):
-        h = self._history()
-        assert h.final_accuracy == 0.7
-        assert h.best_accuracy == 0.7
+    def test_final_accuracy(self):
+        assert self._history().final_accuracy == 0.7
 
     def test_time_to_accuracy(self):
         h = self._history()
         assert h.time_to_accuracy(0.4) == 40.0
         assert h.time_to_accuracy(0.3) == 20.0
         assert h.time_to_accuracy(0.9) is None
-
-    def test_accuracy_curve(self):
-        times, accs = self._history().accuracy_curve()
-        np.testing.assert_array_equal(times, [20.0, 40.0, 50.0])
-        np.testing.assert_array_equal(accs, [0.3, 0.5, 0.7])
 
     def test_stability(self):
         h = self._history()
@@ -139,8 +132,6 @@ class TestHistory:
         h = History(algorithm="a", dataset="d")
         with pytest.raises(ValueError, match="no evaluated rounds"):
             _ = h.final_accuracy
-        with pytest.raises(ValueError, match="no evaluated rounds"):
-            _ = h.best_accuracy
         with pytest.raises(ValueError):
             h.stability()
 
@@ -286,7 +277,7 @@ class TestSampling:
 
 
 class TestSimulationEdges:
-    """Round-loop edge cases: early stop, eval boundaries, determinism."""
+    """Round-loop edge cases: eval boundaries, determinism."""
 
     def _scenario(self):
         ds = load_dataset("harbox", seed=0, num_users=8, samples_per_user=10,
@@ -297,20 +288,6 @@ class TestSimulationEdges:
                               ConstraintSpec(constraints=("computation",)),
                               train_config=config, seed=0,
                               eval_max_samples=60)
-
-    def test_stop_at_accuracy_exits_early(self):
-        config = SimulationConfig(num_rounds=6, sample_ratio=0.3,
-                                  eval_every=2, seed=1, stop_at_accuracy=0.0)
-        history = run_simulation(self._scenario().algorithm, config)
-        # Round 0 is an eval round and any accuracy satisfies target 0.0.
-        assert len(history.records) == 1
-        assert history.records[0].global_accuracy is not None
-
-    def test_stop_only_checks_eval_rounds(self):
-        config = SimulationConfig(num_rounds=4, sample_ratio=0.3,
-                                  eval_every=3, seed=1, stop_at_accuracy=0.0)
-        history = run_simulation(self._scenario().algorithm, config)
-        assert len(history.records) == 1  # rounds 1..2 never evaluate
 
     def test_eval_every_boundary_last_round_evaluated(self):
         config = SimulationConfig(num_rounds=5, sample_ratio=0.3,

@@ -197,14 +197,14 @@ class TestLayers:
         np.testing.assert_array_equal(d1(x).data, d2(x).data)
 
     def test_sequential_iteration(self):
-        seq = nn.Sequential(nn.Identity(), nn.Identity())
+        seq = nn.Sequential(nn.Dropout(0.0), nn.Dropout(0.0))
         assert len(seq) == 2
-        seq.append(nn.Identity())
+        seq.append(nn.LayerNorm(4))
         assert len(seq) == 3
-        assert isinstance(seq[2], nn.Identity)
+        assert isinstance(seq[2], nn.LayerNorm)
 
     def test_module_list_not_callable(self):
-        ml = nn.ModuleList([nn.Identity()])
+        ml = nn.ModuleList([nn.Dropout(0.0)])
         with pytest.raises(RuntimeError):
             ml(1)
 
@@ -234,33 +234,37 @@ class TestOptim:
         param = nn.Parameter(np.zeros((4, 4), np.float32))
         return param, target
 
+    @staticmethod
+    def _mse(param, target):
+        return ((param - target) * (param - target)).mean()
+
     def test_sgd_converges(self):
         param, target = self._quadratic_problem()
         opt = nn.SGD([param], lr=0.3)
         for _ in range(100):
             opt.zero_grad()
-            loss = ag.mse_loss(param, target)
+            loss = self._mse(param, target)
             loss.backward()
             opt.step()
-        assert ag.mse_loss(param, target).item() < 1e-3
+        assert self._mse(param, target).item() < 1e-3
 
     def test_sgd_momentum_converges(self):
         param, target = self._quadratic_problem()
         opt = nn.SGD([param], lr=0.1, momentum=0.9)
         for _ in range(100):
             opt.zero_grad()
-            ag.mse_loss(param, target).backward()
+            self._mse(param, target).backward()
             opt.step()
-        assert ag.mse_loss(param, target).item() < 1e-3
+        assert self._mse(param, target).item() < 1e-3
 
     def test_adam_converges(self):
         param, target = self._quadratic_problem()
         opt = nn.Adam([param], lr=0.05)
         for _ in range(200):
             opt.zero_grad()
-            ag.mse_loss(param, target).backward()
+            self._mse(param, target).backward()
             opt.step()
-        assert ag.mse_loss(param, target).item() < 1e-3
+        assert self._mse(param, target).item() < 1e-3
 
     def test_weight_decay_shrinks(self):
         param = nn.Parameter(np.ones((4,), np.float32))

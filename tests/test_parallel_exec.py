@@ -12,6 +12,7 @@ round-trips both pickle (pool transport) and the JSON codec.
 import json
 import pickle
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -177,7 +178,7 @@ class TestWorkItems:
             ProcessExecutor(algorithm=Bare())
 
     def test_worker_rejects_unspecced_item(self):
-        item = make_work_item(object.__new__(object), 0, 0, 0,
+        item = make_work_item(SimpleNamespace(), 0, 0, 0,
                               needs_broadcast=False)
         # ^ no spec_payload attribute -> handle without payload
         with pytest.raises(ExecutorError):

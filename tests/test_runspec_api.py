@@ -13,12 +13,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.__main__ import main as cli_main, _parse_int_list
+from repro.__main__ import main as cli_main, _build_parser, _parse_int_list
 from repro.algorithms import get_algorithm
-from repro.constraints import ConstraintSpec, build_scenario
+from repro.constraints import (AVAILABILITY_KINDS, ConstraintSpec,
+                               build_scenario)
 from repro.data.registry import load_dataset
 from repro.experiments import (RunCache, RunSpec, aggregate_seed_rows,
-                               all_artifacts, artifact_names, execute_spec,
+                               all_artifacts, execute_spec,
                                execute_specs, expand_grid, format_table,
                                get_scale, resolve_scale, rows_to_csv,
                                rows_to_json, set_default_cache,
@@ -61,9 +62,10 @@ class TestRunSpecSerialization:
 
     def test_json_round_trip(self):
         spec = self._rich_spec()
-        assert RunSpec.from_json(spec.to_json()) == spec
+        text = json.dumps(spec.to_dict())
+        assert RunSpec.from_dict(json.loads(text)) == spec
         # canonical form is deterministic
-        assert spec.to_json() == self._rich_spec().to_json()
+        assert text == json.dumps(self._rich_spec().to_dict())
 
     def test_hash_stable(self):
         assert self._rich_spec().content_hash() == \
@@ -325,11 +327,8 @@ class TestRegistry:
                 "fig6", "fig7", "fig8", "fig9", "ablations", "async_compare",
                 "fault_compare", "telemetry_report"}
 
-    def test_registry_complete_and_sorted(self):
-        names = artifact_names()
-        assert set(names) == self.EXPECTED
-        assert names == sorted(names)
-        assert len(names) == len(set(names))
+    def test_registry_complete(self):
+        assert set(all_artifacts()) == self.EXPECTED
 
     def test_every_artifact_lives_in_its_module(self):
         for name, artifact in all_artifacts().items():
@@ -338,7 +337,7 @@ class TestRegistry:
             assert "scale" in artifact.params
 
     def test_describe_every_artifact(self, capsys):
-        for name in artifact_names():
+        for name in sorted(all_artifacts()):
             assert cli_main(["describe", name]) == 0
             out = capsys.readouterr().out
             assert name in out and "options:" in out
@@ -381,6 +380,22 @@ class TestCLI:
             with pytest.raises(SystemExit) as exit_info:
                 cli_main(argv)
             assert exit_info.value.code == 2
+
+    @pytest.mark.parametrize("verb", ["run", "profile"])
+    @pytest.mark.parametrize("kind", AVAILABILITY_KINDS)
+    def test_availability_choices_are_the_registry(self, verb, kind):
+        args = _build_parser().parse_args([verb, "fig4",
+                                           "--availability", kind])
+        assert args.availability == kind
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig4"], ["profile", "fig4"], ["sweep", "create", "m.json"]],
+        ids=["run", "profile", "sweep-create"])
+    def test_unknown_availability_is_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv + ["--availability", "bogus"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_unsupported_option_warns(self, capsys):
         assert cli_main(["run", "table3", "--rounds", "3"]) == 0

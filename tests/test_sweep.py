@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.constraints import ConstraintSpec
+from repro.constraints import AVAILABILITY_KINDS, ConstraintSpec
 from repro.experiments import (RunCache, RunSpec, Shard, SweepManifest,
                                expand_grid, run_sweep, shard_of,
                                status_rows)
@@ -231,7 +231,8 @@ class TestDerivedStatus:
     def _contract(self, manifest, cache):
         """status == {spec: cache.contains(spec)}, cell for cell (keyed by
         content hash — specs hold dicts and are unhashable)."""
-        mapping = manifest.status(cache=cache).as_mapping()
+        mapping = {cell.spec.content_hash(): cell.done
+                   for cell in manifest.status(cache=cache).cells}
         assert mapping == {spec.content_hash(): cache.contains(spec)
                            for spec in manifest.specs}
         return mapping
@@ -252,7 +253,7 @@ class TestDerivedStatus:
         # After: everything done.
         status = manifest.status(cache=cache)
         assert status.done_count == status.total == len(grid)
-        assert status.pending_specs() == []
+        assert status.pending_count == 0
 
     def test_deleting_one_entry_flips_exactly_one_cell(self, tmp_path):
         cache = RunCache(tmp_path / "cache")
@@ -265,7 +266,8 @@ class TestDerivedStatus:
         mapping = self._contract(manifest, cache)
         assert mapping[victim.content_hash()] is False
         assert sum(not done for done in mapping.values()) == 1
-        assert manifest.status(cache=cache).pending_specs() == [victim]
+        assert [cell.spec for cell in manifest.status(cache=cache).cells
+                if not cell.done] == [victim]
 
     def test_status_probe_leaves_counters_alone(self, tmp_path):
         cache = RunCache(tmp_path / "cache")
@@ -472,6 +474,18 @@ class TestSweepCli:
         shard_rows = [r for r in rows if r["section"] == "shard"]
         assert len(shard_rows) == 2
         assert sum(r["cells"] for r in shard_rows) == total["cells"]
+
+    @pytest.mark.parametrize("kind", AVAILABILITY_KINDS)
+    def test_create_records_the_availability(self, kind, tmp_path):
+        manifest_path = tmp_path / "m.json"
+        assert cli_main(["sweep", "create", str(manifest_path),
+                         "--algorithms", "sheterofl",
+                         "--datasets", "harbox", "--scale", "smoke",
+                         "--availability", kind,
+                         "--cache-dir", str(tmp_path / "cache"),
+                         "-q"]) == 0
+        specs = SweepManifest.load(manifest_path).specs
+        assert {spec.constraints.availability for spec in specs} == {kind}
 
     def test_errors_exit_2(self, tmp_path, capsys):
         assert cli_main(["sweep", "run", str(tmp_path / "missing.json"),
