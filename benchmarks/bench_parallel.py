@@ -94,14 +94,11 @@ def record(doc: dict, json_path: Path = DEFAULT_JSON) -> dict:
 # pytest hook (smoke scale so the suite stays fast)
 # ----------------------------------------------------------------------
 
-def test_bench_parallel(bench_record):
+def test_bench_parallel():
     doc = run_benchmark(scale="smoke", dataset="harbox",
                         worker_counts=(1, 2))
-    for workers, entry in doc["workers"].items():
+    for entry in doc["workers"].values():
         assert entry["identical_history"]
-        bench_record(f"parallel/workers{workers}", {
-            "wall_clock_s": entry["wall_clock_s"],
-            "speedup_vs_inline": entry["speedup_vs_inline"]})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,66 +6,15 @@ scale so the whole suite completes in minutes.  Each benchmark prints the
 regenerated rows (visible with ``pytest benchmarks/ --benchmark-only -s``)
 and asserts their shape.
 
-All ``bench_*.py`` files share a ``--bench-json PATH`` option: when given,
-wall-clock timings (from :func:`run_once`) and explicitly recorded numbers
-(via :func:`bench_record`) are written to ``PATH`` at session end.  Two such
-files can be diffed with ``results/compare_bench.py``, which fails on >20%
-regression of any entry.
+Timings are pytest-benchmark's: ``--benchmark-json PATH`` writes them.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
 import pytest
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--bench-json", action="store", default=None, metavar="PATH",
-        help="write benchmark timings/results to this JSON file")
-
-
-class _BenchRecorder:
-    """Session-wide sink for benchmark numbers (one JSON doc per run)."""
-
-    def __init__(self):
-        self.entries: dict[str, dict] = {}
-
-    def add(self, name: str, numbers: dict) -> None:
-        self.entries[name] = dict(numbers)
-
-    def write(self, path: Path) -> None:
-        doc = {"schema": "bench_suite/v1", "results": self.entries}
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-@pytest.fixture(scope="session")
-def _bench_recorder(request):
-    recorder = _BenchRecorder()
-    yield recorder
-    path = request.config.getoption("--bench-json")
-    if path and recorder.entries:
-        recorder.write(Path(path))
-
-
 @pytest.fixture
-def bench_record(_bench_recorder):
-    """Record named benchmark numbers (dict of floats) into --bench-json."""
-    return _bench_recorder.add
-
-
-@pytest.fixture
-def run_once(benchmark, _bench_recorder, request):
+def run_once(benchmark):
     """Benchmark an expensive harness exactly once (no warmup repeats)."""
-
-    def _run(fn):
-        start = time.perf_counter()
-        result = benchmark.pedantic(fn, rounds=1, iterations=1)
-        _bench_recorder.add(request.node.name,
-                            {"seconds": round(time.perf_counter() - start, 4)})
-        return result
-
-    return _run
+    return lambda fn: benchmark.pedantic(fn, rounds=1, iterations=1)

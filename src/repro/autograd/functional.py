@@ -117,7 +117,7 @@ def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
 # add, whose inner loop is one ``ow``-long row.  3x3, pad 1, isolated, us
 # strided -> gathered, forward / backward: ow=2 70->23 / 45->16, ow=4
 # 62->27 / 107->33, ow=8 57->47 / 120->57, ow=12 74->98 / 164->169, ow=16
-# 102->162 / 232->398 (``BENCH_autograd.json`` label ``round6``: both sides).
+# 102->162 / 232->398 (ROADMAP.md, Performance, "Round 6": both sides).
 _GATHER_MAX_OW = 8
 
 

@@ -20,10 +20,12 @@ __all__ = ["profile", "ProfileReport"]
 class ProfileReport:
     """Counters collected during a profiled region.
 
-    ``gemm_calls`` counts BLAS GEMM dispatches (batched matmul counts one per
-    batch element — per-group small GEMMs show up here as call inflation even
-    when the FLOP totals are identical); ``op_counts`` counts FLOP-bearing
-    ops by kind.
+    ``gemm_calls`` counts the GEMMs of two ops only, one per sample and
+    group or head (per-group small GEMMs show up here as call inflation even
+    when the FLOP totals are identical): ``conv2d``'s forward and backward
+    GEMMs, and ``attention``'s two forward ones.  ``linear``, ``matmul`` and
+    ``attention``'s backward add nothing, so an attention layer counts its
+    core alone.  ``op_counts`` counts FLOP-bearing ops by kind.
     """
 
     flops: int = 0

@@ -219,8 +219,16 @@ class MetricsRegistry:
             registry.set_gauge(entry["name"], entry["value"],
                                **entry["labels"])
         for entry in payload.get("histograms", []):
-            for value in entry.get("values", []):
-                registry.observe(entry["name"], value, **entry["labels"])
+            # Totals come from the summary: ``values`` is only the capped
+            # percentile pool, so re-observing it would lose them.
+            histogram = Histogram()
+            histogram.values = list(entry["values"])
+            histogram.count = entry["count"]
+            histogram.total = entry["sum"]
+            histogram.min = entry["min"]
+            histogram.max = entry["max"]
+            key = _series_key(entry["name"], entry["labels"])
+            registry._histograms[key] = histogram
         return registry
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -12,10 +12,12 @@ The single-pass ``batch_norm`` / ``layer_norm`` statistics and ``attention``'s
 halving row maximum are held, bit for bit, to the ``ndarray.mean`` / ``.var``
 / ``.max`` bodies they replaced, which live on here as references; so is
 ``conv2d``'s narrow-map gather to the strided pad / copy / ``_col2im`` body
-it stands in for, signed zeros included.
+it stands in for, signed zeros included.  ``TestOpCounters`` holds each
+hot op's GEMM count exactly and its allocation peak within 1.2x.
 """
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -27,6 +29,7 @@ from repro import nn
 from repro.autograd import Tensor, check_gradients
 from repro.autograd import functional as F
 from repro.autograd.grad_check import compare_gradients
+from repro.models import build_model
 
 
 def _t(shape, seed=0, scale=1.0):
@@ -1225,3 +1228,126 @@ class TestFusedConvBatchNormAct:
 
         check_gradients(loss, [x, w, b, gamma, beta], atol=1e-6, rtol=1e-5,
                         eps=1e-5)
+
+
+def _leaves_case(seed, shapes, op):
+    """fwd+bwd of ``op`` over float32 leaves drawn, in order, from ``seed``."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.standard_normal(shape).astype(np.float32)
+              for shape in shapes]
+
+    def step():
+        op(*(Tensor(a, requires_grad=True) for a in arrays)).sum().backward()
+
+    return step
+
+
+def _attention_layer_case():
+    rng = np.random.default_rng(3)
+    layer = nn.TransformerEncoderLayer(64, 4, 128, rng)
+    layer.eval()
+    x = rng.standard_normal((4, 32, 64)).astype(np.float32)
+
+    def step():
+        layer.zero_grad()
+        layer(Tensor(x, requires_grad=True)).sum().backward()
+
+    return step
+
+
+def _train_step_case(arch):
+    """One ``fl/client.py::train_local`` step: 8 16x16 images, SGD."""
+    model = build_model(arch, num_classes=10, seed=0)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((8, 3, 16, 16)).astype(np.float32)
+    labels = rng.integers(0, 10, size=8)
+    opt = nn.SGD(model.parameters(), lr=0.01, momentum=0.9)
+
+    def step():
+        model.train()
+        opt.zero_grad()
+        ag.cross_entropy(model(x), labels).backward()
+        opt.step()
+
+    return step
+
+
+def _conv(seed, x, w, bias=True, **conv):
+    shapes = (x, w, (w[0],)) if bias else (x, w)
+    return lambda: _leaves_case(
+        seed, shapes, lambda *leaves: ag.conv2d(*leaves, **conv))
+
+
+def _bn_stats(c):
+    return np.zeros(c, np.float32), np.ones(c, np.float32)
+
+
+# case -> (builder, gemm_calls, peak_alloc_bytes base).  The 4x4 / HAR rows
+# are the shapes the ledger cells run: narrow maps, conv2d's gathered side;
+# the 16x16 / 32x32 rows are its strided side.
+COUNTER_CASES = {
+    "conv2d": (_conv(0, (8, 16, 16, 16), (32, 16, 3, 3), padding=1),
+               24, 3_137_140),
+    "conv2d_1x1": (_conv(0, (8, 32, 16, 16), (64, 32, 1, 1)),
+                   24, 1_324_440),
+    "conv2d_depthwise": (_conv(0, (8, 32, 16, 16), (32, 1, 3, 3), bias=False,
+                               padding=1, groups=32), 512, 5_610_120),
+    "conv2d_stride2": (_conv(0, (4, 16, 32, 32), (32, 16, 3, 3), stride=2,
+                             padding=1), 12, 1_826_804),
+    "conv2d_4x4": (_conv(0, (8, 32, 4, 4), (32, 32, 3, 3), padding=1),
+                   24, 566_972),
+    "conv2d_har": (_conv(0, (8, 9, 8, 4), (8, 9, 3, 3), padding=1),
+                   24, 300_412),
+    "conv2d_depthwise_4x4": (_conv(0, (8, 64, 4, 4), (64, 1, 3, 3),
+                                   bias=False, stride=2, padding=1,
+                                   groups=64), 1_024, 402_160),
+    "conv_bn_relu_4x4": (lambda: _leaves_case(
+        9, [(8, 32, 4, 4), (32, 32, 3, 3), (32,), (32,)],
+        lambda x, w, g, b: ag.conv2d(
+            x, w, padding=1, norm=(g, b, *_bn_stats(32), True, 0.1, 1e-5),
+            act="relu")), 24, 618_248),
+    "linear": (lambda: _leaves_case(1, [(64, 256), (256, 256), (256,)],
+                                    ag.linear), 0, 725_812),
+    "batch_norm": (lambda: _leaves_case(
+        2, [(16, 32, 16, 16), (32,), (32,)],
+        lambda x, g, b: ag.batch_norm(x, g, b, *_bn_stats(32), True)),
+        0, 2_659_500),
+    "layer_norm": (lambda: _leaves_case(8, [(8, 32, 32), (32,), (32,)],
+                                        ag.layer_norm), 0, 238_212),
+    "attention": (_attention_layer_case, 32, 1_098_088),
+    "attention_core": (lambda: _leaves_case(
+        5, [(4, 4, 64, 16)] * 3,
+        lambda q, k, v: ag.attention(q, k, v, 0.25)), 32, 1_122_572),
+    # stride 1, no padding: the overlapping windows of the _col2im adjoint
+    "col2im": (_conv(7, (8, 16, 16, 16), (16, 16, 3, 3), bias=False),
+               24, 2_250_008),
+    "mobilenet_step": (lambda: _train_step_case("mobilenet_v2"),
+                       4_528, 7_783_928),
+    "resnet_step": (lambda: _train_step_case("resnet18"), 280, 4_613_548),
+}
+
+
+class TestOpCounters:
+    """One fwd+bwd call per case, after two warm-up calls (gather plans,
+    optimiser moments): the GEMMs ``ProfileReport.gemm_calls`` counts are
+    exact, and the tracemalloc peak stays within 1.2x of its recorded level.
+    Both are machine-independent — numpy registers array data with
+    tracemalloc, BLAS scratch is invisible — so the bound is tight where a
+    timing loop on a shared host could not be."""
+
+    @pytest.mark.parametrize("case", list(COUNTER_CASES))
+    def test_gemm_calls_and_peak_alloc(self, case):
+        build, gemm_calls, peak_base = COUNTER_CASES[case]
+        step = build()
+        step()
+        step()
+        with ag.profile() as report:
+            tracemalloc.start()
+            try:
+                step()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert report.gemm_calls == gemm_calls
+        assert peak <= 1.2 * peak_base, \
+            f"peak {peak} B is x{peak / peak_base:.3f} of {peak_base} B"

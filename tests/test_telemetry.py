@@ -27,6 +27,7 @@ from repro.telemetry import (Histogram, JsonLogFormatter, MetricsRegistry,
                              reset_logging, run_scope, telemetry_session,
                              validate_chrome_trace)
 from repro.telemetry import runtime as telemetry_runtime
+from repro.telemetry.metrics import HISTOGRAM_VALUE_CAP
 
 SMOKE = ConstraintSpec(constraints=("computation",))
 
@@ -130,6 +131,18 @@ class TestMetricsRegistry:
         assert back.to_dict() == r.to_dict()
         assert back.counter_value("items", kind="process") == 4
         assert back.histogram("latency").values == [0.25, 0.75]
+
+    def test_round_trip_keeps_totals_past_the_value_cap(self):
+        r = MetricsRegistry()
+        n = HISTOGRAM_VALUE_CAP + 10
+        for v in range(n):
+            r.observe("wait", float(v))
+        back = MetricsRegistry.from_dict(json.loads(json.dumps(r.to_dict())))
+        h = back.histogram("wait")
+        assert (h.count, h.min, h.max) == (n, 0.0, n - 1.0)
+        assert h.mean == (n - 1) / 2
+        assert len(h.values) == HISTOGRAM_VALUE_CAP
+        assert back.to_dict() == r.to_dict()
 
 
 class TestTracer:
