@@ -64,6 +64,13 @@ def _parse_int_list(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _parse_str_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
 
@@ -107,7 +114,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algorithms", type=_parse_str_list, default=None,
                         metavar="A1,A2",
                         help="restrict to these algorithms")
-    parser.add_argument("--rounds", type=int, default=None,
+    parser.add_argument("--rounds", type=_positive_int, default=None,
                         help="override the scale's num_rounds")
     parser.add_argument("--availability", default=None,
                         choices=AVAILABILITY_KINDS,

@@ -34,7 +34,7 @@ from ..fl.seeding import reseed_dropout
 from ..hw.cost_model import CostModel, DEFAULT_COST_MODEL
 from ..hw.ima import ClientCapability
 from ..hw.model_pool import ModelPool, PoolEntry
-from ..models.base import SliceableModel, depth_variant_of
+from ..models.base import SliceableModel
 from ..models.slicing import (extract_substate, finalize_mean,
                               scatter_accumulate, width_index_maps,
                               zeros_like_state)

@@ -12,20 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from .. import autograd as ag
-from ..models.base import SliceableModel
-from ..models.slicing import extract_substate, width_index_maps
+from ..models.base import SliceableModel, depth_overrides
 from .base import ClientContext, DEPTH_LEVELS, MHFLAlgorithm
 
 __all__ = ["DepthFL"]
-
-
-def _depth_overrides(base_model: SliceableModel, frac: float,
-                     head_mode: str) -> dict:
-    """Constructor overrides for a depth variant (block-level when supported)."""
-    if "depth_frac" in base_model._build_kwargs:
-        return {"depth_frac": frac, "num_stages": None, "head_mode": head_mode}
-    stages = max(1, int(round(frac * base_model.total_stages)))
-    return {"num_stages": stages, "head_mode": head_mode}
 
 
 class DepthFL(MHFLAlgorithm):
@@ -41,7 +31,7 @@ class DepthFL(MHFLAlgorithm):
 
     @classmethod
     def variant_space(cls, base_model: SliceableModel) -> dict[str, dict]:
-        return {f"d{f:.2f}": _depth_overrides(base_model, f, "all")
+        return {f"d{f:.2f}": depth_overrides(base_model, f, "all")
                 for f in DEPTH_LEVELS}
 
     def local_loss_fn(self, ctx: ClientContext, model: SliceableModel):

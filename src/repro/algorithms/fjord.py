@@ -4,8 +4,9 @@ Clients own nested prefix sub-models; at training time a client samples a
 width *at or below its own budget* and trains that slice, so smaller prefixes
 are trained by every larger client too (the "ordered dropout" distribution).
 We sample the width once per round (the paper samples per step; per-round
-sampling keeps the numpy simulation tractable and preserves the training
-distribution across rounds — see DESIGN.md).
+sampling keeps the numpy simulation tractable; across rounds each width at
+or below a client's budget is still drawn uniformly, the distribution the
+paper samples from per step).
 """
 
 from __future__ import annotations

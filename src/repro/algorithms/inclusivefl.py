@@ -9,16 +9,16 @@ hold the deep layers still benefit from what those layers learned.
 The paper formulates the injection between same-shaped transformer layers;
 in CNN stages only same-shaped neighbours (non-downsampling blocks within a
 stage) are eligible, so the transfer applies exactly where shapes match and
-is a documented no-op elsewhere (see DESIGN.md).
+is a no-op elsewhere: a downsampling block has no same-shaped neighbour to
+receive it.
 """
 
 from __future__ import annotations
 
 import re
 
-from ..models.base import SliceableModel
+from ..models.base import SliceableModel, depth_overrides
 from .base import DEPTH_LEVELS, MHFLAlgorithm
-from .depthfl import _depth_overrides
 
 __all__ = ["InclusiveFL"]
 
@@ -40,7 +40,7 @@ class InclusiveFL(MHFLAlgorithm):
 
     @classmethod
     def variant_space(cls, base_model: SliceableModel) -> dict[str, dict]:
-        return {f"d{f:.2f}": _depth_overrides(base_model, f, "deepest")
+        return {f"d{f:.2f}": depth_overrides(base_model, f, "deepest")
                 for f in DEPTH_LEVELS}
 
     def post_aggregate(self, old_state: dict, round_index: int) -> None:

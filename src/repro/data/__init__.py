@@ -1,4 +1,9 @@
-"""Synthetic datasets + federated partitioners (see DESIGN.md substitutions)."""
+"""Synthetic datasets + federated partitioners.
+
+The six PracMHBench tasks are generated, not downloaded: each stand-in keeps
+the input shape, class count and per-user structure the benchmark relies on
+(see the ``synthetic_*`` modules).
+"""
 
 from .dataset import FederatedDataset, Subset, batches
 from .partition import (iid_partition, dirichlet_partition, by_user_partition,

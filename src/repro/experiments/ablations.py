@@ -1,4 +1,4 @@
-"""Ablations of the algorithm design choices DESIGN.md calls out.
+"""Ablations of each MHFL method's distinctive design choice.
 
 Each MHFL method carries a distinctive mechanism on top of plain sub-model
 averaging; these ablations switch the mechanism off and rerun the same

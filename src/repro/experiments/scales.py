@@ -4,8 +4,8 @@ The paper runs 1000 rounds over 30–500 clients on GPU testbeds; this
 reproduction runs the same code path at configurable scale:
 
 * ``smoke`` — seconds; used by the test suite and pytest benchmarks;
-* ``demo``  — minutes per (algorithm, dataset); used by the examples and the
-  recorded EXPERIMENTS.md results;
+* ``demo``  — minutes per (algorithm, dataset); used by the examples and
+  the README's artifact commands;
 * ``paper`` — the paper's client counts, sampling ratio and round budget
   (CPU-days; provided for completeness).
 

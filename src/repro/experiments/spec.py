@@ -23,6 +23,8 @@ hash stays faithful.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import ClassVar
 
@@ -154,12 +156,12 @@ class RunSpec:
 
         Stable across processes and sessions: the canonical form sorts keys
         and uses compact separators, so two equal specs always share a hash
-        and any field change produces a new one.  The digest function is
-        shared with :class:`repro.fl.executor.ScenarioHandle`, so run-cache
-        entries and pool-worker scenario caches key identically.
+        and any field change produces a new one: sha256 of the sorted-key
+        compact JSON, first 24 hex chars.
         """
-        from ..fl.executor import spec_content_digest
-        return spec_content_digest(self.to_dict())
+        canonical = json.dumps(self.to_dict(), sort_keys=True,
+                               separators=(",", ":"))
+        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:24]
 
     @property
     def label(self) -> str:

@@ -16,7 +16,7 @@ from .availability import (AvailabilityModel, AlwaysOn, DiurnalSine,
 from .aggregation import (ExecutionConfig, AggregationPolicy,
                           SynchronousPolicy, BufferedPolicy,
                           AGGREGATION_POLICIES, make_policy, validate_update)
-from .executor import (ScenarioHandle, ClientWorkItem, ClientResult,
+from .executor import (ClientWorkItem, ClientResult,
                        execute_work_item, Executor, InlineExecutor,
                        ProcessExecutor, EXECUTOR_KINDS,
                        make_executor, ExecutorError, TransientExecutorError,
@@ -39,7 +39,7 @@ __all__ = [
     "ExecutionConfig", "AggregationPolicy", "SynchronousPolicy",
     "BufferedPolicy", "AGGREGATION_POLICIES", "make_policy",
     "validate_update",
-    "ScenarioHandle", "ClientWorkItem", "ClientResult", "execute_work_item",
+    "ClientWorkItem", "ClientResult", "execute_work_item",
     "Executor", "InlineExecutor", "ProcessExecutor",
     "EXECUTOR_KINDS", "make_executor", "ExecutorError", "TransientExecutorError",
     "failure_is_transient",

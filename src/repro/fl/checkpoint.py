@@ -16,10 +16,12 @@ uninterrupted run's byte for byte (pinned by ``tests/test_faults.py`` and
 the CI ``fault-smoke`` job).  Checkpointing is invisible in the History
 itself — no events, no extras — which is what makes that equality exact.
 
-Arrays ride the PR 5 JSON codecs (:func:`repro.fl.serialization.
+Arrays ride the History JSON codecs (:func:`repro.fl.serialization.
 encode_payload`), so any dtype round-trips bit-exactly.  Only the
 synchronous paths checkpoint; the buffered policy has in-flight futures
-that cannot be snapshotted and declines with a warning.
+that cannot be snapshotted, so :class:`~repro.fl.simulation.SimulationConfig`
+raises ``ValueError`` for that pair (the runner drops the checkpoint for
+buffered cells instead).
 """
 
 from __future__ import annotations

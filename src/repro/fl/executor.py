@@ -11,10 +11,10 @@ determines the result:
 * **randomness** is a seed triple ``(run_seed, round, client_id)``
   (:mod:`repro.fl.seeding`), never a shared generator whose draws depend
   on dispatch order;
-* the **scenario** (dataset, models, clients) is referenced by a
-  :class:`ScenarioHandle` carrying the spec's content hash plus its
-  serialised form, so a pool worker can rebuild an identical replica and
-  cache it across items.
+* the **scenario** (dataset, models, clients) is not in the item at all:
+  an executor serves exactly one scenario, and a pool hands each worker
+  the run's spec payload once, from which it rebuilds an identical
+  replica.
 
 Two executors implement one contract:
 
@@ -22,9 +22,9 @@ Two executors implement one contract:
   reads live state); bit-for-bit the pre-executor sequential semantics and
   the reference the pool must match;
 * :class:`ProcessExecutor` — process pool; each worker rebuilds the
-  scenario from the handle once and caches it by spec hash.  Client steps
-  are Python-bound, so separate interpreters are what buys a speedup; the
-  price is pickling broadcasts and updates.
+  scenario from the spec payload on its first item and keeps it.  Client
+  steps are Python-bound, so separate interpreters are what buys a
+  speedup; the price is pickling broadcasts and updates.
 
 Because items are pure and ingestion happens on the coordinator in
 dispatch order, **results are identical for any executor and any worker
@@ -33,13 +33,10 @@ count** — the contract ``tests/test_parallel_exec.py`` pins byte-for-byte.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 import time
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import ProcessPoolExecutor as _ProcessPool
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass
 
 from ..telemetry import runtime as telemetry
@@ -48,7 +45,7 @@ from .seeding import client_rng
 
 _log = get_logger("executor")
 
-__all__ = ["ScenarioHandle", "ClientWorkItem", "ClientResult",
+__all__ = ["ClientWorkItem", "ClientResult",
            "execute_work_item", "Executor", "InlineExecutor",
            "ProcessExecutor", "EXECUTOR_KINDS",
            "make_executor", "resolve_executor_kind", "ExecutorError",
@@ -69,15 +66,14 @@ class TransientExecutorError(ExecutorError):
 
 
 #: failure classes a bounded retry may recover from: a broken pool (worker
-#: process died — the pool gets rebuilt), a per-item timeout (hung or
-#: starved worker) and torn IPC (a dying process closes its pipe mid-read).
+#: process died — the pool gets rebuilt), a transport timeout and torn IPC
+#: (a dying process closes its pipe mid-read).
 #: Everything else — and every plain :class:`ExecutorError` — is permanent:
 #: work items are pure, so a deterministic exception would simply recur.
 TRANSIENT_EXCEPTIONS = (TransientExecutorError, BrokenExecutor,
-                        _FuturesTimeout, TimeoutError, ConnectionError,
-                        EOFError)
+                        TimeoutError, ConnectionError, EOFError)
 
-#: default bounded-retry budget per work item for pool executors.
+#: bounded-retry budget per work item for pool executors.
 DEFAULT_RETRIES = 2
 
 
@@ -86,39 +82,9 @@ def failure_is_transient(error: BaseException) -> bool:
     return isinstance(error, TRANSIENT_EXCEPTIONS)
 
 
-def spec_content_digest(payload: dict) -> str:
-    """Canonical digest of a JSON-safe spec payload: sorted-key compact
-    JSON, sha256, first 24 hex chars.  The single definition behind both
-    :meth:`repro.experiments.spec.RunSpec.content_hash` and
-    :meth:`ScenarioHandle.from_spec_payload`, so cache entries and
-    worker-side scenario cache keys can never drift apart."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:24]
-
-
 # ----------------------------------------------------------------------
 # Work items
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ScenarioHandle:
-    """Picklable reference to the scenario a work item belongs to.
-
-    ``payload`` is the owning :class:`~repro.experiments.spec.RunSpec` in
-    dict form (``None`` when the run was not built from a spec — direct
-    library use — in which case only the inline executor can serve it);
-    ``key`` is its content hash, the worker-side cache key.
-    """
-
-    key: str
-    payload: dict | None = None
-
-    @classmethod
-    def from_spec_payload(cls, payload: dict | None) -> "ScenarioHandle":
-        if payload is None:
-            return cls(key="<unspecced>", payload=None)
-        return cls(key=spec_content_digest(payload), payload=payload)
-
-
 @dataclass
 class ClientWorkItem:
     """One client's local round as a self-contained, picklable job."""
@@ -132,8 +98,6 @@ class ClientWorkItem:
     #: downlink payload from ``pack_broadcast`` (``None`` = read live
     #: coordinator state; only the inline executor may do that).
     broadcast: dict | None = None
-    #: scenario reference for process-pool rebuilds.
-    scenario: ScenarioHandle | None = None
     #: repeat-dispatch counter of this client at this version (buffered
     #: policy only); part of the seed derivation so a re-dispatched client
     #: trains a fresh draw, not a replay.
@@ -160,45 +124,44 @@ class ClientResult:
 # ----------------------------------------------------------------------
 # Worker-side execution
 # ----------------------------------------------------------------------
-#: per-process scenario replicas, keyed by spec content hash.
-_WORKER_ALGORITHMS: dict[str, object] = {}
-#: soft cap on cached replicas per worker (sweeps touch many specs; each
-#: replica holds a dataset + models, so keep only the most recent few).
-_WORKER_CACHE_LIMIT = 4
+#: this pool worker's scenario: the run's spec payload, installed once by
+#: the pool initializer, and the replica built from it on the first item
+#: (so a build error surfaces as that item's exception, not a broken pool).
+_worker_spec: dict | None = None
+_worker_replica = None
 
 
-def _worker_algorithm(handle: ScenarioHandle | None):
-    """The worker-local algorithm replica for ``handle`` (built on miss)."""
-    if handle is None or handle.payload is None:
-        raise ExecutorError(
-            "work item carries no rebuildable scenario; runs not built "
-            "from a RunSpec can only use the inline executor")
-    algorithm = _WORKER_ALGORITHMS.get(handle.key)
-    if algorithm is None:
+def _install_worker_spec(payload: dict | None) -> None:
+    """Pool initializer: give this worker the one scenario it serves."""
+    global _worker_spec
+    _worker_spec = payload
+
+
+def _worker_algorithm():
+    """This worker's algorithm replica (built on the first item)."""
+    global _worker_replica
+    if _worker_replica is None:
+        if _worker_spec is None:
+            raise ExecutorError(
+                "no rebuildable scenario in this process; runs not built "
+                "from a RunSpec can only use the inline executor")
         from ..experiments.runner import build_worker_scenario
-        while len(_WORKER_ALGORITHMS) >= _WORKER_CACHE_LIMIT:
-            # Evict the oldest replica only (insertion order), so a sweep
-            # cycling over limit+1 specs doesn't rebuild everything.
-            # Replicas are keyed by spec content hash and rebuilt
-            # deterministically, so cache state changes cost, never results.
-            _WORKER_ALGORITHMS.pop(next(iter(_WORKER_ALGORITHMS)))
-        algorithm = build_worker_scenario(handle.payload).algorithm
-        _WORKER_ALGORITHMS[handle.key] = algorithm
-    return algorithm
+        _worker_replica = build_worker_scenario(_worker_spec).algorithm
+    return _worker_replica
 
 
 def execute_work_item(item: ClientWorkItem, algorithm=None) -> ClientResult:
     """Run one client's local round; the free function every executor calls.
 
     ``algorithm`` injects the coordinator's live object (the inline
-    executor); when omitted the scenario is rebuilt from the item's
-    handle and cached per process (pool workers).  Either way the result
-    is a pure function of the item: state comes from ``item.broadcast``
+    executor); when omitted it is this pool worker's replica of the
+    scenario its initializer installed.  Either way the result is a pure
+    function of the item: state comes from ``item.broadcast``
     (or, inline-only, live state that is guaranteed quiescent during the
     batch) and randomness from the derived seed.
     """
     if algorithm is None:
-        algorithm = _worker_algorithm(item.scenario)
+        algorithm = _worker_algorithm()
     rng = client_rng(item.run_seed, item.version, item.client_id,
                      item.dispatch_index)
     start = time.perf_counter()
@@ -227,21 +190,6 @@ def _finalize_timing(result: ClientResult, total_s: float,
     result.timing = timing
 
 
-def scenario_handle_for(algorithm) -> ScenarioHandle:
-    """The algorithm's scenario handle, hashed once and cached.
-
-    ``make_work_item`` runs once per client dispatch — re-serialising and
-    re-hashing the (constant) spec payload there would put a sha256 of the
-    whole spec on the dispatch hot path.
-    """
-    payload = getattr(algorithm, "spec_payload", None)
-    cached = getattr(algorithm, "_scenario_handle", None)
-    if cached is None or cached[0] is not payload:
-        cached = (payload, ScenarioHandle.from_spec_payload(payload))
-        algorithm._scenario_handle = cached
-    return cached[1]
-
-
 def make_work_item(algorithm, client_id: int, version: int, run_seed: int,
                    needs_broadcast: bool,
                    shared_broadcast: dict | None = None,
@@ -266,7 +214,6 @@ def make_work_item(algorithm, client_id: int, version: int, run_seed: int,
     return ClientWorkItem(
         client_id=int(client_id), version=int(version),
         run_seed=int(run_seed), broadcast=broadcast,
-        scenario=scenario_handle_for(algorithm),
         dispatch_index=int(dispatch_index))
 
 
@@ -295,10 +242,6 @@ class Executor:
 
     kind = "base"
     needs_broadcast = True
-    #: hardening knobs (the pool honours them; inline has no failure modes
-    #: to harden against).
-    timeout_s: float | None = None
-    retries: int = 0
 
     def __init__(self, workers: int = 1):
         self.workers = max(1, int(workers))
@@ -344,13 +287,12 @@ class InlineExecutor(Executor):
 class _ResilientFuture:
     """A pool future with bounded, deterministic retry.
 
-    ``result()`` waits at most the executor's ``timeout_s`` per attempt and
-    transparently re-executes the item on transient failures (see
-    :data:`TRANSIENT_EXCEPTIONS`), up to ``retries`` times.  Work items are
-    pure, so a re-execution is byte-identical to what the lost attempt
-    would have produced — hardening is invisible in results, it only trades
-    wall clock for survival.  Permanent failures (and exhausted budgets)
-    propagate unchanged.
+    ``result()`` transparently re-executes the item on transient failures
+    (see :data:`TRANSIENT_EXCEPTIONS`), up to the executor's ``retries``
+    times.  Work items are pure, so a re-execution is byte-identical to
+    what the lost attempt would have produced — hardening is invisible in
+    results, it only trades wall clock for survival.  Permanent failures
+    (and exhausted budgets) propagate unchanged.
     """
 
     __slots__ = ("_executor", "_item", "_future", "_generation", "_attempts",
@@ -368,15 +310,12 @@ class _ResilientFuture:
     def result(self) -> ClientResult:
         while True:
             try:
-                result = self._future.result(timeout=self._executor.timeout_s)
+                result = self._future.result()
                 _finalize_timing(result,
                                  time.perf_counter() - self._submitted,
                                  self._attempts)
                 return result
             except BaseException as error:  # noqa: BLE001 - classified below
-                if isinstance(error, (_FuturesTimeout, TimeoutError)):
-                    telemetry.inc("executor.timeouts",
-                                  kind=self._executor.kind)
                 if (self._attempts >= self._executor.retries
                         or not failure_is_transient(error)):
                     raise
@@ -392,7 +331,9 @@ class _ResilientFuture:
 
 
 class ProcessExecutor(Executor):
-    """Process pool; workers rebuild and cache the scenario by spec hash.
+    """Process pool serving one scenario: the pool initializer hands each
+    worker ``algorithm.spec_payload`` once, and the worker rebuilds its
+    replica from it on its first item.
 
     The pool is rebuildable and its futures retry.  ``_recover`` is the
     crash path: when the pool itself broke (a worker process died taking
@@ -400,34 +341,31 @@ class ProcessExecutor(Executor):
     guarded by a generation counter so concurrent failed futures don't
     rebuild N times — and re-dispatches the caller's item; in-flight items
     each re-dispatch themselves the same way when their own ``result()``
-    calls observe the breakage.  ``_build_pool``/``_submit_raw`` are the
-    seam the retry tests substitute a scripted pool through."""
+    calls observe the breakage; a rebuilt pool runs the same initializer.
+    ``_build_pool``/``_submit_raw`` are the seam the retry tests substitute
+    a scripted pool through."""
 
     kind = "process"
+    retries = DEFAULT_RETRIES
 
-    def __init__(self, algorithm=None, workers: int = 2,
-                 timeout_s: float | None = None, retries: int | None = None):
-        if (algorithm is not None
-                and getattr(algorithm, "spec_payload", None) is None):
+    def __init__(self, algorithm=None, workers: int = 2):
+        self.spec_payload = getattr(algorithm, "spec_payload", None)
+        if algorithm is not None and self.spec_payload is None:
             raise ExecutorError(
                 "process executor needs a rebuildable scenario; run this "
                 "simulation through a RunSpec (experiments.runner) or leave "
                 "executor='auto', which runs spec-less scenarios inline")
         super().__init__(workers=workers)
-        self.timeout_s = timeout_s
-        self.retries = DEFAULT_RETRIES if retries is None else max(0, int(retries))
         self._lock = threading.Lock()
         self._generation = 0
         self._pool = self._build_pool()
 
     def _build_pool(self):
-        return _ProcessPool(max_workers=self.workers)
+        return _ProcessPool(max_workers=self.workers,
+                            initializer=_install_worker_spec,
+                            initargs=(self.spec_payload,))
 
     def _submit_raw(self, item: ClientWorkItem):
-        if item.scenario is None or item.scenario.payload is None:
-            raise ExecutorError(
-                "work item carries no rebuildable scenario; the process "
-                "executor cannot serve it")
         return self._pool.submit(execute_work_item, item)
 
     def submit(self, item: ClientWorkItem):
@@ -486,19 +424,14 @@ def resolve_executor_kind(kind: str | None, workers: int,
 
 
 def make_executor(algorithm, workers: int = 1,
-                  kind: str | None = "auto",
-                  timeout_s: float | None = None,
-                  retries: int | None = None) -> Executor:
+                  kind: str | None = "auto") -> Executor:
     """Build the executor a simulation should use.
 
     The resolved kind honours the determinism contract automatically —
     whatever comes back, `History` output is identical; only wall-clock
-    and memory profiles differ.  ``timeout_s``/``retries`` tune the pool's
-    hardening (per-item result timeout, bounded transparent retry); the
-    inline executor has no failure modes and ignores them.
+    and memory profiles differ.
     """
     has_scenario = getattr(algorithm, "spec_payload", None) is not None
     if resolve_executor_kind(kind, workers, has_scenario) == "inline":
         return InlineExecutor(algorithm=algorithm)
-    return ProcessExecutor(algorithm=algorithm, workers=workers,
-                           timeout_s=timeout_s, retries=retries)
+    return ProcessExecutor(algorithm=algorithm, workers=workers)

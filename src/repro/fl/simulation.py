@@ -15,9 +15,9 @@ it changes results and is hashed with the spec.  ``None`` resolves to
 ``ExecutionConfig()``: the synchronous policy on an always-on fleet, where
 every sampled client finishes and the round waits for the straggler.
 Everything else on :class:`SimulationConfig` beyond the round-loop
-parameters is *mechanics* — worker count, executor kind, per-item
-hardening, checkpointing, strict-mode sanitizers — which cannot change a
-byte of the History and is never hashed.  The config is fully explicit:
+parameters is *mechanics* — worker count, executor kind, checkpointing,
+strict-mode sanitizers — which cannot change a byte of the History and is
+never hashed.  The config is fully explicit:
 nothing here reads process-global state; defaults a caller did not spell
 out are resolved upstream, in :mod:`repro.experiments.runner`.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .aggregation import ExecutionConfig, make_policy, sample_clients
 from .checkpoint import CheckpointConfig
-from .executor import EXECUTOR_KINDS, Executor, make_executor
+from .executor import EXECUTOR_KINDS, make_executor
 from .history import History
 from .sanitizers import rng_tripwire
 
@@ -58,12 +58,6 @@ class SimulationConfig:
     #: hashing.
     workers: int = 1
     executor: str = "auto"    # "auto" | "inline" | "process"
-    #: pool-executor hardening: per-item result timeout and bounded
-    #: transparent retries on transient failures.  Work items are pure, so
-    #: a retry is byte-identical to the attempt it replaces.  ``None``
-    #: keeps the executor defaults.
-    item_timeout_s: float | None = None
-    item_retries: int | None = None
     #: crash-safety: periodic atomic snapshots + resume
     #: (:mod:`repro.fl.checkpoint`).  Purely mechanical — checkpointing is
     #: invisible in the History, so it never participates in hashing.
@@ -75,15 +69,15 @@ class SimulationConfig:
     strict: bool = False
 
     def __post_init__(self):
+        if self.num_rounds < 1:
+            raise ValueError("num_rounds must be >= 1")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.executor not in EXECUTOR_KINDS:
             raise ValueError(f"unknown executor {self.executor!r}; "
                              f"known: {EXECUTOR_KINDS}")
-        if self.item_timeout_s is not None and self.item_timeout_s <= 0:
-            raise ValueError("item_timeout_s must be > 0")
-        if self.item_retries is not None and self.item_retries < 0:
-            raise ValueError("item_retries must be >= 0")
         if (self.checkpoint is not None and self.execution is not None
                 and self.execution.policy == "buffered"):
             raise ValueError(
@@ -96,13 +90,12 @@ class SimulationConfig:
 RUN_COUNT = 0
 
 
-def run_simulation(algorithm, config: SimulationConfig,
-                   executor: Executor | None = None) -> History:
+def run_simulation(algorithm, config: SimulationConfig) -> History:
     """Drive ``algorithm`` for ``config.num_rounds`` rounds.
 
     All client training flows through an
-    :class:`~repro.fl.executor.Executor` (built from the config's
-    ``workers``/``executor``/``item_*`` fields unless one is passed in);
+    :class:`~repro.fl.executor.Executor` built from the config's
+    ``workers``/``executor`` fields and closed when the run ends;
     ingestion stays on the coordinator in dispatch order, so the History
     is byte-identical for any worker count.
     """
@@ -111,12 +104,8 @@ def run_simulation(algorithm, config: SimulationConfig,
     execution = config.execution or ExecutionConfig()
     availability = execution.build_availability(algorithm.num_clients,
                                                 sim_seed=config.seed)
-    owns_executor = executor is None
-    if executor is None:
-        executor = make_executor(algorithm, workers=config.workers,
-                                 kind=config.executor,
-                                 timeout_s=config.item_timeout_s,
-                                 retries=config.item_retries)
+    executor = make_executor(algorithm, workers=config.workers,
+                             kind=config.executor)
     try:
         # Policy construction happens inside the guard: if it raises, the
         # just-created process pool must still be shut down rather
@@ -127,5 +116,4 @@ def run_simulation(algorithm, config: SimulationConfig,
                 else nullcontext():
             return policy.run(algorithm)
     finally:
-        if owns_executor:
-            executor.close()
+        executor.close()

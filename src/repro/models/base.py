@@ -34,7 +34,7 @@ from ..autograd import Tensor
 from .. import nn
 
 __all__ = ["IndexedModules", "SliceableModel", "scaled_channels",
-           "depth_variant_of"]
+           "depth_overrides", "depth_variant_of"]
 
 
 def scaled_channels(base: int, multiplier: float, divisor: int = 1) -> int:
@@ -206,9 +206,10 @@ class SliceableModel(nn.Module):
         return [p for p in self.parameters() if p.requires_grad]
 
 
-def depth_variant_of(model: "SliceableModel", frac: float,
-                     head_mode: str = "deepest") -> "SliceableModel":
-    """Build the depth variant at a nominal fraction of the original depth.
+def depth_overrides(model: "SliceableModel", frac: float,
+                    head_mode: str = "deepest") -> dict:
+    """Constructor overrides for the depth variant at a nominal fraction of
+    the original depth.
 
     Architectures with uniform-width stages (ResNet) support block-level
     prefix pruning (``depth_frac``), which matches how DepthFL-style methods
@@ -218,7 +219,12 @@ def depth_variant_of(model: "SliceableModel", frac: float,
     if not 0.0 < frac <= 1.0:
         raise ValueError(f"depth fraction must be in (0, 1], got {frac}")
     if "depth_frac" in model._build_kwargs:
-        return model.variant(depth_frac=frac, num_stages=None,
-                             head_mode=head_mode)
+        return {"depth_frac": frac, "num_stages": None, "head_mode": head_mode}
     stages = max(1, int(round(frac * model.total_stages)))
-    return model.variant(num_stages=stages, head_mode=head_mode)
+    return {"num_stages": stages, "head_mode": head_mode}
+
+
+def depth_variant_of(model: "SliceableModel", frac: float,
+                     head_mode: str = "deepest") -> "SliceableModel":
+    """Build the depth variant :func:`depth_overrides` describes."""
+    return model.variant(**depth_overrides(model, frac, head_mode))

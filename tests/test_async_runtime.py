@@ -584,8 +584,7 @@ class TestExecutionConfig:
     def test_execution_config_is_semantics_only(self):
         """Mechanics live on SimulationConfig; every ExecutionConfig field
         is serialised (hashed), so there is nothing to exclude."""
-        for knob in ("workers", "executor", "strict", "item_timeout_s",
-                     "item_retries"):
+        for knob in ("workers", "executor", "strict"):
             with pytest.raises(TypeError):
                 ExecutionConfig(**{knob: 1})
         assert not hasattr(ExecutionConfig, "HASH_EXCLUDED")

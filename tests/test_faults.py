@@ -10,6 +10,8 @@ are byte-identical to uninterrupted ones, and zero-fault runs serialise
 
 import json
 import logging
+import multiprocessing
+import os
 import threading
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 
@@ -29,9 +31,8 @@ from repro.fl import (ExecutionConfig, LocalTrainConfig, SimulationConfig,
 from repro.fl.checkpoint import (CHECKPOINT_VERSION, CheckpointConfig,
                                  Checkpointer, make_checkpointer)
 from repro.fl.executor import (DEFAULT_RETRIES, ClientResult, ClientWorkItem,
-                               ExecutorError, InlineExecutor, ProcessExecutor,
-                               TransientExecutorError, failure_is_transient,
-                               make_executor)
+                               ExecutorError, ProcessExecutor,
+                               TransientExecutorError, failure_is_transient)
 from repro.fl.faults import FaultModel, FaultSpec, corrupt_update
 from repro.models import build_model
 from repro.telemetry import reset_logging
@@ -514,7 +515,7 @@ class TestQuorum:
 # Hardened executors
 # ----------------------------------------------------------------------
 class _InProcessPool(ProcessExecutor):
-    """The pool executor's retry/rebuild/timeout machinery over a
+    """The pool executor's retry/rebuild machinery over a
     test-owned in-process pool, so no worker processes are spawned."""
 
     def _build_pool(self):
@@ -525,12 +526,12 @@ class _ScriptedExecutor(_InProcessPool):
     """Pool whose work is a per-item script of failures, so retry and
     rebuild behaviour can be pinned without real crashes."""
 
-    def __init__(self, failures, exception=TransientExecutorError, **kwargs):
+    def __init__(self, failures, exception=TransientExecutorError):
         self.failures = failures        # attempts that should fail per item
         self.exception = exception
         self.calls = {}
         self._calls_lock = threading.Lock()
-        super().__init__(algorithm=None, workers=2, **kwargs)
+        super().__init__(algorithm=None, workers=2)
 
     def _submit_raw(self, item):
         def work():
@@ -569,7 +570,10 @@ class TestExecutorHardening:
         assert executor.calls[0] == DEFAULT_RETRIES + 1
 
     def test_zero_retries_fails_fast(self):
-        with _ScriptedExecutor(failures=1, retries=0) as executor:
+        class FailFast(_ScriptedExecutor):
+            retries = 0
+
+        with FailFast(failures=1) as executor:
             with pytest.raises(TransientExecutorError):
                 executor.submit(_item()).result()
         assert executor.calls[0] == 1
@@ -589,37 +593,38 @@ class TestExecutorHardening:
             assert executor._pool is not first_pool
             assert executor._generation == 1
 
-    def test_item_timeout_enforced(self):
-        release = threading.Event()
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the patched client step reaches pool "
+                               "workers only through fork")
+    def test_worker_death_rebuilds_pool(self, tmp_path, monkeypatch):
+        """A real worker process dies mid-item: the pool breaks, is rebuilt
+        with the same initializer, and the History is the inline one."""
+        from repro.algorithms.heterofl import SHeteroFL
+        spec = RunSpec(algorithm="sheterofl", dataset="harbox",
+                       constraints=SMOKE, scale="smoke")
+        reference = execute_spec(spec, cache=None).history
+        coordinator = os.getpid()
+        marker = tmp_path / "worker-died"
+        run_client = SHeteroFL.run_client
 
-        class Hanging(_InProcessPool):
-            def _submit_raw(self, item):
-                return self._pool.submit(release.wait, 30)
+        def die_once(self, *args, **kwargs):
+            if os.getpid() != coordinator:
+                try:
+                    os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                except FileExistsError:
+                    pass
+                else:
+                    os._exit(1)
+            return run_client(self, *args, **kwargs)
 
-        with Hanging(algorithm=None, workers=1, timeout_s=0.05,
-                     retries=0) as executor:
-            with pytest.raises(TimeoutError):
-                executor.submit(_item()).result()
-            release.set()
-
-    def test_make_executor_threads_knobs(self):
-        executor = make_executor(None, workers=2, kind="process",
-                                 timeout_s=12.5, retries=4)
-        try:
-            assert executor.timeout_s == 12.5
-            assert executor.retries == 4
-        finally:
-            executor.close()
-        # pools default to the bounded retry budget
-        executor = make_executor(None, workers=2, kind="process")
-        try:
-            assert executor.retries == DEFAULT_RETRIES
-        finally:
-            executor.close()
-        # inline has no failure modes: knobs are ignored
-        inline = make_executor(None, workers=1, timeout_s=1.0, retries=9)
-        assert isinstance(inline, InlineExecutor)
-        assert inline.retries == 0
+        monkeypatch.setattr(SHeteroFL, "run_client", die_once)
+        pooled = execute_spec(spec.replace(workers=2, executor="process"),
+                              cache=None).history
+        assert marker.exists()
+        assert pooled.to_json() == reference.to_json()
+        retries = sum(timing["retries"] for record in pooled.records
+                      for timing in record.extras["client_timings"].values())
+        assert retries >= 1
 
 
 # ----------------------------------------------------------------------

@@ -298,6 +298,19 @@ class TestSimulationEdges:
         # Multiples of eval_every plus the final round, even off-cycle.
         assert evaluated == [0, 3, 4]
 
+    def test_one_round_loop_is_the_smallest(self):
+        """``num_rounds=0`` used to return an empty History and
+        ``eval_every=0`` to divide by zero inside round 0; both are refused
+        at construction, and one round evaluated once is the floor."""
+        for field in ("num_rounds", "eval_every"):
+            with pytest.raises(ValueError, match=field):
+                SimulationConfig(**{field: 0})
+        config = SimulationConfig(num_rounds=1, sample_ratio=0.3,
+                                  eval_every=1, seed=1)
+        history = run_simulation(self._scenario().algorithm, config)
+        assert [r.global_accuracy is not None
+                for r in history.records] == [True]
+
     def test_run_deterministic_given_seed(self):
         config = SimulationConfig(num_rounds=3, sample_ratio=0.4,
                                   eval_every=2, seed=7)

@@ -30,7 +30,7 @@ from repro.fl import (ExecutionConfig, ExecutorError, InlineExecutor,
                       client_update_to_dict, execute_work_item,
                       history_to_dict, reseed_dropout, run_simulation,
                       sample_clients)
-from repro.fl.executor import (ScenarioHandle, make_executor, make_work_item,
+from repro.fl.executor import (make_executor, make_work_item,
                                resolve_executor_kind)
 from repro.fl.history import History, RoundRecord
 from repro.fl.seeding import client_seed_key
@@ -111,8 +111,10 @@ class TestWorkItems:
         algo = scenario.algorithm
         cid = sorted(algo.clients)[0]
         item = make_work_item(algo, cid, 0, 0, needs_broadcast=True)
-        clone = pickle.loads(pickle.dumps(item))
-        assert clone.client_id == cid and clone.scenario.payload is not None
+        wire = pickle.dumps(item)
+        assert pickle.loads(wire).client_id == cid
+        # The pool installs the spec once per worker; no item carries it.
+        assert b"partition_scheme" not in wire
         result = execute_work_item(item, algo)
         back = pickle.loads(pickle.dumps(result))
         assert back.update.client_id == cid
@@ -180,7 +182,7 @@ class TestWorkItems:
     def test_worker_rejects_unspecced_item(self):
         item = make_work_item(SimpleNamespace(), 0, 0, 0,
                               needs_broadcast=False)
-        # ^ no spec_payload attribute -> handle without payload
+        # No pool initializer ran in this process: nothing to rebuild.
         with pytest.raises(ExecutorError):
             execute_work_item(item)
 
@@ -192,10 +194,10 @@ class TestWorkItems:
                 SimulationConfig(executor=unknown)
             with pytest.raises(ValueError, match="unknown executor"):
                 smoke_spec(executor=unknown)
-        with pytest.raises(ValueError, match="item_timeout_s"):
-            SimulationConfig(item_timeout_s=0.0)
-        with pytest.raises(ValueError, match="item_retries"):
-            SimulationConfig(item_retries=-1)
+        for field in ("num_rounds", "eval_every"):
+            for bad in (0, -1):
+                with pytest.raises(ValueError, match=field):
+                    SimulationConfig(**{field: bad})
 
     def test_simulation_config_mechanics_reach_the_executor(self, monkeypatch):
         from repro.fl import simulation
@@ -208,10 +210,8 @@ class TestWorkItems:
         monkeypatch.setattr(simulation, "make_executor", capture)
         scenario, _ = prepare_scenario(smoke_spec())
         run_simulation(scenario.algorithm, SimulationConfig(
-            num_rounds=1, sample_ratio=0.3, workers=2, executor="process",
-            item_timeout_s=30.0, item_retries=1))
-        assert built == {"workers": 2, "kind": "process", "timeout_s": 30.0,
-                         "retries": 1}
+            num_rounds=1, sample_ratio=0.3, workers=2, executor="process"))
+        assert built == {"workers": 2, "kind": "process"}
 
 
 class TestPayloadSerialization:
@@ -440,13 +440,8 @@ class TestParallelSweeps:
         assert result.scenario.algorithm.spec_payload is None
 
 
-class TestScenarioHandle:
-    def test_handle_key_stable(self):
-        payload = smoke_spec().to_dict()
-        a = ScenarioHandle.from_spec_payload(payload)
-        b = ScenarioHandle.from_spec_payload(dict(payload))
-        assert a.key == b.key
-        assert ScenarioHandle.from_spec_payload(None).payload is None
+class TestScenarioRebuild:
+    """What a pool rebuilds from: the spec payload on the algorithm."""
 
     def test_prepare_scenario_attaches_payload(self):
         scenario, _ = prepare_scenario(smoke_spec())

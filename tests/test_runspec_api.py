@@ -397,6 +397,18 @@ class TestCLI:
         assert exit_info.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rounds", ["0", "-3"])
+    def test_non_positive_rounds_is_exit_2(self, rounds, capsys):
+        before = simulation.RUN_COUNT
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["run", "fig4", "--scale", "smoke", "--rounds", rounds,
+                      "--datasets", "harbox", "--algorithms", "sheterofl",
+                      "--no-cache"])
+        assert exit_info.value.code == 2
+        assert simulation.RUN_COUNT == before, "no cell may run"
+        assert "--rounds: expected a positive integer" \
+            in capsys.readouterr().err
+
     def test_unsupported_option_warns(self, capsys):
         assert cli_main(["run", "table3", "--rounds", "3"]) == 0
         assert "does not support --rounds" in capsys.readouterr().err
