@@ -37,6 +37,16 @@ class LocalTrainConfig:
     #: the *simulated clock* still charges for the full nominal epoch.
     max_batches: int | None = None
 
+    def __post_init__(self):
+        # A non-positive batch size or epoch count would train nothing (or
+        # fail inside the first round); max_batches=0 is a legal "off".
+        for name, least in (("batch_size", 1), ("local_epochs", 1),
+                            ("max_batches", 0)):
+            value = getattr(self, name)
+            if value is not None and value < least:
+                raise ValueError(f"LocalTrainConfig.{name} must be >= {least}, "
+                                 f"got {value}")
+
     def resolve(self, model: SliceableModel) -> "LocalTrainConfig":
         """Fill 'auto' fields from the model's modality."""
         optimizer = self.optimizer

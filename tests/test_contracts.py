@@ -10,8 +10,9 @@
   :mod:`repro.fl.serialization` field for field, except what
   ``VOLATILE_FIELDS`` declares dropped; array payloads of any dtype, shape
   and layout come back bit for bit.
-* **Source hygiene** — no bare ``except:``, and every logger comes from
-  :func:`repro.telemetry.logs.get_logger`.
+* **Source hygiene** — no bare ``except:``, every logger comes from
+  :func:`repro.telemetry.logs.get_logger`, and no ``.data`` is rebound
+  outside the tensor and the optimiser.
 """
 
 import ast
@@ -223,3 +224,35 @@ def test_no_bare_except_and_loggers_only_from_the_factory():
         assert not bare, f"{rel}:{bare}: bare except"
         if rel != "telemetry/logs.py":
             assert "getLogger(" not in source, f"{rel}: use get_logger"
+
+
+#: the modules allowed to bind ``<tensor>.data``: the tensor itself, and the
+#: optimiser that packs parameters into views of one flat buffer.
+DATA_REBINDERS = {"autograd/tensor.py", "nn/optim.py"}
+
+
+def _assigned_attributes(target):
+    """Attribute names a (possibly tuple / starred) assignment target binds."""
+    if isinstance(target, ast.Attribute):
+        yield target.attr
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _assigned_attributes(element)
+    elif isinstance(target, ast.Starred):
+        yield from _assigned_attributes(target.value)
+
+
+def test_no_stray_data_rebinds():
+    """A ``param.data = ...`` rebind would silently detach a parameter from
+    the optimiser's flat buffer; writes go through ``param.data[...] =``."""
+    root = Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel in DATA_REBINDERS:
+            continue
+        rebinds = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, (ast.Assign, ast.AnnAssign))
+                   for target in (node.targets if isinstance(node, ast.Assign)
+                                  else [node.target])
+                   if "data" in _assigned_attributes(target)]
+        assert not rebinds, f"{rel}:{rebinds}: .data rebind"

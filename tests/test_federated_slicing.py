@@ -170,6 +170,53 @@ class TestSlicePathEqualsOpenMesh:
         assert np.array_equal(counts["w"], want_counts)
 
 
+class TestDepthMapsConserveMass:
+    """Depth levels hold a subset of the global keys, each whole; their maps
+    must round-trip the state exactly as the width maps do.
+
+    The weights are powers of two: ``scatter_accumulate`` forms
+    ``weight * sub_state`` in the state's float32 before adding it to the
+    float64 sums, so any other weight rounds there."""
+
+    @pytest.mark.parametrize("name", ["depthfl", "fedepth", "inclusivefl"])
+    def test_every_level_round_trips_the_global_state(self, task, name):
+        import dataclasses
+        algo = _algo(name, task)
+        state = algo.global_state
+        fallback = {key: value + 1.0 for key, value in state.items()}
+        template = next(iter(algo.clients.values()))
+        rng = np.random.default_rng(0)
+        held = []
+        for entry in algo.pool.entries:
+            ctx = dataclasses.replace(template, entry=entry)
+            model, maps = algo.build_client_model(ctx, 0, rng)
+            sub = extract_substate(state, maps)
+            assert set(sub) == set(model.state_dict())
+            held.append(len(sub))
+            sums, counts = zeros_like_state(state), zeros_like_state(state)
+            scatter_accumulate(sums, counts, sub, maps, weight=4)
+
+            merged = finalize_mean(sums, counts, state)
+            for key, value in state.items():
+                assert merged[key].dtype == value.dtype, key
+                assert np.array_equal(merged[key], value), (entry.key, key)
+            kept = finalize_mean(sums, counts, fallback)
+            for key in state:
+                want = state[key] if key in maps else fallback[key]
+                assert np.array_equal(kept[key], want), (entry.key, key)
+
+            other = {key: (value * 0.5 + 0.25).astype(value.dtype)
+                     for key, value in sub.items()}
+            scatter_accumulate(sums, counts, other, maps, weight=2)
+            pair = finalize_mean(sums, counts, state)
+            for key, value in sub.items():
+                mean = (4 * value.astype(np.float64)
+                        + 2 * other[key].astype(np.float64)) / 6
+                assert np.array_equal(pair[key], mean.astype(value.dtype)), key
+        if name != "fedepth":       # FeDepth's levels all hold the full model
+            assert min(held) < len(state)
+
+
 class TestSubModelReuse:
     def test_second_client_sees_no_trace_of_the_first(self, task, monkeypatch):
         """One model per level, handed out clean: trained weights, BN

@@ -81,6 +81,32 @@ class TestLocalTraining:
                            loss_fn=lambda m, xb, yb: ag.cross_entropy(m(xb), yb) * 0.0)
         assert loss == 0.0
 
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("batch_size", -8), ("local_epochs", 0),
+        ("local_epochs", -1), ("max_batches", -1)])
+    def test_sizes_that_train_nothing_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"LocalTrainConfig.{field} "):
+            LocalTrainConfig(**{field: value})
+
+    def test_zero_max_batches_switches_training_off(self, tiny_task):
+        ds, model = tiny_task
+        model = model.variant(seed=10)
+        before = model.state_dict()
+        loss = train_local(model, ds.x_train[:16], ds.y_train[:16],
+                           LocalTrainConfig(batch_size=8, max_batches=0),
+                           np.random.default_rng(0))
+        assert loss == 0.0
+        for name, value in model.state_dict().items():
+            assert np.array_equal(value, before[name]), name
+
+    def test_spec_with_negative_batch_size_fails_before_round_zero(self):
+        from repro.experiments import RunSpec
+        from repro.experiments.runner import prepare_scenario
+        spec = RunSpec("sheterofl", "harbox", scale="smoke",
+                       scale_overrides={"batch_size": -8})
+        with pytest.raises(ValueError, match="batch_size"):
+            prepare_scenario(spec)
+
     def test_empty_config_invalid_optimizer(self, tiny_task):
         _, model = tiny_task
         with pytest.raises(ValueError):

@@ -258,6 +258,24 @@ class TestZoo:
         paper = build_model("resnet50", num_classes=10, seed=0, scale="paper")
         assert paper.num_parameters() > 10 * tiny.num_parameters()
 
+    @pytest.mark.parametrize("arch", known_architectures())
+    def test_every_leaf_gradient_is_c_contiguous(self, arch):
+        """The optimiser's global norm reduces each gradient over its slice
+        of a C-ordered buffer, which is ``(g * g).sum()`` only when ``g``
+        itself is C-contiguous; an op that hands back an F-ordered gradient
+        fails here before any golden drifts."""
+        from repro.fl import LocalTrainConfig, train_local
+        model = build_model(arch, num_classes=5, seed=0, width_mult=0.5)
+        x = _input_for(arch, batch=4)
+        y = np.random.default_rng(1).integers(0, 5, size=4)
+        train_local(model, x, y, LocalTrainConfig(batch_size=4, max_batches=1),
+                    np.random.default_rng(0))
+        grads = {name: p.grad for name, p in model.named_parameters()
+                 if p.grad is not None}
+        assert grads
+        for name, grad in grads.items():
+            assert grad.flags.c_contiguous, name
+
 
 class TestScaledChannels:
     @given(base=st.integers(1, 512),

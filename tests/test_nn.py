@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import nn
 from repro import autograd as ag
@@ -227,7 +228,213 @@ class TestLayers:
         assert layer(x).shape == (2, 5, 8)
 
 
+class _ReferenceSGD:
+    """The per-parameter SGD step the flat optimiser replaced, kept as the
+    bit-for-bit reference (it scales ``param.grad`` in place when clipping)."""
+
+    def __init__(self, params, lr, momentum=0.0, weight_decay=0.0,
+                 max_grad_norm=10.0):
+        self.params, self.lr = list(params), lr
+        self.momentum, self.weight_decay = momentum, weight_decay
+        self.max_grad_norm = max_grad_norm
+        self._velocity = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        if self.max_grad_norm is not None:
+            _reference_clip_global_norm(self.params, self.max_grad_norm)
+        for param, velocity in zip(self.params, self._velocity):
+            if param.grad is None:
+                continue
+            grad = param.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
+            if self.momentum:
+                velocity *= self.momentum
+                velocity += grad
+                grad = velocity
+            param.data -= self.lr * grad
+
+
+class _ReferenceAdam:
+    """The per-parameter Adam step the flat optimiser replaced."""
+
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8,
+                 weight_decay=0.0, max_grad_norm=10.0):
+        self.params, self.lr, self.betas, self.eps = list(params), lr, betas, eps
+        self.weight_decay, self.max_grad_norm = weight_decay, max_grad_norm
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._t = 0
+
+    def step(self):
+        if self.max_grad_norm is not None:
+            _reference_clip_global_norm(self.params, self.max_grad_norm)
+        self._t += 1
+        beta1, beta2 = self.betas
+        bias1 = 1.0 - beta1 ** self._t
+        bias2 = 1.0 - beta2 ** self._t
+        for param, m, v in zip(self.params, self._m, self._v):
+            if param.grad is None:
+                continue
+            grad = param.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad * grad
+            m_hat = m / bias1
+            v_hat = v / bias2
+            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _reference_clip_global_norm(params, max_norm):
+    total = 0.0
+    for param in params:
+        if param.grad is not None:
+            total += float((param.grad * param.grad).sum())
+    norm = float(np.sqrt(total))
+    if norm > max_norm:
+        scale = max_norm / (norm + 1e-12)
+        for param in params:
+            if param.grad is not None:
+                param.grad *= scale
+
+
+#: parameter shapes: scalars, size 1, and sizes past numpy's 8-wide and
+#: 128-element pairwise-summation blocks.
+_shapes = st.lists(st.sampled_from([1, 2, 3, 7, 16, 33, 130]), max_size=3)
+
+
+@st.composite
+def _optimiser_case(draw):
+    shapes = draw(st.lists(_shapes, min_size=1, max_size=12))
+    steps = draw(st.integers(1, 5))
+    return {
+        "shapes": [tuple(shape) for shape in shapes],
+        "dtype": draw(st.sampled_from([np.float32, np.float64])),
+        "kind": draw(st.sampled_from(["sgd", "adam"])),
+        "momentum": draw(st.sampled_from([0.0, 0.9])),
+        "weight_decay": draw(st.sampled_from([0.0, 0.01])),
+        # inactive (off / never reached), active, or a NaN gradient.
+        "clip": draw(st.sampled_from(["off", "inactive", "active", "nan"])),
+        # which parameters have a gradient, per step.
+        "present": [draw(st.lists(st.booleans(), min_size=len(shapes),
+                                  max_size=len(shapes)))
+                    for _ in range(steps)],
+        "seed": draw(st.integers(0, 2 ** 16)),
+    }
+
+
+def _make_optimiser(case):
+    max_norm = {"off": None, "inactive": 1e6, "active": 0.05,
+                "nan": 0.05}[case["clip"]]
+    if case["kind"] == "sgd":
+        return (nn.SGD, _ReferenceSGD), dict(
+            lr=0.05, momentum=case["momentum"],
+            weight_decay=case["weight_decay"], max_grad_norm=max_norm)
+    return (nn.Adam, _ReferenceAdam), dict(
+        lr=2e-3, weight_decay=case["weight_decay"], max_grad_norm=max_norm)
+
+
 class TestOptim:
+    @given(case=_optimiser_case())
+    @settings(max_examples=150, deadline=None)
+    def test_flat_step_is_bit_identical_to_per_parameter(self, case):
+        rng = _rng(case["seed"])
+        dtype = case["dtype"]
+        initial = [rng.standard_normal(shape).astype(dtype)
+                   for shape in case["shapes"]]
+        flat_params = [nn.Parameter(value.copy()) for value in initial]
+        ref_params = [nn.Parameter(value.copy()) for value in initial]
+        (flat_cls, ref_cls), kwargs = _make_optimiser(case)
+        flat_opt = flat_cls(flat_params, **kwargs)
+        ref_opt = ref_cls(ref_params, **kwargs)
+        for step, present in enumerate(case["present"]):
+            flat_opt.zero_grad()
+            for flat, ref, has_grad in zip(flat_params, ref_params, present):
+                grad = None
+                if has_grad:
+                    grad = (rng.standard_normal(flat.data.shape) * 3.0
+                            ).astype(dtype)
+                    if case["clip"] == "nan" and step == 0:
+                        grad.reshape(-1)[0] = np.nan
+                flat.grad = None if grad is None else grad.copy()
+                ref.grad = None if grad is None else grad.copy()
+            flat_opt.step()
+            ref_opt.step()
+            for flat, ref in zip(flat_params, ref_params):
+                assert flat.data.dtype == ref.data.dtype
+                np.testing.assert_array_equal(flat.data, ref.data)
+
+    @given(shapes=st.lists(_shapes, min_size=1, max_size=12),
+           pad=st.integers(0, 31), dtype=st.sampled_from([np.float32,
+                                                           np.float64]),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=100, deadline=None)
+    def test_per_slice_norm_equals_per_array_sum(self, shapes, pad, dtype,
+                                                 seed):
+        """A gradient's squared sum over its slice of a gathered buffer, at
+        any element offset, is ``(g * g).sum()`` of the array itself."""
+        rng = _rng(seed)
+        grads = [rng.standard_normal(tuple(shape)).astype(dtype)
+                 for shape in shapes]
+        bounds = np.cumsum([pad] + [g.size for g in grads]).tolist()
+        flat = np.empty(bounds[-1], dtype)
+        np.concatenate(grads, axis=None, out=flat[pad:])
+        squares = np.empty_like(flat)
+        np.multiply(flat[pad:], flat[pad:], out=squares[pad:])
+        total, want = 0.0, 0.0
+        for grad, start, stop in zip(grads, bounds, bounds[1:]):
+            got = np.add.reduce(squares[start:stop])
+            assert got == (grad * grad).sum()
+            total += float(got)
+            want += float((grad * grad).sum())
+        assert total == want
+
+    def test_parameters_become_views_of_one_buffer(self):
+        rng = _rng(5)
+        model = nn.Sequential(nn.Linear(3, 4, rng), nn.Linear(4, 2, rng))
+        before = {name: p.data.copy() for name, p in model.named_parameters()}
+        nn.Adam(model.parameters(), lr=0.01)
+        params = dict(model.named_parameters())
+        buffer = next(iter(params.values())).data.base
+        assert buffer is not None and buffer.flags.c_contiguous
+        assert all(p.data.base is buffer for p in params.values())
+        for name, param in params.items():
+            assert param.data.flags.c_contiguous
+            np.testing.assert_array_equal(param.data, before[name])
+            assert param.data.shape == before[name].shape
+
+    def test_mixed_dtypes_and_repeated_parameters_rejected(self):
+        params = [nn.Parameter(np.zeros(3, np.float32)),
+                  nn.Parameter(np.zeros(3, np.float64))]
+        for cls in (nn.SGD, nn.Adam):
+            with pytest.raises(TypeError):
+                cls(params, lr=0.1)
+            # a second slot would leave the first one detached
+            with pytest.raises(ValueError, match="twice"):
+                cls([params[0], params[0]], lr=0.1)
+
+    def test_load_state_dict_after_construction_is_what_step_updates(self):
+        rng = _rng(6)
+        model = nn.Sequential(nn.Linear(3, 4, rng), nn.Linear(4, 2, rng))
+        opt = nn.SGD(model.parameters(), lr=0.5, momentum=0.9)
+        loaded = {name: value + 1.0
+                  for name, value in model.state_dict().items()}
+        model.load_state_dict(loaded)
+        ref_params = [nn.Parameter(loaded[name].copy())
+                      for name, _ in model.named_parameters()]
+        ref = _ReferenceSGD(ref_params, lr=0.5, momentum=0.9)
+        for param, ref_param in zip(model.parameters(), ref_params):
+            param.grad = np.ones_like(param.data)
+            ref_param.grad = np.ones_like(ref_param.data)
+        opt.step()
+        ref.step()
+        assert len({id(p.data.base) for p in model.parameters()}) == 1
+        for param, ref_param in zip(model.parameters(), ref_params):
+            np.testing.assert_array_equal(param.data, ref_param.data)
+
     def _quadratic_problem(self):
         rng = _rng(3)
         target = rng.standard_normal((4, 4)).astype(np.float32)
