@@ -2,16 +2,22 @@
 
 Every algorithm binds together:
 
-* a **base model** — the server-side full model (its state dict is the
-  global state for parameter-averaging methods);
+* a **base model** — the server-side full model (its state, as one flat
+  vector, is the global model of parameter-averaging methods);
 * **clients** — shard + sampled device capability + the pool entry assigned
   by the active constraint case;
 * a **variant space** — the capacity levels the method offers (width
   multipliers, depth fractions, family members), measured into a
   :class:`~repro.hw.ModelPool` that the constraint cases select from;
 * hooks — ``build_client_model`` (how a capacity level becomes a trainable
-  model + index maps), ``local_loss_fn`` (algorithm-specific objectives) and
-  ``post_aggregate`` (e.g. InclusiveFL's momentum distillation).
+  model loaded from its flat index), ``local_loss_fn`` (algorithm-specific
+  objectives) and ``post_aggregate`` (e.g. InclusiveFL's momentum
+  distillation).
+
+The global model is one float32 vector (``global_vector``) laid out like the
+base model's state; a capacity level is one memoised index into it (see
+:mod:`repro.models.slicing`), and an upload is ``(values, key)``, the key
+naming the index the coordinator resolves to aggregate it.
 
 The simulated clock charges each sampled client with *nominal* local
 training over its full shard (per the cost model) even when ``max_batches``
@@ -22,7 +28,7 @@ accounts paper-scale time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,12 +41,13 @@ from ..hw.cost_model import CostModel, DEFAULT_COST_MODEL
 from ..hw.ima import ClientCapability
 from ..hw.model_pool import ModelPool, PoolEntry
 from ..models.base import SliceableModel
-from ..models.slicing import (extract_substate, finalize_mean,
-                              scatter_accumulate, width_index_maps,
-                              zeros_like_state)
+from ..models.slicing import (Index, extract_substate, finalize_mean,
+                              scatter_accumulate, width_index_maps)
+from ..nn.module import Layout
 
-__all__ = ["ClientContext", "ClientUpdate", "RoundOutcome", "MHFLAlgorithm",
-           "WIDTH_LEVELS", "DEPTH_LEVELS", "assign_levels_uniformly"]
+__all__ = ["ClientContext", "ClientUpdate", "RoundOutcome", "SubIndex",
+           "MHFLAlgorithm", "WIDTH_LEVELS", "DEPTH_LEVELS",
+           "assign_levels_uniformly"]
 
 #: The paper's four capacity proportions (Table II).
 WIDTH_LEVELS = (1.0, 0.75, 0.5, 0.25)
@@ -73,9 +80,10 @@ class RoundOutcome:
 class ClientUpdate:
     """One client's finished local round, in transit to the server.
 
-    ``payload`` is algorithm-specific (sliced state dict + index maps for
-    parameter-averaging methods, prototypes for FedProto, public-set
-    predictions for Fed-ET) and is only interpreted by the same algorithm's
+    ``payload`` is algorithm-specific (``(values, key)`` for
+    parameter-averaging methods: the flat upload and the key of its
+    :class:`SubIndex`; prototypes for FedProto, public-set predictions for
+    Fed-ET) and is only interpreted by the same algorithm's
     :meth:`MHFLAlgorithm.ingest`.  ``discount`` is 1.0 for synchronous
     execution; asynchronous aggregation policies lower it for stale updates
     before handing the buffer to ``ingest``.
@@ -95,6 +103,18 @@ class ClientUpdate:
     #: versions the global model advanced while this update was in flight
     #: (stamped by the aggregation policy at aggregation time).
     staleness: int = 0
+
+
+class SubIndex(NamedTuple):
+    """Where one upload key's values sit, memoised per key.
+
+    ``index`` places the upload in the global vector, ``take`` picks it out
+    of the level skeleton's buffer (``slice(None)``: all of it) and
+    ``bounds`` are its entries' bounds in the upload."""
+
+    index: Index
+    take: Index
+    bounds: tuple[int, ...]
 
 
 def assign_levels_uniformly(pool: ModelPool,
@@ -153,16 +173,28 @@ class MHFLAlgorithm:
         self.eval_clients = eval_clients
         self.pool = pool
 
-        self.global_state = base_model.state_dict()
-        self.global_shapes = {k: v.shape for k, v in self.global_state.items()}
+        self.layout = base_model.state_layout()
+        #: the global model, laid out by ``layout``: the source of truth
+        #: (``global_state`` views it; aggregation replaces it).
+        self.global_vector = self.layout.pack(base_model.state_dict())
         self.scale_axes = base_model.state_scale_axes()
 
         cap = min(eval_max_samples, dataset.num_test)
         self.x_eval = dataset.x_test[:cap]
         self.y_eval = dataset.y_test[:cap]
-        self._eval_model: SliceableModel | None = None
-        #: sorted ``client_overrides`` items -> (sub-model, its state shapes).
-        self._client_models: dict[tuple, tuple[SliceableModel, dict]] = {}
+        #: level key (sorted ``client_overrides`` items) -> the one model at
+        #: that level, its bound state buffer and that buffer's layout.
+        self._client_models: dict[
+            tuple, tuple[SliceableModel, np.ndarray, Layout]] = {}
+        #: upload key -> its :class:`SubIndex`, for one rolling shift.
+        self._indices: dict[tuple, SubIndex] = {}
+        self._indices_shift = 0
+
+    @property
+    def global_state(self) -> dict[str, np.ndarray]:
+        """The global model as ``name -> array`` views into
+        ``global_vector`` (writes go through)."""
+        return self.layout.views(self.global_vector)
 
     # ------------------------------------------------------------------
     # Identity / plumbing
@@ -203,42 +235,64 @@ class MHFLAlgorithm:
         """Constructor overrides for this client's model this round."""
         return dict(ctx.entry.overrides)
 
+    def _level_model(self, level: tuple
+                     ) -> tuple[SliceableModel, np.ndarray, Layout]:
+        """The one model at capacity level ``level``, its state bound to one
+        buffer (built on first use, on the coordinator too)."""
+        found = self._client_models.get(level)
+        if found is None:
+            model = self.base_model.variant(**dict(level))
+            found = self._client_models[level] = (model, *model.bind_state())
+        return found
+
+    def resolve_upload(self, key: tuple) -> SubIndex:
+        """The :class:`SubIndex` of an upload key ``(level, shift,
+        segment)``, memoised while the rolling shift stays the same (it
+        advances every FedRolex round, so older shifts are dropped)."""
+        found = self._indices.get(key)
+        if found is None:
+            level, shift, segment = key
+            if shift != self._indices_shift:
+                self._indices, self._indices_shift = {}, shift
+            layout, take = self._level_model(level)[2], slice(None)
+            if segment is not None:
+                upload = layout.select(self.upload_names(layout, segment))
+                take = width_index_maps(layout, upload, {})
+                layout = upload
+            index = width_index_maps(self.layout, layout, self.scale_axes,
+                                     mode=self.slicing_mode, shift=shift)
+            found = self._indices[key] = SubIndex(index, take, layout.bounds)
+        return found
+
     def build_client_model(self, ctx: ClientContext, round_index: int,
                            rng: np.random.Generator,
-                           state: dict | None = None
-                           ) -> tuple[SliceableModel, dict]:
-        """Load the client's slice of the state into its variant's model.
+                           state: np.ndarray | None = None
+                           ) -> tuple[SliceableModel, tuple]:
+        """Load the client's slice of the global vector into its level's
+        model; returns the model and the key its upload resolves by.
 
-        ``state`` is the global state to slice from; ``None`` reads the
+        ``state`` is the global vector to slice from; ``None`` reads the
         live coordinator state (executors pass the work item's broadcast
         copy instead, so training never races coordinator aggregation).
 
         One model is kept per distinct ``client_overrides`` (a handful of
         keys) and handed out again, so it is valid only until the next call
-        at the same level.  Reuse cannot change results: ``load_state_dict``
+        at the same level.  Reuse cannot change results: the extraction
         overwrites every parameter and buffer, gradients and the trainable
         mask are reset here, and callers reseed dropout.
         """
-        if state is None:
-            state = self.global_state
         overrides = self.client_overrides(ctx, round_index, rng)
-        key = tuple(sorted(overrides.items()))
-        if key not in self._client_models:
-            model = self.base_model.variant(**overrides)
-            shapes = {n: p.data.shape for n, p in model.named_parameters()}
-            shapes.update((n, b.shape) for n, b in model.named_buffers())
-            self._client_models[key] = (model, shapes)
-        model, sub_shapes = self._client_models[key]
-        maps = width_index_maps(
-            self.global_shapes, sub_shapes,
-            self.scale_axes, mode=self.slicing_mode,
-            shift=self.rolling_shift(round_index))
-        model.load_state_dict(extract_substate(state, maps))
+        level = tuple(sorted(overrides.items()))
+        model, buffer, _ = self._level_model(level)
+        shift = self.rolling_shift(round_index)
+        extract_substate(self.global_vector if state is None else state,
+                         self.resolve_upload((level, shift, None)).index,
+                         out=buffer)
         for param in model.parameters():
             param.grad = None
             param.requires_grad = True
         self.prepare_client_model(model, ctx, round_index)
-        return model, maps
+        return model, (level, shift, self.upload_segment(ctx, round_index))
 
     def prepare_client_model(self, model: SliceableModel, ctx: ClientContext,
                              round_index: int) -> None:
@@ -248,16 +302,16 @@ class MHFLAlgorithm:
         """Local objective; default cross-entropy on the deepest head."""
         return None  # train_local's default CE
 
-    def post_aggregate(self, old_state: dict, round_index: int) -> None:
-        """Called after the global state is refreshed (InclusiveFL hook)."""
+    def post_aggregate(self, old_vector: np.ndarray,
+                       round_index: int) -> None:
+        """Called after the global vector is replaced by a new one
+        (InclusiveFL hook); ``old_vector`` is the previous round's."""
 
-    def upload_filter(self, model: SliceableModel,
-                      ctx: ClientContext) -> set[str] | None:
-        """State-dict names this client uploads (None = everything).
-
-        FeDepth restricts the upload to the stage segment it actually
-        trained, so frozen copies never dilute other clients' updates.
-        """
+    def upload_segment(self, ctx: ClientContext, round_index: int):
+        """The part of its level's state a client uploads (``None``: all of
+        it), as a hashable key that ``upload_names(layout, segment)`` turns
+        into entry names.  FeDepth uploads the stage segment it trained, so
+        frozen copies never dilute other clients' updates."""
         return None
 
     # ------------------------------------------------------------------
@@ -318,17 +372,16 @@ class MHFLAlgorithm:
     def pack_round_broadcast(self, version: int) -> dict:
         """The client-independent part of the downlink at ``version``.
 
-        The base payload is a copy of the full global state dict — the
-        worker slices it with the same index maps the inline path uses, so
-        per-round random widths (Fjord) and rolling windows (FedRolex) need
-        no coordinator-side replication.  Copying decouples the snapshot
-        from in-place post-aggregation updates (InclusiveFL), which matters
-        for buffered execution where dispatch and aggregation interleave.
+        The base payload is a copy of the global vector — the worker slices
+        it with the same index the inline path uses, so per-round random
+        widths (Fjord) and rolling windows (FedRolex) need no
+        coordinator-side replication.  Copying decouples the snapshot from
+        in-place post-aggregation updates (InclusiveFL), which matters for
+        buffered execution where dispatch and aggregation interleave.
         Synchronous dispatchers pack this **once per round** and share the
-        (read-only) arrays across every client's work item.
+        (read-only) array across every client's work item.
         """
-        return {"global_state": {k: v.copy()
-                                 for k, v in self.global_state.items()}}
+        return {"global_state": self.global_vector.copy()}
 
     def pack_client_broadcast(self, client_id: int, version: int) -> dict:
         """The per-client part of the downlink (FedProto/Fed-ET personal
@@ -366,20 +419,17 @@ class MHFLAlgorithm:
         """
         ctx = self.clients[int(client_id)]
         state = None if broadcast is None else broadcast["global_state"]
-        model, maps = self.build_client_model(ctx, version, rng, state=state)
+        model, key = self.build_client_model(ctx, version, rng, state=state)
         reseed_dropout(model, rng)
         loss = train_local(model, ctx.shard.x, ctx.shard.y,
                            self.train_config, rng,
                            loss_fn=self.local_loss_fn(ctx, model))
-        state = model.state_dict()
-        keep = self.upload_filter(model, ctx)
-        if keep is not None:
-            state = {k: v for k, v in state.items() if k in keep}
-            maps = {k: m for k, m in maps.items() if k in keep}
+        values = extract_substate(self._level_model(key[0])[1],
+                                  self.resolve_upload(key).take)
         return ClientUpdate(
             client_id=ctx.client_id, version=version, train_loss=loss,
             round_time_s=self.client_round_time_s(ctx),
-            weight=float(ctx.num_samples), payload=(state, maps))
+            weight=float(ctx.num_samples), payload=(values, key))
 
     def ingest(self, updates: Iterable[ClientUpdate], round_index: int,
                rng: np.random.Generator) -> RoundOutcome:
@@ -394,19 +444,20 @@ class MHFLAlgorithm:
         accumulation order is part of the result, and dispatch order is the
         one ordering every executor agrees on.
         """
-        sums = zeros_like_state(self.global_state)
-        counts = zeros_like_state(self.global_state)
+        sums = np.zeros(self.layout.size)
+        counts = np.zeros(self.layout.size)
         slowest = 0.0
         losses = []
         for update in updates:
-            state, maps = update.payload
-            scatter_accumulate(sums, counts, state, maps,
+            values, key = update.payload
+            scatter_accumulate(sums, counts, values,
+                               self.resolve_upload(key).index,
                                weight=update.weight * update.discount)
             slowest = max(slowest, update.round_time_s)
             losses.append(update.train_loss)
-        old_state = self.global_state
-        self.global_state = finalize_mean(sums, counts, self.global_state)
-        self.post_aggregate(old_state, round_index)
+        old_vector = self.global_vector
+        self.global_vector = finalize_mean(sums, counts, old_vector)
+        self.post_aggregate(old_vector, round_index)
         return RoundOutcome(
             slowest_client_s=slowest,
             mean_train_loss=float(np.mean(losses)) if losses else 0.0)
@@ -449,21 +500,20 @@ class MHFLAlgorithm:
 
     def checkpoint_state(self) -> dict:
         """Server-side aggregate state a resumed run must restore."""
-        return {"global_state": {k: v.copy()
-                                 for k, v in self.global_state.items()}}
+        return {"global_state": self.layout.views(self.global_vector.copy())}
 
     def restore_checkpoint_state(self, state: dict) -> None:
         """Inverse of :meth:`checkpoint_state`."""
-        self.global_state = dict(state["global_state"])
+        self.global_vector = self.layout.pack(state["global_state"])
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
     def _global_model(self) -> SliceableModel:
-        if self._eval_model is None:
-            self._eval_model = self.base_model.variant()
-        self._eval_model.load_state_dict(self.global_state)
-        return self._eval_model
+        """The full model (level ``()``) loaded with the global vector."""
+        model, buffer, _ = self._level_model(())
+        buffer[...] = self.global_vector
+        return model
 
     def evaluate_global(self) -> float:
         """Global accuracy: the full aggregated model on the global test set."""

@@ -20,6 +20,7 @@ from ..hw.cost_model import CostModel, DEFAULT_COST_MODEL
 from ..hw.flops import measure_model
 from ..hw.model_pool import ModelPool, PoolEntry
 from ..models.base import SliceableModel
+from ..nn.module import Layout
 from .base import ClientContext, MHFLAlgorithm
 
 __all__ = ["FeDepth"]
@@ -73,17 +74,30 @@ class FeDepth(MHFLAlgorithm):
         stages = self._segment_stages(ctx, round_index)
         model.set_trainable_stages(stages, train_stem=(stages.start == 0))
 
-    def upload_filter(self, model: SliceableModel,
-                      ctx: ClientContext) -> set[str] | None:
-        """Upload only the trained segment (params + its BN buffers + heads)."""
-        trainable = {name for name, p in model.named_parameters()
-                     if p.requires_grad}
+    def upload_segment(self, ctx: ClientContext, round_index: int):
+        stages = self._segment_stages(ctx, round_index)
+        return stages.start, stages.stop
+
+    def upload_names(self, layout: Layout, segment) -> set[str]:
+        """Upload only the trained segment (params + its BN buffers + heads):
+        the parameters :meth:`prepare_client_model` leaves trainable."""
+        start, stop = segment
+
+        def trains(name: str) -> bool:
+            if name.startswith("stem."):
+                return start == 0
+            if name.startswith("stages."):
+                return start <= int(name.split(".")[1]) < stop
+            return True
+
+        trainable = {name for name in layout.names[:layout.params]
+                     if trains(name)}
         stage_prefixes = tuple({f"stages.{name.split('.')[1]}."
                                 for name in trainable
                                 if name.startswith("stages.")})
         stem_trained = any(name.startswith("stem.") for name in trainable)
         keep = set(trainable)
-        for name in model.state_dict():
+        for name in layout.names:
             if stage_prefixes and name.startswith(stage_prefixes):
                 keep.add(name)                      # BN buffers of the segment
             if name.startswith("heads."):

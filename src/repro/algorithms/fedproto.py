@@ -44,9 +44,6 @@ class ProtoModel(nn.Module):
     def forward(self, x) -> ag.Tensor:
         return self.head(ag.relu(self.embed(x)))
 
-    def trainable_parameters(self):
-        return [p for p in self.parameters() if p.requires_grad]
-
 
 class FedProto(PersonalModelAlgorithm):
     """Prototype aggregation across heterogeneous architectures."""

@@ -43,14 +43,15 @@ class InclusiveFL(MHFLAlgorithm):
         return {f"d{f:.2f}": depth_overrides(base_model, f, "deepest")
                 for f in DEPTH_LEVELS}
 
-    def post_aggregate(self, old_state: dict, round_index: int) -> None:
+    def post_aggregate(self, old_vector, round_index: int) -> None:
         """Inject deeper-block updates into same-shaped shallower neighbours."""
         beta = self.momentum_beta
         if beta <= 0:
             return
+        state, old_state = self.global_state, self.layout.views(old_vector)
         # Group parameter names by (stage, block).
         blocks: dict[tuple[int, int], dict[str, str]] = {}
-        for name in self.global_state:
+        for name in state:
             match = _BLOCK_RE.match(name)
             if match:
                 stage, block = int(match.group(1)), int(match.group(2))
@@ -63,7 +64,7 @@ class InclusiveFL(MHFLAlgorithm):
                 deep_name = deeper.get(suffix)
                 if deep_name is None:
                     continue
-                current = self.global_state[name]
-                update = self.global_state[deep_name] - old_state[deep_name]
+                current = state[name]
+                update = state[deep_name] - old_state[deep_name]
                 if update.shape == current.shape:
                     current += beta * update

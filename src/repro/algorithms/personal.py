@@ -117,6 +117,7 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
         model = self._skeletons.get(ctx.entry.key)
         if model is None:
             model = self._skeletons[ctx.entry.key] = self._build_personal(ctx)
+            model.bind_state()
         model.load_state_dict(self.personal_model(ctx).state_dict()
                               if broadcast is None
                               else broadcast["personal"])

@@ -53,9 +53,10 @@ from .events import (CLIENT_DROPPED, CLIENT_FAILED, DOWNLOAD_START,
                      EVAL_TICK, SERVER_AGGREGATE, TRAIN_COMPLETE,
                      UPDATE_REJECTED, UPLOAD_COMPLETE, Event, EventQueue)
 from .executor import Executor, make_work_item
-from .faults import FaultModel, FaultPlan, FaultSpec, corrupt_update
+from .faults import (FaultModel, FaultPlan, FaultSpec, corrupt_update,
+                     is_flat_upload)
 from .history import History, RoundRecord
-from .sanitizers import freeze_arrays, frozen_arrays
+from .sanitizers import collect_arrays, freeze_arrays, frozen_arrays
 
 __all__ = ["ExecutionConfig", "AggregationPolicy", "SynchronousPolicy",
            "BufferedPolicy", "AGGREGATION_POLICIES", "make_policy",
@@ -84,32 +85,21 @@ def sample_clients(num_clients: int, sample_ratio: float,
 # Coordinator defense: update validation
 # ----------------------------------------------------------------------
 
-def _float_leaves(value, leaves: list[np.ndarray]) -> None:
-    """Append every non-empty float ndarray leaf of an uplink payload (any
-    nesting) to ``leaves``, in payload order."""
-    if isinstance(value, np.ndarray):
-        if value.size and value.dtype.kind == "f":
-            leaves.append(value)
-    elif isinstance(value, dict):
-        for item in value.values():
-            _float_leaves(item, leaves)
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _float_leaves(item, leaves)
-
-
-def validate_update(update, norm_bound: float | None = None) -> str | None:
+def validate_update(update, norm_bound: float | None = None,
+                    resolve=None) -> str | None:
     """Judge one :class:`~repro.algorithms.base.ClientUpdate` before it may
     enter aggregation; returns ``None`` when healthy, else a quarantine
     reason code (``"nonfinite"``, ``"norm"``, ``"shape"``, ``"malformed"``).
 
     Checks, in order: scalar sanity (finite loss and non-negative finite
-    weight), structural sanity for the parameter-averaging ``(state,
-    maps)`` family (array-valued state entries, every entry mapped),
-    NaN/Inf in any float array leaf, and — when ``norm_bound`` is set —
-    a max-abs magnitude bound.  A zeroed payload passes deliberately: it
-    is finite and in bounds, which is exactly what makes silent erasure
-    the hardest fault to defend against.
+    weight), structural sanity of a parameter-averaging ``(values, key)``
+    upload when ``resolve`` (the algorithm's ``resolve_upload``) is given
+    (the key resolves, ``values`` is 1-D float and exactly as long as its
+    index), NaN/Inf in any float array leaf (a flat upload's leaves are its
+    state entries), and — when ``norm_bound`` is set — a max-abs magnitude
+    bound.  A zeroed payload passes deliberately: it is finite and in
+    bounds, which is exactly what makes silent erasure the hardest fault to
+    defend against.
     """
     try:
         loss = float(update.train_loss)
@@ -119,24 +109,32 @@ def validate_update(update, norm_bound: float | None = None) -> str | None:
         return "malformed"
     if not math.isfinite(weight) or weight < 0:
         return "malformed"
-    if (isinstance(payload, tuple) and len(payload) == 2
-            and all(isinstance(part, dict) for part in payload)):
-        state, maps = payload
-        if not all(isinstance(v, np.ndarray) for v in state.values()):
+    flat = leaves = None
+    if resolve is not None and is_flat_upload(payload):
+        flat, key = payload
+        try:
+            bounds = resolve(key).bounds
+        except (KeyError, TypeError, ValueError):
             return "shape"
-        if set(state) - set(maps):
+        if not (isinstance(flat, np.ndarray) and flat.ndim == 1
+                and flat.dtype.kind == "f" and flat.size == bounds[-1]):
             return "shape"
     if not math.isfinite(loss):
         return "nonfinite"
-    leaves: list[np.ndarray] = []
-    _float_leaves(payload, leaves)
-    if not leaves:
+    if flat is None:
+        # Every non-empty float array leaf of the payload, in order.
+        leaves = [array for array in collect_arrays(payload)
+                  if array.size and array.dtype.kind == "f"]
+        flat = np.concatenate(leaves, axis=None) if leaves else None
+    if flat is None or not flat.size:
         return None
     # One pass over all leaves (widening is exact): a finite peak is no NaN/Inf.
-    peak = float(np.maximum.reduce(np.abs(np.concatenate(leaves, axis=None)),
-                                   axis=None))
+    peak = float(np.maximum.reduce(np.abs(flat), axis=None))
     if math.isfinite(peak):
         return "norm" if norm_bound is not None and peak > norm_bound else None
+    if leaves is None:
+        leaves = [flat[start:stop] for start, stop in zip(bounds, bounds[1:])
+                  if stop > start]
     # A bound violation in a leaf ahead of the first non-finite one wins.
     for array in leaves:
         if not np.isfinite(array).all():
@@ -404,15 +402,17 @@ class AggregationPolicy:
                 update.round_time_s = total
             if plan.corrupt is not None:
                 corrupt_update(update, plan.corrupt,
-                               self.faults.spec.corrupt_factor)
+                               self.faults.spec.corrupt_factor,
+                               getattr(algorithm, "resolve_upload", None))
         return update
 
-    def verdict(self, update) -> str | None:
+    def verdict(self, algorithm, update) -> str | None:
         """Coordinator defense: the :func:`validate_update` reason an
         arrived update must not be aggregated (``None`` = admit)."""
         if not self.execution.validate:
             return None
-        return validate_update(update, self.execution.norm_bound)
+        return validate_update(update, self.execution.norm_bound,
+                               getattr(algorithm, "resolve_upload", None))
 
     def quarantine(self, event: Event, verdict: str) -> None:
         """Refuse the upload that arrived with ``event``."""
@@ -597,13 +597,14 @@ class SynchronousPolicy(AggregationPolicy):
                                 shared_broadcast=shared)
                  for cid in segments]
         if self.sim_config.strict:
-            # Freeze the shared broadcast and the live global state for
+            # Freeze the shared broadcast and the live global vector for
             # the whole batch: workers may only read them, so a mutation
             # race raises at the offending write instead of corrupting a
             # later round.  ``run_batch`` returns a completed list, so
-            # every worker's execution happens inside the guard.
+            # every worker's execution happens inside the guard.  (The
+            # vector itself: freezing views of it would leave it writable.)
             with frozen_arrays(shared,
-                               getattr(algorithm, "global_state", None)):
+                               getattr(algorithm, "global_vector", None)):
                 batch = executor.run_batch(items)
         else:
             batch = executor.run_batch(items)
@@ -634,7 +635,7 @@ class SynchronousPolicy(AggregationPolicy):
             settle never judges (or counts) the same update twice."""
             key = id(update)
             if key not in verdicts:
-                verdicts[key] = self.verdict(update)
+                verdicts[key] = self.verdict(algorithm, update)
             return verdicts[key]
 
         def settle(effective_deadline: float):
@@ -746,7 +747,7 @@ class BufferedPolicy(AggregationPolicy):
             self._in_flight.discard(event.client_id)
             update = self.land(algorithm, event.client_id,
                                event.info.pop("future").result())
-            verdict = self.verdict(update)
+            verdict = self.verdict(algorithm, update)
             if verdict is not None:
                 # Quarantine: the upload never reaches the buffer.
                 self.quarantine(event, verdict)
@@ -852,10 +853,10 @@ class BufferedPolicy(AggregationPolicy):
             # state at dispatch time (that snapshot *is* the staleness
             # semantics) — freeze it for the item's whole flight so no
             # worker can write into it while it trains.  The live global
-            # state is guarded only across the submit call, which covers
+            # vector is guarded only across the submit call, which covers
             # the inline executor's eager execution.
             freeze_arrays(item.broadcast)
-            with frozen_arrays(getattr(algorithm, "global_state", None)):
+            with frozen_arrays(getattr(algorithm, "global_vector", None)):
                 future = executor.submit(item)
         else:
             future = executor.submit(item)

@@ -60,8 +60,10 @@ class LocalTrainConfig:
 
 def make_optimizer(model: SliceableModel,
                    config: LocalTrainConfig) -> nn.Optimizer:
-    """Build the optimiser over the model's *trainable* parameters."""
-    params = model.trainable_parameters()
+    """Build the optimiser over *every* parameter, so it adopts a bound
+    model's buffer; a frozen parameter (FeDepth) gets no gradient, and the
+    step leaves a parameter without one, and its moments, untouched."""
+    params = model.parameters()
     if config.optimizer == "sgd":
         return nn.SGD(params, lr=config.lr, momentum=config.momentum,
                       weight_decay=config.weight_decay)

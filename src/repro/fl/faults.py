@@ -33,7 +33,7 @@ import numpy as np
 from .seeding import fault_rng
 
 __all__ = ["FaultSpec", "FaultModel", "FaultPlan", "CORRUPT_MODES",
-           "corrupt_update"]
+           "corrupt_update", "is_flat_upload"]
 
 #: How a corrupted upload is mangled: non-finite payloads (``nan``/``inf``),
 #: a silent magnitude blow-up (``scale``) or a silent erasure (``zero``).
@@ -166,7 +166,7 @@ def _corrupt_array(array: np.ndarray, mode: str, factor: float) -> None:
 def _corrupt_payload(value, mode: str, factor: float):
     """Recursively corrupt the float-array leaves of an uplink payload.
 
-    Integer arrays (index maps) and non-array leaves pass through intact —
+    Integer arrays and non-array leaves pass through intact —
     corruption models numeric garbage on the wire, not a malformed message,
     so the aggregation path still parses the payload and the validation
     hook gets to judge the numbers.
@@ -186,14 +186,31 @@ def _corrupt_payload(value, mode: str, factor: float):
     return value
 
 
-def corrupt_update(update, mode: str, factor: float = 1e6) -> None:
+def is_flat_upload(payload) -> bool:
+    """Whether ``payload`` is a parameter-averaging ``(values, key)``."""
+    return (isinstance(payload, tuple) and len(payload) == 2
+            and isinstance(payload[1], tuple))
+
+
+def corrupt_update(update, mode: str, factor: float = 1e6,
+                   resolve=None) -> None:
     """Corrupt a :class:`~repro.algorithms.base.ClientUpdate` in place.
 
     Replaces the payload with a corrupted copy (the executor's trained
     arrays may be shared with coordinator state — e.g. the inline path —
     so they are never mutated) and, for non-finite modes, poisons the
-    reported train loss the way a faulting device would.
+    reported train loss the way a faulting device would.  Given the
+    algorithm's ``resolve_upload``, a flat upload is mangled state entry by
+    state entry, as a per-entry upload would be.
     """
-    update.payload = _corrupt_payload(update.payload, mode, factor)
+    if resolve is not None and is_flat_upload(update.payload):
+        values, key = update.payload
+        values = values.copy()
+        bounds = resolve(key).bounds
+        for start, stop in zip(bounds, bounds[1:]):
+            _corrupt_array(values[start:stop], mode, factor)
+        update.payload = (values, key)
+    else:
+        update.payload = _corrupt_payload(update.payload, mode, factor)
     if mode in ("nan", "inf"):
         update.train_loss = float("nan") if mode == "nan" else float("inf")

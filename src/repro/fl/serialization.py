@@ -5,7 +5,7 @@ Two families live here:
 * **History JSON** — the sweep drivers under ``results/`` and downstream
   notebooks use this to keep raw run records next to rendered tables;
 * **ClientUpdate round-trips** — a lossless, JSON-safe encoding of the
-  algorithm-specific uplink payloads (sliced state dicts + index maps,
+  algorithm-specific uplink payloads (flat uploads and their level keys,
   FedProto prototype sums/counts, Fed-ET public-set predictions).  The
   process-pool executor moves updates as pickles; this codec is the
   transport-agnostic alternative (wire protocols, debugging dumps) and the
@@ -112,10 +112,10 @@ def encode_payload(value):
     """Recursively encode an algorithm payload into JSON-safe form.
 
     Handles the structures every registered algorithm's uplink uses:
-    numpy arrays (tagged, bit-exact), dicts of them (state dicts, index
-    maps), tuples (tagged so they survive the round trip distinct from
-    lists — ``ClientUpdate.payload`` for parameter averaging is a
-    ``(state, maps)`` tuple), lists, scalars and ``None``.
+    numpy arrays (tagged, bit-exact), dicts of them (state dicts), tuples
+    (tagged so they survive the round trip distinct from lists —
+    ``ClientUpdate.payload`` for parameter averaging is a ``(values, key)``
+    tuple whose key nests tuples), lists, scalars and ``None``.
     """
     if isinstance(value, np.ndarray):
         return _encode_array(value)

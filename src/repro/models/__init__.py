@@ -2,7 +2,7 @@
 
 from .base import IndexedModules, SliceableModel, scaled_channels
 from .slicing import (width_index_maps, extract_substate, scatter_accumulate,
-                      finalize_mean, zeros_like_state)
+                      finalize_mean)
 from .resnet import ResNet, RESNET_CONFIGS
 from .mobilenet import MobileNet, MOBILENET_CONFIGS
 from .har_cnn import HarCNN, HAR_CONFIGS, HAR_INPUT_SHAPE
@@ -13,7 +13,7 @@ from .zoo import build_model, MODEL_FAMILIES, known_architectures
 __all__ = [
     "IndexedModules", "SliceableModel", "scaled_channels",
     "width_index_maps", "extract_substate", "scatter_accumulate",
-    "finalize_mean", "zeros_like_state",
+    "finalize_mean",
     "ResNet", "RESNET_CONFIGS", "MobileNet", "MOBILENET_CONFIGS",
     "HarCNN", "HAR_CONFIGS", "HAR_INPUT_SHAPE", "TextTransformer",
     "AlbertClassifier", "ALBERT_CONFIGS",

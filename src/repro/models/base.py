@@ -7,7 +7,7 @@ attachable at every stage boundary.  This single structure supports all three
 heterogeneity levels of the paper:
 
 * **width** — the same stages built at a channel multiplier; parameters map
-  back to the global model through per-axis index maps (see
+  back to the global model through one flat index (see
   :mod:`repro.models.slicing`);
 * **depth** — a variant keeps only the first ``k`` stages plus head(s);
   parameter names are a subset of the global model's names, so alignment for
@@ -201,9 +201,6 @@ class SliceableModel(nn.Module):
         for head_index in self.heads.indices:
             for param in self.heads.get(head_index).parameters():
                 param.requires_grad = train_heads
-
-    def trainable_parameters(self) -> list[nn.Parameter]:
-        return [p for p in self.parameters() if p.requires_grad]
 
 
 def depth_overrides(model: "SliceableModel", frac: float,

@@ -1,12 +1,13 @@
 """Optimisers: SGD (momentum + weight decay) and Adam, over one flat buffer.
 
-The FL clients build a fresh optimiser per round (federated convention), so
-construction is where the parameters are packed: they are copied into one
-contiguous buffer and each ``Parameter.data`` is rebound to a C-contiguous
-view of it, shape unchanged.  That is the only sanctioned ``.data`` rebind
-outside the autograd core; ``load_state_dict`` writes in place, so the views
-survive it.  A step is then a few whole-buffer ufuncs instead of a dozen
-numpy calls per parameter:
+The FL clients build a fresh optimiser per round (federated convention) over
+every parameter of a model whose state :meth:`~repro.nn.Module.bind_state`
+already packed, so construction *adopts* the parameters' stretch of that
+buffer (:func:`~repro.nn.module.flat_parameters`); a parameter list that is
+not such a run is copied into a new buffer once and rebound to its views,
+after which it is one.  Writes elsewhere go in place, so the views survive.
+A step is then a few whole-buffer ufuncs instead of a dozen numpy calls per
+parameter:
 
 * the present gradients are gathered with one ``np.concatenate(out=)`` per
   *run*, a maximal stretch of consecutive parameters whose ``.grad`` is set.
@@ -29,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .module import Parameter
+from .module import Parameter, flat_parameters
 
 __all__ = ["Optimizer", "SGD", "Adam"]
 
@@ -52,13 +53,8 @@ class Optimizer:
         self._bounds = [0]
         for param in self.params:
             self._bounds.append(self._bounds[-1] + param.data.size)
-        self._flat = np.empty(self._bounds[-1],
-                              dtypes.pop() if dtypes else np.float32)
-        for param, start, stop in zip(self.params, self._bounds,
-                                      self._bounds[1:]):
-            view = self._flat[start:stop].reshape(param.data.shape)
-            view[...] = param.data
-            param.data = view
+        self._flat = flat_parameters(self.params,
+                                     dtypes.pop() if dtypes else np.float32)
         self._grad = np.empty_like(self._flat)
         self._scratch = np.empty_like(self._flat)
 

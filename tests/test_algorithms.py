@@ -120,8 +120,9 @@ class TestAggregationSemantics:
         ctx = next(ctx for ctx in algo.clients.values()
                    if ctx.entry.key == "seg1")
         rng = np.random.default_rng(0)
-        model, _ = algo.build_client_model(ctx, round_index=0, rng=rng)
-        keep = algo.upload_filter(model, ctx)
+        _, (level, _, segment) = algo.build_client_model(ctx, round_index=0,
+                                                         rng=rng)
+        keep = algo.upload_names(algo._level_model(level)[2], segment)
         stage_names = {n for n in keep if n.startswith("stages.")}
         stages_present = {n.split(".")[1] for n in stage_names}
         assert len(stages_present) == 1  # exactly one stage uploaded
@@ -348,6 +349,49 @@ class TestEvaluateOncePerDeployment:
         assert len(resolved) == len(algo._eval_ids()) == 16
         distinct = {key for _, key in resolved}
         assert len(calls) == len(distinct) < 16
+
+
+def _bound_to_one_buffer(model) -> bool:
+    """Every parameter and buffer of ``model`` is a view of one array."""
+    arrays = [p.data for p in model.parameters()]
+    arrays += [buf for _, buf in model.named_buffers()]
+    base = arrays[0].base
+    return base is not None and all(a.base is base for a in arrays)
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_skeletons_stay_bound_through_run_client(name, task):
+    """Training adopts a skeleton's state buffer instead of detaching its
+    views: after a client round every level model is still one buffer."""
+    algo = _build(name, task)
+    for cid in sorted(algo.clients)[:4]:
+        algo.run_client(cid, 0, np.random.default_rng((0, 0, cid)))
+        algo.pack_client_state(cid)
+    skeletons = (list(algo._skeletons.values()) if hasattr(algo, "_skeletons")
+                 else [model for model, _, _ in algo._client_models.values()])
+    assert skeletons
+    for model in skeletons:
+        assert _bound_to_one_buffer(model)
+    for model, buffer, _ in getattr(algo, "_client_models", {}).values():
+        assert all(p.data.base is buffer for p in model.parameters())
+
+
+def test_fedepth_frozen_entries_survive_training(task):
+    """The optimiser holds every parameter, frozen ones included, and
+    leaves those without a gradient bit-identical."""
+    algo = _build("fedepth", task)
+    cid = next(cid for cid, ctx in sorted(algo.clients.items())
+               if ctx.entry.key == "seg1")
+    update = algo.run_client(cid, 0, np.random.default_rng((0, 0, cid)))
+    model, buffer, layout = algo._level_model(update.payload[1][0])
+    trained = layout.views(buffer)
+    start = algo.global_state
+    frozen = [n for n, p in model.named_parameters() if not p.requires_grad]
+    assert frozen
+    for name in frozen:
+        assert np.array_equal(trained[name], start[name]), name
+    assert any(not np.array_equal(trained[n], start[n])
+               for n, p in model.named_parameters() if p.requires_grad)
 
 
 class TestTrainingSkeleton:

@@ -157,11 +157,11 @@ class TestRoundTripCoverage:
         _assert_round_trip(record, restored.records[0])
 
     def test_client_update(self):
-        state = {"conv.weight": np.arange(6, dtype=np.float32).reshape(2, 3)}
-        maps = {"conv.weight": [np.array([0, 2]), np.arange(3)]}
+        values = np.arange(6, dtype=np.float32)
+        key = ((("head_mode", "all"), ("num_stages", None)), 3, (0, 2))
         update = _every_field_set(
             ClientUpdate, client_id=5, version=2, train_loss=0.5,
-            round_time_s=3.5, weight=12.0, payload=(state, maps),
+            round_time_s=3.5, weight=12.0, payload=(values, key),
             discount=0.5, staleness=2)
         restored = client_update_from_dict(json.loads(json.dumps(
             client_update_to_dict(update))))
@@ -227,8 +227,8 @@ def test_no_bare_except_and_loggers_only_from_the_factory():
 
 
 #: the modules allowed to bind ``<tensor>.data``: the tensor itself, and the
-#: optimiser that packs parameters into views of one flat buffer.
-DATA_REBINDERS = {"autograd/tensor.py", "nn/optim.py"}
+#: module system that packs state into views of one flat buffer.
+DATA_REBINDERS = {"autograd/tensor.py", "nn/module.py"}
 
 
 def _assigned_attributes(target):
@@ -244,7 +244,7 @@ def _assigned_attributes(target):
 
 def test_no_stray_data_rebinds():
     """A ``param.data = ...`` rebind would silently detach a parameter from
-    the optimiser's flat buffer; writes go through ``param.data[...] =``."""
+    its model's flat state buffer; writes go through ``param.data[...] =``."""
     root = Path(repro.__file__).parent
     for path in sorted(root.rglob("*.py")):
         rel = path.relative_to(root).as_posix()

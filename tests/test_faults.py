@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms import ClientUpdate
+from repro.algorithms import ALGORITHMS, ClientUpdate, SubIndex
 from repro.constraints import ConstraintSpec, build_scenario
 from repro.data import load_dataset
 from repro.experiments import RunSpec, execute_spec
@@ -61,12 +61,23 @@ def _update(payload, loss=1.0, weight=2.0):
                         round_time_s=5.0, weight=weight, payload=payload)
 
 
-def _state_maps_payload():
-    state = {"layer.w": np.arange(12, dtype=np.float32).reshape(3, 4),
-             "layer.b": np.ones(3, dtype=np.float32)}
-    maps = {"layer.w": (np.array([0, 1, 2]), np.array([0, 1, 2, 3])),
-            "layer.b": (np.array([0, 1, 2]),)}
-    return state, maps
+#: the key of :func:`_flat_payload`'s upload: a 16-element and a 9-element
+#: entry (so per-entry corruption differs from one over the whole vector).
+_KEY = ((("width_mult", 0.5),), 0, None)
+_BOUNDS = (0, 16, 25)
+
+
+def _flat_payload():
+    return np.arange(1, 26, dtype=np.float32), _KEY
+
+
+def _resolve(key):
+    """``resolve_upload`` of a one-level algorithm whose level holds
+    ``_BOUNDS``."""
+    if key != _KEY:
+        raise KeyError(key)
+    return SubIndex(index=slice(0, _BOUNDS[-1]), take=slice(None),
+                    bounds=_BOUNDS)
 
 
 # ----------------------------------------------------------------------
@@ -226,17 +237,19 @@ class TestFaultModel:
 # Corruption + coordinator defense
 # ----------------------------------------------------------------------
 class TestCorruption:
-    def test_nan_mode_poisons_floats_only(self):
-        state, maps = _state_maps_payload()
-        update = _update((state, maps))
-        corrupt_update(update, "nan")
-        new_state, new_maps = update.payload
+    def test_nan_mode_poisons_each_entry(self):
+        values, key = _flat_payload()
+        update = _update((values, key))
+        corrupt_update(update, "nan", resolve=_resolve)
+        poisoned, new_key = update.payload
         assert np.isnan(update.train_loss)
-        assert np.isnan(new_state["layer.w"]).any()
-        # integer index maps ride through untouched
-        np.testing.assert_array_equal(new_maps["layer.w"][0], [0, 1, 2])
+        assert new_key is key                # the key rides through intact
+        # every size // 8-th element of each entry, as a per-entry upload
+        want = np.zeros(25, bool)
+        want[0:16:2] = want[16:25:1] = True
+        assert np.array_equal(np.isnan(poisoned), want)
         # copy-on-corrupt: the trained arrays are never mutated
-        assert not np.isnan(state["layer.w"]).any()
+        assert not np.isnan(values).any()
 
     def test_inf_scale_zero_modes(self):
         for mode, check in [
@@ -244,55 +257,94 @@ class TestCorruption:
             ("scale", lambda a: np.max(np.abs(a)) > 1e5),
             ("zero", lambda a: not a.any()),
         ]:
-            update = _update(_state_maps_payload())
-            corrupt_update(update, mode)
-            assert check(update.payload[0]["layer.w"]), mode
+            update = _update(_flat_payload())
+            corrupt_update(update, mode, resolve=_resolve)
+            assert check(update.payload[0]), mode
 
     def test_bare_array_payload(self):
         update = _update(np.ones((4, 3), dtype=np.float64))
         corrupt_update(update, "scale", factor=100.0)
         assert float(update.payload.max()) == 100.0
 
+    def test_nested_payload_leaves(self):
+        ints = np.array([3, 4])
+        update = _update({"a": [np.ones(16, np.float32), ints]})
+        corrupt_update(update, "nan")
+        poisoned, kept = update.payload["a"]
+        assert np.isnan(poisoned[::2]).all() and not np.isnan(poisoned[1::2]).any()
+        assert kept is ints                  # integer leaves pass through
+
 
 class TestValidateUpdate:
     def test_healthy_passes(self):
-        assert validate_update(_update(_state_maps_payload())) is None
+        assert validate_update(_update(_flat_payload()),
+                               resolve=_resolve) is None
 
     def test_nonfinite_payload_and_loss(self):
-        update = _update(_state_maps_payload())
-        corrupt_update(update, "nan")
-        assert validate_update(update) == "nonfinite"
-        update = _update(_state_maps_payload())
-        corrupt_update(update, "inf")
-        assert validate_update(update) == "nonfinite"
-        assert validate_update(
-            _update(_state_maps_payload(), loss=float("nan"))) == "nonfinite"
+        for mode in ("nan", "inf"):
+            update = _update(_flat_payload())
+            corrupt_update(update, mode, resolve=_resolve)
+            update.train_loss = 1.0
+            assert validate_update(update, resolve=_resolve) == "nonfinite"
+        assert validate_update(_update(_flat_payload(), loss=float("nan")),
+                               resolve=_resolve) == "nonfinite"
 
     def test_norm_bound_catches_scaling(self):
-        update = _update(_state_maps_payload())
-        corrupt_update(update, "scale", factor=1e6)
-        assert validate_update(update) is None      # finite: passes bare
-        assert validate_update(update, norm_bound=1e3) == "norm"
+        update = _update(_flat_payload())
+        corrupt_update(update, "scale", factor=1e6, resolve=_resolve)
+        assert validate_update(update, resolve=_resolve) is None
+        assert validate_update(update, norm_bound=1e3,
+                               resolve=_resolve) == "norm"
 
     def test_zeroed_payload_passes_deliberately(self):
-        update = _update(_state_maps_payload())
-        corrupt_update(update, "zero")
-        assert validate_update(update) is None
-        assert validate_update(update, norm_bound=1e3) is None
+        update = _update(_flat_payload())
+        corrupt_update(update, "zero", resolve=_resolve)
+        assert validate_update(update, resolve=_resolve) is None
+        assert validate_update(update, norm_bound=1e3,
+                               resolve=_resolve) is None
 
     def test_malformed(self):
         assert validate_update(object()) == "malformed"
-        assert validate_update(
-            _update(_state_maps_payload(), weight=-1.0)) == "malformed"
-        assert validate_update(
-            _update(_state_maps_payload(),
-                    weight=float("inf"))) == "malformed"
+        assert validate_update(_update(_flat_payload(), weight=-1.0),
+                               resolve=_resolve) == "malformed"
+        assert validate_update(_update(_flat_payload(), weight=float("inf")),
+                               resolve=_resolve) == "malformed"
 
     def test_shape_family(self):
-        state, maps = _state_maps_payload()
-        assert validate_update(
-            _update(({"layer.w": [1, 2, 3]}, maps))) == "shape"
-        assert validate_update(_update((state, {}))) == "shape"
+        values, key = _flat_payload()
+        for bad in (values[:1], np.append(values, np.float32(0)),
+                    values[:-1], values.reshape(5, 5),
+                    values.astype(np.int64), list(values)):
+            assert validate_update(_update((bad, key)),
+                                   resolve=_resolve) == "shape", bad
+        for bad_key in ((("width_mult", 0.25),), 0, None), (), ("x",):
+            assert validate_update(_update((values, bad_key)),
+                                   resolve=_resolve) == "shape", bad_key
+
+    def test_a_one_element_upload_is_not_broadcast(self):
+        """A global entry of shape (2, 3) and an upload of ``[5.0]``: the
+        upload is refused instead of filling every coordinate with 5.0."""
+        def resolve(key):
+            return SubIndex(index=slice(0, 6), take=slice(None),
+                            bounds=(0, 6))
+
+        update = _update((np.array([5.0], np.float32), _KEY))
+        assert validate_update(update, resolve=resolve) == "shape"
+
+    def test_entry_bounds_decide_precedence(self):
+        """A bound violation in an entry ahead of the first non-finite one
+        still reads ``norm``."""
+        values, key = _flat_payload()
+        big_then_nan = values.copy()
+        big_then_nan[3], big_then_nan[20] = 1e6, np.nan
+        assert validate_update(_update((big_then_nan, key)), norm_bound=1e3,
+                               resolve=_resolve) == "norm"
+        nan_then_big = values.copy()
+        nan_then_big[3], nan_then_big[20] = np.nan, 1e6
+        assert validate_update(_update((nan_then_big, key)), norm_bound=1e3,
+                               resolve=_resolve) == "nonfinite"
+        assert validate_update(_update((big_then_nan, key)),
+                               resolve=_resolve) == "nonfinite"
 
     def test_the_first_offending_leaf_decides(self):
         big = np.full(5, 1e6, np.float32)
@@ -329,7 +381,7 @@ class TestValidateUpdate:
         st.lists(st.sampled_from([0.0, -0.0, 1.0, -3.0, 50.0, 1e5, np.inf,
                                   -np.inf, np.nan]), max_size=3)),
         max_size=5),
-        nest=st.sampled_from(["list", "dict", "state_maps"]),
+        nest=st.sampled_from(["list", "dict", "flat"]),
         norm_bound=st.sampled_from([None, 10.0, 1e4]))
     @settings(max_examples=300, deadline=None)
     def test_same_verdict_as_the_per_leaf_loop(self, leaves, nest,
@@ -341,15 +393,24 @@ class TestValidateUpdate:
                 for index, value in enumerate(values[:size]):
                     array[index] = value if dtype != np.int64 else 7
             arrays.append(array)
+        resolve = None
         if nest == "list":
             payload = [arrays[:2], tuple(arrays[2:])]
         elif nest == "dict":
             payload = {"head": {"w": arrays}, "tail": []}
         else:
-            state = {str(i): a for i, a in enumerate(arrays)}
-            payload = (state, {key: (np.arange(2),) for key in state})
-        assert validate_update(_update(payload), norm_bound) == \
-            _per_leaf_verdict(payload, norm_bound)
+            # One flat upload whose entries are the float arrays, widened.
+            arrays = [a.astype(np.float64) for a in arrays
+                      if a.dtype.kind == "f"]
+            bounds = tuple(np.cumsum([0] + [a.size for a in arrays]).tolist())
+            payload = (np.concatenate([np.zeros(0)] + arrays), _KEY)
+
+            def resolve(key):
+                return SubIndex(slice(0, bounds[-1]), slice(None), bounds)
+
+        reference = arrays if nest == "flat" else payload
+        assert validate_update(_update(payload), norm_bound, resolve) == \
+            _per_leaf_verdict(reference, norm_bound)
 
 
 def _per_leaf_verdict(payload, norm_bound):
@@ -378,6 +439,60 @@ def _per_leaf_verdict(payload, norm_bound):
 # ----------------------------------------------------------------------
 # Fault-injected rounds end to end
 # ----------------------------------------------------------------------
+class TestFlatUploads:
+    """The parameter-averaging upload is one vector and a key; what the
+    coordinator does with a damaged one."""
+
+    @pytest.mark.parametrize("cut", [lambda v: v[:1],
+                                     lambda v: np.append(v, np.float32(0))])
+    def test_wrong_length_is_quarantined_not_broadcast(self, cut):
+        algorithm = tiny_scenario().algorithm
+        before = algorithm.global_vector.copy()
+        run_client = algorithm.run_client
+
+        def mangled(*args, **kwargs):
+            update = run_client(*args, **kwargs)
+            values, key = update.payload
+            update.payload = (cut(values), key)
+            return update
+
+        algorithm.run_client = mangled
+        history = run_simulation(algorithm, SimulationConfig(
+            num_rounds=1, sample_ratio=0.3, eval_every=1, seed=3,
+            execution=ExecutionConfig()))
+        rejections = [e for r in history.records for e in r.events
+                      if e["type"] == "update_rejected"]
+        assert len(rejections) == 3
+        assert all(e["reason"] == "shape" for e in rejections)
+        np.testing.assert_array_equal(algorithm.global_vector, before)
+
+    @pytest.mark.parametrize("mode", ["nan", "inf"])
+    def test_unvalidated_corruption_aggregates_per_entry(self, mode):
+        """Validation off, the poisoned upload is aggregated: the History
+        and the aggregate's non-finite positions are those of per-entry
+        uploads (pinned from the per-entry implementation; corrupting every
+        ``size // 8``-th element of the whole vector moves the second)."""
+        import hashlib
+        algorithm = tiny_scenario().algorithm
+        execution = ExecutionConfig(
+            faults={"corrupt_prob": 0.3, "corrupt_mode": mode},
+            validate=False)
+        with np.errstate(invalid="ignore", over="ignore"):
+            history = run_simulation(algorithm, SimulationConfig(
+                num_rounds=1, sample_ratio=0.3, eval_every=1, seed=3,
+                execution=execution))
+        state = algorithm.global_state
+        finite = b"".join(np.isfinite(state[k]).tobytes()
+                          for k in sorted(state))
+        assert hashlib.sha256(history.to_json().encode()).hexdigest() == {
+            "nan": "c862bf40b793c2facfdea139efa6bb8c"
+                   "37f5a4d9809ee002bdda9ac59b15e203",
+            "inf": "cfc9dfdd97e7c414c596ee9fe7235cbb"
+                   "9e1ee57cbfcc5fc5014b09558cdd7233"}[mode]
+        assert hashlib.sha256(finite).hexdigest() == (
+            "fad7d50f512c1398b3b65bc3d6075ac5ff365cef4c06b0f4b717ce8570148217")
+
+
 class TestFaultedRounds:
     def test_crashes_recorded_and_survived(self):
         execution = ExecutionConfig(faults={"crash_prob": 0.5})
@@ -738,6 +853,10 @@ class _Interrupt(RuntimeError):
     pass
 
 
+#: algorithm -> History JSON of its uninterrupted three-round run.
+_UNINTERRUPTED: dict[str, str] = {}
+
+
 class TestKillAndResume:
     """Resume must reproduce the uninterrupted run byte for byte."""
 
@@ -776,6 +895,40 @@ class TestKillAndResume:
             config(CheckpointConfig(path=path, every=1, resume=True)))
         assert resumed.to_json() == reference.to_json()
         assert not path.exists()    # cleared after a completed run
+
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    @given(cut=st.integers(1, 2))
+    @settings(max_examples=2, deadline=None)
+    def test_resume_at_any_round_equals_uninterrupted(self, algorithm, cut):
+        """Every algorithm's ``checkpoint_state`` / ``restore_checkpoint_state``
+        pair (the global vector's, or the personal models' and server
+        state's) resumes bit for bit, whichever round the run died after."""
+        import tempfile
+        sim = dict(num_rounds=3, sample_ratio=0.3, eval_every=1, seed=5)
+        if algorithm not in _UNINTERRUPTED:
+            _UNINTERRUPTED[algorithm] = run_simulation(
+                tiny_scenario(algorithm).algorithm,
+                SimulationConfig(**sim)).to_json()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.ckpt.json")
+            scen = tiny_scenario(algorithm)
+            real_ingest, calls = scen.algorithm.ingest, {"n": 0}
+
+            def bomb(updates, round_index, rng):
+                if calls["n"] >= cut:
+                    raise _Interrupt()
+                calls["n"] += 1
+                return real_ingest(updates, round_index, rng)
+
+            scen.algorithm.ingest = bomb
+            with pytest.raises(_Interrupt):
+                run_simulation(scen.algorithm, SimulationConfig(
+                    **sim, checkpoint=CheckpointConfig(path=path, every=1)))
+            resumed = run_simulation(
+                tiny_scenario(algorithm).algorithm, SimulationConfig(
+                    **sim, checkpoint=CheckpointConfig(path=path, every=1,
+                                                       resume=True)))
+        assert resumed.to_json() == _UNINTERRUPTED[algorithm]
 
     def test_buffered_policy_refuses_checkpoint(self, tmp_path):
         """In-flight futures cannot be snapshotted: the pair is refused

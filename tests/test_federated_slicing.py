@@ -15,9 +15,9 @@ from repro.fl import LocalTrainConfig, history_from_dict, history_to_dict
 from repro.fl.history import History, RoundRecord
 from repro.hw import sample_fleet
 from repro.models import (build_model, extract_substate, finalize_mean,
-                          scatter_accumulate, width_index_maps,
-                          zeros_like_state)
+                          scatter_accumulate, width_index_maps)
 from repro.algorithms import ALGORITHMS, assign_levels_uniformly
+from repro.nn.module import Layout
 
 
 @pytest.fixture(scope="module")
@@ -84,34 +84,32 @@ class TestWeightedMeanProperties:
     @settings(max_examples=25, deadline=None)
     def test_weighted_mean_within_bounds(self, weights):
         """finalize_mean is a convex combination of the contributions."""
-        shape = (4, 3)
+        size = 12
         rng = np.random.default_rng(0)
-        contributions = [rng.standard_normal(shape) for _ in weights]
-        fallback = {"w": np.zeros(shape, np.float32)}
-        sums = zeros_like_state(fallback)
-        counts = zeros_like_state(fallback)
-        maps = {"w": (None, None)}
+        contributions = [rng.standard_normal(size) for _ in weights]
+        fallback = np.zeros(size, np.float32)
+        sums, counts = np.zeros(size), np.zeros(size)
         for weight, value in zip(weights, contributions):
-            scatter_accumulate(sums, counts, {"w": value}, maps, weight)
-        merged = finalize_mean(sums, counts, fallback)["w"]
+            scatter_accumulate(sums, counts, value, slice(0, size), weight)
+        merged = finalize_mean(sums, counts, fallback)
         stacked = np.stack(contributions)
         assert np.all(merged >= stacked.min(axis=0) - 1e-5)
         assert np.all(merged <= stacked.max(axis=0) + 1e-5)
 
     def test_equal_weights_is_plain_mean(self):
-        shape = (3,)
-        values = [np.ones(shape) * i for i in range(1, 4)]
-        fallback = {"w": np.zeros(shape, np.float32)}
-        sums = zeros_like_state(fallback)
-        counts = zeros_like_state(fallback)
+        size = 3
+        values = [np.ones(size) * i for i in range(1, 4)]
+        fallback = np.zeros(size, np.float32)
+        sums, counts = np.zeros(size), np.zeros(size)
         for value in values:
-            scatter_accumulate(sums, counts, {"w": value}, {"w": (None,)}, 1.0)
-        merged = finalize_mean(sums, counts, fallback)["w"]
+            scatter_accumulate(sums, counts, value, np.arange(size), 1.0)
+        merged = finalize_mean(sums, counts, fallback)
         np.testing.assert_allclose(merged, 2.0)
 
 
 def _ix_reference(per_axis, shape):
-    """The open-mesh index every map went through before slices."""
+    """The open mesh of one entry's per-axis indices (``None``: whole axis),
+    the per-entry reference the flat index must agree with."""
     return np.ix_(*(np.arange(dim) if idx is None else idx
                     for idx, dim in zip(per_axis, shape)))
 
@@ -128,93 +126,123 @@ def _sliced_parameter(draw):
     return global_shape, sub_shape, scaled
 
 
+def _window(g_dim, s_dim, mode, shift):
+    """One axis's channels in the sub-model (``None``: all of them)."""
+    if s_dim == g_dim:
+        return None
+    return (np.arange(s_dim) if mode == "prefix"
+            else (shift + np.arange(s_dim)) % g_dim)
+
+
 class TestSlicePathEqualsOpenMesh:
-    @given(param=_sliced_parameter(), mode=st.sampled_from(["prefix", "rolling"]),
+    """The flat index against the per-entry ``np.ix_`` open mesh, on a
+    layout of one to three width-sliced entries and an unsliced one."""
+
+    @given(params=st.lists(_sliced_parameter(), min_size=1, max_size=3),
+           mode=st.sampled_from(["prefix", "rolling"]),
            shift=st.integers(0, 20), weight=st.floats(0.5, 20.0),
            seed=st.integers(0, 2 ** 16))
     @settings(max_examples=200, deadline=None)
-    def test_extract_and_scatter_match_np_ix(self, param, mode, shift,
+    def test_extract_and_scatter_match_np_ix(self, params, mode, shift,
                                              weight, seed):
-        from repro.models.slicing import _as_ix
-        global_shape, sub_shape, scaled = param
+        names = [f"w{i}" for i in range(len(params))] + ["whole"]
+        global_shapes = [g for g, _, _ in params] + [(3,)]
+        sub_shapes = [s for _, s, _ in params] + [(3,)]
+        scale_axes = {name: axes for name, (_, _, axes) in zip(names, params)}
+        g_layout = Layout.of(zip(names, global_shapes), params=len(names))
+        s_layout = Layout.of(zip(names, sub_shapes), params=len(names))
         rng = np.random.default_rng(seed)
-        state = {"w": rng.standard_normal(global_shape).astype(np.float32)}
-        maps = width_index_maps({"w": global_shape}, {"w": sub_shape},
-                                {"w": scaled}, mode=mode, shift=shift)
-        per_axis = maps["w"]
-        reference = _ix_reference(per_axis, global_shape)
+        vector = rng.standard_normal(g_layout.size).astype(np.float32)
+        index = width_index_maps(g_layout, s_layout, scale_axes, mode=mode,
+                                 shift=shift)
 
-        # Basic indexing (slices, or ... when nothing is mapped) exactly
-        # when no mapped window wraps around.
-        wraps = any(idx is not None and idx[-1] < idx[0] for idx in per_axis)
-        index = _as_ix(per_axis, global_shape)
-        basic = index is ... or all(isinstance(i, slice) for i in index)
-        assert basic == (not wraps)
+        # Per entry, the reference positions of the open mesh.
+        where = g_layout.views(np.arange(g_layout.size))
+        reference = np.concatenate([
+            where[name][_ix_reference(
+                [_window(g, s, mode, shift) for g, s in zip(g_shape, s_shape)],
+                g_shape)].ravel()
+            for name, g_shape, s_shape in zip(names, global_shapes,
+                                              sub_shapes)])
+        # A slice exactly when the positions are one ascending run.
+        run = bool((np.diff(reference) == 1).all())
+        assert isinstance(index, slice) == run
+        assert np.array_equal(np.arange(g_layout.size)[index], reference)
 
-        sub = extract_substate(state, maps)["w"]
-        assert sub.shape == sub_shape and sub.base is None
-        assert np.array_equal(sub, state["w"][reference])
-        before = state["w"].copy()
+        sub = extract_substate(vector, index)
+        assert sub.shape == (s_layout.size,) and sub.base is None
+        assert np.array_equal(sub, vector[reference])
+        before = vector.copy()
         sub += 1.0                          # a copy: the global is untouched
-        assert np.array_equal(state["w"], before)
+        assert np.array_equal(vector, before)
+        out = np.full(s_layout.size, np.nan, np.float32)
+        assert extract_substate(vector, index, out=out) is out
+        assert np.array_equal(out, vector[reference])
 
-        update = rng.standard_normal(sub_shape).astype(np.float32)
-        sums, counts = zeros_like_state(state), zeros_like_state(state)
+        update = rng.standard_normal(s_layout.size).astype(np.float32)
+        sums, counts = np.zeros(g_layout.size), np.zeros(g_layout.size)
         for _ in range(2):                  # accumulates, does not assign
-            scatter_accumulate(sums, counts, {"w": update}, maps, weight)
-        want_sums, want_counts = (np.zeros(global_shape) for _ in range(2))
+            scatter_accumulate(sums, counts, update, index, weight)
+        want_sums, want_counts = np.zeros(g_layout.size), np.zeros(g_layout.size)
         for _ in range(2):
             want_sums[reference] += weight * update
             want_counts[reference] += weight
-        assert np.array_equal(sums["w"], want_sums)
-        assert np.array_equal(counts["w"], want_counts)
+        assert np.array_equal(sums, want_sums)
+        assert np.array_equal(counts, want_counts)
 
 
 class TestDepthMapsConserveMass:
-    """Depth levels hold a subset of the global keys, each whole; their maps
-    must round-trip the state exactly as the width maps do.
+    """Depth levels hold a subset of the global entries, each whole; their
+    indices must round-trip the global vector exactly as the width ones do.
 
     The weights are powers of two: ``scatter_accumulate`` forms
-    ``weight * sub_state`` in the state's float32 before adding it to the
+    ``weight * values`` in the upload's float32 before adding it to the
     float64 sums, so any other weight rounds there."""
 
     @pytest.mark.parametrize("name", ["depthfl", "fedepth", "inclusivefl"])
     def test_every_level_round_trips_the_global_state(self, task, name):
         import dataclasses
         algo = _algo(name, task)
-        state = algo.global_state
-        fallback = {key: value + 1.0 for key, value in state.items()}
+        vector, layout = algo.global_vector, algo.layout
+        fallback = vector + 1.0
         template = next(iter(algo.clients.values()))
         rng = np.random.default_rng(0)
         held = []
         for entry in algo.pool.entries:
             ctx = dataclasses.replace(template, entry=entry)
-            model, maps = algo.build_client_model(ctx, 0, rng)
-            sub = extract_substate(state, maps)
-            assert set(sub) == set(model.state_dict())
-            held.append(len(sub))
-            sums, counts = zeros_like_state(state), zeros_like_state(state)
-            scatter_accumulate(sums, counts, sub, maps, weight=4)
+            model, (level, shift, segment) = algo.build_client_model(ctx, 0,
+                                                                     rng)
+            placed = algo.resolve_upload((level, shift, None))
+            sub_layout = algo._level_model(level)[2]
+            sub = extract_substate(vector, placed.index)
+            assert sub_layout.names == tuple(model.state_dict())
+            assert placed.bounds == sub_layout.bounds
+            held.append(len(sub_layout.names))
+            sums, counts = np.zeros(layout.size), np.zeros(layout.size)
+            scatter_accumulate(sums, counts, sub, placed.index, weight=4)
 
-            merged = finalize_mean(sums, counts, state)
-            for key, value in state.items():
-                assert merged[key].dtype == value.dtype, key
-                assert np.array_equal(merged[key], value), (entry.key, key)
-            kept = finalize_mean(sums, counts, fallback)
-            for key in state:
-                want = state[key] if key in maps else fallback[key]
+            merged = finalize_mean(sums, counts, vector)
+            assert merged.dtype == vector.dtype
+            assert np.array_equal(merged, vector), entry.key
+            kept = layout.views(finalize_mean(sums, counts, fallback))
+            for key, value in algo.global_state.items():
+                want = value if key in sub_layout.names else value + 1.0
                 assert np.array_equal(kept[key], want), (entry.key, key)
 
-            other = {key: (value * 0.5 + 0.25).astype(value.dtype)
-                     for key, value in sub.items()}
-            scatter_accumulate(sums, counts, other, maps, weight=2)
-            pair = finalize_mean(sums, counts, state)
-            for key, value in sub.items():
-                mean = (4 * value.astype(np.float64)
-                        + 2 * other[key].astype(np.float64)) / 6
-                assert np.array_equal(pair[key], mean.astype(value.dtype)), key
+            other = (sub * 0.5 + 0.25).astype(sub.dtype)
+            scatter_accumulate(sums, counts, other, placed.index, weight=2)
+            pair = finalize_mean(sums, counts, vector)
+            mean = (4 * sub.astype(np.float64)
+                    + 2 * other.astype(np.float64)) / 6
+            assert np.array_equal(pair[placed.index], mean.astype(sub.dtype))
+
+            # The upload (FeDepth: its trained segment) lands where its
+            # elements came from.
+            upload = algo.resolve_upload((level, shift, segment))
+            assert np.array_equal(extract_substate(sub, upload.take),
+                                  extract_substate(vector, upload.index))
         if name != "fedepth":       # FeDepth's levels all hold the full model
-            assert min(held) < len(state)
+            assert min(held) < len(layout.names)
 
 
 class TestSubModelReuse:
@@ -240,13 +268,16 @@ class TestSubModelReuse:
         model.set_trainable_stages([0], train_stem=False)   # FeDepth-style
         assert any(p.grad is not None for p in model.parameters())
 
-        again, maps = algo.build_client_model(second_ctx, round_index=0,
-                                              rng=rng)
+        again, key = algo.build_client_model(second_ctx, round_index=0,
+                                             rng=rng)
         assert again is model and built == [{"width_mult": 0.5}]
-        expected = extract_substate(algo.global_state, maps)
+        _, buffer, layout = algo._level_model(key[0])
+        expected = extract_substate(algo.global_vector,
+                                    algo.resolve_upload(key).index)
+        assert np.array_equal(buffer, expected)
         loaded = again.state_dict()
-        assert set(loaded) == set(expected)
-        for name, value in expected.items():
+        assert list(loaded) == list(layout.names)
+        for name, value in layout.views(expected).items():
             assert np.array_equal(loaded[name], value), name
         assert all(p.grad is None and p.requires_grad
                    for p in again.parameters())
@@ -260,16 +291,43 @@ class TestSubModelReuse:
 
 class TestFeDepthIsolation:
     def test_frozen_stage_upload_does_not_dilute(self, task):
-        """A FeDepth client's frozen stages never reach the accumulator."""
+        """A FeDepth client's frozen stages never reach the accumulator, and
+        the names its key resolves to are what training left trainable."""
         algo = _algo("fedepth", task)
         rng = np.random.default_rng(0)
         ctx = next(ctx for ctx in algo.clients.values()
                    if ctx.entry.key == "seg1")
-        model, maps = algo.build_client_model(ctx, round_index=0, rng=rng)
-        keep = algo.upload_filter(model, ctx)
+        model, (level, _, segment) = algo.build_client_model(
+            ctx, round_index=0, rng=rng)
+        keep = algo.upload_names(algo._level_model(level)[2], segment)
         frozen_params = {n for n, p in model.named_parameters()
                          if not p.requires_grad}
-        assert not (keep & frozen_params)
+        assert frozen_params and not (keep & frozen_params)
+        trainable = {n for n, p in model.named_parameters()
+                     if p.requires_grad}
+        assert trainable <= keep
+
+    def test_segment_names_match_the_trained_model(self, task):
+        """``upload_names`` reads names only; at every level and segment it
+        keeps what the trainable mask of the built model implies."""
+        algo = _algo("fedepth", task)
+        rng = np.random.default_rng(0)
+        for ctx in algo.clients.values():
+            for round_index in range(4):
+                model, (level, _, segment) = algo.build_client_model(
+                    ctx, round_index, rng)
+                trainable = {n for n, p in model.named_parameters()
+                             if p.requires_grad}
+                stages = {n.split(".")[1] for n in trainable
+                          if n.startswith("stages.")}
+                stem = any(n.startswith("stem.") for n in trainable)
+                want = trainable | {
+                    n for n in model.state_dict()
+                    if n.startswith("heads.")
+                    or (stem and n.startswith("stem."))
+                    or (n.startswith("stages.") and n.split(".")[1] in stages)}
+                got = algo.upload_names(algo._level_model(level)[2], segment)
+                assert got == want, (ctx.entry.key, round_index)
 
 
 class TestDeterminism:

@@ -41,11 +41,14 @@ class TestLocalTraining:
         cnn = build_model("har_cnn", num_classes=3, seed=0)
         assert LocalTrainConfig(lr=0.7).resolve(cnn).lr == 0.7
 
-    def test_make_optimizer_trainable_only(self):
+    def test_make_optimizer_adopts_every_parameter(self):
         model = build_model("har_cnn", num_classes=3, seed=0)
+        buffer, layout = model.bind_state()
         model.set_trainable_stages([3], train_stem=False)
         opt = make_optimizer(model, LocalTrainConfig().resolve(model))
-        assert len(opt.params) == len(model.trainable_parameters())
+        assert opt.params == model.parameters()
+        assert opt._flat.base is buffer
+        assert opt._flat.size == layout.bounds[layout.params]
 
     def test_training_reduces_loss(self, tiny_task):
         ds, model = tiny_task

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.models import (build_model, known_architectures, MODEL_FAMILIES,
                           width_index_maps, extract_substate,
-                          scatter_accumulate, finalize_mean, zeros_like_state,
+                          scatter_accumulate, finalize_mean,
                           scaled_channels, HAR_INPUT_SHAPE)
 from repro import autograd as ag
+from repro.nn.module import Layout
 
 
 def _input_for(arch, batch=2, seed=0):
@@ -124,31 +125,44 @@ class TestVariants:
         assert not frozen_grads
 
 
+def _flat(model):
+    """A model's state as a fresh ``(vector, layout)``."""
+    layout = model.state_layout()
+    return layout.pack(model.state_dict()), layout
+
+
+def _layout(**shapes):
+    return Layout.of(shapes.items(), params=len(shapes))
+
+
+def _positions(index, size):
+    """An index as explicit positions (a slice spelled out)."""
+    return np.arange(size)[index] if isinstance(index, slice) else index
+
+
 class TestWidthSlicing:
     @pytest.mark.parametrize("arch", REPRESENTATIVE)
     @pytest.mark.parametrize("mode", ["prefix", "rolling"])
     def test_extract_load_roundtrip(self, arch, mode):
         model = build_model(arch, num_classes=5, seed=0)
         sub = model.variant(width_mult=0.5)
-        g_state = model.state_dict()
-        maps = width_index_maps(
-            {k: v.shape for k, v in g_state.items()},
-            {k: v.shape for k, v in sub.state_dict().items()},
-            model.state_scale_axes(), mode=mode, shift=3)
-        sub.load_state_dict(extract_substate(g_state, maps))
+        g_vec, g_layout = _flat(model)
+        buffer, s_layout = sub.bind_state()
+        index = width_index_maps(g_layout, s_layout, model.state_scale_axes(),
+                                 mode=mode, shift=3)
+        assert extract_substate(g_vec, index, out=buffer) is buffer
         # Forward must run (channel wiring consistent).
         assert sub(_input_for(arch)).shape == (2, 5)
 
     def test_full_width_slice_is_identity(self):
         model = build_model("resnet18", num_classes=5, seed=0)
         clone = model.variant()
-        g_state = model.state_dict()
-        maps = width_index_maps(
-            {k: v.shape for k, v in g_state.items()},
-            {k: v.shape for k, v in clone.state_dict().items()},
-            model.state_scale_axes(), mode="prefix")
-        extracted = extract_substate(g_state, maps)
-        clone.load_state_dict(extracted)
+        g_vec, g_layout = _flat(model)
+        buffer, c_layout = clone.bind_state()
+        index = width_index_maps(g_layout, c_layout, model.state_scale_axes(),
+                                 mode="prefix")
+        assert index == slice(0, g_layout.size)   # a property of the input
+        extract_substate(g_vec, index, out=buffer)
         x = _input_for("resnet18")
         with ag.no_grad():
             np.testing.assert_allclose(model.eval()(x).data,
@@ -157,76 +171,120 @@ class TestWidthSlicing:
     def test_prefix_slice_matches_manual_slice(self):
         model = build_model("har_cnn", num_classes=5, seed=0)
         sub = model.variant(width_mult=0.5)
-        g_state = model.state_dict()
-        maps = width_index_maps(
-            {k: v.shape for k, v in g_state.items()},
-            {k: v.shape for k, v in sub.state_dict().items()},
-            model.state_scale_axes(), mode="prefix")
-        extracted = extract_substate(g_state, maps)
+        g_vec, g_layout = _flat(model)
+        s_layout = sub.state_layout()
+        index = width_index_maps(g_layout, s_layout, model.state_scale_axes(),
+                                 mode="prefix")
+        extracted = s_layout.views(extract_substate(g_vec, index))
         w = "stages.1.0.conv.weight"
         s_out, s_in = extracted[w].shape[:2]
         np.testing.assert_array_equal(extracted[w],
-                                      g_state[w][:s_out, :s_in])
+                                      g_layout.views(g_vec)[w][:s_out, :s_in])
 
     def test_rolling_wraps_around(self):
         model = build_model("har_cnn", num_classes=5, seed=0)
         sub = model.variant(width_mult=0.5)
-        g_state = model.state_dict()
+        g_layout, s_layout = model.state_layout(), sub.state_layout()
+        # Each element holds its own position, so extraction reads positions.
+        where = np.arange(g_layout.size, dtype=np.float32)
         name = "stages.3.0.conv.weight"
-        g_dim = g_state[name].shape[0]
-        maps = width_index_maps(
-            {k: v.shape for k, v in g_state.items()},
-            {k: v.shape for k, v in sub.state_dict().items()},
-            model.state_scale_axes(), mode="rolling", shift=g_dim - 1)
-        idx = maps[name][0]
-        assert idx[0] == g_dim - 1 and idx[1] == 0  # wrapped
+        g_block = g_layout.views(where)[name]
+        g_dim = g_block.shape[0]
+        index = width_index_maps(g_layout, s_layout, model.state_scale_axes(),
+                                 mode="rolling", shift=g_dim - 1)
+        block = s_layout.views(extract_substate(where, index))[name]
+        start = g_layout.bounds[g_layout.names.index(name)]
+        rows = (block.reshape(len(block), -1)[:, 0] - start) // g_block[0].size
+        assert rows[0] == g_dim - 1 and rows[1] == 0  # wrapped
 
     def test_scatter_accumulate_conservation(self):
         """Aggregating the extracted slice back reproduces the global values."""
         model = build_model("mobilenet_v2", num_classes=5, seed=0)
         sub = model.variant(width_mult=0.5)
-        g_state = model.state_dict()
-        maps = width_index_maps(
-            {k: v.shape for k, v in g_state.items()},
-            {k: v.shape for k, v in sub.state_dict().items()},
-            model.state_scale_axes(), mode="prefix")
-        extracted = extract_substate(g_state, maps)
-        sums = zeros_like_state(g_state)
-        counts = zeros_like_state(g_state)
-        scatter_accumulate(sums, counts, extracted, maps, weight=2.0)
-        merged = finalize_mean(sums, counts, g_state)
-        for name in g_state:
-            np.testing.assert_allclose(merged[name], g_state[name], rtol=1e-5)
+        g_vec, g_layout = _flat(model)
+        index = width_index_maps(g_layout, sub.state_layout(),
+                                 model.state_scale_axes(), mode="prefix")
+        extracted = extract_substate(g_vec, index)
+        sums, counts = np.zeros(g_layout.size), np.zeros(g_layout.size)
+        scatter_accumulate(sums, counts, extracted, index, weight=2.0)
+        merged = finalize_mean(sums, counts, g_vec)
+        assert merged.dtype == g_vec.dtype and merged is not g_vec
+        np.testing.assert_allclose(merged, g_vec, rtol=1e-5)
 
     def test_untouched_coordinates_keep_fallback(self):
         model = build_model("har_cnn", num_classes=5, seed=0)
         sub = model.variant(width_mult=0.25)
-        g_state = model.state_dict()
-        maps = width_index_maps(
-            {k: v.shape for k, v in g_state.items()},
-            {k: v.shape for k, v in sub.state_dict().items()},
-            model.state_scale_axes(), mode="prefix")
-        extracted = extract_substate(g_state, maps)
-        for v in extracted.values():
-            v[...] = 0.0
-        sums = zeros_like_state(g_state)
-        counts = zeros_like_state(g_state)
-        scatter_accumulate(sums, counts, extracted, maps)
-        merged = finalize_mean(sums, counts, g_state)
+        g_vec, g_layout = _flat(model)
+        s_layout = sub.state_layout()
+        index = width_index_maps(g_layout, s_layout, model.state_scale_axes(),
+                                 mode="prefix")
+        extracted = np.zeros(s_layout.size, np.float32)
+        sums, counts = np.zeros(g_layout.size), np.zeros(g_layout.size)
+        scatter_accumulate(sums, counts, extracted, index)
+        merged = g_layout.views(finalize_mean(sums, counts, g_vec))
         name = "stages.3.0.conv.weight"
-        s_out = extracted[name].shape[0]
+        s_out, s_in = s_layout.views(extracted)[name].shape[:2]
         # Sliced block zeroed, remainder untouched.
-        assert np.all(merged[name][:s_out, :extracted[name].shape[1]] == 0.0)
+        assert np.all(merged[name][:s_out, :s_in] == 0.0)
         np.testing.assert_array_equal(merged[name][s_out:],
-                                      g_state[name][s_out:])
+                                      g_layout.views(g_vec)[name][s_out:])
 
     def test_incompatible_shapes_rejected(self):
         with pytest.raises(ValueError):
-            width_index_maps({"w": (4, 4)}, {"w": (2, 4)}, {"w": ()})
+            width_index_maps(_layout(w=(4, 4)), _layout(w=(2, 4)), {"w": ()})
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(KeyError):
-            width_index_maps({"w": (4,)}, {"ghost": (4,)}, {})
+            width_index_maps(_layout(w=(4,)), _layout(ghost=(4,)), {})
+
+
+class TestBindState:
+    def test_views_of_one_buffer_in_layout_order(self):
+        model = build_model("har_cnn", num_classes=5, seed=0)
+        before = model.state_dict()
+        buffer, layout = model.bind_state()
+        assert layout.names == tuple(before)
+        assert layout.params == len(model.named_parameters())
+        views = layout.views(buffer)
+        state = {**dict((n, p.data) for n, p in model.named_parameters()),
+                 **dict(model.named_buffers())}
+        for name, value in before.items():
+            assert state[name].base is buffer, name
+            assert np.shares_memory(state[name], views[name]), name
+            assert np.array_equal(state[name], value), name
+
+    def test_batch_norm_statistics_stay_live(self):
+        model = build_model("resnet18", num_classes=5, seed=0)
+        buffer, layout = model.bind_state()
+        snapshot = buffer.copy()
+        model.train()
+        model(_input_for("resnet18"))
+        changed = [name for name, view in layout.views(buffer).items()
+                   if not np.array_equal(view, layout.views(snapshot)[name])]
+        assert changed and all("running_" in name for name in changed)
+
+    def test_optimiser_adopts_the_buffer(self):
+        from repro import nn
+        model = build_model("har_cnn", num_classes=5, seed=0)
+        buffer, layout = model.bind_state()
+        optimizer = nn.SGD(model.parameters(), lr=0.1)
+        assert optimizer._flat.base is buffer
+        assert optimizer._flat.size == layout.bounds[layout.params]
+        # A list that is not one run is packed anew, and then is one.
+        params = model.parameters()[::-1]
+        first = nn.SGD(params, lr=0.1)
+        assert first._flat.base is None
+        assert nn.SGD(params, lr=0.1)._flat.base is first._flat
+
+    def test_layout_pack_round_trips_and_checks_shapes(self):
+        layout = _layout(a=(2, 3), b=(), c=(4,))
+        vector = np.arange(layout.size, dtype=np.float32)
+        assert layout.bounds == (0, 6, 7, 11)
+        assert np.array_equal(layout.pack(layout.views(vector)), vector)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            layout.pack({"a": np.zeros(6), "b": 0.0, "c": np.zeros(4)})
+        picked = layout.select({"c", "a"})
+        assert picked.names == ("a", "c") and picked.bounds == (0, 6, 10)
 
 
 class TestZoo:
@@ -307,12 +365,12 @@ class TestIndexMapProperties:
     def test_rolling_covers_each_coordinate_at_most_once(self, g_dim, frac,
                                                          shift):
         s_dim = max(1, min(g_dim, int(round(g_dim * frac))))
-        maps = width_index_maps({"w": (g_dim,)}, {"w": (s_dim,)},
-                                {"w": (0,)}, mode="rolling", shift=shift)
-        idx = maps["w"][0]
-        if idx is not None:
-            assert len(np.unique(idx)) == len(idx)
-            assert idx.min() >= 0 and idx.max() < g_dim
+        idx = _positions(width_index_maps(_layout(w=(g_dim,)),
+                                          _layout(w=(s_dim,)), {"w": (0,)},
+                                          mode="rolling", shift=shift), g_dim)
+        assert len(idx) == s_dim
+        assert len(np.unique(idx)) == len(idx)
+        assert idx.min() >= 0 and idx.max() < g_dim
 
     @given(g_dim=st.integers(2, 64), frac=st.floats(0.1, 0.99))
     @settings(max_examples=40, deadline=None)
@@ -321,7 +379,7 @@ class TestIndexMapProperties:
         s_dim = max(1, min(g_dim - 1, int(round(g_dim * frac))))
         touched = np.zeros(g_dim, dtype=bool)
         for shift in range(g_dim):
-            maps = width_index_maps({"w": (g_dim,)}, {"w": (s_dim,)},
-                                    {"w": (0,)}, mode="rolling", shift=shift)
-            touched[maps["w"][0]] = True
+            touched[width_index_maps(_layout(w=(g_dim,)), _layout(w=(s_dim,)),
+                                     {"w": (0,)}, mode="rolling",
+                                     shift=shift)] = True
         assert touched.all()

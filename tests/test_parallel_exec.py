@@ -130,11 +130,10 @@ class TestWorkItems:
         packed = scenario_b.algorithm.run_client(
             cid, 0, client_rng(0, 0, cid),
             broadcast=scenario_b.algorithm.pack_broadcast(cid, 0))
-        state_a, _ = live.payload
-        state_b, _ = packed.payload
+        values_a, key_a = live.payload
+        values_b, key_b = packed.payload
         assert live.train_loss == packed.train_loss
-        for name in state_a:
-            assert np.array_equal(state_a[name], state_b[name]), name
+        assert key_a == key_b and np.array_equal(values_a, values_b)
 
     def test_same_version_redispatch_trains_fresh_draw(self):
         """A buffered re-dispatch of the same client at an unchanged
@@ -252,25 +251,23 @@ class TestPayloadSerialization:
         assert back.weight == update.weight
         self._assert_payload_equal(update.payload, back.payload)
 
-    def test_state_and_maps_survive(self):
-        """Index maps (None / int arrays per axis) are part of the
-        parameter-averaging payload and must survive bit-exact."""
+    def test_values_and_key_survive(self):
+        """The parameter-averaging payload is one float32 vector and the
+        key of its index — no index map travels — and the key a decoded
+        update carries resolves to the same index."""
         scenario, _ = prepare_scenario(smoke_spec("fedrolex"))
         algo = scenario.algorithm
         cid = sorted(algo.clients)[0]
         update = algo.run_client(cid, 2, client_rng(0, 2, cid))
-        state, maps = self._round_trip(update).payload
-        orig_state, orig_maps = update.payload
-        assert set(maps) == set(orig_maps)
-        for name, axes in orig_maps.items():
-            assert isinstance(maps[name], tuple)
-            for got, want in zip(maps[name], axes):
-                if want is None:
-                    assert got is None
-                else:
-                    assert np.array_equal(got, want)
-        for name in orig_state:
-            assert orig_state[name].dtype == state[name].dtype
+        values, key = self._round_trip(update).payload
+        orig_values, orig_key = update.payload
+        assert key == orig_key and key[1] == 2      # the rolling shift
+        assert values.dtype == np.float32 and values.ndim == 1
+        assert np.array_equal(values, orig_values)
+        assert not any(isinstance(part, np.ndarray) for part in key)
+        placed = algo.resolve_upload(key)
+        assert placed is algo.resolve_upload(orig_key)   # memoised
+        assert values.size == placed.bounds[-1]
 
 
 class TestWorkerCountInvariance:
