@@ -34,8 +34,8 @@ import argparse
 import json
 from pathlib import Path
 
-from repro.experiments import (RunCache, format_table, get_artifact,
-                               set_default_cache, write_rows)
+from repro.experiments import (RunCache, RunDefaults, format_table,
+                               get_artifact, run_defaults, write_rows)
 from repro.experiments.sweep import (Shard, SweepManifest, expand_grid,
                                      run_sweep, status_rows)
 from repro.telemetry.logs import configure_logging, get_logger
@@ -150,15 +150,12 @@ def main(argv: list[str] | None = None) -> int:
                   "shard finishes)", status.pending_count)
         return 0
 
-    previous = set_default_cache(cache)
-    try:
+    with run_defaults(RunDefaults(cache=cache)):
         for plan_group, name, artifact_name, title, kwargs in PLAN:
             if group != "all" and plan_group != group:
                 continue
             artifact = get_artifact(artifact_name)
             save(name, artifact.run(**kwargs), title)
-    finally:
-        set_default_cache(previous)
     return 0
 
 

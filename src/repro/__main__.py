@@ -8,7 +8,6 @@ Usage::
     python -m repro run fig6 --datasets cifar100 --algorithms sheterofl,fjord
     python -m repro run fig4 --rounds 10 --availability markov
     python -m repro run fig4 --workers 4           # same bytes, more cores
-    python -m repro run fig4 --strict              # + runtime sanitizers
     python -m repro run fig4 --log-json --log-level debug
     python -m repro profile fig4 smoke             # trace + telemetry report
     python -m repro sweep create results/grid.manifest.json --scale demo
@@ -39,8 +38,7 @@ import sys
 from pathlib import Path
 
 from .constraints import AVAILABILITY_KINDS
-from .experiments.cache import (DEFAULT_CACHE_DIR, RunCache,
-                                set_default_cache)
+from .experiments.cache import DEFAULT_CACHE_DIR, RunCache
 from .experiments.registry import all_artifacts, get_artifact
 from .experiments.reporting import write_rows
 from .experiments.runner import (DEFAULT_CHECKPOINT_DIR, RunDefaults,
@@ -144,11 +142,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="resume each cell from its snapshot when one "
                              "exists (implies --checkpoint-every 1 unless "
                              "given)")
-    parser.add_argument("--strict", action="store_true",
-                        help="enable the strict-mode runtime sanitizers: "
-                             "broadcast arrays are frozen during dispatch "
-                             "and the legacy global RNGs are tripwired; "
-                             "results are byte-identical either way")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -377,14 +370,9 @@ def _artifact_kwargs(artifact, args) -> dict:
     return kwargs
 
 
-@contextlib.contextmanager
-def _run_defaults(args):
-    """Install the process-wide cache and run defaults an artifact run
-    should see; restore the previous ones on exit.
-
-    Yields the active :class:`RunCache` (or ``None``) so the caller can
-    report hit/miss counts afterwards.
-    """
+def _run_defaults(args) -> RunDefaults:
+    """The process-wide run defaults, run cache included, an artifact run
+    should see (install them with :func:`run_defaults`)."""
     cache = None if args.no_cache else RunCache(args.cache_dir
                                                 or DEFAULT_CACHE_DIR)
     checkpoint_every = args.checkpoint_every
@@ -396,17 +384,11 @@ def _run_defaults(args):
         # cells must actually re-enter the round loop.
         _warn("--resume bypasses the run cache for this invocation")
         cache = None
-    defaults = RunDefaults(
+    return RunDefaults(
         workers=args.workers if args.workers is not None else 1,
         checkpoint_every=checkpoint_every,
         checkpoint_dir=args.checkpoint_dir or DEFAULT_CHECKPOINT_DIR,
-        resume=args.resume, strict=args.strict)
-    previous = set_default_cache(cache)
-    try:
-        with run_defaults(defaults):
-            yield cache
-    finally:
-        set_default_cache(previous)
+        resume=args.resume, cache=cache)
 
 
 def _report_cache(cache: RunCache | None) -> None:
@@ -424,11 +406,11 @@ def _cmd_run(args) -> int:
         _log.error("%s", error)
         return 2
     kwargs = _artifact_kwargs(artifact, args)
-    with _run_defaults(args) as cache:
+    with run_defaults(_run_defaults(args)) as defaults:
         rows = artifact.run(**kwargs)
     print(write_rows(rows, out=args.out, title=artifact.title,
                      render=artifact.render, **artifact.render_kwargs))
-    _report_cache(cache)
+    _report_cache(defaults.cache)
     return 0
 
 
@@ -444,7 +426,7 @@ def _cmd_profile(args) -> int:
     meta = {"artifact": artifact.name}
     if args.scale is not None:
         meta["scale"] = args.scale
-    with _run_defaults(args) as cache:
+    with run_defaults(_run_defaults(args)) as defaults:
         with telemetry_session(meta=meta,
                                trace_memory=args.memory) as session:
             # The artifact's rows are not the product here — the
@@ -464,6 +446,7 @@ def _cmd_profile(args) -> int:
         _log.info("telemetry written to %s", telemetry_path)
     print(write_rows(report_rows(session), out=args.out,
                      title=f"Profile: {artifact.name}"))
+    cache = defaults.cache
     _report_cache(cache)
     if cache is not None and cache.hits and not cache.misses:
         _warn("every cell was cache-served; rerun with --no-cache for "

@@ -13,7 +13,7 @@ cells — the shared FedAvg-smallest baseline, re-rendered tables — are
 computed once.
 """
 
-from .cache import RunCache, default_cache, set_default_cache
+from .cache import RunCache
 from .mapping import base_arch_for, build_base_model
 from .registry import (Artifact, all_artifacts, get_artifact,
                        register_artifact)
@@ -39,7 +39,7 @@ __all__ = [
     "prepare_scenario", "build_worker_scenario",
     "resolve_target_accuracy", "summarize_results",
     "RunDefaults", "run_defaults",
-    "RunCache", "default_cache", "set_default_cache",
+    "RunCache",
     "Artifact", "all_artifacts", "get_artifact",
     "register_artifact",
     "SCALES", "ExperimentScale", "get_scale", "resolve_scale",

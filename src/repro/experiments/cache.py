@@ -10,8 +10,10 @@ artifact is self-describing.
 
 The cache is **off by default for the library API** (importing repro and
 calling :func:`~repro.experiments.runner.execute_spec` writes nothing to
-disk); the CLI turns it on via :func:`set_default_cache`, and callers can
-pass an explicit :class:`RunCache` (or ``None``) to any runner entry point.
+disk); the CLI turns it on through the process-wide
+:class:`~repro.experiments.runner.RunDefaults` (its ``cache`` field), and
+callers can pass an explicit :class:`RunCache` (or ``None``) to any runner
+entry point.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 
 _log = get_logger("cache")
 
-__all__ = ["RunCache", "CachedRun", "DEFAULT_CACHE_DIR",
-           "default_cache", "set_default_cache"]
+__all__ = ["RunCache", "CachedRun", "DEFAULT_CACHE_DIR"]
 
 #: layout version of the on-disk entries; mismatches read as misses.
 CACHE_VERSION = 1
@@ -160,19 +161,3 @@ class RunCache:
         return (f"RunCache({str(self.directory)!r}, hits={self.hits}, "
                 f"misses={self.misses})")
 
-
-#: process-wide default consulted by the runner when callers don't pass an
-#: explicit cache.  ``None`` = caching disabled (the library default).
-_DEFAULT_CACHE: RunCache | None = None
-
-
-def default_cache() -> RunCache | None:
-    return _DEFAULT_CACHE
-
-
-def set_default_cache(cache: RunCache | None) -> RunCache | None:
-    """Install (or clear, with ``None``) the process-wide default cache."""
-    global _DEFAULT_CACHE
-    previous = _DEFAULT_CACHE
-    _DEFAULT_CACHE = cache
-    return previous

@@ -22,10 +22,10 @@ Parallelism enters at two granularities, both with byte-identical results:
   atomic renames, and cells run inline internally so the machine is never
   oversubscribed.
 
-Run *mechanics* — parallelism, checkpointing, strict-mode sanitizers —
-resolve in exactly one place: a spec's own ``workers`` wins, the
-process-wide :class:`RunDefaults` (installed with
-:func:`run_defaults`) fill the rest, and :func:`execute_spec` hands
+Run *mechanics* — parallelism, checkpointing, the run cache — resolve in
+exactly one place: a spec's own ``workers`` and an explicit ``cache``
+argument win, the one process-wide :class:`RunDefaults` (installed with
+:func:`run_defaults`) fills the rest, and :func:`execute_spec` hands
 :func:`~repro.fl.simulation.run_simulation` a fully explicit
 :class:`~repro.fl.simulation.SimulationConfig`.  Nothing below the runner
 reads process-global state.
@@ -52,7 +52,7 @@ from ..fl.simulation import SimulationConfig, run_simulation
 from ..metrics import MetricSummary, aggregate_summaries, summarize
 from ..telemetry import runtime as telemetry
 from ..telemetry.logs import get_logger
-from .cache import RunCache, default_cache
+from .cache import RunCache
 from .mapping import build_base_model
 from .scales import ExperimentScale
 from .spec import RunSpec
@@ -66,7 +66,8 @@ _log = get_logger("runner")
 
 
 class _Default:
-    """Sentinel: "use the process-wide default cache" (which may be None)."""
+    """Sentinel: "use the installed :class:`RunDefaults`' ``cache``"
+    (which may be None)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<use default cache>"
@@ -75,12 +76,8 @@ class _Default:
 DEFAULT = _Default()
 
 
-def _resolve_cache(cache) -> RunCache | None:
-    return default_cache() if isinstance(cache, _Default) else cache
-
-
 # ----------------------------------------------------------------------
-# Process-wide run defaults (the CLI's --workers/--checkpoint-*/--strict)
+# Process-wide run defaults (the CLI's --workers/--checkpoint-*/--cache-dir)
 # ----------------------------------------------------------------------
 #: where the CLI keeps run snapshots unless ``--checkpoint-dir`` overrides.
 DEFAULT_CHECKPOINT_DIR = Path("results") / "checkpoints"
@@ -101,8 +98,9 @@ class RunDefaults:
     checkpoint_every: int | None = None
     checkpoint_dir: str | Path = DEFAULT_CHECKPOINT_DIR
     resume: bool = False
-    #: strict-mode runtime sanitizers (:mod:`repro.fl.sanitizers`).
-    strict: bool = False
+    #: run cache for calls that pass ``cache=DEFAULT``; ``None`` = caching
+    #: off (the library default: importing repro writes nothing to disk).
+    cache: RunCache | None = None
 
 
 _DEFAULTS = RunDefaults()
@@ -119,6 +117,10 @@ def run_defaults(defaults: RunDefaults):
         yield defaults
     finally:
         _DEFAULTS = previous
+
+
+def _resolve_cache(cache) -> RunCache | None:
+    return _DEFAULTS.cache if isinstance(cache, _Default) else cache
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -299,8 +301,7 @@ def _execute_spec_live(spec: RunSpec, cache: RunCache | None,
                            execution=execution,
                            workers=_resolve_workers(spec.workers),
                            executor=spec.executor or "auto",
-                           checkpoint=checkpoint,
-                           strict=_DEFAULTS.strict)
+                           checkpoint=checkpoint)
     with telemetry.span("run_simulation", algorithm=spec.algorithm,
                         dataset=spec.dataset, seed=spec.seed):
         history = run_simulation(scenario.algorithm, sim)
@@ -312,16 +313,17 @@ def _execute_spec_live(spec: RunSpec, cache: RunCache | None,
     return result
 
 
-def _execute_spec_payload(payload: dict, cache_dir: str | None,
-                          with_telemetry: bool, defaults: RunDefaults) -> dict:
+def _execute_spec_payload(payload: dict, with_telemetry: bool,
+                          defaults: RunDefaults) -> dict:
     """Sweep-pool worker: execute one spec, return a picklable result.
 
-    Runs in its own process under the parent's run ``defaults`` with
-    parallelism reset to one worker, so the cell executes inline — sweep
-    fan-out and within-cell pools never nest.  (The defaults travel as an
-    argument so fork- and spawn-start pools behave alike.)
-    The worker writes the shared cache itself (atomic renames make the
-    concurrent writes safe) and ships the history back for the parent.
+    Runs in its own process under the parent's run ``defaults`` — the
+    sweep's resolved cache included — with parallelism reset to one
+    worker, so the cell executes inline: sweep fan-out and within-cell
+    pools never nest.  (The defaults travel as an argument so fork- and
+    spawn-start pools behave alike.)  The worker writes the shared cache
+    itself (atomic renames make the concurrent writes safe) and ships the
+    history back for the parent.
 
     ``with_telemetry`` mirrors whether the *parent* had a telemetry
     session at submit time: spawn-start pools lose the parent's collector,
@@ -334,13 +336,12 @@ def _execute_spec_payload(payload: dict, cache_dir: str | None,
     # (reset) default; the explicit replace makes the no-nesting invariant
     # hold even for hand-authored payloads that smuggle a workers key in.
     spec = RunSpec.from_dict(payload).replace(workers=1, executor="inline")
-    cache = RunCache(cache_dir) if cache_dir is not None else None
     with run_defaults(_dc_replace(defaults, workers=1)):
         if with_telemetry:
             with telemetry.telemetry_session():
-                result = execute_spec(spec, cache=cache)
+                result = execute_spec(spec)
         else:
-            result = execute_spec(spec, cache=cache)
+            result = execute_spec(spec)
     return {
         "history": history_to_dict(result.history),
         "num_classes": result.num_classes,
@@ -383,15 +384,14 @@ def execute_specs(specs: Sequence[RunSpec], *, cache=DEFAULT,
             results.append(result)
         return results
 
-    cache_dir = None if cache is None else str(cache.directory)
+    worker_defaults = _dc_replace(_DEFAULTS, cache=cache)
     results: list[RunResult] = []
     _log.info("sweeping %d cells across %d workers", len(specs),
               min(sweep_workers, len(specs)))
     with ProcessPoolExecutor(
             max_workers=min(sweep_workers, len(specs))) as pool:
-        futures = [pool.submit(_execute_spec_payload,
-                               spec.to_dict(), cache_dir,
-                               telemetry.enabled(), _DEFAULTS)
+        futures = [pool.submit(_execute_spec_payload, spec.to_dict(),
+                               telemetry.enabled(), worker_defaults)
                    for spec in specs]
         for spec, future in zip(specs, futures):
             with telemetry.span("sweep_cell", algorithm=spec.algorithm,

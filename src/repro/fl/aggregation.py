@@ -33,8 +33,10 @@ queue orders arrivals, drops and aggregations on the simulated
 clock, so the History is identical for any worker count.
 
 :class:`ExecutionConfig` holds only what changes results (and is hashed
-with the spec); how a run is parallelised, hardened, checkpointed or
-sanitised lives on :class:`~repro.fl.simulation.SimulationConfig`.
+with the spec); how a run is parallelised or checkpointed lives on
+:class:`~repro.fl.simulation.SimulationConfig`.  Every policy validates
+every arrived update and freezes what clients may only read
+(:mod:`repro.fl.sanitizers`) for every run.
 """
 
 from __future__ import annotations
@@ -66,6 +68,9 @@ _log = get_logger("aggregation")
 
 #: the fault plan of a dispatch on a healthy fleet (no fault model bound).
 _HEALTHY = FaultPlan()
+
+#: server-side work per aggregation (bookkeeping, averaging), seconds.
+SERVER_OVERHEAD_S = 2.0
 
 
 def sample_count(num_clients: int, sample_ratio: float) -> int:
@@ -164,7 +169,7 @@ class ExecutionConfig:
     #: buffered: clients kept training concurrently (None = the sync
     #: policy's per-round sample size).
     max_concurrency: int | None = None
-    #: buffered: staleness discount exponent alpha in (1+s)^-alpha.
+    #: buffered: staleness discount exponent alpha >= 0 in (1+s)^-alpha.
     staleness_exponent: float = 0.5
     #: seed for availability/dropout traces (None = derived from sim seed).
     availability_seed: int | None = None
@@ -179,10 +184,9 @@ class ExecutionConfig:
     #: deadline once (doubling it); still unmet, the round is skipped —
     #: never crashed.  ``None`` aggregates whatever arrived.
     quorum: float | None = None
-    #: coordinator defense: run :func:`validate_update` on every arrived
-    #: update and quarantine failures (``dropped_quarantined`` extras).
-    validate: bool = True
-    #: optional max-abs bound for the ``"norm"`` validation check.
+    #: optional max-abs bound for the ``"norm"`` check of
+    #: :func:`validate_update`, which every arrived update passes through
+    #: (failures are quarantined: ``dropped_quarantined`` extras).
     norm_bound: float | None = None
 
     def __post_init__(self):
@@ -193,6 +197,18 @@ class ExecutionConfig:
             raise ValueError("buffer_size must be >= 1")
         if self.over_select < 0:
             raise ValueError("over_select must be >= 0")
+        if self.deadline_s is not None and not self.deadline_s > 0:
+            raise ValueError(f"deadline_s must be > 0 (or None), "
+                             f"got {self.deadline_s!r}")
+        if self.max_concurrency is not None and self.max_concurrency < 1:
+            raise ValueError(f"max_concurrency must be >= 1 (or None), "
+                             f"got {self.max_concurrency!r}")
+        if not self.staleness_exponent >= 0:
+            raise ValueError(f"staleness_exponent must be >= 0, "
+                             f"got {self.staleness_exponent!r}")
+        if self.norm_bound is not None and not self.norm_bound > 0:
+            raise ValueError(f"norm_bound must be > 0 (or None), "
+                             f"got {self.norm_bound!r}")
         if isinstance(self.faults, dict):
             object.__setattr__(self, "faults", FaultSpec.from_dict(self.faults))
         if self.quorum is not None:
@@ -222,8 +238,8 @@ class ExecutionConfig:
         """JSON-safe dict; inverse of :meth:`from_dict`.
 
         Every field changes results, so every field is serialised — but
-        the robustness fields (``faults``/``quorum``/``validate``/
-        ``norm_bound``) only when set away from their defaults:
+        the robustness fields (``faults``/``quorum``/``norm_bound``) only
+        when set away from their defaults:
         pre-existing configs keep their exact serialised form, so no
         cached spec hash ever moves.
         """
@@ -243,8 +259,6 @@ class ExecutionConfig:
             payload["faults"] = self.faults.to_dict()
         if self.quorum is not None:
             payload["quorum"] = self.quorum
-        if not self.validate:
-            payload["validate"] = False
         if self.norm_bound is not None:
             payload["norm_bound"] = self.norm_bound
         return payload
@@ -409,8 +423,6 @@ class AggregationPolicy:
     def verdict(self, algorithm, update) -> str | None:
         """Coordinator defense: the :func:`validate_update` reason an
         arrived update must not be aggregated (``None`` = admit)."""
-        if not self.execution.validate:
-            return None
         return validate_update(update, self.execution.norm_bound,
                                getattr(algorithm, "resolve_upload", None))
 
@@ -529,7 +541,7 @@ class SynchronousPolicy(AggregationPolicy):
                 if count:
                     telemetry.inc("aggregation.dropped", count,
                                   reason=reason)
-            round_time = duration + config.server_overhead_s
+            round_time = duration + SERVER_OVERHEAD_S
             sim_time = sim_time + round_time
             extras = ({} if self._plain_records else
                       {"dispatched": len(sampled), "received": len(received)})
@@ -551,11 +563,6 @@ class SynchronousPolicy(AggregationPolicy):
                 rng: np.random.Generator) -> np.ndarray:
         target = self.sample_size(num_clients)
         extra = int(math.ceil(target * self.execution.over_select))
-        if extra == 0 and len(online) == num_clients:
-            # A fully-online fleet samples by count, not from an id array:
-            # the stream every stored always-on history was drawn from.
-            return sample_clients(num_clients, self.sim_config.sample_ratio,
-                                  rng)
         count = min(target + extra, len(online))
         return rng.choice(np.asarray(online), size=count, replace=False)
 
@@ -596,17 +603,13 @@ class SynchronousPolicy(AggregationPolicy):
                                 executor.needs_broadcast,
                                 shared_broadcast=shared)
                  for cid in segments]
-        if self.sim_config.strict:
-            # Freeze the shared broadcast and the live global vector for
-            # the whole batch: workers may only read them, so a mutation
-            # race raises at the offending write instead of corrupting a
-            # later round.  ``run_batch`` returns a completed list, so
-            # every worker's execution happens inside the guard.  (The
-            # vector itself: freezing views of it would leave it writable.)
-            with frozen_arrays(shared,
-                               getattr(algorithm, "global_vector", None)):
-                batch = executor.run_batch(items)
-        else:
+        # Freeze the shared broadcast and the live global vector for the
+        # whole batch: workers may only read them, so a mutation race
+        # raises at the offending write instead of corrupting a later
+        # round.  ``run_batch`` returns a completed list, so every
+        # worker's execution happens inside the guard.  (The vector
+        # itself: freezing views of it would leave it writable.)
+        with frozen_arrays(shared, getattr(algorithm, "global_vector", None)):
             batch = executor.run_batch(items)
         for (cid, (down, train, total)), result in zip(segments.items(),
                                                        batch):
@@ -766,7 +769,7 @@ class BufferedPolicy(AggregationPolicy):
                 continue
 
             # Buffer full: aggregate, advance the server version.
-            agg_time = now + config.server_overhead_s
+            agg_time = now + SERVER_OVERHEAD_S
             staleness = [u.staleness for u in buffer]
             extras = {
                 "received": len(buffer),
@@ -848,18 +851,23 @@ class BufferedPolicy(AggregationPolicy):
         item = make_work_item(algorithm, cid, version, self.sim_config.seed,
                               executor.needs_broadcast,
                               dispatch_index=repeat)
-        if self.sim_config.strict:
-            # The item's broadcast is its private snapshot of the server
-            # state at dispatch time (that snapshot *is* the staleness
-            # semantics) — freeze it for the item's whole flight so no
-            # worker can write into it while it trains.  The live global
-            # vector is guarded only across the submit call, which covers
-            # the inline executor's eager execution.
+        # The item's broadcast is its private snapshot of the server state
+        # at dispatch time (that snapshot *is* the staleness semantics) —
+        # freeze it for the item's whole flight so no worker can write
+        # into it while it trains.  The live global vector is guarded only
+        # across the submit call, which covers the inline executor's eager
+        # execution; it is one array, so the guard is two flag writes.
+        if item.broadcast is not None:
             freeze_arrays(item.broadcast)
-            with frozen_arrays(getattr(algorithm, "global_vector", None)):
-                future = executor.submit(item)
-        else:
+        vector = getattr(algorithm, "global_vector", None)
+        if vector is None or not vector.flags.writeable:
             future = executor.submit(item)
+        else:
+            vector.flags.writeable = False
+            try:
+                future = executor.submit(item)
+            finally:
+                vector.flags.writeable = True
         self.queue.push(Event(now + down + train, TRAIN_COMPLETE, cid))
         self.queue.push(Event(now + total, UPLOAD_COMPLETE, cid,
                               info={"future": future}))

@@ -1,26 +1,24 @@
-"""Strict-mode runtime sanitizers: trap determinism violations where they
-happen.
+"""Runtime sanitizers: trap determinism violations where they happen.
 
 This module guards the two failure modes that golden histories only catch
 after the fact, if the offending path runs at all:
 
 * **cross-client mutation races** — a worker writing into a broadcast
   snapshot (or the live global state) while other clients train from it.
-  Strict mode sets ``writeable=False`` on every ndarray of the payloads
-  for the duration of dispatch, so any such write raises immediately, at
-  the offending line, instead of surfacing as a corrupted aggregate three
-  rounds later;
+  The aggregation policies set ``writeable=False`` on every ndarray of the
+  payloads for the duration of dispatch, so any such write raises
+  immediately, at the offending line, instead of surfacing as a corrupted
+  aggregate three rounds later;
 * **legacy global RNG use** — a draw from ``np.random``'s hidden global
   stream (or stdlib ``random``'s), which would make results depend on
-  whatever ran before.  The tripwire snapshots both global states around
-  a run and raises :class:`StrictModeViolation` if either moved.
+  whatever ran before.  :func:`~repro.fl.simulation.run_simulation` runs
+  inside :func:`rng_tripwire`, which snapshots both global states around
+  the run and raises :class:`StrictModeViolation` if either moved.
 
-Both sanitizers are **observation-only**: a strict run produces a
-``History.to_json()`` byte-identical to a non-strict run (pinned by
-``tests/test_sanitizers.py``).  Enable per run via
-``SimulationConfig(strict=True)``; the experiment runner sets it from its
-process defaults (:func:`repro.experiments.runner.run_defaults`, the CLI's
-``--strict``).  This module itself holds no state.
+Both sanitizers are armed for every run and are **observation-only**: they
+read flags and states and draw nothing, so the History is exactly what an
+unguarded run would produce (the executor-identity tests and the e2e
+goldens pin it).  This module itself holds no state.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ __all__ = ["StrictModeViolation", "collect_arrays", "frozen_arrays",
 
 
 class StrictModeViolation(RuntimeError):
-    """A determinism contract was broken at runtime under ``--strict``."""
+    """A determinism contract was broken at runtime."""
 
 
 def collect_arrays(value):

@@ -10,21 +10,22 @@ availability model (:mod:`repro.fl.availability`), hands client work to an
 
 The config has two halves.  ``execution`` — an
 :class:`~repro.fl.aggregation.ExecutionConfig` — is *semantics*: the
-availability scenario, aggregation policy, deadline, faults, validation;
+availability scenario, aggregation policy, deadline, faults, norm bound;
 it changes results and is hashed with the spec.  ``None`` resolves to
 ``ExecutionConfig()``: the synchronous policy on an always-on fleet, where
 every sampled client finishes and the round waits for the straggler.
 Everything else on :class:`SimulationConfig` beyond the round-loop
-parameters is *mechanics* — worker count, executor kind, checkpointing,
-strict-mode sanitizers — which cannot change a byte of the History and is
-never hashed.  The config is fully explicit:
+parameters is *mechanics* — worker count, executor kind, checkpointing —
+which cannot change a byte of the History and is never hashed.  Every run
+goes through the same runtime sanitizers (:mod:`repro.fl.sanitizers`):
+the round loop runs inside the global-RNG tripwire, and the policies
+freeze what clients may only read.  The config is fully explicit:
 nothing here reads process-global state; defaults a caller did not spell
 out are resolved upstream, in :mod:`repro.experiments.runner`.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .aggregation import ExecutionConfig, make_policy, sample_clients
@@ -44,8 +45,6 @@ class SimulationConfig:
     num_rounds: int = 50
     sample_ratio: float = 0.1
     eval_every: int = 5
-    #: server-side work per round (aggregation, bookkeeping), seconds.
-    server_overhead_s: float = 2.0
     seed: int = 0
     #: how rounds execute (availability model + aggregation policy).
     #: ``None`` means ``ExecutionConfig()`` — synchronous rounds on an
@@ -62,15 +61,13 @@ class SimulationConfig:
     #: (:mod:`repro.fl.checkpoint`).  Purely mechanical — checkpointing is
     #: invisible in the History, so it never participates in hashing.
     checkpoint: CheckpointConfig | None = None
-    #: strict-mode runtime sanitizers (:mod:`repro.fl.sanitizers`):
-    #: broadcast arrays are frozen during dispatch and the legacy global
-    #: RNGs are tripwired.  Observation-only — results are byte-identical
-    #: either way.
-    strict: bool = False
 
     def __post_init__(self):
         if self.num_rounds < 1:
             raise ValueError("num_rounds must be >= 1")
+        if not 0.0 < self.sample_ratio <= 1.0:
+            raise ValueError(f"sample_ratio must be in (0, 1], "
+                             f"got {self.sample_ratio!r}")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
         if self.workers < 1:
@@ -112,8 +109,7 @@ def run_simulation(algorithm, config: SimulationConfig) -> History:
         # than leak workers.
         policy = make_policy(config, execution, availability,
                              executor=executor)
-        with rng_tripwire("run_simulation") if config.strict \
-                else nullcontext():
+        with rng_tripwire("run_simulation"):
             return policy.run(algorithm)
     finally:
         executor.close()

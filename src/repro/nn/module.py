@@ -242,25 +242,23 @@ class Module:
         """Copy of every parameter and buffer, keyed by dotted path."""
         return {name: array.copy() for name, array in self.named_state()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray],
-                        strict: bool = True) -> None:
-        """Load arrays into parameters/buffers (shape-checked, in place)."""
+    def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Load arrays into parameters/buffers (key- and shape-checked, in
+        place)."""
         own = dict(self.named_state())
-        if strict:
-            missing = [name for name in own if name not in state]
-            if missing:
-                raise KeyError(f"missing keys in state dict: {missing[:5]}...")
-            extra = set(state) - set(own)
-            if extra:
-                raise KeyError(f"unexpected keys in state dict: {sorted(extra)[:5]}...")
+        missing = [name for name in own if name not in state]
+        if missing:
+            raise KeyError(f"missing keys in state dict: {missing[:5]}...")
+        extra = set(state) - set(own)
+        if extra:
+            raise KeyError(f"unexpected keys in state dict: {sorted(extra)[:5]}...")
         for name, array in own.items():
-            if name in state:
-                value = np.asarray(state[name], dtype=array.dtype)
-                if value.shape != array.shape:
-                    raise ValueError(
-                        f"shape mismatch for '{name}': "
-                        f"model {array.shape} vs state {value.shape}")
-                array[...] = value
+            value = np.asarray(state[name], dtype=array.dtype)
+            if value.shape != array.shape:
+                raise ValueError(
+                    f"shape mismatch for '{name}': "
+                    f"model {array.shape} vs state {value.shape}")
+            array[...] = value
 
     def state_scale_axes(self) -> dict[str, tuple[int, ...]]:
         """Width-scaled axes of *every* state entry (parameters and buffers;

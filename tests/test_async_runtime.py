@@ -21,6 +21,7 @@ from repro.fl import (AGGREGATION_POLICIES, BufferedPolicy, Event,
                       EventQueue, ExecutionConfig, LocalTrainConfig,
                       SimulationConfig, SynchronousPolicy, make_availability,
                       make_policy, run_simulation)
+from repro.fl.aggregation import SERVER_OVERHEAD_S
 from repro.fl.checkpoint import CheckpointConfig
 from repro.fl.events import (CLIENT_DROPPED, CLIENT_FAILED, DOWNLOAD_START,
                              SERVER_AGGREGATE, UPLOAD_COMPLETE)
@@ -376,7 +377,7 @@ class TestLegacyEquivalence:
                 path=path, every=1, resume=True)))
         assert resumed.to_json() == reference
 
-    def test_strict_config_trips_on_frozen_broadcast_write(self):
+    def test_run_trips_on_frozen_broadcast_write(self):
         algo = tiny_scenario().algorithm
         real_run_client = algo.run_client
 
@@ -387,9 +388,9 @@ class TestLegacyEquivalence:
 
         algo.run_client = scribbling
         with pytest.raises(ValueError, match="read-only"):
-            run_simulation(algo, SimulationConfig(**SIM, strict=True))
+            run_simulation(algo, SimulationConfig(**SIM))
 
-    def test_strict_config_trips_on_global_rng_draw(self):
+    def test_run_trips_on_global_rng_draw(self):
         algo = tiny_scenario().algorithm
         real_run_client = algo.run_client
 
@@ -400,9 +401,22 @@ class TestLegacyEquivalence:
 
         algo.run_client = drawing
         with pytest.raises(StrictModeViolation, match="numpy"):
-            run_simulation(algo, SimulationConfig(**SIM, strict=True))
-        # Off by default: the same draw goes unnoticed without strict.
-        run_simulation(algo, SimulationConfig(**SIM))
+            run_simulation(algo, SimulationConfig(**SIM))
+
+
+class TestSampling:
+    def test_sync_policy_samples_client_ids_not_positions(self):
+        """Clients keyed 10..17 are sampled by id: the policy never
+        dispatches a position that is not a client."""
+        algo = tiny_scenario(num_clients=8).algorithm
+        algo.clients = {ctx.client_id + 10:
+                        replace(ctx, client_id=ctx.client_id + 10)
+                        for ctx in algo.clients.values()}
+        history = run_simulation(algo, SimulationConfig(
+            **SIM, execution=ExecutionConfig()))
+        dispatched = {e["client"] for r in history.records for e in r.events
+                      if e["type"] == DOWNLOAD_START}
+        assert dispatched and dispatched <= set(range(10, 18))
 
 
 class TestSynchronousDeadline:
@@ -418,7 +432,7 @@ class TestSynchronousDeadline:
         assert dropped.get("deadline", 0) > 0
         for record in history.records:
             assert record.round_time_s <= deadline \
-                + config.server_overhead_s + 1e-9
+                + SERVER_OVERHEAD_S + 1e-9
             late = record.extras.get("dropped_deadline", 0)
             assert record.extras["received"] + late \
                 == record.extras["dispatched"]
@@ -559,6 +573,24 @@ class TestExecutionConfig:
         with pytest.raises(ValueError):
             ExecutionConfig(over_select=-0.1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("max_concurrency", 0), ("max_concurrency", -1),
+        ("deadline_s", 0.0), ("deadline_s", -1.0),
+        ("norm_bound", 0.0), ("norm_bound", -1.0),
+        ("staleness_exponent", -0.5)])
+    def test_rejects_out_of_range_value_naming_the_field(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ExecutionConfig(**{name: value})
+
+    def test_range_edges_serialise_as_set(self):
+        config = ExecutionConfig(max_concurrency=1, deadline_s=0.5,
+                                 staleness_exponent=0.0, norm_bound=0.5)
+        payload = config.to_dict()
+        assert (payload["max_concurrency"], payload["deadline_s"],
+                payload["staleness_exponent"], payload["norm_bound"]) \
+            == (1, 0.5, 0.0, 0.5)
+        assert ExecutionConfig.from_dict(payload) == config
+
     def test_spec_execution_config_carries_availability(self):
         spec = ConstraintSpec(availability="dropout",
                               availability_kwargs={"prob": 0.2})
@@ -584,7 +616,7 @@ class TestExecutionConfig:
     def test_execution_config_is_semantics_only(self):
         """Mechanics live on SimulationConfig; every ExecutionConfig field
         is serialised (hashed), so there is nothing to exclude."""
-        for knob in ("workers", "executor", "strict"):
+        for knob in ("workers", "executor"):
             with pytest.raises(TypeError):
                 ExecutionConfig(**{knob: 1})
         assert not hasattr(ExecutionConfig, "HASH_EXCLUDED")

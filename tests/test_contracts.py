@@ -59,7 +59,7 @@ CHANGED = {
         "over_select": 0.25, "buffer_size": 2, "max_concurrency": 5,
         "staleness_exponent": 1.0, "availability_seed": 11,
         "record_events": False, "faults": FaultSpec(crash_prob=0.1),
-        "quorum": 0.5, "validate": False, "norm_bound": 100.0}),
+        "quorum": 0.5, "norm_bound": 100.0}),
     FaultSpec: (FaultSpec(), {
         "crash_prob": 0.1, "straggler_prob": 0.2, "straggler_factor": 2.0,
         "corrupt_prob": 0.3, "corrupt_mode": "inf", "corrupt_factor": 10.0,

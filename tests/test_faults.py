@@ -144,15 +144,13 @@ class TestZeroFaultHashStability:
             == self.LEGACY_KEYS
 
     def test_execution_config_emits_when_set(self):
-        payload = ExecutionConfig(faults=FAULTS, quorum=0.8, validate=False,
+        payload = ExecutionConfig(faults=FAULTS, quorum=0.8,
                                   norm_bound=1e4).to_dict()
         assert payload["faults"]["crash_prob"] == FAULTS["crash_prob"]
         assert payload["quorum"] == 0.8
-        assert payload["validate"] is False
         assert payload["norm_bound"] == 1e4
         assert ExecutionConfig.from_dict(payload) \
-            == ExecutionConfig(faults=FAULTS, quorum=0.8, validate=False,
-                               norm_bound=1e4)
+            == ExecutionConfig(faults=FAULTS, quorum=0.8, norm_bound=1e4)
 
     def test_constraint_spec_form_unchanged(self):
         assert "faults" not in ConstraintSpec().to_dict()
@@ -465,32 +463,6 @@ class TestFlatUploads:
         assert len(rejections) == 3
         assert all(e["reason"] == "shape" for e in rejections)
         np.testing.assert_array_equal(algorithm.global_vector, before)
-
-    @pytest.mark.parametrize("mode", ["nan", "inf"])
-    def test_unvalidated_corruption_aggregates_per_entry(self, mode):
-        """Validation off, the poisoned upload is aggregated: the History
-        and the aggregate's non-finite positions are those of per-entry
-        uploads (pinned from the per-entry implementation; corrupting every
-        ``size // 8``-th element of the whole vector moves the second)."""
-        import hashlib
-        algorithm = tiny_scenario().algorithm
-        execution = ExecutionConfig(
-            faults={"corrupt_prob": 0.3, "corrupt_mode": mode},
-            validate=False)
-        with np.errstate(invalid="ignore", over="ignore"):
-            history = run_simulation(algorithm, SimulationConfig(
-                num_rounds=1, sample_ratio=0.3, eval_every=1, seed=3,
-                execution=execution))
-        state = algorithm.global_state
-        finite = b"".join(np.isfinite(state[k]).tobytes()
-                          for k in sorted(state))
-        assert hashlib.sha256(history.to_json().encode()).hexdigest() == {
-            "nan": "c862bf40b793c2facfdea139efa6bb8c"
-                   "37f5a4d9809ee002bdda9ac59b15e203",
-            "inf": "cfc9dfdd97e7c414c596ee9fe7235cbb"
-                   "9e1ee57cbfcc5fc5014b09558cdd7233"}[mode]
-        assert hashlib.sha256(finite).hexdigest() == (
-            "fad7d50f512c1398b3b65bc3d6075ac5ff365cef4c06b0f4b717ce8570148217")
 
 
 class TestFaultedRounds:

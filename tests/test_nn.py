@@ -62,7 +62,6 @@ class TestModuleSystem:
         state["ghost"] = np.zeros(3, np.float32)
         with pytest.raises(KeyError):
             mlp.load_state_dict(state)
-        mlp.load_state_dict(state, strict=False)  # tolerated when not strict
 
     def test_train_eval_propagates(self):
         mlp = self._mlp()

@@ -19,7 +19,7 @@ import pytest
 
 from repro import autograd as ag
 from repro import nn
-from repro.algorithms import ClientUpdate
+from repro.algorithms import ALGORITHMS, ClientUpdate
 from repro.constraints import ConstraintSpec
 from repro.experiments import (RunDefaults, RunSpec, execute_spec,
                                execute_specs, prepare_scenario, run_defaults)
@@ -30,6 +30,7 @@ from repro.fl import (ExecutionConfig, ExecutorError, InlineExecutor,
                       client_update_to_dict, execute_work_item,
                       history_to_dict, reseed_dropout, run_simulation,
                       sample_clients)
+from repro.fl.aggregation import SERVER_OVERHEAD_S
 from repro.fl.executor import (make_executor, make_work_item,
                                resolve_executor_kind)
 from repro.fl.history import History, RoundRecord
@@ -282,13 +283,16 @@ class TestWorkerCountInvariance:
         assert run_history(algorithm, workers=4, executor="process") \
             == reference
 
-    def test_event_engine_buffered(self):
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+    def test_event_engine_buffered(self, algorithm):
+        # Every run is sanitized: a worker writing into its frozen
+        # broadcast, or anything drawing from a global RNG, fails here.
         execution = ExecutionConfig(policy="buffered", buffer_size=2,
                                     availability="dropout",
                                     availability_kwargs={"prob": 0.2})
-        reference = run_history("sheterofl", workers=1, executor="inline",
+        reference = run_history(algorithm, workers=1, executor="inline",
                                 execution=execution)
-        assert run_history("sheterofl", workers=2, executor="process",
+        assert run_history(algorithm, workers=2, executor="process",
                            execution=execution) == reference
 
     def test_event_engine_sync_policy(self):
@@ -323,7 +327,7 @@ class TestInlineReferenceSemantics:
                                      config.sample_ratio, rng)
             outcome = algorithm.run_round(round_index, sampled, rng,
                                           run_seed=config.seed)
-            round_time = outcome.slowest_client_s + config.server_overhead_s
+            round_time = outcome.slowest_client_s + SERVER_OVERHEAD_S
             sim_time += round_time
             is_eval = (round_index % config.eval_every == 0
                        or round_index == config.num_rounds - 1)

@@ -22,8 +22,8 @@ from repro.experiments import (RunCache, RunSpec, aggregate_seed_rows,
                                all_artifacts, execute_spec,
                                execute_specs, expand_grid, format_table,
                                get_scale, resolve_scale, rows_to_csv,
-                               rows_to_json, set_default_cache,
-                               summarize_results, write_rows)
+                               rows_to_json, summarize_results,
+                               write_rows)
 from repro.experiments.mapping import build_base_model
 from repro.fl import simulation
 from repro.fl.aggregation import ExecutionConfig
@@ -121,6 +121,12 @@ class TestRunSpecSerialization:
     def test_unknown_scale_raises(self):
         with pytest.raises(ValueError, match="unknown scale"):
             resolve_scale("galactic")
+
+    @pytest.mark.parametrize("ratio", [0, -0.5, 1.5])
+    def test_out_of_range_sample_ratio_raises(self, ratio):
+        spec = _smoke_spec(scale_overrides={"sample_ratio": ratio})
+        with pytest.raises(ValueError, match="sample_ratio"):
+            execute_spec(spec, cache=None)
 
     def test_resolved_execution_availability_fallback(self):
         spec = _smoke_spec(constraints=ConstraintSpec(
@@ -437,15 +443,12 @@ class TestCLI:
         assert "# cache:" not in capsys.readouterr().err
 
     def test_default_cache_restored_after_run(self, tmp_path):
-        from repro.experiments import default_cache
-        sentinel = RunCache(tmp_path / "outer")
-        previous = set_default_cache(sentinel)
-        try:
+        from repro.experiments import RunDefaults, run_defaults, runner
+        outer = RunDefaults(cache=RunCache(tmp_path / "outer"))
+        with run_defaults(outer):
             cli_main(["run", "table3", "--cache-dir",
                       str(tmp_path / "inner")])
-            assert default_cache() is sentinel
-        finally:
-            set_default_cache(previous)
+            assert runner._DEFAULTS is outer
 
 
 class TestReportingWriters:

@@ -1,18 +1,18 @@
-"""Strict mode: the runtime sanitizers trap violations and perturb nothing.
+"""The runtime sanitizers trap violations at the offending line.
 
-The strict-mode sanitizers (:mod:`repro.fl.sanitizers`): broadcast freezing
-and the global-RNG tripwire trap violations at the offending line, and — the
-headline guarantee — a ``--strict`` run produces a ``History.to_json()``
-byte-identical to a non-strict run across inline/process executors.
+Every run is sanitized (:mod:`repro.fl.sanitizers`): broadcast freezing and
+the global-RNG tripwire raise where a client writes into state it may only
+read or draws from a hidden global stream.  That they perturb nothing is
+pinned by the executor-identity tests (``tests/test_parallel_exec.py``)
+and the e2e goldens, which all run sanitized.
 """
 
 import numpy as np
 import pytest
 
 from repro.constraints import ConstraintSpec
-from repro.experiments import (RunDefaults, RunSpec, execute_spec,
+from repro.experiments import (RunCache, RunDefaults, RunSpec, execute_spec,
                                run_defaults)
-from repro.fl import ExecutionConfig
 from repro.fl.sanitizers import (StrictModeViolation, collect_arrays,
                                  freeze_arrays, frozen_arrays, rng_tripwire)
 
@@ -40,37 +40,31 @@ def _draw_from_global_rng(algorithm):
     algorithm.run_client = run_client
 
 
-class TestStrictModeResolution:
-    """The process default is the only way strict reaches a spec-driven
-    run: the runner copies it onto the run's SimulationConfig."""
+class TestSpecRunSanitizers:
+    """A spec-driven run is sanitized with no setting to ask for it."""
 
     SPEC = RunSpec(algorithm="sheterofl", dataset="harbox",
                    constraints=ConstraintSpec(constraints=("computation",)),
                    scale="smoke")
 
-    def test_process_default_trips_on_frozen_broadcast_write(self):
-        with run_defaults(RunDefaults(strict=True)):
-            with pytest.raises(ValueError, match="read-only"):
-                execute_spec(self.SPEC, cache=None,
-                             mutate=_scribble_on_global_state)
-        # the default is back off: the same write goes unnoticed.
-        execute_spec(self.SPEC, cache=None, mutate=_scribble_on_global_state)
+    def test_spec_run_trips_on_frozen_broadcast_write(self):
+        with pytest.raises(ValueError, match="read-only"):
+            execute_spec(self.SPEC, cache=None,
+                         mutate=_scribble_on_global_state)
 
-    def test_process_default_trips_on_global_rng_draw(self):
-        with run_defaults(RunDefaults(strict=True)):
-            with pytest.raises(StrictModeViolation, match="numpy"):
-                execute_spec(self.SPEC, cache=None,
-                             mutate=_draw_from_global_rng)
-        execute_spec(self.SPEC, cache=None, mutate=_draw_from_global_rng)
+    def test_spec_run_trips_on_global_rng_draw(self):
+        with pytest.raises(StrictModeViolation, match="numpy"):
+            execute_spec(self.SPEC, cache=None, mutate=_draw_from_global_rng)
 
-    def test_run_defaults_nest_and_restore(self):
+    def test_run_defaults_nest_and_restore(self, tmp_path):
         from repro.experiments import runner
         before = runner._DEFAULTS
-        with run_defaults(RunDefaults(strict=True)) as outer:
+        with run_defaults(RunDefaults(cache=RunCache(tmp_path))) as outer:
             assert runner._DEFAULTS is outer
             with pytest.raises(RuntimeError):
                 with run_defaults(RunDefaults(workers=3)) as inner:
-                    assert runner._DEFAULTS is inner and not inner.strict
+                    assert runner._DEFAULTS is inner
+                    assert inner.cache is None and inner.workers == 3
                     raise RuntimeError("restore must survive exceptions")
             assert runner._DEFAULTS is outer
         assert runner._DEFAULTS is before
@@ -152,40 +146,3 @@ class TestRngTripwire:
             with rng_tripwire("inner"):
                 pass
 
-
-SMOKE = ConstraintSpec(constraints=("computation",))
-
-
-def smoke_history(workers=None, executor=None, execution=None) -> str:
-    spec = RunSpec(algorithm="sheterofl", dataset="harbox",
-                   constraints=SMOKE, scale="smoke", seed=0,
-                   execution=execution, workers=workers, executor=executor)
-    return execute_spec(spec, cache=None).history.to_json()
-
-
-class TestStrictByteIdentity:
-    """The acceptance bar: strict mode observes, never perturbs."""
-
-    def test_strict_runs_byte_identical_across_executors(self):
-        baseline = smoke_history(workers=1, executor="inline")
-        with run_defaults(RunDefaults(strict=True)):
-            # the tripwire sweep: each strict run would raise
-            # StrictModeViolation if any stage touched a global RNG, and
-            # ValueError if anything wrote into a frozen broadcast.
-            for workers, executor in ((1, "inline"), (2, "process")):
-                assert smoke_history(workers=workers,
-                                     executor=executor) == baseline, \
-                    f"strict {executor}x{workers} diverged"
-
-    def test_strict_event_runtime_byte_identical(self):
-        baseline = smoke_history(execution=ExecutionConfig())
-        with run_defaults(RunDefaults(strict=True)):
-            strict = smoke_history(execution=ExecutionConfig())
-        assert strict == baseline
-
-    def test_strict_buffered_policy_byte_identical(self):
-        execution = ExecutionConfig(policy="buffered", buffer_size=3)
-        baseline = smoke_history(execution=execution)
-        with run_defaults(RunDefaults(strict=True)):
-            strict = smoke_history(execution=execution)
-        assert strict == baseline

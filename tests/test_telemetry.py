@@ -445,13 +445,10 @@ class TestTelemetryReportArtifact:
         assert {"scale", "dataset", "algorithm"} <= set(artifact.params)
 
     def test_produces_sectioned_rows(self, tmp_path, monkeypatch):
-        from repro.experiments.cache import set_default_cache
-        previous = set_default_cache(RunCache(tmp_path))
-        try:
+        from repro.experiments import RunDefaults, run_defaults
+        with run_defaults(RunDefaults(cache=RunCache(tmp_path))):
             rows = get_artifact("telemetry_report").run(
                 scale="smoke", dataset="harbox", algorithm="sheterofl")
-        finally:
-            set_default_cache(previous)
         sections = {row["section"] for row in rows}
         assert {"cache", "counter", "span", "round"} <= sections
         cache_stats = {row["name"]: row["value"] for row in rows
