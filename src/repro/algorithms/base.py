@@ -338,6 +338,18 @@ class MHFLAlgorithm:
         down, train, up = self.client_time_segments(ctx)
         return train + (down + up)
 
+    def client_work(self, ctx: ClientContext) -> float:
+        """Predicted host work of one local round (forward FLOPs over the
+        samples actually computed under ``max_batches``).  A pool uses it
+        only to order submission, so a wrong guess costs time, never bits
+        (Fjord, say, draws its level per round)."""
+        config = self.train_config
+        samples = ctx.num_samples
+        if config.max_batches is not None:
+            samples = min(samples, config.max_batches * config.batch_size)
+        return (ctx.entry.stats.flops_per_sample * samples
+                * config.local_epochs)
+
     def fleet_round_time_quantile(self, quantile: float) -> float:
         """Fleet quantile of per-client round times under *this* algorithm's
         cost accounting (honours ``client_payload_bytes`` overrides — e.g.

@@ -34,6 +34,13 @@ class ExperimentScale:
     max_batches: int | None
     eval_max_samples: int
 
+    def __post_init__(self):
+        # Zero would fail in the first evaluation; a negative cap would
+        # silently slice off the tail of the test set.
+        if self.eval_max_samples < 1:
+            raise ValueError(f"ExperimentScale.eval_max_samples must be "
+                             f">= 1, got {self.eval_max_samples}")
+
     def clients_for(self, dataset: str) -> int:
         return self.num_clients[dataset]
 

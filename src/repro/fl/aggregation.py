@@ -435,34 +435,48 @@ class AggregationPolicy:
 
     def close_round(self, algorithm, history: History, index: int,
                     updates: list, sim_time: float, round_time: float,
-                    extras: dict, notes: dict | None = None) -> None:
+                    extras: dict, notes: dict | None = None):
         """Aggregate ``updates`` as server round ``index`` ending at
-        ``sim_time``, evaluate if due and write the round's record
-        (``extras``, then the drops since the last record, then ``notes``,
-        then client timings)."""
+        ``sim_time``; returns ``finish()``, which evaluates if due and
+        writes the round's record (``extras``, then the drops since the
+        last record, then ``notes``, then client timings).
+
+        ``finish()`` reads only what the round left behind: the global
+        model, the timeline, drops and timings.  Launching the next
+        round's clients touches none of these (a launch only queues
+        events; drops count when events are popped, timings when results
+        land), so the synchronous policy may run it while the next
+        round's items train."""
         with telemetry.span("aggregate", round=index):
             outcome = (algorithm.ingest(updates, index, self.rng)
                        if updates else None)
         self.emit(Event(sim_time, SERVER_AGGREGATE,
                         info={"round": index, "received": len(updates)}))
-        acc = None
-        if self.is_eval_round(index):
-            with telemetry.span("evaluate", round=index):
-                acc = algorithm.evaluate_global()
-            self.emit(Event(sim_time, EVAL_TICK,
-                            info={"round": index, "accuracy": acc}))
-        extras.update({f"dropped_{k}": v for k, v in self.drops.items() if v})
-        self.drops = dict.fromkeys(self.drops, 0)
-        extras.update(notes or {})
-        if self._timings:
-            extras["client_timings"], self._timings = self._timings, {}
-        record = RoundRecord(
-            round_index=index, sim_time_s=sim_time, round_time_s=round_time,
-            train_loss=outcome.mean_train_loss if outcome else 0.0,
-            global_accuracy=acc, extras=extras, events=self.take_timeline())
-        history.append(record)
-        telemetry.record_round(record)
-        telemetry.inc("aggregation.rounds", policy=self.name)
+
+        def finish() -> None:
+            acc = None
+            if self.is_eval_round(index):
+                with telemetry.span("evaluate", round=index):
+                    acc = algorithm.evaluate_global()
+                self.emit(Event(sim_time, EVAL_TICK,
+                                info={"round": index, "accuracy": acc}))
+            extras.update({f"dropped_{k}": v
+                           for k, v in self.drops.items() if v})
+            self.drops = dict.fromkeys(self.drops, 0)
+            extras.update(notes or {})
+            if self._timings:
+                extras["client_timings"], self._timings = self._timings, {}
+            record = RoundRecord(
+                round_index=index, sim_time_s=sim_time,
+                round_time_s=round_time,
+                train_loss=outcome.mean_train_loss if outcome else 0.0,
+                global_accuracy=acc, extras=extras,
+                events=self.take_timeline())
+            history.append(record)
+            telemetry.record_round(record)
+            telemetry.inc("aggregation.rounds", policy=self.name)
+
+        return finish
 
     # -- the run ---------------------------------------------------------
     def open_run(self, algorithm) -> History:
@@ -518,6 +532,9 @@ class SynchronousPolicy(AggregationPolicy):
             if restored is not None:
                 history, start_round, sim_time, self._participation = restored
 
+        #: ``finish()`` of the last closed round, run while the next
+        #: round's items train (see :meth:`_dispatch_round`).
+        pending = None
         for round_index in range(start_round, config.num_rounds):
             online = [cid for cid in all_ids
                       if self.availability.is_online(cid, sim_time)]
@@ -536,7 +553,8 @@ class SynchronousPolicy(AggregationPolicy):
             sampled = self._sample(online, len(all_ids), rng)
             with telemetry.span("dispatch_round", round=round_index):
                 received, duration, notes = self._dispatch_round(
-                    algorithm, sampled, round_index, sim_time)
+                    algorithm, sampled, round_index, sim_time, pending)
+            pending = None
             for reason, count in self.drops.items():
                 if count:
                     telemetry.inc("aggregation.dropped", count,
@@ -545,14 +563,21 @@ class SynchronousPolicy(AggregationPolicy):
             sim_time = sim_time + round_time
             extras = ({} if self._plain_records else
                       {"dispatched": len(sampled), "received": len(received)})
-            self.close_round(algorithm, history, round_index, received,
-                             sim_time, round_time, extras, notes)
+            pending = self.close_round(algorithm, history, round_index,
+                                       received, sim_time, round_time,
+                                       extras, notes)
             if checkpointer is not None and checkpointer.due(round_index):
+                # The snapshot holds the round's record and the rng before
+                # the next sample: finish the round first.
+                pending()
+                pending = None
                 checkpointer.save(algorithm, rng, history,
                                   next_round=round_index + 1,
                                   sim_time_s=sim_time,
                                   participation=self._participation)
 
+        if pending is not None:
+            pending()
         self.close_run(algorithm, history)
         if checkpointer is not None:
             checkpointer.clear()
@@ -567,18 +592,20 @@ class SynchronousPolicy(AggregationPolicy):
         return rng.choice(np.asarray(online), size=count, replace=False)
 
     def _dispatch_round(self, algorithm, sampled, round_index: int,
-                        start_s: float):
+                        start_s: float, meanwhile=None):
         """Train the round's clients and play their events through the
         queue; returns (received updates, round duration before server
         overhead, quorum notes for the round's extras).
 
         Three phases: (1) launch every sampled client in dispatch order
         (availability draws must happen in that order); (2) run every
-        surviving client's work item through the executor as one batch;
-        (3) schedule their train/upload events and *settle* the round
-        against the deadline.  Phase 2 is where worker parallelism happens
-        — the decisions and the queue never leave the coordinator, so the
-        round is deterministic for any worker count.
+        surviving client's work item through the executor as one batch,
+        with ``meanwhile`` — the previous round's ``finish()``, its
+        evaluation and record — run on the coordinator while the items
+        train; (3) schedule their train/upload events and *settle* the
+        round against the deadline.  Phase 2 is where worker parallelism
+        happens — the decisions and the queue never leave the
+        coordinator, so the round is deterministic for any worker count.
         """
         execution, executor = self.execution, self.executor
         deadline = (execution.deadline_s if execution.deadline_s is not None
@@ -603,14 +630,15 @@ class SynchronousPolicy(AggregationPolicy):
                                 executor.needs_broadcast,
                                 shared_broadcast=shared)
                  for cid in segments]
-        # Freeze the shared broadcast and the live global vector for the
-        # whole batch: workers may only read them, so a mutation race
-        # raises at the offending write instead of corrupting a later
-        # round.  ``run_batch`` returns a completed list, so every
-        # worker's execution happens inside the guard.  (The vector
-        # itself: freezing views of it would leave it writable.)
+        costs = [algorithm.client_work(algorithm.clients[cid])
+                 for cid in segments]
+        # Freeze the shared broadcast and the live global vector while the
+        # batch and ``meanwhile`` run: both may only read them, so a
+        # mutation raises at the offending write instead of corrupting a
+        # later round.  (The vector itself: freezing views of it would
+        # leave it writable.)
         with frozen_arrays(shared, getattr(algorithm, "global_vector", None)):
-            batch = executor.run_batch(items)
+            batch = executor.run_batch(items, costs, meanwhile)
         for (cid, (down, train, total)), result in zip(segments.items(),
                                                        batch):
             update = self.land(algorithm, cid, result)
@@ -779,7 +807,7 @@ class BufferedPolicy(AggregationPolicy):
                 "mean_discount": float(np.mean([u.discount for u in buffer])),
             }
             self.close_round(algorithm, history, version, buffer,
-                             agg_time, agg_time - last_agg_time, extras)
+                             agg_time, agg_time - last_agg_time, extras)()
             last_agg_time = agg_time
             buffer = []
             version += 1

@@ -26,6 +26,14 @@ Two executors implement one contract:
   steps are Python-bound, so separate interpreters are what buys a
   speedup; the price is pickling broadcasts and updates.
 
+A synchronous round hands its items over as one batch
+(:meth:`Executor.run_batch`) together with each item's predicted host
+work and a ``meanwhile`` callback (the previous round's evaluation and
+record).  The pool submits the largest items first, so a round does not
+end with one worker idle behind a large late item, and runs
+``meanwhile`` on the coordinator while the workers train; inline
+execution runs ``meanwhile`` first and then the items in dispatch order.
+
 Because items are pure and ingestion happens on the coordinator in
 dispatch order, **results are identical for any executor and any worker
 count** — the contract ``tests/test_parallel_exec.py`` pins byte-for-byte.
@@ -249,12 +257,13 @@ class Executor:
     def submit(self, item: ClientWorkItem):
         raise NotImplementedError
 
-    def run_batch(self, items) -> list[ClientResult]:
-        """Execute items concurrently; results come back in *item order*
+    def run_batch(self, items, costs, meanwhile=None) -> list[ClientResult]:
+        """Execute ``items`` and call ``meanwhile()`` (if given) once on
+        the coordinator while they run; results come back in *item order*
         (never completion order — aggregation order is part of the
-        result)."""
-        futures = [self.submit(item) for item in items]
-        return [future.result() for future in futures]
+        result).  ``costs`` predicts each item's work; it may only decide
+        the order items start in, never what they return."""
+        raise NotImplementedError
 
     def close(self) -> None:
         """Release pool resources (idempotent)."""
@@ -282,6 +291,14 @@ class InlineExecutor(Executor):
         # Eager execution: no queue wait, no retries; total == execute.
         _finalize_timing(result, result.timing["execute_s"], retries=0)
         return _Immediate(result)
+
+    def run_batch(self, items, costs, meanwhile=None) -> list[ClientResult]:
+        """``meanwhile()`` first, then the items in dispatch order: nothing
+        runs concurrently here, and dispatch order keeps the first client
+        to run the same one whatever the costs."""
+        if meanwhile is not None:
+            meanwhile()
+        return [self.submit(item).result() for item in items]
 
 
 class _ResilientFuture:
@@ -373,6 +390,18 @@ class ProcessExecutor(Executor):
         with self._lock:
             return _ResilientFuture(self, item, self._submit_raw(item),
                                     self._generation)
+
+    def run_batch(self, items, costs, meanwhile=None) -> list[ClientResult]:
+        """Submit the items largest-cost first (a stable sort: ties keep
+        dispatch order), call ``meanwhile()`` while the workers train,
+        then collect the results in item order."""
+        order = sorted(range(len(items)), key=lambda i: -costs[i])
+        futures = [None] * len(items)
+        for i in order:
+            futures[i] = self.submit(items[i])
+        if meanwhile is not None:
+            meanwhile()
+        return [future.result() for future in futures]
 
     def _recover(self, item: ClientWorkItem, generation: int,
                  error: BaseException):

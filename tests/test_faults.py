@@ -25,7 +25,7 @@ from repro.data import load_dataset
 from repro.experiments import RunSpec, execute_spec
 from repro.experiments.cache import RunCache
 from repro.experiments.runner import (RunDefaults, _spec_checkpoint,
-                                      run_defaults)
+                                      prepare_scenario, run_defaults)
 from repro.fl import (ExecutionConfig, LocalTrainConfig, SimulationConfig,
                       run_simulation, validate_update)
 from repro.fl.checkpoint import (CHECKPOINT_VERSION, CheckpointConfig,
@@ -901,6 +901,40 @@ class TestKillAndResume:
                     **sim, checkpoint=CheckpointConfig(path=path, every=1,
                                                        resume=True)))
         assert resumed.to_json() == _UNINTERRUPTED[algorithm]
+
+    @pytest.mark.parametrize("algorithm", ["sheterofl", "fedproto"])
+    def test_resume_under_process_pool(self, tmp_path, algorithm):
+        """A pool round finishes the previous round while it trains; the
+        rounds a snapshot covers must be finished before it is written, or
+        the resumed run would miss their records."""
+        path = tmp_path / "run.ckpt.json"
+        spec = RunSpec(algorithm, "harbox", scale="smoke", seed=0)
+
+        def config(checkpoint):
+            return SimulationConfig(num_rounds=4, sample_ratio=0.3,
+                                    eval_every=1, seed=3, workers=2,
+                                    executor="process",
+                                    checkpoint=checkpoint)
+
+        reference = run_simulation(prepare_scenario(spec)[0].algorithm,
+                                   config(None))
+        algo = prepare_scenario(spec)[0].algorithm
+        real_ingest, calls = algo.ingest, {"n": 0}
+
+        def bomb(updates, round_index, rng):
+            if calls["n"] >= 3:
+                raise _Interrupt()
+            calls["n"] += 1
+            return real_ingest(updates, round_index, rng)
+
+        algo.ingest = bomb
+        with pytest.raises(_Interrupt):
+            run_simulation(algo, config(CheckpointConfig(path=path, every=2)))
+        assert path.exists()
+        resumed = run_simulation(
+            prepare_scenario(spec)[0].algorithm,
+            config(CheckpointConfig(path=path, every=2, resume=True)))
+        assert resumed.to_json() == reference.to_json()
 
     def test_buffered_policy_refuses_checkpoint(self, tmp_path):
         """In-flight futures cannot be snapshotted: the pair is refused

@@ -110,6 +110,16 @@ class TestLocalTraining:
         with pytest.raises(ValueError, match="batch_size"):
             prepare_scenario(spec)
 
+    @pytest.mark.parametrize("cap", [0, -40])
+    def test_spec_with_nonpositive_eval_max_samples_fails_before_round_zero(
+            self, cap):
+        from repro.experiments import RunSpec
+        from repro.experiments.runner import prepare_scenario
+        spec = RunSpec("sheterofl", "harbox", scale="smoke",
+                       scale_overrides={"eval_max_samples": cap})
+        with pytest.raises(ValueError, match="eval_max_samples"):
+            prepare_scenario(spec)
+
     def test_empty_config_invalid_optimizer(self, tiny_task):
         _, model = tiny_task
         with pytest.raises(ValueError):

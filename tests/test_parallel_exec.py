@@ -31,7 +31,7 @@ from repro.fl import (ExecutionConfig, ExecutorError, InlineExecutor,
                       history_to_dict, reseed_dropout, run_simulation,
                       sample_clients)
 from repro.fl.aggregation import SERVER_OVERHEAD_S
-from repro.fl.executor import (make_executor, make_work_item,
+from repro.fl.executor import (ClientResult, make_executor, make_work_item,
                                resolve_executor_kind)
 from repro.fl.history import History, RoundRecord
 from repro.fl.seeding import client_seed_key
@@ -275,8 +275,10 @@ class TestWorkerCountInvariance:
     """The acceptance contract: byte-identical History JSON for workers
     1 (inline), 2 and 4, through the spec layer, for both runtimes."""
 
-    @pytest.mark.parametrize("algorithm", ["sheterofl", "fedproto"])
+    @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_sync_loop(self, algorithm):
+        # The pool reorders submission by cost and overlaps the previous
+        # round's evaluation; neither may move a byte.
         reference = run_history(algorithm, workers=1, executor="inline")
         assert run_history(algorithm, workers=2, executor="process") \
             == reference
@@ -301,6 +303,83 @@ class TestWorkerCountInvariance:
                                 execution=execution)
         assert run_history("fedepth", workers=3, executor="process",
                            execution=execution) == reference
+
+
+class _RecordingPool(ProcessExecutor):
+    """A pool executor whose pool only logs, in order, each submit and
+    each wait on a result."""
+
+    def __init__(self, log):
+        self.log = log
+        super().__init__(algorithm=None, workers=2)
+
+    def _build_pool(self):
+        return None
+
+    def close(self):
+        pass
+
+    def _submit_raw(self, item):
+        log = self.log
+        log.append(("submit", item.client_id))
+
+        class Future:
+            def result(self):
+                log.append(("await", item.client_id))
+                return ClientResult(client_id=item.client_id, update=None)
+
+        return Future()
+
+
+class TestRunBatchContract:
+    """``run_batch(items, costs, meanwhile)``: the pool starts the largest
+    items first and runs ``meanwhile`` while they train; inline runs it
+    first, then the items in dispatch order.  Both return item order."""
+
+    COSTS = [1.0, 3.0, 2.0, 3.0, 0.0, 2.0]
+
+    def _items(self):
+        return [make_work_item(None, cid, 0, 0, needs_broadcast=False)
+                for cid in range(len(self.COSTS))]
+
+    def test_pool_submits_largest_first_then_overlaps(self):
+        log = []
+        executor = _RecordingPool(log)
+        results = executor.run_batch(self._items(), self.COSTS,
+                                     lambda: log.append("meanwhile"))
+        # Descending cost; the ties (1, 3) and (2, 5) keep dispatch order.
+        assert log == ([("submit", cid) for cid in (1, 3, 2, 5, 0, 4)]
+                       + ["meanwhile"]
+                       + [("await", cid) for cid in range(6)])
+        assert [r.client_id for r in results] == list(range(6))
+
+    def test_pool_without_meanwhile(self):
+        log = []
+        results = _RecordingPool(log).run_batch(self._items()[:2],
+                                                [0.0, 1.0])
+        assert log == [("submit", 1), ("submit", 0),
+                       ("await", 0), ("await", 1)]
+        assert [r.client_id for r in results] == [0, 1]
+
+    def test_inline_runs_meanwhile_then_dispatch_order(self):
+        log = []
+
+        def run_client(client_id, version, rng, broadcast=None):
+            log.append(("run", client_id))
+            return client_id
+
+        algorithm = SimpleNamespace(run_client=run_client,
+                                    pack_client_state=lambda cid: None)
+        results = InlineExecutor(algorithm).run_batch(
+            self._items(), self.COSTS, lambda: log.append("meanwhile"))
+        assert log == ["meanwhile"] + [("run", cid) for cid in range(6)]
+        assert [r.update for r in results] == list(range(6))
+
+    def test_empty_batch_still_runs_meanwhile(self):
+        log = []
+        _RecordingPool(log).run_batch([], [], lambda: log.append("pool"))
+        InlineExecutor().run_batch([], [], lambda: log.append("inline"))
+        assert log == ["pool", "inline"]
 
 
 class TestInlineReferenceSemantics:

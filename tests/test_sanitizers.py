@@ -12,7 +12,8 @@ import pytest
 
 from repro.constraints import ConstraintSpec
 from repro.experiments import (RunCache, RunDefaults, RunSpec, execute_spec,
-                               run_defaults)
+                               prepare_scenario, run_defaults)
+from repro.fl import SimulationConfig, run_simulation
 from repro.fl.sanitizers import (StrictModeViolation, collect_arrays,
                                  freeze_arrays, frozen_arrays, rng_tripwire)
 
@@ -51,6 +52,29 @@ class TestSpecRunSanitizers:
         with pytest.raises(ValueError, match="read-only"):
             execute_spec(self.SPEC, cache=None,
                          mutate=_scribble_on_global_state)
+
+    @pytest.mark.parametrize("workers, executor",
+                             [(1, "inline"), (2, "process")])
+    def test_evaluation_trips_on_global_vector_write(self, workers,
+                                                     executor):
+        """Round r's evaluation runs inside round r+1's frozen batch
+        window under either executor, so writing the global model there
+        raises."""
+        algorithm = prepare_scenario(self.SPEC)[0].algorithm
+        real_evaluate = algorithm.evaluate_global
+
+        def evaluate_global():
+            algorithm.global_vector[0] = 0.0
+            return real_evaluate()
+
+        algorithm.evaluate_global = evaluate_global
+        scale = self.SPEC.resolved_scale()
+        config = SimulationConfig(num_rounds=scale.num_rounds,
+                                  sample_ratio=scale.sample_ratio,
+                                  eval_every=1, seed=0, workers=workers,
+                                  executor=executor)
+        with pytest.raises(ValueError, match="read-only"):
+            run_simulation(algorithm, config)
 
     def test_spec_run_trips_on_global_rng_draw(self):
         with pytest.raises(StrictModeViolation, match="numpy"):
