@@ -235,13 +235,18 @@ class MHFLAlgorithm:
         """Constructor overrides for this client's model this round."""
         return dict(ctx.entry.overrides)
 
+    def _build_level(self, level: tuple) -> SliceableModel:
+        """A model at capacity level ``level`` (weights loaded before use)."""
+        return self.base_model.variant(**dict(level))
+
     def _level_model(self, level: tuple
                      ) -> tuple[SliceableModel, np.ndarray, Layout]:
         """The one model at capacity level ``level``, its state bound to one
-        buffer (built on first use, on the coordinator too)."""
+        buffer (built on first use, on the coordinator too), that slices
+        and personal vectors alike load into to train or evaluate."""
         found = self._client_models.get(level)
         if found is None:
-            model = self.base_model.variant(**dict(level))
+            model = self._build_level(level)
             found = self._client_models[level] = (model, *model.bind_state())
         return found
 

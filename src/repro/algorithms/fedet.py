@@ -43,6 +43,8 @@ class FedET(PersonalModelAlgorithm):
         space = self.variant_space(self.base_model)
         largest_key = list(space)[-1]
         self.server_model = self.base_model.variant(**space[largest_key])
+        # One buffer from the start: each round's Adam adopts it in place.
+        self.server_model.bind_state()
         # Public transfer set: unlabeled samples from the task distribution.
         rng = np.random.default_rng(17)
         take = min(self.public_size, self.dataset.num_train)

@@ -69,6 +69,12 @@ class FedProto(PersonalModelAlgorithm):
                           self.dataset.num_classes,
                           seed=1000 + ctx.client_id)
 
+    def _build_level(self, level: tuple) -> ProtoModel:
+        # The level skeleton clients train in: its weights are overwritten
+        # by each client's vector before every use.
+        return ProtoModel(super()._build_level(level), self.proto_dim,
+                          self.dataset.num_classes, seed=0)
+
     def _local_loss(self, model: ProtoModel, rng, broadcast: dict | None):
         weight = self.proto_weight
         if broadcast is None:

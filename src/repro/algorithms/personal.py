@@ -3,19 +3,21 @@
 FedProto and Fed-ET exchange knowledge (prototypes, public-set logits), not
 parameters, so each client's model of its own architecture persists across
 rounds on the coordinator.  This base owns that lifecycle once — the
-canonical copies, their work-item transport, the detached training step
+per-client vectors, their work-item transport, the detached training step
 and their share of checkpoints and evaluation; a subclass supplies
 ``_build_personal``, its local loss, its upload and its server side.
 
-Two reuses, neither able to change a result: training runs in one *skeleton*
-per capacity level (``load_state_dict`` overwrites every parameter and buffer,
-dropout is reseeded, the optimiser is per round, gradients are dropped after
-the upload), and a deployed model's accuracy on the fixed evaluation split is
-kept until a writer of the canonical copy (``apply_client_state``,
-``restore_checkpoint_state``) replaces its weights.
+A personal model is one float32 vector laid out like its capacity level,
+loaded into that level's one skeleton (``_level_model``) to train or
+evaluate: the load overwrites every parameter and buffer, dropout is
+reseeded, the optimiser is per round and gradients are dropped after the
+upload, so the reuse cannot change a result.  A deployed model's accuracy
+is kept until a writer of its vector replaces it.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .. import nn
 from ..fl.client import train_local
@@ -35,14 +37,13 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._personal: dict[int, nn.Module] = {}
+        #: client id -> its deployed model's state, laid out like its level.
+        self._personal: dict[int, np.ndarray] = {}
         #: trained-but-not-yet-absorbed states, keyed by client id (filled
         #: by run_client, drained by pack_client_state — two hooks addressed
         #: by client id; a pool worker is a process with its own replica).
-        self._trained: dict[int, dict] = {}
-        #: ``ctx.entry.key`` -> the model every client at that level trains in.
-        self._skeletons: dict[str, nn.Module] = {}
-        #: client id -> accuracy of its canonical model as it stands (derived
+        self._trained: dict[int, np.ndarray] = {}
+        #: client id -> accuracy of its deployed model as it stands (derived
         #: state of the coordinator: never checkpointed, never serialised).
         self._accuracies: dict[int, float] = {}
 
@@ -75,57 +76,59 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
         """``(aggregation weight, payload)`` of a trained client."""
         raise NotImplementedError
 
-    def personal_model(self, ctx: ClientContext) -> nn.Module:
-        """The coordinator's canonical copy of one client's deployed model.
+    def _skeleton(self, client_id: int):
+        """The client's level model, its state buffer and layout."""
+        overrides = self.clients[int(client_id)].entry.overrides
+        return self._level_model(tuple(sorted(overrides.items())))
 
-        Only :meth:`apply_client_state` advances it — ``run_client`` trains
-        a detached copy, so a client's deployed model updates exactly when
-        its upload is accepted, identically under every executor (an
+    def _vector(self, ctx: ClientContext) -> np.ndarray:
+        """One client's deployed state (its seeded initialisation, packed
+        once, until an accepted upload replaces it)."""
+        vector = self._personal.get(ctx.client_id)
+        if vector is None:
+            vector = self._build_personal(ctx).bind_state()[0]
+            self._personal[ctx.client_id] = vector
+        return vector
+
+    def personal_model(self, ctx: ClientContext) -> nn.Module:
+        """One client's deployed model: its level's skeleton, loaded with
+        its vector.  Only :meth:`apply_client_state` advances the vector —
+        ``run_client`` trains a copy, so a deployed model updates exactly
+        when its upload is accepted, identically under every executor (an
         in-flight client evaluated mid-round still shows its old model).
         """
-        model = self._personal.get(ctx.client_id)
-        if model is None:
-            model = self._build_personal(ctx)
-            self._personal[ctx.client_id] = model
+        model, buffer, _ = self._skeleton(ctx.client_id)
+        buffer[...] = self._vector(ctx)
         return model
 
     # ------------------------------------------------------------------
     # Work-item transport: beside the subclass's round broadcast, the
-    # downlink carries the client's own personal-model state (a pool
-    # worker's replica is stale until this refreshes it); the uplink hands
-    # the trained personal state back.
+    # downlink carries the client's own personal vector (a pool worker's
+    # replica is stale until this refreshes it); the uplink hands the
+    # trained vector back.
     # ------------------------------------------------------------------
     def pack_client_broadcast(self, client_id: int, version: int) -> dict:
-        ctx = self.clients[int(client_id)]
-        return {"personal": self.personal_model(ctx).state_dict()}
+        return {"personal": self._vector(self.clients[int(client_id)]).copy()}
 
     def pack_client_state(self, client_id: int) -> dict | None:
         return {"personal": self._trained.pop(int(client_id))}
 
     def apply_client_state(self, client_id: int, state: dict | None) -> None:
         if state is not None:
-            ctx = self.clients[int(client_id)]
-            self.personal_model(ctx).load_state_dict(state["personal"])
-            self._accuracies.pop(ctx.client_id, None)
+            self._personal[int(client_id)] = state["personal"]
+            self._accuracies.pop(int(client_id), None)
 
     def run_client(self, client_id: int, version: int, rng,
                    broadcast: dict | None = None) -> ClientUpdate:
         ctx = self.clients[int(client_id)]
-        # Train detached, in the level's skeleton; the canonical personal
-        # model advances via apply_client_state when the upload is accepted
-        # (see personal_model's docstring for why the split matters).
-        model = self._skeletons.get(ctx.entry.key)
-        if model is None:
-            model = self._skeletons[ctx.entry.key] = self._build_personal(ctx)
-            model.bind_state()
-        model.load_state_dict(self.personal_model(ctx).state_dict()
-                              if broadcast is None
-                              else broadcast["personal"])
+        model, buffer, _ = self._skeleton(ctx.client_id)
+        buffer[...] = (self._vector(ctx) if broadcast is None
+                       else broadcast["personal"])
         reseed_dropout(model, rng)
         loss = train_local(model, ctx.shard.x, ctx.shard.y,
                            self.train_config, rng,
                            loss_fn=self._local_loss(model, rng, broadcast))
-        self._trained[ctx.client_id] = model.state_dict()
+        self._trained[ctx.client_id] = buffer.copy()
         weight, payload = self._upload(model, ctx)
         model.zero_grad()  # grads to None: the skeleton keeps weights only
         return ClientUpdate(
@@ -134,17 +137,18 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
             payload=payload)
 
     # ------------------------------------------------------------------
-    # Every materialised personal model is resumable state (checkpoint
-    # keys become strings in the JSON codec, hence the int() on restore);
-    # subclasses add their server-side entries in front.
+    # Every materialised personal model is resumable state, written as its
+    # level's ``name -> array`` entries (checkpoint keys become strings in
+    # the JSON codec, hence the int() on restore); subclasses add their
+    # server-side entries in front.
     def checkpoint_state(self) -> dict:
-        return {"personal": {cid: model.state_dict()
-                             for cid, model in self._personal.items()}}
+        return {"personal": {cid: self._skeleton(cid)[2].views(vector.copy())
+                             for cid, vector in self._personal.items()}}
 
     def restore_checkpoint_state(self, state: dict) -> None:
         for cid, personal_state in state["personal"].items():
-            ctx = self.clients[int(cid)]
-            self.personal_model(ctx).load_state_dict(personal_state)
+            self._personal[int(cid)] = self._skeleton(cid)[2].pack(
+                personal_state)
         self._accuracies.clear()
 
     def per_device_accuracies(self) -> list[float]:

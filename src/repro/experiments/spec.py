@@ -31,6 +31,7 @@ from typing import ClassVar
 from ..constraints import ConstraintSpec
 from ..fl.aggregation import ExecutionConfig
 from ..fl.executor import EXECUTOR_KINDS
+from ..fl.faults import FaultSpec
 from .scales import ExperimentScale, resolve_scale
 
 __all__ = ["RunSpec"]
@@ -81,6 +82,21 @@ class RunSpec:
         if self.executor is not None and self.executor not in EXECUTOR_KINDS:
             raise ValueError(f"unknown executor {self.executor!r}; "
                              f"known: {EXECUTOR_KINDS}")
+        # An explicit block wins over the constraints' availability and
+        # faults, so it must honour what the cell's label names.
+        constraints, execution = self.constraints, self.execution
+        if execution is None:
+            return
+        wanted = (constraints.availability, constraints.availability_kwargs)
+        got = (execution.availability, execution.availability_kwargs)
+        if constraints.availability != "always_on" and got != wanted:
+            raise ValueError(f"execution.availability {got} contradicts "
+                             f"constraints.availability {wanted}")
+        if (constraints.faults
+                and execution.faults != FaultSpec(**constraints.faults)):
+            raise ValueError(f"execution.faults {execution.faults} "
+                             f"contradicts constraints.faults "
+                             f"{constraints.faults}")
 
     # ------------------------------------------------------------------
     # Resolution

@@ -742,11 +742,6 @@ class BufferedPolicy(AggregationPolicy):
         #: broadcast + same (seed, version, client) triple would otherwise
         #: double-weight one gradient in the buffer).
         self._version_dispatches: dict[tuple[int, int], int] = {}
-        #: per-client fault-draw counter, separate from both participation
-        #: and version dispatch counts: it exists solely for the fault
-        #: stream, so consulting the fault model never shifts any
-        #: pre-existing stream (zero-fault runs are unchanged).
-        self._fault_counts: dict[int, int] = {}
         self._retry_pending = False
         self._concurrency = (execution.max_concurrency
                              or self.sample_size(len(self._all_ids)))
@@ -863,9 +858,10 @@ class BufferedPolicy(AggregationPolicy):
         cid = int(self.rng.choice(np.asarray(candidates)))
         self._in_flight.add(cid)
         self._dispatches += 1
-        fault_dispatch = self._fault_counts.get(cid, 0)
-        self._fault_counts[cid] = fault_dispatch + 1
-        launched = self.launch(algorithm, cid, now, version, fault_dispatch)
+        # The client's k-th launch draws fault plan k: launch counts its
+        # participation exactly once, after this read.
+        launched = self.launch(algorithm, cid, now, version,
+                               self._participation.get(cid, 0))
         if launched is None:
             return True
         down, train, total = launched

@@ -147,12 +147,25 @@ class TestAggregationSemantics:
 
 class TestTopologyAlgorithms:
     def test_fedproto_personal_models_persist(self, task):
+        """An idle client's vector is left alone across rounds; a trained
+        one's becomes exactly the state its accepted upload carried."""
         algo = _build("fedproto", task)
         rng = np.random.default_rng(0)
         algo.run_round(0, [0, 1], rng)
-        model_0 = algo._personal[0]
+        idle, before = algo._personal[1].copy(), algo._personal[0].copy()
+        applied = []
+        apply = algo.apply_client_state
+
+        def recording(client_id, state):
+            applied.append((client_id, state["personal"].copy()))
+            apply(client_id, state)
+
+        algo.apply_client_state = recording
         algo.run_round(1, [0], rng)
-        assert algo._personal[0] is model_0
+        assert [cid for cid, _ in applied] == [0]
+        assert np.array_equal(algo._personal[0], applied[0][1])
+        assert not np.array_equal(algo._personal[0], before)
+        assert np.array_equal(algo._personal[1], idle)
 
     def test_fedproto_prototypes_update(self, task):
         algo = _build("fedproto", task)
@@ -263,9 +276,26 @@ class TestEvaluateOncePerDeployment:
             self, task, monkeypatch):
         from repro.algorithms import personal
         from repro.fl.evaluate import accuracy
-        calls = []
-        monkeypatch.setattr(personal, "accuracy", _counting(accuracy, calls))
-        algo = _build("fedproto", task)
+        # Every deployed model is its level's skeleton, so an evaluation is
+        # attributed to the client whose model was loaded last.
+        loaded, calls = [], []
+
+        def counting(model, x, y):
+            calls.append(loaded[-1])
+            return accuracy(model, x, y)
+
+        def recording(algorithm):
+            personal_model = algorithm.personal_model
+
+            def load(ctx):
+                loaded.append(ctx.client_id)
+                return personal_model(ctx)
+
+            algorithm.personal_model = load
+            return algorithm
+
+        monkeypatch.setattr(personal, "accuracy", counting)
+        algo = recording(_build("fedproto", task))
         eval_ids = algo._eval_ids()
 
         def fresh(algorithm):
@@ -285,21 +315,20 @@ class TestEvaluateOncePerDeployment:
                        np.random.default_rng(0))
         after_round = algo.per_device_accuracies()
         assert after_round == fresh(algo)
-        assert calls == [algo._personal[eval_ids[0]],
-                         algo._personal[eval_ids[1]]]
+        assert calls == [eval_ids[0], eval_ids[1]]
         calls.clear()
         assert algo.per_device_accuracies() == after_round
         assert algo.evaluate_global() == float(np.mean(after_round))
         assert calls == []
 
-        # A restored checkpoint rewrites canonical models: nothing evaluated
+        # A restored checkpoint rewrites personal vectors: nothing evaluated
         # before it may be trusted.
-        other = _build("fedproto", task)
+        other = recording(_build("fedproto", task))
         other.per_device_accuracies()
         calls.clear()
         other.restore_checkpoint_state(algo.checkpoint_state())
         assert other.per_device_accuracies() == after_round
-        assert len(calls) == len(eval_ids)
+        assert calls == eval_ids
 
     def test_a_rejected_upload_keeps_the_evaluation(self, task, monkeypatch):
         """``apply_client_state(None)`` writes nothing, so it drops nothing."""
@@ -367,12 +396,9 @@ def test_skeletons_stay_bound_through_run_client(name, task):
     for cid in sorted(algo.clients)[:4]:
         algo.run_client(cid, 0, np.random.default_rng((0, 0, cid)))
         algo.pack_client_state(cid)
-    skeletons = (list(algo._skeletons.values()) if hasattr(algo, "_skeletons")
-                 else [model for model, _, _ in algo._client_models.values()])
-    assert skeletons
-    for model in skeletons:
+    assert algo._client_models
+    for model, buffer, _ in algo._client_models.values():
         assert _bound_to_one_buffer(model)
-    for model, buffer, _ in getattr(algo, "_client_models", {}).values():
         assert all(p.data.base is buffer for p in model.parameters())
 
 
@@ -405,12 +431,12 @@ class TestTrainingSkeleton:
         by_level = {}
         for cid, ctx in sorted(algo.clients.items()):
             by_level.setdefault(ctx.entry.key, []).append(cid)
-        level, (first, second) = next((key, ids[:2])
-                                      for key, ids in by_level.items()
-                                      if len(ids) >= 2)
-        for cid in (first, second):     # canonical models exist already
-            algo.personal_model(algo.clients[cid])
-        lone.personal_model(lone.clients[second])
+        first, second = next(ids[:2] for ids in by_level.values()
+                             if len(ids) >= 2)
+        level = tuple(sorted(algo.clients[first].entry.overrides.items()))
+        for cid in (first, second):     # personal vectors exist already
+            algo._vector(algo.clients[cid])
+        lone._vector(lone.clients[second])
 
         variants = []
         monkeypatch.setattr(SliceableModel, "variant",
@@ -421,16 +447,15 @@ class TestTrainingSkeleton:
                                  np.random.default_rng((0, 0, second)))
         state = algo.pack_client_state(second)["personal"]
         assert len(variants) == 1       # the level's skeleton, built once
-        assert list(algo._skeletons) == [level]
+        assert list(algo._client_models) == [level]
         assert all(p.grad is None
-                   for p in algo._skeletons[level].parameters())
+                   for p in algo._client_models[level][0].parameters())
 
         expected = lone.run_client(second, 0,
                                    np.random.default_rng((0, 0, second)))
         expected_state = lone.pack_client_state(second)["personal"]
-        assert list(state) == list(expected_state)
-        for key, value in expected_state.items():
-            assert np.array_equal(state[key], value), key
+        assert state.dtype == expected_state.dtype
+        assert np.array_equal(state, expected_state)
         assert (update.train_loss, update.weight, update.round_time_s) == (
             expected.train_loss, expected.weight, expected.round_time_s)
         for got, want in zip(_payload_arrays(update.payload),
@@ -442,8 +467,63 @@ class TestTrainingSkeleton:
         is applied."""
         algo = _build("fedproto", task)
         ctx = algo.clients[0]
+        vector = algo._vector(ctx).copy()
         deployed = algo.personal_model(ctx).state_dict()
         algo.run_client(0, 0, np.random.default_rng(0))
-        assert algo._skeletons[ctx.entry.key] is not algo.personal_model(ctx)
+        assert np.array_equal(algo._personal[0], vector)
         for key, value in algo.personal_model(ctx).state_dict().items():
             assert np.array_equal(value, deployed[key]), key
+
+        algo.apply_client_state(0, algo.pack_client_state(0))
+        assert not np.array_equal(algo._personal[0], vector)
+        views = algo._skeleton(0)[2].views(algo._personal[0])
+        for key, value in algo.personal_model(ctx).state_dict().items():
+            assert np.array_equal(value, views[key]), key
+
+
+class TestPersonalVectors:
+    """A personal model is one float32 vector laid out like its level."""
+
+    @pytest.mark.parametrize("name", ["fedproto", "fedet"])
+    def test_transport_is_one_vector(self, name, task):
+        algo = _build(name, task)
+        broadcast = algo.pack_broadcast(3, 0)
+        algo.run_client(3, 0, np.random.default_rng((0, 0, 3)),
+                        broadcast=broadcast)
+        result = algo.pack_client_state(3)
+        size = algo._skeleton(3)[2].size
+        for state in (broadcast, result):
+            vector = state["personal"]
+            assert type(vector) is np.ndarray
+            assert (vector.ndim, vector.dtype, vector.size) == (
+                1, np.float32, size)
+        assert broadcast["personal"] is not algo._personal[3]
+        assert not np.array_equal(result["personal"], broadcast["personal"])
+
+    @pytest.mark.parametrize("name", ["fedproto", "fedet"])
+    def test_a_checkpoint_of_state_dicts_restores(self, name, task):
+        """Personal models are written as per-client ``name -> array``
+        maps, as they were while each was a module: such a snapshot
+        restores to the same deployed models."""
+        from repro.fl.serialization import decode_payload, encode_payload
+        algo = _build(name, task)
+        algo.run_round(0, sorted(algo.clients)[:6], np.random.default_rng(0))
+        expected = algo.per_device_accuracies()
+        state = algo.checkpoint_state()
+        by_module = {cid: algo.personal_model(algo.clients[cid]).state_dict()
+                     for cid in algo._personal}
+        assert list(state["personal"]) == list(by_module)
+        for cid, entries in by_module.items():
+            assert list(state["personal"][cid]) == list(entries)
+            for key, value in entries.items():
+                assert np.array_equal(state["personal"][cid][key], value)
+        state["personal"] = by_module
+        other = _build(name, task)
+        other.per_device_accuracies()
+        other.restore_checkpoint_state(decode_payload(encode_payload(state)))
+        assert other.per_device_accuracies() == expected
+
+    def test_fedet_server_model_is_one_buffer(self, task):
+        algo = _build("fedet", task)
+        algo.run_round(0, [0, 1, 2], np.random.default_rng(0))
+        assert _bound_to_one_buffer(algo.server_model)

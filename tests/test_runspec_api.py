@@ -136,6 +136,33 @@ class TestRunSpecSerialization:
         assert execution is not None and execution.availability == "dropout"
         assert _smoke_spec().resolved_execution() is None
 
+    def test_explicit_execution_must_honour_the_constraints(self):
+        """An explicit block wins, so one that drops the constraints'
+        availability or faults would run a cell its label misnames."""
+        churn = ConstraintSpec(constraints=("computation",),
+                               availability="markov",
+                               faults={"crash_prob": 0.3})
+        with pytest.raises(ValueError, match="execution.availability"):
+            _smoke_spec(constraints=churn, execution=ExecutionConfig())
+        with pytest.raises(ValueError, match="execution.availability"):
+            _smoke_spec(constraints=churn, execution=ExecutionConfig(
+                availability="markov", availability_kwargs={"p_off": 0.5},
+                faults={"crash_prob": 0.3}))
+        with pytest.raises(ValueError, match="execution.faults"):
+            _smoke_spec(constraints=churn,
+                        execution=ExecutionConfig(availability="markov"))
+        faulty = ConstraintSpec(faults={"crash_prob": 0.3})
+        with pytest.raises(ValueError, match="execution.faults"):
+            _smoke_spec(constraints=faulty, execution=ExecutionConfig(
+                faults={"crash_prob": 0.2}))
+        # Blocks derived from the constraints, under any policy, stand;
+        # so does any block on an always-on, fault-free case.
+        for spec in (churn, faulty):
+            for policy in ("sync", "buffered"):
+                _smoke_spec(constraints=spec,
+                            execution=spec.execution_config(policy))
+        _smoke_spec(execution=ExecutionConfig(availability="dropout"))
+
 
 class TestRunCache:
     def test_miss_then_hit_trains_nothing(self, tmp_path):
