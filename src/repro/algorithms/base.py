@@ -276,9 +276,9 @@ class MHFLAlgorithm:
         """Load the client's slice of the global vector into its level's
         model; returns the model and the key its upload resolves by.
 
-        ``state`` is the global vector to slice from; ``None`` reads the
-        live coordinator state (executors pass the work item's broadcast
-        copy instead, so training never races coordinator aggregation).
+        ``state`` is the global vector to slice from: a client passes its
+        downlink's copy, so training never races coordinator aggregation;
+        ``None`` reads the live vector (the coordinator's evaluation).
 
         One model is kept per distinct ``client_overrides`` (a handful of
         keys) and handed out again, so it is valid only until the next call
@@ -376,11 +376,11 @@ class MHFLAlgorithm:
     # tests compare the runtime against.
     #
     # ``run_client`` is a *pure* function of ``(broadcast, rng)``: it reads
-    # no coordinator state that changes between rounds when a ``broadcast``
-    # is supplied, and every random draw comes from the caller's ``rng``
+    # no coordinator state that changes between rounds, only the downlink
+    # it was handed, and every random draw comes from the caller's ``rng``
     # (derived from ``(run_seed, round, client_id)`` by the execution
     # layer).  That purity is what lets :mod:`repro.fl.executor` run clients
-    # in pool processes with results bit-identical to the inline path.
+    # inline or in pool processes through one code path.
     # ``pack_broadcast`` / ``pack_client_state`` / ``apply_client_state``
     # are the transport hooks: what the server sends down, what persistent
     # per-client state a worker must hand back, and how the coordinator
@@ -420,9 +420,8 @@ class MHFLAlgorithm:
         return None
 
     def apply_client_state(self, client_id: int, state: dict | None) -> None:
-        """Absorb a worker's returned per-client state (inverse of
-        :meth:`pack_client_state`; no-op for stateless algorithms and for
-        inline execution, where the state was trained in place)."""
+        """Absorb a client's returned per-client state (inverse of
+        :meth:`pack_client_state`; a no-op for stateless algorithms)."""
 
     def run_client(self, client_id: int, version: int,
                    rng: np.random.Generator,
@@ -430,13 +429,14 @@ class MHFLAlgorithm:
         """Train one client from the global state at version ``version``
         and package its upload.
 
-        ``broadcast`` is the downlink payload from :meth:`pack_broadcast`;
-        ``None`` reads the live coordinator state (the inline executor's
-        zero-copy path).
+        ``broadcast`` is the downlink payload from :meth:`pack_broadcast`,
+        the only server state the client reads; ``None`` packs it here.
         """
+        if broadcast is None:
+            broadcast = self.pack_broadcast(client_id, version)
         ctx = self.clients[int(client_id)]
-        state = None if broadcast is None else broadcast["global_state"]
-        model, key = self.build_client_model(ctx, version, rng, state=state)
+        model, key = self.build_client_model(ctx, version, rng,
+                                             state=broadcast["global_state"])
         reseed_dropout(model, rng)
         loss = train_local(model, ctx.shard.x, ctx.shard.y,
                            self.train_config, rng,

@@ -59,9 +59,8 @@ class FedET(PersonalModelAlgorithm):
                                        seed=2000 + ctx.client_id)
 
     def _local_loss(self, model: SliceableModel, rng: np.random.Generator,
-                    broadcast: dict | None):
-        consensus = (self._consensus if broadcast is None
-                     else broadcast["consensus"])
+                    broadcast: dict):
+        consensus = broadcast["consensus"]
         mu = self.transfer_weight
         x_public = self.x_public
 

@@ -75,13 +75,10 @@ class FedProto(PersonalModelAlgorithm):
         return ProtoModel(super()._build_level(level), self.proto_dim,
                           self.dataset.num_classes, seed=0)
 
-    def _local_loss(self, model: ProtoModel, rng, broadcast: dict | None):
+    def _local_loss(self, model: ProtoModel, rng, broadcast: dict):
         weight = self.proto_weight
-        if broadcast is None:
-            protos, valid = self.global_protos, self._proto_valid
-        else:
-            protos = broadcast["global_protos"]
-            valid = broadcast["proto_valid"]
+        protos = broadcast["global_protos"]
+        valid = broadcast["proto_valid"]
 
         def loss(m, xb, yb):
             emb = model.embed(xb)

@@ -66,9 +66,9 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
         """A freshly-initialised personal model (deterministic per client)."""
         raise NotImplementedError
 
-    def _local_loss(self, model: nn.Module, rng, broadcast: dict | None):
+    def _local_loss(self, model: nn.Module, rng, broadcast: dict):
         """The client objective as a ``train_local`` loss hook, reading the
-        server's knowledge from ``broadcast`` (``None`` = live state)."""
+        server's knowledge from the client's (read-only) ``broadcast``."""
         raise NotImplementedError
 
     def _upload(self, model: nn.Module,
@@ -103,9 +103,9 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
 
     # ------------------------------------------------------------------
     # Work-item transport: beside the subclass's round broadcast, the
-    # downlink carries the client's own personal vector (a pool worker's
-    # replica is stale until this refreshes it); the uplink hands the
-    # trained vector back.
+    # downlink carries a copy of the client's own personal vector (built
+    # here on first use; a pool worker's replica never holds it), and the
+    # uplink hands the trained vector back.
     # ------------------------------------------------------------------
     def pack_client_broadcast(self, client_id: int, version: int) -> dict:
         return {"personal": self._vector(self.clients[int(client_id)]).copy()}
@@ -120,10 +120,11 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
 
     def run_client(self, client_id: int, version: int, rng,
                    broadcast: dict | None = None) -> ClientUpdate:
+        if broadcast is None:
+            broadcast = self.pack_broadcast(client_id, version)
         ctx = self.clients[int(client_id)]
         model, buffer, _ = self._skeleton(ctx.client_id)
-        buffer[...] = (self._vector(ctx) if broadcast is None
-                       else broadcast["personal"])
+        buffer[...] = broadcast["personal"]
         reseed_dropout(model, rng)
         loss = train_local(model, ctx.shard.x, ctx.shard.y,
                            self.train_config, rng,

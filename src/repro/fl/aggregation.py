@@ -58,7 +58,7 @@ from .executor import Executor, make_work_item
 from .faults import (FaultModel, FaultPlan, FaultSpec, corrupt_update,
                      is_flat_upload)
 from .history import History, RoundRecord
-from .sanitizers import collect_arrays, freeze_arrays, frozen_arrays
+from .sanitizers import collect_arrays, frozen_arrays
 
 __all__ = ["ExecutionConfig", "AggregationPolicy", "SynchronousPolicy",
            "BufferedPolicy", "AGGREGATION_POLICIES", "make_policy",
@@ -195,8 +195,9 @@ class ExecutionConfig:
                              f"known: {sorted(AGGREGATION_POLICIES)}")
         if self.buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
-        if self.over_select < 0:
-            raise ValueError("over_select must be >= 0")
+        if not (math.isfinite(self.over_select) and self.over_select >= 0):
+            raise ValueError(f"over_select must be finite and >= 0, "
+                             f"got {self.over_select!r}")
         if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError(f"deadline_s must be > 0 (or None), "
                              f"got {self.deadline_s!r}")
@@ -623,21 +624,19 @@ class SynchronousPolicy(AggregationPolicy):
             if launched is not None:
                 segments[cid] = launched
 
-        shared = (algorithm.pack_round_broadcast(round_index)
-                  if executor.needs_broadcast else None)
+        shared = algorithm.pack_round_broadcast(round_index)
         items = [make_work_item(algorithm, cid, round_index,
-                                self.sim_config.seed,
-                                executor.needs_broadcast,
+                                self.sim_config.seed, True,
                                 shared_broadcast=shared)
                  for cid in segments]
         costs = [algorithm.client_work(algorithm.clients[cid])
                  for cid in segments]
-        # Freeze the shared broadcast and the live global vector while the
-        # batch and ``meanwhile`` run: both may only read them, so a
-        # mutation raises at the offending write instead of corrupting a
-        # later round.  (The vector itself: freezing views of it would
-        # leave it writable.)
-        with frozen_arrays(shared, getattr(algorithm, "global_vector", None)):
+        # The items' downlinks are frozen where they were packed; freeze
+        # the live global vector too while the batch and ``meanwhile``
+        # run, since both may only read it, so a mutation raises at the
+        # offending write instead of corrupting a later round.  (The
+        # vector itself: freezing views of it would leave it writable.)
+        with frozen_arrays(getattr(algorithm, "global_vector", None)):
             batch = executor.run_batch(items, costs, meanwhile)
         for (cid, (down, train, total)), result in zip(segments.items(),
                                                        batch):
@@ -869,29 +868,15 @@ class BufferedPolicy(AggregationPolicy):
         # instant *is* the staleness semantics (the client downloads the
         # server state at its dispatch timestamp) — and resolve the future
         # when the upload event fires on the simulated clock.
-        executor = self.executor
         repeat = self._version_dispatches.get((version, cid), 0)
         self._version_dispatches[(version, cid)] = repeat + 1
         item = make_work_item(algorithm, cid, version, self.sim_config.seed,
-                              executor.needs_broadcast,
-                              dispatch_index=repeat)
-        # The item's broadcast is its private snapshot of the server state
-        # at dispatch time (that snapshot *is* the staleness semantics) —
-        # freeze it for the item's whole flight so no worker can write
-        # into it while it trains.  The live global vector is guarded only
-        # across the submit call, which covers the inline executor's eager
-        # execution; it is one array, so the guard is two flag writes.
-        if item.broadcast is not None:
-            freeze_arrays(item.broadcast)
-        vector = getattr(algorithm, "global_vector", None)
-        if vector is None or not vector.flags.writeable:
-            future = executor.submit(item)
-        else:
-            vector.flags.writeable = False
-            try:
-                future = executor.submit(item)
-            finally:
-                vector.flags.writeable = True
+                              True, dispatch_index=repeat)
+        # The item's downlink is frozen for its whole flight where it was
+        # packed; the live global vector is guarded across the submit
+        # call, which covers the inline executor's eager execution.
+        with frozen_arrays(getattr(algorithm, "global_vector", None)):
+            future = self.executor.submit(item)
         self.queue.push(Event(now + down + train, TRAIN_COMPLETE, cid))
         self.queue.push(Event(now + total, UPLOAD_COMPLETE, cid,
                               info={"future": future}))

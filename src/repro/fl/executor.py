@@ -6,8 +6,10 @@ and hands it to an :class:`Executor`.  Purity means the item fully
 determines the result:
 
 * the **downlink state** is an explicit ``broadcast`` payload (packed by
-  :meth:`~repro.algorithms.base.MHFLAlgorithm.pack_broadcast`), never a
-  read of live coordinator state that could advance mid-flight;
+  :meth:`~repro.algorithms.base.MHFLAlgorithm.pack_broadcast` and frozen
+  where it is packed), never a read of live coordinator state that could
+  advance mid-flight — under every executor, so an inline client and a
+  pool client run the same code on the same arrays;
 * **randomness** is a seed triple ``(run_seed, round, client_id)``
   (:mod:`repro.fl.seeding`), never a shared generator whose draws depend
   on dispatch order;
@@ -18,9 +20,8 @@ determines the result:
 
 Two executors implement one contract:
 
-* :class:`InlineExecutor` — eager, in-place, zero-copy (``broadcast=None``
-  reads live state); bit-for-bit the pre-executor sequential semantics and
-  the reference the pool must match;
+* :class:`InlineExecutor` — eager, in the coordinator's process: the
+  item runs on the coordinator's own algorithm object at submit time;
 * :class:`ProcessExecutor` — process pool; each worker rebuilds the
   scenario from the spec payload on its first item and keeps it.  Client
   steps are Python-bound, so separate interpreters are what buys a
@@ -49,6 +50,7 @@ from dataclasses import dataclass
 
 from ..telemetry import runtime as telemetry
 from ..telemetry.logs import get_logger
+from .sanitizers import freeze_arrays
 from .seeding import client_rng
 
 _log = get_logger("executor")
@@ -103,8 +105,8 @@ class ClientWorkItem:
     #: the run seed; the worker derives its generator from
     #: ``(run_seed, version, client_id)``.
     run_seed: int
-    #: downlink payload from ``pack_broadcast`` (``None`` = read live
-    #: coordinator state; only the inline executor may do that).
+    #: downlink payload from ``pack_broadcast``, read-only (``None`` =
+    #: ``run_client`` packs its own downlink when the item runs).
     broadcast: dict | None = None
     #: repeat-dispatch counter of this client at this version (buffered
     #: policy only); part of the seed derivation so a re-dispatched client
@@ -164,9 +166,8 @@ def execute_work_item(item: ClientWorkItem, algorithm=None) -> ClientResult:
     ``algorithm`` injects the coordinator's live object (the inline
     executor); when omitted it is this pool worker's replica of the
     scenario its initializer installed.  Either way the result is a pure
-    function of the item: state comes from ``item.broadcast``
-    (or, inline-only, live state that is guaranteed quiescent during the
-    batch) and randomness from the derived seed.
+    function of the item: state comes from ``item.broadcast`` and
+    randomness from the derived seed.
     """
     if algorithm is None:
         algorithm = _worker_algorithm()
@@ -202,7 +203,12 @@ def make_work_item(algorithm, client_id: int, version: int, run_seed: int,
                    needs_broadcast: bool,
                    shared_broadcast: dict | None = None,
                    dispatch_index: int = 0) -> ClientWorkItem:
-    """Package one client's round for the given transport requirements.
+    """Package one client's round with its downlink, frozen for good.
+
+    Every array of the downlink is a fresh copy, so it is frozen here and
+    stays read-only wherever the item runs: a client that writes into what
+    it was sent raises at the offending line.  ``needs_broadcast=False``
+    leaves the downlink to ``run_client`` (no dispatcher asks for that).
 
     ``shared_broadcast`` is a round-level snapshot from
     ``pack_round_broadcast`` that synchronous dispatchers build once and
@@ -219,6 +225,7 @@ def make_work_item(algorithm, client_id: int, version: int, run_seed: int,
                      **algorithm.pack_client_broadcast(client_id, version)}
     else:
         broadcast = algorithm.pack_broadcast(client_id, version)
+    freeze_arrays(broadcast)
     return ClientWorkItem(
         client_id=int(client_id), version=int(version),
         run_seed=int(run_seed), broadcast=broadcast,
@@ -241,15 +248,9 @@ class _Immediate:
 
 
 class Executor:
-    """Executor contract: ``submit`` one item, or ``run_batch`` many.
-
-    ``needs_broadcast`` tells dispatchers whether items must carry a state
-    snapshot (the pool) or may read live coordinator state (inline only —
-    it executes eagerly, so the state is quiescent).
-    """
+    """Executor contract: ``submit`` one item, or ``run_batch`` many."""
 
     kind = "base"
-    needs_broadcast = True
 
     def __init__(self, workers: int = 1):
         self.workers = max(1, int(workers))
@@ -276,10 +277,9 @@ class Executor:
 
 
 class InlineExecutor(Executor):
-    """Eager single-process execution — the reference semantics."""
+    """Eager execution on the coordinator's own algorithm object."""
 
     kind = "inline"
-    needs_broadcast = False
 
     def __init__(self, algorithm=None, workers: int = 1):
         super().__init__(workers=1)

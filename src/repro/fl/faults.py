@@ -26,6 +26,7 @@ enabled so existing specs keep their content hashes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,8 +71,10 @@ class FaultSpec:
         if self.corrupt_mode not in CORRUPT_MODES:
             raise ValueError(f"unknown corrupt_mode {self.corrupt_mode!r}; "
                              f"known: {CORRUPT_MODES}")
-        if self.straggler_factor < 1.0:
-            raise ValueError("straggler_factor must be >= 1")
+        if not (math.isfinite(self.straggler_factor)
+                and self.straggler_factor >= 1.0):
+            raise ValueError(f"straggler_factor must be finite and >= 1, "
+                             f"got {self.straggler_factor!r}")
 
     @property
     def enabled(self) -> bool:

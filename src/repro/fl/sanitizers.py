@@ -3,12 +3,14 @@
 This module guards the two failure modes that golden histories only catch
 after the fact, if the offending path runs at all:
 
-* **cross-client mutation races** — a worker writing into a broadcast
-  snapshot (or the live global state) while other clients train from it.
-  The aggregation policies set ``writeable=False`` on every ndarray of the
-  payloads for the duration of dispatch, so any such write raises
-  immediately, at the offending line, instead of surfacing as a corrupted
-  aggregate three rounds later;
+* **cross-client mutation races** — a client writing into its downlink
+  (or the live global state) while other clients train from it.  Every
+  downlink's arrays are set ``writeable=False`` for good where
+  :func:`~repro.fl.executor.make_work_item` packs them, whatever the
+  executor, and the aggregation policies freeze the live global vector
+  for the dispatch window, so any such write raises immediately, at the
+  offending line, instead of surfacing as a corrupted aggregate three
+  rounds later;
 * **legacy global RNG use** — a draw from ``np.random``'s hidden global
   stream (or stdlib ``random``'s), which would make results depend on
   whatever ran before.  :func:`~repro.fl.simulation.run_simulation` runs

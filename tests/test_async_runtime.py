@@ -577,7 +577,8 @@ class TestExecutionConfig:
         ("max_concurrency", 0), ("max_concurrency", -1),
         ("deadline_s", 0.0), ("deadline_s", -1.0),
         ("norm_bound", 0.0), ("norm_bound", -1.0),
-        ("staleness_exponent", -0.5)])
+        ("staleness_exponent", -0.5),
+        ("over_select", float("nan")), ("over_select", float("inf"))])
     def test_rejects_out_of_range_value_naming_the_field(self, name, value):
         with pytest.raises(ValueError, match=name):
             ExecutionConfig(**{name: value})

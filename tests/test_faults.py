@@ -89,8 +89,9 @@ class TestFaultSpec:
             FaultSpec(crash_prob=1.5)
         with pytest.raises(ValueError, match="corrupt_mode"):
             FaultSpec(corrupt_mode="bitflip")
-        with pytest.raises(ValueError, match="straggler_factor"):
-            FaultSpec(straggler_factor=0.5)
+        for factor in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="straggler_factor"):
+                FaultSpec(straggler_factor=factor)
 
     def test_enabled(self):
         assert not FaultSpec().enabled

@@ -122,18 +122,18 @@ class TestWorkItems:
         algo.apply_client_state(back.client_id, back.client_state)
 
     def test_inline_matches_injected_broadcast(self):
-        """broadcast=None (live state) and a packed broadcast are
-        bit-identical — the inline/process split cannot change numbers."""
+        """A downlink ``run_client`` packs itself (broadcast=None) and one
+        injected by the caller are bit-identical."""
         scenario_a, _ = prepare_scenario(smoke_spec())
         scenario_b, _ = prepare_scenario(smoke_spec())
         cid = sorted(scenario_a.algorithm.clients)[0]
-        live = scenario_a.algorithm.run_client(cid, 0, client_rng(0, 0, cid))
+        own = scenario_a.algorithm.run_client(cid, 0, client_rng(0, 0, cid))
         packed = scenario_b.algorithm.run_client(
             cid, 0, client_rng(0, 0, cid),
             broadcast=scenario_b.algorithm.pack_broadcast(cid, 0))
-        values_a, key_a = live.payload
+        values_a, key_a = own.payload
         values_b, key_b = packed.payload
-        assert live.train_loss == packed.train_loss
+        assert own.train_loss == packed.train_loss
         assert key_a == key_b and np.array_equal(values_a, values_b)
 
     def test_same_version_redispatch_trains_fresh_draw(self):

@@ -13,7 +13,7 @@ import pytest
 from repro.constraints import ConstraintSpec
 from repro.experiments import (RunCache, RunDefaults, RunSpec, execute_spec,
                                prepare_scenario, run_defaults)
-from repro.fl import SimulationConfig, run_simulation
+from repro.fl import ExecutionConfig, SimulationConfig, run_simulation
 from repro.fl.sanitizers import (StrictModeViolation, collect_arrays,
                                  freeze_arrays, frozen_arrays, rng_tripwire)
 
@@ -27,6 +27,26 @@ def _scribble_on_global_state(algorithm):
                                broadcast=broadcast)
 
     algorithm.run_client = run_client
+
+
+def _write_into_knowledge(name):
+    """A client whose loss hook writes into the server knowledge it was
+    handed: ``name`` is the array its loss closure reads (FedProto's
+    ``protos``, Fed-ET's ``consensus``)."""
+    def mutate(algorithm):
+        real_local_loss = algorithm._local_loss
+
+        def _local_loss(model, rng, broadcast):
+            loss = real_local_loss(model, rng, broadcast)
+            cells = dict(zip(loss.__code__.co_freevars, loss.__closure__))
+            knowledge = cells[name].cell_contents
+            if knowledge is not None:   # Fed-ET has no consensus at round 0
+                knowledge[0] = 0.0
+            return loss
+
+        algorithm._local_loss = _local_loss
+
+    return mutate
 
 
 def _draw_from_global_rng(algorithm):
@@ -75,6 +95,22 @@ class TestSpecRunSanitizers:
                                   executor=executor)
         with pytest.raises(ValueError, match="read-only"):
             run_simulation(algorithm, config)
+
+    @pytest.mark.parametrize("policy", ["sync", "buffered"])
+    @pytest.mark.parametrize("algorithm, knowledge",
+                             [("fedproto", "protos"),
+                              ("fedet", "consensus")])
+    def test_inline_client_cannot_write_server_knowledge(
+            self, algorithm, knowledge, policy):
+        """An inline client reads the same frozen downlink a pool client
+        does, so writing the prototypes or consensus it was handed raises
+        instead of overwriting the server's copy."""
+        spec = RunSpec(algorithm=algorithm, dataset="harbox", scale="smoke",
+                       execution=ExecutionConfig(policy=policy),
+                       workers=1, executor="inline")
+        with pytest.raises(ValueError, match="read-only"):
+            execute_spec(spec, cache=None,
+                         mutate=_write_into_knowledge(knowledge))
 
     def test_spec_run_trips_on_global_rng_draw(self):
         with pytest.raises(StrictModeViolation, match="numpy"):
