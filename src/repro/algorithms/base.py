@@ -380,11 +380,9 @@ class MHFLAlgorithm:
     # it was handed, and every random draw comes from the caller's ``rng``
     # (derived from ``(run_seed, round, client_id)`` by the execution
     # layer).  That purity is what lets :mod:`repro.fl.executor` run clients
-    # inline or in pool processes through one code path.
-    # ``pack_broadcast`` / ``pack_client_state`` / ``apply_client_state``
-    # are the transport hooks: what the server sends down, what persistent
-    # per-client state a worker must hand back, and how the coordinator
-    # absorbs it.
+    # inline or in pool processes through one code path.  It returns the
+    # upload and the state the device keeps (FedProto/Fed-ET's trained
+    # vector, else ``None``), which ``apply_client_state`` absorbs.
 
     def pack_round_broadcast(self, version: int) -> dict:
         """The client-independent part of the downlink at ``version``.
@@ -412,22 +410,16 @@ class MHFLAlgorithm:
         return {**self.pack_round_broadcast(version),
                 **self.pack_client_broadcast(client_id, version)}
 
-    def pack_client_state(self, client_id: int) -> dict | None:
-        """Persistent per-client state a worker must return to the
-        coordinator after training (``None`` when the algorithm keeps no
-        such state — parameter-averaging methods rebuild client models
-        from the global state every round)."""
-        return None
-
-    def apply_client_state(self, client_id: int, state: dict | None) -> None:
-        """Absorb a client's returned per-client state (inverse of
-        :meth:`pack_client_state`; a no-op for stateless algorithms)."""
+    def apply_client_state(self, client_id: int, state) -> None:
+        """Absorb the per-client state :meth:`run_client` returned (none
+        for parameter-averaging methods)."""
 
     def run_client(self, client_id: int, version: int,
                    rng: np.random.Generator,
-                   broadcast: dict | None = None) -> ClientUpdate:
-        """Train one client from the global state at version ``version``
-        and package its upload.
+                   broadcast: dict | None = None
+                   ) -> tuple[ClientUpdate, None]:
+        """Train one client from the global state at version ``version``;
+        returns its upload and the state it keeps (none here).
 
         ``broadcast`` is the downlink payload from :meth:`pack_broadcast`,
         the only server state the client reads; ``None`` packs it here.
@@ -446,7 +438,7 @@ class MHFLAlgorithm:
         return ClientUpdate(
             client_id=ctx.client_id, version=version, train_loss=loss,
             round_time_s=self.client_round_time_s(ctx),
-            weight=float(ctx.num_samples), payload=(values, key))
+            weight=float(ctx.num_samples), payload=(values, key)), None
 
     def ingest(self, updates: Iterable[ClientUpdate], round_index: int,
                rng: np.random.Generator) -> RoundOutcome:
@@ -494,13 +486,10 @@ class MHFLAlgorithm:
 
         def updates():
             for client_id in sampled_ids:
-                update = self.run_client(client_id, round_index,
-                                         client_rng(run_seed, round_index,
-                                                    client_id))
-                # Absorb persistent per-client state (FedProto/Fed-ET
-                # personal models) just as the executor-backed loops do.
-                self.apply_client_state(client_id,
-                                        self.pack_client_state(client_id))
+                update, state = self.run_client(
+                    client_id, round_index,
+                    client_rng(run_seed, round_index, client_id))
+                self.apply_client_state(client_id, state)
                 yield update
 
         return self.ingest(updates(), round_index, rng)

@@ -95,14 +95,14 @@ class FeDepth(MHFLAlgorithm):
         stage_prefixes = tuple({f"stages.{name.split('.')[1]}."
                                 for name in trainable
                                 if name.startswith("stages.")})
-        stem_trained = any(name.startswith("stem.") for name in trainable)
+        trains_stem = any(name.startswith("stem.") for name in trainable)
         keep = set(trainable)
         for name in layout.names:
             if stage_prefixes and name.startswith(stage_prefixes):
                 keep.add(name)                      # BN buffers of the segment
             if name.startswith("heads."):
                 keep.add(name)
-            if stem_trained and name.startswith("stem."):
+            if trains_stem and name.startswith("stem."):
                 keep.add(name)
         return keep
 

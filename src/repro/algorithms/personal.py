@@ -3,8 +3,9 @@
 FedProto and Fed-ET exchange knowledge (prototypes, public-set logits), not
 parameters, so each client's model of its own architecture persists across
 rounds on the coordinator.  This base owns that lifecycle once — the
-per-client vectors, their work-item transport, the detached training step
-and their share of checkpoints and evaluation; a subclass supplies
+per-client vectors, their work-item transport (down in the broadcast, back
+as ``run_client``'s return value), the detached training step and their
+share of checkpoints and evaluation; a subclass supplies
 ``_build_personal``, its local loss, its upload and its server side.
 
 A personal model is one float32 vector laid out like its capacity level,
@@ -39,10 +40,6 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
         super().__init__(*args, **kwargs)
         #: client id -> its deployed model's state, laid out like its level.
         self._personal: dict[int, np.ndarray] = {}
-        #: trained-but-not-yet-absorbed states, keyed by client id (filled
-        #: by run_client, drained by pack_client_state — two hooks addressed
-        #: by client id; a pool worker is a process with its own replica).
-        self._trained: dict[int, np.ndarray] = {}
         #: client id -> accuracy of its deployed model as it stands (derived
         #: state of the coordinator: never checkpointed, never serialised).
         self._accuracies: dict[int, float] = {}
@@ -92,10 +89,9 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
 
     def personal_model(self, ctx: ClientContext) -> nn.Module:
         """One client's deployed model: its level's skeleton, loaded with
-        its vector.  Only :meth:`apply_client_state` advances the vector —
-        ``run_client`` trains a copy, so a deployed model updates exactly
-        when its upload is accepted, identically under every executor (an
-        in-flight client evaluated mid-round still shows its old model).
+        its vector.  ``run_client`` trains a copy and returns it, so the
+        deployed model moves only when the coordinator absorbs that result,
+        under every executor (an in-flight client still shows its old one).
         """
         model, buffer, _ = self._skeleton(ctx.client_id)
         buffer[...] = self._vector(ctx)
@@ -104,22 +100,19 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
     # ------------------------------------------------------------------
     # Work-item transport: beside the subclass's round broadcast, the
     # downlink carries a copy of the client's own personal vector (built
-    # here on first use; a pool worker's replica never holds it), and the
-    # uplink hands the trained vector back.
+    # here on first use; a pool worker's replica never holds it), and
+    # ``run_client`` returns the trained vector beside the upload.
     # ------------------------------------------------------------------
     def pack_client_broadcast(self, client_id: int, version: int) -> dict:
         return {"personal": self._vector(self.clients[int(client_id)]).copy()}
 
-    def pack_client_state(self, client_id: int) -> dict | None:
-        return {"personal": self._trained.pop(int(client_id))}
-
-    def apply_client_state(self, client_id: int, state: dict | None) -> None:
-        if state is not None:
-            self._personal[int(client_id)] = state["personal"]
-            self._accuracies.pop(int(client_id), None)
+    def apply_client_state(self, client_id: int, state: np.ndarray) -> None:
+        self._personal[int(client_id)] = state
+        self._accuracies.pop(int(client_id), None)
 
     def run_client(self, client_id: int, version: int, rng,
-                   broadcast: dict | None = None) -> ClientUpdate:
+                   broadcast: dict | None = None
+                   ) -> tuple[ClientUpdate, np.ndarray]:
         if broadcast is None:
             broadcast = self.pack_broadcast(client_id, version)
         ctx = self.clients[int(client_id)]
@@ -129,13 +122,13 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
         loss = train_local(model, ctx.shard.x, ctx.shard.y,
                            self.train_config, rng,
                            loss_fn=self._local_loss(model, rng, broadcast))
-        self._trained[ctx.client_id] = buffer.copy()
+        trained = buffer.copy()
         weight, payload = self._upload(model, ctx)
         model.zero_grad()  # grads to None: the skeleton keeps weights only
         return ClientUpdate(
             client_id=ctx.client_id, version=version, train_loss=loss,
             round_time_s=self.client_round_time_s(ctx), weight=weight,
-            payload=payload)
+            payload=payload), trained
 
     # ------------------------------------------------------------------
     # Every materialised personal model is resumable state, written as its

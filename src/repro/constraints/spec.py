@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..fl.availability import AVAILABILITY_MODELS
+from ..fl.sanitizers import check_range
 
 __all__ = ["ConstraintSpec", "CONSTRAINT_KINDS", "AVAILABILITY_KINDS"]
 
@@ -68,6 +69,11 @@ class ConstraintSpec:
             raise ValueError(
                 f"unknown availability scenario {self.availability!r}; "
                 f"known: {AVAILABILITY_KINDS}")
+        for name in ("deadline_quantile", "comm_quantile"):
+            check_range(name, getattr(self, name), "[0, 1]")
+        for name in ("round_deadline_s", "comm_budget_s", "memory_headroom"):
+            if getattr(self, name) is not None:     # None: derive the budget
+                check_range(name, getattr(self, name), "(0, inf)")
         if self.faults:
             from ..fl.faults import FaultSpec
             FaultSpec(**self.faults)  # validate eagerly, at spec build time

@@ -32,6 +32,7 @@ from ..constraints import ConstraintSpec
 from ..fl.aggregation import ExecutionConfig
 from ..fl.executor import EXECUTOR_KINDS
 from ..fl.faults import FaultSpec
+from ..fl.sanitizers import check_range
 from .scales import ExperimentScale, resolve_scale
 
 __all__ = ["RunSpec"]
@@ -82,6 +83,8 @@ class RunSpec:
         if self.executor is not None and self.executor not in EXECUTOR_KINDS:
             raise ValueError(f"unknown executor {self.executor!r}; "
                              f"known: {EXECUTOR_KINDS}")
+        # The IID cells pass 0; only the Dirichlet partition reads alpha.
+        check_range("alpha", self.alpha, "[0, inf)")
         # An explicit block wins over the constraints' availability and
         # faults, so it must honour what the cell's label names.
         constraints, execution = self.constraints, self.execution

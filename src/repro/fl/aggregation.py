@@ -58,7 +58,7 @@ from .executor import Executor, make_work_item
 from .faults import (FaultModel, FaultPlan, FaultSpec, corrupt_update,
                      is_flat_upload)
 from .history import History, RoundRecord
-from .sanitizers import collect_arrays, frozen_arrays
+from .sanitizers import check_range, collect_arrays, frozen_arrays
 
 __all__ = ["ExecutionConfig", "AggregationPolicy", "SynchronousPolicy",
            "BufferedPolicy", "AGGREGATION_POLICIES", "make_policy",
@@ -195,26 +195,20 @@ class ExecutionConfig:
                              f"known: {sorted(AGGREGATION_POLICIES)}")
         if self.buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
-        if not (math.isfinite(self.over_select) and self.over_select >= 0):
-            raise ValueError(f"over_select must be finite and >= 0, "
-                             f"got {self.over_select!r}")
-        if self.deadline_s is not None and not self.deadline_s > 0:
-            raise ValueError(f"deadline_s must be > 0 (or None), "
-                             f"got {self.deadline_s!r}")
         if self.max_concurrency is not None and self.max_concurrency < 1:
             raise ValueError(f"max_concurrency must be >= 1 (or None), "
                              f"got {self.max_concurrency!r}")
-        if not self.staleness_exponent >= 0:
-            raise ValueError(f"staleness_exponent must be >= 0, "
-                             f"got {self.staleness_exponent!r}")
-        if self.norm_bound is not None and not self.norm_bound > 0:
-            raise ValueError(f"norm_bound must be > 0 (or None), "
-                             f"got {self.norm_bound!r}")
+        # inf: no deadline / no norm bound / every stale update discarded.
+        for name, interval in (("over_select", "[0, inf)"),
+                               ("deadline_s", "(0, inf]"),
+                               ("staleness_exponent", "[0, inf]"),
+                               ("norm_bound", "(0, inf]"),
+                               ("quorum", "(0, 1]")):
+            if getattr(self, name) is not None:
+                check_range(name, getattr(self, name), interval)
         if isinstance(self.faults, dict):
             object.__setattr__(self, "faults", FaultSpec.from_dict(self.faults))
         if self.quorum is not None:
-            if not 0.0 < self.quorum <= 1.0:
-                raise ValueError("quorum must be in (0, 1]")
             if self.policy != "sync":
                 raise ValueError("quorum is a synchronous-round concept; "
                                  "the buffered policy has no round to gate")

@@ -8,6 +8,7 @@ parameters before calling in (FeDepth).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -46,6 +47,16 @@ class LocalTrainConfig:
             if value is not None and value < least:
                 raise ValueError(f"LocalTrainConfig.{name} must be >= {least}, "
                                  f"got {value}")
+        # Inline, not check_range: every client round resolves a config,
+        # and a step's python calls are a counted ledger metric.
+        for name, ok, interval in (
+                ("lr", self.lr is None or 0 < self.lr < math.inf, "(0, inf)"),
+                ("momentum", 0 <= self.momentum < 1, "[0, 1)"),
+                ("weight_decay", 0 <= self.weight_decay < math.inf,
+                 "[0, inf)")):
+            if not ok:
+                raise ValueError(f"LocalTrainConfig.{name} must be in "
+                                 f"{interval}, got {getattr(self, name)!r}")
 
     def resolve(self, model: SliceableModel) -> "LocalTrainConfig":
         """Fill 'auto' fields from the model's modality."""

@@ -2,8 +2,9 @@
 
 The simulation layer never trains a client directly any more; it packages
 each local round as a :class:`ClientWorkItem` — a *pure, picklable* job —
-and hands it to an :class:`Executor`.  Purity means the item fully
-determines the result:
+and hands it to an :class:`Executor`, which sends back what ``run_client``
+returned (the upload and the state the device keeps) as a
+:class:`ClientResult`.  Purity means the item fully determines the result:
 
 * the **downlink state** is an explicit ``broadcast`` payload (packed by
   :meth:`~repro.algorithms.base.MHFLAlgorithm.pack_broadcast` and frozen
@@ -118,11 +119,10 @@ class ClientWorkItem:
 class ClientResult:
     """What one executed work item sends back to the coordinator."""
 
-    client_id: int
     update: object  # ClientUpdate; typed loosely to keep pickling flat
-    #: persistent per-client state (FedProto/Fed-ET personal models) the
-    #: coordinator must absorb via ``apply_client_state``.
-    client_state: dict | None = None
+    #: what ``run_client`` returned beside the upload: the state the device
+    #: keeps (FedProto/Fed-ET's trained vector, else ``None``).
+    client_state: object = None
     #: wall-clock accounting for this item (``execute_s`` measured at the
     #: worker, ``wait_s``/``total_s``/``retries`` filled in by the
     #: coordinator's future wrapper).  Picklable, so process-pool workers'
@@ -165,9 +165,9 @@ def execute_work_item(item: ClientWorkItem, algorithm=None) -> ClientResult:
 
     ``algorithm`` injects the coordinator's live object (the inline
     executor); when omitted it is this pool worker's replica of the
-    scenario its initializer installed.  Either way the result is a pure
-    function of the item: state comes from ``item.broadcast`` and
-    randomness from the derived seed.
+    scenario its initializer installed.  Either way the result, the pair
+    ``run_client`` returned, is a pure function of the item: state comes
+    from ``item.broadcast`` and randomness from the derived seed.
     """
     if algorithm is None:
         algorithm = _worker_algorithm()
@@ -176,12 +176,10 @@ def execute_work_item(item: ClientWorkItem, algorithm=None) -> ClientResult:
     start = time.perf_counter()
     with telemetry.span("client_step", client=int(item.client_id),
                         version=int(item.version)):
-        update = algorithm.run_client(item.client_id, item.version, rng,
-                                      broadcast=item.broadcast)
+        update, client_state = algorithm.run_client(
+            item.client_id, item.version, rng, broadcast=item.broadcast)
     execute_s = time.perf_counter() - start
-    return ClientResult(client_id=int(item.client_id), update=update,
-                        client_state=algorithm.pack_client_state(
-                            item.client_id),
+    return ClientResult(update=update, client_state=client_state,
                         timing={"execute_s": execute_s})
 
 

@@ -26,11 +26,11 @@ enabled so existing specs keep their content hashes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .sanitizers import check_range
 from .seeding import fault_rng
 
 __all__ = ["FaultSpec", "FaultModel", "FaultPlan", "CORRUPT_MODES",
@@ -65,16 +65,12 @@ class FaultSpec:
 
     def __post_init__(self):
         for name in ("crash_prob", "straggler_prob", "corrupt_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+            check_range(name, getattr(self, name), "[0, 1]")
         if self.corrupt_mode not in CORRUPT_MODES:
             raise ValueError(f"unknown corrupt_mode {self.corrupt_mode!r}; "
                              f"known: {CORRUPT_MODES}")
-        if not (math.isfinite(self.straggler_factor)
-                and self.straggler_factor >= 1.0):
-            raise ValueError(f"straggler_factor must be finite and >= 1, "
-                             f"got {self.straggler_factor!r}")
+        check_range("straggler_factor", self.straggler_factor, "[1, inf)")
+        check_range("corrupt_factor", self.corrupt_factor, "(-inf, inf)")
 
     @property
     def enabled(self) -> bool:

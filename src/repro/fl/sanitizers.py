@@ -20,7 +20,8 @@ after the fact, if the offending path runs at all:
 Both sanitizers are armed for every run and are **observation-only**: they
 read flags and states and draw nothing, so the History is exactly what an
 unguarded run would produce (the executor-identity tests and the e2e
-goldens pin it).  This module itself holds no state.
+goldens pin it).  This module itself holds no state.  Configs guard
+their own fields with :func:`check_range`, which refuses NaN by name.
 """
 
 from __future__ import annotations
@@ -30,12 +31,22 @@ from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["StrictModeViolation", "collect_arrays", "frozen_arrays",
-           "freeze_arrays", "rng_tripwire"]
+__all__ = ["StrictModeViolation", "check_range", "collect_arrays",
+           "frozen_arrays", "freeze_arrays", "rng_tripwire"]
 
 
 class StrictModeViolation(RuntimeError):
     """A determinism contract was broken at runtime."""
+
+
+def check_range(name: str, value, interval: str) -> None:
+    """Refuse a config value outside ``interval``, written like ``"[0, 1)"``
+    or ``"(0, inf]"``, naming the field; NaN lies in no interval."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = value >= low if interval[0] == "[" else value > low
+    below = value <= high if interval[-1] == "]" else value < high
+    if not (above and below):
+        raise ValueError(f"{name} must be in {interval}, got {value!r}")
 
 
 def collect_arrays(value):

@@ -32,7 +32,7 @@ from .aggregation import ExecutionConfig, make_policy, sample_clients
 from .checkpoint import CheckpointConfig
 from .executor import EXECUTOR_KINDS, make_executor
 from .history import History
-from .sanitizers import rng_tripwire
+from .sanitizers import check_range, rng_tripwire
 
 __all__ = ["SimulationConfig", "run_simulation", "sample_clients"]
 
@@ -65,9 +65,7 @@ class SimulationConfig:
     def __post_init__(self):
         if self.num_rounds < 1:
             raise ValueError("num_rounds must be >= 1")
-        if not 0.0 < self.sample_ratio <= 1.0:
-            raise ValueError(f"sample_ratio must be in (0, 1], "
-                             f"got {self.sample_ratio!r}")
+        check_range("sample_ratio", self.sample_ratio, "(0, 1]")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
         if self.workers < 1:

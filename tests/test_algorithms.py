@@ -157,7 +157,7 @@ class TestTopologyAlgorithms:
         apply = algo.apply_client_state
 
         def recording(client_id, state):
-            applied.append((client_id, state["personal"].copy()))
+            applied.append((client_id, state.copy()))
             apply(client_id, state)
 
         algo.apply_client_state = recording
@@ -182,8 +182,17 @@ class TestTopologyAlgorithms:
         assert down == algo.global_protos.nbytes
         assert up < ctx.entry.stats.param_bytes  # far cheaper than weights
 
-    def test_fedet_server_model_is_largest(self, task):
-        algo = _build("fedet", task)
+    @pytest.mark.parametrize("dataset", [
+        "cifar10", "cifar100", "stackoverflow", "harbox", "ucihar",
+        pytest.param("agnews", marks=pytest.mark.xfail(strict=True, reason=(
+            "FedET takes the variant space's last key; on the width "
+            "fallback that is x0.25 (4 756 parameters), not x1.00 "
+            "(43 588)")))])
+    def test_fedet_server_model_is_largest(self, dataset):
+        from repro.experiments import RunSpec
+        from repro.experiments.runner import prepare_scenario
+        algo = prepare_scenario(
+            RunSpec("fedet", dataset, scale="smoke"))[0].algorithm
         sizes = [algo.base_model.variant(**ov).num_parameters()
                  for ov in algo.variant_space(algo.base_model).values()]
         assert algo.server_model.num_parameters() == max(sizes)
@@ -330,18 +339,6 @@ class TestEvaluateOncePerDeployment:
         assert other.per_device_accuracies() == after_round
         assert calls == eval_ids
 
-    def test_a_rejected_upload_keeps_the_evaluation(self, task, monkeypatch):
-        """``apply_client_state(None)`` writes nothing, so it drops nothing."""
-        from repro.algorithms import personal
-        from repro.fl.evaluate import accuracy
-        calls = []
-        monkeypatch.setattr(personal, "accuracy", _counting(accuracy, calls))
-        algo = _build("fedproto", task)
-        before = algo.per_device_accuracies()
-        calls.clear()
-        algo.apply_client_state(algo._eval_ids()[0], None)
-        assert algo.per_device_accuracies() == before and calls == []
-
     @pytest.mark.parametrize("name", ["sheterofl", "fedrolex", "fjord",
                                       "depthfl", "fedepth", "inclusivefl"])
     def test_sliced_fan_out_equals_evaluating_every_client(self, name, task,
@@ -395,7 +392,6 @@ def test_skeletons_stay_bound_through_run_client(name, task):
     algo = _build(name, task)
     for cid in sorted(algo.clients)[:4]:
         algo.run_client(cid, 0, np.random.default_rng((0, 0, cid)))
-        algo.pack_client_state(cid)
     assert algo._client_models
     for model, buffer, _ in algo._client_models.values():
         assert _bound_to_one_buffer(model)
@@ -408,7 +404,7 @@ def test_fedepth_frozen_entries_survive_training(task):
     algo = _build("fedepth", task)
     cid = next(cid for cid, ctx in sorted(algo.clients.items())
                if ctx.entry.key == "seg1")
-    update = algo.run_client(cid, 0, np.random.default_rng((0, 0, cid)))
+    update, _ = algo.run_client(cid, 0, np.random.default_rng((0, 0, cid)))
     model, buffer, layout = algo._level_model(update.payload[1][0])
     trained = layout.views(buffer)
     start = algo.global_state
@@ -442,18 +438,15 @@ class TestTrainingSkeleton:
         monkeypatch.setattr(SliceableModel, "variant",
                             _counting(SliceableModel.variant, variants))
         algo.run_client(first, 0, np.random.default_rng((0, 0, first)))
-        algo.pack_client_state(first)
-        update = algo.run_client(second, 0,
-                                 np.random.default_rng((0, 0, second)))
-        state = algo.pack_client_state(second)["personal"]
+        update, state = algo.run_client(
+            second, 0, np.random.default_rng((0, 0, second)))
         assert len(variants) == 1       # the level's skeleton, built once
         assert list(algo._client_models) == [level]
         assert all(p.grad is None
                    for p in algo._client_models[level][0].parameters())
 
-        expected = lone.run_client(second, 0,
-                                   np.random.default_rng((0, 0, second)))
-        expected_state = lone.pack_client_state(second)["personal"]
+        expected, expected_state = lone.run_client(
+            second, 0, np.random.default_rng((0, 0, second)))
         assert state.dtype == expected_state.dtype
         assert np.array_equal(state, expected_state)
         assert (update.train_loss, update.weight, update.round_time_s) == (
@@ -469,12 +462,12 @@ class TestTrainingSkeleton:
         ctx = algo.clients[0]
         vector = algo._vector(ctx).copy()
         deployed = algo.personal_model(ctx).state_dict()
-        algo.run_client(0, 0, np.random.default_rng(0))
+        _, trained = algo.run_client(0, 0, np.random.default_rng(0))
         assert np.array_equal(algo._personal[0], vector)
         for key, value in algo.personal_model(ctx).state_dict().items():
             assert np.array_equal(value, deployed[key]), key
 
-        algo.apply_client_state(0, algo.pack_client_state(0))
+        algo.apply_client_state(0, trained)
         assert not np.array_equal(algo._personal[0], vector)
         views = algo._skeleton(0)[2].views(algo._personal[0])
         for key, value in algo.personal_model(ctx).state_dict().items():
@@ -488,17 +481,47 @@ class TestPersonalVectors:
     def test_transport_is_one_vector(self, name, task):
         algo = _build(name, task)
         broadcast = algo.pack_broadcast(3, 0)
-        algo.run_client(3, 0, np.random.default_rng((0, 0, 3)),
-                        broadcast=broadcast)
-        result = algo.pack_client_state(3)
+        _, trained = algo.run_client(3, 0, np.random.default_rng((0, 0, 3)),
+                                     broadcast=broadcast)
         size = algo._skeleton(3)[2].size
-        for state in (broadcast, result):
-            vector = state["personal"]
+        for vector in (broadcast["personal"], trained):
             assert type(vector) is np.ndarray
             assert (vector.ndim, vector.dtype, vector.size) == (
                 1, np.float32, size)
         assert broadcast["personal"] is not algo._personal[3]
-        assert not np.array_equal(result["personal"], broadcast["personal"])
+        assert not np.array_equal(trained, broadcast["personal"])
+
+    @pytest.mark.parametrize("name", ["fedproto", "fedet"])
+    def test_trained_state_leaves_only_as_the_return_value(self, name, task):
+        """Clients trained but never absorbed leave the coordinator as it
+        was: no deployed vector, checkpoint entry or side table moves."""
+        import json
+        from repro.fl.serialization import encode_payload
+        algo = _build(name, task)
+        ids = sorted(algo.clients)[:4]
+        for cid in ids:     # personal vectors and level skeletons exist
+            algo._vector(algo.clients[cid])
+            algo._skeleton(cid)
+
+        def snapshot():
+            return ({cid: v.copy() for cid, v in algo._personal.items()},
+                    json.dumps(encode_payload(algo.checkpoint_state())),
+                    {key: len(value) for key, value in vars(algo).items()
+                     if isinstance(value, dict)})
+
+        personal, checkpoint, sizes = snapshot()
+        for cid in ids:
+            broadcast = algo.pack_broadcast(cid, 0)
+            _, trained = algo.run_client(
+                cid, 0, np.random.default_rng((0, 0, cid)),
+                broadcast=broadcast)
+            assert not np.array_equal(trained, broadcast["personal"])
+        after, after_checkpoint, after_sizes = snapshot()
+        assert list(after) == list(personal)
+        assert all(np.array_equal(after[cid], personal[cid])
+                   for cid in personal)
+        assert after_checkpoint == checkpoint
+        assert after_sizes == sizes
 
     @pytest.mark.parametrize("name", ["fedproto", "fedet"])
     def test_a_checkpoint_of_state_dicts_restores(self, name, task):

@@ -194,8 +194,8 @@ class TestSharedLaunch:
         update = ClientUpdate(client_id=7, version=3, train_loss=1.0,
                               round_time_s=TOTAL, weight=1.0,
                               payload=np.ones(4, dtype=np.float32))
-        result = ClientResult(client_id=7, update=update,
-                              client_state={"k": 1}, timing={"execute_s": 1.0})
+        result = ClientResult(update=update, client_state={"k": 1},
+                              timing={"execute_s": 1.0})
         landed = policy.land(_Algo(), 7, result)
         assert landed is update and _Algo.absorbed == [(7, {"k": 1})]
         assert update.round_time_s == launched[2]
@@ -328,12 +328,12 @@ class TestLegacyEquivalence:
         poisoned = []
 
         def run_client(client_id, round_index, rng, broadcast=None):
-            update = real_run_client(client_id, round_index, rng,
-                                     broadcast=broadcast)
+            update, state = real_run_client(client_id, round_index, rng,
+                                            broadcast=broadcast)
             if not poisoned:
                 poisoned.append(client_id)
                 update.train_loss = float("nan")
-            return update
+            return update, state
 
         algo.run_client = run_client
         history = run_simulation(algo, SimulationConfig(**SIM))
@@ -641,3 +641,6 @@ class TestAsyncCompareExperiment:
             assert row["total_s"] > 0
         by_mode = {r["mode"]: r for r in rows}
         assert by_mode["buffered"]["stale"] >= 0
+        # The buffered run aggregates the same number of server versions in
+        # no more simulated time than the straggler-bound synchronous run.
+        assert by_mode["buffered"]["total_s"] <= by_mode["sync"]["total_s"]

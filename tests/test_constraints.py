@@ -32,6 +32,16 @@ class TestSpec:
         with pytest.raises(ValueError):
             ConstraintSpec(constraints=("bandwidth",))
 
+    @pytest.mark.parametrize("field,value", [
+        ("deadline_quantile", 1.5), ("comm_quantile", -0.1),
+        ("round_deadline_s", -1.0), ("comm_budget_s", 0.0),
+        ("memory_headroom", 0.0)])
+    def test_budgets_out_of_range_are_refused_by_name(self, field, value):
+        """A negative deadline would put every client at the smallest
+        level; a quantile past 1 used to fail inside numpy, unnamed."""
+        with pytest.raises(ValueError, match=field):
+            ConstraintSpec(**{field: value})
+
     def test_label(self):
         spec = ConstraintSpec(constraints=("memory", "communication"))
         assert spec.label == "mem+comm"

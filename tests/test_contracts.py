@@ -18,6 +18,7 @@
 import ast
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,8 @@ import repro
 from repro.algorithms import ClientUpdate
 from repro.constraints import ConstraintSpec
 from repro.experiments import RunSpec
-from repro.fl import ExecutionConfig, History, RoundRecord
+from repro.fl import (ExecutionConfig, History, LocalTrainConfig, RoundRecord,
+                      SimulationConfig)
 from repro.fl.faults import FaultSpec
 from repro.fl.serialization import (VOLATILE_FIELDS, client_update_from_dict,
                                     client_update_to_dict, decode_payload,
@@ -93,6 +95,38 @@ class TestHashCoverage:
             f"{cls.__name__}.{name} {'is in' if moved else 'is not in'} "
             f"to_dict but {'' if name in excluded else 'not '}in "
             f"HASH_EXCLUDED")
+
+
+class TestFloatFieldsAreFinite:
+    """Every float knob of a config rejects NaN by name; ±inf too, unless
+    the allowlist states what an infinite value means there."""
+
+    BASES = {cls: base for cls, (base, _) in CHANGED.items()}
+    BASES.update({LocalTrainConfig: LocalTrainConfig(),
+                  SimulationConfig: SimulationConfig()})
+    #: (class, field) -> what +inf means there.
+    INF_ALLOWED = {
+        (ExecutionConfig, "deadline_s"): "no deadline: wait for the straggler",
+        (ExecutionConfig, "norm_bound"): "no norm bound",
+        (ExecutionConfig, "staleness_exponent"): "discard every stale update",
+    }
+    CASES = [(cls, f.name) for cls in BASES for f in dataclasses.fields(cls)
+             if "float" in str(f.type)]
+
+    @pytest.mark.parametrize("cls,name", CASES,
+                             ids=[f"{c.__name__}.{n}" for c, n in CASES])
+    def test_rejects_nonfinite(self, cls, name):
+        base = self.BASES[cls]
+        for value in (math.nan, math.inf, -math.inf):
+            if value == math.inf and (cls, name) in self.INF_ALLOWED:
+                assert getattr(dataclasses.replace(base, **{name: value}),
+                               name) == math.inf
+                continue
+            with pytest.raises(ValueError, match=name):
+                dataclasses.replace(base, **{name: value})
+
+    def test_allowlist_names_real_float_fields(self):
+        assert set(self.INF_ALLOWED) <= set(self.CASES)
 
 
 def _every_field_set(cls, **values):

@@ -96,6 +96,8 @@ class TestHarnesses:
         rows = {r["method"]: r for r in table1.run(scale="paper")}
         assert rows["DepthFL"]["memory_MB"] > rows["SHeteroFL"]["memory_MB"]
         assert rows["FeDepth"]["memory_MB"] < rows["DepthFL"]["memory_MB"]
+        # Width methods land near the paper's 10.7M parameters.
+        assert 8.0 < rows["SHeteroFL"]["params_M"] < 13.0
 
     def test_table2(self):
         from repro.experiments import table2
@@ -120,9 +122,9 @@ class TestHarnesses:
 
     def test_fig4_smoke(self):
         from repro.experiments import fig4
-        rows = fig4.run(scale="smoke", datasets=["harbox"],
+        rows = fig4.run(scale="smoke", datasets=["harbox", "ucihar"],
                         algorithms=["sheterofl", "fedepth"])
-        assert len(rows) == 2
+        assert len(rows) == 2 * 2
         for row in rows:
             assert 0.0 <= row["global_acc"] <= 1.0
             assert row["effectiveness"] is not None

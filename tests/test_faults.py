@@ -450,10 +450,10 @@ class TestFlatUploads:
         run_client = algorithm.run_client
 
         def mangled(*args, **kwargs):
-            update = run_client(*args, **kwargs)
+            update, state = run_client(*args, **kwargs)
             values, key = update.payload
             update.payload = (cut(values), key)
-            return update
+            return update, state
 
         algorithm.run_client = mangled
         history = run_simulation(algorithm, SimulationConfig(
@@ -628,7 +628,7 @@ class _ScriptedExecutor(_InProcessPool):
                 self.calls[item.client_id] = attempt + 1
             if attempt < self.failures:
                 raise self.exception(f"scripted failure {attempt}")
-            return ClientResult(client_id=item.client_id, update=None)
+            return ClientResult(update=None)
         return self._pool.submit(work)
 
 

@@ -91,6 +91,13 @@ class TestLocalTraining:
         with pytest.raises(ValueError, match=f"LocalTrainConfig.{field} "):
             LocalTrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("lr", 0.0), ("momentum", 1.0), ("momentum", -0.5),
+        ("weight_decay", -1e-4)])
+    def test_optimiser_settings_out_of_range_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"LocalTrainConfig.{field} "):
+            LocalTrainConfig(**{field: value})
+
     def test_zero_max_batches_switches_training_off(self, tiny_task):
         ds, model = tiny_task
         model = model.variant(seed=10)

@@ -119,7 +119,7 @@ class TestWorkItems:
         result = execute_work_item(item, algo)
         back = pickle.loads(pickle.dumps(result))
         assert back.update.client_id == cid
-        algo.apply_client_state(back.client_id, back.client_state)
+        algo.apply_client_state(cid, back.client_state)
 
     def test_inline_matches_injected_broadcast(self):
         """A downlink ``run_client`` packs itself (broadcast=None) and one
@@ -127,8 +127,9 @@ class TestWorkItems:
         scenario_a, _ = prepare_scenario(smoke_spec())
         scenario_b, _ = prepare_scenario(smoke_spec())
         cid = sorted(scenario_a.algorithm.clients)[0]
-        own = scenario_a.algorithm.run_client(cid, 0, client_rng(0, 0, cid))
-        packed = scenario_b.algorithm.run_client(
+        own, _ = scenario_a.algorithm.run_client(cid, 0,
+                                                 client_rng(0, 0, cid))
+        packed, _ = scenario_b.algorithm.run_client(
             cid, 0, client_rng(0, 0, cid),
             broadcast=scenario_b.algorithm.pack_broadcast(cid, 0))
         values_a, key_a = own.payload
@@ -243,7 +244,7 @@ class TestPayloadSerialization:
         scenario, _ = prepare_scenario(smoke_spec(algorithm))
         algo = scenario.algorithm
         cid = sorted(algo.clients)[0]
-        update = algo.run_client(cid, 0, client_rng(0, 0, cid))
+        update, _ = algo.run_client(cid, 0, client_rng(0, 0, cid))
         back = self._round_trip(update)
         assert back.client_id == update.client_id
         assert back.version == update.version
@@ -259,7 +260,7 @@ class TestPayloadSerialization:
         scenario, _ = prepare_scenario(smoke_spec("fedrolex"))
         algo = scenario.algorithm
         cid = sorted(algo.clients)[0]
-        update = algo.run_client(cid, 2, client_rng(0, 2, cid))
+        update, _ = algo.run_client(cid, 2, client_rng(0, 2, cid))
         values, key = self._round_trip(update).payload
         orig_values, orig_key = update.payload
         assert key == orig_key and key[1] == 2      # the rolling shift
@@ -326,7 +327,7 @@ class _RecordingPool(ProcessExecutor):
         class Future:
             def result(self):
                 log.append(("await", item.client_id))
-                return ClientResult(client_id=item.client_id, update=None)
+                return ClientResult(update=item.client_id)
 
         return Future()
 
@@ -351,7 +352,7 @@ class TestRunBatchContract:
         assert log == ([("submit", cid) for cid in (1, 3, 2, 5, 0, 4)]
                        + ["meanwhile"]
                        + [("await", cid) for cid in range(6)])
-        assert [r.client_id for r in results] == list(range(6))
+        assert [r.update for r in results] == list(range(6))
 
     def test_pool_without_meanwhile(self):
         log = []
@@ -359,17 +360,16 @@ class TestRunBatchContract:
                                                 [0.0, 1.0])
         assert log == [("submit", 1), ("submit", 0),
                        ("await", 0), ("await", 1)]
-        assert [r.client_id for r in results] == [0, 1]
+        assert [r.update for r in results] == [0, 1]
 
     def test_inline_runs_meanwhile_then_dispatch_order(self):
         log = []
 
         def run_client(client_id, version, rng, broadcast=None):
             log.append(("run", client_id))
-            return client_id
+            return client_id, None
 
-        algorithm = SimpleNamespace(run_client=run_client,
-                                    pack_client_state=lambda cid: None)
+        algorithm = SimpleNamespace(run_client=run_client)
         results = InlineExecutor(algorithm).run_batch(
             self._items(), self.COSTS, lambda: log.append("meanwhile"))
         assert log == ["meanwhile"] + [("run", cid) for cid in range(6)]
