@@ -19,6 +19,10 @@ dominate the MobileNet families, skip the patch copy and run as pure
 reshaped matmuls.  Bias addition is fused into the ``linear`` / ``conv2d``
 output in place, so it never costs an extra tape node or temporary.
 
+Without a tape, ``conv2d`` lays out ``_INFER_CHUNK`` samples' patches at a
+time and its fused norm and ``layer_norm`` normalise in place: the taped
+forward's operations on the same operands, hence the same bits.
+
 Hot reductions call the ufuncs ``ndarray.sum`` / ``.max`` / ``.mean`` forward
 to (``mean`` as numpy's sum, then intp-count divide): same bits, no python frame.
 """
@@ -31,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import profiler
-from .tensor import Tensor
+from .tensor import _GRAD_STATE, Tensor
 
 __all__ = [
     "conv2d", "global_avg_pool2d", "batch_norm", "layer_norm", "embedding",
@@ -120,6 +124,11 @@ def _col2im(cols: np.ndarray, x_shape: tuple[int, ...], kh: int, kw: int,
 # 102->162 / 232->398 (ROADMAP.md, Performance, "Round 6": both sides).
 _GATHER_MAX_OW = 8
 
+# A conv without a tape lays out this many samples' patches at a time.  A
+# batch-256 paper-scale MobileNetV2 eval peaks at 204 / 225 / 390 / 751 MB at
+# chunk 1 / 8 / 64 / whole batch (ROADMAP.md, Performance, "Round 18").
+_INFER_CHUNK = 8
+
 
 @functools.lru_cache(maxsize=None)
 def _gather_plan(h: int, w: int, kh: int, kw: int, stride: int,
@@ -197,7 +206,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     # the norm's need_x: as an op, the conv output needs a grad iff a parent did
     conv_needs = (x.requires_grad or weight.requires_grad
                   or (bias is not None and bias.requires_grad))
-    out, norm_backward = _batch_norm_core(out, conv_needs, *norm)
+    out, norm_backward = _batch_norm_core(out, conv_needs, *norm, owned=True)
     parents += norm[:2]
     if act is not None:
         if report is not None:
@@ -222,7 +231,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 def _conv2d_core(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int,
                  padding: int, groups: int) -> tuple:
-    """:func:`conv2d`'s forward: ``(out, backward)``, no tape node."""
+    """:func:`conv2d`'s forward: ``(out, backward)``, no tape node.  Under
+    ``no_grad``: no ``backward``, ``_INFER_CHUNK`` samples' patches at once."""
     n, c, h, w = x.shape
     oc, cg, kh, kw = weight.shape
     if c % groups or oc % groups:
@@ -246,44 +256,52 @@ def _conv2d_core(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int,
     # Pointwise (1x1, stride 1) convs are pure channel mixes: the GEMM input
     # is just a reshape of the (padded) input — no patch copy at all.
     pointwise = (kh == 1 and kw == 1 and stride == 1)
-    bwd_index = None
-    if not pointwise and ow <= _GATHER_MAX_OW:
-        # Narrow map: one planned gather, padding taps read an appended
-        # zero.  np.take, not ``flat[:, fwd_index]``: that alone is x2
-        # faster but index-major (F-ordered); the C-contiguous (n, k, span)
-        # the GEMM has always seen would then cost a second, slower copy.
-        fwd_index, bwd_index = _gather_plan(h, w, kh, kw, stride, padding)
-        flat = xd.reshape(n * c, h * w)
-        cols = np.take(_zero_column(flat) if padding else flat, fwd_index,
-                       axis=1).reshape(n, groups, k, span)
-    else:
-        if padding:
-            # Manual zero-fill + centre assignment: np.pad's generic
-            # machinery costs ~4x as much for this (constant, symmetric,
-            # 2-axis) case.
-            padded = np.zeros((n, c, h + 2 * padding, w + 2 * padding),
-                              dtype=xd.dtype)
-            padded[:, :, padding:-padding, padding:-padding] = xd
-            xd = padded
-        if pointwise:
-            cols = xd.reshape(n, groups, k, span)
+    gathered = not pointwise and ow <= _GATHER_MAX_OW
+    fwd_index, bwd_index = (_gather_plan(h, w, kh, kw, stride, padding)
+                            if gathered else (None, None))
+    # The backward reads every patch (an empty batch makes one empty pass).
+    grad_enabled = getattr(_GRAD_STATE, "enabled", True)
+    step = max(n, 1) if grad_enabled or pointwise else _INFER_CHUNK
+    wmat = weight.data.reshape((oc, k) if groups == 1 else (groups, ocg, k))
+    out = np.empty((n, oc, oh, ow), np.promote_types(xd.dtype, wmat.dtype))
+    for s in range(0, max(n, 1), step):
+        part = xd[s:s + step]
+        m = len(part)
+        if gathered:
+            # Narrow map: one planned gather, padding taps read an appended
+            # zero.  np.take, not ``flat[:, fwd_index]``: that alone is x2
+            # faster but index-major (F-ordered); the C-contiguous (m, k,
+            # span) the GEMM has always seen would cost a second, slower copy.
+            flat = part.reshape(m * c, h * w)
+            cols = np.take(_zero_column(flat) if padding else flat,
+                           fwd_index, axis=1).reshape(m, groups, k, span)
         else:
-            # Wide map: one C-level strided copy into GEMM layout.
-            buf = np.empty((n, c, kh, kw, oh, ow), dtype=xd.dtype)
-            np.copyto(buf, _im2col_view(xd, kh, kw, stride))
-            cols = buf.reshape(n, groups, k, span)
-
-    if groups == 1:
-        wmat = weight.data.reshape(oc, k)
-        out = wmat @ cols.reshape(n, k, span)              # (n, oc, span)
-    else:
-        wmat = weight.data.reshape(groups, ocg, k)
-        out = wmat @ cols                                   # (n, g, ocg, span)
-    out = out.reshape(n, oc, oh, ow)
+            if padding:
+                # Manual zero-fill + centre assignment: np.pad's generic
+                # machinery costs ~4x as much for this (constant,
+                # symmetric, 2-axis) case.
+                padded = np.zeros((m, c, h + 2 * padding, w + 2 * padding),
+                                  dtype=xd.dtype)
+                padded[:, :, padding:-padding, padding:-padding] = part
+                part = padded
+            if pointwise:
+                cols = part.reshape(m, groups, k, span)
+            else:
+                # Wide map: one C-level strided copy into GEMM layout.
+                buf = np.empty((m, c, kh, kw, oh, ow), dtype=xd.dtype)
+                np.copyto(buf, _im2col_view(part, kh, kw, stride))
+                cols = buf.reshape(m, groups, k, span)
+        # stacked matmul calls BLAS per matrix: a chunk makes the same calls
+        if groups == 1:
+            np.matmul(wmat, cols.reshape(m, k, span),
+                      out=out[s:s + m].reshape(m, oc, span))
+        else:
+            np.matmul(wmat, cols,
+                      out=out[s:s + m].reshape(m, groups, ocg, span))
     if bias is not None:
         out += bias.data.reshape(1, oc, 1, 1)
-
-    padded_shape = xd.shape
+    if not grad_enabled:
+        return out, None
 
     def backward(grad: np.ndarray) -> tuple:
         dx = dw = db = None
@@ -332,7 +350,7 @@ def _conv2d_core(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int,
             db = np.add.reduce(grad, axis=(0, 2, 3))
         if x.requires_grad:
             if pointwise:
-                dxp = dcols.reshape(padded_shape)
+                dxp = dcols.reshape(n, c, h + 2 * padding, w + 2 * padding)
                 dx = (dxp[:, :, padding:-padding, padding:-padding]
                       if padding else dxp)
             elif bwd_index is None:
@@ -403,8 +421,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
 def _batch_norm_core(xd: np.ndarray, need_x: bool, gamma: Tensor, beta: Tensor,
                      running_mean: np.ndarray, running_var: np.ndarray,
-                     training: bool, momentum: float, eps: float) -> tuple:
-    """:func:`batch_norm` on an array: ``(out, backward)``, no tape node."""
+                     training: bool, momentum: float, eps: float, *,
+                     owned: bool = False) -> tuple:
+    """:func:`batch_norm` on an array: ``(out, backward)``, no tape node.
+
+    ``owned`` hands ``xd`` (a conv output) over to be centred in place; where
+    dtypes allow, the output reuses ``xhat * xhat`` or, with no tape, ``xhat``.
+    """
     if xd.ndim == 4:
         axes: tuple[int, ...] = (0, 2, 3)
         shape = (1, -1, 1, 1)
@@ -421,8 +444,9 @@ def _batch_norm_core(xd: np.ndarray, need_x: bool, gamma: Tensor, beta: Tensor,
         count = np.intp(m)
         mean = np.add.reduce(xd, axis=axes, keepdims=True)
         np.true_divide(mean, count, out=mean, casting="unsafe")
-        xhat = xd - mean  # centred here, scaled in place below
-        var = np.add.reduce(xhat * xhat, axis=axes, keepdims=True)
+        xhat = np.subtract(xd, mean, out=xd if owned else None)  # scaled below
+        spare = xhat * xhat
+        var = np.add.reduce(spare, axis=axes, keepdims=True)
         np.true_divide(var, count, out=var, casting="unsafe")
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean.reshape(-1)
@@ -430,11 +454,20 @@ def _batch_norm_core(xd: np.ndarray, need_x: bool, gamma: Tensor, beta: Tensor,
         running_var += momentum * var.reshape(-1)
     else:
         var = running_var.reshape(shape)
-        xhat = xd - running_mean.reshape(shape)
+        centre = running_mean.reshape(shape)
+        inplace = owned and centre.dtype == xd.dtype
+        xhat = np.subtract(xd, centre, out=xd if inplace else None)
+        # dgamma reads xhat: only a forward without a tape may overwrite it
+        spare = None if getattr(_GRAD_STATE, "enabled", True) else xhat
 
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
-    out = gamma.data.reshape(shape) * xhat + beta.data.reshape(shape)
+    g, b = gamma.data.reshape(shape), beta.data.reshape(shape)
+    if g.dtype == b.dtype == xhat.dtype:
+        out = np.multiply(g, xhat, out=spare)
+        out += b
+    else:
+        out = g * xhat + b
 
     def backward(grad: np.ndarray) -> tuple:
         need_gamma, need_beta = gamma.requires_grad, beta.requires_grad
@@ -471,6 +504,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     np.true_divide(var, count, out=var, casting="unsafe")
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
+    if (not getattr(_GRAD_STATE, "enabled", True)
+            and gamma.data.dtype == beta.data.dtype == xhat.dtype):
+        np.multiply(gamma.data, xhat, out=xhat)
+        xhat += beta.data
+        return Tensor._make(xhat, (x, gamma, beta), None)
     out = gamma.data * xhat + beta.data
 
     def backward(grad: np.ndarray) -> tuple:

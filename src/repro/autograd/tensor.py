@@ -396,10 +396,18 @@ def gelu(a: Tensor) -> Tensor:
     The cube is expanded to ``x*x*x`` (numpy's generic ``power`` ufunc is
     ~100x slower than two multiplies) and the forward ``tanh`` — the only
     transcendental — is kept alive for the backward instead of being
-    recomputed.
+    recomputed.  Without a tape the same operations run in one buffer.
     """
     c = np.float32(np.sqrt(2.0 / np.pi))
     x = a.data
+    if not getattr(_GRAD_STATE, "enabled", True):
+        t = x * x * x
+        t *= 0.044715
+        t += x
+        t *= c
+        np.tanh(t, out=t)
+        t += 1.0
+        return Tensor._make(np.multiply(x * 0.5, t, out=t), (a,), None)
     t = np.tanh(c * (x + 0.044715 * (x * x * x)))
     out = 0.5 * x * (1.0 + t)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -61,6 +62,9 @@ class Event:
         if self.type not in EVENT_TYPES:
             raise ValueError(f"unknown event type {self.type!r}; "
                              f"known: {EVENT_TYPES}")
+        # NaN breaks the heap's order (+inf is a legal "never")
+        if math.isnan(self.time_s):
+            raise ValueError(f"time_s must not be NaN ({self.type})")
 
     def timeline_entry(self) -> dict:
         """JSON-safe record for :attr:`RoundRecord.events` timelines

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.constraints import ConstraintSpec, build_scenario
 from repro.data import load_dataset
@@ -24,7 +25,7 @@ from repro.fl import (AGGREGATION_POLICIES, BufferedPolicy, Event,
 from repro.fl.aggregation import SERVER_OVERHEAD_S
 from repro.fl.checkpoint import CheckpointConfig
 from repro.fl.events import (CLIENT_DROPPED, CLIENT_FAILED, DOWNLOAD_START,
-                             SERVER_AGGREGATE, UPLOAD_COMPLETE)
+                             EVAL_TICK, SERVER_AGGREGATE, UPLOAD_COMPLETE)
 from repro.fl.executor import InlineExecutor
 from repro.fl.faults import FaultPlan, FaultSpec
 from repro.fl.sanitizers import StrictModeViolation
@@ -241,6 +242,29 @@ class TestEventQueue:
     def test_rejects_unknown_event_type(self):
         with pytest.raises(ValueError):
             Event(0.0, "teleport", 1)
+
+    def test_rejects_a_nan_time_by_name(self):
+        """NaN compares false both ways: one in the heap scrambled the
+        order of every later pop ([5, nan, 3, 1, 4, 2] popped 2, 3, 4, 1,
+        nan, 5)."""
+        with pytest.raises(ValueError, match="time_s"):
+            Event(float("nan"), UPLOAD_COMPLETE, 1)
+        assert Event(math.inf, UPLOAD_COMPLETE, 1).time_s == math.inf
+
+    @given(st.lists(st.one_of(st.integers(0, 5).map(float),
+                              st.floats(0.0, 1e9), st.just(math.inf)),
+                    max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_pops_in_time_then_insertion_order(self, times):
+        """Any push sequence of finite and +inf times, duplicates
+        included, pops sorted by ``(time, insertion)``."""
+        q = EventQueue()
+        for index, time_s in enumerate(times):
+            q.push(Event(time_s, EVAL_TICK, index))
+        popped = [q.pop().client_id for _ in range(len(times))]
+        assert popped == sorted(range(len(times)),
+                                key=lambda index: (times[index], index))
+        assert not q
 
     def test_timeline_entry_drops_payloads(self):
         event = Event(1.5, UPLOAD_COMPLETE, 4,

@@ -1230,6 +1230,118 @@ class TestFusedConvBatchNormAct:
                         eps=1e-5)
 
 
+class TestNoGradIsGradMode:
+    """A forward without a tape (chunked conv patches, the fused norm
+    written into the conv output, one-buffer ``layer_norm`` / ``gelu``)
+    returns the taped forward's output bit for bit."""
+
+    @given(n=st.integers(1, 40),
+           # output widths on both sides of _GATHER_MAX_OW at stride 1 and 2
+           hw=st.sampled_from([(4, 4), (3, 8), (5, 9), (3, 18), (6, 20)]),
+           layout=st.sampled_from(["dense", "grouped", "depthwise",
+                                   "pointwise"]),
+           stride=st.integers(1, 2), padding=st.integers(0, 1),
+           with_bias=st.booleans(), fused=st.booleans(),
+           act=st.sampled_from([None, "relu", "relu6"]),
+           training=st.booleans(), seed=st.integers(0, 2 ** 16),
+           dtype=st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=200, deadline=None)
+    def test_conv2d(self, n, hw, layout, stride, padding, with_bias, fused,
+                    act, training, seed, dtype):
+        h, w = hw
+        kernel = 1 if layout == "pointwise" else 3
+        groups = {"dense": 1, "pointwise": 1, "grouped": 2, "depthwise": 4}[
+            layout]
+        c, oc = (4, 4) if layout == "depthwise" else (4, 6)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, c, h, w)).astype(dtype)
+        wt = rng.standard_normal((oc, c // groups, kernel, kernel)
+                                 ).astype(dtype)
+        b = rng.standard_normal(oc).astype(dtype) if with_bias else None
+        gamma, beta, mean = (rng.standard_normal((3, oc)) * 2.0).astype(dtype)
+        var = (rng.random(oc) + 0.5).astype(dtype)
+
+        def run():
+            leaves = [Tensor(a, True) for a in (x, wt, gamma, beta)]
+            norm = (leaves[2], leaves[3], mean.copy(), var.copy(), training,
+                    0.1, 1e-5) if fused else None
+            out = ag.conv2d(leaves[0], leaves[1],
+                            None if b is None else Tensor(b, True),
+                            stride=stride, padding=padding, groups=groups,
+                            norm=norm, act=act if fused else None)
+            return out, norm
+
+        with ag.no_grad():
+            out, norm = run()
+        ref, ref_norm = run()
+        assert out._backward is None and ref._backward is not None
+        assert _same_bits(out.data, ref.data)
+        if fused:
+            assert _same_bits(norm[2], ref_norm[2]), "running_mean"
+            assert _same_bits(norm[3], ref_norm[3]), "running_var"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8, 32, 32), (3, 7, 5), (1, 9)])
+    def test_layer_norm_and_gelu(self, shape, dtype):
+        rng = np.random.default_rng(shape[-1])
+        x, gamma, beta = ((rng.standard_normal(s) * 3).astype(dtype)
+                          for s in (shape, shape[-1], shape[-1]))
+
+        def run():
+            leaves = [Tensor(a, True) for a in (x, gamma, beta)]
+            return ag.layer_norm(*leaves), ag.gelu(leaves[0])
+
+        with ag.no_grad():
+            outs = run()
+        for out, ref in zip(outs, run()):
+            assert out._backward is None and ref._backward is not None
+            assert _same_bits(out.data, ref.data)
+        assert np.array_equal(outs[0].data, layer_norm_reference(
+            *(Tensor(a) for a in (x, gamma, beta))).data)
+
+    @pytest.mark.parametrize("grad_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("act", [None, "relu"])
+    @pytest.mark.parametrize("xs,ws,groups", [
+        ((5, 3, 4, 4), (4, 3, 3, 3), 1),        # gathered
+        ((3, 2, 6, 11), (4, 2, 3, 3), 1),       # strided
+        ((4, 4, 4, 4), (4, 1, 3, 3), 4),        # depthwise
+    ])
+    def test_fused_training_node_is_the_reference_norm(self, xs, ws, groups,
+                                                       act, grad_dtype):
+        """The fused node's training forward (centred in place, output in
+        the ``xhat * xhat`` scratch) and backward against
+        ``batch_norm_reference`` on a separate conv output, under float32
+        and float64 upstream gradients."""
+        rng = np.random.default_rng(xs[3])
+        oc = ws[0]
+        arrays = [rng.standard_normal(s).astype(np.float32)
+                  for s in (xs, ws, (oc,), (oc,), (oc,))]
+
+        def run(fused):
+            x, wt, b, gamma, beta = (Tensor(a.copy(), True) for a in arrays)
+            stats = _bn_stats(oc)
+            if fused:
+                out = ag.conv2d(x, wt, b, padding=1, groups=groups,
+                                norm=(gamma, beta, *stats, True, 0.1, 1e-5),
+                                act=act)
+            else:
+                out = batch_norm_reference(
+                    ag.conv2d(x, wt, b, padding=1, groups=groups), gamma,
+                    beta, *stats, True)
+                if act == "relu":
+                    out = ag.relu(out)
+            grad = np.random.default_rng(9).standard_normal(out.shape)
+            out.backward(grad.astype(grad_dtype))
+            return [out.data, *stats] + [t.grad for t in (x, wt, b, gamma,
+                                                          beta)]
+
+        names = ("out", "running_mean", "running_var", "dx", "dw", "db",
+                 "dgamma", "dbeta")
+        for name, got, want in zip(names, run(True), run(False)):
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+
 def _leaves_case(seed, shapes, op):
     """fwd+bwd of ``op`` over float32 leaves drawn, in order, from ``seed``."""
     rng = np.random.default_rng(seed)
@@ -1268,6 +1380,36 @@ def _train_step_case(arch):
         opt.zero_grad()
         ag.cross_entropy(model(x), labels).backward()
         opt.step()
+
+    return step
+
+
+def _eval_step_case(arch):
+    """A no-grad eval forward of 64 16x16 images, as ``predict`` runs it."""
+    model = build_model(arch, num_classes=10, seed=0).eval()
+    x = np.random.default_rng(4).standard_normal((64, 3, 16, 16)).astype(
+        np.float32)
+
+    def step():
+        with ag.no_grad():
+            model(x)
+
+    return step
+
+
+def _conv_bn_eval_case(x, w, groups=1):
+    """A no-grad eval conv -> BN -> relu node (the fused block)."""
+    rng = np.random.default_rng(10)
+    xd, wd = (rng.standard_normal(s).astype(np.float32) for s in (x, w))
+    oc = w[0]
+    gamma, beta = (Tensor(rng.standard_normal(oc).astype(np.float32))
+                   for _ in range(2))
+
+    def step():
+        with ag.no_grad():
+            ag.conv2d(Tensor(xd), Tensor(wd), padding=1, groups=groups,
+                      norm=(gamma, beta, *_bn_stats(oc), False, 0.1, 1e-5),
+                      act="relu")
 
     return step
 
@@ -1324,6 +1466,18 @@ COUNTER_CASES = {
     "mobilenet_step": (lambda: _train_step_case("mobilenet_v2"),
                        4_528, 7_783_928),
     "resnet_step": (lambda: _train_step_case("resnet18"), 280, 4_613_548),
+    # No tape: patches 8 samples at a time, the norm written into the conv
+    # output (whole-batch patches and four full-size arrays per node: 27.3,
+    # 1.74, 27.3, 11.8 and 7.90 MB)
+    "conv_bn_relu_eval": (lambda: _conv_bn_eval_case(
+        (64, 32, 16, 16), (32, 32, 3, 3)), 64, 7_151_768),
+    "conv_bn_relu_eval_4x4": (lambda: _conv_bn_eval_case(
+        (64, 32, 4, 4), (32, 32, 3, 3)), 64, 448_864),
+    "depthwise_eval": (lambda: _conv_bn_eval_case(
+        (64, 32, 16, 16), (32, 1, 3, 3), groups=32), 2_048, 7_151_672),
+    "mobilenet_eval": (lambda: _eval_step_case("mobilenet_v2"),
+                       17_728, 4_598_984),
+    "resnet_eval": (lambda: _eval_step_case("resnet18"), 768, 2_840_448),
 }
 
 

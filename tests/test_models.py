@@ -334,6 +334,26 @@ class TestZoo:
         for name, grad in grads.items():
             assert grad.flags.c_contiguous, name
 
+    @pytest.mark.parametrize("arch", known_architectures())
+    def test_no_grad_eval_logits_are_the_taped_logits(self, arch):
+        """After a training step has moved the BN statistics, eval logits
+        without a tape (conv patches a chunk at a time, norms written into
+        their input) equal the taped eval forward's, bit for bit, at a
+        batch of 37: not a multiple of the conv chunk."""
+        from repro.fl import LocalTrainConfig, train_local
+        model = build_model(arch, num_classes=5, seed=0)
+        y = np.random.default_rng(1).integers(0, 5, size=37)
+        train_local(model, _input_for(arch, batch=37), y,
+                    LocalTrainConfig(batch_size=16, max_batches=2),
+                    np.random.default_rng(0))
+        model.eval()
+        x = _input_for(arch, batch=37, seed=5)
+        with ag.no_grad():
+            fast = model(x).data
+        taped = model(x).data
+        assert fast.dtype == taped.dtype
+        assert np.array_equal(fast, taped)
+
 
 class TestScaledChannels:
     @given(base=st.integers(1, 512),
