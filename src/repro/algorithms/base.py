@@ -269,6 +269,14 @@ class MHFLAlgorithm:
             found = self._indices[key] = SubIndex(index, take, layout.bounds)
         return found
 
+    def release_working_set(self) -> None:
+        """Drop what a run trains in — the level skeletons (with their
+        bound buffers and last gradients) and the memoised upload maps —
+        and keep its results.  Both rebuild lazily on next use, which
+        cannot change a result (see :meth:`build_client_model`)."""
+        self._client_models.clear()
+        self._indices, self._indices_shift = {}, 0
+
     def build_client_model(self, ctx: ClientContext, round_index: int,
                            rng: np.random.Generator,
                            state: np.ndarray | None = None

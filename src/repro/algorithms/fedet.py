@@ -114,6 +114,7 @@ class FedET(PersonalModelAlgorithm):
                                          self._consensus[pick])
             loss.backward()
             optimizer.step()
+            del loss  # one tape at a time: not beside the next forward
 
     # ------------------------------------------------------------------
     # Resumable server-side state: the distilled server model and the last

@@ -142,7 +142,11 @@ class RunResult:
 
     ``scenario`` is ``None`` when the run was served from the cache — the
     history, ``num_classes`` and ``level_distribution`` survive the round
-    trip; live scenario objects (models, clients) do not.
+    trip; live scenario objects (models, clients) do not.  A live result
+    pins what the run produced — the global vector, base model, clients,
+    History and deployed personal state — but not its working set, which
+    ``run_simulation`` released (level skeletons and upload maps rebuild
+    on next use).
     """
 
     history: History

@@ -90,8 +90,9 @@ def train_local(model: SliceableModel, x: np.ndarray, y: np.ndarray,
     """Run one client's local round in place; returns the mean train loss.
 
     A step is ``zero_grad -> loss -> backward -> step`` with nothing
-    around it: scratch buffers are left to the allocator, because a
-    step's tape is freed by refcount the moment ``loss`` is rebound.
+    around it: scratch buffers are left to the allocator, and ``loss`` is
+    dropped once its value is read, so its tape is freed by refcount
+    before the next forward runs — one tape is alive at a time.
     """
     config = config.resolve(model)
     optimizer = make_optimizer(model, config)
@@ -110,5 +111,6 @@ def train_local(model: SliceableModel, x: np.ndarray, y: np.ndarray,
             loss.backward()
             optimizer.step()
             losses.append(loss.item())
+            del loss
             used += 1
     return float(np.mean(losses)) if losses else 0.0

@@ -92,7 +92,8 @@ def run_simulation(algorithm, config: SimulationConfig) -> History:
     :class:`~repro.fl.executor.Executor` built from the config's
     ``workers``/``executor`` fields and closed when the run ends;
     ingestion stays on the coordinator in dispatch order, so the History
-    is byte-identical for any worker count.
+    is byte-identical for any worker count.  The algorithm's working set
+    is released then too: a finished run keeps only its results.
     """
     global RUN_COUNT
     RUN_COUNT += 1
@@ -111,3 +112,4 @@ def run_simulation(algorithm, config: SimulationConfig) -> History:
             return policy.run(algorithm)
     finally:
         executor.close()
+        algorithm.release_working_set()

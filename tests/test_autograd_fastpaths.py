@@ -29,6 +29,7 @@ from repro import nn
 from repro.autograd import Tensor, check_gradients
 from repro.autograd import functional as F
 from repro.autograd.grad_check import compare_gradients
+from repro.fl import LocalTrainConfig, train_local
 from repro.models import build_model
 
 
@@ -1384,6 +1385,20 @@ def _train_step_case(arch):
     return step
 
 
+def _train_local_case(arch):
+    """``train_local`` whole: 4 batches of 8 16x16 images, one client round."""
+    model = build_model(arch, num_classes=10, seed=0)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((32, 3, 16, 16)).astype(np.float32)
+    labels = rng.integers(0, 10, size=32)
+    config = LocalTrainConfig(batch_size=8)
+
+    def step():
+        train_local(model, x, labels, config, np.random.default_rng(0))
+
+    return step
+
+
 def _eval_step_case(arch):
     """A no-grad eval forward of 64 16x16 images, as ``predict`` runs it."""
     model = build_model(arch, num_classes=10, seed=0).eval()
@@ -1466,6 +1481,10 @@ COUNTER_CASES = {
     "mobilenet_step": (lambda: _train_step_case("mobilenet_v2"),
                        4_528, 7_783_928),
     "resnet_step": (lambda: _train_step_case("resnet18"), 280, 4_613_548),
+    # One tape at a time: each step's loss is dropped once it is read, not
+    # kept through the next forward (7 472 904 B with the two overlapping)
+    "resnet_train_local": (lambda: _train_local_case("resnet18"),
+                           1_120, 5_580_324),
     # No tape: patches 8 samples at a time, the norm written into the conv
     # output (whole-batch patches and four full-size arrays per node: 27.3,
     # 1.74, 27.3, 11.8 and 7.90 MB)

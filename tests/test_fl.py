@@ -1,6 +1,7 @@
 """Tests for the FL engine: local training, history, simulation loop."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -131,6 +132,52 @@ class TestLocalTraining:
         _, model = tiny_task
         with pytest.raises(ValueError):
             make_optimizer(model, LocalTrainConfig(optimizer="lbfgs", lr=0.1))
+
+
+def _one_tape_at_a_time(loss_fn):
+    """Wrap ``loss_fn`` so each call asserts that the loss the previous call
+    returned, and with it that step's whole tape, is already freed.  A
+    tensor takes no weak reference (it has slots); its data array does,
+    and lives exactly as long as the tensor."""
+    returned = []
+
+    def watched(*args):
+        if returned:
+            assert returned[-1]() is None, \
+                f"step {len(returned) - 1}'s loss is alive in the next forward"
+        loss = loss_fn(*args)
+        returned.append(weakref.ref(loss.data))
+        return loss
+
+    watched.returned = returned
+    return watched
+
+
+class TestOneTapeAtATime:
+    """A training loop drops each step's loss once its value is read: the
+    next forward never runs beside the previous step's tape."""
+
+    def test_train_local(self, tiny_task):
+        ds, model = tiny_task
+        loss_fn = _one_tape_at_a_time(
+            lambda m, xb, yb: ag.cross_entropy(m(xb), yb))
+        train_local(model.variant(seed=11), ds.x_train[:32],
+                    ds.y_train[:32], LocalTrainConfig(batch_size=8),
+                    np.random.default_rng(0), loss_fn=loss_fn)
+        assert len(loss_fn.returned) == 4
+
+    def test_fedet_server_distillation(self, tiny_task, monkeypatch):
+        ds, model = tiny_task
+        algo = build_scenario("fedet", model, ds, 8,
+                              ConstraintSpec(constraints=("computation",)),
+                              seed=0).algorithm
+        assert algo.server_steps >= 2
+        algo._consensus = np.full((len(algo.x_public), ds.num_classes),
+                                  1.0 / ds.num_classes, dtype=np.float32)
+        loss_fn = _one_tape_at_a_time(ag.soft_cross_entropy)
+        monkeypatch.setattr(ag, "soft_cross_entropy", loss_fn)
+        algo._distill_server(np.random.default_rng(0))
+        assert len(loss_fn.returned) == algo.server_steps
 
 
 class TestEvaluate:

@@ -7,8 +7,9 @@ Pins the ISSUE-9 acceptance criteria:
   after a sweep; deleting one cache entry flips exactly one cell back to
   pending.  Nothing is stored, so nothing can go stale.
 * **Sharding partition** — for N in {1, 2, 3, 5} over a >=30-cell grid,
-  the K/N shards are pairwise disjoint, their union is the full grid, and
-  the assignment is byte-identical across processes (content hashes, not
+  and for N in 1..8 over random grids (a hypothesis property), the K/N
+  shards are pairwise disjoint, their union is the full grid, and the
+  assignment is byte-identical across processes (content hashes, not
   ``hash()``, so ``PYTHONHASHSEED`` cannot leak in).
 * **Crash/resume** — a sweep SIGKILLed after its first cell lands, then
   re-invoked via ``repro sweep resume``, produces run-cache contents
@@ -25,9 +26,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.__main__ import main as cli_main
+from repro.algorithms import MHFL_ALGORITHMS
 from repro.constraints import AVAILABILITY_KINDS, ConstraintSpec
+from repro.data.registry import DATASET_NAMES
 from repro.experiments import (RunCache, RunSpec, Shard, SweepManifest,
                                expand_grid, run_sweep, shard_of,
                                status_rows)
@@ -113,6 +117,41 @@ class TestSharding:
         union = [s for cells in owned for s in cells]
         assert sorted(s.content_hash() for s in union) == \
             sorted(s.content_hash() for s in grid)
+
+    @given(algorithms=st.lists(st.sampled_from(MHFL_ALGORITHMS), min_size=1,
+                               max_size=4, unique=True),
+           datasets=st.lists(st.sampled_from(DATASET_NAMES), min_size=1,
+                             max_size=3, unique=True),
+           seeds=st.lists(st.integers(0, 10_000), min_size=1, max_size=4,
+                          unique=True),
+           with_baseline=st.booleans(), count=st.integers(1, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_partition_property(self, algorithms, datasets, seeds,
+                                with_baseline, count):
+        """Over random grids and N in 1..8, the K/N shards are pairwise
+        disjoint and jointly exhaustive, and each cell lands on
+        ``int(content_hash, 16) % N``."""
+        grid = expand_grid(algorithms=algorithms, datasets=datasets,
+                           scale="smoke", seeds=seeds,
+                           with_baseline=with_baseline)
+        owners = {}
+        for spec in grid:
+            digest = spec.content_hash()
+            owned = [k for k in range(count) if Shard(k, count).owns(spec)]
+            assert owned == [int(digest, 16) % count]
+            owners[digest] = owned[0]
+        assert len(owners) == len(grid)
+
+    @given(count=st.integers(1, 8), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_parse_round_trips_and_refuses_k_at_or_past_n(self, count, data):
+        index = data.draw(st.integers(0, count - 1))
+        shard = Shard.parse(f"{index}/{count}")
+        assert shard == Shard(index, count)
+        assert Shard.parse(shard.label) == shard
+        past = data.draw(st.integers(count, count + 8))
+        with pytest.raises(ValueError):
+            Shard.parse(f"{past}/{count}")
 
     def test_assignment_stable_across_processes(self):
         """No hash-randomization leakage: a fresh interpreter with a
