@@ -27,8 +27,8 @@ def main() -> None:
         print(f"  {key}: {count} clients")
     print()
 
-    summaries = summarize_results(execute_specs(specs), ALGORITHMS)
-    print(format_table([s.as_row() for s in summaries],
+    rows = summarize_results(execute_specs(specs), ALGORITHMS)
+    print(format_table(rows,
                        title="CIFAR-100, computation-limited "
                              "(one algorithm per heterogeneity level)"))
 

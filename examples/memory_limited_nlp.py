@@ -26,8 +26,8 @@ def main() -> None:
         print(f"  {name:12s} {levels[name]}")
     print()
 
-    summaries = summarize_results(results, ALGORITHMS)
-    print(format_table([s.as_row() for s in summaries],
+    rows = summarize_results(results, ALGORITHMS)
+    print(format_table(rows,
                        title="Stack Overflow (ALBERT), memory-limited"))
 
 

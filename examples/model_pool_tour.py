@@ -2,13 +2,15 @@
 
 Walks the pieces Section IV of the paper builds: measure paper-scale
 ResNet-101 variants (params / GFLOPs / activation bytes), price them on the
-Table III devices with the analytic cost model, and let the model pool pick
-the largest variant that fits each constraint.
+Table III devices with the analytic cost model, and let the constraint
+assigner pick the largest variant each sampled client trains within a round
+deadline.
 
 Run:  python examples/model_pool_tour.py
 """
 
 from repro.algorithms import get_algorithm
+from repro.constraints import ConstraintAssigner, ConstraintSpec
 from repro.experiments import format_table
 from repro.hw import DEFAULT_COST_MODEL, get_device, sample_fleet
 from repro.models import build_model
@@ -34,20 +36,22 @@ def main() -> None:
     print()
 
     for device_name in ("jetson_orin_nx", "jetson_nano", "raspberry_pi_4b"):
-        device = get_device(device_name)
-        picked = pool.largest_within_time(device, deadline_s=300.0,
-                                          num_samples=500)
-        print(f"{device_name:16s} largest variant within a 300 s round: "
-              f"{picked.key}")
+        time_full = cm.training_time_s(pool.largest.stats,
+                                       get_device(device_name),
+                                       num_samples=500)
+        print(f"{device_name:16s} full model round = {time_full:9.1f}s")
     print()
 
+    # The computation constraint with a fixed 900 s round deadline: every
+    # client gets the largest variant it can train in time.
     fleet = sample_fleet(5, seed=0)
-    for cap in fleet:
-        time_full = cm.training_time_s(pool.largest.stats, cap.as_device(),
-                                       num_samples=500)
+    assigner = ConstraintAssigner(
+        ConstraintSpec(constraints=("computation",), round_deadline_s=900.0),
+        pool, fleet, shard_sizes=[500] * len(fleet))
+    for cap, picked in zip(fleet, assigner.assign()):
         print(f"client {cap.client_id} ({cap.tier:8s}, "
-              f"{cap.compute_flops / 1e9:5.2f} GFLOP/s): full model round = "
-              f"{time_full:7.1f}s")
+              f"{cap.compute_flops / 1e9:5.2f} GFLOP/s): largest variant "
+              f"within a 900 s round = {picked.key}")
 
 
 if __name__ == "__main__":

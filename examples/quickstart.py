@@ -16,8 +16,8 @@ def main() -> None:
     # The grid is SHeteroFL plus the FedAvg-smallest effectiveness baseline.
     specs = expand_grid(["sheterofl"], ["harbox"], ("computation",),
                         scale="demo", seeds=[0])
-    summaries = summarize_results(execute_specs(specs), ["sheterofl"])
-    print(format_table([s.as_row() for s in summaries],
+    rows = summarize_results(execute_specs(specs), ["sheterofl"])
+    print(format_table(rows,
                        title="SHeteroFL on HAR-BOX (computation-limited)"))
     print("\nColumns: global_acc = final global-test accuracy;")
     print("tta_s = simulated seconds to the preset accuracy;")

@@ -10,8 +10,9 @@ Top-level convenience re-exports; see subpackages for full APIs:
 * :mod:`repro.fl` — federated simulation engine
 * :mod:`repro.algorithms` — the eight MHFL algorithms + FedAvg baseline
 * :mod:`repro.constraints` — computation/communication/memory-limited cases
-* :mod:`repro.metrics` — the four PracMHBench metrics
-* :mod:`repro.experiments` — per-table/figure reproduction harnesses
+* :mod:`repro.experiments` — per-table/figure reproduction harnesses;
+  :func:`~repro.experiments.runner.summarize_results` computes the four
+  PracMHBench metrics from each run's :class:`~repro.fl.History`
 """
 
 __version__ = "1.0.0"

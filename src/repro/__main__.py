@@ -125,12 +125,14 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                              f"(default: {DEFAULT_CACHE_DIR})")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the run cache entirely")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
+    parser.add_argument("--workers", type=_positive_int, default=None,
+                        metavar="N",
                         help="parallel workers: sweep cells fan out across "
                              "a process pool (single cells parallelise "
                              "their clients across one instead); results "
                              "are identical for any N")
-    parser.add_argument("--checkpoint-every", type=int, default=None,
+    parser.add_argument("--checkpoint-every", type=_positive_int,
+                        default=None,
                         metavar="N",
                         help="snapshot each run every N rounds so an "
                              "interrupted invocation can be resumed "
@@ -231,7 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="data partition scheme (default: auto)")
     sweep_create.add_argument("--alpha", type=float, default=0.5,
                               help="Dirichlet alpha (default: 0.5)")
-    sweep_create.add_argument("--num-clients", type=int, default=None,
+    sweep_create.add_argument("--num-clients", type=_positive_int,
+                              default=None,
                               help="override the scale's client count")
     sweep_create.add_argument("--no-baseline", action="store_true",
                               help="omit the fedavg_smallest baseline cells")
@@ -253,7 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sweep_run.add_argument("--shard", default=None, metavar="K/N",
                                help="run only cells with "
                                     "hash %% N == K (multi-host split)")
-        sweep_run.add_argument("--workers", type=int, default=None,
+        sweep_run.add_argument("--workers", type=_positive_int,
+                               default=None,
                                metavar="N",
                                help="cells in flight at once (process "
                                     "pool; results identical for any N)")
@@ -275,7 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_status.add_argument("manifest", help="manifest file to inspect")
     sweep_status.add_argument("--shard", default=None, metavar="K/N",
                               help="restrict the view to one shard")
-    sweep_status.add_argument("--shards", type=int, default=None,
+    sweep_status.add_argument("--shards", type=_positive_int,
+                              default=None,
                               metavar="N",
                               help="also break progress down by N-way "
                                    "shard")

@@ -216,12 +216,10 @@ class MHFLAlgorithm:
         return {f"x{m:.2f}": {"width_mult": m} for m in WIDTH_LEVELS}
 
     @classmethod
-    def build_pool(cls, base_model: SliceableModel,
-                   cost_model: CostModel = DEFAULT_COST_MODEL) -> ModelPool:
+    def build_pool(cls, base_model: SliceableModel) -> ModelPool:
         """Measure the variant space into a model pool."""
         return ModelPool.from_variants(base_model,
-                                       cls.variant_space(base_model),
-                                       cost_model=cost_model)
+                                       cls.variant_space(base_model))
 
     # ------------------------------------------------------------------
     # Hooks

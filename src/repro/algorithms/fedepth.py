@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..hw.cost_model import CostModel, DEFAULT_COST_MODEL
 from ..hw.flops import measure_model
 from ..hw.model_pool import ModelPool, PoolEntry
 from ..models.base import SliceableModel
@@ -46,8 +45,7 @@ class FeDepth(MHFLAlgorithm):
         return {f"seg{n}": {} for n in range(1, base_model.total_stages + 1)}
 
     @classmethod
-    def build_pool(cls, base_model: SliceableModel,
-                   cost_model: CostModel = DEFAULT_COST_MODEL) -> ModelPool:
+    def build_pool(cls, base_model: SliceableModel) -> ModelPool:
         """Measure each segment size with the complement frozen."""
         total = base_model.total_stages
         entries = []
@@ -59,7 +57,7 @@ class FeDepth(MHFLAlgorithm):
             stats = measure_model(probe)
             entries.append(PoolEntry(key=key, proportion=segment / total,
                                      overrides={}, stats=stats))
-        return ModelPool(base_model, entries, cost_model)
+        return ModelPool(base_model, entries)
 
     # ------------------------------------------------------------------
     def _segment_stages(self, ctx: ClientContext, round_index: int) -> range:

@@ -70,7 +70,7 @@ def build_scenario(algorithm_name: str, base_model: SliceableModel,
     shards = partition_dataset(dataset, num_clients, scheme=partition_scheme,
                                alpha=alpha, seed=seed)
     fleet = sample_fleet(num_clients, seed=seed + 1)
-    pool = cls.build_pool(base_model, cost_model=cost_model)
+    pool = cls.build_pool(base_model)
 
     assigner = ConstraintAssigner(
         spec, pool, fleet, [len(s) for s in shards], cost_model=cost_model)

@@ -73,39 +73,34 @@ class RunCache:
         """Where a run's telemetry serialises, next to its cache entry."""
         return self.directory / f"{spec.content_hash()}.telemetry.json"
 
+    def _read(self, path: Path, spec: "RunSpec") -> dict | None:
+        """The valid entry payload for ``spec`` at ``path``, or ``None``:
+        unreadable, version-skewed, or hash-colliding entries (stored spec
+        != requested spec) all read as absent rather than as errors."""
+        try:
+            payload = json.loads(path.read_text())
+        except (OSError, ValueError):
+            return None
+        if (payload.get("cache_version") != CACHE_VERSION
+                or payload.get("spec") != spec.to_dict()):
+            return None
+        return payload
+
     def contains(self, spec: "RunSpec") -> bool:
         """Whether a valid entry for ``spec`` exists, without counting it.
 
         This is the status probe behind sweep orchestration: derived
         ``done``/``pending`` state must be able to scan a manifest without
         skewing the ``hits``/``misses`` counters that make "the second run
-        trained nothing" observable.  Validity matches :meth:`get` exactly
-        — unreadable, version-skewed, or hash-colliding entries read as
-        absent.
+        trained nothing" observable.  Validity matches :meth:`get` exactly.
         """
-        path = self.path_for(spec)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return False
-        return (payload.get("cache_version") == CACHE_VERSION
-                and payload.get("spec") == spec.to_dict())
+        return self._read(self.path_for(spec), spec) is not None
 
     def get(self, spec: "RunSpec") -> CachedRun | None:
-        """The cached run for ``spec``, or ``None`` on a miss.
-
-        Unreadable, version-skewed, or hash-colliding entries (stored spec
-        != requested spec) all read as misses rather than errors.
-        """
+        """The cached run for ``spec``, or ``None`` on a miss."""
         path = self.path_for(spec)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            self.misses += 1
-            telemetry.inc("cache.misses")
-            return None
-        if (payload.get("cache_version") != CACHE_VERSION
-                or payload.get("spec") != spec.to_dict()):
+        payload = self._read(path, spec)
+        if payload is None:
             self.misses += 1
             telemetry.inc("cache.misses")
             return None

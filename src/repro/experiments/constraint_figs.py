@@ -38,5 +38,5 @@ def run_constraint_figure(constraints: tuple[str, ...],
     rows = []
     for dataset in datasets:
         cells = [res for res in results if res.spec.dataset == dataset]
-        rows.extend(s.as_row() for s in summarize_results(cells, algorithms))
+        rows.extend(summarize_results(cells, algorithms))
     return rows

@@ -49,4 +49,4 @@ def run(scale: str = "demo", seed: int = 0, dataset: str = "cifar100",
            "accuracy": round(res.final_accuracy, 4)}
           for res in results if res.spec.seed == one_seed]
          for one_seed in seed_list],
-        value_keys=["accuracy"])
+        value_keys={"accuracy": 6})

@@ -51,4 +51,4 @@ def run(scale: str = "demo", seed: int = 0,
           for (label, _), res in zip(cells, results)
           if res.spec.seed == one_seed]
          for one_seed in seed_list],
-        value_keys=["accuracy"])
+        value_keys={"accuracy": 6})

@@ -67,4 +67,4 @@ def run(scale: str = "demo", seed: int = 0, dataset: str = "cifar100",
                             if (res.spec.seed, res.spec.num_clients)
                             == (one_seed, num_clients)])]
          for one_seed in seed_list],
-        value_keys=["accuracy", "tta_s"])
+        value_keys={"accuracy": 6, "tta_s": 6})

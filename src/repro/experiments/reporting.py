@@ -16,12 +16,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Sequence
+from typing import Mapping, Sequence
 
-from ..metrics.summary import mean_std
+import numpy as np
 
 __all__ = ["format_table", "format_radar", "rows_to_json", "rows_to_csv",
-           "write_rows", "aggregate_seed_rows"]
+           "write_rows", "aggregate_seed_rows", "mean_std"]
 
 
 def _fmt(value) -> str:
@@ -160,18 +160,43 @@ def write_rows(rows: Sequence[dict], out: str = "table",
 # ----------------------------------------------------------------------
 # Multi-seed row aggregation
 # ----------------------------------------------------------------------
+def mean_std(values: Sequence[float | None]) -> tuple[float | None,
+                                                      float | None]:
+    """Across-seed mean and sample std, ignoring ``None`` entries.
+
+    ``None`` marks a missing measurement (e.g. a seed that never reaches
+    the time-to-accuracy target); the aggregate is computed over the values
+    that exist (and is ``None`` when none do).  Std is ``None`` when fewer
+    than two values exist.
+    """
+    numeric = [v for v in values if v is not None]
+    if not numeric:
+        return None, None
+    mean = float(np.mean(numeric))
+    std = float(np.std(numeric, ddof=1)) if len(numeric) > 1 else None
+    return mean, std
+
+
+def _round(value, digits: int):
+    return None if value is None else round(value, digits)
+
+
 def aggregate_seed_rows(per_seed_rows: Sequence[Sequence[dict]],
-                        value_keys: Sequence[str]) -> list[dict]:
+                        value_keys: Mapping[str, int]) -> list[dict]:
     """Collapse positionally-aligned per-seed row lists into mean±std rows.
 
     Each inner list must come from the same sweep loop run at a different
     seed (same length, same identity keys per position).  ``value_keys``
-    become across-seed means with ``<key>_std`` companions; every other key
-    is an identity key and must agree across seeds.  A single seed passes
-    through unchanged.
+    maps each value column to the digits it is rounded to; every other key
+    is an identity key and must agree across seeds.  A single seed keeps
+    its rows with the values rounded; several seeds turn each value into
+    the rounded across-seed mean (:func:`mean_std`) with a ``<key>_std``
+    companion and add a ``seeds`` count.
     """
     if len(per_seed_rows) == 1:
-        return list(per_seed_rows[0])
+        return [{key: (_round(value, value_keys[key]) if key in value_keys
+                       else value) for key, value in row.items()}
+                for row in per_seed_rows[0]]
     out = []
     for cells in zip(*per_seed_rows, strict=True):
         base = dict(cells[0])
@@ -181,10 +206,10 @@ def aggregate_seed_rows(per_seed_rows: Sequence[Sequence[dict]],
                     raise ValueError(
                         f"seed rows disagree on identity key {key!r}: "
                         f"{base[key]!r} != {other.get(key)!r}")
-        for key in value_keys:
+        for key, digits in value_keys.items():
             mean, std = mean_std([c.get(key) for c in cells])
-            base[key] = None if mean is None else round(mean, 6)
-            base[f"{key}_std"] = None if std is None else round(std, 6)
+            base[key] = _round(mean, digits)
+            base[f"{key}_std"] = _round(std, digits)
         base["seeds"] = len(cells)
         out.append(base)
     return out

@@ -6,11 +6,11 @@ simulation, and (when a :class:`~repro.experiments.cache.RunCache` is
 active) serves repeated cells from disk instead of recomputing them.
 :func:`execute_specs` runs a list of them (a grid from
 :func:`~repro.experiments.sweep.expand_grid`, or any plain list), and
-:func:`summarize_results` turns one dataset's results into the
-:class:`~repro.metrics.MetricSummary` rows the constraint figures print
-(shared time-to-accuracy target and baseline per seed, mean±std across
-seeds).  Everything scale-dependent comes from
-:mod:`repro.experiments.scales`.
+:func:`summarize_results` turns one dataset's results into the rows the
+constraint figures print: the four PracMHBench metrics per algorithm and
+seed, collapsed across seeds by
+:func:`~repro.experiments.reporting.aggregate_seed_rows`.  Everything
+scale-dependent comes from :mod:`repro.experiments.scales`.
 
 Parallelism enters at two granularities, both with byte-identical results:
 
@@ -49,11 +49,11 @@ from ..fl.client import LocalTrainConfig
 from ..fl.history import History
 from ..fl.serialization import history_from_dict, history_to_dict
 from ..fl.simulation import SimulationConfig, run_simulation
-from ..metrics import MetricSummary, aggregate_summaries, summarize
 from ..telemetry import runtime as telemetry
 from ..telemetry.logs import get_logger
 from .cache import RunCache
 from .mapping import build_base_model
+from .reporting import aggregate_seed_rows
 from .scales import ExperimentScale
 from .spec import RunSpec
 
@@ -443,27 +443,54 @@ BASELINE_ALGORITHM = "fedavg_smallest"
 
 
 def summarize_results(results: Sequence[RunResult],
-                      algorithms: Sequence[str]) -> list[MetricSummary]:
-    """One :class:`MetricSummary` per algorithm from one dataset's
-    (algorithm + baseline) x seed results.
+                      algorithms: Sequence[str]) -> list[dict]:
+    """The four PracMHBench metrics (Section III) for one dataset's
+    (algorithm + baseline) x seed results, one row per entry of
+    ``algorithms`` (duplicates included).
 
-    Within each seed all ``algorithms`` share the same adaptive
-    time-to-accuracy target and the same :data:`BASELINE_ALGORITHM` run —
-    the extra cell a grid from
-    :func:`~repro.experiments.sweep.expand_grid` computes once (without
-    it, effectiveness is ``None``); several seeds aggregate into mean±std
-    form.
+    Each seed gives every algorithm a row computed from its
+    :class:`~repro.fl.history.History`:
+
+    * (i) ``global_acc`` — the final global-test accuracy of the federated
+      model;
+    * (ii) ``tta_s`` — simulated seconds until global accuracy first
+      reaches the seed's shared target (:func:`resolve_target_accuracy`
+      over ``algorithms``); ``None`` when a run never reaches it;
+    * (iii) ``stability_var`` — the variance of the final per-device
+      accuracies (lower is better: every device is served about equally);
+    * (iv) ``effectiveness`` — final accuracy minus that of the seed's
+      :data:`BASELINE_ALGORITHM` run, the smallest feasible homogeneous
+      model under the same constraint case (the extra cell a grid from
+      :func:`~repro.experiments.sweep.expand_grid` computes once; without
+      it, ``None``).  Positive means model heterogeneity helped.
+
+    :func:`~repro.experiments.reporting.aggregate_seed_rows` rounds the
+    metrics to 4 / 1 / 6 / 4 digits and, over several seeds, turns the
+    per-seed rows into mean±std rows.
     """
     by_cell = {(res.spec.algorithm, res.spec.seed): res for res in results}
-    names = list(dict.fromkeys(algorithms))
-    per_algorithm: dict[str, list[MetricSummary]] = {n: [] for n in names}
+    per_seed = []
     for seed in dict.fromkeys(res.spec.seed for res in results):
-        cells = [by_cell[(name, seed)] for name in names]
+        histories = {name: by_cell[(name, seed)].history
+                     for name in algorithms}
         baseline = by_cell.get((BASELINE_ALGORITHM, seed))
-        baseline_history = baseline.history if baseline else None
-        target = resolve_target_accuracy([c.history for c in cells],
-                                         cells[0].num_classes)
-        for name, cell in zip(names, cells):
-            per_algorithm[name].append(
-                summarize(cell.history, target, baseline_history))
-    return [aggregate_summaries(per_algorithm[name]) for name in algorithms]
+        target = resolve_target_accuracy(
+            list(histories.values()),
+            by_cell[(algorithms[0], seed)].num_classes)
+        rows = []
+        for name in algorithms:
+            history = histories[name]
+            rows.append({
+                "algorithm": history.algorithm,
+                "dataset": history.dataset,
+                "global_acc": history.final_accuracy,
+                "tta_s": history.time_to_accuracy(target),
+                "stability_var": history.stability(),
+                "effectiveness": (
+                    None if baseline is None else
+                    history.final_accuracy - baseline.history.final_accuracy),
+            })
+        per_seed.append(rows)
+    return aggregate_seed_rows(per_seed, {"global_acc": 4, "tta_s": 1,
+                                          "stability_var": 6,
+                                          "effectiveness": 4})

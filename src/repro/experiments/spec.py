@@ -85,6 +85,9 @@ class RunSpec:
                              f"known: {EXECUTOR_KINDS}")
         # The IID cells pass 0; only the Dirichlet partition reads alpha.
         check_range("alpha", self.alpha, "[0, inf)")
+        for name in ("num_clients", "workers"):
+            if getattr(self, name) is not None:
+                check_range(name, getattr(self, name), "[1, inf)")
         # An explicit block wins over the constraints' availability and
         # faults, so it must honour what the cell's label names.
         constraints, execution = self.constraints, self.execution

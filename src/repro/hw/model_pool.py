@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .cost_model import CostModel, DEFAULT_COST_MODEL
-from .device import DeviceProfile
 from .flops import ModelStats, measure_model
 from ..models.base import SliceableModel
 
@@ -39,13 +37,11 @@ class PoolEntry:
 class ModelPool:
     """An ordered collection of measured variants of one base model."""
 
-    def __init__(self, base_model: SliceableModel, entries: list[PoolEntry],
-                 cost_model: CostModel = DEFAULT_COST_MODEL):
+    def __init__(self, base_model: SliceableModel, entries: list[PoolEntry]):
         if not entries:
             raise ValueError("model pool needs at least one entry")
         self.base_model = base_model
         self.entries = sorted(entries, key=lambda e: e.stats.flops_per_sample)
-        self.cost_model = cost_model
 
     # ------------------------------------------------------------------
     # Construction
@@ -53,8 +49,8 @@ class ModelPool:
     @classmethod
     def from_variants(cls, base_model: SliceableModel,
                       variants: dict[str, dict],
-                      proportions: dict[str, float] | None = None,
-                      cost_model: CostModel = DEFAULT_COST_MODEL) -> "ModelPool":
+                      proportions: dict[str, float] | None = None
+                      ) -> "ModelPool":
         """Measure a set of variants given as ``key -> constructor overrides``.
 
         ``proportions`` optionally assigns the nominal proportion per key
@@ -74,7 +70,7 @@ class ModelPool:
                 proportion = 1.0
             entries.append(PoolEntry(key=key, proportion=proportion,
                                      overrides=dict(overrides), stats=stats))
-        return cls(base_model, entries, cost_model)
+        return cls(base_model, entries)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -99,18 +95,3 @@ class ModelPool:
     @property
     def largest(self) -> PoolEntry:
         return self.entries[-1]
-
-    # ------------------------------------------------------------------
-    # Constraint-driven selection (the paper's assignment principle)
-    # ------------------------------------------------------------------
-    def largest_within_time(self, device: DeviceProfile, deadline_s: float,
-                            num_samples: int,
-                            local_epochs: int = 1) -> PoolEntry:
-        """Largest variant whose round training time meets the deadline."""
-        best = self.entries[0]
-        for entry in self.entries:
-            time_s = self.cost_model.training_time_s(
-                entry.stats, device, num_samples, local_epochs)
-            if time_s <= deadline_s:
-                best = entry
-        return best

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.hw import (measure_model, dummy_input, get_device, EDGE_DEVICES,
                       CostModel, DEFAULT_COST_MODEL, sample_fleet,
                       MEMORY_TIERS, ModelPool)
+from repro.constraints import ConstraintAssigner, ConstraintSpec
 from repro.models import build_model
 from repro.models.base import depth_variant_of
 
@@ -247,13 +248,22 @@ class TestModelPool:
             pool.base_model.variant(width_mult=0.5).num_parameters()
 
     def test_time_constrained_selection_monotone(self, pool):
-        device = get_device("jetson_nano")
-        tight = pool.largest_within_time(device, deadline_s=6.0,
-                                         num_samples=200)
-        loose = pool.largest_within_time(device, deadline_s=1e9,
-                                         num_samples=200)
-        assert loose.key == "x1.00"
-        assert tight.stats.flops_per_sample <= loose.stats.flops_per_sample
+        """The product's selection: a looser round deadline never gives a
+        client a smaller model, and an unbounded one gives everyone the
+        full model."""
+        fleet = sample_fleet(4, seed=0)
+
+        def assign(deadline_s):
+            spec = ConstraintSpec(constraints=("computation",),
+                                  round_deadline_s=deadline_s)
+            return ConstraintAssigner(spec, pool, fleet,
+                                      [200] * len(fleet)).assign()
+
+        tight, loose = assign(5.2), assign(1e9)
+        assert [e.key for e in loose] == ["x1.00"] * len(fleet)
+        assert any(e.key != "x1.00" for e in tight)
+        assert all(t.stats.flops_per_sample <= l.stats.flops_per_sample
+                   for t, l in zip(tight, loose))
 
     def test_empty_pool_rejected(self):
         base = build_model("resnet18", num_classes=10, seed=0)

@@ -25,12 +25,12 @@ from repro.experiments import (RunCache, RunSpec, aggregate_seed_rows,
                                rows_to_json, summarize_results,
                                write_rows)
 from repro.experiments.mapping import build_base_model
-from repro.fl import simulation
+from repro.experiments.runner import BASELINE_ALGORITHM, RunResult
+from repro.fl import History, RoundRecord, simulation
 from repro.fl.aggregation import ExecutionConfig
 from repro.fl.client import LocalTrainConfig
 from repro.fl.serialization import history_to_dict
 from repro.fl.simulation import SimulationConfig, run_simulation
-from repro.metrics import MetricSummary, aggregate_summaries
 
 SMOKE = ConstraintSpec(constraints=("computation",))
 
@@ -127,6 +127,16 @@ class TestRunSpecSerialization:
         spec = _smoke_spec(scale_overrides={"sample_ratio": ratio})
         with pytest.raises(ValueError, match="sample_ratio"):
             execute_spec(spec, cache=None)
+
+    @pytest.mark.parametrize("field", ["num_clients", "workers"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_non_positive_counts_are_refused(self, field, value):
+        """``num_clients=0`` used to run the scale's default fleet under
+        another hash, and ``-3`` died building the scenario."""
+        with pytest.raises(ValueError, match=f"{field} must be in"):
+            _smoke_spec(**{field: value})
+        # None (the scale's fleet, the process default) stays legal.
+        assert getattr(_smoke_spec(**{field: None}), field) is None
 
     def test_resolved_execution_availability_fallback(self):
         spec = _smoke_spec(constraints=ConstraintSpec(
@@ -253,58 +263,138 @@ class TestLegacyEquivalence:
         assert history_to_dict(modern.history) == history_to_dict(legacy)
 
 
-def _smoke_summaries(algorithms, seeds=(0,)):
+def _smoke_rows(algorithms, seeds=(0,)):
     grid = expand_grid(algorithms, ["harbox"], scale="smoke", seeds=seeds)
     return summarize_results(execute_specs(grid, cache=None), algorithms)
 
 
-class TestMultiSeed:
-    def test_summary_single_seed_rows_unchanged(self):
-        summaries = _smoke_summaries(["sheterofl"])
-        row = summaries[0].as_row()
-        assert set(row) == {"algorithm", "dataset", "global_acc", "tta_s",
-                            "stability_var", "effectiveness"}
-        assert summaries[0].num_seeds == 1
+def _history(accs, name="algo", device_accs=(0.4, 0.6)):
+    """A History evaluated every round, 10 simulated seconds apart."""
+    h = History(algorithm=name, dataset="ds")
+    for i, acc in enumerate(accs):
+        h.append(RoundRecord(round_index=i, sim_time_s=10.0 * (i + 1),
+                             round_time_s=10.0, train_loss=1.0,
+                             global_accuracy=acc))
+    h.final_device_accuracies = list(device_accs)
+    return h
 
-    def test_summary_seed_sweep(self):
-        summary = _smoke_summaries(["sheterofl"], seeds=(0, 1))[0]
-        assert summary.num_seeds == 2
-        assert summary.global_accuracy_std is not None
-        row = summary.as_row()
-        assert row["seeds"] == 2 and "global_acc_std" in row
+
+def _result(history, seed=0):
+    """A finished cell over a 10-class task (chance accuracy 0.1)."""
+    return RunResult(history=history, scenario=None, num_classes=10,
+                     spec=RunSpec(algorithm=history.algorithm,
+                                  dataset=history.dataset, seed=seed))
+
+
+class TestMetricRows:
+    """``summarize_results`` computes metrics (i)-(iv) from each History."""
+
+    def test_four_metrics(self):
+        # Best final accuracy 0.4 over chance 0.1: the shared target is
+        # 0.25, first crossed in round 2 even though accuracy then drops.
+        history = _history([0.1, 0.5, 0.4], device_accs=[0.2, 0.8])
+        baseline = _history([0.3], name=BASELINE_ALGORITHM)
+        [row] = summarize_results([_result(history), _result(baseline)],
+                                  ["algo"])
+        assert row == {"algorithm": "algo", "dataset": "ds",
+                       "global_acc": 0.4, "tta_s": 20.0,
+                       "stability_var": round(float(np.var([0.2, 0.8])), 6),
+                       "effectiveness": 0.1}
+
+    def test_effectiveness_sign(self):
+        results = [_result(_history([0.6], name="good")),
+                   _result(_history([0.4], name="worse")),
+                   _result(_history([0.5], name=BASELINE_ALGORITHM))]
+        rows = summarize_results(results, ["good", "worse"])
+        assert [r["effectiveness"] for r in rows] == [0.1, -0.1]
+
+    def test_misses_read_none(self):
+        # The best run sets the target at 0.5, which 0.3 never reaches.
+        results = [_result(_history([0.3])),
+                   _result(_history([0.9], name="best"))]
+        row = summarize_results(results, ["algo", "best"])[0]
+        assert row["global_acc"] == 0.3
+        assert row["tta_s"] is None
+        assert row["effectiveness"] is None
+
+    def test_rows_follow_algorithms_duplicates_included(self):
+        results = [_result(_history([0.3], name="a")),
+                   _result(_history([0.5], name="b"))]
+        rows = summarize_results(results, ["b", "a", "b"])
+        assert [r["algorithm"] for r in rows] == ["b", "a", "b"]
+        assert rows[0] == rows[2]
+
+
+class TestMultiSeed:
+    METRICS = ("global_acc", "tta_s", "stability_var", "effectiveness")
+
+    def test_single_seed_key_set(self):
+        [row] = _smoke_rows(["sheterofl"])
+        assert set(row) == {"algorithm", "dataset", *self.METRICS}
+
+    def test_seed_sweep(self):
+        [row] = _smoke_rows(["sheterofl"], seeds=(0, 1))
+        assert row["seeds"] == 2
+        assert set(row) == {"algorithm", "dataset", "seeds", *self.METRICS,
+                            *(f"{key}_std" for key in self.METRICS)}
+        assert row["global_acc_std"] is not None
         text = format_table([row])
         assert "±" in text
         assert "global_acc_std" not in text.splitlines()[0]
 
-    def test_aggregate_summaries_guards(self):
-        a = MetricSummary("a", "d", 0.5, 10.0, 0.01, 0.1)
-        b = MetricSummary("b", "d", 0.6, None, 0.02, 0.2)
-        assert aggregate_summaries([a]) is a
-        with pytest.raises(ValueError):
-            aggregate_summaries([a, b])
+    def test_tta_missing_in_one_seed(self):
+        # Seed 1 never lifts off chance, so it never reaches its target.
+        results = [_result(_history([0.1, 0.5, 0.4]), seed=0),
+                   _result(_history([0.05, 0.1]), seed=1)]
+        [row] = summarize_results(results, ["algo"])
+        assert row["global_acc"] == pytest.approx(0.25)
+        assert row["tta_s"] == 20.0
+        assert row["tta_s_std"] is None
 
-    def test_aggregate_summaries_tta_none_handling(self):
-        rows = [MetricSummary("a", "d", 0.5, None, 0.01, None),
-                MetricSummary("a", "d", 0.7, 20.0, 0.03, None)]
-        merged = aggregate_summaries(rows)
-        assert merged.global_accuracy == pytest.approx(0.6)
-        assert merged.time_to_accuracy_s == pytest.approx(20.0)
-        assert merged.time_to_accuracy_s_std is None
-        assert merged.effectiveness is None
+    def test_effectiveness_none_without_baseline(self):
+        results = [_result(_history([0.4]), seed=0),
+                   _result(_history([0.6]), seed=1)]
+        [row] = summarize_results(results, ["algo"])
+        assert row["seeds"] == 2
+        assert row["effectiveness"] is None
+        assert row["effectiveness_std"] is None
 
     def test_aggregate_seed_rows(self):
         per_seed = [[{"algorithm": "a", "accuracy": 0.4}],
                     [{"algorithm": "a", "accuracy": 0.6}]]
-        merged = aggregate_seed_rows(per_seed, ["accuracy"])
+        merged = aggregate_seed_rows(per_seed, {"accuracy": 6})
         assert merged[0]["accuracy"] == pytest.approx(0.5)
         assert merged[0]["accuracy_std"] is not None
         assert merged[0]["seeds"] == 2
 
-    def test_aggregate_seed_rows_identity_mismatch(self):
+    def test_single_seed_rows_are_rounded(self):
+        rows = [[{"algorithm": "a", "accuracy": 0.123456, "tta_s": None}]]
+        assert aggregate_seed_rows(rows, {"accuracy": 4, "tta_s": 1}) == \
+            [{"algorithm": "a", "accuracy": 0.1235, "tta_s": None}]
+
+    def test_identity_mismatch_raises(self):
         per_seed = [[{"algorithm": "a", "accuracy": 0.4}],
                     [{"algorithm": "b", "accuracy": 0.6}]]
         with pytest.raises(ValueError, match="identity"):
-            aggregate_seed_rows(per_seed, ["accuracy"])
+            aggregate_seed_rows(per_seed, {"accuracy": 6})
+
+    def test_two_seed_fig4_values_pinned(self):
+        """Two-seed smoke fig4 rows as recorded before the constraint
+        figures collapsed their seeds through ``aggregate_seed_rows``."""
+        from repro.experiments.fig4 import run as run_fig4
+        rows = run_fig4(scale="smoke", datasets=["harbox"],
+                        algorithms=["sheterofl", "fjord"], seeds=[0, 1])
+        assert rows == [
+            {"algorithm": "sheterofl", "dataset": "harbox",
+             "global_acc": 0.2167, "tta_s": 14.0,
+             "stability_var": 0.001074, "effectiveness": -0.0333,
+             "seeds": 2, "global_acc_std": 0.0707, "tta_s_std": 9.9,
+             "stability_var_std": 0.000341, "effectiveness_std": 0.0},
+            {"algorithm": "fjord", "dataset": "harbox",
+             "global_acc": 0.2333, "tta_s": 24.6,
+             "stability_var": 0.00018, "effectiveness": -0.0167,
+             "seeds": 2, "global_acc_std": 0.0, "tta_s_std": 4.9,
+             "stability_var_std": 0.000212, "effectiveness_std": 0.0707}]
 
 
 class TestNumClassesPlumbing:
@@ -327,11 +417,11 @@ class TestNumClassesPlumbing:
 
         monkeypatch.setattr(runner, "load_dataset", counting)
         monkeypatch.setattr(runner, "_DATASETS", {})
-        _smoke_summaries(["sheterofl", "fjord"])
+        _smoke_rows(["sheterofl", "fjord"])
         # 2 algorithms + 1 baseline over one (name, seed, sizes): one load.
         assert calls == [("harbox", 0)]
         # Same dataset, new seed: the key changed, so exactly one more load.
-        _smoke_summaries(["sheterofl"], seeds=(1,))
+        _smoke_rows(["sheterofl"], seeds=(1,))
         assert calls == [("harbox", 0), ("harbox", 1)]
         # ... and new sizes under an old (name, seed) are a new key too.
         execute_spec(_smoke_spec(scale_overrides={"dataset_kwargs": {
@@ -441,6 +531,35 @@ class TestCLI:
         assert simulation.RUN_COUNT == before, "no cell may run"
         assert "--rounds: expected a positive integer" \
             in capsys.readouterr().err
+
+    SMOKE_RUN = ["fig4", "--scale", "smoke", "--datasets", "harbox",
+                 "--algorithms", "sheterofl", "--no-cache"]
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    @pytest.mark.parametrize("argv", [
+        ["run", *SMOKE_RUN, "--workers"],
+        ["run", *SMOKE_RUN, "--checkpoint-every"],
+        ["profile", *SMOKE_RUN, "--workers"],
+        ["profile", *SMOKE_RUN, "--checkpoint-every"],
+        ["sweep", "run", "m.json", "--workers"],
+        ["sweep", "resume", "m.json", "--workers"],
+        ["sweep", "status", "m.json", "--shards"],
+        ["sweep", "create", "m.json", "--num-clients"]],
+        ids=["run-workers", "run-checkpoint-every", "profile-workers",
+             "profile-checkpoint-every", "sweep-run-workers",
+             "sweep-resume-workers", "sweep-status-shards",
+             "sweep-create-num-clients"])
+    def test_non_positive_counts_are_exit_2(self, argv, value, tmp_path,
+                                            monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        before = simulation.RUN_COUNT
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(argv + [value])
+        assert exit_info.value.code == 2
+        assert simulation.RUN_COUNT == before, "no cell may run"
+        assert f"{argv[-1]}: expected a positive integer" \
+            in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [], "nothing may be written"
 
     def test_unsupported_option_warns(self, capsys):
         assert cli_main(["run", "table3", "--rounds", "3"]) == 0
