@@ -1,30 +1,17 @@
-"""Demo-scale sweep driver, rebuilt on the sweep-manifest API.
+"""Demo-scale deliverable: the PLAN's figures as one sharded grid.
 
-Two phases, both resumable:
-
-1. **Warm** — the union of the constraint-figure grids (fig4/5/6: every
-   algorithm x dataset under one constraint each, plus the shared
-   ``fedavg_smallest`` baseline) is expanded into a
-   :class:`~repro.experiments.sweep.SweepManifest` and executed with
-   ``run_sweep``.  Status is derived from cache presence, so killing and
-   re-running this script continues where the cache left off, and
-   ``--shard K/N`` splits the warm phase across hosts.
-2. **Render** — each artifact in :data:`PLAN` is resolved through the
-   registry (``get_artifact``: a renamed or unregistered figure fails
-   loudly instead of silently diverging) and its rows are written to
-   ``results/<name>.json`` + ``.txt``.  Rendering runs with the shared
-   cache, so warmed cells are free and anything the manifest does not
-   cover (fig7 combos, fig8 non-IID, fig9 scalability) computes once and
-   lands in the same cache.
-
-Ordering and partial completion come from sweep status, not hand-kept
-lists: the plan is ordered by importance, and on a sharded invocation
-rendering is skipped while the manifest still has pending cells anywhere
-(other hosts are still warming the cache).
+Every entry of :data:`PLAN` names a registered artifact and its options.
+The script lists each entry's cells (``Artifact.specs``), executes the
+union of them once — or one ``--shard K/N`` of that union — into the run
+cache, and then renders each entry whose cells are all cached
+(``Artifact.rows``) to ``results/<name>.json`` + ``.txt``.  Nothing else
+is stored: progress is cache presence, so killing and re-running this
+script continues where the cache left off, and an entry whose cells
+another host still owns is rendered by a later run.
 
 Usage::
 
-    python results/run_sweep.py                 # warm + render everything
+    python results/run_sweep.py                 # run + render everything
     python results/run_sweep.py --group a       # key figures only
     python results/run_sweep.py --shard 0/2 --workers 4
 """
@@ -34,14 +21,12 @@ import argparse
 import json
 from pathlib import Path
 
-from repro.experiments import (RunCache, RunDefaults, format_table,
-                               get_artifact, run_defaults, write_rows)
-from repro.experiments.sweep import (Shard, SweepManifest, expand_grid,
-                                     run_sweep, status_rows)
+from repro.experiments import (RunCache, RunDefaults, Shard, execute_specs,
+                               format_table, get_artifact, run_defaults,
+                               status_rows, unique_specs, write_rows)
 from repro.telemetry.logs import configure_logging, get_logger
 
 RESULTS_DIR = Path(__file__).resolve().parent
-MANIFEST_PATH = RESULTS_DIR / "demo_sweep.manifest.json"
 
 _log = get_logger("results.sweep")
 
@@ -75,30 +60,6 @@ PLAN = [
      {"scale": "demo", "datasets": ["ucihar"]}),
 ]
 
-#: which (constraint kind, datasets) grids the warm manifest covers —
-#: exactly the expand_grid grids behind the PLAN's constraint figures.
-WARM_GRIDS = [
-    (("computation",), ["cifar100", "harbox", "agnews"]),
-    (("memory",), ["cifar100", "stackoverflow"]),
-    (("communication",), ["cifar100", "ucihar"]),
-]
-
-
-def build_manifest(cache_dir: Path) -> SweepManifest:
-    specs = []
-    seen = set()
-    for constraints, datasets in WARM_GRIDS:
-        for spec in expand_grid(datasets=datasets, constraints=constraints,
-                                scale="demo"):
-            digest = spec.content_hash()
-            if digest not in seen:
-                seen.add(digest)
-                specs.append(spec)
-    manifest = SweepManifest(name="demo_sweep", specs=specs,
-                             cache_dir=str(cache_dir))
-    manifest.save(MANIFEST_PATH)
-    return manifest
-
 
 def save(name: str, rows: list[dict], title: str) -> None:
     (RESULTS_DIR / f"{name}.json").write_text(json.dumps(rows, indent=1))
@@ -110,52 +71,38 @@ def save(name: str, rows: list[dict], title: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("group", nargs="?", choices=("a", "b", "all"),
-                        default="all",
-                        help="legacy positional group filter (default: all)")
-    parser.add_argument("--group", dest="group_opt",
-                        choices=("a", "b", "all"), default=None,
-                        help="render only this plan group")
+    parser.add_argument("--group", choices=("a", "b", "all"), default="all",
+                        help="run and render only this plan group")
     parser.add_argument("--shard", default=None, metavar="K/N",
-                        help="warm only this shard of the manifest")
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="sweep cells in flight at once")
+                        help="execute only this shard of the grid")
+    parser.add_argument("--workers", type=int, default=1, metavar="N",
+                        help="grid cells in flight at once")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="run-cache directory "
                              "(default: results/cache)")
-    parser.add_argument("--skip-warm", action="store_true",
-                        help="skip the manifest warm phase and render "
-                             "directly from the cache")
     args = parser.parse_args(argv)
     configure_logging()
-    group = args.group_opt or args.group
     shard = Shard.parse(args.shard) if args.shard else Shard()
-    cache_dir = Path(args.cache_dir) if args.cache_dir \
-        else RESULTS_DIR / "cache"
-    cache = RunCache(cache_dir)
+    cache = RunCache(Path(args.cache_dir) if args.cache_dir
+                     else RESULTS_DIR / "cache")
 
-    manifest = build_manifest(cache_dir)
-    if not args.skip_warm:
-        report = run_sweep(manifest, shard, cache=cache,
-                           workers=args.workers)
-        _log.info("warm phase: %d/%d done on shard %s (%d executed)",
-                  report.done, report.total, report.shard, report.executed)
-    status = manifest.status(cache=cache)
-    print(write_rows(status_rows(manifest, cache=cache,
-                                 shards=shard.count),
-                     out="table", title=f"Sweep: {manifest.name}"))
-    if shard.count > 1 and status.pending_count:
-        _log.info("manifest still has %d pending cells across all shards; "
-                  "skipping render (re-run unsharded, or after every "
-                  "shard finishes)", status.pending_count)
-        return 0
-
-    with run_defaults(RunDefaults(cache=cache)):
-        for plan_group, name, artifact_name, title, kwargs in PLAN:
-            if group != "all" and plan_group != group:
-                continue
-            artifact = get_artifact(artifact_name)
-            save(name, artifact.run(**kwargs), title)
+    entries = [(name, get_artifact(artifact), title, kwargs)
+               for group, name, artifact, title, kwargs in PLAN
+               if args.group in ("all", group)]
+    grids = [artifact.specs(**kwargs) for _, artifact, _, kwargs in entries]
+    cells = unique_specs(spec for grid in grids for spec in grid)
+    with run_defaults(RunDefaults(cache=cache, workers=args.workers)):
+        execute_specs([spec for spec in cells if shard.owns(spec)])
+        print(write_rows(status_rows(cells, cache, shards=shard.count),
+                         out="table", title="Status: results/run_sweep.py"))
+        for (name, artifact, title, kwargs), grid in zip(entries, grids):
+            if all(cache.contains(spec) for spec in grid):
+                # Every cell is a cache hit: no pool to read them.
+                results = execute_specs(grid, workers=1)
+                save(name, artifact.rows(results, **kwargs), title)
+            else:
+                _log.info("%s: cells still pending on other shards; not "
+                          "rendered", name)
     return 0
 
 

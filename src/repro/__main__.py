@@ -9,18 +9,22 @@ Usage::
     python -m repro run fig4 --rounds 10 --availability markov
     python -m repro run fig4 --workers 4           # same bytes, more cores
     python -m repro run fig4 --log-json --log-level debug
+    python -m repro run fig4 fig5 --scale demo     # one grid, two figures
+    python -m repro run fig4 fig5 --scale demo --shard 0/4   # host 0 of 4
+    python -m repro status fig4 fig5 --scale demo --shards 4
     python -m repro profile fig4 smoke             # trace + telemetry report
-    python -m repro sweep create results/grid.manifest.json --scale demo
-    python -m repro sweep run results/grid.manifest.json --shard 0/4
-    python -m repro sweep status results/grid.manifest.json --shards 4
-    python -m repro sweep resume results/grid.manifest.json --shard 0/4
 
 Artifacts come from the registry (:mod:`repro.experiments.registry`) —
-every ``@register_artifact`` module is auto-discovered.  Runs are cached
+every ``@register_artifact`` module is auto-discovered, and each lists its
+cells separately from its rows.  ``run`` executes the union of the named
+artifacts' cells once, then prints each artifact's rows.  Runs are cached
 content-addressed under ``results/cache`` (``--cache-dir`` to relocate,
 ``--no-cache`` to disable), so a repeated invocation trains nothing and a
 shared cell — the FedAvg-smallest baseline — is computed once across
-figures.
+figures.  ``run --shard K/N`` executes only the cells with
+``int(content_hash, 16) % N == K`` and renders nothing; ``status`` derives
+each cell's done / pending state from the cache, per algorithm, per shard
+and in total.  A killed run is resumed by running it again.
 
 ``profile`` runs an artifact under a telemetry session
 (:mod:`repro.telemetry`): it writes a Chrome-trace JSON loadable in
@@ -32,7 +36,6 @@ profiled run produces byte-identical histories to a plain ``run``.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from pathlib import Path
@@ -42,7 +45,9 @@ from .experiments.cache import DEFAULT_CACHE_DIR, RunCache
 from .experiments.registry import all_artifacts, get_artifact
 from .experiments.reporting import write_rows
 from .experiments.runner import (DEFAULT_CHECKPOINT_DIR, RunDefaults,
-                                 run_defaults)
+                                 execute_specs, run_defaults)
+from .experiments.spec import unique_specs
+from .experiments.sweep import Shard, status_rows
 from .telemetry.logs import LOG_LEVELS, configure_logging, get_logger
 from .telemetry.report import report_rows
 from .telemetry.runtime import telemetry_session
@@ -96,9 +101,9 @@ def _logging_options() -> argparse.ArgumentParser:
     return parent
 
 
-def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    """The options ``run`` and ``profile`` share (everything that shapes
-    what executes: scale, sweep axes, cache, parallelism, checkpoints)."""
+def _add_grid_options(parser: argparse.ArgumentParser) -> None:
+    """The options that shape an artifact's grid (``run``, ``profile`` and
+    ``status`` share them), plus where its cache lives and how to print."""
     parser.add_argument("--scale", default=None,
                         help="scale preset: smoke | demo | paper "
                              "(default: the artifact's own)")
@@ -123,11 +128,17 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help=f"run-cache directory "
                              f"(default: {DEFAULT_CACHE_DIR})")
+
+
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    """The options ``run`` and ``profile`` share: the grid options plus
+    the run mechanics (cache switch, parallelism, checkpoints)."""
+    _add_grid_options(parser)
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the run cache entirely")
     parser.add_argument("--workers", type=_positive_int, default=None,
                         metavar="N",
-                        help="parallel workers: sweep cells fan out across "
+                        help="parallel workers: grid cells fan out across "
                              "a process pool (single cells parallelise "
                              "their clients across one instead); results "
                              "are identical for any N")
@@ -159,10 +170,13 @@ def _build_parser() -> argparse.ArgumentParser:
     describe = sub.add_parser("describe", help="show one artifact's details")
     describe.add_argument("artifact")
 
-    run = sub.add_parser("run", help="execute an artifact",
+    run = sub.add_parser("run", help="execute artifacts",
                          parents=[logging_options])
-    run.add_argument("artifact")
+    run.add_argument("artifacts", nargs="+", metavar="artifact")
     _add_run_options(run)
+    run.add_argument("--shard", default=None, metavar="K/N",
+                     help="execute only the cells with content hash "
+                          "%% N == K, into the cache; prints no rows")
 
     profile = sub.add_parser(
         "profile", parents=[logging_options],
@@ -189,107 +203,20 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="trace peak memory per top-level span "
                               "(tracemalloc; slows the run)")
 
-    sweep = sub.add_parser(
-        "sweep", parents=[logging_options],
-        help="manifest-driven, resumable, shardable experiment sweeps",
-        description="Orchestrate large experiment grids through a sweep "
-                    "manifest: an expanded, content-hashed spec list. "
-                    "Per-cell status is derived from run-cache presence "
-                    "(never stored), so `resume` is literally `run` "
-                    "re-invoked and a SIGKILLed sweep loses at most its "
-                    "in-flight cells.  --shard K/N partitions the grid "
-                    "deterministically across hosts.")
-    sweep_sub = sweep.add_subparsers(dest="sweep_command")
-
-    sweep_create = sweep_sub.add_parser(
-        "create", parents=[logging_options],
-        help="expand a grid into a manifest file",
-        description="Expand (datasets x seeds x algorithms [+ baseline]) "
-                    "into unique RunSpecs and write them as a manifest. "
-                    "The manifest is immutable input — no status, no "
-                    "timestamps — so any number of hosts can run it "
-                    "concurrently.")
-    sweep_create.add_argument("manifest", help="manifest file to write")
-    sweep_create.add_argument("--name", default=None,
-                              help="sweep name (default: manifest stem)")
-    sweep_create.add_argument("--algorithms", type=_parse_str_list,
-                              default=None, metavar="A1,A2",
-                              help="algorithms (default: all MHFL)")
-    sweep_create.add_argument("--datasets", type=_parse_str_list,
-                              default=None, metavar="D1,D2",
-                              help="datasets (default: all)")
-    sweep_create.add_argument("--constraints", type=_parse_str_list,
-                              default=["computation"], metavar="C1,C2",
-                              help="constraint kinds (default: computation)")
-    sweep_create.add_argument("--availability", default="always_on",
-                              choices=AVAILABILITY_KINDS,
-                              help="fleet availability scenario")
-    sweep_create.add_argument("--scale", default="demo",
-                              help="scale preset: smoke | demo | paper")
-    sweep_create.add_argument("--seeds", type=_parse_int_list,
-                              default=[0], metavar="0,1,2",
-                              help="seeds to sweep (default: 0)")
-    sweep_create.add_argument("--partition-scheme", default="auto",
-                              help="data partition scheme (default: auto)")
-    sweep_create.add_argument("--alpha", type=float, default=0.5,
-                              help="Dirichlet alpha (default: 0.5)")
-    sweep_create.add_argument("--num-clients", type=_positive_int,
-                              default=None,
-                              help="override the scale's client count")
-    sweep_create.add_argument("--no-baseline", action="store_true",
-                              help="omit the fedavg_smallest baseline cells")
-    sweep_create.add_argument("--cache-dir", default=None, metavar="DIR",
-                              help=f"cache directory the manifest targets "
-                                   f"(default: {DEFAULT_CACHE_DIR})")
-
-    for verb, text in (("run", "run the manifest's pending cells"),
-                       ("resume", "alias for run: re-derive pending cells "
-                                  "from the cache and continue")):
-        sweep_run = sweep_sub.add_parser(
-            verb, parents=[logging_options], help=text,
-            description="Derive pending cells (manifest minus cache) and "
-                        "execute them with bounded concurrency.  Safe to "
-                        "kill at any point: every finished cell is one "
-                        "atomic cache write, so re-invoking continues "
-                        "where the cache left off.")
-        sweep_run.add_argument("manifest", help="manifest file to run")
-        sweep_run.add_argument("--shard", default=None, metavar="K/N",
-                               help="run only cells with "
-                                    "hash %% N == K (multi-host split)")
-        sweep_run.add_argument("--workers", type=_positive_int,
-                               default=None,
-                               metavar="N",
-                               help="cells in flight at once (process "
-                                    "pool; results identical for any N)")
-        sweep_run.add_argument("--cache-dir", default=None, metavar="DIR",
-                               help="override the manifest's cache "
-                                    "directory")
-        sweep_run.add_argument("--no-telemetry", action="store_true",
-                               help="skip the per-cell telemetry sidecars "
-                                    "status reads throughput from")
-
-    sweep_status = sweep_sub.add_parser(
+    status = sub.add_parser(
         "status", parents=[logging_options],
-        help="derived progress: per-algorithm / per-shard / total",
-        description="Derive done/pending per cell from cache presence "
-                    "(nothing is stored, so this can never be stale) and "
-                    "print per-algorithm progress plus throughput from "
-                    "the telemetry sidecars.  --shards N adds one row per "
-                    "shard of an N-way partition.")
-    sweep_status.add_argument("manifest", help="manifest file to inspect")
-    sweep_status.add_argument("--shard", default=None, metavar="K/N",
-                              help="restrict the view to one shard")
-    sweep_status.add_argument("--shards", type=_positive_int,
-                              default=None,
-                              metavar="N",
-                              help="also break progress down by N-way "
-                                   "shard")
-    sweep_status.add_argument("--cache-dir", default=None, metavar="DIR",
-                              help="override the manifest's cache "
-                                   "directory")
-    sweep_status.add_argument("--out", default="table",
-                              choices=("table", "json", "csv"),
-                              help="output format (default: table)")
+        help="done / pending cells of artifacts' grids, from the cache",
+        description="List the named artifacts' cells without running "
+                    "them and derive each one's state from run-cache "
+                    "presence (nothing is stored, so this can never be "
+                    "stale): one row per algorithm and a total, with "
+                    "throughput from the telemetry sidecars.  --shards N "
+                    "adds one row per shard of an N-way partition.")
+    status.add_argument("artifacts", nargs="+", metavar="artifact")
+    _add_grid_options(status)
+    status.add_argument("--shards", type=_positive_int, default=None,
+                        metavar="N",
+                        help="also break progress down by N-way shard")
     return parser
 
 
@@ -404,18 +331,82 @@ def _report_cache(cache: RunCache | None) -> None:
                   cache.hits, cache.misses, cache.directory)
 
 
-def _cmd_run(args) -> int:
+def _selected(args) -> list | None:
+    """``(artifact, kwargs, cells)`` per named artifact, or ``None``
+    (logged) when a name is unknown."""
     try:
-        artifact = get_artifact(args.artifact)
+        artifacts = [get_artifact(name) for name in args.artifacts]
     except ValueError as error:
         _log.error("%s", error)
+        return None
+    selected = []
+    for artifact in artifacts:
+        kwargs = _artifact_kwargs(artifact, args)
+        selected.append((artifact, kwargs, artifact.specs(**kwargs)))
+    return selected
+
+
+def _cells(selected) -> list:
+    """The union of the selected artifacts' cells, one per content hash."""
+    return unique_specs(spec for _, _, cells in selected for spec in cells)
+
+
+def _cmd_run(args) -> int:
+    selected = _selected(args)
+    if selected is None:
         return 2
-    kwargs = _artifact_kwargs(artifact, args)
+    if args.shard is not None:
+        return _run_shard(args, selected)
     with run_defaults(_run_defaults(args)) as defaults:
-        rows = artifact.run(**kwargs)
-    print(write_rows(rows, out=args.out, title=artifact.title,
-                     render=artifact.render, **artifact.render_kwargs))
+        union = _cells(selected)
+        results = {spec.content_hash(): result
+                   for spec, result in zip(union, execute_specs(union))}
+        for artifact, kwargs, cells in selected:
+            rows = artifact.rows([results[spec.content_hash()]
+                                  for spec in cells], **kwargs)
+            print(write_rows(rows, out=args.out, title=artifact.title,
+                             render=artifact.render,
+                             **artifact.render_kwargs))
     _report_cache(defaults.cache)
+    return 0
+
+
+def _run_shard(args, selected) -> int:
+    """Execute one shard of the artifacts' cells into the cache."""
+    try:
+        shard = Shard.parse(args.shard)
+    except ValueError as error:
+        _log.error("--shard: %s", error)
+        return 2
+    defaults = _run_defaults(args)
+    if defaults.cache is None:
+        _log.error("--shard fills the run cache; it cannot run with "
+                   "--no-cache or --resume")
+        return 2
+    cells = _cells(selected)
+    if not cells:
+        _log.error("%s list no cells to shard", " ".join(args.artifacts))
+        return 2
+    mine = [spec for spec in cells if shard.owns(spec)]
+    _log.info("shard %s: %d of %d cells", shard.label, len(mine),
+              len(cells))
+    # The session makes every cell (and pool worker) leave its telemetry
+    # sidecar, which is where `status` reads throughput from.
+    with run_defaults(defaults), \
+            telemetry_session(meta={"shard": shard.label}):
+        execute_specs(mine)
+    _report_cache(defaults.cache)
+    return 0
+
+
+def _cmd_status(args) -> int:
+    selected = _selected(args)
+    if selected is None:
+        return 2
+    cache = RunCache(args.cache_dir or DEFAULT_CACHE_DIR)
+    rows = status_rows(_cells(selected), cache, shards=args.shards)
+    print(write_rows(rows, out=args.out,
+                     title=f"Status: {' '.join(args.artifacts)}"))
     return 0
 
 
@@ -461,87 +452,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    from .experiments.sweep import (Shard, SweepManifest, expand_grid,
-                                    run_sweep, status_rows)
-    if args.sweep_command is None:
-        _log.error("sweep needs a subcommand: create | run | status | "
-                   "resume (see python -m repro sweep --help)")
-        return 2
-
-    if args.sweep_command == "create":
-        path = Path(args.manifest)
-        try:
-            specs = expand_grid(
-                algorithms=args.algorithms, datasets=args.datasets,
-                constraints=tuple(args.constraints),
-                availability=args.availability, scale=args.scale,
-                seeds=tuple(args.seeds),
-                partition_scheme=args.partition_scheme, alpha=args.alpha,
-                num_clients=args.num_clients,
-                with_baseline=not args.no_baseline)
-            manifest = SweepManifest(
-                name=args.name or path.stem.split(".")[0], specs=specs,
-                cache_dir=args.cache_dir or str(DEFAULT_CACHE_DIR))
-        except ValueError as error:
-            _log.error("%s", error)
-            return 2
-        manifest.save(path)
-        print(f"manifest {manifest.name}: {len(manifest.specs)} cells "
-              f"-> {path}")
-        print(f"  cache: {manifest.cache_dir}")
-        print(f"  run with: python -m repro sweep run {path} "
-              f"[--shard K/N] [--workers N]")
-        return 0
-
-    try:
-        manifest = SweepManifest.load(args.manifest)
-    except ValueError as error:
-        _log.error("%s", error)
-        return 2
-    try:
-        shard = Shard.parse(args.shard) if args.shard else Shard()
-    except ValueError as error:
-        _log.error("%s", error)
-        return 2
-    cache = RunCache(args.cache_dir) if args.cache_dir else manifest.cache()
-
-    if args.sweep_command == "status":
-        rows = status_rows(manifest, shard, cache=cache,
-                           shards=args.shards)
-        print(write_rows(rows, out=args.out,
-                         title=f"Sweep: {manifest.name} "
-                               f"[shard {shard.label}]"))
-        return 0
-
-    # run | resume — deliberately the same code path: pending cells are
-    # re-derived from the cache on every invocation.
-    stack = contextlib.ExitStack()
-    with stack:
-        if not args.no_telemetry:
-            # A session makes execute_spec (and its pool workers) persist
-            # per-cell telemetry sidecars, which is where `status` gets
-            # its throughput numbers.  Observation-only: cell results are
-            # byte-identical either way.
-            stack.enter_context(telemetry_session(
-                meta={"sweep": manifest.name, "shard": shard.label}))
-        report = run_sweep(manifest, shard, cache=cache,
-                           workers=args.workers)
-    # The exact "# sweep: ..." text is CLI contract like "# cache: ..."
-    # below — CI greps it to assert a completed sweep re-runs as all-hits.
-    _log.info("# sweep: total=%d done=%d executed=%d already_done=%d "
-              "cache_served=%d",
-              report.total, report.done, report.executed,
-              report.already_done, report.cache_served,
-              extra={"sweep": report.manifest, "shard": report.shard})
-    _report_cache(cache)
-    print(f"sweep {report.manifest} shard {report.shard}: "
-          f"{report.done}/{report.total} done "
-          f"({report.executed} executed, {report.already_done} already "
-          f"cached, {report.cache_served} served mid-run)")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # Default logging config so pre-parse warnings/errors are visible;
@@ -565,8 +475,8 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_run(args)
     if args.command == "profile":
         return _cmd_profile(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
+    if args.command == "status":
+        return _cmd_status(args)
     parser.print_help()
     return 0
 

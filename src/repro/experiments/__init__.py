@@ -1,11 +1,13 @@
 """Per-table / per-figure reproduction harnesses.
 
-Each artifact module exposes ``run(scale=..., seed=...) -> list[dict]``
-registered under a stable name (:mod:`repro.experiments.registry`); the
-unified CLI drives them::
+Each artifact module registers, under a stable name, the cells it lists
+(``specs(**kwargs) -> list[RunSpec]``) and the rows it builds from their
+results (``rows(results, **kwargs) -> list[dict]``); see
+:mod:`repro.experiments.registry`.  The unified CLI drives them::
 
     python -m repro list
     python -m repro run fig4 --scale demo --seeds 0,1,2 --out json
+    python -m repro status fig4 fig5 --scale demo --shards 2
 
 Runs are described declaratively by :class:`~repro.experiments.spec.RunSpec`
 and cached content-addressed (:mod:`repro.experiments.cache`), so repeated
@@ -24,10 +26,8 @@ from .runner import (RunDefaults, RunResult, build_worker_scenario,
                      resolve_target_accuracy, run_defaults,
                      summarize_results)
 from .scales import SCALES, ExperimentScale, get_scale, resolve_scale
-from .spec import RunSpec
-from .sweep import (CellStatus, Shard, SweepManifest, SweepRunReport,
-                    SweepStatus, expand_grid, run_sweep, shard_of,
-                    status_rows)
+from .spec import RunSpec, unique_specs
+from .sweep import Shard, expand_grid, shard_of, status_rows
 
 # Figure/table modules (repro.experiments.table1, .fig4, ...) are imported
 # lazily by name — importing them here would shadow `python -m` execution.
@@ -35,7 +35,8 @@ __all__ = [
     "base_arch_for", "build_base_model",
     "aggregate_seed_rows", "format_radar", "format_table",
     "rows_to_csv", "rows_to_json", "write_rows",
-    "RunResult", "RunSpec", "execute_spec", "execute_specs",
+    "RunResult", "RunSpec", "unique_specs", "execute_spec",
+    "execute_specs",
     "prepare_scenario", "build_worker_scenario",
     "resolve_target_accuracy", "summarize_results",
     "RunDefaults", "run_defaults",
@@ -43,6 +44,5 @@ __all__ = [
     "Artifact", "all_artifacts", "get_artifact",
     "register_artifact",
     "SCALES", "ExperimentScale", "get_scale", "resolve_scale",
-    "SweepManifest", "SweepStatus", "SweepRunReport", "CellStatus",
-    "Shard", "shard_of", "expand_grid", "run_sweep", "status_rows",
+    "Shard", "shard_of", "expand_grid", "status_rows",
 ]

@@ -21,7 +21,7 @@ from .registry import register_artifact
 from .runner import execute_spec
 from .spec import RunSpec
 
-__all__ = ["ABLATIONS", "run"]
+__all__ = ["ABLATIONS", "rows"]
 
 
 def _disable_depthfl_distill(algorithm) -> None:
@@ -71,10 +71,10 @@ def _run_variant(algorithm_name: str, dataset: str, scale: str, seed: int,
 
 
 @register_artifact("ablations", title="Ablations: what each mechanism buys")
-def run(scale: str = "demo", seed: int = 0,
-        names: list[str] | None = None,
-        scale_overrides: dict | None = None) -> list[dict]:
-    rows = []
+def rows(results, scale: str = "demo", seed: int = 0,
+         names: list[str] | None = None,
+         scale_overrides: dict | None = None) -> list[dict]:
+    out = []
     for name in (names or list(ABLATIONS)):
         algorithm, dataset, mutate, description = ABLATIONS[name]
         full = _run_variant(algorithm, dataset, scale, seed,
@@ -83,11 +83,11 @@ def run(scale: str = "demo", seed: int = 0,
                                tag=f"ablation:{name}",
                                scale_overrides=scale_overrides)
         acc_full, acc_ablated = round(full, 4), round(ablated, 4)
-        rows.append({"ablation": name, "dataset": dataset,
+        out.append({"ablation": name, "dataset": dataset,
                      "acc_full": acc_full,
                      "acc_ablated": acc_ablated,
                      # derived from the *rounded* fields so the row is
                      # self-consistent at any rounding boundary.
                      "mechanism_gain": round(acc_full - acc_ablated, 4),
                      "description": description})
-    return rows
+    return out

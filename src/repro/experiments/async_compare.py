@@ -25,7 +25,7 @@ from .runner import execute_spec, resolve_target_accuracy
 from .scales import resolve_scale
 from .spec import RunSpec
 
-__all__ = ["run", "MODES", "CASES"]
+__all__ = ["rows", "MODES", "CASES"]
 
 MODES = ("sync", "deadline", "buffered")
 
@@ -66,19 +66,19 @@ def _mode_factories(spec: ConstraintSpec, sample_ratio: float) -> dict:
 @register_artifact("async_compare",
                    title="Async execution: sync vs deadline vs buffered "
                          "(time-to-accuracy, simulated clock)")
-def run(scale: str = "demo", seed: int = 0, dataset: str = "harbox",
-        algorithms: list[str] | None = None,
-        cases: list[tuple[str, ...]] | None = None,
-        availability: str = "dropout",
-        availability_kwargs: dict | None = None,
-        scale_overrides: dict | None = None) -> list[dict]:
+def rows(results, scale: str = "demo", seed: int = 0,
+         dataset: str = "harbox", algorithms: list[str] | None = None,
+         cases: list[tuple[str, ...]] | None = None,
+         availability: str = "dropout",
+         availability_kwargs: dict | None = None,
+         scale_overrides: dict | None = None) -> list[dict]:
     algorithms = algorithms or ["sheterofl", "depthfl"]
     if availability_kwargs is None:
         availability_kwargs = {"prob": 0.15} if availability == "dropout" \
             else {}
     sample_ratio = resolve_scale(scale, scale_overrides).sample_ratio
 
-    rows = []
+    out = []
     for case in (cases or CASES):
         spec = ConstraintSpec(constraints=case, availability=availability,
                               availability_kwargs=availability_kwargs)
@@ -105,7 +105,7 @@ def run(scale: str = "demo", seed: int = 0, dataset: str = "harbox",
                 history = results[mode].history
                 dropped = history.dropped_counts()
                 tta = history.time_to_accuracy(target)
-                rows.append({
+                out.append({
                     "constraints": spec.label, "algorithm": name,
                     "mode": mode, "rounds": len(history.records),
                     "final_acc": round(history.final_accuracy, 4),
@@ -115,4 +115,4 @@ def run(scale: str = "demo", seed: int = 0, dataset: str = "harbox",
                     "dropped": sum(dropped.values()),
                     "stale": history.stale_update_count(),
                 })
-    return rows
+    return out

@@ -89,8 +89,8 @@ class RunCache:
     def contains(self, spec: "RunSpec") -> bool:
         """Whether a valid entry for ``spec`` exists, without counting it.
 
-        This is the status probe behind sweep orchestration: derived
-        ``done``/``pending`` state must be able to scan a manifest without
+        This is the status probe behind ``repro status``: derived
+        ``done``/``pending`` state must be able to scan a grid without
         skewing the ``hits``/``misses`` counters that make "the second run
         trained nothing" observable.  Validity matches :meth:`get` exactly.
         """

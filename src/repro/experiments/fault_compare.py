@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from ..constraints import ConstraintSpec
 from .registry import register_artifact
-from .runner import execute_spec
 from .spec import RunSpec
 
-__all__ = ["run", "PROFILES"]
+__all__ = ["specs", "rows", "PROFILES"]
 
 #: named fault profiles: :class:`~repro.fl.faults.FaultSpec` kwargs.
 PROFILES: dict[str, dict] = {
@@ -34,47 +33,59 @@ PROFILES: dict[str, dict] = {
 }
 
 
-@register_artifact("fault_compare",
-                   title="Fault injection: accuracy and defenses under "
-                         "crash / straggler / corrupt-update profiles")
-def run(scale: str = "demo", seed: int = 0, dataset: str = "harbox",
-        algorithms: list[str] | None = None,
-        profiles: list[str] | None = None,
-        case: tuple[str, ...] = ("computation",),
-        scale_overrides: dict | None = None) -> list[dict]:
-    algorithms = algorithms or ["sheterofl", "fedproto"]
+def _cells(algorithms: list[str] | None,
+           profiles: list[str] | None) -> list[tuple[str, str]]:
+    """(algorithm, profile) pairs, algorithm-major, in the order both
+    ``specs`` and ``rows`` walk them."""
     names = list(profiles or PROFILES)
     unknown = set(names) - set(PROFILES)
     if unknown:
         raise ValueError(f"unknown fault profiles {sorted(unknown)}; "
                          f"known: {sorted(PROFILES)}")
+    return [(name, profile)
+            for name in (algorithms or ["sheterofl", "fedproto"])
+            for profile in names]
 
-    rows = []
-    for name in algorithms:
-        clean_acc = None
-        for profile in names:
-            spec = RunSpec(
-                algorithm=name, dataset=dataset,
-                constraints=ConstraintSpec(constraints=case,
-                                           faults=PROFILES[profile]),
-                scale=scale, scale_overrides=scale_overrides or {},
-                seed=seed)
-            history = execute_spec(spec).history
-            dropped = history.dropped_counts()
-            crashed = dropped.pop("crash", 0)
-            quarantined = dropped.pop("quarantined", 0)
-            final = history.final_accuracy
-            if profile == "clean":
-                clean_acc = final
-            rows.append({
-                "profile": profile, "algorithm": name,
-                "rounds": len(history.records),
-                "final_acc": round(final, 4),
-                "delta_acc": (None if clean_acc is None
-                              else round(final - clean_acc, 4)),
-                "crashed": crashed,
-                "quarantined": quarantined,
-                "dropped_other": sum(dropped.values()),
-                "total_s": round(history.total_sim_time_s, 1),
-            })
-    return rows
+
+def specs(scale: str = "demo", seed: int = 0, dataset: str = "harbox",
+          algorithms: list[str] | None = None,
+          profiles: list[str] | None = None,
+          case: tuple[str, ...] = ("computation",),
+          scale_overrides: dict | None = None) -> list[RunSpec]:
+    return [RunSpec(algorithm=name, dataset=dataset,
+                    constraints=ConstraintSpec(constraints=case,
+                                               faults=PROFILES[profile]),
+                    scale=scale, scale_overrides=scale_overrides or {},
+                    seed=seed)
+            for name, profile in _cells(algorithms, profiles)]
+
+
+@register_artifact("fault_compare",
+                   title="Fault injection: accuracy and defenses under "
+                         "crash / straggler / corrupt-update profiles",
+                   specs=specs)
+def rows(results, algorithms: list[str] | None = None,
+         profiles: list[str] | None = None, **_) -> list[dict]:
+    out = []
+    clean_acc = {}
+    for (name, profile), result in zip(_cells(algorithms, profiles),
+                                       results):
+        history = result.history
+        dropped = history.dropped_counts()
+        crashed = dropped.pop("crash", 0)
+        quarantined = dropped.pop("quarantined", 0)
+        final = history.final_accuracy
+        if profile == "clean":
+            clean_acc[name] = final
+        out.append({
+            "profile": profile, "algorithm": name,
+            "rounds": len(history.records),
+            "final_acc": round(final, 4),
+            "delta_acc": (None if name not in clean_acc
+                          else round(final - clean_acc[name], 4)),
+            "crashed": crashed,
+            "quarantined": quarantined,
+            "dropped_other": sum(dropped.values()),
+            "total_s": round(history.total_sim_time_s, 1),
+        })
+    return out

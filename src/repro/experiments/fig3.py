@@ -13,7 +13,7 @@ from ..hw.device import get_device
 from ..models.zoo import build_model
 from .registry import register_artifact
 
-__all__ = ["run"]
+__all__ = ["rows"]
 
 _ROUND_SAMPLES = 500
 _BATCH = 8
@@ -21,18 +21,18 @@ _METHODS = ("fjord", "sheterofl", "fedrolex")
 
 
 @register_artifact("fig3", title="Figure 3: model pool on Jetson Orin NX")
-def run(scale: str = "paper", seed: int = 0) -> list[dict]:
+def rows(results, scale: str = "paper", seed: int = 0) -> list[dict]:
     model_scale = "paper" if scale == "paper" else "tiny"
     orin = get_device("jetson_orin_nx")
     cm = DEFAULT_COST_MODEL
-    rows = []
+    out = []
     for method in _METHODS:
         cls = get_algorithm(method)
         base = build_model("resnet101", num_classes=100, seed=seed,
                            scale=model_scale, **cls.base_model_overrides)
         pool = cls.build_pool(base)
         for entry in sorted(pool.entries, key=lambda e: -e.proportion):
-            rows.append({
+            out.append({
                 "method": method,
                 "variant": f"R101{entry.key}",
                 "params_M": round(entry.stats.params_millions, 2),
@@ -42,4 +42,4 @@ def run(scale: str = "paper", seed: int = 0) -> list[dict]:
                 "train_time_s": round(cm.training_time_s(
                     entry.stats, orin, _ROUND_SAMPLES), 1),
             })
-    return rows
+    return out

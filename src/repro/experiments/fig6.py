@@ -7,24 +7,26 @@ ALBERT on Stack Overflow) since small HAR models fit every device.
 
 from __future__ import annotations
 
-from .constraint_figs import run_constraint_figure
+from .constraint_figs import constraint_rows
 from .registry import register_artifact
+from .spec import RunSpec
+from .sweep import expand_grid
 
-__all__ = ["run", "MEMORY_DATASETS"]
+__all__ = ["specs", "rows", "MEMORY_DATASETS"]
 
 MEMORY_DATASETS = ["cifar100", "stackoverflow"]
 
 
-@register_artifact("fig6", title="Figure 6: memory-limited MHFL")
-def run(scale: str = "demo", seed: int = 0,
-        datasets: list[str] | None = None,
-        algorithms: list[str] | None = None,
-        seeds: list[int] | None = None,
-        availability: str = "always_on",
-        scale_overrides: dict | None = None) -> list[dict]:
-    return run_constraint_figure(("memory",),
-                                 datasets=datasets or MEMORY_DATASETS,
-                                 algorithms=algorithms, scale=scale,
-                                 seed=seed, seeds=seeds,
-                                 availability=availability,
-                                 scale_overrides=scale_overrides)
+def specs(scale: str = "demo", seed: int = 0,
+          datasets: list[str] | None = None,
+          algorithms: list[str] | None = None,
+          seeds: list[int] | None = None,
+          availability: str = "always_on",
+          scale_overrides: dict | None = None) -> list[RunSpec]:
+    return expand_grid(algorithms, datasets or MEMORY_DATASETS, ("memory",),
+                       availability=availability, scale=scale,
+                       seeds=seeds or [seed], scale_overrides=scale_overrides)
+
+
+rows = register_artifact("fig6", title="Figure 6: memory-limited MHFL",
+                         specs=specs)(constraint_rows)

@@ -12,11 +12,11 @@ from ..algorithms import MHFL_ALGORITHMS
 from ..constraints import ConstraintSpec
 from .registry import register_artifact
 from .reporting import aggregate_seed_rows
-from .runner import execute_specs, resolve_target_accuracy
+from .runner import resolve_target_accuracy
 from .scales import get_scale
-from .spec import RunSpec
+from .spec import RunSpec, unique_specs
 
-__all__ = ["run", "client_counts_for"]
+__all__ = ["specs", "rows", "client_counts_for"]
 
 _FIG9_ALGORITHMS = [n for n in MHFL_ALGORITHMS if n != "fedproto"]
 
@@ -27,7 +27,7 @@ def client_counts_for(scale_name: str) -> list[int]:
     return [base, base * 2, base * 5]
 
 
-def _rows(results) -> list[dict]:
+def _group_rows(results) -> list[dict]:
     """Rows of one (seed, client count) group: every algorithm measured
     against the group's shared time-to-accuracy target."""
     target = resolve_target_accuracy([res.history for res in results],
@@ -42,29 +42,33 @@ def _rows(results) -> list[dict]:
     return rows
 
 
-@register_artifact("fig9",
-                   title="Figure 9: scalability (memory-limited CIFAR-100)")
-def run(scale: str = "demo", seed: int = 0, dataset: str = "cifar100",
-        algorithms: list[str] | None = None,
-        client_counts: list[int] | None = None,
-        seeds: list[int] | None = None,
-        availability: str = "always_on",
-        scale_overrides: dict | None = None) -> list[dict]:
-    algorithms = algorithms or list(_FIG9_ALGORITHMS)
-    counts = client_counts or client_counts_for(get_scale(scale).name)
-    seed_list = seeds if seeds else [seed]
+def specs(scale: str = "demo", seed: int = 0, dataset: str = "cifar100",
+          algorithms: list[str] | None = None,
+          client_counts: list[int] | None = None,
+          seeds: list[int] | None = None,
+          availability: str = "always_on",
+          scale_overrides: dict | None = None) -> list[RunSpec]:
     constraints = ConstraintSpec(constraints=("memory",),
                                  availability=availability)
-    results = execute_specs(
-        [RunSpec(algorithm=name, dataset=dataset, constraints=constraints,
-                 scale=scale, scale_overrides=dict(scale_overrides or {}),
-                 num_clients=num_clients, seed=one_seed)
-         for one_seed in seed_list for num_clients in counts
-         for name in algorithms])
+    return unique_specs(
+        RunSpec(algorithm=name, dataset=dataset, constraints=constraints,
+                scale=scale, scale_overrides=dict(scale_overrides or {}),
+                num_clients=num_clients, seed=one_seed)
+        for one_seed in (seeds or [seed])
+        for num_clients in (client_counts
+                            or client_counts_for(get_scale(scale).name))
+        for name in (algorithms or _FIG9_ALGORITHMS))
+
+
+@register_artifact("fig9",
+                   title="Figure 9: scalability (memory-limited CIFAR-100)",
+                   specs=specs)
+def rows(results, **_) -> list[dict]:
+    per_seed: dict[int, dict[int, list]] = {}
+    for res in results:
+        per_seed.setdefault(res.spec.seed, {}).setdefault(
+            res.spec.num_clients, []).append(res)
     return aggregate_seed_rows(
-        [[row for num_clients in counts
-          for row in _rows([res for res in results
-                            if (res.spec.seed, res.spec.num_clients)
-                            == (one_seed, num_clients)])]
-         for one_seed in seed_list],
+        [[row for group in groups.values() for row in _group_rows(group)]
+         for groups in per_seed.values()],
         value_keys={"accuracy": 6, "tta_s": 6})

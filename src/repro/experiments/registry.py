@@ -1,14 +1,19 @@
-"""Artifact registry: every paper table/figure as a named, discoverable run.
+"""Artifact registry: every paper table/figure as a named grid plus rows.
 
-Each experiments module decorates its ``run`` function::
+Each experiments module lists its cells in a ``specs`` function and
+registers the function that builds its rows from their results::
 
-    @register_artifact("fig4", title="Figure 4: computation-limited MHFL")
-    def run(scale="demo", seed=0, ...): ...
+    @register_artifact("fig7", title="Figure 7: ...", specs=specs)
+    def rows(results, **_) -> list[dict]: ...
 
-and the unified CLI (:mod:`repro.__main__`) lists, describes and executes
-artifacts from here — no hardcoded artifact list, no per-module ``main()``.
-Discovery imports every module in :mod:`repro.experiments` once, so adding
-a new artifact module is registration enough.
+``Artifact.run(**kwargs)`` is ``rows(execute_specs(specs(**kwargs)),
+**kwargs)``, so a grid can be listed, sharded or unioned with another
+without running anything.  An artifact registered without ``specs`` lists
+no cells: the tables train nothing, and the artifacts whose cells carry
+live hooks (a mutation, an execution factory, a telemetry session)
+execute inside ``rows``.  Discovery imports every module in
+:mod:`repro.experiments` once, so adding an artifact module is
+registration enough.
 """
 
 from __future__ import annotations
@@ -19,8 +24,14 @@ import pkgutil
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .runner import execute_specs
+
 __all__ = ["Artifact", "register_artifact", "get_artifact",
            "all_artifacts", "discover_artifacts"]
+
+
+def _no_cells(**kwargs) -> list:
+    return []
 
 
 @dataclass(frozen=True)
@@ -28,16 +39,22 @@ class Artifact:
     """One registered table/figure harness."""
 
     name: str
-    run: Callable[..., list]
+    #: ``rows(results, **kwargs)``: the rows from the results of ``specs``.
+    rows: Callable[..., list]
     title: str
     #: first paragraph of the module docstring (fallback: function doc).
     description: str
     module: str
-    #: kwargs the run() callable accepts (CLI options are filtered by this).
+    #: kwargs the artifact accepts (CLI options are filtered by this).
     params: tuple[str, ...]
+    #: ``specs(**kwargs)``: the cells, in the order ``rows`` reads them.
+    specs: Callable[..., list] = _no_cells
     #: extra renderer hint; "radar" artifacts normalise per-axis scores.
     render: str = "table"
     render_kwargs: dict = field(default_factory=dict)
+
+    def run(self, **kwargs) -> list[dict]:
+        return self.rows(execute_specs(self.specs(**kwargs)), **kwargs)
 
 
 _ARTIFACTS: dict[str, Artifact] = {}
@@ -45,19 +62,32 @@ _DISCOVERED = False
 
 
 def register_artifact(name: str, title: str | None = None,
-                      render: str = "table", **render_kwargs):
-    """Decorator registering ``run`` as the artifact ``name``."""
+                      render: str = "table",
+                      specs: Callable[..., list] | None = None,
+                      **render_kwargs):
+    """Decorator registering ``rows`` as the artifact ``name``.
+
+    The artifact's options (and its module, whose docstring describes it)
+    come from ``specs`` when it lists cells, else from ``rows``, whose
+    first parameter is ``results``; ``rows`` is called with the same
+    options ``specs`` was.
+    """
 
     def decorate(func: Callable[..., list]) -> Callable[..., list]:
-        module = inspect.getmodule(func)
-        doc = inspect.getdoc(module) or inspect.getdoc(func) or ""
+        # The module that lists the cells owns the artifact: the
+        # constraint figures share one rows function.
+        owner = specs or func
+        doc = inspect.getdoc(inspect.getmodule(owner)) or \
+            inspect.getdoc(owner) or ""
         description = doc.split("\n\n", 1)[0].replace("\n", " ").strip()
-        params = tuple(inspect.signature(func).parameters)
-        artifact = Artifact(name=name, run=func,
+        params = (tuple(inspect.signature(specs).parameters) if specs
+                  else tuple(inspect.signature(func).parameters)[1:])
+        artifact = Artifact(name=name, rows=func,
                             title=title or name,
                             description=description,
-                            module=func.__module__,
+                            module=owner.__module__,
                             params=params,
+                            specs=specs or _no_cells,
                             render=render,
                             render_kwargs=dict(render_kwargs))
         existing = _ARTIFACTS.get(name)

@@ -4,8 +4,8 @@
 :class:`~repro.experiments.spec.RunSpec` into a built scenario, runs the
 simulation, and (when a :class:`~repro.experiments.cache.RunCache` is
 active) serves repeated cells from disk instead of recomputing them.
-:func:`execute_specs` runs a list of them (a grid from
-:func:`~repro.experiments.sweep.expand_grid`, or any plain list), and
+:func:`execute_specs` runs a list of them (an artifact's grid, see
+:mod:`repro.experiments.registry`, or any plain list), and
 :func:`summarize_results` turns one dataset's results into the rows the
 constraint figures print: the four PracMHBench metrics per algorithm and
 seed, collapsed across seeds by
@@ -47,6 +47,7 @@ from ..data.registry import load_dataset
 from ..fl.checkpoint import CheckpointConfig
 from ..fl.client import LocalTrainConfig
 from ..fl.history import History
+from ..fl.sanitizers import check_range
 from ..fl.serialization import history_from_dict, history_to_dict
 from ..fl.simulation import SimulationConfig, run_simulation
 from ..telemetry import runtime as telemetry
@@ -88,12 +89,12 @@ class RunDefaults:
     """How runs execute when their spec doesn't say.  Mechanics only:
     results are byte-identical at any setting, so none of it is hashed."""
 
-    #: client-work parallelism (and sweep fan-out) for specs whose own
+    #: client-work parallelism (and grid fan-out) for specs whose own
     #: ``workers`` is ``None``.
     workers: int = 1
     #: crash-safety: snapshot every N-th round (``None`` = off) to
     #: ``<checkpoint_dir>/<content_hash>.ckpt.json`` — one file per spec,
-    #: so a sweep's cells never collide and ``resume`` finds each cell's
+    #: so a grid's cells never collide and ``resume`` finds each cell's
     #: own snapshot.
     checkpoint_every: int | None = None
     checkpoint_dir: str | Path = DEFAULT_CHECKPOINT_DIR
@@ -101,6 +102,12 @@ class RunDefaults:
     #: run cache for calls that pass ``cache=DEFAULT``; ``None`` = caching
     #: off (the library default: importing repro writes nothing to disk).
     cache: RunCache | None = None
+
+    def __post_init__(self):
+        check_range("workers", self.workers, "[1, inf)")
+        if self.checkpoint_every is not None:
+            check_range("checkpoint_every", self.checkpoint_every,
+                        "[1, inf)")
 
 
 _DEFAULTS = RunDefaults()
@@ -124,7 +131,7 @@ def _resolve_cache(cache) -> RunCache | None:
 
 
 def _resolve_workers(workers: int | None) -> int:
-    return max(1, int(_DEFAULTS.workers if workers is None else workers))
+    return _DEFAULTS.workers if workers is None else workers
 
 
 def _spec_checkpoint(spec: RunSpec) -> CheckpointConfig | None:
@@ -355,10 +362,8 @@ def _execute_spec_payload(payload: dict, with_telemetry: bool,
 
 
 def execute_specs(specs: Sequence[RunSpec], *, cache=DEFAULT,
-                  workers: int | None = None,
-                  on_result: Callable[[RunSpec, RunResult], None] | None
-                  = None) -> list[RunResult]:
-    """Execute a sweep of independent cells, fanning out across processes.
+                  workers: int | None = None) -> list[RunResult]:
+    """Execute a grid of independent cells, fanning out across processes.
 
     With one worker (the default :class:`RunDefaults`) this is exactly
     ``[execute_spec(s) for s in specs]``.
@@ -369,10 +374,6 @@ def execute_specs(specs: Sequence[RunSpec], *, cache=DEFAULT,
     they leave behind — are identical to the sequential sweep, in the
     input order.
 
-    ``on_result(spec, result)`` fires once per cell as it completes (in
-    input order at any worker count — the sweep orchestrator's progress
-    hook); an exception from the callback aborts the sweep.
-
     Cells with live hooks (``mutate``/``execution_factory``) cannot cross
     a process boundary; route those through :func:`execute_spec`.
     """
@@ -380,13 +381,7 @@ def execute_specs(specs: Sequence[RunSpec], *, cache=DEFAULT,
     cache = _resolve_cache(cache)
     sweep_workers = _resolve_workers(workers)
     if sweep_workers <= 1 or len(specs) <= 1:
-        results = []
-        for spec in specs:
-            result = execute_spec(spec, cache=cache)
-            if on_result is not None:
-                on_result(spec, result)
-            results.append(result)
-        return results
+        return [execute_spec(spec, cache=cache) for spec in specs]
 
     worker_defaults = _dc_replace(_DEFAULTS, cache=cache)
     results: list[RunResult] = []
@@ -413,14 +408,11 @@ def execute_specs(specs: Sequence[RunSpec], *, cache=DEFAULT,
                 else:
                     cache.misses += 1
                     telemetry.inc("cache.misses")
-            result = RunResult(
+            results.append(RunResult(
                 history=history_from_dict(payload["history"]),
                 scenario=None, num_classes=payload["num_classes"],
                 spec=spec, from_cache=payload["from_cache"],
-                _cached_levels=dict(payload["level_distribution"]))
-            if on_result is not None:
-                on_result(spec, result)
-            results.append(result)
+                _cached_levels=dict(payload["level_distribution"])))
     return results
 
 
@@ -460,9 +452,10 @@ def summarize_results(results: Sequence[RunResult],
       accuracies (lower is better: every device is served about equally);
     * (iv) ``effectiveness`` — final accuracy minus that of the seed's
       :data:`BASELINE_ALGORITHM` run, the smallest feasible homogeneous
-      model under the same constraint case (the extra cell a grid from
-      :func:`~repro.experiments.sweep.expand_grid` computes once; without
-      it, ``None``).  Positive means model heterogeneity helped.
+      model under the same constraint case (the extra cell
+      :func:`~repro.experiments.sweep.expand_grid` adds once per dataset
+      and seed; without it, ``None``).  Positive means model
+      heterogeneity helped.
 
     :func:`~repro.experiments.reporting.aggregate_seed_rows` rounds the
     metrics to 4 / 1 / 6 / 4 digits and, over several seeds, turns the

@@ -4,7 +4,7 @@ A :class:`RunSpec` is the full, serialisable description of one simulated
 cell: *which algorithm*, *which dataset*, *under which constraint case*,
 *at which scale* (with optional field overrides), *how rounds execute*,
 *how data is partitioned* and *with which seed*.  Every experiment artifact
-is a sweep of RunSpecs, which buys three things:
+lists its cells as a grid of RunSpecs, which buys three things:
 
 * **addressability** — :meth:`RunSpec.content_hash` is a deterministic
   digest of the canonical JSON form, so a run can be cached, looked up and
@@ -12,8 +12,8 @@ is a sweep of RunSpecs, which buys three things:
 * **reproducibility** — :meth:`to_dict`/:meth:`from_dict` round-trip
   losslessly, so the exact cell a number came from can be stored next to
   the number;
-* **composability** — sweeps are plain data transformations
-  (:meth:`replace`), not copies of runner plumbing.
+* **composability** — grids are plain data transformations
+  (:meth:`replace`, :func:`unique_specs`), not copies of runner plumbing.
 
 The ``tag`` field distinguishes runs whose behaviour is altered *outside*
 the spec (an ablation mutating the built algorithm, a derived execution
@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace as _dc_replace
-from typing import ClassVar
+from typing import ClassVar, Iterable
 
 from ..constraints import ConstraintSpec
 from ..fl.aggregation import ExecutionConfig
@@ -35,7 +35,7 @@ from ..fl.faults import FaultSpec
 from ..fl.sanitizers import check_range
 from .scales import ExperimentScale, resolve_scale
 
-__all__ = ["RunSpec"]
+__all__ = ["RunSpec", "unique_specs"]
 
 #: bump when the serialised form changes incompatibly (invalidates caches).
 SPEC_VERSION = 1
@@ -126,9 +126,6 @@ class RunSpec:
             return self.constraints.execution_config()
         return None
 
-    # ------------------------------------------------------------------
-    # Sweep helpers
-    # ------------------------------------------------------------------
     def replace(self, **changes) -> "RunSpec":
         return _dc_replace(self, **changes)
 
@@ -193,3 +190,12 @@ class RunSpec:
         if self.tag:
             parts.append(self.tag)
         return "/".join(parts)
+
+
+def unique_specs(specs: Iterable[RunSpec]) -> list[RunSpec]:
+    """``specs`` without repeated cells: the first spec of each content
+    hash, in order."""
+    unique: dict[str, RunSpec] = {}
+    for spec in specs:
+        unique.setdefault(spec.content_hash(), spec)
+    return list(unique.values())

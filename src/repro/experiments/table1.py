@@ -20,7 +20,7 @@ from ..models.base import depth_variant_of
 from ..models.zoo import build_model
 from .registry import register_artifact
 
-__all__ = ["run"]
+__all__ = ["rows"]
 
 #: local samples per round used for the time column (calibration workload).
 _ROUND_SAMPLES = 500
@@ -46,7 +46,7 @@ def _variants(base):
 @register_artifact("table1",
                    title="Table I: x0.5 ResNet-101 by method "
                          "(N=Jetson Nano, O=Jetson Orin NX)")
-def run(scale: str = "paper", seed: int = 0) -> list[dict]:
+def rows(results, scale: str = "paper", seed: int = 0) -> list[dict]:
     """Measure the four method variants; returns Table I rows."""
     model_scale = "paper" if scale == "paper" else "tiny"
     base = build_model("resnet101", num_classes=100, seed=seed,
@@ -54,10 +54,10 @@ def run(scale: str = "paper", seed: int = 0) -> list[dict]:
     nano = get_device("jetson_nano")
     orin = get_device("jetson_orin_nx")
     cm = DEFAULT_COST_MODEL
-    rows = []
+    out = []
     for method, model in _variants(base).items():
         stats = measure_model(model)
-        rows.append({
+        out.append({
             "method": method,
             "model": f"ResNet101 (x0.5, {model_scale})",
             "params_M": round(stats.params_millions, 2),
@@ -68,7 +68,7 @@ def run(scale: str = "paper", seed: int = 0) -> list[dict]:
             "memory_MB": round(
                 cm.training_memory_bytes(stats, _BATCH) / 2**20, 1),
         })
-    return rows
+    return out
 
 
 #: shown by ``python -m repro describe table1``.

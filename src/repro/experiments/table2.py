@@ -11,12 +11,12 @@ from ..data.registry import DATASET_TRACKS
 from .mapping import base_arch_for
 from .registry import register_artifact
 
-__all__ = ["run"]
+__all__ = ["rows"]
 
 
 @register_artifact("table2", title="Table II: platform statistics")
-def run(scale: str = "demo", seed: int = 0) -> list[dict]:
-    rows = []
+def rows(results, scale: str = "demo", seed: int = 0) -> list[dict]:
+    out = []
     for name, cls in ALGORITHMS.items():
         if cls.level == "homogeneous":
             continue
@@ -25,5 +25,5 @@ def run(scale: str = "demo", seed: int = 0) -> list[dict]:
             models = sorted({base_arch_for(ds, cls.level) for ds in datasets})
             row[f"{track}_model"] = "/".join(models)
             row[f"{track}_data"] = "/".join(datasets)
-        rows.append(row)
-    return rows
+        out.append(row)
+    return out

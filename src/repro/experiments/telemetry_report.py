@@ -8,8 +8,8 @@ simulated-vs-wall clock — as the artifact's rows.  Telemetry is
 observation-only, so the profiled run's History is byte-identical to an
 unprofiled one; this artifact only changes what gets *reported*.
 
-For whole-figure profiles (every cell of fig4, sweeps, seed lists) use the
-CLI verb instead: ``python -m repro profile <artifact> [scale]``, which
+For whole-figure profiles (every cell of fig4, seed lists) use the CLI
+verb instead: ``python -m repro profile <artifact> [scale]``, which
 additionally writes a Perfetto-loadable Chrome trace.
 """
 
@@ -23,16 +23,17 @@ from .registry import register_artifact
 from .runner import DEFAULT, execute_spec
 from .spec import RunSpec
 
-__all__ = ["run"]
+__all__ = ["rows"]
 
 _log = get_logger("telemetry_report")
 
 
 @register_artifact("telemetry_report",
                    title="Runtime telemetry report for one benchmark cell")
-def run(scale: str = "smoke", seed: int = 0, dataset: str = "cifar100",
-        algorithm: str = "sheterofl", availability: str = "always_on",
-        scale_overrides: dict | None = None) -> list[dict]:
+def rows(results, scale: str = "smoke", seed: int = 0,
+         dataset: str = "cifar100", algorithm: str = "sheterofl",
+         availability: str = "always_on",
+         scale_overrides: dict | None = None) -> list[dict]:
     spec = RunSpec(algorithm=algorithm, dataset=dataset,
                    constraints=ConstraintSpec(constraints=("computation",),
                                               availability=availability),

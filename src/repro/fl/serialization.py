@@ -2,8 +2,8 @@
 
 Two families live here:
 
-* **History JSON** — the sweep drivers under ``results/`` and downstream
-  notebooks use this to keep raw run records next to rendered tables;
+* **History JSON** — the run cache and downstream notebooks use this to
+  keep raw run records next to rendered tables;
 * **ClientUpdate round-trips** — a lossless, JSON-safe encoding of the
   algorithm-specific uplink payloads (flat uploads and their level keys,
   FedProto prototype sums/counts, Fed-ET public-set predictions).  The

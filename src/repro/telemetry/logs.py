@@ -8,8 +8,9 @@ modes share the handler:
 * **plain** (default) — bare messages, byte-compatible with the historic
   ``print``-based CLI output (the CI jobs grep these lines);
 * **JSON** (``--log-json``) — one JSON object per line with ``ts``,
-  ``level``, ``logger``, ``message`` plus any ``extra={...}`` fields, for
-  sweep tooling that wants machine-readable progress.
+  ``level``, ``logger``, ``message`` plus any ``extra={...}`` fields
+  (spec hashes, cache hits), for schedulers that scrape per-cell
+  progress.
 
 Unconfigured (library import, no CLI), the ``repro`` logger carries only a
 ``NullHandler`` and propagates: info/debug lines vanish, warnings surface

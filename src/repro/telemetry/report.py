@@ -31,8 +31,8 @@ def sidecar_wall_seconds(payload: dict) -> float | None:
     ``payload`` is the full sidecar dict (as written by
     :meth:`~repro.experiments.cache.RunCache.put_telemetry`).  Returns the
     summed durations of the cell's scenario-build and simulation spans, or
-    ``None`` when the sidecar carries no recognisable spans — sweep status
-    treats such cells as done-but-untimed rather than erroring.
+    ``None`` when the sidecar carries no recognisable spans — ``repro
+    status`` treats such cells as done-but-untimed rather than erroring.
     """
     telemetry = payload.get("telemetry")
     if not isinstance(telemetry, dict):

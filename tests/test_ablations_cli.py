@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from repro.experiments import ablations
+from repro.experiments import ablations, get_artifact
 
 
 class TestAblations:
@@ -16,7 +16,8 @@ class TestAblations:
             "fjord_no_ordered_dropout", "fedrolex_static_window"}
 
     def test_smoke_ablation_rows(self):
-        rows = ablations.run(scale="smoke", names=["fedrolex_static_window"])
+        rows = get_artifact("ablations").run(
+            scale="smoke", names=["fedrolex_static_window"])
         assert len(rows) == 1
         row = rows[0]
         assert {"acc_full", "acc_ablated", "mechanism_gain"} <= set(row)

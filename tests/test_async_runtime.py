@@ -654,9 +654,9 @@ class TestExecutionConfig:
 
 class TestAsyncCompareExperiment:
     def test_runs_end_to_end(self):
-        from repro.experiments import async_compare
-        rows = async_compare.run(scale="smoke", algorithms=["sheterofl"],
-                                 cases=[("computation",)])
+        from repro.experiments import async_compare, get_artifact
+        rows = get_artifact("async_compare").run(
+            scale="smoke", algorithms=["sheterofl"], cases=[("computation",)])
         assert len(rows) == len(async_compare.MODES)
         assert {r["mode"] for r in rows} == set(async_compare.MODES)
         for row in rows:

@@ -5,9 +5,11 @@ import hashlib
 import pytest
 
 from repro.__main__ import main as cli_main
-from repro.experiments import (RunSpec, get_scale, execute_spec,
-                               execute_specs, expand_grid, format_table,
-                               format_radar, base_arch_for,
+from repro.experiments import (RunCache, RunDefaults, RunSpec,
+                               all_artifacts, get_artifact, get_scale,
+                               execute_spec, execute_specs, expand_grid,
+                               format_table, format_radar, base_arch_for,
+                               run_defaults,
                                resolve_target_accuracy, summarize_results)
 from repro.experiments import scales
 from repro.constraints import ConstraintSpec
@@ -84,55 +86,50 @@ class TestHarnesses:
     """Every artifact's run() yields well-formed rows at smoke scale."""
 
     def test_table1(self):
-        from repro.experiments import table1
-        rows = table1.run(scale="smoke")
+        rows = get_artifact("table1").run(scale="smoke")
         assert {r["method"] for r in rows} == \
             {"SHeteroFL", "DepthFL", "FedRolex", "FeDepth"}
         for row in rows:
             assert row["params_M"] > 0 and row["memory_MB"] > 0
 
     def test_table1_memory_pattern(self):
-        from repro.experiments import table1
-        rows = {r["method"]: r for r in table1.run(scale="paper")}
+        rows = {r["method"]: r
+                for r in get_artifact("table1").run(scale="paper")}
         assert rows["DepthFL"]["memory_MB"] > rows["SHeteroFL"]["memory_MB"]
         assert rows["FeDepth"]["memory_MB"] < rows["DepthFL"]["memory_MB"]
         # Width methods land near the paper's 10.7M parameters.
         assert 8.0 < rows["SHeteroFL"]["params_M"] < 13.0
 
     def test_table2(self):
-        from repro.experiments import table2
-        rows = table2.run()
+        rows = get_artifact("table2").run()
         assert len(rows) == 8
         assert {r["hetero"] for r in rows} == {"width", "depth", "topology"}
 
     def test_table3(self):
-        from repro.experiments import table3
-        rows = table3.run()
+        rows = get_artifact("table3").run()
         assert {r["device"] for r in rows} == {
             "jetson_orin_nx", "jetson_tx2_nx", "jetson_nano",
             "raspberry_pi_4b"}
 
     def test_fig3_pool_monotone(self):
-        from repro.experiments import fig3
-        rows = fig3.run(scale="smoke")
+        rows = get_artifact("fig3").run(scale="smoke")
         for method in ("fjord", "sheterofl", "fedrolex"):
             series = [r for r in rows if r["method"] == method]
             params = [r["params_M"] for r in series]
             assert params == sorted(params, reverse=True)
 
     def test_fig4_smoke(self):
-        from repro.experiments import fig4
-        rows = fig4.run(scale="smoke", datasets=["harbox", "ucihar"],
-                        algorithms=["sheterofl", "fedepth"])
+        rows = get_artifact("fig4").run(
+            scale="smoke", datasets=["harbox", "ucihar"],
+            algorithms=["sheterofl", "fedepth"])
         assert len(rows) == 2 * 2
         for row in rows:
             assert 0.0 <= row["global_acc"] <= 1.0
             assert row["effectiveness"] is not None
 
     def test_fig5_smoke(self):
-        from repro.experiments import fig5
-        rows = fig5.run(scale="smoke", datasets=["harbox"],
-                        algorithms=["fjord"])
+        rows = get_artifact("fig5").run(scale="smoke", datasets=["harbox"],
+                                        algorithms=["fjord"])
         assert rows[0]["algorithm"] == "fjord"
 
     def test_fig6_default_datasets(self):
@@ -140,17 +137,16 @@ class TestHarnesses:
         assert fig6.MEMORY_DATASETS == ["cifar100", "stackoverflow"]
 
     def test_fig7_smoke(self):
-        from repro.experiments import fig7
-        rows = fig7.run(scale="smoke", dataset="harbox",
-                        algorithms=["sheterofl"],
-                        combos=[("memory",), ("memory", "communication")])
+        rows = get_artifact("fig7").run(
+            scale="smoke", dataset="harbox", algorithms=["sheterofl"],
+            combos=[("memory",), ("memory", "communication")])
         labels = {r["constraints"] for r in rows}
         assert labels == {"mem", "mem+comm"}
 
     def test_fig8_smoke(self):
-        from repro.experiments import fig8
-        rows = fig8.run(scale="smoke", datasets=["cifar10", "cifar100"],
-                        algorithms=["sheterofl"])
+        rows = get_artifact("fig8").run(
+            scale="smoke", datasets=["cifar10", "cifar100"],
+            algorithms=["sheterofl"])
         assert {(r["dataset"], r["partition"]) for r in rows} == {
             (dataset, partition) for dataset in ("cifar10", "cifar100")
             for partition in ("iid", "niid-0.5", "niid-5")}
@@ -158,13 +154,13 @@ class TestHarnesses:
     def test_fig9_counts(self):
         from repro.experiments import fig9
         assert fig9.client_counts_for("paper") == [100, 200, 500]
-        rows = fig9.run(scale="smoke", algorithms=["sheterofl"],
-                        client_counts=[4, 8])
+        rows = get_artifact("fig9").run(scale="smoke",
+                                        algorithms=["sheterofl"],
+                                        client_counts=[4, 8])
         assert {r["clients"] for r in rows} == {4, 8}
 
     def test_fig1_radar(self):
-        from repro.experiments import fig1
-        rows = fig1.run(scale="smoke", dataset="harbox")
+        rows = get_artifact("fig1").run(scale="smoke", dataset="harbox")
         assert rows  # fig1 reuses fig4 rows
 
 
@@ -227,6 +223,72 @@ class TestFigureRowPins:
         digest, err, trained = _figure_rows_sha(capsys, "fig7", *argv)
         assert digest == expected
         assert f"hits={cells} misses=0" in err and trained == 0
+
+
+#: small smoke options per artifact: a real grid that runs in seconds.
+LISTING_KWARGS = {
+    "fig1": {"dataset": "harbox", "algorithms": ["sheterofl"]},
+    "fig4": {"datasets": ["harbox"], "algorithms": ["sheterofl"]},
+    "fig5": {"datasets": ["ucihar"], "algorithms": ["fjord"]},
+    "fig6": {"datasets": ["harbox"], "algorithms": ["depthfl"]},
+    "fig7": {"dataset": "harbox", "algorithms": ["sheterofl"],
+             "combos": [("memory",), ("memory", "communication")]},
+    "fig8": {"datasets": ["harbox"], "algorithms": ["fedrolex"]},
+    "fig9": {"dataset": "harbox", "algorithms": ["sheterofl"],
+             "client_counts": [4, 8]},
+    "fault_compare": {"algorithms": ["sheterofl"],
+                      "profiles": ["clean", "crash"]},
+    "ablations": {"names": ["fedrolex_static_window"]},
+    "async_compare": {"algorithms": ["sheterofl"],
+                      "cases": [("computation",)]},
+    "telemetry_report": {"dataset": "harbox"},
+}
+#: the artifacts that list cells; the tables and fig3 train nothing, and
+#: ablations / async_compare / telemetry_report execute inside ``rows``.
+GRID_ARTIFACTS = {"fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+                  "fault_compare"}
+
+
+class TestListingEqualsRunning:
+    @pytest.mark.parametrize("name", sorted(all_artifacts()))
+    def test_specs_are_the_cells_run_executes(self, name, tmp_path):
+        """``specs`` trains nothing, and a grid artifact's ``run``
+        executes exactly the cells its ``specs`` lists."""
+        artifact = get_artifact(name)
+        kwargs = {"scale": "smoke", **LISTING_KWARGS.get(name, {})}
+        if "scale_overrides" in artifact.params:
+            kwargs["scale_overrides"] = {"num_rounds": 1}
+        before = simulation.RUN_COUNT
+        listed = {spec.content_hash() for spec in artifact.specs(**kwargs)}
+        assert simulation.RUN_COUNT == before
+        if name not in GRID_ARTIFACTS:
+            assert listed == set()
+            return
+        assert listed
+        with run_defaults(RunDefaults(cache=RunCache(tmp_path))):
+            artifact.run(**kwargs)
+        executed = {path.name.split(".")[0]
+                    for path in tmp_path.glob("*.json")}
+        assert executed == listed
+
+
+class TestRepeatedSeeds:
+    @pytest.mark.parametrize("figure,dataset", [
+        ("fig7", "harbox"), ("fig8", "harbox"),
+        # fig9's smoke client counts (4, 8, 20) outnumber HAR-BOX's users.
+        ("fig9", "cifar10")])
+    def test_a_repeated_seed_reads_as_one(self, figure, dataset, tmp_path,
+                                          capsys):
+        """``--seeds 0,0`` lists each cell once and aggregates one seed,
+        so it prints byte-identically to ``--seeds 0``."""
+        argv = ["run", figure, "--scale", "smoke", "--rounds", "1",
+                "--datasets", dataset, "--algorithms", "sheterofl",
+                "--out", "json", "--cache-dir", str(tmp_path)]
+        assert cli_main(argv + ["--seeds", "0"]) == 0
+        once = capsys.readouterr().out
+        assert cli_main(argv + ["--seeds", "0,0"]) == 0
+        assert capsys.readouterr().out == once
+        assert '"seeds"' not in once
 
 
 class TestRunnerEndToEnd:

@@ -510,6 +510,20 @@ class TestParallelSweeps:
             assert _resolve_workers(4) == 4
         assert _resolve_workers(None) == 1
 
+    @pytest.mark.parametrize("field,value", [
+        ("workers", 0), ("workers", -2),
+        ("checkpoint_every", 0), ("checkpoint_every", -1)])
+    def test_run_defaults_refuse_non_positive_counts(self, field, value):
+        """A bad count is refused, by name, when the defaults are made —
+        not clamped to one worker, nor found only once a cell has built
+        its dataset and scenario."""
+        with pytest.raises(ValueError, match=field):
+            RunDefaults(**{field: value})
+
+    def test_run_defaults_allow_no_checkpoints(self):
+        assert RunDefaults(checkpoint_every=None).checkpoint_every is None
+        assert RunDefaults(workers=3, checkpoint_every=2).workers == 3
+
     def test_spec_payload_cleared_for_mutations(self, tmp_path):
         spec = smoke_spec("fjord").replace(tag="ablation-test")
 

@@ -19,7 +19,7 @@ from repro.constraints import (AVAILABILITY_KINDS, ConstraintSpec,
                                build_scenario)
 from repro.data.registry import load_dataset
 from repro.experiments import (RunCache, RunSpec, aggregate_seed_rows,
-                               all_artifacts, execute_spec,
+                               all_artifacts, execute_spec, get_artifact,
                                execute_specs, expand_grid, format_table,
                                get_scale, resolve_scale, rows_to_csv,
                                rows_to_json, summarize_results,
@@ -381,9 +381,9 @@ class TestMultiSeed:
     def test_two_seed_fig4_values_pinned(self):
         """Two-seed smoke fig4 rows as recorded before the constraint
         figures collapsed their seeds through ``aggregate_seed_rows``."""
-        from repro.experiments.fig4 import run as run_fig4
-        rows = run_fig4(scale="smoke", datasets=["harbox"],
-                        algorithms=["sheterofl", "fjord"], seeds=[0, 1])
+        rows = get_artifact("fig4").run(
+            scale="smoke", datasets=["harbox"],
+            algorithms=["sheterofl", "fjord"], seeds=[0, 1])
         assert rows == [
             {"algorithm": "sheterofl", "dataset": "harbox",
              "global_acc": 0.2167, "tta_s": 14.0,
@@ -512,8 +512,8 @@ class TestCLI:
         assert args.availability == kind
 
     @pytest.mark.parametrize("argv", [
-        ["run", "fig4"], ["profile", "fig4"], ["sweep", "create", "m.json"]],
-        ids=["run", "profile", "sweep-create"])
+        ["run", "fig4"], ["profile", "fig4"], ["status", "fig4"]],
+        ids=["run", "profile", "status"])
     def test_unknown_availability_is_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli_main(argv + ["--availability", "bogus"])
@@ -541,14 +541,11 @@ class TestCLI:
         ["run", *SMOKE_RUN, "--checkpoint-every"],
         ["profile", *SMOKE_RUN, "--workers"],
         ["profile", *SMOKE_RUN, "--checkpoint-every"],
-        ["sweep", "run", "m.json", "--workers"],
-        ["sweep", "resume", "m.json", "--workers"],
-        ["sweep", "status", "m.json", "--shards"],
-        ["sweep", "create", "m.json", "--num-clients"]],
+        ["run", *SMOKE_RUN[:-1], "--shard", "0/2", "--workers"],
+        ["status", *SMOKE_RUN[:-1], "--shards"]],
         ids=["run-workers", "run-checkpoint-every", "profile-workers",
-             "profile-checkpoint-every", "sweep-run-workers",
-             "sweep-resume-workers", "sweep-status-shards",
-             "sweep-create-num-clients"])
+             "profile-checkpoint-every", "run-shard-workers",
+             "status-shards"])
     def test_non_positive_counts_are_exit_2(self, argv, value, tmp_path,
                                             monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

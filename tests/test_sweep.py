@@ -1,20 +1,18 @@
-"""Sweep orchestration: manifests, derived status, sharding, crash/resume.
+"""Grids, shards and derived status: sharding laws, status rows, crash/resume.
 
-Pins the ISSUE-9 acceptance criteria:
-
-* **Derived status** — a manifest's per-cell ``done``/``pending`` state
-  equals ``{spec: cache.contains(spec)}`` exactly, before, during, and
-  after a sweep; deleting one cache entry flips exactly one cell back to
-  pending.  Nothing is stored, so nothing can go stale.
+* **Derived status** — a grid's done / pending counts equal
+  ``{spec: cache.contains(spec)}`` exactly, before, during and after a
+  run; deleting one cache entry flips exactly one cell back to pending.
+  Nothing is stored, so nothing can go stale.
 * **Sharding partition** — for N in {1, 2, 3, 5} over a >=30-cell grid,
   and for N in 1..8 over random grids (a hypothesis property), the K/N
   shards are pairwise disjoint, their union is the full grid, and the
   assignment is byte-identical across processes (content hashes, not
   ``hash()``, so ``PYTHONHASHSEED`` cannot leak in).
-* **Crash/resume** — a sweep SIGKILLed after its first cell lands, then
-  re-invoked via ``repro sweep resume``, produces run-cache contents
-  (names + bytes) identical to a never-interrupted control sweep; and a
-  completed sweep's second run performs zero training (``RUN_COUNT``).
+* **Crash/resume** — ``repro run fig4 ... --shard 0/1`` SIGKILLed after
+  its first cell lands, then run again, leaves run-cache contents (names +
+  bytes) identical to a never-interrupted control run; and a completed
+  grid's second run performs zero training (``RUN_COUNT``).
 """
 
 import json
@@ -32,14 +30,12 @@ from repro.__main__ import main as cli_main
 from repro.algorithms import MHFL_ALGORITHMS
 from repro.constraints import AVAILABILITY_KINDS, ConstraintSpec
 from repro.data.registry import DATASET_NAMES
-from repro.experiments import (RunCache, RunSpec, Shard, SweepManifest,
-                               expand_grid, run_sweep, shard_of,
-                               status_rows)
+from repro.experiments import (RunCache, RunSpec, Shard, expand_grid,
+                               get_artifact, shard_of, status_rows)
+from repro.experiments import registry
 from repro.experiments.runner import execute_specs
-from repro.experiments.sweep import MANIFEST_VERSION
 from repro.fl import simulation
 from repro.fl.history import History, RoundRecord
-from repro.telemetry import runtime as telemetry
 from repro.telemetry.report import sidecar_wall_seconds
 
 SMOKE = ConstraintSpec(constraints=("computation",))
@@ -189,8 +185,8 @@ class TestExpandGrid:
 
     def test_matches_run_suite_cells(self, monkeypatch):
         """The constraint figures execute exactly ``expand_grid``'s cells,
-        so a warmed manifest makes figure rendering pure cache hits."""
-        from repro.experiments import constraint_figs
+        so a grid run into the cache makes rendering them pure cache
+        hits."""
         grid = expand_grid(algorithms=["sheterofl"], datasets=["harbox"],
                            scale="smoke", seeds=(0, 1),
                            scale_overrides={"num_rounds": 2})
@@ -208,105 +204,62 @@ class TestExpandGrid:
             executed.extend(specs)
             return execute_specs(specs, **kwargs)
 
-        monkeypatch.setattr(constraint_figs, "execute_specs", recording)
-        constraint_figs.run_constraint_figure(
-            ("computation",), datasets=["harbox"], algorithms=["sheterofl"],
-            scale="smoke", seeds=[0, 1], scale_overrides={"num_rounds": 2})
+        monkeypatch.setattr(registry, "execute_specs", recording)
+        get_artifact("fig4").run(
+            datasets=["harbox"], algorithms=["sheterofl"], scale="smoke",
+            seeds=[0, 1], scale_overrides={"num_rounds": 2})
         assert executed == grid
-
-
-# ----------------------------------------------------------------------
-# Manifest
-# ----------------------------------------------------------------------
-class TestManifest:
-    def test_round_trip(self, tmp_path):
-        manifest = SweepManifest(name="t", specs=_grid(),
-                                 cache_dir=str(tmp_path / "cache"))
-        path = manifest.save(tmp_path / "m.json")
-        assert SweepManifest.load(path) == manifest
-
-    def test_schema_is_stable(self, tmp_path):
-        manifest = SweepManifest(name="t", specs=_grid(),
-                                 cache_dir=str(tmp_path / "cache"))
-        payload = json.loads(manifest.to_json())
-        assert payload["manifest_version"] == MANIFEST_VERSION
-        assert set(payload) == {"manifest_version", "name", "cache_dir",
-                                "specs"}
-        rebuilt = [RunSpec.from_dict(d) for d in payload["specs"]]
-        assert [s.content_hash() for s in rebuilt] == \
-            [s.content_hash() for s in manifest.specs]
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            SweepManifest(name="t", specs=())
-
-    def test_rejects_duplicates(self):
-        spec = _smoke_spec()
-        with pytest.raises(ValueError, match="duplicate"):
-            SweepManifest(name="t", specs=(spec, spec))
-
-    def test_rejects_version_skew(self, tmp_path):
-        manifest = SweepManifest(name="t", specs=_grid())
-        payload = manifest.to_dict()
-        payload["manifest_version"] = MANIFEST_VERSION + 1
-        path = tmp_path / "m.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="version"):
-            SweepManifest.load(path)
-
-    def test_load_missing_or_corrupt(self, tmp_path):
-        with pytest.raises(ValueError, match="cannot read"):
-            SweepManifest.load(tmp_path / "absent.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            SweepManifest.load(bad)
 
 
 # ----------------------------------------------------------------------
 # Derived status (the property test)
 # ----------------------------------------------------------------------
+def _by_section(rows) -> dict[str, list[dict]]:
+    sections: dict[str, list[dict]] = {}
+    for row in rows:
+        sections.setdefault(row["section"], []).append(row)
+    return sections
+
+
 class TestDerivedStatus:
-    def _contract(self, manifest, cache):
-        """status == {spec: cache.contains(spec)}, cell for cell (keyed by
-        content hash — specs hold dicts and are unhashable)."""
-        mapping = {cell.spec.content_hash(): cell.done
-                   for cell in manifest.status(cache=cache).cells}
-        assert mapping == {spec.content_hash(): cache.contains(spec)
-                           for spec in manifest.specs}
-        return mapping
+    def _contract(self, grid, cache):
+        """The status rows count exactly the cells ``cache.contains``,
+        per algorithm and in total."""
+        sections = _by_section(status_rows(grid, cache))
+        for row in sections["algorithm"]:
+            cells = [s for s in grid if s.algorithm == row["key"]]
+            assert row["cells"] == len(cells)
+            assert row["done"] == sum(cache.contains(s) for s in cells)
+        total = sections["total"][0]
+        assert total["done"] == sum(cache.contains(s) for s in grid)
+        assert total["done"] + total["pending"] == total["cells"] \
+            == len(grid)
+        return total
 
     def test_status_equals_contains_throughout(self, tmp_path):
         cache = RunCache(tmp_path / "cache")
         grid = _grid(n_algorithms=3, seeds=(0, 1))
-        manifest = SweepManifest(name="t", specs=grid,
-                                 cache_dir=str(cache.directory))
         # Before: everything pending.
-        assert set(self._contract(manifest, cache).values()) == {False}
+        assert self._contract(grid, cache)["done"] == 0
         # During: fabricate completion one cell at a time; the derived
-        # mapping tracks the cache exactly at every step.
+        # rows track the cache exactly at every step.
         for index, spec in enumerate(grid):
             cache.put(spec, _fake_history(spec), num_classes=2)
-            mapping = self._contract(manifest, cache)
-            assert sum(mapping.values()) == index + 1
+            assert self._contract(grid, cache)["done"] == index + 1
         # After: everything done.
-        status = manifest.status(cache=cache)
-        assert status.done_count == status.total == len(grid)
-        assert status.pending_count == 0
+        total = self._contract(grid, cache)
+        assert (total["pending"], total["done_pct"]) == (0, 100.0)
 
     def test_deleting_one_entry_flips_exactly_one_cell(self, tmp_path):
         cache = RunCache(tmp_path / "cache")
         grid = _grid(n_algorithms=3, seeds=(0, 1))
-        manifest = SweepManifest(name="t", specs=grid,
-                                 cache_dir=str(cache.directory))
         _populate(cache, grid)
         victim = grid[len(grid) // 2]
         cache.path_for(victim).unlink()
-        mapping = self._contract(manifest, cache)
-        assert mapping[victim.content_hash()] is False
-        assert sum(not done for done in mapping.values()) == 1
-        assert [cell.spec for cell in manifest.status(cache=cache).cells
-                if not cell.done] == [victim]
+        assert self._contract(grid, cache)["pending"] == 1
+        pending = [row["key"] for row in status_rows(grid, cache)
+                   if row["section"] == "algorithm" and row["pending"]]
+        assert pending == [victim.algorithm]
 
     def test_status_probe_leaves_counters_alone(self, tmp_path):
         cache = RunCache(tmp_path / "cache")
@@ -340,109 +293,41 @@ class TestDerivedStatus:
 
 
 # ----------------------------------------------------------------------
-# Running and resuming
-# ----------------------------------------------------------------------
-class TestRunSweep:
-    def test_runs_pending_then_nothing(self, tmp_path):
-        cache = RunCache(tmp_path / "cache")
-        manifest = SweepManifest(name="t", specs=_grid(n_algorithms=1,
-                                                       datasets=("harbox",)),
-                                 cache_dir=str(cache.directory))
-        report = run_sweep(manifest, cache=cache)
-        assert (report.total, report.executed) == (2, 2)
-        assert manifest.status(cache=cache).pending_count == 0
-        # Second run: pre-filtered to nothing, zero training.
-        before = simulation.RUN_COUNT
-        again = run_sweep(manifest, cache=cache)
-        assert (again.executed, again.already_done) == (0, 2)
-        assert simulation.RUN_COUNT == before
-
-    def test_shards_cover_the_grid(self, tmp_path):
-        cache = RunCache(tmp_path / "cache")
-        manifest = SweepManifest(name="t", specs=_grid(n_algorithms=2),
-                                 cache_dir=str(cache.directory))
-        reports = [run_sweep(manifest, Shard(k, 3), cache=cache)
-                   for k in range(3)]
-        assert sum(r.total for r in reports) == len(manifest.specs)
-        assert manifest.status(cache=cache).pending_count == 0
-        # Each shard's second run finds its cells done, not re-executed.
-        for k in range(3):
-            report = run_sweep(manifest, Shard(k, 3), cache=cache)
-            assert report.executed == 0
-
-    def test_on_cell_progress_hook(self, tmp_path):
-        cache = RunCache(tmp_path / "cache")
-        grid = _grid(n_algorithms=1, datasets=("harbox",))
-        manifest = SweepManifest(name="t", specs=grid,
-                                 cache_dir=str(cache.directory))
-        seen = []
-        run_sweep(manifest, cache=cache,
-                  on_cell=lambda spec, result: seen.append(
-                      (spec.content_hash(), result.from_cache)))
-        assert [h for h, _ in seen] == [s.content_hash() for s in grid]
-        assert all(not from_cache for _, from_cache in seen)
-
-
-class TestExecuteSpecsCallback:
-    def test_inline_order(self, tmp_path):
-        cache = RunCache(tmp_path / "cache")
-        specs = _grid(n_algorithms=1, datasets=("harbox",))
-        seen = []
-        execute_specs(specs, cache=cache,
-                      on_result=lambda spec, res: seen.append(spec))
-        assert seen == specs
-
-    def test_pooled_order(self, tmp_path):
-        cache = RunCache(tmp_path / "cache")
-        specs = _grid(n_algorithms=1, datasets=("harbox", "ucihar"))
-        seen = []
-        execute_specs(specs, cache=cache, workers=2,
-                      on_result=lambda spec, res: seen.append(spec))
-        assert seen == specs
-        assert all(cache.contains(spec) for spec in specs)
-
-
-# ----------------------------------------------------------------------
 # Status rows and sidecar throughput
 # ----------------------------------------------------------------------
 class TestStatusRows:
     def test_sections_and_totals(self, tmp_path):
         cache = RunCache(tmp_path / "cache")
         grid = _grid(n_algorithms=2)
-        manifest = SweepManifest(name="t", specs=grid,
-                                 cache_dir=str(cache.directory))
         _populate(cache, grid[: len(grid) // 2])
-        rows = status_rows(manifest, cache=cache, shards=2)
-        by_section = {}
-        for row in rows:
-            by_section.setdefault(row["section"], []).append(row)
-        assert set(by_section) == {"algorithm", "shard", "total"}
-        total = by_section["total"][0]
+        sections = _by_section(status_rows(grid, cache, shards=2))
+        assert set(sections) == {"algorithm", "shard", "total"}
+        total = sections["total"][0]
         assert total["cells"] == len(grid)
         assert total["done"] == len(grid) // 2
-        assert sum(r["cells"] for r in by_section["shard"]) == len(grid)
-        assert sum(r["cells"] for r in by_section["algorithm"]) == len(grid)
+        assert sum(r["cells"] for r in sections["shard"]) == len(grid)
+        assert sum(r["cells"] for r in sections["algorithm"]) == len(grid)
 
     def test_throughput_from_sidecars(self, tmp_path):
-        cache = RunCache(tmp_path / "cache")
-        grid = _grid(n_algorithms=1, datasets=("harbox",))
-        manifest = SweepManifest(name="t", specs=grid,
-                                 cache_dir=str(cache.directory))
-        with telemetry.telemetry_session():
-            run_sweep(manifest, cache=cache)
+        cache_dir = tmp_path / "cache"
+        assert cli_main(["run", "fig4", *SMOKE_FIG4, "--algorithms",
+                         "sheterofl", "--datasets", "harbox", "--shard",
+                         "0/1", "--cache-dir", str(cache_dir), "-q"]) == 0
+        grid = get_artifact("fig4").specs(
+            scale="smoke", algorithms=["sheterofl"], datasets=["harbox"],
+            scale_overrides={"num_rounds": 1})
+        cache = RunCache(cache_dir)
         for spec in grid:
             assert cache.telemetry_path_for(spec).exists()
-        total = status_rows(manifest, cache=cache)[-1]
+        total = status_rows(grid, cache)[-1]
         assert total["wall_s"] is not None and total["wall_s"] > 0
         assert total["cells_per_h"] is not None
 
     def test_missing_sidecars_are_untimed_not_errors(self, tmp_path):
         cache = RunCache(tmp_path / "cache")
         grid = _grid(n_algorithms=1, datasets=("harbox",))
-        manifest = SweepManifest(name="t", specs=grid,
-                                 cache_dir=str(cache.directory))
         _populate(cache, grid)  # fabricated entries: no sidecars
-        total = status_rows(manifest, cache=cache)[-1]
+        total = status_rows(grid, cache)[-1]
         assert total["done"] == len(grid)
         assert total["wall_s"] is None
 
@@ -465,74 +350,88 @@ class TestSidecarWallSeconds:
 
 
 # ----------------------------------------------------------------------
-# CLI
+# CLI: run --shard and status
 # ----------------------------------------------------------------------
-class TestSweepCli:
-    def _create(self, tmp_path, capsys) -> Path:
-        manifest_path = tmp_path / "m.json"
-        code = cli_main(["sweep", "create", str(manifest_path),
-                         "--algorithms", "sheterofl",
-                         "--datasets", "harbox", "--scale", "smoke",
-                         "--cache-dir", str(tmp_path / "cache")])
-        assert code == 0
-        assert "2 cells" in capsys.readouterr().out
-        return manifest_path
+#: a one-round smoke fig4; with ``--algorithms sheterofl,fjord
+#: --datasets harbox,ucihar`` it is the 6-cell grid ``_grid()`` builds.
+SMOKE_FIG4 = ["--scale", "smoke", "--rounds", "1"]
 
-    def test_create_run_status_resume(self, tmp_path, capsys):
-        manifest_path = self._create(tmp_path, capsys)
-        assert cli_main(["sweep", "run", str(manifest_path), "-q"]) == 0
-        out = capsys.readouterr().out
-        assert "2/2 done" in out and "2 executed" in out
 
-        assert cli_main(["sweep", "status", str(manifest_path),
-                         "--out", "json", "-q"]) == 0
-        rows = json.loads(capsys.readouterr().out)
-        total = [r for r in rows if r["section"] == "total"][0]
+def _status(capsys, *argv) -> dict[str, list[dict]]:
+    capsys.readouterr()
+    assert cli_main(["status", *argv, "--out", "json", "-q"]) == 0
+    return _by_section(json.loads(capsys.readouterr().out))
+
+
+class TestShardCli:
+    GRID = [*SMOKE_FIG4, "--algorithms", "sheterofl",
+            "--datasets", "harbox"]
+
+    def test_shard_status_then_a_run_that_trains_nothing(self, tmp_path,
+                                                         capsys):
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        before = _status(capsys, "fig4", *self.GRID, *cache)["total"][0]
+        assert (before["cells"], before["pending"]) == (2, 2)
+
+        assert cli_main(["run", "fig4", *self.GRID, *cache,
+                         "--shard", "0/1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "", "a sharded run renders nothing"
+        assert "hits=0 misses=2" in captured.err
+
+        total = _status(capsys, "fig4", *self.GRID, *cache)["total"][0]
         assert (total["done"], total["pending"]) == (2, 0)
 
-        before = simulation.RUN_COUNT
-        assert cli_main(["sweep", "resume", str(manifest_path), "-q"]) == 0
-        assert "0 executed" in capsys.readouterr().out
-        assert simulation.RUN_COUNT == before
+        trained = simulation.RUN_COUNT
+        assert cli_main(["run", "fig4", *self.GRID, *cache,
+                         "--out", "json"]) == 0
+        captured = capsys.readouterr()
+        assert "hits=2 misses=0" in captured.err
+        assert len(json.loads(captured.out)) == 1
+        assert simulation.RUN_COUNT == trained
 
     def test_sharded_runs_union(self, tmp_path, capsys):
-        manifest_path = tmp_path / "m.json"
-        cli_main(["sweep", "create", str(manifest_path),
-                  "--algorithms", "sheterofl,fjord",
-                  "--datasets", "harbox,ucihar", "--scale", "smoke",
-                  "--cache-dir", str(tmp_path / "cache"), "-q"])
+        argv = ["fig4", "fig5", *SMOKE_FIG4, "--algorithms",
+                "sheterofl,fjord", "--datasets", "harbox,ucihar",
+                "--cache-dir", str(tmp_path / "cache"), "-q"]
         for k in range(2):
-            assert cli_main(["sweep", "run", str(manifest_path),
-                             "--shard", f"{k}/2", "-q"]) == 0
-        capsys.readouterr()
-        assert cli_main(["sweep", "status", str(manifest_path),
-                         "--shards", "2", "--out", "json", "-q"]) == 0
-        rows = json.loads(capsys.readouterr().out)
-        total = [r for r in rows if r["section"] == "total"][0]
-        assert total["pending"] == 0
-        shard_rows = [r for r in rows if r["section"] == "shard"]
-        assert len(shard_rows) == 2
-        assert sum(r["cells"] for r in shard_rows) == total["cells"]
+            assert cli_main(["run", *argv, "--shard", f"{k}/2"]) == 0
+        sections = _status(capsys, *argv, "--shards", "2")
+        total = sections["total"][0]
+        assert (total["cells"], total["pending"]) == (12, 0)
+        assert len(sections["shard"]) == 2
+        assert sum(r["cells"] for r in sections["shard"]) == total["cells"]
 
     @pytest.mark.parametrize("kind", AVAILABILITY_KINDS)
-    def test_create_records_the_availability(self, kind, tmp_path):
-        manifest_path = tmp_path / "m.json"
-        assert cli_main(["sweep", "create", str(manifest_path),
-                         "--algorithms", "sheterofl",
-                         "--datasets", "harbox", "--scale", "smoke",
-                         "--availability", kind,
-                         "--cache-dir", str(tmp_path / "cache"),
-                         "-q"]) == 0
-        specs = SweepManifest.load(manifest_path).specs
-        assert {spec.constraints.availability for spec in specs} == {kind}
+    def test_status_lists_the_availability(self, kind, tmp_path, capsys):
+        cache = RunCache(tmp_path / "cache")
+        _populate(cache, get_artifact("fig4").specs(
+            scale="smoke", algorithms=["sheterofl"], datasets=["harbox"],
+            availability=kind))
+        argv = ["fig4", "--scale", "smoke", "--algorithms", "sheterofl",
+                "--datasets", "harbox", "--cache-dir", str(cache.directory)]
+        total = _status(capsys, *argv, "--availability", kind)["total"][0]
+        assert (total["cells"], total["pending"]) == (2, 0)
+        if kind != "always_on":
+            assert _status(capsys, *argv)["total"][0]["done"] == 0
 
-    def test_errors_exit_2(self, tmp_path, capsys):
-        assert cli_main(["sweep", "run", str(tmp_path / "missing.json"),
-                         "-q"]) == 2
-        manifest_path = self._create(tmp_path, capsys)
-        assert cli_main(["sweep", "run", str(manifest_path),
-                         "--shard", "5/2", "-q"]) == 2
-        assert cli_main(["sweep", "-q"]) == 2
+    @pytest.mark.parametrize("argv", [
+        ["run", "fig99", "--shard", "0/2"],
+        ["status", "fig99"],
+        ["run", "fig4", "--shard", "5/2"],
+        ["run", "fig4", "--shard", "1"],
+        ["run", "fig4", "--shard", "0/2", "--no-cache"],
+        ["run", "fig4", "--shard", "0/2", "--resume"],
+        ["run", "table1", "table3", "--shard", "0/2"]],
+        ids=["run-unknown", "status-unknown", "k-past-n", "malformed",
+             "no-cache", "resume", "no-cells"])
+    def test_errors_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        before = simulation.RUN_COUNT
+        assert cli_main(argv + ["--scale", "smoke"]) == 2
+        assert capsys.readouterr().err.strip()
+        assert simulation.RUN_COUNT == before, "no cell may run"
+        assert list(tmp_path.iterdir()) == [], "nothing may be written"
 
 
 # ----------------------------------------------------------------------
@@ -542,7 +441,7 @@ def _run_entries(cache_dir: Path) -> dict[str, bytes]:
     """Run-cache entries only (names -> bytes), excluding telemetry
     sidecars: a kill can land between the run entry and its sidecar, so
     sidecar presence legitimately differs between an interrupted-and-
-    resumed sweep and an uninterrupted control."""
+    resumed run and an uninterrupted control."""
     return {path.name: path.read_bytes()
             for path in sorted(cache_dir.iterdir())
             if path.name.endswith(".json")
@@ -551,33 +450,25 @@ def _run_entries(cache_dir: Path) -> dict[str, bytes]:
 
 
 class TestKillAndResume:
-    def _make_manifest(self, tmp_path: Path, cache_dir: Path) -> Path:
-        manifest = SweepManifest(
-            name="kill", specs=_grid(n_algorithms=2),
-            cache_dir=str(cache_dir))
-        return manifest.save(tmp_path / "kill.manifest.json")
+    def _argv(self, cache_dir: Path) -> list[str]:
+        return [sys.executable, "-m", "repro", "run", "fig4", "--scale",
+                "smoke", "--datasets", "harbox,ucihar", "--algorithms",
+                "sheterofl,fjord", "--shard", "0/1", "--cache-dir",
+                str(cache_dir), "-q"]
 
-    def _sweep_argv(self, manifest_path: Path) -> list[str]:
-        return [sys.executable, "-m", "repro", "sweep", "run",
-                str(manifest_path), "--no-telemetry", "-q"]
-
-    def test_sigkilled_sweep_resumes_byte_identical(self, tmp_path):
+    def test_sigkilled_shard_resumes_byte_identical(self, tmp_path):
         control_dir = tmp_path / "control-cache"
         victim_dir = tmp_path / "victim-cache"
 
         # Control: the same grid, never interrupted.
-        control_manifest = self._make_manifest(tmp_path / "control",
-                                               control_dir)
-        subprocess.run(self._sweep_argv(control_manifest), env=_ENV,
-                       check=True, capture_output=True, timeout=300)
+        subprocess.run(self._argv(control_dir), env=_ENV, check=True,
+                       capture_output=True, timeout=300)
         control = _run_entries(control_dir)
         assert len(control) == 6
 
         # Victim: SIGKILL as soon as the first cell lands.
-        victim_manifest = self._make_manifest(tmp_path / "victim",
-                                              victim_dir)
-        victim = subprocess.Popen(self._sweep_argv(victim_manifest),
-                                  env=_ENV, stdout=subprocess.DEVNULL,
+        victim = subprocess.Popen(self._argv(victim_dir), env=_ENV,
+                                  stdout=subprocess.DEVNULL,
                                   stderr=subprocess.DEVNULL)
         try:
             deadline = time.monotonic() + 120
@@ -585,7 +476,7 @@ class TestKillAndResume:
                 if victim_dir.is_dir() and _run_entries(victim_dir):
                     break
                 if victim.poll() is not None:
-                    pytest.fail("sweep finished before it could be killed")
+                    pytest.fail("run finished before it could be killed")
                 time.sleep(0.002)
             else:
                 pytest.fail("no cell landed within the deadline")
@@ -597,13 +488,9 @@ class TestKillAndResume:
         partial = _run_entries(victim_dir)
         assert 0 < len(partial) < len(control)
 
-        # Resume: literally `sweep resume`, no special flags.
-        resume = subprocess.run(
-            [sys.executable, "-m", "repro", "sweep", "resume",
-             str(victim_manifest), "--no-telemetry", "-q"],
-            env=_ENV, check=True, capture_output=True, text=True,
-            timeout=300)
-        assert "done" in resume.stdout
+        # Resume: the same command again, no special flags.
+        subprocess.run(self._argv(victim_dir), env=_ENV, check=True,
+                       capture_output=True, timeout=300)
 
         # Byte-identical run-cache contents: same names, same bytes.
         assert _run_entries(victim_dir) == control
