@@ -97,9 +97,8 @@ def main(argv: list[str] | None = None) -> int:
                          out="table", title="Status: results/run_sweep.py"))
         for (name, artifact, title, kwargs), grid in zip(entries, grids):
             if all(cache.contains(spec) for spec in grid):
-                # Every cell is a cache hit: no pool to read them.
-                results = execute_specs(grid, workers=1)
-                save(name, artifact.rows(results, **kwargs), title)
+                save(name, artifact.rows(execute_specs(grid), **kwargs),
+                     title)
             else:
                 _log.info("%s: cells still pending on other shards; not "
                           "rendered", name)

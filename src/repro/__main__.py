@@ -333,16 +333,15 @@ def _report_cache(cache: RunCache | None) -> None:
 
 def _selected(args) -> list | None:
     """``(artifact, kwargs, cells)`` per named artifact, or ``None``
-    (logged) when a name is unknown."""
+    (logged) when a name is unknown or an artifact refuses its options."""
     try:
-        artifacts = [get_artifact(name) for name in args.artifacts]
+        selected = []
+        for artifact in [get_artifact(name) for name in args.artifacts]:
+            kwargs = _artifact_kwargs(artifact, args)
+            selected.append((artifact, kwargs, artifact.specs(**kwargs)))
     except ValueError as error:
         _log.error("%s", error)
         return None
-    selected = []
-    for artifact in artifacts:
-        kwargs = _artifact_kwargs(artifact, args)
-        selected.append((artifact, kwargs, artifact.specs(**kwargs)))
     return selected
 
 

@@ -76,7 +76,7 @@ class ConstraintSpec:
                 check_range(name, getattr(self, name), "(0, inf)")
         if self.faults:
             from ..fl.faults import FaultSpec
-            FaultSpec(**self.faults)  # validate eagerly, at spec build time
+            FaultSpec.from_dict(self.faults)  # validate at spec build time
 
     @property
     def label(self) -> str:
@@ -101,7 +101,7 @@ class ConstraintSpec:
         kwargs = dict(policy=policy, availability=self.availability,
                       availability_kwargs=dict(self.availability_kwargs))
         if self.faults:
-            kwargs["faults"] = FaultSpec(**self.faults)
+            kwargs["faults"] = FaultSpec.from_dict(self.faults)
         kwargs.update(overrides)
         return ExecutionConfig(**kwargs)
 

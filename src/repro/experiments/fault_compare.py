@@ -6,6 +6,8 @@ under a set of deterministic fault profiles (:mod:`repro.fl.faults`) —
 client crashes before upload, straggler slowdowns, corrupted updates —
 and reports the accuracy delta against the clean run plus the defense
 counters (crashed dispatches, quarantined updates, deadline drops).
+Validation judges no magnitude, so ``flaky``'s ``scale``-corrupted
+uploads are aggregated, not quarantined.
 
 Fault schedules derive from ``(run_seed, round, client)`` on a salted
 stream, so every cell is bit-reproducible at any worker count and the

@@ -13,7 +13,7 @@ from ..constraints import ConstraintSpec
 from .registry import register_artifact
 from .reporting import aggregate_seed_rows
 from .runner import resolve_target_accuracy
-from .scales import get_scale
+from .scales import resolve_scale
 from .spec import RunSpec, unique_specs
 
 __all__ = ["specs", "rows", "client_counts_for"]
@@ -48,6 +48,15 @@ def specs(scale: str = "demo", seed: int = 0, dataset: str = "cifar100",
           seeds: list[int] | None = None,
           availability: str = "always_on",
           scale_overrides: dict | None = None) -> list[RunSpec]:
+    resolved = resolve_scale(scale, scale_overrides)
+    counts = client_counts or client_counts_for(resolved.name)
+    # A dataset with natural users is split one user per client at most.
+    users = resolved.kwargs_for(dataset).get("num_users")
+    if users is not None and max(counts) > users:
+        raise ValueError(
+            f"fig9: {dataset} at scale {resolved.name!r} has {users} users, "
+            f"too few for {max(counts)} clients (client counts "
+            f"{', '.join(map(str, counts))})")
     constraints = ConstraintSpec(constraints=("memory",),
                                  availability=availability)
     return unique_specs(
@@ -55,8 +64,7 @@ def specs(scale: str = "demo", seed: int = 0, dataset: str = "cifar100",
                 scale=scale, scale_overrides=dict(scale_overrides or {}),
                 num_clients=num_clients, seed=one_seed)
         for one_seed in (seeds or [seed])
-        for num_clients in (client_counts
-                            or client_counts_for(get_scale(scale).name))
+        for num_clients in counts
         for name in (algorithms or _FIG9_ALGORITHMS))
 
 

@@ -361,15 +361,17 @@ def _execute_spec_payload(payload: dict, with_telemetry: bool,
     }
 
 
-def execute_specs(specs: Sequence[RunSpec], *, cache=DEFAULT,
-                  workers: int | None = None) -> list[RunResult]:
+def execute_specs(specs: Sequence[RunSpec], *,
+                  cache=DEFAULT) -> list[RunResult]:
     """Execute a grid of independent cells, fanning out across processes.
 
     With one worker (the default :class:`RunDefaults`) this is exactly
     ``[execute_spec(s) for s in specs]``.
-    With more, whole cells run in a process pool: each worker rebuilds its
-    cell, consults/writes the shared run cache (atomic renames keep
-    concurrent writes safe), and returns the history.  Cells are
+    With more, the cache hits are served here first, in input order, and
+    only the misses fan out, to a process pool of one worker per miss up
+    to the default's count (no pool when fewer than two cells miss): each
+    worker rebuilds its cell, writes the shared run cache (atomic renames
+    keep concurrent writes safe), and returns the history.  Cells are
     independent and deterministic, so the results — and the cache entries
     they leave behind — are identical to the sequential sweep, in the
     input order.
@@ -379,20 +381,25 @@ def execute_specs(specs: Sequence[RunSpec], *, cache=DEFAULT,
     """
     specs = list(specs)
     cache = _resolve_cache(cache)
-    sweep_workers = _resolve_workers(workers)
-    if sweep_workers <= 1 or len(specs) <= 1:
-        return [execute_spec(spec, cache=cache) for spec in specs]
+    results: dict[int, RunResult] = {}
+    if _DEFAULTS.workers > 1 and cache is not None:
+        # A hit needs no worker process to read it.
+        results = {i: execute_spec(spec, cache=cache)
+                   for i, spec in enumerate(specs) if cache.contains(spec)}
+    misses = [i for i in range(len(specs)) if i not in results]
+    workers = min(_DEFAULTS.workers, len(misses))
+    if workers <= 1:
+        return [results.get(i) or execute_spec(spec, cache=cache)
+                for i, spec in enumerate(specs)]
 
     worker_defaults = _dc_replace(_DEFAULTS, cache=cache)
-    results: list[RunResult] = []
-    _log.info("sweeping %d cells across %d workers", len(specs),
-              min(sweep_workers, len(specs)))
-    with ProcessPoolExecutor(
-            max_workers=min(sweep_workers, len(specs))) as pool:
-        futures = [pool.submit(_execute_spec_payload, spec.to_dict(),
-                               telemetry.enabled(), worker_defaults)
-                   for spec in specs]
-        for spec, future in zip(specs, futures):
+    _log.info("sweeping %d cells across %d workers", len(misses), workers)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {i: pool.submit(_execute_spec_payload, specs[i].to_dict(),
+                                  telemetry.enabled(), worker_defaults)
+                   for i in misses}
+        for i, future in futures.items():
+            spec = specs[i]
             with telemetry.span("sweep_cell", algorithm=spec.algorithm,
                                 dataset=spec.dataset, seed=spec.seed):
                 payload = future.result()
@@ -408,12 +415,12 @@ def execute_specs(specs: Sequence[RunSpec], *, cache=DEFAULT,
                 else:
                     cache.misses += 1
                     telemetry.inc("cache.misses")
-            results.append(RunResult(
+            results[i] = RunResult(
                 history=history_from_dict(payload["history"]),
                 scenario=None, num_classes=payload["num_classes"],
                 spec=spec, from_cache=payload["from_cache"],
-                _cached_levels=dict(payload["level_distribution"])))
-    return results
+                _cached_levels=dict(payload["level_distribution"]))
+    return [results[i] for i in range(len(specs))]
 
 
 def resolve_target_accuracy(histories: list[History],

@@ -99,7 +99,8 @@ class RunSpec:
             raise ValueError(f"execution.availability {got} contradicts "
                              f"constraints.availability {wanted}")
         if (constraints.faults
-                and execution.faults != FaultSpec(**constraints.faults)):
+                and execution.faults
+                != FaultSpec.from_dict(constraints.faults)):
             raise ValueError(f"execution.faults {execution.faults} "
                              f"contradicts constraints.faults "
                              f"{constraints.faults}")

@@ -26,8 +26,7 @@ from .checkpoint import CheckpointConfig, Checkpointer, make_checkpointer
 from .seeding import client_seed_key, client_rng, fault_rng, reseed_dropout
 from .simulation import SimulationConfig, run_simulation, sample_clients
 from .serialization import (history_to_dict, history_from_dict, save_history,
-                            load_history, client_update_to_dict,
-                            client_update_from_dict)
+                            load_history)
 
 __all__ = [
     "LocalTrainConfig", "train_local", "make_optimizer",
@@ -48,5 +47,4 @@ __all__ = [
     "client_seed_key", "client_rng", "fault_rng", "reseed_dropout",
     "SimulationConfig", "run_simulation", "sample_clients",
     "history_to_dict", "history_from_dict", "save_history", "load_history",
-    "client_update_to_dict", "client_update_from_dict",
 ]

@@ -17,8 +17,9 @@ AISTATS'22):
 * :class:`BufferedPolicy` — FedBuff-style semi-asynchronous aggregation:
   the server keeps ``max_concurrency`` clients training at all times and
   aggregates whenever ``buffer_size`` updates have arrived, discounting each
-  update by ``(1 + staleness) ** -staleness_exponent`` where staleness is
-  the number of server versions that elapsed while it was in flight.
+  update by ``(1 + staleness) ** -0.5`` (:data:`STALENESS_EXPONENT`) where
+  staleness is the number of server versions that elapsed while it was in
+  flight.
 
 Both drive the same per-client algorithm primitives (``run_client`` /
 ``ingest``), so every algorithm in the registry works under every policy
@@ -32,10 +33,12 @@ exactly what staleness means — and handed to a pluggable
 queue orders arrivals, drops and aggregations on the simulated
 clock, so the History is identical for any worker count.
 
-:class:`ExecutionConfig` holds only what changes results (and is hashed
-with the spec); how a run is parallelised or checkpointed lives on
-:class:`~repro.fl.simulation.SimulationConfig`.  Every policy validates
-every arrived update and freezes what clients may only read
+:class:`ExecutionConfig` holds only what a caller sets and what changes
+results (it is hashed with the spec); how a run is parallelised or
+checkpointed lives on :class:`~repro.fl.simulation.SimulationConfig`.
+Every policy validates every arrived update — finite numbers of the right
+shape; there is no magnitude bound, so a ``scale``-corrupted upload is
+aggregated — and freezes what clients may only read
 (:mod:`repro.fl.sanitizers`) for every run.
 """
 
@@ -48,7 +51,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..telemetry import runtime as telemetry
-from ..telemetry.logs import get_logger
 from .availability import AvailabilityModel, make_availability
 from .checkpoint import make_checkpointer
 from .events import (CLIENT_DROPPED, CLIENT_FAILED, DOWNLOAD_START,
@@ -58,19 +60,23 @@ from .executor import Executor, make_work_item
 from .faults import (FaultModel, FaultPlan, FaultSpec, corrupt_update,
                      is_flat_upload)
 from .history import History, RoundRecord
-from .sanitizers import check_range, collect_arrays, frozen_arrays
+from .sanitizers import (check_range, collect_arrays, drop_fixed_keys,
+                         frozen_arrays)
 
 __all__ = ["ExecutionConfig", "AggregationPolicy", "SynchronousPolicy",
            "BufferedPolicy", "AGGREGATION_POLICIES", "make_policy",
-           "sample_count", "sample_clients", "validate_update"]
-
-_log = get_logger("aggregation")
+           "sample_count", "sample_clients", "validate_update",
+           "STALENESS_EXPONENT"]
 
 #: the fault plan of a dispatch on a healthy fleet (no fault model bound).
 _HEALTHY = FaultPlan()
 
 #: server-side work per aggregation (bookkeeping, averaging), seconds.
 SERVER_OVERHEAD_S = 2.0
+
+#: buffered: an update ``s`` server versions stale is weighted
+#: ``(1 + s) ** -STALENESS_EXPONENT`` (FedBuff's square-root discount).
+STALENESS_EXPONENT = 0.5
 
 
 def sample_count(num_clients: int, sample_ratio: float) -> int:
@@ -90,21 +96,18 @@ def sample_clients(num_clients: int, sample_ratio: float,
 # Coordinator defense: update validation
 # ----------------------------------------------------------------------
 
-def validate_update(update, norm_bound: float | None = None,
-                    resolve=None) -> str | None:
+def validate_update(update, resolve=None) -> str | None:
     """Judge one :class:`~repro.algorithms.base.ClientUpdate` before it may
     enter aggregation; returns ``None`` when healthy, else a quarantine
-    reason code (``"nonfinite"``, ``"norm"``, ``"shape"``, ``"malformed"``).
+    reason code (``"nonfinite"``, ``"shape"``, ``"malformed"``).
 
     Checks, in order: scalar sanity (finite loss and non-negative finite
     weight), structural sanity of a parameter-averaging ``(values, key)``
     upload when ``resolve`` (the algorithm's ``resolve_upload``) is given
     (the key resolves, ``values`` is 1-D float and exactly as long as its
-    index), NaN/Inf in any float array leaf (a flat upload's leaves are its
-    state entries), and — when ``norm_bound`` is set — a max-abs magnitude
-    bound.  A zeroed payload passes deliberately: it is finite and in
-    bounds, which is exactly what makes silent erasure the hardest fault to
-    defend against.
+    index), and NaN/Inf in any float array leaf.  Magnitude is not judged:
+    a scaled or zeroed payload is finite and passes, which is exactly what
+    makes silent blow-up and erasure the faults no check here catches.
     """
     try:
         loss = float(update.train_loss)
@@ -114,7 +117,7 @@ def validate_update(update, norm_bound: float | None = None,
         return "malformed"
     if not math.isfinite(weight) or weight < 0:
         return "malformed"
-    flat = leaves = None
+    flat = None
     if resolve is not None and is_flat_upload(payload):
         flat, key = payload
         try:
@@ -133,26 +136,27 @@ def validate_update(update, norm_bound: float | None = None,
         flat = np.concatenate(leaves, axis=None) if leaves else None
     if flat is None or not flat.size:
         return None
-    # One pass over all leaves (widening is exact): a finite peak is no NaN/Inf.
-    peak = float(np.maximum.reduce(np.abs(flat), axis=None))
-    if math.isfinite(peak):
-        return "norm" if norm_bound is not None and peak > norm_bound else None
-    if leaves is None:
-        leaves = [flat[start:stop] for start, stop in zip(bounds, bounds[1:])
-                  if stop > start]
-    # A bound violation in a leaf ahead of the first non-finite one wins.
-    for array in leaves:
-        if not np.isfinite(array).all():
-            break
-        if (norm_bound is not None
-                and float(np.max(np.abs(array))) > norm_bound):
-            return "norm"
-    return "nonfinite"
+    # One pass over all leaves (widening is exact).
+    return None if np.isfinite(flat).all() else "nonfinite"
+
+
+#: keys every serialised execution block carries at one value, so no spec
+#: hash moved when the knobs they name were removed:
+_FIXED_KEYS = {
+    "staleness_exponent": STALENESS_EXPONENT,  # the buffered discount
+    "availability_seed": None,      # the trace seed is the run seed + 7919
+    "record_events": True,          # a run given a block records its events
+}
 
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """The execution block of a simulation: how rounds actually run."""
+    """The execution block of a simulation: how rounds actually run.
+
+    Every field is one a caller sets.  The staleness exponent
+    (:data:`STALENESS_EXPONENT`), the availability seed (run seed + 7919)
+    and event recording (on unless the run was given no block) are fixed.
+    """
 
     policy: str = "sync"                 # "sync" | "buffered"
     #: availability model name (registry in :mod:`repro.fl.availability`).
@@ -169,25 +173,10 @@ class ExecutionConfig:
     #: buffered: clients kept training concurrently (None = the sync
     #: policy's per-round sample size).
     max_concurrency: int | None = None
-    #: buffered: staleness discount exponent alpha >= 0 in (1+s)^-alpha.
-    staleness_exponent: float = 0.5
-    #: seed for availability/dropout traces (None = derived from sim seed).
-    availability_seed: int | None = None
-    #: attach per-event timelines to each RoundRecord.
-    record_events: bool = True
     #: deterministic fault injection (:mod:`repro.fl.faults`); ``None`` (or
     #: an all-zero spec) is the healthy fleet.  A plain dict is accepted
     #: and coerced, so serialised configs round-trip.
     faults: FaultSpec | None = None
-    #: sync: minimum fraction of dispatched clients that must arrive (by
-    #: the deadline) for the round to aggregate.  Unmet quorum extends the
-    #: deadline once (doubling it); still unmet, the round is skipped —
-    #: never crashed.  ``None`` aggregates whatever arrived.
-    quorum: float | None = None
-    #: optional max-abs bound for the ``"norm"`` check of
-    #: :func:`validate_update`, which every arrived update passes through
-    #: (failures are quarantined: ``dropped_quarantined`` extras).
-    norm_bound: float | None = None
 
     def __post_init__(self):
         if self.policy not in AGGREGATION_POLICIES:
@@ -198,20 +187,11 @@ class ExecutionConfig:
         if self.max_concurrency is not None and self.max_concurrency < 1:
             raise ValueError(f"max_concurrency must be >= 1 (or None), "
                              f"got {self.max_concurrency!r}")
-        # inf: no deadline / no norm bound / every stale update discarded.
-        for name, interval in (("over_select", "[0, inf)"),
-                               ("deadline_s", "(0, inf]"),
-                               ("staleness_exponent", "[0, inf]"),
-                               ("norm_bound", "(0, inf]"),
-                               ("quorum", "(0, 1]")):
-            if getattr(self, name) is not None:
-                check_range(name, getattr(self, name), interval)
+        check_range("over_select", self.over_select, "[0, inf)")
+        if self.deadline_s is not None:     # inf: wait for the straggler
+            check_range("deadline_s", self.deadline_s, "(0, inf]")
         if isinstance(self.faults, dict):
             object.__setattr__(self, "faults", FaultSpec.from_dict(self.faults))
-        if self.quorum is not None:
-            if self.policy != "sync":
-                raise ValueError("quorum is a synchronous-round concept; "
-                                 "the buffered policy has no round to gate")
 
     def fault_model(self, run_seed: int) -> FaultModel | None:
         """The run's seeded fault model (``None`` = healthy fleet)."""
@@ -221,9 +201,8 @@ class ExecutionConfig:
 
     def build_availability(self, num_clients: int,
                            sim_seed: int) -> AvailabilityModel:
-        seed = (self.availability_seed if self.availability_seed is not None
-                else sim_seed + 7919)
-        return make_availability(self.availability, num_clients, seed=seed,
+        return make_availability(self.availability, num_clients,
+                                 seed=sim_seed + 7919,
                                  **self.availability_kwargs)
 
     # ------------------------------------------------------------------
@@ -233,10 +212,9 @@ class ExecutionConfig:
         """JSON-safe dict; inverse of :meth:`from_dict`.
 
         Every field changes results, so every field is serialised — but
-        the robustness fields (``faults``/``quorum``/``norm_bound``) only
-        when set away from their defaults:
-        pre-existing configs keep their exact serialised form, so no
-        cached spec hash ever moves.
+        ``faults`` only when enabled, and the fixed keys always at their
+        one value: pre-existing configs keep their exact serialised form,
+        so no cached spec hash ever moves.
         """
         payload = {
             "policy": self.policy,
@@ -246,21 +224,16 @@ class ExecutionConfig:
             "over_select": self.over_select,
             "buffer_size": self.buffer_size,
             "max_concurrency": self.max_concurrency,
-            "staleness_exponent": self.staleness_exponent,
-            "availability_seed": self.availability_seed,
-            "record_events": self.record_events,
+            **_FIXED_KEYS,
         }
         if self.faults is not None and self.faults.enabled:
             payload["faults"] = self.faults.to_dict()
-        if self.quorum is not None:
-            payload["quorum"] = self.quorum
-        if self.norm_bound is not None:
-            payload["norm_bound"] = self.norm_bound
         return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExecutionConfig":
-        return cls(**payload)
+        return cls(**drop_fixed_keys("ExecutionConfig", payload, _FIXED_KEYS,
+                                     removed=("quorum", "norm_bound")))
 
 
 class AggregationPolicy:
@@ -310,7 +283,7 @@ class AggregationPolicy:
 
     # -- shared plumbing ------------------------------------------------
     def emit(self, event: Event) -> Event:
-        if self.execution.record_events and not self._plain_records:
+        if not self._plain_records:
             self.timeline.append(event)
         return event
 
@@ -418,7 +391,7 @@ class AggregationPolicy:
     def verdict(self, algorithm, update) -> str | None:
         """Coordinator defense: the :func:`validate_update` reason an
         arrived update must not be aggregated (``None`` = admit)."""
-        return validate_update(update, self.execution.norm_bound,
+        return validate_update(update,
                                getattr(algorithm, "resolve_upload", None))
 
     def quarantine(self, event: Event, verdict: str) -> None:
@@ -430,11 +403,11 @@ class AggregationPolicy:
 
     def close_round(self, algorithm, history: History, index: int,
                     updates: list, sim_time: float, round_time: float,
-                    extras: dict, notes: dict | None = None):
+                    extras: dict):
         """Aggregate ``updates`` as server round ``index`` ending at
         ``sim_time``; returns ``finish()``, which evaluates if due and
         writes the round's record (``extras``, then the drops since the
-        last record, then ``notes``, then client timings).
+        last record, then client timings).
 
         ``finish()`` reads only what the round left behind: the global
         model, the timeline, drops and timings.  Launching the next
@@ -458,7 +431,6 @@ class AggregationPolicy:
             extras.update({f"dropped_{k}": v
                            for k, v in self.drops.items() if v})
             self.drops = dict.fromkeys(self.drops, 0)
-            extras.update(notes or {})
             if self._timings:
                 extras["client_timings"], self._timings = self._timings, {}
             record = RoundRecord(
@@ -547,7 +519,7 @@ class SynchronousPolicy(AggregationPolicy):
 
             sampled = self._sample(online, len(all_ids), rng)
             with telemetry.span("dispatch_round", round=round_index):
-                received, duration, notes = self._dispatch_round(
+                received, duration = self._dispatch_round(
                     algorithm, sampled, round_index, sim_time, pending)
             pending = None
             for reason, count in self.drops.items():
@@ -560,7 +532,7 @@ class SynchronousPolicy(AggregationPolicy):
                       {"dispatched": len(sampled), "received": len(received)})
             pending = self.close_round(algorithm, history, round_index,
                                        received, sim_time, round_time,
-                                       extras, notes)
+                                       extras)
             if checkpointer is not None and checkpointer.due(round_index):
                 # The snapshot holds the round's record and the rng before
                 # the next sample: finish the round first.
@@ -590,7 +562,7 @@ class SynchronousPolicy(AggregationPolicy):
                         start_s: float, meanwhile=None):
         """Train the round's clients and play their events through the
         queue; returns (received updates, round duration before server
-        overhead, quorum notes for the round's extras).
+        overhead).
 
         Three phases: (1) launch every sampled client in dispatch order
         (availability draws must happen in that order); (2) run every
@@ -602,19 +574,13 @@ class SynchronousPolicy(AggregationPolicy):
         happens — the decisions and the queue never leave the
         coordinator, so the round is deterministic for any worker count.
         """
-        execution, executor = self.execution, self.executor
-        deadline = (execution.deadline_s if execution.deadline_s is not None
-                    else math.inf)
-        #: latest deadline settlement may use: with a quorum the round may
-        #: extend its deadline once (doubling it), so "provably late" must
-        #: be judged against the extension or a recoverable client would
-        #: have been skipped before the extension could save it.
-        horizon = deadline if execution.quorum is None else deadline * 2
+        deadline = (self.execution.deadline_s
+                    if self.execution.deadline_s is not None else math.inf)
         dispatch_order = {int(cid): i for i, cid in enumerate(sampled)}
         segments: dict[int, tuple[float, float, float]] = {}
         for cid in dispatch_order:
             launched = self.launch(algorithm, cid, start_s, round_index,
-                                   horizon=horizon)
+                                   horizon=deadline)
             if launched is not None:
                 segments[cid] = launched
 
@@ -631,7 +597,7 @@ class SynchronousPolicy(AggregationPolicy):
         # offending write instead of corrupting a later round.  (The
         # vector itself: freezing views of it would leave it writable.)
         with frozen_arrays(getattr(algorithm, "global_vector", None)):
-            batch = executor.run_batch(items, costs, meanwhile)
+            batch = self.executor.run_batch(items, costs, meanwhile)
         for (cid, (down, train, total)), result in zip(segments.items(),
                                                        batch):
             update = self.land(algorithm, cid, result)
@@ -640,73 +606,30 @@ class SynchronousPolicy(AggregationPolicy):
             self.queue.push(Event(start_s + total, UPLOAD_COMPLETE, cid,
                                   info={"update": update}))
 
-        #: drain the queue once, then settle (possibly twice, under an
-        #: extended deadline) — pure recomputation over the drained events,
-        #: so the two passes cannot disagree about what arrived.
-        arrivals: list[tuple[Event, object]] = []
-        drop_events: list[Event] = []
+        # Settle the round against the deadline as its events fire.
+        # Quarantines are emitted after the last event, so they close the
+        # round's timeline.
+        received, rejected, duration, late = [], [], 0.0, 0
         while self.queue:
             event = self.next_event()
             if event.type in (CLIENT_DROPPED, CLIENT_FAILED):
-                drop_events.append(event)
-            elif event.type == UPLOAD_COMPLETE:
-                arrivals.append((event, event.info.pop("update", None)))
-
-        verdicts: dict[int, str | None] = {}
-
-        def judge(update) -> str | None:
-            """Validation verdict, memoised so a quorum-extended second
-            settle never judges (or counts) the same update twice."""
-            key = id(update)
-            if key not in verdicts:
-                verdicts[key] = self.verdict(algorithm, update)
-            return verdicts[key]
-
-        def settle(effective_deadline: float):
-            kept, rejected, duration, late = [], [], 0.0, 0
-            for event in drop_events:
                 duration = max(duration, min(event.time_s - start_s,
-                                             effective_deadline))
-            for event, update in arrivals:
-                if (update is None
-                        or update.round_time_s > effective_deadline):
+                                             deadline))
+            elif event.type == UPLOAD_COMPLETE:
+                update = event.info.pop("update", None)
+                if update is None or update.round_time_s > deadline:
                     late += 1
                     event.info["late"] = True
-                    duration = max(duration, effective_deadline)
+                    duration = max(duration, deadline)
                     continue
-                event.info.pop("late", None)
                 # The upload landed (and consumed wall clock) whether or
                 # not it survives validation.
                 duration = max(duration, update.round_time_s)
-                verdict = judge(update)
+                verdict = self.verdict(algorithm, update)
                 if verdict is not None:
                     rejected.append((event, verdict))
                 else:
-                    kept.append(update)
-            return kept, rejected, duration, late
-
-        received, rejected, duration, late = settle(deadline)
-        notes: dict = {}
-        if execution.quorum is not None:
-            target = int(math.ceil(execution.quorum * len(sampled)))
-            notes["quorum_target"] = target
-            if len(received) < target and math.isfinite(deadline):
-                # Degrade gracefully: extend the deadline once (doubling
-                # it) to let near-miss stragglers land.
-                received, rejected, duration, late = settle(deadline * 2)
-                notes["deadline_extended"] = True
-                telemetry.inc("aggregation.quorum_extended")
-                _log.info("round %d: quorum %d/%d unmet at deadline; "
-                          "extended once", round_index, len(received), target)
-            notes["quorum_met"] = len(received) >= target
-            if not notes["quorum_met"]:
-                # Still unmet: skip the round rather than aggregate a
-                # biased sliver — degrade, never crash.
-                telemetry.inc("aggregation.rounds_skipped")
-                _log.warning("round %d: quorum %d/%d unmet after extension; "
-                             "round skipped", round_index, len(received),
-                             target)
-                received = []
+                    received.append(update)
         self.drops["deadline"] = late
         for event, verdict in rejected:
             self.quarantine(event, verdict)
@@ -714,7 +637,7 @@ class SynchronousPolicy(AggregationPolicy):
         #: round's batch as a set, and accumulation order is part of the
         #: result (float sums do not commute bit-for-bit).
         received.sort(key=lambda u: dispatch_order[u.client_id])
-        return received, duration, notes
+        return received, duration
 
 
 class BufferedPolicy(AggregationPolicy):
@@ -774,7 +697,7 @@ class BufferedPolicy(AggregationPolicy):
                 continue
             update.staleness = version - update.version
             update.discount = float(
-                (1.0 + update.staleness) ** -execution.staleness_exponent)
+                (1.0 + update.staleness) ** -STALENESS_EXPONENT)
             telemetry.observe("aggregation.staleness", update.staleness)
             telemetry.observe("aggregation.discount", update.discount)
             event.info["staleness"] = update.staleness

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sanitizers import check_range
+from .sanitizers import check_range, drop_fixed_keys
 from .seeding import fault_rng
 
 __all__ = ["FaultSpec", "FaultModel", "FaultPlan", "CORRUPT_MODES",
@@ -38,9 +38,9 @@ __all__ = ["FaultSpec", "FaultModel", "FaultPlan", "CORRUPT_MODES",
 
 #: How a corrupted upload is mangled: non-finite payloads (``nan``/``inf``),
 #: a silent magnitude blow-up (``scale``) or a silent erasure (``zero``).
-#: The first two are what NaN/Inf validation catches; the latter two only
-#: trip a norm bound (scale) or nothing at all (zero) — deliberately, so
-#: fault profiles can probe what a given defense actually sees.
+#: The first two are what NaN/Inf validation catches; nothing catches the
+#: latter two (validation judges no magnitude), so a ``scale`` or ``zero``
+#: upload is aggregated — what an undefended server does with them.
 CORRUPT_MODES = ("nan", "inf", "scale", "zero")
 
 
@@ -59,9 +59,6 @@ class FaultSpec:
     corrupt_mode: str = "nan"
     #: multiplier for ``corrupt_mode="scale"``.
     corrupt_factor: float = 1e6
-    #: extra entropy folded into the fault stream (None = run seed only),
-    #: so two fault profiles differing only in seed draw distinct schedules.
-    seed: int | None = None
 
     def __post_init__(self):
         for name in ("crash_prob", "straggler_prob", "corrupt_prob"):
@@ -89,12 +86,12 @@ class FaultSpec:
             "corrupt_prob": self.corrupt_prob,
             "corrupt_mode": self.corrupt_mode,
             "corrupt_factor": self.corrupt_factor,
-            "seed": self.seed,
+            "seed": None,  # removed knob at its one value; keeps spec hashes
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultSpec":
-        return cls(**payload)
+        return cls(**drop_fixed_keys("FaultSpec", payload, {"seed": None}))
 
 
 @dataclass(frozen=True)
@@ -122,9 +119,7 @@ class FaultModel:
 
     def __init__(self, spec: FaultSpec, run_seed: int):
         self.spec = spec
-        #: run seed folded with the profile's own seed (if any).
-        self.run_seed = (int(run_seed) if spec.seed is None
-                         else int(run_seed) ^ (int(spec.seed) << 8))
+        self.run_seed = int(run_seed)
 
     def plan(self, version: int, client_id: int,
              dispatch: int = 0) -> FaultPlan:

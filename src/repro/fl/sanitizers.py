@@ -21,7 +21,8 @@ Both sanitizers are armed for every run and are **observation-only**: they
 read flags and states and draw nothing, so the History is exactly what an
 unguarded run would produce (the executor-identity tests and the e2e
 goldens pin it).  This module itself holds no state.  Configs guard
-their own fields with :func:`check_range`, which refuses NaN by name.
+their own fields with :func:`check_range`, which refuses NaN by name, and
+read their serialised form through :func:`drop_fixed_keys`.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["StrictModeViolation", "check_range", "collect_arrays",
-           "frozen_arrays", "freeze_arrays", "rng_tripwire"]
+__all__ = ["StrictModeViolation", "check_range", "drop_fixed_keys",
+           "collect_arrays", "frozen_arrays", "freeze_arrays",
+           "rng_tripwire"]
 
 
 class StrictModeViolation(RuntimeError):
@@ -47,6 +49,21 @@ def check_range(name: str, value, interval: str) -> None:
     below = value <= high if interval[-1] == "]" else value < high
     if not (above and below):
         raise ValueError(f"{name} must be in {interval}, got {value!r}")
+
+
+def drop_fixed_keys(owner: str, payload: dict, fixed: dict,
+                    removed: tuple = ()) -> dict:
+    """``payload`` without its ``fixed`` keys (name -> the one value such a
+    key may hold); a fixed key at another value or any ``removed`` key
+    raises ``ValueError`` naming the field."""
+    payload = dict(payload)
+    for name in removed:
+        if name in payload:
+            raise ValueError(f"{owner}.{name} was removed; drop the key")
+    for name, value in fixed.items():
+        if name in payload and payload.pop(name) != value:
+            raise ValueError(f"{owner}.{name} is fixed at {value!r}")
+    return payload
 
 
 def collect_arrays(value):

@@ -1,17 +1,11 @@
-"""Run + update (de)serialisation: persist runs and client uploads.
-
-Two families live here:
+"""Run (de)serialisation: persist runs and checkpoint payloads.
 
 * **History JSON** — the run cache and downstream notebooks use this to
   keep raw run records next to rendered tables;
-* **ClientUpdate round-trips** — a lossless, JSON-safe encoding of the
-  algorithm-specific uplink payloads (flat uploads and their level keys,
-  FedProto prototype sums/counts, Fed-ET public-set predictions).  The
-  process-pool executor moves updates as pickles; this codec is the
-  transport-agnostic alternative (wire protocols, debugging dumps) and the
-  contract ``tests/test_parallel_exec.py`` exercises for every algorithm's
-  payload shape.  Arrays are encoded as base64 raw bytes with dtype and
-  shape, so decoding is bit-exact.
+* **payloads** — :func:`encode_payload` / :func:`decode_payload`, a
+  lossless JSON-safe encoding of nested arrays, tuples and dicts, which
+  checkpoints store algorithm state in.  Arrays are encoded as base64 raw
+  bytes with dtype and shape, so decoding is bit-exact.
 """
 
 from __future__ import annotations
@@ -29,7 +23,6 @@ from .history import History, RoundRecord
 
 __all__ = ["history_to_dict", "history_from_dict", "save_history",
            "load_history", "encode_payload", "decode_payload",
-           "client_update_to_dict", "client_update_from_dict",
            "atomic_write_text"]
 
 
@@ -43,7 +36,7 @@ VOLATILE_EXTRA_KEYS = frozenset({"client_timings"})
 
 #: dataclass *fields* (as opposed to extras keys) that are deliberately
 #: dropped from the serialised form, keyed by payload class name.  Empty
-#: today: every field of ClientUpdate/RoundRecord/History round-trips.
+#: today: every field of RoundRecord/History round-trips.
 #: ``tests/test_contracts.py`` round-trips every other field, so a field
 #: can only be dropped by naming it here — never by accident.
 VOLATILE_FIELDS: dict[str, frozenset] = {}
@@ -145,34 +138,6 @@ def decode_payload(value):
     if isinstance(value, list):
         return [decode_payload(v) for v in value]
     return value
-
-
-def client_update_to_dict(update) -> dict:
-    """Encode a :class:`~repro.algorithms.base.ClientUpdate` losslessly."""
-    return {
-        "client_id": int(update.client_id),
-        "version": int(update.version),
-        "train_loss": float(update.train_loss),
-        "round_time_s": float(update.round_time_s),
-        "weight": float(update.weight),
-        "discount": float(update.discount),
-        "staleness": int(update.staleness),
-        "payload": encode_payload(update.payload),
-    }
-
-
-def client_update_from_dict(payload: dict):
-    """Inverse of :func:`client_update_to_dict`."""
-    from ..algorithms.base import ClientUpdate
-    return ClientUpdate(
-        client_id=payload["client_id"],
-        version=payload["version"],
-        train_loss=payload["train_loss"],
-        round_time_s=payload["round_time_s"],
-        weight=payload["weight"],
-        discount=payload.get("discount", 1.0),
-        staleness=payload.get("staleness", 0),
-        payload=decode_payload(payload["payload"]))
 
 
 def atomic_write_text(path: Path, text: str) -> None:

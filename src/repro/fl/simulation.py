@@ -10,8 +10,8 @@ availability model (:mod:`repro.fl.availability`), hands client work to an
 
 The config has two halves.  ``execution`` — an
 :class:`~repro.fl.aggregation.ExecutionConfig` — is *semantics*: the
-availability scenario, aggregation policy, deadline, faults, norm bound;
-it changes results and is hashed with the spec.  ``None`` resolves to
+availability scenario, aggregation policy, deadline, faults; it
+changes results and is hashed with the spec.  ``None`` resolves to
 ``ExecutionConfig()``: the synchronous policy on an always-on fleet, where
 every sampled client finishes and the round waits for the straggler.
 Everything else on :class:`SimulationConfig` beyond the round-loop

@@ -336,14 +336,6 @@ class TestLegacyEquivalence:
                         if e["type"] == UPLOAD_COMPLETE]
         assert upload_times == sorted(upload_times)
 
-    def test_record_events_off(self):
-        history = run_simulation(
-            tiny_scenario().algorithm,
-            SimulationConfig(**SIM,
-                             execution=ExecutionConfig(record_events=False)))
-        assert all(r.events == [] for r in history.records)
-        assert all("dispatched" in r.extras for r in history.records)
-
     def test_no_block_run_quarantines_nonfinite_update(self):
         """The one semantic change of the unified runtime: update
         validation now also guards runs given no execution block."""
@@ -487,8 +479,7 @@ class TestBufferedAggregation:
         config = SimulationConfig(
             num_rounds=5, sample_ratio=0.3, eval_every=2, seed=3,
             execution=ExecutionConfig(policy="buffered", buffer_size=1,
-                                      max_concurrency=3,
-                                      staleness_exponent=0.5))
+                                      max_concurrency=3))
         history = run_simulation(tiny_scenario().algorithm, config)
         assert len(history.records) == 5
         assert sum(r.extras["received"] for r in history.records) == 5
@@ -600,8 +591,9 @@ class TestExecutionConfig:
     @pytest.mark.parametrize("name, value", [
         ("max_concurrency", 0), ("max_concurrency", -1),
         ("deadline_s", 0.0), ("deadline_s", -1.0),
-        ("norm_bound", 0.0), ("norm_bound", -1.0),
-        ("staleness_exponent", -0.5),
+        ("deadline_s", float("nan")), ("deadline_s", float("-inf")),
+        ("buffer_size", 0), ("buffer_size", -3),
+        ("over_select", -0.1),
         ("over_select", float("nan")), ("over_select", float("inf"))])
     def test_rejects_out_of_range_value_naming_the_field(self, name, value):
         with pytest.raises(ValueError, match=name):
@@ -609,11 +601,10 @@ class TestExecutionConfig:
 
     def test_range_edges_serialise_as_set(self):
         config = ExecutionConfig(max_concurrency=1, deadline_s=0.5,
-                                 staleness_exponent=0.0, norm_bound=0.5)
+                                 over_select=0.0)
         payload = config.to_dict()
         assert (payload["max_concurrency"], payload["deadline_s"],
-                payload["staleness_exponent"], payload["norm_bound"]) \
-            == (1, 0.5, 0.0, 0.5)
+                payload["over_select"]) == (1, 0.5, 0.0)
         assert ExecutionConfig.from_dict(payload) == config
 
     def test_spec_execution_config_carries_availability(self):

@@ -5,11 +5,12 @@
   ``HASH_EXCLUDED``.  A field absent from :data:`CHANGED` fails until its
   hash status is decided, so a new behaviour knob can never share its old
   run-cache entry by accident.
-* **Round-trip coverage** — ``RoundRecord``, ``History`` and
-  ``ClientUpdate`` built with every field set survive
-  :mod:`repro.fl.serialization` field for field, except what
-  ``VOLATILE_FIELDS`` declares dropped; array payloads of any dtype, shape
-  and layout come back bit for bit.
+* **Fixed keys** — the serialised form of a removed knob is read back at
+  its one value and refused at any other, by name.
+* **Round-trip coverage** — ``RoundRecord`` and ``History`` built with
+  every field set survive :mod:`repro.fl.serialization` field for field,
+  except what ``VOLATILE_FIELDS`` declares dropped; array payloads of any
+  dtype, shape and layout come back bit for bit.
 * **Source hygiene** — no bare ``except:``, every logger comes from
   :func:`repro.telemetry.logs.get_logger`, and no ``.data`` is rebound
   outside the tensor and the optimiser.
@@ -26,14 +27,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
-from repro.algorithms import ClientUpdate
 from repro.constraints import ConstraintSpec
 from repro.experiments import RunSpec
 from repro.fl import (ExecutionConfig, History, LocalTrainConfig, RoundRecord,
                       SimulationConfig)
 from repro.fl.faults import FaultSpec
-from repro.fl.serialization import (VOLATILE_FIELDS, client_update_from_dict,
-                                    client_update_to_dict, decode_payload,
+from repro.fl.serialization import (VOLATILE_FIELDS, decode_payload,
                                     encode_payload, history_from_dict,
                                     history_to_dict)
 
@@ -59,13 +58,11 @@ CHANGED = {
         "policy": "buffered", "availability": "diurnal",
         "availability_kwargs": {"period": 4}, "deadline_s": 30.0,
         "over_select": 0.25, "buffer_size": 2, "max_concurrency": 5,
-        "staleness_exponent": 1.0, "availability_seed": 11,
-        "record_events": False, "faults": FaultSpec(crash_prob=0.1),
-        "quorum": 0.5, "norm_bound": 100.0}),
+        "faults": FaultSpec(crash_prob=0.1)}),
     FaultSpec: (FaultSpec(), {
         "crash_prob": 0.1, "straggler_prob": 0.2, "straggler_factor": 2.0,
-        "corrupt_prob": 0.3, "corrupt_mode": "inf", "corrupt_factor": 10.0,
-        "seed": 5}),
+        "corrupt_prob": 0.3, "corrupt_mode": "inf",
+        "corrupt_factor": 10.0}),
 }
 
 
@@ -107,8 +104,6 @@ class TestFloatFieldsAreFinite:
     #: (class, field) -> what +inf means there.
     INF_ALLOWED = {
         (ExecutionConfig, "deadline_s"): "no deadline: wait for the straggler",
-        (ExecutionConfig, "norm_bound"): "no norm bound",
-        (ExecutionConfig, "staleness_exponent"): "discard every stale update",
     }
     CASES = [(cls, f.name) for cls in BASES for f in dataclasses.fields(cls)
              if "float" in str(f.type)]
@@ -127,6 +122,44 @@ class TestFloatFieldsAreFinite:
 
     def test_allowlist_names_real_float_fields(self):
         assert set(self.INF_ALLOWED) <= set(self.CASES)
+
+
+#: class -> (the keys its ``to_dict`` emits at one fixed value, with that
+#: value; the keys of knobs removed without one).
+FIXED = {
+    ExecutionConfig: ({"staleness_exponent": 0.5, "availability_seed": None,
+                       "record_events": True}, ("quorum", "norm_bound")),
+    FaultSpec: ({"seed": None}, ()),
+}
+KEYS = [(cls, name) for cls, (fixed, removed) in FIXED.items()
+        for name in [*fixed, *removed]]
+
+
+class TestFixedKeys:
+    @pytest.mark.parametrize("cls", list(FIXED), ids=lambda c: c.__name__)
+    def test_emitted_at_their_value_and_read_back(self, cls):
+        fixed, removed = FIXED[cls]
+        names = {f.name for f in dataclasses.fields(cls)}
+        assert names.isdisjoint([*fixed, *removed])
+        base = CHANGED[cls][0]
+        payload = json.loads(json.dumps(base.to_dict()))
+        assert {k: payload[k] for k in fixed} == fixed
+        assert not set(removed) & set(payload)
+        assert cls.from_dict(payload) == base
+
+    @pytest.mark.parametrize("cls,name", KEYS,
+                             ids=[f"{c.__name__}.{n}" for c, n in KEYS])
+    def test_any_other_value_is_refused_by_name(self, cls, name):
+        fixed, _ = FIXED[cls]
+        payload = CHANGED[cls][0].to_dict()
+        for value in (1.0, 7, False, "x"):
+            if name in fixed and value == fixed[name]:
+                continue
+            with pytest.raises(ValueError, match=f"{cls.__name__}.{name}"):
+                cls.from_dict({**payload, name: value})
+        if name not in fixed:
+            with pytest.raises(ValueError, match=name):
+                cls.from_dict({**payload, name: None})
 
 
 def _every_field_set(cls, **values):
@@ -170,8 +203,7 @@ def _assert_round_trip(original, restored):
 
 class TestRoundTripCoverage:
     def test_volatile_fields_name_real_fields(self):
-        classes = {cls.__name__: cls
-                   for cls in (RoundRecord, History, ClientUpdate)}
+        classes = {cls.__name__: cls for cls in (RoundRecord, History)}
         for name, dropped in VOLATILE_FIELDS.items():
             assert set(dropped) <= {
                 f.name for f in dataclasses.fields(classes[name])}, name
@@ -189,17 +221,6 @@ class TestRoundTripCoverage:
             history_to_dict(history))))
         _assert_round_trip(history, restored)
         _assert_round_trip(record, restored.records[0])
-
-    def test_client_update(self):
-        values = np.arange(6, dtype=np.float32)
-        key = ((("head_mode", "all"), ("num_stages", None)), 3, (0, 2))
-        update = _every_field_set(
-            ClientUpdate, client_id=5, version=2, train_loss=0.5,
-            round_time_s=3.5, weight=12.0, payload=(values, key),
-            discount=0.5, staleness=2)
-        restored = client_update_from_dict(json.loads(json.dumps(
-            client_update_to_dict(update))))
-        _assert_round_trip(update, restored)
 
 
 _SPECIALS = [np.nan, np.inf, -np.inf, -0.0]
@@ -236,14 +257,6 @@ class TestPayloadRoundTrip:
     def test_encode_decode(self, payload):
         wire = json.loads(json.dumps(encode_payload(payload)))
         assert same(decode_payload(wire), payload)
-
-    @given(payload=payloads)
-    @settings(max_examples=50, deadline=None)
-    def test_client_update(self, payload):
-        update = ClientUpdate(client_id=1, version=0, train_loss=0.0,
-                              round_time_s=1.0, weight=1.0, payload=payload)
-        wire = json.loads(json.dumps(client_update_to_dict(update)))
-        assert same(client_update_from_dict(wire).payload, payload)
 
 
 def test_no_bare_except_and_loggers_only_from_the_factory():

@@ -159,6 +159,29 @@ class TestHarnesses:
                                         client_counts=[4, 8])
         assert {r["clients"] for r in rows} == {4, 8}
 
+    @pytest.mark.parametrize("scale,dataset,users,count", [
+        ("smoke", "harbox", 8, 20), ("demo", "harbox", 30, 50),
+        ("demo", "ucihar", 24, 50), ("demo", "stackoverflow", 30, 50)])
+    def test_fig9_refuses_more_clients_than_users(self, scale, dataset,
+                                                   users, count):
+        """The grid is refused before any cell trains, and the message
+        names the dataset, its users, the client count and the scale."""
+        before = simulation.RUN_COUNT
+        with pytest.raises(ValueError) as error:
+            get_artifact("fig9").specs(scale=scale, dataset=dataset)
+        message = str(error.value)
+        for part in (dataset, f"{users} users", f"{count} clients",
+                     repr(scale)):
+            assert part in message, (part, message)
+        assert simulation.RUN_COUNT == before
+
+    def test_fig9_cli_exits_2_without_a_traceback(self, capsys):
+        assert cli_main(["run", "fig9", "--scale", "smoke",
+                         "--datasets", "harbox"]) == 2
+        err = capsys.readouterr().err
+        assert "harbox" in err and "8 users" in err
+        assert "Traceback" not in err
+
     def test_fig1_radar(self):
         rows = get_artifact("fig1").run(scale="smoke", dataset="harbox")
         assert rows  # fig1 reuses fig4 rows

@@ -1,19 +1,16 @@
 """Tests for the FL engine: local training, history, simulation loop."""
 
-import json
 import weakref
 
 import numpy as np
 import pytest
 
 from repro import autograd as ag
-from repro.algorithms import ClientUpdate
 from repro.constraints import ConstraintSpec, build_scenario
 from repro.data import load_dataset
 from repro.fl import (LocalTrainConfig, train_local, make_optimizer,
                       accuracy, predict, History, RoundRecord,
-                      SimulationConfig, client_update_from_dict,
-                      client_update_to_dict, run_simulation, sample_clients)
+                      SimulationConfig, run_simulation, sample_clients)
 from repro.models import build_model
 
 
@@ -254,9 +251,7 @@ class TestHistory:
         """The fault-injection event types and extras survive the trip."""
         h = self._history()
         h.records[1].extras = {"dispatched": 4, "received": 2,
-                               "dropped_crash": 1, "dropped_quarantined": 1,
-                               "quorum_target": 2, "quorum_met": True,
-                               "deadline_extended": True}
+                               "dropped_crash": 1, "dropped_quarantined": 1}
         h.records[1].events = [
             {"t": 3.0, "type": "client_failed", "client": 5,
              "reason": "crash"},
@@ -290,66 +285,6 @@ class TestHistory:
             _ = h.total_sim_time_s
         with pytest.raises(ValueError, match="no rounds"):
             h.time_to_accuracy(0.5)
-
-
-class TestClientUpdateRoundTrips:
-    """Lossless JSON round-trips for every uplink payload family, on
-    synthetic payloads (the scenario-level counterpart lives in
-    ``tests/test_parallel_exec.py``)."""
-
-    def _round_trip(self, update: ClientUpdate) -> ClientUpdate:
-        wire = json.dumps(client_update_to_dict(update))
-        return client_update_from_dict(json.loads(wire))
-
-    def _update(self, payload) -> ClientUpdate:
-        return ClientUpdate(client_id=3, version=2, train_loss=0.75,
-                            round_time_s=6.5, weight=40.0, discount=0.5,
-                            staleness=1, payload=payload)
-
-    def test_scalar_fields(self):
-        back = self._round_trip(self._update(None))
-        assert (back.client_id, back.version, back.train_loss,
-                back.round_time_s, back.weight, back.discount,
-                back.staleness) == (3, 2, 0.75, 6.5, 40.0, 0.5, 1)
-        assert back.payload is None
-
-    def test_state_and_maps_family(self):
-        """Parameter averaging: a (state, maps) tuple of dicts; float
-        state arrays and integer index maps (with None axes) must all
-        survive bit-exact, tuples staying tuples."""
-        state = {"conv.w": np.arange(24, dtype=np.float32).reshape(2, 3, 4),
-                 "head.b": np.array([1.5, -2.5], dtype=np.float64)}
-        maps = {"conv.w": (np.array([0, 1]), None, np.array([0, 2, 3])),
-                "head.b": (np.array([0, 1]),)}
-        got_state, got_maps = self._round_trip(
-            self._update((state, maps))).payload
-        for name, want in state.items():
-            assert got_state[name].dtype == want.dtype
-            np.testing.assert_array_equal(got_state[name], want)
-        for name, axes in maps.items():
-            assert isinstance(got_maps[name], tuple)
-            for got, want in zip(got_maps[name], axes):
-                if want is None:
-                    assert got is None
-                else:
-                    assert got.dtype == want.dtype
-                    np.testing.assert_array_equal(got, want)
-
-    def test_prototype_family(self):
-        """FedProto: (per-class embedding sums, per-class counts)."""
-        sums = np.random.default_rng(0).normal(size=(5, 16))
-        counts = np.array([3.0, 0.0, 7.0, 1.0, 0.0])
-        got_sums, got_counts = self._round_trip(
-            self._update((sums, counts))).payload
-        np.testing.assert_array_equal(got_sums, sums)
-        np.testing.assert_array_equal(got_counts, counts)
-
-    def test_logits_family(self):
-        """Fed-ET: a bare public-set probability matrix."""
-        probs = np.random.default_rng(1).random((10, 4)).astype(np.float32)
-        back = self._round_trip(self._update(probs))
-        assert back.payload.dtype == probs.dtype
-        np.testing.assert_array_equal(back.payload, probs)
 
 
 class TestSampling:

@@ -21,15 +21,15 @@ import pytest
 
 from repro import autograd as ag
 from repro import nn
-from repro.algorithms import ALGORITHMS, ClientUpdate
+from repro.algorithms import ALGORITHMS
 from repro.constraints import ConstraintSpec
 from repro.experiments import (RunDefaults, RunSpec, execute_spec,
                                execute_specs, prepare_scenario, run_defaults)
+from repro.experiments import runner
 from repro.experiments.cache import RunCache
 from repro.fl import (ExecutionConfig, ExecutorError, InlineExecutor,
                       ProcessExecutor, SimulationConfig,
-                      client_rng, client_update_from_dict,
-                      client_update_to_dict, execute_work_item,
+                      client_rng, execute_work_item,
                       history_to_dict, reseed_dropout, run_simulation,
                       sample_clients)
 from repro.fl import aggregation
@@ -124,6 +124,24 @@ class TestWorkItems:
         assert back.update.client_id == cid
         algo.apply_client_state(cid, back.client_state)
 
+    def test_upload_is_values_and_key(self):
+        """The parameter-averaging payload is one float32 vector and the
+        key of its index — no index map travels — and the key an unpickled
+        update carries resolves to the same index."""
+        scenario, _ = prepare_scenario(smoke_spec("fedrolex"))
+        algo = scenario.algorithm
+        cid = sorted(algo.clients)[0]
+        update, _ = algo.run_client(cid, 2, client_rng(0, 2, cid))
+        values, key = pickle.loads(pickle.dumps(update)).payload
+        orig_values, orig_key = update.payload
+        assert key == orig_key and key[1] == 2      # the rolling shift
+        assert values.dtype == np.float32 and values.ndim == 1
+        assert np.array_equal(values, orig_values)
+        assert not any(isinstance(part, np.ndarray) for part in key)
+        placed = algo.resolve_upload(key)
+        assert placed is algo.resolve_upload(orig_key)   # memoised
+        assert values.size == placed.bounds[-1]
+
     def test_inline_matches_injected_broadcast(self):
         """A downlink ``run_client`` packs itself (broadcast=None) and one
         injected by the caller are bit-identical."""
@@ -216,63 +234,6 @@ class TestWorkItems:
         run_simulation(scenario.algorithm, SimulationConfig(
             num_rounds=1, sample_ratio=0.3, workers=2, executor="process"))
         assert built == {"workers": 2, "kind": "process"}
-
-
-class TestPayloadSerialization:
-    """ClientUpdate round-trips for every uplink family (the satellite
-    coverage that process-pool transport rests on)."""
-
-    def _round_trip(self, update: ClientUpdate) -> ClientUpdate:
-        wire = json.dumps(client_update_to_dict(update))
-        return client_update_from_dict(json.loads(wire))
-
-    def _assert_payload_equal(self, a, b):
-        if isinstance(a, np.ndarray):
-            assert isinstance(b, np.ndarray)
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        elif isinstance(a, tuple):
-            assert isinstance(b, tuple) and len(a) == len(b)
-            for x, y in zip(a, b):
-                self._assert_payload_equal(x, y)
-        elif isinstance(a, dict):
-            assert set(a) == set(b)
-            for key in a:
-                self._assert_payload_equal(a[key], b[key])
-        else:
-            assert a == b
-
-    @pytest.mark.parametrize("algorithm",
-                             ["sheterofl", "fedproto", "fedet"])
-    def test_update_round_trip(self, algorithm):
-        scenario, _ = prepare_scenario(smoke_spec(algorithm))
-        algo = scenario.algorithm
-        cid = sorted(algo.clients)[0]
-        update, _ = algo.run_client(cid, 0, client_rng(0, 0, cid))
-        back = self._round_trip(update)
-        assert back.client_id == update.client_id
-        assert back.version == update.version
-        assert back.train_loss == update.train_loss
-        assert back.round_time_s == update.round_time_s
-        assert back.weight == update.weight
-        self._assert_payload_equal(update.payload, back.payload)
-
-    def test_values_and_key_survive(self):
-        """The parameter-averaging payload is one float32 vector and the
-        key of its index — no index map travels — and the key a decoded
-        update carries resolves to the same index."""
-        scenario, _ = prepare_scenario(smoke_spec("fedrolex"))
-        algo = scenario.algorithm
-        cid = sorted(algo.clients)[0]
-        update, _ = algo.run_client(cid, 2, client_rng(0, 2, cid))
-        values, key = self._round_trip(update).payload
-        orig_values, orig_key = update.payload
-        assert key == orig_key and key[1] == 2      # the rolling shift
-        assert values.dtype == np.float32 and values.ndim == 1
-        assert np.array_equal(values, orig_values)
-        assert not any(isinstance(part, np.ndarray) for part in key)
-        placed = algo.resolve_upload(key)
-        assert placed is algo.resolve_upload(orig_key)   # memoised
-        assert values.size == placed.bounds[-1]
 
 
 class TestWorkerCountInvariance:
@@ -484,7 +445,8 @@ class TestParallelSweeps:
 
     def test_parallel_matches_sequential(self, tmp_path):
         sequential = execute_specs(self._grid(), cache=None)
-        parallel = execute_specs(self._grid(), cache=None, workers=2)
+        with run_defaults(RunDefaults(workers=2)):
+            parallel = execute_specs(self._grid(), cache=None)
         assert [history_to_dict(r.history) for r in sequential] \
             == [history_to_dict(r.history) for r in parallel]
         assert [r.num_classes for r in sequential] \
@@ -494,11 +456,50 @@ class TestParallelSweeps:
 
     def test_parallel_sweep_populates_shared_cache(self, tmp_path):
         cache = RunCache(tmp_path)
-        execute_specs(self._grid(), cache=cache, workers=2)
-        assert cache.misses == 3 and cache.hits == 0
-        again = execute_specs(self._grid(), cache=cache, workers=2)
+        with run_defaults(RunDefaults(workers=2)):
+            execute_specs(self._grid(), cache=cache)
+            assert cache.misses == 3 and cache.hits == 0
+            again = execute_specs(self._grid(), cache=cache)
         assert cache.hits == 3
         assert all(r.from_cache for r in again)
+
+    def test_a_cached_grid_opens_no_pool(self, tmp_path, monkeypatch):
+        """Hits are served in the coordinator: a fully cached grid at two
+        workers starts no process."""
+        cache = RunCache(tmp_path)
+        grid = self._grid()
+        first = execute_specs(grid, cache=cache)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was opened")
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
+        with run_defaults(RunDefaults(workers=2)):
+            again = execute_specs(grid, cache=cache)
+        assert all(r.from_cache for r in again)
+        assert [r.spec for r in again] == grid
+        assert [history_to_dict(r.history) for r in again] \
+            == [history_to_dict(r.history) for r in first]
+
+    def test_only_the_misses_fan_out(self, tmp_path, monkeypatch):
+        """One cached cell and two misses: the pool gets two workers and
+        the two misses, and the results keep the input order."""
+        cache = RunCache(tmp_path)
+        grid = self._grid()
+        execute_specs(grid[1:2], cache=cache)
+        sizes = []
+        real_pool = runner.ProcessPoolExecutor
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", recording_pool)
+        with run_defaults(RunDefaults(workers=4)):
+            results = execute_specs(grid, cache=cache)
+        assert sizes == [2]
+        assert [r.spec for r in results] == grid
+        assert [r.from_cache for r in results] == [False, True, False]
 
     def test_default_parallelism_round_trip(self):
         """A spec that doesn't say inherits the process default; one that
