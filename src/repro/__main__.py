@@ -331,12 +331,12 @@ def _report_cache(cache: RunCache | None) -> None:
                   cache.hits, cache.misses, cache.directory)
 
 
-def _selected(args) -> list | None:
+def _selected(names: list[str], args) -> list | None:
     """``(artifact, kwargs, cells)`` per named artifact, or ``None``
     (logged) when a name is unknown or an artifact refuses its options."""
     try:
         selected = []
-        for artifact in [get_artifact(name) for name in args.artifacts]:
+        for artifact in [get_artifact(name) for name in names]:
             kwargs = _artifact_kwargs(artifact, args)
             selected.append((artifact, kwargs, artifact.specs(**kwargs)))
     except ValueError as error:
@@ -351,7 +351,7 @@ def _cells(selected) -> list:
 
 
 def _cmd_run(args) -> int:
-    selected = _selected(args)
+    selected = _selected(args.artifacts, args)
     if selected is None:
         return 2
     if args.shard is not None:
@@ -399,7 +399,7 @@ def _run_shard(args, selected) -> int:
 
 
 def _cmd_status(args) -> int:
-    selected = _selected(args)
+    selected = _selected(args.artifacts, args)
     if selected is None:
         return 2
     cache = RunCache(args.cache_dir or DEFAULT_CACHE_DIR)
@@ -410,14 +410,12 @@ def _cmd_status(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    try:
-        artifact = get_artifact(args.artifact)
-    except ValueError as error:
-        _log.error("%s", error)
-        return 2
     if args.scale_pos is not None and args.scale is None:
         args.scale = args.scale_pos
-    kwargs = _artifact_kwargs(artifact, args)
+    selected = _selected([args.artifact], args)
+    if selected is None:
+        return 2
+    [(artifact, kwargs, cells)] = selected
     meta = {"artifact": artifact.name}
     if args.scale is not None:
         meta["scale"] = args.scale
@@ -426,7 +424,7 @@ def _cmd_profile(args) -> int:
                                trace_memory=args.memory) as session:
             # The artifact's rows are not the product here — the
             # telemetry collected around them is.
-            artifact.run(**kwargs)
+            artifact.rows(execute_specs(cells), **kwargs)
     trace = session.chrome_trace()
     validate_chrome_trace(trace)
     trace_path = (Path(args.trace_out) if args.trace_out else

@@ -154,9 +154,8 @@ class MHFLAlgorithm:
 
     #: serialised RunSpec this instance was built from (set by the
     #: experiment runner; ``None`` for hand-built scenarios).  Process-pool
-    #: executors use it to rebuild an identical replica per worker; it is
-    #: cleared for ablation-mutated runs, whose live object diverges from
-    #: what the spec would rebuild.
+    #: executors use it to rebuild an identical replica per worker (a
+    #: tagged variant's change included: the rebuild applies it too).
     spec_payload: dict | None = None
 
     def __init__(self, base_model: SliceableModel, dataset: FederatedDataset,

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from ..constraints import ConstraintSpec
 from .registry import register_artifact
-from .runner import execute_spec, resolve_target_accuracy
-from .scales import resolve_scale
+from .runner import resolve_target_accuracy
 from .spec import RunSpec
+from .variants import DEADLINE_TAG, buffered_tag
 
-__all__ = ["rows", "MODES", "CASES"]
+__all__ = ["specs", "rows", "MODES", "CASES"]
 
 MODES = ("sync", "deadline", "buffered")
 
@@ -35,84 +35,57 @@ CASES: list[tuple[str, ...]] = [
     ("memory",),
 ]
 
-#: fleet quantile of the full round time used as the deadline (drops the
-#: slowest ~20% of the fleet when they are sampled).
-DEADLINE_QUANTILE = 0.8
-#: extra clients dispatched per deadline round to hedge the drops.
-OVER_SELECT = 0.25
 
-
-def _mode_factories(spec: ConstraintSpec, sample_ratio: float) -> dict:
-    """``execution_factory`` per non-sync mode: the deadline and buffer
-    sizes are derived from the *built* scenario, so the factory runs only
-    on cache misses — a fully cached cell never rebuilds the fleet."""
-
-    def deadline(scenario):
-        value = scenario.algorithm.fleet_round_time_quantile(
-            DEADLINE_QUANTILE)
-        return spec.execution_config(deadline_s=value,
-                                     over_select=OVER_SELECT)
-
-    def buffered(scenario):
-        target = max(1, int(round(
-            scenario.algorithm.num_clients * sample_ratio)))
-        return spec.execution_config(policy="buffered",
-                                     buffer_size=max(1, target // 2),
-                                     max_concurrency=target)
-
-    return {"deadline": deadline, "buffered": buffered}
+def specs(scale: str = "demo", seed: int = 0, dataset: str = "harbox",
+          algorithms: list[str] | None = None,
+          cases: list[tuple[str, ...]] | None = None,
+          availability: str = "dropout",
+          availability_kwargs: dict | None = None,
+          scale_overrides: dict | None = None) -> list[RunSpec]:
+    """One (sync, deadline, buffered) triple per case and algorithm.  The
+    deadline and buffered cells are tagged variants
+    (:mod:`repro.experiments.variants`): their blocks derive from the
+    built fleet."""
+    if availability_kwargs is None:
+        availability_kwargs = {"prob": 0.15} if availability == "dropout" \
+            else {}
+    cells = []
+    for case in (cases or CASES):
+        constraints = ConstraintSpec(constraints=case,
+                                     availability=availability,
+                                     availability_kwargs=availability_kwargs)
+        for name in (algorithms or ["sheterofl", "depthfl"]):
+            base = RunSpec(algorithm=name, dataset=dataset,
+                           constraints=constraints, scale=scale,
+                           scale_overrides=scale_overrides or {}, seed=seed)
+            cells += [base.replace(execution=constraints.execution_config()),
+                      base.replace(tag=DEADLINE_TAG),
+                      base.replace(tag=buffered_tag(base))]
+    return cells
 
 
 @register_artifact("async_compare",
                    title="Async execution: sync vs deadline vs buffered "
-                         "(time-to-accuracy, simulated clock)")
-def rows(results, scale: str = "demo", seed: int = 0,
-         dataset: str = "harbox", algorithms: list[str] | None = None,
-         cases: list[tuple[str, ...]] | None = None,
-         availability: str = "dropout",
-         availability_kwargs: dict | None = None,
-         scale_overrides: dict | None = None) -> list[dict]:
-    algorithms = algorithms or ["sheterofl", "depthfl"]
-    if availability_kwargs is None:
-        availability_kwargs = {"prob": 0.15} if availability == "dropout" \
-            else {}
-    sample_ratio = resolve_scale(scale, scale_overrides).sample_ratio
-
+                         "(time-to-accuracy, simulated clock)",
+                   specs=specs)
+def rows(results, **_) -> list[dict]:
     out = []
-    for case in (cases or CASES):
-        spec = ConstraintSpec(constraints=case, availability=availability,
-                              availability_kwargs=availability_kwargs)
-        factories = _mode_factories(spec, sample_ratio)
-        for name in algorithms:
-            base = RunSpec(algorithm=name, dataset=dataset, constraints=spec,
-                           scale=scale, scale_overrides=scale_overrides or {},
-                           seed=seed)
-            results = {"sync": execute_spec(
-                base.replace(execution=spec.execution_config()))}
-            #: tags pin the derivation constants so derived configs cache
-            #: under their own content hash.
-            results["deadline"] = execute_spec(
-                base.replace(tag=f"async:deadline:q{DEADLINE_QUANTILE}"
-                                 f":os{OVER_SELECT}"),
-                execution_factory=factories["deadline"])
-            results["buffered"] = execute_spec(
-                base.replace(tag=f"async:buffered:sr{sample_ratio}"),
-                execution_factory=factories["buffered"])
-            num_classes = results["sync"].num_classes
-            target = resolve_target_accuracy(
-                [r.history for r in results.values()], num_classes)
-            for mode in MODES:
-                history = results[mode].history
-                dropped = history.dropped_counts()
-                tta = history.time_to_accuracy(target)
-                out.append({
-                    "constraints": spec.label, "algorithm": name,
-                    "mode": mode, "rounds": len(history.records),
-                    "final_acc": round(history.final_accuracy, 4),
-                    "target_acc": round(target, 4),
-                    "tta_s": None if tta is None else round(tta, 1),
-                    "total_s": round(history.total_sim_time_s, 1),
-                    "dropped": sum(dropped.values()),
-                    "stale": history.stale_update_count(),
-                })
+    for i in range(0, len(results), len(MODES)):
+        triple = results[i:i + len(MODES)]
+        target = resolve_target_accuracy([r.history for r in triple],
+                                         triple[0].num_classes)
+        for mode, result in zip(MODES, triple):
+            history = result.history
+            tta = history.time_to_accuracy(target)
+            out.append({
+                "constraints": result.spec.constraints.label,
+                "algorithm": result.spec.algorithm,
+                "mode": mode, "rounds": len(history.records),
+                "final_acc": round(history.final_accuracy, 4),
+                "target_acc": round(target, 4),
+                "tta_s": None if tta is None else round(tta, 1),
+                "total_s": round(history.total_sim_time_s, 1),
+                "dropped": sum(history.dropped_counts().values()),
+                "stale": history.stale_update_count(),
+            })
     return out

@@ -13,6 +13,11 @@ Fault schedules derive from ``(run_seed, round, client)`` on a salted
 stream, so every cell is bit-reproducible at any worker count and the
 clean profile is byte-identical to the ordinary healthy run (it shares
 the content hash, hence the cache entry).
+
+At ``--scale smoke`` the few sampled dispatches draw no crash and no
+corrupted upload, so the defense counters of every default cell read 0;
+eight rounds (``--rounds 8``) of the SHeteroFL cell crash and quarantine
+(``tests/test_faults.py::TestFaultCompareArtifact``).
 """
 
 from __future__ import annotations

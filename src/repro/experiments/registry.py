@@ -9,9 +9,9 @@ registers the function that builds its rows from their results::
 ``Artifact.run(**kwargs)`` is ``rows(execute_specs(specs(**kwargs)),
 **kwargs)``, so a grid can be listed, sharded or unioned with another
 without running anything.  An artifact registered without ``specs`` lists
-no cells: the tables train nothing, and the artifacts whose cells carry
-live hooks (a mutation, an execution factory, a telemetry session)
-execute inside ``rows``.  Discovery imports every module in
+no cells: the tables and fig3 train nothing.  ``rows`` only reads
+results; a cell's whole run is its spec (a ``tag`` names a variant, see
+:mod:`repro.experiments.variants`).  Discovery imports every module in
 :mod:`repro.experiments` once, so adding an artifact module is
 registration enough.
 """

@@ -38,7 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as _dc_replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..algorithms import get_algorithm
 from ..constraints import BuiltScenario, build_scenario
@@ -57,6 +57,7 @@ from .mapping import build_base_model
 from .reporting import aggregate_seed_rows
 from .scales import ExperimentScale
 from .spec import RunSpec
+from .variants import variant_change, variant_execution
 
 __all__ = ["RunResult", "execute_spec", "execute_specs", "prepare_scenario",
            "build_worker_scenario", "summarize_results",
@@ -206,12 +207,17 @@ def prepare_scenario(spec: RunSpec) -> tuple[BuiltScenario, FederatedDataset]:
     """Build (but do not run) the scenario a spec describes.
 
     The build order — dataset, base model, scenario — is fixed, so specs
-    reproduce pre-RunSpec runs bit-for-bit.
+    reproduce pre-RunSpec runs bit-for-bit.  A ``spec.tag`` the variant
+    table (:mod:`repro.experiments.variants`) does not know is refused
+    before the dataset is built; one naming an algorithm change has it
+    applied to the built algorithm.
     The built algorithm carries ``spec.to_dict()`` as its
     ``spec_payload``, which is what lets process-pool executors rebuild an
-    identical replica per worker.  The dataset comes from the per-process
-    memo (``_load_dataset``), on the coordinator and in workers alike.
+    identical replica, variant included, per worker.  The dataset comes
+    from the per-process memo (``_load_dataset``), on the coordinator and
+    in workers alike.
     """
+    change = variant_change(spec)
     scale = spec.resolved_scale()
     dataset = _load_dataset(spec.dataset, seed=spec.seed,
                             **scale.kwargs_for(spec.dataset))
@@ -224,6 +230,8 @@ def prepare_scenario(spec: RunSpec) -> tuple[BuiltScenario, FederatedDataset]:
         train_config=_train_config(scale),
         partition_scheme=spec.partition_scheme, alpha=spec.alpha,
         seed=spec.seed, eval_max_samples=scale.eval_max_samples)
+    if change is not None:
+        change(scenario.algorithm)
     scenario.algorithm.spec_payload = spec.to_dict()
     return scenario, dataset
 
@@ -238,27 +246,20 @@ def build_worker_scenario(payload: dict) -> BuiltScenario:
     return prepare_scenario(RunSpec.from_dict(payload))[0]
 
 
-def execute_spec(spec: RunSpec, *, cache=DEFAULT,
-                 mutate: Callable | None = None,
-                 execution_factory: Callable | None = None) -> RunResult:
+def execute_spec(spec: RunSpec, *, cache=DEFAULT) -> RunResult:
     """Execute one RunSpec, consulting the run cache first.
 
-    ``mutate(algorithm)`` (ablations) and ``execution_factory(scenario) ->
-    ExecutionConfig`` (configs derived from the built fleet) alter the run
-    beyond what the spec serialises, so providing either with caching
-    enabled requires ``spec.tag`` to be set — the tag keeps the content
-    hash faithful to the altered behaviour.
+    The spec describes the whole run: a ``tag`` names its variant
+    (:mod:`repro.experiments.variants`), which the build and the execution
+    block apply, so a cached entry is always the spec's own.
     """
     cache = _resolve_cache(cache)
-    if cache is not None and (mutate or execution_factory) and not spec.tag:
-        raise ValueError("mutate/execution_factory alter the run beyond the "
-                         "spec; set spec.tag so it caches under its own hash")
     meta = ({"spec": spec.content_hash(), "label": spec.label}
             if telemetry.enabled() else {})
     with telemetry.run_scope(**meta) as scope, \
             telemetry.span("execute_spec", algorithm=spec.algorithm,
                            dataset=spec.dataset, seed=spec.seed):
-        result = _execute_spec_live(spec, cache, mutate, execution_factory)
+        result = _execute_spec_live(spec, cache)
         if scope is not None and cache is not None and not result.from_cache:
             # The run-scope child holds exactly this run's telemetry;
             # serialise it next to the cache entry before the scope merges
@@ -267,9 +268,7 @@ def execute_spec(spec: RunSpec, *, cache=DEFAULT,
     return result
 
 
-def _execute_spec_live(spec: RunSpec, cache: RunCache | None,
-                       mutate: Callable | None,
-                       execution_factory: Callable | None) -> RunResult:
+def _execute_spec_live(spec: RunSpec, cache: RunCache | None) -> RunResult:
     """The cache-then-simulate body of :func:`execute_spec`."""
     if cache is not None:
         entry = cache.get(spec)
@@ -288,19 +287,11 @@ def _execute_spec_live(spec: RunSpec, cache: RunCache | None,
     with telemetry.span("prepare_scenario", algorithm=spec.algorithm,
                         dataset=spec.dataset):
         scenario, dataset = prepare_scenario(spec)
-    if mutate is not None:
-        # The live object now diverges from what the spec would rebuild,
-        # so process-pool workers must not rebuild from it.
-        mutate(scenario.algorithm)
-        scenario.algorithm.spec_payload = None
-    if execution_factory is not None:
-        execution = execution_factory(scenario)
-    else:
-        execution = spec.resolved_execution()
+    execution = variant_execution(spec, scenario.algorithm)
     checkpoint = _spec_checkpoint(spec)
     if (checkpoint is not None and execution is not None
             and execution.policy == "buffered"):
-        # Decided on the *resolved* block (a factory may have built it):
+        # Decided on the *resolved* block (a variant may derive it):
         # in-flight futures cannot be snapshotted and SimulationConfig
         # refuses the pair, so a mixed sweep checkpoints the cells it can.
         _log.info("cell %s: buffered aggregation cannot be checkpointed; "
@@ -375,9 +366,6 @@ def execute_specs(specs: Sequence[RunSpec], *,
     independent and deterministic, so the results — and the cache entries
     they leave behind — are identical to the sequential sweep, in the
     input order.
-
-    Cells with live hooks (``mutate``/``execution_factory``) cannot cross
-    a process boundary; route those through :func:`execute_spec`.
     """
     specs = list(specs)
     cache = _resolve_cache(cache)

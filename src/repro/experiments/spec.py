@@ -15,10 +15,10 @@ lists its cells as a grid of RunSpecs, which buys three things:
 * **composability** — grids are plain data transformations
   (:meth:`replace`, :func:`unique_specs`), not copies of runner plumbing.
 
-The ``tag`` field distinguishes runs whose behaviour is altered *outside*
-the spec (an ablation mutating the built algorithm, a derived execution
-config): callers providing such hooks must set a unique tag so the content
-hash stays faithful.
+The ``tag`` field names a variant of the cell — an ablation switching a
+mechanism off, an execution block derived from the built fleet — from the
+table in :mod:`repro.experiments.variants`, which the runner applies; an
+unknown tag is refused.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ class RunSpec:
     #: overrides the scale's per-dataset client count when set.
     num_clients: int | None = None
     seed: int = 0
-    #: marks out-of-spec behaviour changes (ablation mutations, derived
-    #: execution configs) so they cache under their own hash.
+    #: names a variant (:mod:`repro.experiments.variants`): an ablation or
+    #: a derived execution block; hashed, so the variant caches apart.
     tag: str = ""
     #: client-work parallelism for this cell: ``workers=None`` inherits
     #: the process default (:class:`repro.experiments.runner.RunDefaults`),

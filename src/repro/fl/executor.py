@@ -439,10 +439,9 @@ def resolve_executor_kind(kind: str | None, workers: int,
             return "inline"
         if has_scenario:
             return "process"
-        _log.info("scenario is not rebuildable from a RunSpec (hand-built "
-                  "or mutated after the build), so pool workers cannot "
-                  "replicate it: running clients inline instead of across "
-                  "%d workers", workers)
+        _log.info("scenario is not rebuildable from a RunSpec (hand-built),"
+                  " so pool workers cannot replicate it: running clients "
+                  "inline instead of across %d workers", workers)
         return "inline"
     if kind not in EXECUTOR_KINDS:
         raise ValueError(f"unknown executor {kind!r}; "

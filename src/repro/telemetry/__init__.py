@@ -12,7 +12,7 @@ Zero-dependency observability for federated runs.  The package splits into
   the no-op-when-disabled instrumentation helpers every runtime layer
   calls;
 * :mod:`~repro.telemetry.report` — collected telemetry as renderable rows
-  (the ``telemetry_report`` artifact / ``repro profile`` verb).
+  (the ``repro profile`` verb).
 
 The whole package is observation-only: with telemetry enabled or disabled,
 ``History.to_json()`` and spec content hashes are byte-identical across

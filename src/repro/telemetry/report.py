@@ -1,8 +1,8 @@
 """Turn collected telemetry into renderable report rows.
 
-The ``telemetry_report`` artifact and the ``repro profile`` verb both feed
-a :class:`~repro.telemetry.runtime.RunTelemetry` through
-:func:`report_rows` and hand the result to the standard row writers
+The ``repro profile`` verb feeds a
+:class:`~repro.telemetry.runtime.RunTelemetry` through :func:`report_rows`
+and hands the result to the standard row writers
 (:mod:`repro.experiments.reporting`), so profiles render as text tables,
 JSON or CSV exactly like every other artifact.  Rows are sectioned — each
 carries a ``section`` key (``cache`` / ``counter`` / ``gauge`` /

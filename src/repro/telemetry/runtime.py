@@ -184,8 +184,7 @@ def telemetry_session(meta: dict | None = None, trace_memory: bool = False):
     spans record peak memory; tracing state is restored on exit.  Sessions
     may nest — the inner session shadows the outer for its lifetime, shares
     its epoch and is absorbed into it on exit (as :func:`run_scope`
-    children are), so an outer ``repro profile`` sees what an artifact
-    that opens its own session ran.
+    children are), so an outer session sees what an inner one observed.
     """
     global _CURRENT
     previous = _CURRENT

@@ -6,12 +6,13 @@ import sys
 
 import pytest
 
-from repro.experiments import ablations, get_artifact
+from repro.experiments import get_artifact
+from repro.experiments.variants import ABLATIONS
 
 
 class TestAblations:
     def test_registry_covers_design_choices(self):
-        assert set(ablations.ABLATIONS) == {
+        assert set(ABLATIONS) == {
             "depthfl_no_distill", "inclusivefl_no_momentum",
             "fjord_no_ordered_dropout", "fedrolex_static_window"}
 
@@ -25,7 +26,7 @@ class TestAblations:
             row["acc_full"] - row["acc_ablated"], abs=1e-6)
 
     def test_mutations_change_behaviour(self):
-        """Each mutation actually disables its mechanism."""
+        """Each ablation's change actually disables its mechanism."""
         from repro.algorithms import ALGORITHMS
         from repro.data import load_dataset, partition_dataset
         from repro.hw import sample_fleet
@@ -46,15 +47,15 @@ class TestAblations:
             return cls(base, ds, clients, pool=pool)
 
         depthfl = make("depthfl")
-        ablations.ABLATIONS["depthfl_no_distill"][2](depthfl)
+        ABLATIONS["depthfl_no_distill"].change(depthfl)
         assert depthfl.distill_weight == 0.0
 
         inclusive = make("inclusivefl")
-        ablations.ABLATIONS["inclusivefl_no_momentum"][2](inclusive)
+        ABLATIONS["inclusivefl_no_momentum"].change(inclusive)
         assert inclusive.momentum_beta == 0.0
 
         fedrolex = make("fedrolex")
-        ablations.ABLATIONS["fedrolex_static_window"][2](fedrolex)
+        ABLATIONS["fedrolex_static_window"].change(fedrolex)
         assert fedrolex.rolling_shift(5) == 0
 
 

@@ -182,6 +182,17 @@ class TestHarnesses:
         assert "harbox" in err and "8 users" in err
         assert "Traceback" not in err
 
+    def test_fig9_profile_exits_2_without_a_traceback(self, capsys):
+        """``profile`` selects cells as ``run`` does: the refused grid
+        exits 2 with the message before anything trains."""
+        before = simulation.RUN_COUNT
+        assert cli_main(["profile", "fig9", "--scale", "smoke",
+                         "--datasets", "harbox", "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "harbox" in err and "8 users" in err
+        assert "Traceback" not in err
+        assert simulation.RUN_COUNT == before
+
     def test_fig1_radar(self):
         rows = get_artifact("fig1").run(scale="smoke", dataset="harbox")
         assert rows  # fig1 reuses fig4 rows
@@ -264,12 +275,19 @@ LISTING_KWARGS = {
     "ablations": {"names": ["fedrolex_static_window"]},
     "async_compare": {"algorithms": ["sheterofl"],
                       "cases": [("computation",)]},
-    "telemetry_report": {"dataset": "harbox"},
 }
-#: the artifacts that list cells; the tables and fig3 train nothing, and
-#: ablations / async_compare / telemetry_report execute inside ``rows``.
+#: every artifact that trains; the tables and fig3 list no cells.
 GRID_ARTIFACTS = {"fig1", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-                  "fault_compare"}
+                  "fault_compare", "ablations", "async_compare"}
+#: content hashes of the cells the tagged-variant artifacts executed for
+#: their ``LISTING_KWARGS`` at ``scale="smoke"`` when they still ran them
+#: inside ``rows``, in the order ``specs`` lists them: (full, ablated) and
+#: (sync, deadline, buffered).
+TAGGED_CELL_HASHES = {
+    "ablations": ["fbd8ec963aa3289dfa8249eb", "c0589832b1d187aca3f0b86d"],
+    "async_compare": ["48bf83f29d61adb2a87c99eb", "60dc043a4ac25e888edcdc04",
+                      "6bf7dbfbfc83828a3af6d280"],
+}
 
 
 class TestListingEqualsRunning:
@@ -293,6 +311,13 @@ class TestListingEqualsRunning:
         executed = {path.name.split(".")[0]
                     for path in tmp_path.glob("*.json")}
         assert executed == listed
+
+    @pytest.mark.parametrize("name", sorted(TAGGED_CELL_HASHES))
+    def test_tagged_cells_keep_their_hashes(self, name):
+        specs = get_artifact(name).specs(scale="smoke",
+                                         **LISTING_KWARGS[name])
+        assert [spec.content_hash() for spec in specs] \
+            == TAGGED_CELL_HASHES[name]
 
 
 class TestRepeatedSeeds:

@@ -26,6 +26,7 @@ from repro.experiments import RunSpec, execute_spec
 from repro.experiments.cache import RunCache
 from repro.experiments.runner import (RunDefaults, _spec_checkpoint,
                                       prepare_scenario, run_defaults)
+from repro.experiments.variants import buffered_tag
 from repro.fl import (ExecutionConfig, LocalTrainConfig, SimulationConfig,
                       run_simulation, validate_update)
 from repro.fl.checkpoint import (CHECKPOINT_VERSION, CheckpointConfig,
@@ -436,6 +437,23 @@ class TestFlatUploads:
         assert len(rejections) == 3
         assert all(e["reason"] == "shape" for e in rejections)
         np.testing.assert_array_equal(algorithm.global_vector, before)
+
+
+class TestFaultCompareArtifact:
+    def test_defenses_fire_at_eight_smoke_rounds(self):
+        """Smoke's rounds draw no crash and no corruption; eight rounds of
+        the SHeteroFL cell crash dispatches and quarantine corrupted
+        uploads."""
+        from repro.experiments import get_artifact
+        rows = get_artifact("fault_compare").run(
+            scale="smoke", algorithms=["sheterofl"],
+            profiles=["clean", "crash", "corrupt"],
+            scale_overrides={"num_rounds": 8})
+        by_profile = {row["profile"]: row for row in rows}
+        assert by_profile["crash"]["crashed"] > 0
+        assert by_profile["corrupt"]["quarantined"] > 0
+        assert by_profile["clean"]["crashed"] == 0
+        assert by_profile["clean"]["quarantined"] == 0
 
 
 class TestFaultedRounds:
@@ -878,22 +896,22 @@ class TestRunnerCheckpointing:
             assert other.path != checkpoint.path
         assert _spec_checkpoint(spec) is None
 
-    @pytest.mark.parametrize("via_factory", [False, True])
+    @pytest.mark.parametrize("via_tag", [False, True])
     def test_buffered_cell_runs_without_checkpoints(self, tmp_path, caplog,
-                                                    via_factory):
+                                                    via_tag):
         """The runner decides on the *resolved* execution block — the
-        spec's own or the factory's — and says so once."""
-        buffered = ExecutionConfig(policy="buffered", buffer_size=2)
+        spec's own or the one its buffered variant tag derives — and says
+        so once."""
         spec = RunSpec(algorithm="sheterofl", dataset="harbox",
-                       constraints=SMOKE, scale="smoke", seed=0,
-                       execution=None if via_factory else buffered)
-        factory = (lambda scenario: buffered) if via_factory else None
+                       constraints=SMOKE, scale="smoke", seed=0)
+        spec = (spec.replace(tag=buffered_tag(spec)) if via_tag else
+                spec.replace(execution=ExecutionConfig(policy="buffered",
+                                                       buffer_size=2)))
         reset_logging()  # an earlier CLI test may have stopped propagation
         with run_defaults(RunDefaults(checkpoint_dir=tmp_path,
                                       checkpoint_every=1)), \
                 caplog.at_level(logging.INFO, logger="repro.runner"):
-            result = execute_spec(spec, cache=None,
-                                  execution_factory=factory)
+            result = execute_spec(spec, cache=None)
         assert len(result.history.records) > 0
         assert list(tmp_path.iterdir()) == []
         notes = [r for r in caplog.records if r.name == "repro.runner"

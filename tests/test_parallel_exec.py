@@ -525,17 +525,18 @@ class TestParallelSweeps:
         assert RunDefaults(checkpoint_every=None).checkpoint_every is None
         assert RunDefaults(workers=3, checkpoint_every=2).workers == 3
 
-    def test_spec_payload_cleared_for_mutations(self, tmp_path):
-        spec = smoke_spec("fjord").replace(tag="ablation-test")
-
-        seen = {}
-
-        def mutate(algorithm):
-            seen["payload_at_mutate"] = algorithm.spec_payload
-
-        result = execute_spec(spec, cache=None, mutate=mutate)
-        assert seen["payload_at_mutate"] is not None
-        assert result.scenario.algorithm.spec_payload is None
+    def test_ablated_cell_is_worker_count_invariant(self):
+        """An ablated cell keeps its spec payload, so pool workers rebuild
+        the ablated replica: the process pool reproduces the inline
+        History, which differs from the full cell's."""
+        spec = smoke_spec("fjord").replace(tag="ablation:"
+                                           "fjord_no_ordered_dropout")
+        inline = execute_spec(spec.replace(workers=1), cache=None)
+        assert inline.scenario.algorithm.spec_payload == spec.to_dict()
+        pooled = execute_spec(spec.replace(workers=2, executor="process"),
+                              cache=None)
+        assert pooled.history.to_json() == inline.history.to_json()
+        assert inline.history.to_json() != run_history("fjord")
 
 
 class TestScenarioRebuild:

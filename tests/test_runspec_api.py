@@ -213,11 +213,21 @@ class TestRunCache:
         assert not result.from_cache
         assert len(list(tmp_path.glob("*.json"))) == 2
 
-    def test_mutating_hooks_require_tag(self, tmp_path):
-        cache = RunCache(tmp_path)
-        with pytest.raises(ValueError, match="tag"):
-            execute_spec(_smoke_spec(), cache=cache,
-                         mutate=lambda algorithm: None)
+    @pytest.mark.parametrize("tag", ["ablation:nope", "async:buffered:sr0.5",
+                                     "ablation:fjord_no_ordered_dropout"])
+    def test_unknown_tag_is_refused_before_the_dataset(self, tag,
+                                                       monkeypatch):
+        """A tag is a variant name matched exactly: an unknown one, a
+        buffered tag naming another sample ratio, or an ablation of
+        another algorithm is refused, by name, before anything is built."""
+        from repro.experiments import runner
+
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("dataset built for a refused tag")
+
+        monkeypatch.setattr(runner, "_load_dataset", no_dataset)
+        with pytest.raises(ValueError, match=repr(tag)):
+            execute_spec(_smoke_spec(tag=tag), cache=None)
 
 
 class TestLegacyEquivalence:
@@ -448,7 +458,7 @@ class TestNumClassesPlumbing:
 class TestRegistry:
     EXPECTED = {"table1", "table2", "table3", "fig1", "fig3", "fig4", "fig5",
                 "fig6", "fig7", "fig8", "fig9", "ablations", "async_compare",
-                "fault_compare", "telemetry_report"}
+                "fault_compare"}
 
     def test_registry_complete(self):
         assert set(all_artifacts()) == self.EXPECTED

@@ -11,11 +11,22 @@ import numpy as np
 import pytest
 
 from repro.constraints import ConstraintSpec
-from repro.experiments import (RunCache, RunDefaults, RunSpec, execute_spec,
+from repro.experiments import (RunCache, RunDefaults, RunSpec,
                                prepare_scenario, run_defaults)
 from repro.fl import ExecutionConfig, SimulationConfig, run_simulation
 from repro.fl.sanitizers import (StrictModeViolation, collect_arrays,
                                  freeze_arrays, frozen_arrays, rng_tripwire)
+
+
+def _run_patched(spec, patch):
+    """Build ``spec``'s scenario, ``patch(algorithm)``, run it inline."""
+    algorithm = prepare_scenario(spec)[0].algorithm
+    patch(algorithm)
+    scale = spec.resolved_scale()
+    return run_simulation(algorithm, SimulationConfig(
+        num_rounds=scale.num_rounds, sample_ratio=scale.sample_ratio,
+        eval_every=scale.eval_every, seed=spec.seed,
+        execution=spec.resolved_execution(), executor="inline"))
 
 
 def _scribble_on_global_state(algorithm):
@@ -33,7 +44,7 @@ def _write_into_knowledge(name):
     """A client whose loss hook writes into the server knowledge it was
     handed: ``name`` is the array its loss closure reads (FedProto's
     ``protos``, Fed-ET's ``consensus``)."""
-    def mutate(algorithm):
+    def patch(algorithm):
         real_local_loss = algorithm._local_loss
 
         def _local_loss(model, rng, broadcast):
@@ -46,7 +57,7 @@ def _write_into_knowledge(name):
 
         algorithm._local_loss = _local_loss
 
-    return mutate
+    return patch
 
 
 def _draw_from_global_rng(algorithm):
@@ -70,8 +81,7 @@ class TestSpecRunSanitizers:
 
     def test_spec_run_trips_on_frozen_broadcast_write(self):
         with pytest.raises(ValueError, match="read-only"):
-            execute_spec(self.SPEC, cache=None,
-                         mutate=_scribble_on_global_state)
+            _run_patched(self.SPEC, _scribble_on_global_state)
 
     @pytest.mark.parametrize("workers, executor",
                              [(1, "inline"), (2, "process")])
@@ -106,15 +116,13 @@ class TestSpecRunSanitizers:
         does, so writing the prototypes or consensus it was handed raises
         instead of overwriting the server's copy."""
         spec = RunSpec(algorithm=algorithm, dataset="harbox", scale="smoke",
-                       execution=ExecutionConfig(policy=policy),
-                       workers=1, executor="inline")
+                       execution=ExecutionConfig(policy=policy))
         with pytest.raises(ValueError, match="read-only"):
-            execute_spec(spec, cache=None,
-                         mutate=_write_into_knowledge(knowledge))
+            _run_patched(spec, _write_into_knowledge(knowledge))
 
     def test_spec_run_trips_on_global_rng_draw(self):
         with pytest.raises(StrictModeViolation, match="numpy"):
-            execute_spec(self.SPEC, cache=None, mutate=_draw_from_global_rng)
+            _run_patched(self.SPEC, _draw_from_global_rng)
 
     def test_run_defaults_nest_and_restore(self, tmp_path):
         from repro.experiments import runner

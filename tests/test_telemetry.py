@@ -438,37 +438,19 @@ class TestTelemetrySidecar:
         assert session.metrics.counter_total("cache.hits") == 1
 
 
-class TestTelemetryReportArtifact:
-    def test_registered_with_expected_params(self):
-        artifact = get_artifact("telemetry_report")
-        assert artifact.module == "repro.experiments.telemetry_report"
-        assert {"scale", "dataset", "algorithm"} <= set(artifact.params)
-
-    def test_produces_sectioned_rows(self, tmp_path, monkeypatch):
-        from repro.experiments import RunDefaults, run_defaults
-        with run_defaults(RunDefaults(cache=RunCache(tmp_path))):
-            rows = get_artifact("telemetry_report").run(
-                scale="smoke", dataset="harbox", algorithm="sheterofl")
-        sections = {row["section"] for row in rows}
-        assert {"cache", "counter", "span", "round"} <= sections
-        cache_stats = {row["name"]: row["value"] for row in rows
-                       if row["section"] == "cache"}
-        assert cache_stats["lookups"] == cache_stats["hits"] \
-            + cache_stats["misses"]
-
-
 class TestProfileVerb:
-    """``repro profile`` on an artifact that opens its own session: the
-    CLI's outer session must see what the inner one collected."""
+    """``repro profile`` on a one-algorithm fig4 grid: the report counts
+    what the trace holds, and profiling changes no History."""
+
+    ARGV = ["profile", "fig4", "--scale", "smoke", "--datasets", "harbox",
+            "--algorithms", "sheterofl"]
 
     @pytest.mark.parametrize("cached", [True, False])
-    def test_profile_telemetry_report_is_not_empty(self, tmp_path, capsys,
-                                                   cached):
+    def test_profile_fig4_is_not_empty(self, tmp_path, capsys, cached):
         from repro.__main__ import main
         cache_dir = tmp_path / "cache"
         trace_path = tmp_path / "trace.json"
-        argv = ["profile", "telemetry_report", "--scale", "smoke",
-                "--out", "json", "--trace-out", str(trace_path)]
+        argv = self.ARGV + ["--out", "json", "--trace-out", str(trace_path)]
         argv += ["--cache-dir", str(cache_dir)] if cached else ["--no-cache"]
         assert main(argv) == 0
         rows = json.loads(capsys.readouterr().out)
@@ -483,13 +465,14 @@ class TestProfileVerb:
         stats = {row["name"]: row["value"] for row in rows
                  if row["section"] == "cache"}
         assert stats["misses"] >= 1 and stats["puts"] >= 1
-        # Observation-only: the profiled cell's History is byte-identical
+        assert stats["lookups"] == stats["hits"] + stats["misses"]
+        # Observation-only: every profiled cell's History is byte-identical
         # to an unobserved run of the same spec.
-        spec = RunSpec(algorithm="sheterofl", dataset="cifar100",
-                       constraints=ConstraintSpec(
-                           constraints=("computation",)),
-                       scale="smoke", seed=0)
-        profiled = RunCache(cache_dir).get(spec)
-        assert profiled is not None
-        assert profiled.history.to_json() \
-            == execute_spec(spec, cache=None).history.to_json()
+        specs = get_artifact("fig4").specs(scale="smoke",
+                                           datasets=["harbox"],
+                                           algorithms=["sheterofl"])
+        for spec in specs:
+            profiled = RunCache(cache_dir).get(spec)
+            assert profiled is not None
+            assert profiled.history.to_json() \
+                == execute_spec(spec, cache=None).history.to_json()
