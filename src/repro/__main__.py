@@ -12,7 +12,7 @@ Usage::
     python -m repro run fig4 fig5 --scale demo     # one grid, two figures
     python -m repro run fig4 fig5 --scale demo --shard 0/4   # host 0 of 4
     python -m repro status fig4 fig5 --scale demo --shards 4
-    python -m repro profile fig4 smoke             # trace + telemetry report
+    python -m repro profile fig4 --scale smoke     # trace + telemetry report
 
 Artifacts come from the registry (:mod:`repro.experiments.registry`) —
 every ``@register_artifact`` module is auto-discovered, and each lists its
@@ -107,11 +107,12 @@ def _add_grid_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", default=None,
                         help="scale preset: smoke | demo | paper "
                              "(default: the artifact's own)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="single RNG seed (default 0)")
-    parser.add_argument("--seeds", type=_parse_int_list, default=None,
-                        metavar="0,1,2",
-                        help="seed sweep; cells render as mean ± std")
+    seeds = parser.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, default=None,
+                       help="single RNG seed (default 0)")
+    seeds.add_argument("--seeds", type=_parse_int_list, default=None,
+                       metavar="0,1,2",
+                       help="seed sweep; cells render as mean ± std")
     parser.add_argument("--datasets", type=_parse_str_list, default=None,
                         metavar="D1,D2", help="restrict to these datasets")
     parser.add_argument("--algorithms", type=_parse_str_list, default=None,
@@ -189,8 +190,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "execution — cache-served cells contribute no "
                     "timing spans.")
     profile.add_argument("artifact")
-    profile.add_argument("scale_pos", nargs="?", metavar="scale",
-                         help="positional shorthand for --scale")
     _add_run_options(profile)
     profile.add_argument("--trace-out", default=None, metavar="FILE",
                          help="Chrome-trace destination (default: "
@@ -209,9 +208,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="List the named artifacts' cells without running "
                     "them and derive each one's state from run-cache "
                     "presence (nothing is stored, so this can never be "
-                    "stale): one row per algorithm and a total, with "
-                    "throughput from the telemetry sidecars.  --shards N "
-                    "adds one row per shard of an N-way partition.")
+                    "stale): one row per algorithm and a total.  "
+                    "--shards N adds one row per shard of an N-way "
+                    "partition.")
     status.add_argument("artifacts", nargs="+", metavar="artifact")
     _add_grid_options(status)
     status.add_argument("--shards", type=_positive_int, default=None,
@@ -389,10 +388,7 @@ def _run_shard(args, selected) -> int:
     mine = [spec for spec in cells if shard.owns(spec)]
     _log.info("shard %s: %d of %d cells", shard.label, len(mine),
               len(cells))
-    # The session makes every cell (and pool worker) leave its telemetry
-    # sidecar, which is where `status` reads throughput from.
-    with run_defaults(defaults), \
-            telemetry_session(meta={"shard": shard.label}):
+    with run_defaults(defaults):
         execute_specs(mine)
     _report_cache(defaults.cache)
     return 0
@@ -410,8 +406,6 @@ def _cmd_status(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    if args.scale_pos is not None and args.scale is None:
-        args.scale = args.scale_pos
     selected = _selected([args.artifact], args)
     if selected is None:
         return 2

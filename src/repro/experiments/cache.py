@@ -69,10 +69,6 @@ class RunCache:
     def path_for(self, spec: "RunSpec") -> Path:
         return self.directory / f"{spec.content_hash()}.json"
 
-    def telemetry_path_for(self, spec: "RunSpec") -> Path:
-        """Where a run's telemetry serialises, next to its cache entry."""
-        return self.directory / f"{spec.content_hash()}.telemetry.json"
-
     def _read(self, path: Path, spec: "RunSpec") -> dict | None:
         """The valid entry payload for ``spec`` at ``path``, or ``None``:
         unreadable, version-skewed, or hash-colliding entries (stored spec
@@ -134,22 +130,6 @@ class RunCache:
         text = json.dumps(payload, indent=1)
         atomic_write_text(path, text)
         telemetry.inc("cache.puts")
-        return path
-
-    def put_telemetry(self, spec: "RunSpec", payload: dict) -> Path:
-        """Persist a run's telemetry next to its cache entry.
-
-        ``payload`` is a :meth:`~repro.telemetry.runtime.RunTelemetry.
-        to_dict` dict; it lands at ``<content_hash>.telemetry.json`` with
-        the same atomic-rename discipline as run entries.  Telemetry is
-        wall-clock-dependent by nature, so unlike run entries a newer
-        profile of the same cell simply replaces the older one.
-        """
-        path = self.telemetry_path_for(spec)
-        text = json.dumps({"cache_version": CACHE_VERSION,
-                           "spec": spec.to_dict(),
-                           "telemetry": payload}, indent=1)
-        atomic_write_text(path, text)
         return path
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

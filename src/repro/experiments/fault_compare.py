@@ -4,10 +4,15 @@ The paper evaluates MHFL algorithms on healthy fleets; this artifact adds
 the reliability axis.  Each algorithm runs the same constrained scenario
 under a set of deterministic fault profiles (:mod:`repro.fl.faults`) —
 client crashes before upload, straggler slowdowns, corrupted updates —
-and reports the accuracy delta against the clean run plus the defense
-counters (crashed dispatches, quarantined updates, deadline drops).
-Validation judges no magnitude, so ``flaky``'s ``scale``-corrupted
-uploads are aggregated, not quarantined.
+and reports the accuracy delta against the clean run, the final training
+loss, and the defense counters (crashed dispatches, quarantined updates,
+deadline drops).  Validation judges no magnitude, so ``flaky``'s
+``scale``-corrupted uploads are aggregated, not quarantined: one accepted
+1e6-scaled upload poisons the global model, which ``final_loss`` shows
+(the SHeteroFL ``flaky`` cell at eight smoke rounds ends near 1e11, its
+clean cell near 1.2) where ``delta_acc`` alone reads a few points.  The
+numpy overflow warnings such a run prints on stderr report that poisoned
+model and are left visible.
 
 Fault schedules derive from ``(run_seed, round, client)`` on a salted
 stream, so every cell is bit-reproducible at any worker count and the
@@ -90,6 +95,7 @@ def rows(results, algorithms: list[str] | None = None,
             "final_acc": round(final, 4),
             "delta_acc": (None if name not in clean_acc
                           else round(final - clean_acc[name], 4)),
+            "final_loss": float(f"{history.records[-1].train_loss:.4g}"),
             "crashed": crashed,
             "quarantined": quarantined,
             "dropped_other": sum(dropped.values()),

@@ -19,8 +19,9 @@ Parallelism enters at two granularities, both with byte-identical results:
   via :mod:`repro.fl.executor`;
 * **across cells** — :func:`execute_specs` fans independent cells out
   over a process pool; each worker writes the shared run cache through
-  atomic renames, and cells run inline internally so the machine is never
-  oversubscribed.
+  atomic renames and hands its cell's telemetry back to the coordinator's
+  session (one collector per invocation, whatever the worker count), and
+  cells run inline internally so the machine is never oversubscribed.
 
 Run *mechanics* — parallelism, checkpointing, the run cache — resolve in
 exactly one place: a spec's own ``workers`` and an explicit ``cache``
@@ -253,19 +254,9 @@ def execute_spec(spec: RunSpec, *, cache=DEFAULT) -> RunResult:
     (:mod:`repro.experiments.variants`), which the build and the execution
     block apply, so a cached entry is always the spec's own.
     """
-    cache = _resolve_cache(cache)
-    meta = ({"spec": spec.content_hash(), "label": spec.label}
-            if telemetry.enabled() else {})
-    with telemetry.run_scope(**meta) as scope, \
-            telemetry.span("execute_spec", algorithm=spec.algorithm,
-                           dataset=spec.dataset, seed=spec.seed):
-        result = _execute_spec_live(spec, cache)
-        if scope is not None and cache is not None and not result.from_cache:
-            # The run-scope child holds exactly this run's telemetry;
-            # serialise it next to the cache entry before the scope merges
-            # back into the session collector.
-            cache.put_telemetry(spec, scope.to_dict())
-    return result
+    with telemetry.span("execute_spec", algorithm=spec.algorithm,
+                        dataset=spec.dataset, seed=spec.seed):
+        return _execute_spec_live(spec, _resolve_cache(cache))
 
 
 def _execute_spec_live(spec: RunSpec, cache: RunCache | None) -> RunResult:
@@ -315,8 +306,8 @@ def _execute_spec_live(spec: RunSpec, cache: RunCache | None) -> RunResult:
     return result
 
 
-def _execute_spec_payload(payload: dict, with_telemetry: bool,
-                          defaults: RunDefaults) -> dict:
+def _execute_spec_payload(payload: dict, epoch: float | None,
+                          trace_memory: bool, defaults: RunDefaults) -> dict:
     """Sweep-pool worker: execute one spec, return a picklable result.
 
     Runs in its own process under the parent's run ``defaults`` — the
@@ -327,28 +318,30 @@ def _execute_spec_payload(payload: dict, with_telemetry: bool,
     itself (atomic renames make the concurrent writes safe) and ships the
     history back for the parent.
 
-    ``with_telemetry`` mirrors whether the *parent* had a telemetry
-    session at submit time: spawn-start pools lose the parent's collector,
-    and fork-start pools would inherit one they must not merge into, so
-    the worker opens its own session exactly when the parent would have
-    written a sidecar for this cell — no more (a telemetry-less sweep
-    writes no sidecars at any worker count), no less.
+    ``epoch`` is the parent session's tracer epoch, or ``None`` when the
+    parent collects no telemetry.  With one, the cell runs under a
+    :func:`~repro.telemetry.runtime.worker_session` on that epoch
+    (``perf_counter`` is system-wide, so its spans land on the parent's
+    timeline) that traces memory when the parent's does, and ships it back
+    as ``telemetry`` for the parent to absorb.
     """
     # to_dict strips parallelism fields, so the rebuilt spec inherits the
     # (reset) default; the explicit replace makes the no-nesting invariant
     # hold even for hand-authored payloads that smuggle a workers key in.
     spec = RunSpec.from_dict(payload).replace(workers=1, executor="inline")
+    session = None
     with run_defaults(_dc_replace(defaults, workers=1)):
-        if with_telemetry:
-            with telemetry.telemetry_session():
-                result = execute_spec(spec)
-        else:
+        if epoch is None:
             result = execute_spec(spec)
+        else:
+            with telemetry.worker_session(epoch, trace_memory) as session:
+                result = execute_spec(spec)
     return {
         "history": history_to_dict(result.history),
         "num_classes": result.num_classes,
         "level_distribution": result.level_distribution(),
         "from_cache": result.from_cache,
+        "telemetry": None if session is None else session.to_dict(),
     }
 
 
@@ -381,10 +374,13 @@ def execute_specs(specs: Sequence[RunSpec], *,
                 for i, spec in enumerate(specs)]
 
     worker_defaults = _dc_replace(_DEFAULTS, cache=cache)
+    session = telemetry.current()
+    epoch = None if session is None else session.tracer.epoch
+    trace_memory = session is not None and session.tracer.trace_memory
     _log.info("sweeping %d cells across %d workers", len(misses), workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {i: pool.submit(_execute_spec_payload, specs[i].to_dict(),
-                                  telemetry.enabled(), worker_defaults)
+                                  epoch, trace_memory, worker_defaults)
                    for i in misses}
         for i, future in futures.items():
             spec = specs[i]
@@ -393,16 +389,14 @@ def execute_specs(specs: Sequence[RunSpec], *,
                 payload = future.result()
             if cache is not None:
                 # Keep the parent's hit/miss counters meaningful: the
-                # worker did the lookup, the parent reports it.  (Telemetry
-                # counters mirror this — a sweep worker is a fresh process
-                # with no collector, so its lookups would otherwise be
-                # invisible to a profiling session.)
+                # worker did the lookup, the parent reports it.
                 if payload["from_cache"]:
                     cache.hits += 1
-                    telemetry.inc("cache.hits")
                 else:
                     cache.misses += 1
-                    telemetry.inc("cache.misses")
+            if session is not None:
+                session.absorb(
+                    telemetry.RunTelemetry.from_dict(payload["telemetry"]))
             results[i] = RunResult(
                 history=history_from_dict(payload["history"]),
                 scenario=None, num_classes=payload["num_classes"],

@@ -24,14 +24,12 @@ dependence::
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 from ..algorithms import MHFL_ALGORITHMS
 from ..constraints import ConstraintSpec
 from ..data.registry import DATASET_NAMES
-from ..telemetry.report import sidecar_wall_seconds
 from .cache import RunCache
 from .runner import BASELINE_ALGORITHM
 from .spec import RunSpec, unique_specs
@@ -128,28 +126,9 @@ def expand_grid(algorithms: Sequence[str] | None = None,
 # ----------------------------------------------------------------------
 # Status (always derived, never stored)
 # ----------------------------------------------------------------------
-def _cell_wall_seconds(cache: RunCache, spec: RunSpec) -> float | None:
-    """Wall-clock seconds the cell's telemetry sidecar recorded, if any.
-
-    Sidecars are best-effort observability: cells populated by a
-    telemetry-less invocation (or killed between the entry and sidecar
-    writes) simply report no timing, never an error.
-    """
-    try:
-        payload = json.loads(cache.telemetry_path_for(spec).read_text())
-    except (OSError, ValueError):
-        return None
-    return sidecar_wall_seconds(payload)
-
-
 def _group_row(section: str, key: str, specs: Sequence[RunSpec],
-               done: dict[str, bool], cache: RunCache) -> dict:
+               done: dict[str, bool]) -> dict:
     finished = [spec for spec in specs if done[spec.content_hash()]]
-    wall = None
-    for spec in finished:
-        seconds = _cell_wall_seconds(cache, spec)
-        if seconds is not None:
-            wall = seconds if wall is None else wall + seconds
     return {
         "section": section,
         "key": key,
@@ -158,9 +137,6 @@ def _group_row(section: str, key: str, specs: Sequence[RunSpec],
         "pending": len(specs) - len(finished),
         "done_pct": (round(100.0 * len(finished) / len(specs), 1) if specs
                      else 100.0),
-        "wall_s": round(wall, 3) if wall is not None else None,
-        "cells_per_h": (round(len(finished) / (wall / 3600.0), 1)
-                        if wall else None),
     }
 
 
@@ -172,22 +148,17 @@ def status_rows(specs: Sequence[RunSpec], cache: RunCache,
     shard of an N-way partition when ``shards`` asks for the multi-host
     view, and a total row.  A cell is done iff ``cache.contains`` it,
     probed once per cell at call time.
-    Throughput (``wall_s``, ``cells_per_h``) comes from the
-    ``<hash>.telemetry.json`` sidecars ``execute_spec`` serialises next to
-    each cache entry; cells without a sidecar count toward progress but
-    contribute no wall-clock.
     """
     done = {spec.content_hash(): cache.contains(spec) for spec in specs}
     groups: dict[str, list[RunSpec]] = {}
     for spec in specs:
         groups.setdefault(spec.algorithm, []).append(spec)
-    rows = [_group_row("algorithm", name, groups[name], done, cache)
+    rows = [_group_row("algorithm", name, groups[name], done)
             for name in sorted(groups)]
     if shards is not None and shards > 1:
         for index in range(shards):
             shard = Shard(index, shards)
             rows.append(_group_row("shard", shard.label,
-                                   [s for s in specs if shard.owns(s)],
-                                   done, cache))
-    rows.append(_group_row("total", "all", specs, done, cache))
+                                   [s for s in specs if shard.owns(s)], done))
+    rows.append(_group_row("total", "all", specs, done))
     return rows

@@ -15,37 +15,7 @@ from __future__ import annotations
 from .runtime import RunTelemetry
 
 __all__ = ["format_series", "cache_rows", "counter_rows", "gauge_rows",
-           "histogram_rows", "span_rows", "round_rows", "report_rows",
-           "sidecar_wall_seconds"]
-
-#: span names whose durations sum to a cell's wall-clock in a sidecar.
-#: The enclosing ``execute_spec`` span is still open when the sidecar
-#: serialises (the cache write happens inside it), so it never appears in
-#: the payload — its two sequential children cover the work instead.
-_SIDECAR_WALL_SPANS = ("prepare_scenario", "run_simulation")
-
-
-def sidecar_wall_seconds(payload: dict) -> float | None:
-    """Wall-clock seconds a ``<hash>.telemetry.json`` sidecar recorded.
-
-    ``payload`` is the full sidecar dict (as written by
-    :meth:`~repro.experiments.cache.RunCache.put_telemetry`).  Returns the
-    summed durations of the cell's scenario-build and simulation spans, or
-    ``None`` when the sidecar carries no recognisable spans — ``repro
-    status`` treats such cells as done-but-untimed rather than erroring.
-    """
-    telemetry = payload.get("telemetry")
-    if not isinstance(telemetry, dict):
-        return None
-    tracer = telemetry.get("tracer")
-    if not isinstance(tracer, dict):
-        return None
-    total = None
-    for span in tracer.get("spans", []):
-        if (isinstance(span, dict) and span.get("name") in _SIDECAR_WALL_SPANS
-                and isinstance(span.get("duration_s"), (int, float))):
-            total = span["duration_s"] + (total or 0.0)
-    return total
+           "histogram_rows", "span_rows", "round_rows", "report_rows"]
 
 
 def format_series(name: str, labels) -> str:

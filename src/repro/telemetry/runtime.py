@@ -1,4 +1,4 @@
-"""Run-scoped telemetry collection and the process-wide current collector.
+"""Telemetry collection and the process-wide current collector.
 
 The instrumentation contract, carried from the executor-determinism PRs:
 telemetry is **observation-only**.  Instrumented code paths (executors,
@@ -10,31 +10,31 @@ into control flow, so ``History.to_json()`` is byte-identical with
 telemetry on or off, across inline/process executors (pinned by
 ``tests/test_telemetry.py`` and the CI ``telemetry-smoke`` job).
 
-Two scopes:
+One collector per invocation: :func:`telemetry_session` installs a
+:class:`RunTelemetry` for the whole invocation (the CLI ``repro profile``
+verb wraps the artifact's grid in one).  A grid cell that runs in a sweep
+worker process (:func:`~repro.experiments.runner.execute_specs`) collects
+into a session of its own on the coordinator's epoch and hands its
+``to_dict()`` back with the result; the coordinator folds it in with
+:meth:`RunTelemetry.absorb`, so a profile sees the same spans, counters
+and rounds at any ``--workers``.
 
-* :func:`telemetry_session` installs a :class:`RunTelemetry` collector for
-  a whole invocation (the CLI ``repro profile`` verb wraps the artifact in
-  one);
-* :func:`run_scope` forks a *child* collector for one spec execution —
-  the child shares the session tracer's epoch, is merged back into the
-  parent on exit, and is what serialises next to the run-cache entry
-  (``<hash>.telemetry.json``).
-
-Process-pool workers never see the coordinator's collector (it is
-process-global state); their per-item wall-clock rides back on
-``ClientResult.timing`` instead, which the coordinator folds into
+Process-pool workers *within* a cell never see the coordinator's
+collector (it is process-global state); their per-item wall-clock rides
+back on ``ClientResult.timing`` instead, which the coordinator folds into
 ``RoundRecord.extras["client_timings"]``.
 """
 
 from __future__ import annotations
 
+import os
 import tracemalloc
 from contextlib import contextmanager, nullcontext
 
 from .metrics import MetricsRegistry
 from .tracing import Tracer
 
-__all__ = ["RunTelemetry", "telemetry_session", "run_scope", "current",
+__all__ = ["RunTelemetry", "telemetry_session", "worker_session", "current",
            "enabled", "inc", "observe", "set_gauge", "max_gauge", "span",
            "record_round", "TELEMETRY_VERSION"]
 
@@ -94,7 +94,8 @@ class RunTelemetry:
         self.sim_rounds.append(entry)
 
     def absorb(self, child: "RunTelemetry") -> None:
-        """Fold a run-scope child back into this session collector."""
+        """Fold another collector (a nested session, a sweep worker's
+        payload) into this one."""
         self.metrics.merge(child.metrics)
         self.tracer.absorb(child.tracer)
         self.sim_rounds.extend(child.sim_rounds)
@@ -179,12 +180,11 @@ def telemetry_session(meta: dict | None = None, trace_memory: bool = False):
     """Install a session collector for the enclosed block.
 
     Yields the :class:`RunTelemetry` that accumulates everything observed
-    inside (including run-scope children, merged back on their exit).
-    ``trace_memory`` starts :mod:`tracemalloc` for the session so top-level
-    spans record peak memory; tracing state is restored on exit.  Sessions
-    may nest — the inner session shadows the outer for its lifetime, shares
-    its epoch and is absorbed into it on exit (as :func:`run_scope`
-    children are), so an outer session sees what an inner one observed.
+    inside.  ``trace_memory`` starts :mod:`tracemalloc` for the session so
+    top-level spans record peak memory; tracing state is restored on exit.
+    Sessions may nest — the inner session shadows the outer for its
+    lifetime, shares its epoch and is absorbed into it on exit, so an outer
+    session sees what an inner one observed.
     """
     global _CURRENT
     previous = _CURRENT
@@ -206,28 +206,25 @@ def telemetry_session(meta: dict | None = None, trace_memory: bool = False):
 
 
 @contextmanager
-def run_scope(**meta):
-    """Fork a child collector for one run; merge it back on exit.
+def worker_session(epoch: float, trace_memory: bool = False):
+    """Install a sweep worker's session: on the coordinator's ``epoch``,
+    absorbed into nothing (its ``to_dict()`` goes back with the cell's
+    result), and with the worker's pid as every span's trace track.
 
-    Yields ``None`` when telemetry is disabled (callers guard on it) and
-    the child :class:`RunTelemetry` otherwise.  The child shares the
-    session tracer's epoch so its spans stay on the session timeline after
-    the merge, and it is what serialises next to the run-cache entry.
+    A fork-started worker inherits a copy of the coordinator's collector
+    that nothing reads; the worker's session neither nests under it nor
+    grows it, and the copy is current again on exit.
     """
     global _CURRENT
-    parent = _CURRENT
-    if parent is None:
-        yield None
-        return
-    child = RunTelemetry(meta={**parent.meta, **meta},
-                         trace_memory=parent.tracer.trace_memory,
-                         epoch=parent.tracer.epoch)
-    _CURRENT = child
+    inherited, _CURRENT = _CURRENT, None
     try:
-        yield child
+        with telemetry_session(trace_memory=trace_memory) as session:
+            session.tracer.epoch = epoch
+            yield session
+        for span in session.tracer.spans:
+            span.tid = os.getpid()
     finally:
-        _CURRENT = parent
-        parent.absorb(child)
+        _CURRENT = inherited
 
 
 # ----------------------------------------------------------------------

@@ -338,6 +338,13 @@ class TestRepeatedSeeds:
         assert capsys.readouterr().out == once
         assert '"seeds"' not in once
 
+    @pytest.mark.parametrize("verb", ["run", "profile", "status"])
+    def test_seed_and_seeds_exclude_each_other(self, verb, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli_main([verb, "fig4", "--seed", "3", "--seeds", "0,1"])
+        assert exited.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
 
 class TestRunnerEndToEnd:
     def test_execute_spec_smoke(self):

@@ -443,17 +443,21 @@ class TestFaultCompareArtifact:
     def test_defenses_fire_at_eight_smoke_rounds(self):
         """Smoke's rounds draw no crash and no corruption; eight rounds of
         the SHeteroFL cell crash dispatches and quarantine corrupted
-        uploads."""
+        uploads, and ``flaky``'s accepted 1e6-scaled upload shows as a
+        poisoned ``final_loss``."""
         from repro.experiments import get_artifact
-        rows = get_artifact("fault_compare").run(
-            scale="smoke", algorithms=["sheterofl"],
-            profiles=["clean", "crash", "corrupt"],
-            scale_overrides={"num_rounds": 8})
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = get_artifact("fault_compare").run(
+                scale="smoke", algorithms=["sheterofl"],
+                profiles=["clean", "crash", "corrupt", "flaky"],
+                scale_overrides={"num_rounds": 8})
         by_profile = {row["profile"]: row for row in rows}
         assert by_profile["crash"]["crashed"] > 0
         assert by_profile["corrupt"]["quarantined"] > 0
         assert by_profile["clean"]["crashed"] == 0
         assert by_profile["clean"]["quarantined"] == 0
+        assert (by_profile["flaky"]["final_loss"]
+                >= 1e6 * by_profile["clean"]["final_loss"])
 
 
 class TestFaultedRounds:
@@ -938,8 +942,8 @@ class TestCachePutLeak:
 
 
 class TestAtomicWrite:
-    """Every persisted file (cache entry, telemetry sidecar, manifest,
-    checkpoint, saved History) goes through one writer."""
+    """Every persisted file (cache entry, checkpoint, saved History) goes
+    through one writer."""
 
     @pytest.mark.parametrize("writer", ["atomic_write_text", "save_history"])
     def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch,

@@ -36,7 +36,6 @@ from repro.experiments import registry
 from repro.experiments.runner import execute_specs
 from repro.fl import simulation
 from repro.fl.history import History, RoundRecord
-from repro.telemetry.report import sidecar_wall_seconds
 
 SMOKE = ConstraintSpec(constraints=("computation",))
 
@@ -293,7 +292,7 @@ class TestDerivedStatus:
 
 
 # ----------------------------------------------------------------------
-# Status rows and sidecar throughput
+# Status rows
 # ----------------------------------------------------------------------
 class TestStatusRows:
     def test_sections_and_totals(self, tmp_path):
@@ -308,45 +307,16 @@ class TestStatusRows:
         assert sum(r["cells"] for r in sections["shard"]) == len(grid)
         assert sum(r["cells"] for r in sections["algorithm"]) == len(grid)
 
-    def test_throughput_from_sidecars(self, tmp_path):
-        cache_dir = tmp_path / "cache"
-        assert cli_main(["run", "fig4", *SMOKE_FIG4, "--algorithms",
-                         "sheterofl", "--datasets", "harbox", "--shard",
-                         "0/1", "--cache-dir", str(cache_dir), "-q"]) == 0
-        grid = get_artifact("fig4").specs(
-            scale="smoke", algorithms=["sheterofl"], datasets=["harbox"],
-            scale_overrides={"num_rounds": 1})
-        cache = RunCache(cache_dir)
-        for spec in grid:
-            assert cache.telemetry_path_for(spec).exists()
-        total = status_rows(grid, cache)[-1]
-        assert total["wall_s"] is not None and total["wall_s"] > 0
-        assert total["cells_per_h"] is not None
-
-    def test_missing_sidecars_are_untimed_not_errors(self, tmp_path):
+    def test_rows_report_progress_only(self, tmp_path):
+        """Rows count cells; nothing in them is read from beside the
+        entries, so fabricated entries count as done like trained ones."""
         cache = RunCache(tmp_path / "cache")
         grid = _grid(n_algorithms=1, datasets=("harbox",))
-        _populate(cache, grid)  # fabricated entries: no sidecars
-        total = status_rows(grid, cache)[-1]
-        assert total["done"] == len(grid)
-        assert total["wall_s"] is None
-
-
-class TestSidecarWallSeconds:
-    def test_sums_the_work_spans(self):
-        payload = {"telemetry": {"tracer": {"spans": [
-            {"name": "prepare_scenario", "duration_s": 0.5},
-            {"name": "run_simulation", "duration_s": 2.0},
-            {"name": "unrelated", "duration_s": 99.0}]}}}
-        assert sidecar_wall_seconds(payload) == 2.5
-
-    @pytest.mark.parametrize("payload", [
-        {}, {"telemetry": None}, {"telemetry": {}},
-        {"telemetry": {"tracer": {"spans": []}}},
-        {"telemetry": {"tracer": {"spans": [{"name": "other",
-                                             "duration_s": 1.0}]}}}])
-    def test_unrecognisable_payloads_are_none(self, payload):
-        assert sidecar_wall_seconds(payload) is None
+        _populate(cache, grid)
+        for row in status_rows(grid, cache, shards=2):
+            assert set(row) == {"section", "key", "cells", "done",
+                                "pending", "done_pct"}
+        assert status_rows(grid, cache)[-1]["done"] == len(grid)
 
 
 # ----------------------------------------------------------------------
@@ -389,6 +359,18 @@ class TestShardCli:
         assert "hits=2 misses=0" in captured.err
         assert len(json.loads(captured.out)) == 1
         assert simulation.RUN_COUNT == trained
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_a_shard_leaves_only_run_entries(self, tmp_path, workers):
+        cache_dir = tmp_path / "cache"
+        assert cli_main(["run", "fig4", *self.GRID, "--shard", "0/1",
+                         "--workers", workers, "--cache-dir",
+                         str(cache_dir), "-q"]) == 0
+        grid = get_artifact("fig4").specs(
+            scale="smoke", algorithms=["sheterofl"], datasets=["harbox"],
+            scale_overrides={"num_rounds": 1})
+        assert sorted(path.name for path in cache_dir.iterdir()) \
+            == sorted(f"{spec.content_hash()}.json" for spec in grid)
 
     def test_sharded_runs_union(self, tmp_path, capsys):
         argv = ["fig4", "fig5", *SMOKE_FIG4, "--algorithms",
@@ -438,15 +420,11 @@ class TestShardCli:
 # Kill and resume (the crash harness)
 # ----------------------------------------------------------------------
 def _run_entries(cache_dir: Path) -> dict[str, bytes]:
-    """Run-cache entries only (names -> bytes), excluding telemetry
-    sidecars: a kill can land between the run entry and its sidecar, so
-    sidecar presence legitimately differs between an interrupted-and-
-    resumed run and an uninterrupted control."""
+    """Every published cache file (names -> bytes); only the hidden temp
+    file of a write the kill interrupted is left out."""
     return {path.name: path.read_bytes()
             for path in sorted(cache_dir.iterdir())
-            if path.name.endswith(".json")
-            and not path.name.endswith(".telemetry.json")
-            and not path.name.startswith(".")}
+            if not path.name.startswith(".")}
 
 
 class TestKillAndResume:

@@ -6,25 +6,29 @@ the same bytes with telemetry on or off, across executors and worker
 counts — telemetry observes runs, it never participates in them.  The
 rest pins the primitives (nearest-rank percentiles, registry merge,
 Chrome-trace structure, the JSON log format) and the plumbing
-(session/run-scope merge, per-client wall timings, the telemetry sidecar
-next to cache entries).
+(session nesting, per-client wall timings, one collector per profile at
+any worker count, no telemetry files next to cache entries).
 """
 
 import json
 import logging
+import os
+import time
 
 import pytest
 
 from repro.constraints import ConstraintSpec
-from repro.experiments import RunSpec, execute_spec
+from repro.experiments import (RunDefaults, RunSpec, execute_spec,
+                               execute_specs, run_defaults)
 from repro.experiments.cache import RunCache
 from repro.experiments.registry import get_artifact
+from repro.experiments.runner import _execute_spec_payload
 from repro.fl import history_to_dict
 from repro.fl.history import History, RoundRecord
 from repro.telemetry import (Histogram, JsonLogFormatter, MetricsRegistry,
                              RunTelemetry, Span, Tracer, configure_logging,
                              get_logger, percentile, report_rows,
-                             reset_logging, run_scope, telemetry_session,
+                             reset_logging, telemetry_session,
                              validate_chrome_trace)
 from repro.telemetry import runtime as telemetry_runtime
 from repro.telemetry.metrics import HISTOGRAM_VALUE_CAP
@@ -299,17 +303,6 @@ class TestRuntimeScopes:
         assert session.metrics.counter_value("n") == 2
         assert [s.name for s in session.tracer.spans] == ["s"]
 
-    def test_run_scope_merges_into_session(self):
-        with telemetry_session(meta={"artifact": "a"}) as session:
-            with run_scope(spec="abc123") as child:
-                telemetry_runtime.inc("n")
-                with telemetry_runtime.span("inner"):
-                    pass
-            assert child.meta == {"artifact": "a", "spec": "abc123"}
-            assert telemetry_runtime.current() is session
-        assert session.metrics.counter_value("n") == 1
-        assert [s.name for s in session.tracer.spans] == ["inner"]
-
     def test_nested_session_is_absorbed_into_the_one_it_shadowed(self):
         with telemetry_session() as outer:
             with telemetry_session(meta={"inner": True}) as inner:
@@ -322,10 +315,6 @@ class TestRuntimeScopes:
         assert inner.metrics.counter_value("n") == 1
         assert outer.metrics.counter_value("n") == 1
         assert [s.name for s in outer.tracer.spans] == ["inner"]
-
-    def test_run_scope_without_session_yields_none(self):
-        with run_scope(spec="abc") as child:
-            assert child is None
 
     def test_telemetry_round_trip(self):
         with telemetry_session(meta={"k": "v"}) as session:
@@ -407,72 +396,169 @@ class TestClientTimings:
         assert payload["records"][0]["extras"] is extras
 
 
-class TestTelemetrySidecar:
-    def test_written_next_to_cache_entry(self, tmp_path):
+class TestNoTelemetryFiles:
+    def test_a_session_with_a_cache_leaves_only_run_entries(self, tmp_path):
+        """Pooled cells hand their telemetry back instead of writing it
+        next to their entries, and their puts reach the session."""
         cache = RunCache(tmp_path)
-        spec = smoke_spec()
-        with telemetry_session():
-            execute_spec(spec, cache=cache)
-        sidecar = cache.telemetry_path_for(spec)
-        assert sidecar.name == f"{spec.content_hash()}.telemetry.json"
-        payload = json.loads(sidecar.read_text())
-        assert payload["spec"] == spec.to_dict()
-        restored = RunTelemetry.from_dict(payload["telemetry"])
-        assert restored.metrics.counter_total("aggregation.rounds") > 0
+        specs = [smoke_spec(), smoke_spec(algorithm="fjord")]
+        with telemetry_session() as session, \
+                run_defaults(RunDefaults(workers=2)):
+            execute_specs(specs, cache=cache)
+            execute_specs(specs, cache=cache)
+        assert sorted(path.name for path in tmp_path.iterdir()) \
+            == sorted(f"{spec.content_hash()}.json" for spec in specs)
+        assert session.metrics.counter_total("cache.puts") == 2
+        assert session.metrics.counter_total("cache.misses") == 2
+        assert session.metrics.counter_total("cache.hits") == 2
 
-    def test_not_written_without_session(self, tmp_path):
-        cache = RunCache(tmp_path)
-        spec = smoke_spec()
-        execute_spec(spec, cache=cache)
-        assert cache.path_for(spec).exists()
-        assert not cache.telemetry_path_for(spec).exists()
 
-    def test_cache_hit_leaves_sidecar_alone(self, tmp_path):
-        cache = RunCache(tmp_path)
-        spec = smoke_spec()
-        execute_spec(spec, cache=cache)
-        with telemetry_session() as session:
-            result = execute_spec(spec, cache=cache)
-        assert result.from_cache
-        assert not cache.telemetry_path_for(spec).exists()
-        assert session.metrics.counter_total("cache.hits") == 1
+class TestSweepWorker:
+    """The grid's sweep worker, called in this process: what it hands
+    back, on which timeline and track, and what it leaves alone."""
+
+    def _payload(self, epoch=None, trace_memory=False):
+        return _execute_spec_payload(smoke_spec().to_dict(), epoch,
+                                     trace_memory, RunDefaults())
+
+    def test_without_a_session_it_hands_back_no_telemetry(self):
+        payload = self._payload()
+        assert payload["telemetry"] is None
+        assert telemetry_runtime.current() is None
+
+    def test_its_spans_sit_on_the_given_epoch_and_its_own_track(self):
+        epoch = time.perf_counter() - 100.0
+        shipped = RunTelemetry.from_dict(
+            self._payload(epoch=epoch)["telemetry"])
+        spans = shipped.tracer.spans
+        assert {"execute_spec", "run_simulation", "client_step"} \
+            <= {span.name for span in spans}
+        assert {span.tid for span in spans} == {os.getpid()}
+        assert min(span.start_s for span in spans) >= 100.0
+        assert shipped.metrics.counter_total("executor.items") > 0
+        assert shipped.sim_rounds
+
+    def test_an_inherited_collector_is_neither_nested_under_nor_grown(self):
+        """A fork-started worker inherits a copy of the coordinator's
+        collector: the worker's session must not be absorbed into it."""
+        with telemetry_session() as inherited:
+            payload = self._payload(epoch=inherited.tracer.epoch)
+            assert telemetry_runtime.current() is inherited
+        assert inherited.tracer.spans == []
+        assert inherited.metrics.to_dict() == MetricsRegistry().to_dict()
+        assert inherited.sim_rounds == []
+        assert payload["telemetry"]["tracer"]["spans"]
+
+    @pytest.mark.parametrize("trace_memory", [False, True])
+    def test_memory_is_traced_when_the_coordinator_traces_it(
+            self, trace_memory):
+        spans = RunTelemetry.from_dict(self._payload(
+            epoch=time.perf_counter(),
+            trace_memory=trace_memory)["telemetry"]).tracer.spans
+        (top,) = [span for span in spans if span.name == "execute_spec"]
+        assert (top.memory_peak_b is not None) == trace_memory
+        if trace_memory:
+            assert top.memory_peak_b > 0
+
+
+def _partial_overlaps(events: list[dict]) -> int:
+    """Pairs of spans on one trace track that overlap without nesting
+    (0.01 µs of slack for the exported rounding)."""
+    tracks: dict[int, list[tuple]] = {}
+    for event in events:
+        tracks.setdefault(event["tid"], []).append(
+            (event["ts"], event["ts"] + event["dur"]))
+    return sum(a[0] < b[0] < a[1] - 0.01 and b[1] > a[1] + 0.01
+               for spans in tracks.values() for a in spans for b in spans)
+
+
+def _parity(rows: list[dict]) -> tuple:
+    """What a profile must report alike at any worker count: span counts
+    (the coordinator's ``sweep_cell`` waits aside), counters, the
+    simulated round timeline and the cache rows."""
+    return ({row["name"]: row["count"] for row in rows
+             if row["section"] == "span" and row["name"] != "sweep_cell"},
+            {row["name"]: row["value"] for row in rows
+             if row["section"] == "counter"},
+            [(row["round"], row["sim_time_s"], row["round_time_s"])
+             for row in rows if row["section"] == "round"],
+            [(row["name"], row["value"]) for row in rows
+             if row["section"] == "cache"])
 
 
 class TestProfileVerb:
-    """``repro profile`` on a one-algorithm fig4 grid: the report counts
-    what the trace holds, and profiling changes no History."""
+    """``repro profile`` on a two-algorithm fig4 grid: the report counts
+    what the trace holds, a pooled grid reports what an inline one does,
+    and profiling changes no History."""
 
     ARGV = ["profile", "fig4", "--scale", "smoke", "--datasets", "harbox",
-            "--algorithms", "sheterofl"]
+            "--algorithms", "sheterofl,fjord"]
+    SPECS = dict(scale="smoke", datasets=["harbox"],
+                 algorithms=["sheterofl", "fjord"])
 
-    @pytest.mark.parametrize("cached", [True, False])
-    def test_profile_fig4_is_not_empty(self, tmp_path, capsys, cached):
+    def _profile(self, directory, capsys, cached, workers):
         from repro.__main__ import main
-        cache_dir = tmp_path / "cache"
-        trace_path = tmp_path / "trace.json"
-        argv = self.ARGV + ["--out", "json", "--trace-out", str(trace_path)]
-        argv += ["--cache-dir", str(cache_dir)] if cached else ["--no-cache"]
+        trace_path = directory / "trace.json"
+        argv = self.ARGV + ["--out", "json", "--workers", str(workers),
+                            "--trace-out", str(trace_path)]
+        argv += (["--cache-dir", str(directory / "cache")] if cached
+                 else ["--no-cache"])
         assert main(argv) == 0
-        rows = json.loads(capsys.readouterr().out)
+        return (json.loads(capsys.readouterr().out),
+                json.loads(trace_path.read_text()))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_profile_fig4_is_not_empty(self, tmp_path, capsys, cached,
+                                       workers):
+        rows, trace = self._profile(tmp_path, capsys, cached, workers)
+        specs = get_artifact("fig4").specs(**self.SPECS)
         spans = {row["name"]: row["count"] for row in rows
                  if row["section"] == "span"}
-        assert spans["execute_spec"] >= 1 and spans["client_step"] >= 1
-        trace = json.loads(trace_path.read_text())
-        assert sum(e.get("cat") == "span" for e in trace["traceEvents"]) \
-            == sum(spans.values())
-        if not cached:
-            return  # --no-cache performs no lookups: nothing to count
+        counters = {row["name"]: row["value"] for row in rows
+                    if row["section"] == "counter"}
+        assert spans["execute_spec"] == spans["run_simulation"] == len(specs)
+        assert spans["client_step"] \
+            == counters["executor.items{kind=inline}"] > 0
+        assert sum(row["section"] == "round" for row in rows) \
+            == spans["aggregate"] \
+            == sum(spec.resolved_scale().num_rounds for spec in specs)
+        events = [e for e in trace["traceEvents"] if e.get("cat") == "span"]
+        assert len(events) == sum(spans.values())
+        assert _partial_overlaps(events) == 0
+        if workers > 1:
+            reference, _ = self._profile(tmp_path / "inline", capsys,
+                                         cached, 1)
+            assert _parity(rows) == _parity(reference)
         stats = {row["name"]: row["value"] for row in rows
                  if row["section"] == "cache"}
-        assert stats["misses"] >= 1 and stats["puts"] >= 1
+        if not cached:
+            return  # --no-cache performs no lookups: nothing to count
+        assert stats["misses"] == stats["puts"] == len(specs)
         assert stats["lookups"] == stats["hits"] + stats["misses"]
         # Observation-only: every profiled cell's History is byte-identical
         # to an unobserved run of the same spec.
-        specs = get_artifact("fig4").specs(scale="smoke",
-                                           datasets=["harbox"],
-                                           algorithms=["sheterofl"])
         for spec in specs:
-            profiled = RunCache(cache_dir).get(spec)
+            profiled = RunCache(tmp_path / "cache").get(spec)
             assert profiled is not None
             assert profiled.history.to_json() \
                 == execute_spec(spec, cache=None).history.to_json()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_peaks_at_any_worker_count(self, capsys, workers):
+        """``--memory`` gives every cell's ``execute_spec`` a peak, pooled
+        cells included."""
+        from repro.__main__ import main
+        assert main(self.ARGV + ["--out", "json", "--no-cache", "--memory",
+                                 "--workers", str(workers)]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        (top,) = [row for row in rows if row["section"] == "span"
+                  and row["name"] == "execute_spec"]
+        assert top["mem_peak_kb"] > 0
+
+    def test_scale_is_an_option_only(self, capsys):
+        from repro.__main__ import main
+        with pytest.raises(SystemExit) as exited:
+            main(["profile", "fig4", "demo", "--scale", "smoke"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: demo" in capsys.readouterr().err
