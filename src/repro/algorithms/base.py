@@ -188,6 +188,8 @@ class MHFLAlgorithm:
         #: upload key -> its :class:`SubIndex`, for one rolling shift.
         self._indices: dict[tuple, SubIndex] = {}
         self._indices_shift = 0
+        #: sub layout -> the plan every shift's index of it is built from.
+        self._plans: dict = {}
 
     @property
     def global_state(self) -> dict[str, np.ndarray]:
@@ -262,17 +264,19 @@ class MHFLAlgorithm:
                 take = width_index_maps(layout, upload, {})
                 layout = upload
             index = width_index_maps(self.layout, layout, self.scale_axes,
-                                     mode=self.slicing_mode, shift=shift)
+                                     mode=self.slicing_mode, shift=shift,
+                                     plans=self._plans)
             found = self._indices[key] = SubIndex(index, take, layout.bounds)
         return found
 
     def release_working_set(self) -> None:
         """Drop what a run trains in — the level skeletons (with their
-        bound buffers and last gradients) and the memoised upload maps —
-        and keep its results.  Both rebuild lazily on next use, which
-        cannot change a result (see :meth:`build_client_model`)."""
+        bound buffers and last gradients), the memoised upload maps and
+        their plans — and keep its results.  All rebuild lazily on next
+        use, which cannot change a result (see :meth:`build_client_model`)."""
         self._client_models.clear()
         self._indices, self._indices_shift = {}, 0
+        self._plans.clear()
 
     def build_client_model(self, ctx: ClientContext, round_index: int,
                            rng: np.random.Generator,
@@ -520,15 +524,109 @@ class MHFLAlgorithm:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _global_model(self) -> SliceableModel:
-        """The full model (level ``()``) loaded with the global vector."""
-        model, buffer, _ = self._level_model(())
-        buffer[...] = self.global_vector
+    # An evaluation is a *task*, a hashable key naming the model it scores,
+    # and :meth:`score` is a pure function of the task and the one vector
+    # it is loaded from (:meth:`eval_vector`), as ``run_client`` is of its
+    # downlink.  The coordinator scores each round's global task itself;
+    # a run's final evaluations travel as executor work items
+    # (:meth:`final_accuracies`).
+
+    def _builds_base(self, overrides: dict) -> bool:
+        """Whether these constructor overrides build exactly the base
+        model (then its level's slice is the whole global vector)."""
+        base = self.base_model._build_kwargs
+        return {**base, **overrides} == base
+
+    def _full_level(self) -> tuple:
+        """The level the full model is scored at: the first pool level
+        that builds the base model (so a pool worker that trained it
+        already holds its skeleton), else ``()``."""
+        for entry in self.pool.entries if self.pool is not None else ():
+            if self._builds_base(entry.overrides):
+                return tuple(sorted(entry.overrides.items()))
+        return ()
+
+    def _eval_level(self, overrides: dict) -> tuple:
+        """The level a model of these constructor overrides is scored at:
+        the full model's when they build the base model."""
+        if self._builds_base(overrides):
+            return self._full_level()
+        return tuple(sorted(overrides.items()))
+
+    def _load_level(self, level: tuple, vector: np.ndarray) -> SliceableModel:
+        """The level's model loaded with its round-0 slice of ``vector``
+        (the memoised upload maps of the current shift stay as they are)."""
+        model, buffer, layout = self._level_model(level)
+        extract_substate(vector, width_index_maps(
+            self.layout, layout, self.scale_axes, mode=self.slicing_mode,
+            shift=self.rolling_shift(0), plans=self._plans), out=buffer)
         return model
 
+    def global_task(self) -> tuple | None:
+        """What the global accuracy scores: the full aggregated model."""
+        return ("level", self._full_level())
+
+    def device_tasks(self) -> list[tuple]:
+        """What each evaluation client's final accuracy scores: its own
+        deployed level, resolved in client order (Fjord draws it from
+        ``default_rng(0)``) and sliced as at round 0."""
+        rng = np.random.default_rng(0)
+        return [("level", self._eval_level(
+                    self.client_overrides(self.clients[cid], 0, rng)))
+                for cid in self._eval_ids()]
+
+    def eval_vector(self, task: tuple) -> np.ndarray:
+        """The live vector ``task`` is scored from (here the global one)."""
+        return self.global_vector
+
+    def eval_cost(self, task: tuple) -> float:
+        """Predicted work of scoring ``task``: the forward FLOPs of its
+        level.  Like :meth:`client_work` it only orders a pool batch."""
+        flops = {tuple(sorted(entry.overrides.items())):
+                 entry.stats.flops_per_sample
+                 for entry in (self.pool.entries if self.pool is not None
+                               else ())}
+        return flops.get(task[1], max(flops.values(), default=0.0))
+
+    def score(self, task: tuple, vector: np.ndarray) -> float:
+        """Accuracy of the model ``task`` names, loaded from ``vector``, on
+        the global test set.  ``("level", level)`` is that level's slice
+        of a global vector."""
+        return accuracy(self._load_level(task[1], vector), self.x_eval,
+                        self.y_eval)
+
+    def score_here(self, tasks: list[tuple]) -> list[float]:
+        """Score ``tasks`` in this process against the live state."""
+        return [self.score(task, self.eval_vector(task)) for task in tasks]
+
+    def _scored(self) -> dict:
+        """Accuracies, by task, that still hold for the live state (none:
+        the global vector moves every round)."""
+        return {}
+
+    def final_accuracies(self, with_global: bool, score
+                         ) -> tuple[float | None, list[float]]:
+        """The global accuracy (``None`` unless ``with_global``) and each
+        evaluation client's, from one ``score(tasks) -> accuracies`` call
+        over the distinct tasks not yet scored, the global one first (a run
+        passes an executor batch).  A client whose task is the global one
+        reuses its accuracy; a global task of ``None`` is the mean of the
+        clients' accuracies."""
+        devices = self.device_tasks()
+        wanted = self.global_task() if with_global else None
+        scored = self._scored()
+        tasks = [task for task in dict.fromkeys([wanted, *devices])
+                 if task is not None and task not in scored]
+        scored.update(zip(tasks, score(tasks)))
+        accuracies = [scored[task] for task in devices]
+        if not with_global:
+            return None, accuracies
+        return (float(np.mean(accuracies)) if wanted is None
+                else scored[wanted]), accuracies
+
     def evaluate_global(self) -> float:
-        """Global accuracy: the full aggregated model on the global test set."""
-        return accuracy(self._global_model(), self.x_eval, self.y_eval)
+        """Global accuracy of the live state, scored here."""
+        return self.score_here([self.global_task()])[0]
 
     def _eval_ids(self) -> list[int]:
         """The evaluation clients: an even stride through the fleet."""
@@ -537,19 +635,12 @@ class MHFLAlgorithm:
         return ids[::stride][:self.eval_clients]
 
     def per_device_accuracies(self) -> list[float]:
-        """Final accuracy of each evaluation client's own deployed variant.
+        """Final accuracy of each evaluation client's own deployed model,
+        scored in this process: every client's level is resolved in order
+        (Fjord draws from ``rng``) and each distinct model scored once.
 
-        Every client is built, in order (Fjord draws from ``rng``), but
-        ``build_client_model`` hands out one model per resolved overrides,
-        loaded with the same round-0 slice: each is evaluated once.
+        A run scores them in its executor instead, as work items beside
+        the last round's global evaluation (:meth:`final_accuracies`), where
+        a client deploying the full model reads the global accuracy.
         """
-        rng = np.random.default_rng(0)
-        seen: dict[SliceableModel, float] = {}  # keyed by the object itself
-        accs = []
-        for client_id in self._eval_ids():
-            ctx = self.clients[client_id]
-            model, _ = self.build_client_model(ctx, round_index=0, rng=rng)
-            if model not in seen:
-                seen[model] = accuracy(model, self.x_eval, self.y_eval)
-            accs.append(seen[model])
-        return accs
+        return self.final_accuracies(False, self.score_here)[1]

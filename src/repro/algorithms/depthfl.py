@@ -55,9 +55,17 @@ class DepthFL(MHFLAlgorithm):
 
         return loss
 
-    def evaluate_global(self) -> float:
-        """DepthFL inference: ensemble (mean softmax) over every head."""
-        model = self._global_model()
+    def global_task(self) -> tuple:
+        """The ensemble of the full model's heads: never a client's own
+        (deepest-head) model, so no per-device accuracy reuses it."""
+        return ("ensemble", self._full_level())
+
+    def score(self, task: tuple, vector: np.ndarray) -> float:
+        """DepthFL inference for ``("ensemble", level)``: mean softmax over
+        every head."""
+        if task[0] != "ensemble":
+            return super().score(task, vector)
+        model = self._load_level(task[1], vector)
         model.eval()
         correct = 0
         with ag.no_grad():

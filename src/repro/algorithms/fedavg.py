@@ -9,7 +9,6 @@ baseline's.
 
 from __future__ import annotations
 
-from ..fl.evaluate import accuracy
 from .base import MHFLAlgorithm
 
 __all__ = ["FedAvgSmallest"]
@@ -36,13 +35,14 @@ class FedAvgSmallest(MHFLAlgorithm):
                 f"{sorted(keys)}")
         return self.clients[ids[0]]
 
-    def evaluate_global(self) -> float:
-        """Evaluate the (single) deployed variant, not the full server model.
+    def global_task(self) -> tuple:
+        """The (single) deployed variant, not the full server model.
 
         With a homogeneous x<1 assignment only the trained slice of the
         global state is meaningful; evaluating the full model would mix
-        trained and never-touched coordinates.
+        trained and never-touched coordinates.  Every evaluation client
+        deploys this same model, so each reads its accuracy.
         """
-        model, _ = self.build_client_model(self._common_client(),
-                                           round_index=0, rng=None)
-        return accuracy(model, self.x_eval, self.y_eval)
+        ctx = self._common_client()
+        return ("level", self._eval_level(self.client_overrides(ctx, 0,
+                                                                None)))

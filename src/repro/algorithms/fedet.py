@@ -43,8 +43,10 @@ class FedET(PersonalModelAlgorithm):
         space = self.variant_space(self.base_model)
         largest_key = list(space)[-1]
         self.server_model = self.base_model.variant(**space[largest_key])
-        # One buffer from the start: each round's Adam adopts it in place.
-        self.server_model.bind_state()
+        self._server_level = tuple(sorted(space[largest_key].items()))
+        # One buffer from the start: each round's Adam adopts it in place,
+        # and an evaluation scores it from there.
+        self._server_state = self.server_model.bind_state()[0]
         # Public transfer set: unlabeled samples from the task distribution.
         rng = np.random.default_rng(17)
         take = min(self.public_size, self.dataset.num_train)
@@ -140,5 +142,18 @@ class FedET(PersonalModelAlgorithm):
         # Down: consensus logits; up: client logits on the public set.
         return float(logits_bytes), float(logits_bytes)
 
-    def evaluate_global(self) -> float:
-        return accuracy(self.server_model, self.x_eval, self.y_eval)
+    def global_task(self) -> tuple:
+        """The server model, scored in its level's skeleton."""
+        return ("server", self._server_level)
+
+    def eval_vector(self, task: tuple) -> np.ndarray:
+        if task[0] != "server":
+            return super().eval_vector(task)
+        return self._server_state
+
+    def score(self, task: tuple, vector: np.ndarray) -> float:
+        if task[0] != "server":
+            return super().score(task, vector)
+        model, buffer, _ = self._level_model(task[1])
+        buffer[...] = vector
+        return accuracy(model, self.x_eval, self.y_eval)

@@ -155,4 +155,5 @@ class FedProto(PersonalModelAlgorithm):
         return proto_bytes, proto_bytes
 
     def evaluate_global(self) -> float:
+        """The mean of the evaluation clients' accuracies."""
         return float(np.mean(self.per_device_accuracies()))

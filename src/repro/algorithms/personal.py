@@ -13,7 +13,8 @@ loaded into that level's one skeleton (``_level_model``) to train or
 evaluate: the load overwrites every parameter and buffer, dropout is
 reseeded, the optimiser is per round and gradients are dropped after the
 upload, so the reuse cannot change a result.  A deployed model's accuracy
-is kept until a writer of its vector replaces it.
+(task ``("personal", client_id)``, scored from the client's vector) is kept
+until a writer of its vector replaces it.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
         super().__init__(*args, **kwargs)
         #: client id -> its deployed model's state, laid out like its level.
         self._personal: dict[int, np.ndarray] = {}
-        #: client id -> accuracy of its deployed model as it stands (derived
-        #: state of the coordinator: never checkpointed, never serialised).
-        self._accuracies: dict[int, float] = {}
+        #: ``("personal", client id)`` -> accuracy of its deployed model as
+        #: it stands (derived state of the coordinator: never checkpointed,
+        #: never serialised).
+        self._accuracies: dict[tuple, float] = {}
 
     @classmethod
     def variant_space(cls, base_model: SliceableModel) -> dict[str, dict]:
@@ -87,14 +89,16 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
             self._personal[ctx.client_id] = vector
         return vector
 
-    def personal_model(self, ctx: ClientContext) -> nn.Module:
+    def personal_model(self, ctx: ClientContext,
+                       vector: np.ndarray | None = None) -> nn.Module:
         """One client's deployed model: its level's skeleton, loaded with
-        its vector.  ``run_client`` trains a copy and returns it, so the
-        deployed model moves only when the coordinator absorbs that result,
-        under every executor (an in-flight client still shows its old one).
+        its vector (or ``vector``, a copy of it sent elsewhere).
+        ``run_client`` trains a copy and returns it, so the deployed model
+        moves only when the coordinator absorbs that result, under every
+        executor (an in-flight client still shows its old one).
         """
         model, buffer, _ = self._skeleton(ctx.client_id)
-        buffer[...] = self._vector(ctx)
+        buffer[...] = self._vector(ctx) if vector is None else vector
         return model
 
     # ------------------------------------------------------------------
@@ -108,7 +112,7 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
 
     def apply_client_state(self, client_id: int, state: np.ndarray) -> None:
         self._personal[int(client_id)] = state
-        self._accuracies.pop(int(client_id), None)
+        self._accuracies.pop(("personal", int(client_id)), None)
 
     def run_client(self, client_id: int, version: int, rng,
                    broadcast: dict | None = None
@@ -145,12 +149,31 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
                 personal_state)
         self._accuracies.clear()
 
-    def per_device_accuracies(self) -> list[float]:
-        """Each evaluation client's deployed model, evaluated once per
-        version of its weights (FedProto's ``evaluate_global`` averages it)."""
-        for client_id in self._eval_ids():
-            if client_id not in self._accuracies:
-                self._accuracies[client_id] = accuracy(
-                    self.personal_model(self.clients[client_id]),
-                    self.x_eval, self.y_eval)
-        return [self._accuracies[client_id] for client_id in self._eval_ids()]
+    # ------------------------------------------------------------------
+    # Evaluation: each evaluation client's deployed model is scored from
+    # its own vector, once per version of its weights.
+    def global_task(self) -> tuple | None:
+        """No global model: the mean of the clients' accuracies."""
+        return None
+
+    def device_tasks(self) -> list[tuple]:
+        return [("personal", cid) for cid in self._eval_ids()]
+
+    def eval_vector(self, task: tuple) -> np.ndarray:
+        if task[0] != "personal":
+            return super().eval_vector(task)
+        return self._vector(self.clients[task[1]])
+
+    def eval_cost(self, task: tuple) -> float:
+        if task[0] != "personal":
+            return super().eval_cost(task)
+        return self.clients[task[1]].entry.stats.flops_per_sample
+
+    def score(self, task: tuple, vector: np.ndarray) -> float:
+        if task[0] != "personal":
+            return super().score(task, vector)
+        return accuracy(self.personal_model(self.clients[task[1]], vector),
+                        self.x_eval, self.y_eval)
+
+    def _scored(self) -> dict:
+        return self._accuracies

@@ -56,12 +56,12 @@ from .checkpoint import make_checkpointer
 from .events import (CLIENT_DROPPED, CLIENT_FAILED, DOWNLOAD_START,
                      EVAL_TICK, SERVER_AGGREGATE, TRAIN_COMPLETE,
                      UPDATE_REJECTED, UPLOAD_COMPLETE, Event, EventQueue)
-from .executor import Executor, make_work_item
+from .executor import EvalWorkItem, Executor, make_work_item
 from .faults import (FaultModel, FaultPlan, FaultSpec, corrupt_update,
                      is_flat_upload)
 from .history import History, RoundRecord
 from .sanitizers import (check_range, collect_arrays, drop_fixed_keys,
-                         frozen_arrays)
+                         freeze_arrays, frozen_arrays)
 
 __all__ = ["ExecutionConfig", "AggregationPolicy", "SynchronousPolicy",
            "BufferedPolicy", "AGGREGATION_POLICIES", "make_policy",
@@ -405,7 +405,8 @@ class AggregationPolicy:
                     updates: list, sim_time: float, round_time: float,
                     extras: dict):
         """Aggregate ``updates`` as server round ``index`` ending at
-        ``sim_time``; returns ``finish()``, which evaluates if due and
+        ``sim_time``; returns ``finish(accuracy=None)``, which evaluates if
+        due — unless handed the round's ``accuracy``, scored already — and
         writes the round's record (``extras``, then the drops since the
         last record, then client timings).
 
@@ -421,11 +422,13 @@ class AggregationPolicy:
         self.emit(Event(sim_time, SERVER_AGGREGATE,
                         info={"round": index, "received": len(updates)}))
 
-        def finish() -> None:
+        def finish(accuracy: float | None = None) -> None:
             acc = None
             if self.is_eval_round(index):
-                with telemetry.span("evaluate", round=index):
-                    acc = algorithm.evaluate_global()
+                acc = accuracy
+                if acc is None:
+                    with telemetry.span("evaluate", round=index):
+                        acc = algorithm.evaluate_global()
                 self.emit(Event(sim_time, EVAL_TICK,
                                 info={"round": index, "accuracy": acc}))
             extras.update({f"dropped_{k}": v
@@ -455,11 +458,21 @@ class AggregationPolicy:
         return History(algorithm=algorithm.name,
                        dataset=algorithm.dataset_name)
 
-    def close_run(self, algorithm, history: History) -> History:
-        """Final per-device accuracies, then the end-of-run gauges
+    def close_run(self, algorithm, history: History, finish=None,
+                  evaluate: bool = False) -> History:
+        """Score the run's final evaluations, then the end-of-run gauges
         (sim-vs-wall-clock skew, queue statistics): observation-only and
-        computed from values the run produced anyway."""
-        history.final_device_accuracies = algorithm.per_device_accuracies()
+        computed from values the run produced anyway.
+
+        The final evaluations — each evaluation client's deployed model
+        and, when ``evaluate``, the global accuracy of the round whose
+        ``finish`` is still pending — are one executor batch
+        (:meth:`evaluate_batch`); ``finish`` then records that round."""
+        with telemetry.span("evaluate", final=True):
+            acc, history.final_device_accuracies = algorithm.final_accuracies(
+                evaluate, lambda tasks: self.evaluate_batch(algorithm, tasks))
+        if finish is not None:
+            finish(acc)
         if telemetry.enabled():
             wall_s = time.perf_counter() - self._wall_start
             sim_s = (history.records[-1].sim_time_s if history.records
@@ -475,6 +488,27 @@ class AggregationPolicy:
                                 self.queue.max_depth)
             telemetry.inc("events.pushed", self.queue.pushed)
         return history
+
+    def evaluate_batch(self, algorithm, tasks: list) -> list[float]:
+        """The accuracies of evaluation ``tasks``, scored as one executor
+        batch: largest first on a pool, in order inline.
+
+        Each item carries a read-only view of the live vector its task
+        reads — one view per vector, shared by its items, so nothing is
+        copied — and the global vector itself is frozen while the batch
+        runs, as it is while a round's items train."""
+        views: dict[int, np.ndarray] = {}
+        items = []
+        for task in tasks:
+            vector = algorithm.eval_vector(task)
+            if id(vector) not in views:
+                views[id(vector)] = vector.view()
+                freeze_arrays(views[id(vector)])
+            items.append(EvalWorkItem(task, views[id(vector)]))
+        with frozen_arrays(getattr(algorithm, "global_vector", None)):
+            results = self.executor.run_batch(
+                items, [algorithm.eval_cost(task) for task in tasks])
+        return [result.accuracy for result in results]
 
     def run(self, algorithm) -> History:
         raise NotImplementedError
@@ -500,8 +534,9 @@ class SynchronousPolicy(AggregationPolicy):
                 history, start_round, sim_time, self._participation = restored
 
         #: ``finish()`` of the last closed round, run while the next
-        #: round's items train (see :meth:`_dispatch_round`).
-        pending = None
+        #: round's items train (see :meth:`_dispatch_round`), and whether
+        #: it evaluates.
+        pending, due = None, False
         for round_index in range(start_round, config.num_rounds):
             online = [cid for cid in all_ids
                       if self.availability.is_online(cid, sim_time)]
@@ -533,19 +568,19 @@ class SynchronousPolicy(AggregationPolicy):
             pending = self.close_round(algorithm, history, round_index,
                                        received, sim_time, round_time,
                                        extras)
+            due = self.is_eval_round(round_index)
             if checkpointer is not None and checkpointer.due(round_index):
                 # The snapshot holds the round's record and the rng before
                 # the next sample: finish the round first.
                 pending()
-                pending = None
+                pending, due = None, False
                 checkpointer.save(algorithm, rng, history,
                                   next_round=round_index + 1,
                                   sim_time_s=sim_time,
                                   participation=self._participation)
 
-        if pending is not None:
-            pending()
-        self.close_run(algorithm, history)
+        # The last round's evaluation is scored with the final ones.
+        self.close_run(algorithm, history, pending, due)
         if checkpointer is not None:
             checkpointer.clear()
         return history

@@ -36,6 +36,13 @@ end with one worker idle behind a large late item, and runs
 ``meanwhile`` on the coordinator while the workers train; inline
 execution runs ``meanwhile`` first and then the items in dispatch order.
 
+A run's final evaluations are work items too: an :class:`EvalWorkItem`
+names the model to score (a task of
+:meth:`~repro.algorithms.base.MHFLAlgorithm.score`) and carries the vector
+it is loaded from, so the last round's global evaluation and every
+per-device evaluation fan out over the pool as one batch, against one
+frozen final state, and return an :class:`EvalResult`.
+
 Because items are pure and ingestion happens on the coordinator in
 dispatch order, **results are identical for any executor and any worker
 count** — the contract ``tests/test_parallel_exec.py`` pins byte-for-byte.
@@ -56,7 +63,7 @@ from .seeding import client_rng
 
 _log = get_logger("executor")
 
-__all__ = ["ClientWorkItem", "ClientResult",
+__all__ = ["ClientWorkItem", "ClientResult", "EvalWorkItem", "EvalResult",
            "execute_work_item", "Executor", "InlineExecutor",
            "ProcessExecutor", "EXECUTOR_KINDS",
            "make_executor", "resolve_executor_kind", "ExecutorError",
@@ -131,6 +138,25 @@ class ClientResult:
     timing: dict | None = None
 
 
+@dataclass
+class EvalWorkItem:
+    """One evaluation as a picklable job: ``score(task, vector)``."""
+
+    #: the model to score, as the algorithm's evaluation task key.
+    task: tuple
+    #: the (read-only) vector the task's model is loaded from.
+    vector: object
+
+
+@dataclass
+class EvalResult:
+    """What one executed evaluation sends back: its accuracy and, as for
+    a :class:`ClientResult`, its wall-clock record."""
+
+    accuracy: float
+    timing: dict | None = None
+
+
 # ----------------------------------------------------------------------
 # Worker-side execution
 # ----------------------------------------------------------------------
@@ -160,17 +186,26 @@ def _worker_algorithm():
     return _worker_replica
 
 
-def execute_work_item(item: ClientWorkItem, algorithm=None) -> ClientResult:
-    """Run one client's local round; the free function every executor calls.
+def execute_work_item(item: ClientWorkItem | EvalWorkItem,
+                      algorithm=None) -> ClientResult | EvalResult:
+    """Run one client's local round, or score one evaluation; the free
+    function every executor calls.
 
     ``algorithm`` injects the coordinator's live object (the inline
     executor); when omitted it is this pool worker's replica of the
     scenario its initializer installed.  Either way the result, the pair
-    ``run_client`` returned, is a pure function of the item: state comes
-    from ``item.broadcast`` and randomness from the derived seed.
+    ``run_client`` returned or the accuracy, is a pure function of the
+    item: state comes from ``item.broadcast`` (``item.vector``) and
+    randomness from the derived seed.
     """
     if algorithm is None:
         algorithm = _worker_algorithm()
+    if isinstance(item, EvalWorkItem):
+        start = time.perf_counter()
+        with telemetry.span("evaluate_item", task=item.task[0]):
+            accuracy = algorithm.score(item.task, item.vector)
+        return EvalResult(accuracy,
+                          {"execute_s": time.perf_counter() - start})
     rng = client_rng(item.run_seed, item.version, item.client_id,
                      item.dispatch_index)
     start = time.perf_counter()
@@ -256,7 +291,7 @@ class Executor:
     def submit(self, item: ClientWorkItem):
         raise NotImplementedError
 
-    def run_batch(self, items, costs, meanwhile=None) -> list[ClientResult]:
+    def run_batch(self, items, costs, meanwhile=None) -> list:
         """Execute ``items`` and call ``meanwhile()`` (if given) once on
         the coordinator while they run; results come back in *item order*
         (never completion order — aggregation order is part of the
@@ -290,7 +325,7 @@ class InlineExecutor(Executor):
         _finalize_timing(result, result.timing["execute_s"], retries=0)
         return _Immediate(result)
 
-    def run_batch(self, items, costs, meanwhile=None) -> list[ClientResult]:
+    def run_batch(self, items, costs, meanwhile=None) -> list:
         """``meanwhile()`` first, then the items in dispatch order: nothing
         runs concurrently here, and dispatch order keeps the first client
         to run the same one whatever the costs."""
@@ -336,10 +371,12 @@ class _ResilientFuture:
                     raise
                 self._attempts += 1
                 telemetry.inc("executor.retries", kind=self._executor.kind)
-                _log.warning(
-                    "retrying client %s (attempt %d/%d) after %s",
-                    self._item.client_id, self._attempts,
-                    self._executor.retries, type(error).__name__)
+                what = (f"evaluation {self._item.task}"
+                        if isinstance(self._item, EvalWorkItem)
+                        else f"client {self._item.client_id}")
+                _log.warning("retrying %s (attempt %d/%d) after %s", what,
+                             self._attempts, self._executor.retries,
+                             type(error).__name__)
                 self._future.cancel()
                 self._future, self._generation = self._executor._recover(
                     self._item, self._generation, error)
@@ -389,7 +426,7 @@ class ProcessExecutor(Executor):
             return _ResilientFuture(self, item, self._submit_raw(item),
                                     self._generation)
 
-    def run_batch(self, items, costs, meanwhile=None) -> list[ClientResult]:
+    def run_batch(self, items, costs, meanwhile=None) -> list:
         """Submit the items largest-cost first (a stable sort: ties keep
         dispatch order), call ``meanwhile()`` while the workers train,
         then collect the results in item order."""

@@ -296,9 +296,9 @@ class TestEvaluateOncePerDeployment:
         def recording(algorithm):
             personal_model = algorithm.personal_model
 
-            def load(ctx):
+            def load(ctx, *vector):
                 loaded.append(ctx.client_id)
-                return personal_model(ctx)
+                return personal_model(ctx, *vector)
 
             algorithm.personal_model = load
             return algorithm
@@ -550,3 +550,90 @@ class TestPersonalVectors:
         algo = _build("fedet", task)
         algo.run_round(0, [0, 1, 2], np.random.default_rng(0))
         assert _bound_to_one_buffer(algo.server_model)
+
+
+#: Once every client holds the largest level, these train, aggregate and
+#: score exactly what FedAvg does: a full-width slice (prefix or rolling, at
+#: any shift) and a whole FeDepth segment are the whole vector.
+REDUCES = ("sheterofl", "fedrolex", "fedepth")
+#: Methods that, by design, do not reduce to FedAvg on a homogeneous fleet.
+DOES_NOT_REDUCE = {
+    "fjord": "each client trains a width drawn at or below its own every "
+             "round, so a full-width fleet still trains narrower slices",
+    "inclusivefl": "momentum distillation adds the deeper blocks' update "
+                   "to their shallower same-shaped neighbours after every "
+                   "aggregation",
+    "depthfl": "every client trains all heads with self-distillation, and "
+               "the global accuracy is the ensemble of the heads",
+    "fedproto": "there is no global model: clients keep personal models, "
+                "exchange class prototypes and are scored one by one",
+    "fedet": "clients keep personal models; the scored server model is "
+             "distilled from their consensus on a public set",
+}
+
+
+def _unconstrained(name, dataset):
+    from repro.constraints import ConstraintSpec
+    from repro.experiments import RunSpec, execute_spec
+    return execute_spec(RunSpec(algorithm=name, dataset=dataset,
+                                constraints=ConstraintSpec(constraints=()),
+                                scale="smoke", seed=0), cache=None)
+
+
+def _without_name(history):
+    from repro.fl import history_to_dict
+    payload = history_to_dict(history)
+    del payload["algorithm"]
+    return payload
+
+
+class TestFedAvgReduction:
+    """The oracle: on an unconstrained fleet (every client at the largest
+    level) the sliced methods that do not change the objective are
+    FedAvg, History for History."""
+
+    @pytest.fixture(scope="class")
+    def fedavg(self):
+        histories = {}
+
+        def history(dataset):
+            if dataset not in histories:
+                histories[dataset] = _without_name(_unconstrained(
+                    "fedavg_smallest", dataset).history)
+            return histories[dataset]
+
+        return history
+
+    def test_every_method_is_named(self):
+        assert set(REDUCES) | set(DOES_NOT_REDUCE) | {"fedavg_smallest"} \
+            == set(ALGORITHMS)
+
+    @pytest.mark.parametrize("dataset", ["harbox", "cifar10", "agnews"])
+    @pytest.mark.parametrize("name", REDUCES)
+    def test_reduces_to_fedavg(self, name, dataset, fedavg, monkeypatch):
+        from repro.algorithms import base
+        from repro.fl.evaluate import accuracy
+        reference = fedavg(dataset)
+        calls = []
+        monkeypatch.setattr(base, "accuracy", _counting(accuracy, calls))
+        result = _unconstrained(name, dataset)
+        history = result.history
+        assert _without_name(history) == reference
+        # Every device deploys the full model the last round scored: the
+        # final evaluations reuse that accuracy instead of scoring it again.
+        assert history.final_device_accuracies \
+            == [history.final_accuracy] * len(history.final_device_accuracies)
+        assert len(calls) == sum(record.global_accuracy is not None
+                                 for record in history.records)
+        # The full level's index is the whole vector at every shift.
+        algorithm = result.scenario.algorithm
+        level = tuple(sorted(algorithm.clients[0].entry.overrides.items()))
+        for shift in range(12):
+            assert algorithm.resolve_upload((level, shift, None)).index \
+                == slice(0, algorithm.layout.size)
+
+    @pytest.mark.parametrize("name", sorted(DOES_NOT_REDUCE))
+    def test_the_others_do_not(self, name, fedavg):
+        history = _unconstrained(name, "harbox").history
+        assert _without_name(history) != fedavg("harbox"), \
+            DOES_NOT_REDUCE[name]

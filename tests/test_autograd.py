@@ -315,9 +315,10 @@ FLOAT32_OPS = {
 }
 
 # A python scalar operand is wrapped as a 0-d float64 array, which NEP 50
-# promotes against: ROADMAP Open item 5, "NEP 50 float64 drift".  Fixing it
-# changes History digits, so it is a titled re-golden PR; strict xfail makes
-# that PR delete these marks.
+# promotes against: the ROADMAP item "One sanctioned numerics-and-format
+# re-golden", part "Weak python scalars".  Fixing it changes History digits,
+# so it is a titled re-golden PR; strict xfail makes that PR delete these
+# marks.
 _SCALAR_DRIFT = {
     "tmean": lambda: ag.tmean(_f32((3, 4)), axis=1),
     "t.mean()": lambda: _f32((3, 4)).mean(),
@@ -343,7 +344,9 @@ class TestFloat32StaysFloat32:
 
     @pytest.mark.parametrize("name", [
         pytest.param(name, marks=pytest.mark.xfail(
-            strict=True, reason="python scalar -> 0-d float64 (ROADMAP 5)"))
+            strict=True, reason="python scalar -> 0-d float64 (ROADMAP: "
+            "One sanctioned numerics-and-format re-golden, weak python "
+            "scalars)"))
         if name in _SCALAR_DRIFT else name for name in FLOAT32_OPS])
     def test_forward_and_backward_dtype(self, name):
         node = FLOAT32_OPS[name]()

@@ -234,7 +234,8 @@ class TestScenario:
         "the memory case collapses to two levels: a fixed framework "
         "overhead dominates the tiny models FL runs train, so every level "
         "needs most of the largest one's memory and every client below the "
-        "16 GB tier falls back to the smallest level (ROADMAP item 1)"))
+        "16 GB tier falls back to the smallest level (ROADMAP: Price every "
+        "cost axis on the paper's model)"))
     @pytest.mark.parametrize("algorithm", ["sheterofl", "depthfl", "fedepth"])
     def test_memory_case_spreads_levels(self, algorithm):
         """The memory twin of the computation case's heterogeneity: under

@@ -191,6 +191,81 @@ class TestSlicePathEqualsOpenMesh:
         assert np.array_equal(counts, want_counts)
 
 
+@st.composite
+def _index_layout(draw):
+    """``(global layout, sub layout, scale axes)``: one to four entries of
+    rank one to four, each with zero to two scaled axes that may shrink."""
+    entries = []
+    for i in range(draw(st.integers(1, 4))):
+        global_shape = tuple(draw(st.lists(st.integers(1, 6), min_size=1,
+                                           max_size=4)))
+        scaled = draw(st.lists(st.integers(0, len(global_shape) - 1),
+                               max_size=2, unique=True))
+        sub_shape = tuple(draw(st.integers(1, dim)) if axis in scaled
+                          else dim for axis, dim in enumerate(global_shape))
+        entries.append((f"e{i}", global_shape, sub_shape, tuple(scaled)))
+    return (Layout.of([(n, g) for n, g, _, _ in entries], len(entries)),
+            Layout.of([(n, s) for n, _, s, _ in entries], len(entries)),
+            {name: axes for name, _, _, axes in entries})
+
+
+def _per_element_positions(g_layout, s_layout, mode, shift):
+    """Every sub-vector element's global position, one at a time: its
+    coordinate, rolled on each shrunk axis, through
+    ``np.ravel_multi_index``."""
+    positions = []
+    for name, sub_shape in zip(s_layout.names, s_layout.shapes):
+        entry = g_layout.names.index(name)
+        global_shape = g_layout.shapes[entry]
+        for coord in np.ndindex(*sub_shape):
+            rolled = tuple((c + shift) % g if s < g and mode == "rolling"
+                           else c for c, s, g in zip(coord, sub_shape,
+                                                     global_shape))
+            positions.append(g_layout.bounds[entry]
+                             + np.ravel_multi_index(rolled, global_shape))
+    return np.array(positions, np.intp)
+
+
+class TestIndexMapsMatchPerElementReference:
+    """``width_index_maps`` against positions computed element by element,
+    over random layouts, both modes and shifts beyond every dimension."""
+
+    @given(layouts=_index_layout(), mode=st.sampled_from(["prefix",
+                                                          "rolling"]),
+           data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_positions_in_the_same_order(self, layouts, mode, data):
+        g_layout, s_layout, scale_axes = layouts
+        largest = max(max(shape) for shape in g_layout.shapes)
+        shift = data.draw(st.integers(0, 3 * largest))
+        reference = _per_element_positions(g_layout, s_layout, mode, shift)
+        index = width_index_maps(g_layout, s_layout, scale_axes, mode=mode,
+                                 shift=shift)
+        run = bool((np.diff(reference) == 1).all())
+        assert isinstance(index, slice) == run
+        positions = np.arange(g_layout.size)[index]
+        assert positions.dtype == np.intp
+        assert np.array_equal(positions, reference)
+
+    @given(layouts=_index_layout(),
+           shifts=st.lists(st.integers(0, 30), min_size=2, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_a_kept_plan_serves_every_shift(self, layouts, shifts):
+        """The plan built at the first shift gives every later shift the
+        index a fresh call computes."""
+        g_layout, s_layout, scale_axes = layouts
+        plans = {}
+        for shift in shifts:
+            kept = width_index_maps(g_layout, s_layout, scale_axes,
+                                    mode="rolling", shift=shift, plans=plans)
+            fresh = width_index_maps(g_layout, s_layout, scale_axes,
+                                     mode="rolling", shift=shift)
+            assert len(plans) == 1
+            assert type(kept) is type(fresh)
+            assert np.array_equal(np.arange(g_layout.size)[kept],
+                                  np.arange(g_layout.size)[fresh])
+
+
 class TestDepthMapsConserveMass:
     """Depth levels hold a subset of the global entries, each whole; their
     indices must round-trip the global vector exactly as the width ones do.

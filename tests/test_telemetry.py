@@ -518,8 +518,9 @@ class TestProfileVerb:
         counters = {row["name"]: row["value"] for row in rows
                     if row["section"] == "counter"}
         assert spans["execute_spec"] == spans["run_simulation"] == len(specs)
-        assert spans["client_step"] \
-            == counters["executor.items{kind=inline}"] > 0
+        # A work item trains a client or scores a final evaluation.
+        assert spans["client_step"] + spans["evaluate_item"] \
+            == counters["executor.items{kind=inline}"] > spans["client_step"]
         assert sum(row["section"] == "round" for row in rows) \
             == spans["aggregate"] \
             == sum(spec.resolved_scale().num_rounds for spec in specs)
