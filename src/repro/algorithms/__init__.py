@@ -1,8 +1,7 @@
 """The eight MHFL algorithms + homogeneous baseline (Table II)."""
 
-from .base import (ClientContext, ClientUpdate, RoundOutcome, SubIndex,
-                   MHFLAlgorithm, WIDTH_LEVELS, DEPTH_LEVELS,
-                   assign_levels_uniformly)
+from .base import (ClientContext, SubIndex, MHFLAlgorithm, WIDTH_LEVELS,
+                   DEPTH_LEVELS, assign_levels_uniformly)
 from .fedavg import FedAvgSmallest
 from .fjord import Fjord
 from .heterofl import SHeteroFL
@@ -15,8 +14,7 @@ from .fedet import FedET
 from .registry import ALGORITHMS, MHFL_ALGORITHMS, get_algorithm
 
 __all__ = [
-    "ClientContext", "ClientUpdate", "RoundOutcome", "SubIndex",
-    "MHFLAlgorithm",
+    "ClientContext", "SubIndex", "MHFLAlgorithm",
     "WIDTH_LEVELS", "DEPTH_LEVELS", "assign_levels_uniformly",
     "FedAvgSmallest", "Fjord", "SHeteroFL", "FedRolex",
     "DepthFL", "InclusiveFL", "FeDepth", "FedProto", "ProtoModel", "FedET",

@@ -9,10 +9,10 @@ Every algorithm binds together:
 * a **variant space** — the capacity levels the method offers (width
   multipliers, depth fractions, family members), measured into a
   :class:`~repro.hw.ModelPool` that the constraint cases select from;
-* hooks — ``build_client_model`` (how a capacity level becomes a trainable
-  model loaded from its flat index), ``local_loss_fn`` (algorithm-specific
-  objectives) and ``post_aggregate`` (e.g. InclusiveFL's momentum
-  distillation).
+* hooks — ``load_client`` / ``upload`` (the two ends of a client round:
+  here a capacity level's slice, loaded by ``build_client_model``),
+  ``local_loss_fn`` (algorithm-specific objectives) and ``post_aggregate``
+  (e.g. InclusiveFL's momentum distillation).
 
 The global model is one float32 vector (``global_vector``) laid out like the
 base model's state; a capacity level is one memoised index into it (see
@@ -36,6 +36,7 @@ from .. import autograd as ag
 from ..data.dataset import FederatedDataset, Subset
 from ..fl.client import LocalTrainConfig, train_local
 from ..fl.evaluate import accuracy
+from ..fl.executor import ClientResult
 from ..fl.seeding import reseed_dropout
 from ..hw.cost_model import CostModel, DEFAULT_COST_MODEL
 from ..hw.ima import ClientCapability
@@ -45,9 +46,8 @@ from ..models.slicing import (Index, extract_substate, finalize_mean,
                               scatter_accumulate, width_index_maps)
 from ..nn.module import Layout
 
-__all__ = ["ClientContext", "ClientUpdate", "RoundOutcome", "SubIndex",
-           "MHFLAlgorithm", "WIDTH_LEVELS", "DEPTH_LEVELS",
-           "assign_levels_uniformly"]
+__all__ = ["ClientContext", "SubIndex", "MHFLAlgorithm", "WIDTH_LEVELS",
+           "DEPTH_LEVELS", "assign_levels_uniformly"]
 
 #: The paper's four capacity proportions (Table II).
 WIDTH_LEVELS = (1.0, 0.75, 0.5, 0.25)
@@ -66,43 +66,6 @@ class ClientContext:
     @property
     def num_samples(self) -> int:
         return len(self.shard)
-
-
-@dataclass
-class RoundOutcome:
-    """What one federated round produced (consumed by the simulator)."""
-
-    slowest_client_s: float
-    mean_train_loss: float
-
-
-@dataclass
-class ClientUpdate:
-    """One client's finished local round, in transit to the server.
-
-    ``payload`` is algorithm-specific (``(values, key)`` for
-    parameter-averaging methods: the flat upload and the key of its
-    :class:`SubIndex`; prototypes for FedProto, public-set predictions for
-    Fed-ET) and is only interpreted by the same algorithm's
-    :meth:`MHFLAlgorithm.ingest`.  ``discount`` is 1.0 for synchronous
-    execution; asynchronous aggregation policies lower it for stale updates
-    before handing the buffer to ``ingest``.
-    """
-
-    client_id: int
-    #: global model version (round index) the client trained from.
-    version: int
-    train_loss: float
-    #: the client's full download + train + upload time, seconds.
-    round_time_s: float
-    #: aggregation weight (sample count for parameter averaging).
-    weight: float
-    payload: object
-    #: staleness discount applied by the aggregation policy (1.0 = fresh).
-    discount: float = 1.0
-    #: versions the global model advanced while this update was in flight
-    #: (stamped by the aggregation policy at aggregation time).
-    staleness: int = 0
 
 
 class SubIndex(NamedTuple):
@@ -190,6 +153,15 @@ class MHFLAlgorithm:
         self._indices_shift = 0
         #: sub layout -> the plan every shift's index of it is built from.
         self._plans: dict = {}
+        #: level key -> the layout its pool entry measured, for every
+        #: level a client may train (its own, or a pool level Fjord
+        #: draws), so resolving an upload builds no skeleton.  Kept apart
+        #: from ``pool``, which an ablation may drop after construction.
+        entries = [*(pool.entries if pool is not None else ()),
+                   *(ctx.entry for ctx in self.clients.values())]
+        self._layouts: dict[tuple, Layout] = {
+            tuple(sorted(entry.overrides.items())): entry.layout
+            for entry in entries}
 
     @property
     def global_state(self) -> dict[str, np.ndarray]:
@@ -258,7 +230,7 @@ class MHFLAlgorithm:
             level, shift, segment = key
             if shift != self._indices_shift:
                 self._indices, self._indices_shift = {}, shift
-            layout, take = self._level_model(level)[2], slice(None)
+            layout, take = self._layouts[level], slice(None)
             if segment is not None:
                 upload = layout.select(self.upload_names(layout, segment))
                 take = width_index_maps(layout, upload, {})
@@ -312,8 +284,11 @@ class MHFLAlgorithm:
                              round_index: int) -> None:
         """Post-load setup (FeDepth freezes a stage segment here)."""
 
-    def local_loss_fn(self, ctx: ClientContext, model: SliceableModel):
-        """Local objective; default cross-entropy on the deepest head."""
+    def local_loss_fn(self, ctx: ClientContext, model: SliceableModel,
+                      rng: np.random.Generator, broadcast: dict):
+        """Local objective as a ``train_local`` loss hook (it may read the
+        client's read-only ``broadcast`` and draw from ``rng``); default
+        cross-entropy on the deepest head."""
         return None  # train_local's default CE
 
     def post_aggregate(self, old_vector: np.ndarray,
@@ -389,9 +364,12 @@ class MHFLAlgorithm:
     # it was handed, and every random draw comes from the caller's ``rng``
     # (derived from ``(run_seed, round, client_id)`` by the execution
     # layer).  That purity is what lets :mod:`repro.fl.executor` run clients
-    # inline or in pool processes through one code path.  It returns the
-    # upload and the state the device keeps (FedProto/Fed-ET's trained
-    # vector, else ``None``), which ``apply_client_state`` absorbs.
+    # inline or in pool processes through one code path.  It is written
+    # once (load, reseed dropout, train, upload; each family fills the two
+    # ends) and returns a :class:`ClientResult` of what the client
+    # computed, the state the device keeps included (FedProto/Fed-ET's
+    # trained vector, else ``None``), which ``apply_client_state``
+    # absorbs.  ``ingest`` returns nothing: the coordinator holds the rest.
 
     def pack_round_broadcast(self, version: int) -> dict:
         """The client-independent part of the downlink at ``version``.
@@ -423,12 +401,27 @@ class MHFLAlgorithm:
         """Absorb the per-client state :meth:`run_client` returned (none
         for parameter-averaging methods)."""
 
+    def load_client(self, ctx: ClientContext, version: int,
+                    rng: np.random.Generator, broadcast: dict):
+        """The model a client trains, loaded from its ``broadcast``, and
+        what :meth:`upload` reads it back by (here its level's slice and
+        upload key)."""
+        return self.build_client_model(ctx, version, rng,
+                                       state=broadcast["global_state"])
+
+    def upload(self, ctx: ClientContext, model: SliceableModel,
+               key) -> tuple[float, object, object]:
+        """``(weight, payload, kept state)`` of a trained client: here its
+        sample count and the ``(values, key)`` it uploads."""
+        values = extract_substate(self._level_model(key[0])[1],
+                                  self.resolve_upload(key).take)
+        return float(ctx.num_samples), (values, key), None
+
     def run_client(self, client_id: int, version: int,
                    rng: np.random.Generator,
-                   broadcast: dict | None = None
-                   ) -> tuple[ClientUpdate, None]:
-        """Train one client from the global state at version ``version``;
-        returns its upload and the state it keeps (none here).
+                   broadcast: dict | None = None) -> ClientResult:
+        """Train one client from the server state at version ``version``;
+        returns what it computed.
 
         ``broadcast`` is the downlink payload from :meth:`pack_broadcast`,
         the only server state the client reads; ``None`` packs it here.
@@ -436,21 +429,18 @@ class MHFLAlgorithm:
         if broadcast is None:
             broadcast = self.pack_broadcast(client_id, version)
         ctx = self.clients[int(client_id)]
-        model, key = self.build_client_model(ctx, version, rng,
-                                             state=broadcast["global_state"])
+        model, key = self.load_client(ctx, version, rng, broadcast)
         reseed_dropout(model, rng)
         loss = train_local(model, ctx.shard.x, ctx.shard.y,
                            self.train_config, rng,
-                           loss_fn=self.local_loss_fn(ctx, model))
-        values = extract_substate(self._level_model(key[0])[1],
-                                  self.resolve_upload(key).take)
-        return ClientUpdate(
-            client_id=ctx.client_id, version=version, train_loss=loss,
-            round_time_s=self.client_round_time_s(ctx),
-            weight=float(ctx.num_samples), payload=(values, key)), None
+                           loss_fn=self.local_loss_fn(ctx, model, rng,
+                                                      broadcast))
+        weight, payload, state = self.upload(ctx, model, key)
+        return ClientResult(train_loss=loss, weight=weight, payload=payload,
+                            client_state=state)
 
-    def ingest(self, updates: Iterable[ClientUpdate], round_index: int,
-               rng: np.random.Generator) -> RoundOutcome:
+    def ingest(self, updates: Iterable[ClientResult], round_index: int,
+               rng: np.random.Generator) -> None:
         """Aggregate a batch of client updates into the global state.
 
         ``updates`` may be any single-pass iterable — the synchronous round
@@ -460,31 +450,24 @@ class MHFLAlgorithm:
         Ingestion always happens on the coordinator, in the round's
         *dispatch* order (never completion order): floating-point
         accumulation order is part of the result, and dispatch order is the
-        one ordering every executor agrees on.
+        one ordering every executor agrees on.  An update's ``weight`` is
+        final: the buffered policy has already discounted a stale one.
         """
         sums = np.zeros(self.layout.size)
         counts = np.zeros(self.layout.size)
-        slowest = 0.0
-        losses = []
         for update in updates:
             values, key = update.payload
             scatter_accumulate(sums, counts, values,
                                self.resolve_upload(key).index,
-                               weight=update.weight * update.discount)
-            slowest = max(slowest, update.round_time_s)
-            losses.append(update.train_loss)
+                               weight=update.weight)
         old_vector = self.global_vector
         self.global_vector = finalize_mean(sums, counts, old_vector)
         self.post_aggregate(old_vector, round_index)
-        return RoundOutcome(
-            slowest_client_s=slowest,
-            mean_train_loss=float(np.mean(losses)) if losses else 0.0)
 
     def run_round(self, round_index: int, sampled_ids: Sequence[int],
-                  rng: np.random.Generator,
-                  run_seed: int = 0) -> RoundOutcome:
+                  rng: np.random.Generator, run_seed: int = 0) -> float:
         """Convenience synchronous round: train ``sampled_ids`` in order,
-        then aggregate.
+        then aggregate; returns the round's mean train loss.
 
         Per-client randomness comes from the canonical
         ``(run_seed, round, client_id)`` derivation — the same streams the
@@ -493,15 +476,19 @@ class MHFLAlgorithm:
         """
         from ..fl.seeding import client_rng
 
+        losses = []
+
         def updates():
             for client_id in sampled_ids:
-                update, state = self.run_client(
+                result = self.run_client(
                     client_id, round_index,
                     client_rng(run_seed, round_index, client_id))
-                self.apply_client_state(client_id, state)
-                yield update
+                self.apply_client_state(client_id, result.client_state)
+                losses.append(result.train_loss)
+                yield result
 
-        return self.ingest(updates(), round_index, rng)
+        self.ingest(updates(), round_index, rng)
+        return float(np.mean(losses)) if losses else 0.0
 
     # ------------------------------------------------------------------
     # Checkpointing

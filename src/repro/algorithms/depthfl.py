@@ -34,7 +34,8 @@ class DepthFL(MHFLAlgorithm):
         return {f"d{f:.2f}": depth_overrides(base_model, f, "all")
                 for f in DEPTH_LEVELS}
 
-    def local_loss_fn(self, ctx: ClientContext, model: SliceableModel):
+    def local_loss_fn(self, ctx: ClientContext, model: SliceableModel,
+                      rng: np.random.Generator, broadcast: dict):
         gamma = self.distill_weight
 
         def loss(m, xb, yb):

@@ -56,7 +56,8 @@ class FeDepth(MHFLAlgorithm):
                                        train_stem=(segment == total))
             stats = measure_model(probe)
             entries.append(PoolEntry(key=key, proportion=segment / total,
-                                     overrides={}, stats=stats))
+                                     overrides={}, stats=stats,
+                                     layout=probe.state_layout()))
         return ModelPool(base_model, entries)
 
     # ------------------------------------------------------------------

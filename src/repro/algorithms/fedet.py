@@ -18,7 +18,7 @@ import numpy as np
 from .. import autograd as ag
 from ..fl.evaluate import accuracy
 from ..models.base import SliceableModel
-from .base import ClientContext, RoundOutcome
+from .base import ClientContext
 from .personal import PersonalModelAlgorithm
 
 __all__ = ["FedET"]
@@ -60,8 +60,8 @@ class FedET(PersonalModelAlgorithm):
         return self.base_model.variant(**ctx.entry.overrides,
                                        seed=2000 + ctx.client_id)
 
-    def _local_loss(self, model: SliceableModel, rng: np.random.Generator,
-                    broadcast: dict):
+    def local_loss_fn(self, ctx: ClientContext, model: SliceableModel,
+                      rng: np.random.Generator, broadcast: dict):
         consensus = broadcast["consensus"]
         mu = self.transfer_weight
         x_public = self.x_public
@@ -83,7 +83,7 @@ class FedET(PersonalModelAlgorithm):
         return {"consensus": (None if self._consensus is None
                               else self._consensus.copy())}
 
-    def _upload(self, model: SliceableModel, ctx: ClientContext):
+    def _knowledge(self, model: SliceableModel, ctx: ClientContext):
         # Client predictions on the public transfer set; confidence
         # weighting makes more certain members count more.
         model.eval()
@@ -92,18 +92,15 @@ class FedET(PersonalModelAlgorithm):
         model.train()
         return float(probs.max(axis=1).mean()), probs
 
-    def ingest(self, updates, round_index: int, rng) -> RoundOutcome:
+    def ingest(self, updates, round_index: int, rng) -> None:
         updates = list(updates)  # may arrive as a single-pass generator
         if not updates:
-            return RoundOutcome(slowest_client_s=0.0, mean_train_loss=0.0)
-        weights = np.asarray([u.weight * u.discount for u in updates])
+            return
+        weights = np.asarray([u.weight for u in updates])
         weights = weights / weights.sum()
         self._consensus = np.einsum("k,knc->nc", weights,
                                     np.stack([u.payload for u in updates]))
         self._distill_server(rng)
-        return RoundOutcome(
-            slowest_client_s=max(u.round_time_s for u in updates),
-            mean_train_loss=float(np.mean([u.train_loss for u in updates])))
 
     def _distill_server(self, rng: np.random.Generator) -> None:
         from .. import nn

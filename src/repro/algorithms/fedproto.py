@@ -18,7 +18,7 @@ import numpy as np
 from .. import autograd as ag
 from .. import nn
 from ..models.base import SliceableModel
-from .base import ClientContext, RoundOutcome
+from .base import ClientContext
 from .personal import PersonalModelAlgorithm
 
 __all__ = ["FedProto", "ProtoModel"]
@@ -75,7 +75,8 @@ class FedProto(PersonalModelAlgorithm):
         return ProtoModel(super()._build_level(level), self.proto_dim,
                           self.dataset.num_classes, seed=0)
 
-    def _local_loss(self, model: ProtoModel, rng, broadcast: dict):
+    def local_loss_fn(self, ctx: ClientContext, model: ProtoModel, rng,
+                      broadcast: dict):
         weight = self.proto_weight
         protos = broadcast["global_protos"]
         valid = broadcast["proto_valid"]
@@ -100,7 +101,7 @@ class FedProto(PersonalModelAlgorithm):
         return {"global_protos": self.global_protos.copy(),
                 "proto_valid": self._proto_valid.copy()}
 
-    def _upload(self, model: ProtoModel, ctx: ClientContext):
+    def _knowledge(self, model: ProtoModel, ctx: ClientContext):
         # Local prototypes: per-class embedding sums + member counts.
         with ag.no_grad():
             model.eval()
@@ -114,25 +115,17 @@ class FedProto(PersonalModelAlgorithm):
             proto_counts[cls] = len(members)
         return 1.0, (proto_sums, proto_counts)
 
-    def ingest(self, updates, round_index: int, rng) -> RoundOutcome:
+    def ingest(self, updates, round_index: int, rng) -> None:
         proto_sums = np.zeros_like(self.global_protos)
         proto_counts = np.zeros(self.dataset.num_classes)
-        slowest = 0.0
-        losses = []
         for update in updates:
             sums, counts = update.payload
-            scale = update.weight * update.discount
-            proto_sums += sums * scale
-            proto_counts += counts * scale
-            slowest = max(slowest, update.round_time_s)
-            losses.append(update.train_loss)
+            proto_sums += sums * update.weight
+            proto_counts += counts * update.weight
         updated = proto_counts > 0
         self.global_protos[updated] = (
             proto_sums[updated] / proto_counts[updated, None]).astype(np.float32)
         self._proto_valid |= updated
-        return RoundOutcome(
-            slowest_client_s=slowest,
-            mean_train_loss=float(np.mean(losses)) if losses else 0.0)
 
     # ------------------------------------------------------------------
     # FedProto has no global_state to speak of; its resumable server-side

@@ -4,9 +4,11 @@ FedProto and Fed-ET exchange knowledge (prototypes, public-set logits), not
 parameters, so each client's model of its own architecture persists across
 rounds on the coordinator.  This base owns that lifecycle once — the
 per-client vectors, their work-item transport (down in the broadcast, back
-as ``run_client``'s return value), the detached training step and their
-share of checkpoints and evaluation; a subclass supplies
-``_build_personal``, its local loss, its upload and its server side.
+as the ``client_state`` of ``run_client``'s result), the two ends of the
+shared client round (load the client's vector, hand back the trained one
+beside the knowledge upload) and their share of checkpoints and
+evaluation; a subclass supplies ``_build_personal``, its
+``local_loss_fn``, its ``_knowledge`` upload and its server side.
 
 A personal model is one float32 vector laid out like its capacity level,
 loaded into that level's one skeleton (``_level_model``) to train or
@@ -22,12 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..fl.client import train_local
 from ..fl.evaluate import accuracy
-from ..fl.seeding import reseed_dropout
 from ..models.base import SliceableModel
 from ..models.zoo import MODEL_FAMILIES
-from .base import ClientContext, ClientUpdate, MHFLAlgorithm, WIDTH_LEVELS
+from .base import ClientContext, MHFLAlgorithm, WIDTH_LEVELS
 
 __all__ = ["PersonalModelAlgorithm"]
 
@@ -65,14 +65,10 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
         """A freshly-initialised personal model (deterministic per client)."""
         raise NotImplementedError
 
-    def _local_loss(self, model: nn.Module, rng, broadcast: dict):
-        """The client objective as a ``train_local`` loss hook, reading the
-        server's knowledge from the client's (read-only) ``broadcast``."""
-        raise NotImplementedError
-
-    def _upload(self, model: nn.Module,
-                ctx: ClientContext) -> tuple[float, object]:
-        """``(aggregation weight, payload)`` of a trained client."""
+    def _knowledge(self, model: nn.Module,
+                   ctx: ClientContext) -> tuple[float, object]:
+        """``(aggregation weight, payload)`` of a trained client: what it
+        shares with the server instead of its parameters."""
         raise NotImplementedError
 
     def _skeleton(self, client_id: int):
@@ -104,8 +100,9 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
     # ------------------------------------------------------------------
     # Work-item transport: beside the subclass's round broadcast, the
     # downlink carries a copy of the client's own personal vector (built
-    # here on first use; a pool worker's replica never holds it), and
-    # ``run_client`` returns the trained vector beside the upload.
+    # here on first use; a pool worker's replica never holds it), and the
+    # shared ``run_client`` trains it in the level's skeleton and returns
+    # the trained vector as the result's kept state.
     # ------------------------------------------------------------------
     def pack_client_broadcast(self, client_id: int, version: int) -> dict:
         return {"personal": self._vector(self.clients[int(client_id)]).copy()}
@@ -114,25 +111,17 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
         self._personal[int(client_id)] = state
         self._accuracies.pop(("personal", int(client_id)), None)
 
-    def run_client(self, client_id: int, version: int, rng,
-                   broadcast: dict | None = None
-                   ) -> tuple[ClientUpdate, np.ndarray]:
-        if broadcast is None:
-            broadcast = self.pack_broadcast(client_id, version)
-        ctx = self.clients[int(client_id)]
+    def load_client(self, ctx: ClientContext, version: int, rng,
+                    broadcast: dict):
         model, buffer, _ = self._skeleton(ctx.client_id)
         buffer[...] = broadcast["personal"]
-        reseed_dropout(model, rng)
-        loss = train_local(model, ctx.shard.x, ctx.shard.y,
-                           self.train_config, rng,
-                           loss_fn=self._local_loss(model, rng, broadcast))
+        return model, buffer
+
+    def upload(self, ctx: ClientContext, model: nn.Module, buffer):
         trained = buffer.copy()
-        weight, payload = self._upload(model, ctx)
+        weight, payload = self._knowledge(model, ctx)
         model.zero_grad()  # grads to None: the skeleton keeps weights only
-        return ClientUpdate(
-            client_id=ctx.client_id, version=version, train_loss=loss,
-            round_time_s=self.client_round_time_s(ctx), weight=weight,
-            payload=payload), trained
+        return weight, payload, trained
 
     # ------------------------------------------------------------------
     # Every materialised personal model is resumable state, written as its

@@ -97,7 +97,7 @@ def sample_clients(num_clients: int, sample_ratio: float,
 # ----------------------------------------------------------------------
 
 def validate_update(update, resolve=None) -> str | None:
-    """Judge one :class:`~repro.algorithms.base.ClientUpdate` before it may
+    """Judge one :class:`~repro.fl.executor.ClientResult` before it may
     enter aggregation; returns ``None`` when healthy, else a quarantine
     reason code (``"nonfinite"``, ``"shape"``, ``"malformed"``).
 
@@ -267,9 +267,10 @@ class AggregationPolicy:
         self._participation: dict[int, int] = {}
         #: seeded fault model, bound by :meth:`open_run` (None = healthy).
         self.faults: FaultModel | None = None
-        #: ``(plan, slowed total)`` of training clients whose dispatch drew
-        #: a non-clean fault plan, until :meth:`land` applies it.
-        self._fault_plans: dict[int, tuple] = {}
+        #: the fault plan of each training client whose dispatch corrupts
+        #: its upload, until :meth:`land` applies it (a slowdown is already
+        #: in the segments :meth:`launch` returned).
+        self._fault_plans: dict[int, FaultPlan] = {}
         #: drops since the last closed round, by reason.
         self.drops = {"dropout": 0, "churn": 0, "deadline": 0,
                       "crash": 0, "quarantined": 0}
@@ -366,27 +367,23 @@ class AggregationPolicy:
             self.queue.push(Event(now + total, UPLOAD_COMPLETE, cid,
                                   info={"late": True}))
             return None
-        if not plan.clean:
-            self._fault_plans[cid] = (plan, total)
+        if plan.corrupt is not None:
+            self._fault_plans[cid] = plan
         return down, train, total
 
     def land(self, algorithm, cid: int, result):
         """A trained result reaches the coordinator: absorb the client's
-        state and apply what its dispatch's fault plan does to the upload
-        (straggler time, corruption); returns the update."""
+        state and apply its dispatch's corruption to the upload; returns
+        the result."""
         if result.timing is not None:
             self._timings[cid] = result.timing
         algorithm.apply_client_state(cid, result.client_state)
-        update = result.update
-        plan, total = self._fault_plans.pop(cid, (None, None))
+        plan = self._fault_plans.pop(cid, None)
         if plan is not None:
-            if plan.slowdown != 1.0:
-                update.round_time_s = total
-            if plan.corrupt is not None:
-                corrupt_update(update, plan.corrupt,
-                               self.faults.spec.corrupt_factor,
-                               getattr(algorithm, "resolve_upload", None))
-        return update
+            corrupt_update(result, plan.corrupt,
+                           self.faults.spec.corrupt_factor,
+                           getattr(algorithm, "resolve_upload", None))
+        return result
 
     def verdict(self, algorithm, update) -> str | None:
         """Coordinator defense: the :func:`validate_update` reason an
@@ -417,8 +414,10 @@ class AggregationPolicy:
         land), so the synchronous policy may run it while the next
         round's items train."""
         with telemetry.span("aggregate", round=index):
-            outcome = (algorithm.ingest(updates, index, self.rng)
-                       if updates else None)
+            if updates:
+                algorithm.ingest(updates, index, self.rng)
+        train_loss = (float(np.mean([u.train_loss for u in updates]))
+                      if updates else 0.0)
         self.emit(Event(sim_time, SERVER_AGGREGATE,
                         info={"round": index, "received": len(updates)}))
 
@@ -439,7 +438,7 @@ class AggregationPolicy:
             record = RoundRecord(
                 round_index=index, sim_time_s=sim_time,
                 round_time_s=round_time,
-                train_loss=outcome.mean_train_loss if outcome else 0.0,
+                train_loss=train_loss,
                 global_accuracy=acc, extras=extras,
                 events=self.take_timeline())
             history.append(record)
@@ -611,9 +610,9 @@ class SynchronousPolicy(AggregationPolicy):
         """
         deadline = (self.execution.deadline_s
                     if self.execution.deadline_s is not None else math.inf)
-        dispatch_order = {int(cid): i for i, cid in enumerate(sampled)}
+        #: the training clients' segments, in dispatch order.
         segments: dict[int, tuple[float, float, float]] = {}
-        for cid in dispatch_order:
+        for cid in map(int, sampled):
             launched = self.launch(algorithm, cid, start_s, round_index,
                                    horizon=deadline)
             if launched is not None:
@@ -641,10 +640,11 @@ class SynchronousPolicy(AggregationPolicy):
             self.queue.push(Event(start_s + total, UPLOAD_COMPLETE, cid,
                                   info={"update": update}))
 
-        # Settle the round against the deadline as its events fire.
-        # Quarantines are emitted after the last event, so they close the
-        # round's timeline.
-        received, rejected, duration, late = [], [], 0.0, 0
+        # Settle the round against the deadline as its events fire: only
+        # provably late clients were not trained, so a trained client's
+        # total is within it.  Quarantines are emitted after the last
+        # event, so they close the round's timeline.
+        received, rejected, duration, late = {}, [], 0.0, 0
         while self.queue:
             event = self.next_event()
             if event.type in (CLIENT_DROPPED, CLIENT_FAILED):
@@ -652,27 +652,25 @@ class SynchronousPolicy(AggregationPolicy):
                                              deadline))
             elif event.type == UPLOAD_COMPLETE:
                 update = event.info.pop("update", None)
-                if update is None or update.round_time_s > deadline:
+                if update is None:
                     late += 1
-                    event.info["late"] = True
                     duration = max(duration, deadline)
                     continue
                 # The upload landed (and consumed wall clock) whether or
                 # not it survives validation.
-                duration = max(duration, update.round_time_s)
+                duration = max(duration, segments[event.client_id][2])
                 verdict = self.verdict(algorithm, update)
                 if verdict is not None:
                     rejected.append((event, verdict))
                 else:
-                    received.append(update)
+                    received[event.client_id] = update
         self.drops["deadline"] = late
         for event, verdict in rejected:
             self.quarantine(event, verdict)
         #: updates kept in dispatch order — a synchronous server treats the
         #: round's batch as a set, and accumulation order is part of the
         #: result (float sums do not commute bit-for-bit).
-        received.sort(key=lambda u: dispatch_order[u.client_id])
-        return received, duration
+        return [received[cid] for cid in segments if cid in received], duration
 
 
 class BufferedPolicy(AggregationPolicy):
@@ -722,6 +720,7 @@ class BufferedPolicy(AggregationPolicy):
                 continue
 
             self._in_flight.discard(event.client_id)
+            dispatched = event.info.pop("version")
             update = self.land(algorithm, event.client_id,
                                event.info.pop("future").result())
             verdict = self.verdict(algorithm, update)
@@ -730,29 +729,29 @@ class BufferedPolicy(AggregationPolicy):
                 self.quarantine(event, verdict)
                 self._refill(algorithm, now, version)
                 continue
-            update.staleness = version - update.version
-            update.discount = float(
-                (1.0 + update.staleness) ** -STALENESS_EXPONENT)
-            telemetry.observe("aggregation.staleness", update.staleness)
-            telemetry.observe("aggregation.discount", update.discount)
-            event.info["staleness"] = update.staleness
-            event.info["discount"] = update.discount
-            buffer.append(update)
+            staleness = version - dispatched
+            discount = float((1.0 + staleness) ** -STALENESS_EXPONENT)
+            update.weight *= discount
+            telemetry.observe("aggregation.staleness", staleness)
+            telemetry.observe("aggregation.discount", discount)
+            event.info["staleness"] = staleness
+            event.info["discount"] = discount
+            buffer.append((update, staleness, discount))
             self._refill(algorithm, now, version)
             if len(buffer) < execution.buffer_size:
                 continue
 
             # Buffer full: aggregate, advance the server version.
             agg_time = now + SERVER_OVERHEAD_S
-            staleness = [u.staleness for u in buffer]
+            updates, stale, discounts = zip(*buffer)
             extras = {
                 "received": len(buffer),
-                "stale_updates": int(sum(s > 0 for s in staleness)),
-                "mean_staleness": float(np.mean(staleness)),
-                "max_staleness": int(max(staleness)),
-                "mean_discount": float(np.mean([u.discount for u in buffer])),
+                "stale_updates": int(sum(s > 0 for s in stale)),
+                "mean_staleness": float(np.mean(stale)),
+                "max_staleness": int(max(stale)),
+                "mean_discount": float(np.mean(discounts)),
             }
-            self.close_round(algorithm, history, version, buffer,
+            self.close_round(algorithm, history, version, list(updates),
                              agg_time, agg_time - last_agg_time, extras)()
             last_agg_time = agg_time
             buffer = []
@@ -819,7 +818,9 @@ class BufferedPolicy(AggregationPolicy):
         # Submit the work item now — the broadcast snapshot taken at this
         # instant *is* the staleness semantics (the client downloads the
         # server state at its dispatch timestamp) — and resolve the future
-        # when the upload event fires on the simulated clock.
+        # when the upload event fires on the simulated clock.  The upload
+        # event carries the dispatch version too; both are popped on
+        # arrival, so no timeline shows them.
         repeat = self._version_dispatches.get((version, cid), 0)
         self._version_dispatches[(version, cid)] = repeat + 1
         item = make_work_item(algorithm, cid, version, self.sim_config.seed,
@@ -831,7 +832,7 @@ class BufferedPolicy(AggregationPolicy):
             future = self.executor.submit(item)
         self.queue.push(Event(now + down + train, TRAIN_COMPLETE, cid))
         self.queue.push(Event(now + total, UPLOAD_COMPLETE, cid,
-                              info={"future": future}))
+                              info={"future": future, "version": version}))
         return True
 
 

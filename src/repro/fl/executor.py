@@ -2,9 +2,11 @@
 
 The simulation layer never trains a client directly any more; it packages
 each local round as a :class:`ClientWorkItem` — a *pure, picklable* job —
-and hands it to an :class:`Executor`, which sends back what ``run_client``
-returned (the upload and the state the device keeps) as a
-:class:`ClientResult`.  Purity means the item fully determines the result:
+and hands it to an :class:`Executor`, which sends back the
+:class:`ClientResult` ``run_client`` returned: what the client computed
+(its loss, weight, upload and the state the device keeps) and the item's
+wall-clock record, nothing the coordinator already knows.  Purity means
+the item fully determines the result:
 
 * the **downlink state** is an explicit ``broadcast`` payload (packed by
   :meth:`~repro.algorithms.base.MHFLAlgorithm.pack_broadcast` and frozen
@@ -124,11 +126,21 @@ class ClientWorkItem:
 
 @dataclass
 class ClientResult:
-    """What one executed work item sends back to the coordinator."""
+    """What one client's local round computed, sent back to the
+    coordinator (which knows who trained, from which version, how long).
 
-    update: object  # ClientUpdate; typed loosely to keep pickling flat
-    #: what ``run_client`` returned beside the upload: the state the device
-    #: keeps (FedProto/Fed-ET's trained vector, else ``None``).
+    ``payload`` is algorithm-specific (``(values, key)`` for parameter
+    averaging, prototypes for FedProto, public-set predictions for Fed-ET)
+    and is only interpreted by the same algorithm's ``ingest``.
+    """
+
+    train_loss: float
+    #: aggregation weight (sample count for parameter averaging); the
+    #: buffered policy multiplies its staleness discount in on arrival.
+    weight: float
+    payload: object
+    #: the state the device keeps (FedProto/Fed-ET's trained vector, else
+    #: ``None``), which ``apply_client_state`` absorbs.
     client_state: object = None
     #: wall-clock accounting for this item (``execute_s`` measured at the
     #: worker, ``wait_s``/``total_s``/``retries`` filled in by the
@@ -193,9 +205,9 @@ def execute_work_item(item: ClientWorkItem | EvalWorkItem,
 
     ``algorithm`` injects the coordinator's live object (the inline
     executor); when omitted it is this pool worker's replica of the
-    scenario its initializer installed.  Either way the result, the pair
-    ``run_client`` returned or the accuracy, is a pure function of the
-    item: state comes from ``item.broadcast`` (``item.vector``) and
+    scenario its initializer installed.  Either way the result, the
+    record ``run_client`` returned or the accuracy, is a pure function of
+    the item: state comes from ``item.broadcast`` (``item.vector``) and
     randomness from the derived seed.
     """
     if algorithm is None:
@@ -211,11 +223,10 @@ def execute_work_item(item: ClientWorkItem | EvalWorkItem,
     start = time.perf_counter()
     with telemetry.span("client_step", client=int(item.client_id),
                         version=int(item.version)):
-        update, client_state = algorithm.run_client(
-            item.client_id, item.version, rng, broadcast=item.broadcast)
-    execute_s = time.perf_counter() - start
-    return ClientResult(update=update, client_state=client_state,
-                        timing={"execute_s": execute_s})
+        result = algorithm.run_client(item.client_id, item.version, rng,
+                                      broadcast=item.broadcast)
+    result.timing = {"execute_s": time.perf_counter() - start}
+    return result
 
 
 def _finalize_timing(result: ClientResult, total_s: float,

@@ -188,7 +188,7 @@ def is_flat_upload(payload) -> bool:
 
 def corrupt_update(update, mode: str, factor: float = 1e6,
                    resolve=None) -> None:
-    """Corrupt a :class:`~repro.algorithms.base.ClientUpdate` in place.
+    """Corrupt a :class:`~repro.fl.executor.ClientResult` in place.
 
     Replaces the payload with a corrupted copy (the executor's trained
     arrays may be shared with coordinator state — e.g. the inline path —

@@ -82,7 +82,7 @@ def history_from_dict(payload: dict) -> History:
 
 
 # ----------------------------------------------------------------------
-# ClientUpdate payload round-trips
+# Client payload round-trips
 # ----------------------------------------------------------------------
 
 def _encode_array(array: np.ndarray) -> dict:
@@ -107,7 +107,7 @@ def encode_payload(value):
     Handles the structures every registered algorithm's uplink uses:
     numpy arrays (tagged, bit-exact), dicts of them (state dicts), tuples
     (tagged so they survive the round trip distinct from lists —
-    ``ClientUpdate.payload`` for parameter averaging is a ``(values, key)``
+    ``ClientResult.payload`` for parameter averaging is a ``(values, key)``
     tuple whose key nests tuples), lists, scalars and ``None``.
     """
     if isinstance(value, np.ndarray):

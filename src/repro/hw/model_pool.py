@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .flops import ModelStats, measure_model
 from ..models.base import SliceableModel
+from ..nn.module import Layout
 
 __all__ = ["PoolEntry", "ModelPool"]
 
@@ -29,6 +30,8 @@ class PoolEntry:
     #: constructor overrides that rebuild this variant from the base model.
     overrides: dict = field(hash=False)
     stats: ModelStats = field(hash=False)
+    #: the state layout of the model it measured.
+    layout: Layout = field(hash=False)
 
     def build(self, base_model: SliceableModel) -> SliceableModel:
         return base_model.variant(**self.overrides)
@@ -69,7 +72,8 @@ class ModelPool:
             else:
                 proportion = 1.0
             entries.append(PoolEntry(key=key, proportion=proportion,
-                                     overrides=dict(overrides), stats=stats))
+                                     overrides=dict(overrides), stats=stats,
+                                     layout=model.state_layout()))
         return cls(base_model, entries)
 
     # ------------------------------------------------------------------

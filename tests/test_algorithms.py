@@ -404,7 +404,7 @@ def test_fedepth_frozen_entries_survive_training(task):
     algo = _build("fedepth", task)
     cid = next(cid for cid, ctx in sorted(algo.clients.items())
                if ctx.entry.key == "seg1")
-    update, _ = algo.run_client(cid, 0, np.random.default_rng((0, 0, cid)))
+    update = algo.run_client(cid, 0, np.random.default_rng((0, 0, cid)))
     model, buffer, layout = algo._level_model(update.payload[1][0])
     trained = layout.views(buffer)
     start = algo.global_state
@@ -438,19 +438,20 @@ class TestTrainingSkeleton:
         monkeypatch.setattr(SliceableModel, "variant",
                             _counting(SliceableModel.variant, variants))
         algo.run_client(first, 0, np.random.default_rng((0, 0, first)))
-        update, state = algo.run_client(
+        update = algo.run_client(
             second, 0, np.random.default_rng((0, 0, second)))
         assert len(variants) == 1       # the level's skeleton, built once
         assert list(algo._client_models) == [level]
         assert all(p.grad is None
                    for p in algo._client_models[level][0].parameters())
 
-        expected, expected_state = lone.run_client(
+        expected = lone.run_client(
             second, 0, np.random.default_rng((0, 0, second)))
+        state, expected_state = update.client_state, expected.client_state
         assert state.dtype == expected_state.dtype
         assert np.array_equal(state, expected_state)
-        assert (update.train_loss, update.weight, update.round_time_s) == (
-            expected.train_loss, expected.weight, expected.round_time_s)
+        assert (update.train_loss, update.weight) == (
+            expected.train_loss, expected.weight)
         for got, want in zip(_payload_arrays(update.payload),
                              _payload_arrays(expected.payload), strict=True):
             assert np.array_equal(got, want)
@@ -462,7 +463,8 @@ class TestTrainingSkeleton:
         ctx = algo.clients[0]
         vector = algo._vector(ctx).copy()
         deployed = algo.personal_model(ctx).state_dict()
-        _, trained = algo.run_client(0, 0, np.random.default_rng(0))
+        trained = algo.run_client(0, 0,
+                                  np.random.default_rng(0)).client_state
         assert np.array_equal(algo._personal[0], vector)
         for key, value in algo.personal_model(ctx).state_dict().items():
             assert np.array_equal(value, deployed[key]), key
@@ -481,8 +483,8 @@ class TestPersonalVectors:
     def test_transport_is_one_vector(self, name, task):
         algo = _build(name, task)
         broadcast = algo.pack_broadcast(3, 0)
-        _, trained = algo.run_client(3, 0, np.random.default_rng((0, 0, 3)),
-                                     broadcast=broadcast)
+        trained = algo.run_client(3, 0, np.random.default_rng((0, 0, 3)),
+                                  broadcast=broadcast).client_state
         size = algo._skeleton(3)[2].size
         for vector in (broadcast["personal"], trained):
             assert type(vector) is np.ndarray
@@ -512,9 +514,9 @@ class TestPersonalVectors:
         personal, checkpoint, sizes = snapshot()
         for cid in ids:
             broadcast = algo.pack_broadcast(cid, 0)
-            _, trained = algo.run_client(
+            trained = algo.run_client(
                 cid, 0, np.random.default_rng((0, 0, cid)),
-                broadcast=broadcast)
+                broadcast=broadcast).client_state
             assert not np.array_equal(trained, broadcast["personal"])
         after, after_checkpoint, after_sizes = snapshot()
         assert list(after) == list(personal)
@@ -637,3 +639,58 @@ class TestFedAvgReduction:
         history = _unconstrained(name, "harbox").history
         assert _without_name(history) != fedavg("harbox"), \
             DOES_NOT_REDUCE[name]
+
+
+def _repro_subclasses(cls):
+    """``cls`` and every subclass the package defines, depth first."""
+    found = [cls]
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("repro."):
+            found += _repro_subclasses(sub)
+    return found
+
+
+class TestOneClientRound:
+    """A client round is written once, returns what the client computed,
+    and aggregation hands nothing back."""
+
+    def test_run_client_is_defined_once(self):
+        from repro.algorithms import MHFLAlgorithm
+        owners = [cls for cls in _repro_subclasses(MHFLAlgorithm)
+                  if "run_client" in vars(cls)]
+        assert owners == [MHFLAlgorithm]
+
+    def test_result_is_five_fields(self):
+        import dataclasses
+        from repro.fl.executor import ClientResult
+        assert [field.name for field in dataclasses.fields(ClientResult)] \
+            == ["train_loss", "weight", "payload", "client_state", "timing"]
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_ingest_returns_nothing(self, name, task):
+        algo = _build(name, task)
+        results = [algo.run_client(cid, 0, np.random.default_rng((0, 0, cid)))
+                   for cid in sorted(algo.clients)[:2]]
+        assert algo.ingest(results, 0, np.random.default_rng(0)) is None
+
+
+@pytest.mark.parametrize("dataset", ["harbox", "cifar10", "agnews"])
+@pytest.mark.parametrize("name", sorted(
+    name for name, cls in ALGORITHMS.items() if cls.level != "topology"))
+def test_pool_layouts_are_the_skeletons(name, dataset):
+    """An averaging method resolves uploads against the layouts its pool
+    measured: each is exactly the layout of the skeleton its level
+    trains in."""
+    from repro.constraints import ConstraintSpec
+    from repro.experiments import RunSpec
+    from repro.experiments.runner import prepare_scenario
+    if dataset == "agnews" and not ALGORITHMS[name].supports_nlp:
+        pytest.skip(f"{name} does not run NLP tasks")
+    algo = prepare_scenario(RunSpec(
+        algorithm=name, dataset=dataset,
+        constraints=ConstraintSpec(constraints=("computation",)),
+        scale="smoke"))[0].algorithm
+    for entry in algo.pool.entries:
+        level = tuple(sorted(entry.overrides.items()))
+        assert entry.layout is not None
+        assert entry.layout == algo._level_model(level)[2], entry.key

@@ -26,7 +26,7 @@ from repro.fl.aggregation import SERVER_OVERHEAD_S
 from repro.fl.checkpoint import CheckpointConfig
 from repro.fl.events import (CLIENT_DROPPED, CLIENT_FAILED, DOWNLOAD_START,
                              EVAL_TICK, SERVER_AGGREGATE, UPLOAD_COMPLETE)
-from repro.fl.executor import InlineExecutor
+from repro.fl.executor import ClientResult, InlineExecutor
 from repro.fl.faults import FaultPlan, FaultSpec
 from repro.fl.sanitizers import StrictModeViolation
 from repro.fl.serialization import history_to_dict
@@ -182,27 +182,49 @@ class TestSharedLaunch:
         launched, _, policy, _ = _launch(BufferedPolicy, plan=plan)
         slowed = TRAIN * 4.0
         assert launched == (DOWN, slowed, slowed + (DOWN + UP))
-        assert policy._fault_plans == {7: (plan, launched[2])}
+        assert policy._fault_plans == {7: plan}
 
-        class _Algo:
-            absorbed = []
-
-            def apply_client_state(self, cid, state):
-                self.absorbed.append((cid, state))
-
-        from repro.algorithms import ClientUpdate
-        from repro.fl.executor import ClientResult
-        update = ClientUpdate(client_id=7, version=3, train_loss=1.0,
-                              round_time_s=TOTAL, weight=1.0,
-                              payload=np.ones(4, dtype=np.float32))
-        result = ClientResult(update=update, client_state={"k": 1},
-                              timing={"execute_s": 1.0})
-        landed = policy.land(_Algo(), 7, result)
-        assert landed is update and _Algo.absorbed == [(7, {"k": 1})]
-        assert update.round_time_s == launched[2]
-        assert not update.payload.any()        # "zero" corruption applied
+        # The same dispatch as a synchronous round: the slowed total, not
+        # anything the result carries, is the round's duration.
+        algorithm = _TrainingStub()
+        execution = ExecutionConfig()
+        policy = SynchronousPolicy(
+            SimulationConfig(execution=execution), execution,
+            _StubAvailability(), InlineExecutor(algorithm))
+        policy.faults = _StubFaults(plan)
+        received, duration = policy._dispatch_round(
+            algorithm, np.array([7]), 3, NOW)
+        assert duration == launched[2] != TOTAL
+        result, = received
+        assert not result.payload.any()        # "zero" corruption applied
+        assert algorithm.absorbed == [(7, {"k": 1})]
         assert policy._fault_plans == {}
-        assert policy._timings == {7: {"execute_s": 1.0}}
+        assert set(policy._timings[7]) == {"execute_s", "total_s", "wait_s",
+                                           "retries"}
+
+
+class _TrainingStub(_StubAlgorithm):
+    """Enough of an algorithm for one synchronous round of client 7."""
+
+    def __init__(self):
+        self.absorbed = []
+
+    def pack_round_broadcast(self, version):
+        return {}
+
+    def pack_client_broadcast(self, client_id, version):
+        return {}
+
+    def client_work(self, ctx):
+        return 1.0
+
+    def run_client(self, client_id, version, rng, broadcast=None):
+        return ClientResult(train_loss=1.0, weight=1.0,
+                            payload=np.ones(4, dtype=np.float32),
+                            client_state={"k": 1})
+
+    def apply_client_state(self, cid, state):
+        self.absorbed.append((cid, state))
 
 
 @pytest.mark.parametrize("name", sorted(AGGREGATION_POLICIES))
@@ -344,12 +366,12 @@ class TestLegacyEquivalence:
         poisoned = []
 
         def run_client(client_id, round_index, rng, broadcast=None):
-            update, state = real_run_client(client_id, round_index, rng,
-                                            broadcast=broadcast)
+            result = real_run_client(client_id, round_index, rng,
+                                     broadcast=broadcast)
             if not poisoned:
                 poisoned.append(client_id)
-                update.train_loss = float("nan")
-            return update, state
+                result.train_loss = float("nan")
+            return result
 
         algo.run_client = run_client
         history = run_simulation(algo, SimulationConfig(**SIM))

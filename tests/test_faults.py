@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms import ALGORITHMS, ClientUpdate, SubIndex
+from repro.algorithms import ALGORITHMS, SubIndex
 from repro.constraints import ConstraintSpec, build_scenario
 from repro.data import load_dataset
 from repro.experiments import RunSpec, execute_spec
@@ -58,8 +58,7 @@ SMOKE = ConstraintSpec(constraints=("computation",))
 
 
 def _update(payload, loss=1.0, weight=2.0):
-    return ClientUpdate(client_id=0, version=0, train_loss=loss,
-                        round_time_s=5.0, weight=weight, payload=payload)
+    return ClientResult(train_loss=loss, weight=weight, payload=payload)
 
 
 #: the key of :func:`_flat_payload`'s upload: a 16-element and a 9-element
@@ -423,10 +422,10 @@ class TestFlatUploads:
         run_client = algorithm.run_client
 
         def mangled(*args, **kwargs):
-            update, state = run_client(*args, **kwargs)
-            values, key = update.payload
-            update.payload = (cut(values), key)
-            return update, state
+            result = run_client(*args, **kwargs)
+            values, key = result.payload
+            result.payload = (cut(values), key)
+            return result
 
         algorithm.run_client = mangled
         history = run_simulation(algorithm, SimulationConfig(
@@ -565,7 +564,7 @@ class _ScriptedExecutor(_InProcessPool):
                 self.calls[item.client_id] = attempt + 1
             if attempt < self.failures:
                 raise self.exception(f"scripted failure {attempt}")
-            return ClientResult(update=None)
+            return ClientResult(train_loss=0.0, weight=0.0, payload=None)
         return self._pool.submit(work)
 
 

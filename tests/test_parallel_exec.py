@@ -121,7 +121,8 @@ class TestWorkItems:
         assert b"partition_scheme" not in wire
         result = execute_work_item(item, algo)
         back = pickle.loads(pickle.dumps(result))
-        assert back.update.client_id == cid
+        assert (back.train_loss, back.weight) == (result.train_loss,
+                                                  result.weight)
         algo.apply_client_state(cid, back.client_state)
 
     def test_upload_is_values_and_key(self):
@@ -131,7 +132,7 @@ class TestWorkItems:
         scenario, _ = prepare_scenario(smoke_spec("fedrolex"))
         algo = scenario.algorithm
         cid = sorted(algo.clients)[0]
-        update, _ = algo.run_client(cid, 2, client_rng(0, 2, cid))
+        update = algo.run_client(cid, 2, client_rng(0, 2, cid))
         values, key = pickle.loads(pickle.dumps(update)).payload
         orig_values, orig_key = update.payload
         assert key == orig_key and key[1] == 2      # the rolling shift
@@ -148,9 +149,8 @@ class TestWorkItems:
         scenario_a, _ = prepare_scenario(smoke_spec())
         scenario_b, _ = prepare_scenario(smoke_spec())
         cid = sorted(scenario_a.algorithm.clients)[0]
-        own, _ = scenario_a.algorithm.run_client(cid, 0,
-                                                 client_rng(0, 0, cid))
-        packed, _ = scenario_b.algorithm.run_client(
+        own = scenario_a.algorithm.run_client(cid, 0, client_rng(0, 0, cid))
+        packed = scenario_b.algorithm.run_client(
             cid, 0, client_rng(0, 0, cid),
             broadcast=scenario_b.algorithm.pack_broadcast(cid, 0))
         values_a, key_a = own.payload
@@ -173,8 +173,8 @@ class TestWorkItems:
         replay = execute_work_item(
             make_work_item(algo, cid, 0, 0, needs_broadcast=True), algo)
         # dispatch 0 is reproducible; dispatch 1 is a fresh draw.
-        assert replay.update.train_loss == first.update.train_loss
-        assert repeat.update.train_loss != first.update.train_loss
+        assert replay.train_loss == first.train_loss
+        assert repeat.train_loss != first.train_loss
 
     def test_resolve_executor_kind(self, monkeypatch):
         assert resolve_executor_kind("auto", 1, True) == "inline"
@@ -291,7 +291,8 @@ class _RecordingPool(ProcessExecutor):
         class Future:
             def result(self):
                 log.append(("await", item.client_id))
-                return ClientResult(update=item.client_id)
+                return ClientResult(train_loss=0.0, weight=1.0,
+                                    payload=item.client_id)
 
         return Future()
 
@@ -316,7 +317,7 @@ class TestRunBatchContract:
         assert log == ([("submit", cid) for cid in (1, 3, 2, 5, 0, 4)]
                        + ["meanwhile"]
                        + [("await", cid) for cid in range(6)])
-        assert [r.update for r in results] == list(range(6))
+        assert [r.payload for r in results] == list(range(6))
 
     def test_pool_without_meanwhile(self):
         log = []
@@ -324,20 +325,20 @@ class TestRunBatchContract:
                                                 [0.0, 1.0])
         assert log == [("submit", 1), ("submit", 0),
                        ("await", 0), ("await", 1)]
-        assert [r.update for r in results] == [0, 1]
+        assert [r.payload for r in results] == [0, 1]
 
     def test_inline_runs_meanwhile_then_dispatch_order(self):
         log = []
 
         def run_client(client_id, version, rng, broadcast=None):
             log.append(("run", client_id))
-            return client_id, None
+            return ClientResult(train_loss=0.0, weight=1.0, payload=client_id)
 
         algorithm = SimpleNamespace(run_client=run_client)
         results = InlineExecutor(algorithm).run_batch(
             self._items(), self.COSTS, lambda: log.append("meanwhile"))
         assert log == ["meanwhile"] + [("run", cid) for cid in range(6)]
-        assert [r.update for r in results] == list(range(6))
+        assert [r.payload for r in results] == list(range(6))
 
     def test_empty_batch_still_runs_meanwhile(self):
         log = []
@@ -368,9 +369,11 @@ class TestInlineReferenceSemantics:
         for round_index in range(config.num_rounds):
             sampled = sample_clients(algorithm.num_clients,
                                      config.sample_ratio, rng)
-            outcome = algorithm.run_round(round_index, sampled, rng,
-                                          run_seed=config.seed)
-            round_time = outcome.slowest_client_s + SERVER_OVERHEAD_S
+            train_loss = algorithm.run_round(round_index, sampled, rng,
+                                             run_seed=config.seed)
+            slowest = max(algorithm.client_round_time_s(
+                algorithm.clients[cid]) for cid in sampled)
+            round_time = slowest + SERVER_OVERHEAD_S
             sim_time += round_time
             is_eval = (round_index % config.eval_every == 0
                        or round_index == config.num_rounds - 1)
@@ -378,7 +381,7 @@ class TestInlineReferenceSemantics:
             history.append(RoundRecord(
                 round_index=round_index, sim_time_s=sim_time,
                 round_time_s=round_time,
-                train_loss=outcome.mean_train_loss, global_accuracy=acc,
+                train_loss=train_loss, global_accuracy=acc,
                 extras={}))
         history.final_device_accuracies = algorithm.per_device_accuracies()
         return history
@@ -608,12 +611,20 @@ class TestFinishedRunKeepsResults:
 
     def test_run_client_after_the_run_returns_the_ingested_upload(
             self, way, monkeypatch):
-        items, ingested = {}, []
+        # A client's result lands while its latest item is the one in
+        # flight (sync: this round's; buffered: one dispatch at a time).
+        latest, landed, ingested = {}, [], []
 
         def recording_item(*args, **kwargs):
             item = make_work_item(*args, **kwargs)
-            items.setdefault((item.client_id, item.version), []).append(item)
+            latest[item.client_id] = item
             return item
+
+        land = aggregation.AggregationPolicy.land
+
+        def recording_land(self, algorithm, cid, result):
+            landed.append((result, latest[cid]))
+            return land(self, algorithm, cid, result)
 
         cls = ALGORITHMS["sheterofl"]
         ingest = cls.ingest
@@ -623,13 +634,14 @@ class TestFinishedRunKeepsResults:
             return ingest(self, ingested[-1], *args)
 
         monkeypatch.setattr(aggregation, "make_work_item", recording_item)
+        monkeypatch.setattr(aggregation.AggregationPolicy, "land",
+                            recording_land)
         monkeypatch.setattr(cls, "ingest", recording_ingest)
         spec = _cifar_spec(way)
         algorithm = execute_spec(spec, cache=None).scenario.algorithm
-        update = next(u for u in ingested[-1]
-                      if len(items[(u.client_id, u.version)]) == 1)
-        item, = items[(update.client_id, update.version)]
-        again, _ = algorithm.run_client(
+        update = ingested[-1][0]
+        item = next(item for result, item in landed if result is update)
+        again = algorithm.run_client(
             item.client_id, item.version,
             client_rng(spec.seed, item.version, item.client_id,
                        item.dispatch_index),
@@ -640,3 +652,21 @@ class TestFinishedRunKeepsResults:
         assert values.dtype == expected.dtype
         assert np.array_equal(values, expected)
         assert again.train_loss == update.train_loss
+
+
+class TestPooledCoordinator:
+    def test_coordinator_builds_only_the_scored_level(self, monkeypatch):
+        """The coordinator of a pooled run builds a skeleton only to score
+        it (the full model, each evaluated round); uploads resolve against
+        the pool's layouts.  Workers build theirs in their own processes."""
+        cls = ALGORITHMS["fedrolex"]
+        build, built = cls._build_level, []
+
+        def recording(self, level):
+            built.append(level)
+            return build(self, level)
+
+        monkeypatch.setattr(cls, "_build_level", recording)
+        execute_spec(smoke_spec("fedrolex", workers=2, executor="process"),
+                     cache=None)
+        assert built == [(("width_mult", 1.0),)]

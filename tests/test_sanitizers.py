@@ -45,17 +45,17 @@ def _write_into_knowledge(name):
     handed: ``name`` is the array its loss closure reads (FedProto's
     ``protos``, Fed-ET's ``consensus``)."""
     def patch(algorithm):
-        real_local_loss = algorithm._local_loss
+        real_local_loss = algorithm.local_loss_fn
 
-        def _local_loss(model, rng, broadcast):
-            loss = real_local_loss(model, rng, broadcast)
+        def local_loss_fn(ctx, model, rng, broadcast):
+            loss = real_local_loss(ctx, model, rng, broadcast)
             cells = dict(zip(loss.__code__.co_freevars, loss.__closure__))
             knowledge = cells[name].cell_contents
             if knowledge is not None:   # Fed-ET has no consensus at round 0
                 knowledge[0] = 0.0
             return loss
 
-        algorithm._local_loss = _local_loss
+        algorithm.local_loss_fn = local_loss_fn
 
     return patch
 
