@@ -61,7 +61,7 @@ _log = get_logger("cli")
 
 def _parse_int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [int(part) for part in _parse_str_list(text)]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}") from None
@@ -75,7 +75,11 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_str_list(text: str) -> list[str]:
-    return [part.strip() for part in text.split(",") if part.strip()]
+    values = [part.strip() for part in text.split(",") if part.strip()]
+    if not values:  # an empty selection would select every cell
+        raise argparse.ArgumentTypeError(
+            f"expected at least one value, got {text!r}")
+    return values
 
 
 def _logging_options() -> argparse.ArgumentParser:

@@ -514,9 +514,9 @@ class MHFLAlgorithm:
     # An evaluation is a *task*, a hashable key naming the model it scores,
     # and :meth:`score` is a pure function of the task and the one vector
     # it is loaded from (:meth:`eval_vector`), as ``run_client`` is of its
-    # downlink.  The coordinator scores each round's global task itself;
-    # a run's final evaluations travel as executor work items
-    # (:meth:`final_accuracies`).
+    # downlink: the one place a model's accuracy is defined.  Every
+    # accuracy a run records, per round or final, is an executor work item
+    # of a task :meth:`evaluation` names; the coordinator scores nothing.
 
     def _builds_base(self, overrides: dict) -> bool:
         """Whether these constructor overrides build exactly the base
@@ -567,13 +567,15 @@ class MHFLAlgorithm:
         return self.global_vector
 
     def eval_cost(self, task: tuple) -> float:
-        """Predicted work of scoring ``task``: the forward FLOPs of its
-        level.  Like :meth:`client_work` it only orders a pool batch."""
+        """Predicted work of scoring ``task``, in :meth:`client_work`'s
+        unit: its level's forward FLOPs over the evaluation samples.  Like
+        :meth:`client_work` it only orders a pool batch."""
         flops = {tuple(sorted(entry.overrides.items())):
                  entry.stats.flops_per_sample
                  for entry in (self.pool.entries if self.pool is not None
                                else ())}
-        return flops.get(task[1], max(flops.values(), default=0.0))
+        return (flops.get(task[1], max(flops.values(), default=0.0))
+                * len(self.x_eval))
 
     def score(self, task: tuple, vector: np.ndarray) -> float:
         """Accuracy of the model ``task`` names, loaded from ``vector``, on
@@ -582,52 +584,43 @@ class MHFLAlgorithm:
         return accuracy(self._load_level(task[1], vector), self.x_eval,
                         self.y_eval)
 
-    def score_here(self, tasks: list[tuple]) -> list[float]:
-        """Score ``tasks`` in this process against the live state."""
-        return [self.score(task, self.eval_vector(task)) for task in tasks]
-
     def _scored(self) -> dict:
-        """Accuracies, by task, that still hold for the live state (none:
-        the global vector moves every round)."""
+        """Device accuracies, by task, that still hold for the live state
+        (none: the global vector moves every round)."""
         return {}
 
-    def final_accuracies(self, with_global: bool, score
-                         ) -> tuple[float | None, list[float]]:
-        """The global accuracy (``None`` unless ``with_global``) and each
-        evaluation client's, from one ``score(tasks) -> accuracies`` call
-        over the distinct tasks not yet scored, the global one first (a run
-        passes an executor batch).  A client whose task is the global one
-        reuses its accuracy; a global task of ``None`` is the mean of the
-        clients' accuracies."""
-        devices = self.device_tasks()
+    def evaluation(self, with_global: bool, with_devices: bool):
+        """What scores the live state's global accuracy (if
+        ``with_global``) and each evaluation client's (if
+        ``with_devices``): ``(tasks, read)``, the distinct tasks not yet
+        scored, the global one first, and ``read(accuracies) -> (global
+        accuracy or None, device accuracies)``.
+
+        A client whose task is the global one reuses its accuracy; a
+        global task of ``None`` is the mean of the clients' accuracies.
+        Only device tasks are kept in :meth:`_scored` (Fed-ET's server
+        task would read stale a round later)."""
         wanted = self.global_task() if with_global else None
-        scored = self._scored()
+        devices = (self.device_tasks()
+                   if with_devices or (with_global and wanted is None)
+                   else [])
+        cache = self._scored()
+        scored = {task: cache[task] for task in devices if task in cache}
         tasks = [task for task in dict.fromkeys([wanted, *devices])
                  if task is not None and task not in scored]
-        scored.update(zip(tasks, score(tasks)))
-        accuracies = [scored[task] for task in devices]
-        if not with_global:
-            return None, accuracies
-        return (float(np.mean(accuracies)) if wanted is None
-                else scored[wanted]), accuracies
 
-    def evaluate_global(self) -> float:
-        """Global accuracy of the live state, scored here."""
-        return self.score_here([self.global_task()])[0]
+        def read(accuracies: list[float]):
+            scored.update(zip(tasks, accuracies))
+            cache.update((task, scored[task]) for task in devices)
+            per_device = [scored[task] for task in devices]
+            if with_global and wanted is None:
+                return float(np.mean(per_device)), per_device
+            return scored.get(wanted), per_device
+
+        return tasks, read
 
     def _eval_ids(self) -> list[int]:
         """The evaluation clients: an even stride through the fleet."""
         ids = sorted(self.clients)
         stride = max(1, len(ids) // self.eval_clients)
         return ids[::stride][:self.eval_clients]
-
-    def per_device_accuracies(self) -> list[float]:
-        """Final accuracy of each evaluation client's own deployed model,
-        scored in this process: every client's level is resolved in order
-        (Fjord draws from ``rng``) and each distinct model scored once.
-
-        A run scores them in its executor instead, as work items beside
-        the last round's global evaluation (:meth:`final_accuracies`), where
-        a client deploying the full model reads the global accuracy.
-        """
-        return self.final_accuracies(False, self.score_here)[1]

@@ -146,7 +146,3 @@ class FedProto(PersonalModelAlgorithm):
     def client_payload_bytes(self, ctx: ClientContext) -> tuple[float, float]:
         proto_bytes = self.global_protos.nbytes
         return proto_bytes, proto_bytes
-
-    def evaluate_global(self) -> float:
-        """The mean of the evaluation clients' accuracies."""
-        return float(np.mean(self.per_device_accuracies()))

@@ -156,7 +156,8 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
     def eval_cost(self, task: tuple) -> float:
         if task[0] != "personal":
             return super().eval_cost(task)
-        return self.clients[task[1]].entry.stats.flops_per_sample
+        return (self.clients[task[1]].entry.stats.flops_per_sample
+                * len(self.x_eval))
 
     def score(self, task: tuple, vector: np.ndarray) -> float:
         if task[0] != "personal":

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
+from ..fl.sanitizers import check_range
+
 __all__ = ["ExperimentScale", "SCALES", "get_scale", "resolve_scale"]
 
 
@@ -40,6 +42,7 @@ class ExperimentScale:
         if self.eval_max_samples < 1:
             raise ValueError(f"ExperimentScale.eval_max_samples must be "
                              f">= 1, got {self.eval_max_samples}")
+        check_range("sample_ratio", self.sample_ratio, "(0, 1]")
 
     def clients_for(self, dataset: str) -> int:
         return self.num_clients[dataset]

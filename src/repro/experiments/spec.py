@@ -28,7 +28,9 @@ import json
 from dataclasses import dataclass, field, replace as _dc_replace
 from typing import ClassVar, Iterable
 
+from ..algorithms import get_algorithm
 from ..constraints import ConstraintSpec
+from ..data.registry import DATASET_NAMES
 from ..fl.aggregation import ExecutionConfig
 from ..fl.executor import EXECUTOR_KINDS
 from ..fl.faults import FaultSpec
@@ -80,6 +82,12 @@ class RunSpec:
                                                          "executor"})
 
     def __post_init__(self):
+        # Refuse a cell naming nothing runnable here, not when it runs.
+        get_algorithm(self.algorithm)
+        if self.dataset not in DATASET_NAMES:
+            raise ValueError(f"unknown dataset {self.dataset!r}; "
+                             f"known: {DATASET_NAMES}")
+        self.resolved_scale()
         if self.executor is not None and self.executor not in EXECUTOR_KINDS:
             raise ValueError(f"unknown executor {self.executor!r}; "
                              f"known: {EXECUTOR_KINDS}")

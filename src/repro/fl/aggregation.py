@@ -31,7 +31,9 @@ client downloads is the server state at its dispatch timestamp, which is
 exactly what staleness means — and handed to a pluggable
 :class:`~repro.fl.executor.Executor` (inline or process pool); the
 queue orders arrivals, drops and aggregations on the simulated
-clock, so the History is identical for any worker count.
+clock, so the History is identical for any worker count.  Every
+accuracy is an executor work item too: a synchronous round is scored in
+the next round's batch, anything else in a batch of its own.
 
 :class:`ExecutionConfig` holds only what a caller sets and what changes
 results (it is hashed with the spec); how a run is parallelised or
@@ -51,7 +53,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..telemetry import runtime as telemetry
-from .availability import AvailabilityModel, make_availability
+from .availability import (AVAILABILITY_MODELS, AvailabilityModel,
+                           make_availability)
 from .checkpoint import make_checkpointer
 from .events import (CLIENT_DROPPED, CLIENT_FAILED, DOWNLOAD_START,
                      EVAL_TICK, SERVER_AGGREGATE, TRAIN_COMPLETE,
@@ -182,6 +185,10 @@ class ExecutionConfig:
         if self.policy not in AGGREGATION_POLICIES:
             raise ValueError(f"unknown execution policy {self.policy!r}; "
                              f"known: {sorted(AGGREGATION_POLICIES)}")
+        if self.availability not in AVAILABILITY_MODELS:
+            raise ValueError(f"unknown availability model "
+                             f"{self.availability!r}; "
+                             f"known: {sorted(AVAILABILITY_MODELS)}")
         if self.buffer_size < 1:
             raise ValueError("buffer_size must be >= 1")
         if self.max_concurrency is not None and self.max_concurrency < 1:
@@ -402,17 +409,15 @@ class AggregationPolicy:
                     updates: list, sim_time: float, round_time: float,
                     extras: dict):
         """Aggregate ``updates`` as server round ``index`` ending at
-        ``sim_time``; returns ``finish(accuracy=None)``, which evaluates if
-        due — unless handed the round's ``accuracy``, scored already — and
-        writes the round's record (``extras``, then the drops since the
-        last record, then client timings).
+        ``sim_time``; returns ``finish(accuracy)``, which writes the
+        round's record (``extras``, then the drops since the last record,
+        then client timings) with the accuracy scored from the state this
+        aggregation left (``None`` off an evaluation round).
 
-        ``finish()`` reads only what the round left behind: the global
-        model, the timeline, drops and timings.  Launching the next
-        round's clients touches none of these (a launch only queues
-        events; drops count when events are popped, timings when results
-        land), so the synchronous policy may run it while the next
-        round's items train."""
+        ``finish`` reads only the timeline, drops and timings, which the
+        next round's launches and batch leave alone (drops count when
+        events are popped, timings when results land), so the synchronous
+        policy calls it after the next round's batch."""
         with telemetry.span("aggregate", round=index):
             if updates:
                 algorithm.ingest(updates, index, self.rng)
@@ -421,15 +426,10 @@ class AggregationPolicy:
         self.emit(Event(sim_time, SERVER_AGGREGATE,
                         info={"round": index, "received": len(updates)}))
 
-        def finish(accuracy: float | None = None) -> None:
-            acc = None
-            if self.is_eval_round(index):
-                acc = accuracy
-                if acc is None:
-                    with telemetry.span("evaluate", round=index):
-                        acc = algorithm.evaluate_global()
+        def finish(accuracy: float | None) -> None:
+            if accuracy is not None:
                 self.emit(Event(sim_time, EVAL_TICK,
-                                info={"round": index, "accuracy": acc}))
+                                info={"round": index, "accuracy": accuracy}))
             extras.update({f"dropped_{k}": v
                            for k, v in self.drops.items() if v})
             self.drops = dict.fromkeys(self.drops, 0)
@@ -439,7 +439,7 @@ class AggregationPolicy:
                 round_index=index, sim_time_s=sim_time,
                 round_time_s=round_time,
                 train_loss=train_loss,
-                global_accuracy=acc, extras=extras,
+                global_accuracy=accuracy, extras=extras,
                 events=self.take_timeline())
             history.append(record)
             telemetry.record_round(record)
@@ -466,10 +466,10 @@ class AggregationPolicy:
         The final evaluations — each evaluation client's deployed model
         and, when ``evaluate``, the global accuracy of the round whose
         ``finish`` is still pending — are one executor batch
-        (:meth:`evaluate_batch`); ``finish`` then records that round."""
+        (:meth:`run_batch`); ``finish`` then records that round."""
         with telemetry.span("evaluate", final=True):
-            acc, history.final_device_accuracies = algorithm.final_accuracies(
-                evaluate, lambda tasks: self.evaluate_batch(algorithm, tasks))
+            acc, history.final_device_accuracies, _ = self.run_batch(
+                algorithm, evaluate, True)
         if finish is not None:
             finish(acc)
         if telemetry.enabled():
@@ -488,26 +488,28 @@ class AggregationPolicy:
             telemetry.inc("events.pushed", self.queue.pushed)
         return history
 
-    def evaluate_batch(self, algorithm, tasks: list) -> list[float]:
-        """The accuracies of evaluation ``tasks``, scored as one executor
-        batch: largest first on a pool, in order inline.
+    def run_batch(self, algorithm, evaluate: bool, devices: bool = False,
+                  items: list = (), costs: list = ()):
+        """Score the live state's global accuracy (if ``evaluate``) and
+        each evaluation client's (if ``devices``), and run client
+        ``items``, as one executor batch; returns ``(accuracy, device
+        accuracies, client results)``.
 
-        Each item carries a read-only view of the live vector its task
-        reads — one view per vector, shared by its items, so nothing is
-        copied — and the global vector itself is frozen while the batch
-        runs, as it is while a round's items train."""
-        views: dict[int, np.ndarray] = {}
-        items = []
-        for task in tasks:
-            vector = algorithm.eval_vector(task)
-            if id(vector) not in views:
-                views[id(vector)] = vector.view()
-                freeze_arrays(views[id(vector)])
-            items.append(EvalWorkItem(task, views[id(vector)]))
+        The evaluation items go first: inline they run before the
+        clients.  Each carries a read-only view of the live vector its
+        task reads, so nothing is copied, and the global vector itself is
+        frozen while the batch runs (freezing views of it would leave it
+        writable)."""
+        tasks, read = algorithm.evaluation(evaluate, devices)
+        scoring = [EvalWorkItem(task, algorithm.eval_vector(task).view())
+                   for task in tasks]
+        freeze_arrays(*(item.vector for item in scoring))
         with frozen_arrays(getattr(algorithm, "global_vector", None)):
-            results = self.executor.run_batch(
-                items, [algorithm.eval_cost(task) for task in tasks])
-        return [result.accuracy for result in results]
+            batch = self.executor.run_batch(
+                [*scoring, *items],
+                [*(algorithm.eval_cost(task) for task in tasks), *costs])
+        accuracy, accuracies = read([r.accuracy for r in batch[:len(tasks)]])
+        return accuracy, accuracies, batch[len(tasks):]
 
     def run(self, algorithm) -> History:
         raise NotImplementedError
@@ -532,9 +534,9 @@ class SynchronousPolicy(AggregationPolicy):
             if restored is not None:
                 history, start_round, sim_time, self._participation = restored
 
-        #: ``finish()`` of the last closed round, run while the next
-        #: round's items train (see :meth:`_dispatch_round`), and whether
-        #: it evaluates.
+        #: ``finish`` of the last closed round, called once the next
+        #: round's batch has scored it (see :meth:`_dispatch_round`), and
+        #: whether it evaluates.
         pending, due = None, False
         for round_index in range(start_round, config.num_rounds):
             online = [cid for cid in all_ids
@@ -554,7 +556,7 @@ class SynchronousPolicy(AggregationPolicy):
             sampled = self._sample(online, len(all_ids), rng)
             with telemetry.span("dispatch_round", round=round_index):
                 received, duration = self._dispatch_round(
-                    algorithm, sampled, round_index, sim_time, pending)
+                    algorithm, sampled, round_index, sim_time, pending, due)
             pending = None
             for reason, count in self.drops.items():
                 if count:
@@ -571,7 +573,7 @@ class SynchronousPolicy(AggregationPolicy):
             if checkpointer is not None and checkpointer.due(round_index):
                 # The snapshot holds the round's record and the rng before
                 # the next sample: finish the round first.
-                pending()
+                pending(self.run_batch(algorithm, due)[0])
                 pending, due = None, False
                 checkpointer.save(algorithm, rng, history,
                                   next_round=round_index + 1,
@@ -593,7 +595,7 @@ class SynchronousPolicy(AggregationPolicy):
         return rng.choice(np.asarray(online), size=count, replace=False)
 
     def _dispatch_round(self, algorithm, sampled, round_index: int,
-                        start_s: float, meanwhile=None):
+                        start_s: float, pending=None, due: bool = False):
         """Train the round's clients and play their events through the
         queue; returns (received updates, round duration before server
         overhead).
@@ -601,12 +603,12 @@ class SynchronousPolicy(AggregationPolicy):
         Three phases: (1) launch every sampled client in dispatch order
         (availability draws must happen in that order); (2) run every
         surviving client's work item through the executor as one batch,
-        with ``meanwhile`` — the previous round's ``finish()``, its
-        evaluation and record — run on the coordinator while the items
-        train; (3) schedule their train/upload events and *settle* the
-        round against the deadline.  Phase 2 is where worker parallelism
-        happens — the decisions and the queue never leave the
-        coordinator, so the round is deterministic for any worker count.
+        beside the previous round's evaluation if ``due``, and record that
+        round (``pending``) before any result lands; (3) schedule their
+        train/upload events and *settle* the round against the deadline.
+        Phase 2 is where worker parallelism happens — the decisions and the
+        queue never leave the coordinator, so the round is deterministic
+        for any worker count.
         """
         deadline = (self.execution.deadline_s
                     if self.execution.deadline_s is not None else math.inf)
@@ -625,13 +627,10 @@ class SynchronousPolicy(AggregationPolicy):
                  for cid in segments]
         costs = [algorithm.client_work(algorithm.clients[cid])
                  for cid in segments]
-        # The items' downlinks are frozen where they were packed; freeze
-        # the live global vector too while the batch and ``meanwhile``
-        # run, since both may only read it, so a mutation raises at the
-        # offending write instead of corrupting a later round.  (The
-        # vector itself: freezing views of it would leave it writable.)
-        with frozen_arrays(getattr(algorithm, "global_vector", None)):
-            batch = self.executor.run_batch(items, costs, meanwhile)
+        accuracy, _, batch = self.run_batch(algorithm, due, items=items,
+                                            costs=costs)
+        if pending is not None:
+            pending(accuracy)
         for (cid, (down, train, total)), result in zip(segments.items(),
                                                        batch):
             update = self.land(algorithm, cid, result)
@@ -752,7 +751,8 @@ class BufferedPolicy(AggregationPolicy):
                 "mean_discount": float(np.mean(discounts)),
             }
             self.close_round(algorithm, history, version, list(updates),
-                             agg_time, agg_time - last_agg_time, extras)()
+                             agg_time, agg_time - last_agg_time, extras)(
+                self.run_batch(algorithm, self.is_eval_round(version))[0])
             last_agg_time = agg_time
             buffer = []
             version += 1

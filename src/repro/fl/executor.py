@@ -30,20 +30,17 @@ Two executors implement one contract:
   steps are Python-bound, so separate interpreters are what buys a
   speedup; the price is pickling broadcasts and updates.
 
-A synchronous round hands its items over as one batch
-(:meth:`Executor.run_batch`) together with each item's predicted host
-work and a ``meanwhile`` callback (the previous round's evaluation and
-record).  The pool submits the largest items first, so a round does not
-end with one worker idle behind a large late item, and runs
-``meanwhile`` on the coordinator while the workers train; inline
-execution runs ``meanwhile`` first and then the items in dispatch order.
+Every accuracy is a work item too: an :class:`EvalWorkItem` names the
+model to score (a task of
+:meth:`~repro.algorithms.base.MHFLAlgorithm.score`) and carries the
+read-only vector it is loaded from; the coordinator scores nothing.
 
-A run's final evaluations are work items too: an :class:`EvalWorkItem`
-names the model to score (a task of
-:meth:`~repro.algorithms.base.MHFLAlgorithm.score`) and carries the vector
-it is loaded from, so the last round's global evaluation and every
-per-device evaluation fan out over the pool as one batch, against one
-frozen final state, and return an :class:`EvalResult`.
+A batch of items (:meth:`Executor.run_batch`; a synchronous round's is
+the previous round's evaluations, then its clients in dispatch order)
+comes with each item's predicted work, forward FLOPs times the samples
+trained or scored.  The pool submits the largest first, so a round does
+not end with one worker idle behind a large late item; inline execution
+runs the items in list order.
 
 Because items are pure and ingestion happens on the coordinator in
 dispatch order, **results are identical for any executor and any worker
@@ -205,14 +202,15 @@ def execute_work_item(item: ClientWorkItem | EvalWorkItem,
 
     ``algorithm`` injects the coordinator's live object (the inline
     executor); when omitted it is this pool worker's replica of the
-    scenario its initializer installed.  Either way the result, the
-    record ``run_client`` returned or the accuracy, is a pure function of
-    the item: state comes from ``item.broadcast`` (``item.vector``) and
-    randomness from the derived seed.
+    scenario its initializer installed.  Either way the result is a pure
+    function of the item: state comes from ``item.broadcast`` (or
+    ``item.vector``, frozen again: unpickling thaws it) and randomness
+    from the derived seed.
     """
     if algorithm is None:
         algorithm = _worker_algorithm()
     if isinstance(item, EvalWorkItem):
+        freeze_arrays(item.vector)
         start = time.perf_counter()
         with telemetry.span("evaluate_item", task=item.task[0]):
             accuracy = algorithm.score(item.task, item.vector)
@@ -302,12 +300,11 @@ class Executor:
     def submit(self, item: ClientWorkItem):
         raise NotImplementedError
 
-    def run_batch(self, items, costs, meanwhile=None) -> list:
-        """Execute ``items`` and call ``meanwhile()`` (if given) once on
-        the coordinator while they run; results come back in *item order*
-        (never completion order — aggregation order is part of the
-        result).  ``costs`` predicts each item's work; it may only decide
-        the order items start in, never what they return."""
+    def run_batch(self, items, costs) -> list:
+        """Execute ``items``; results come back in *item order* (never
+        completion order — aggregation order is part of the result).
+        ``costs`` predicts each item's work; it may only decide the order
+        items start in, never what they return."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -336,12 +333,10 @@ class InlineExecutor(Executor):
         _finalize_timing(result, result.timing["execute_s"], retries=0)
         return _Immediate(result)
 
-    def run_batch(self, items, costs, meanwhile=None) -> list:
-        """``meanwhile()`` first, then the items in dispatch order: nothing
-        runs concurrently here, and dispatch order keeps the first client
-        to run the same one whatever the costs."""
-        if meanwhile is not None:
-            meanwhile()
+    def run_batch(self, items, costs) -> list:
+        """The items in list order: nothing runs concurrently here, and
+        list order keeps the first client to run the same one whatever
+        the costs."""
         return [self.submit(item).result() for item in items]
 
 
@@ -437,16 +432,13 @@ class ProcessExecutor(Executor):
             return _ResilientFuture(self, item, self._submit_raw(item),
                                     self._generation)
 
-    def run_batch(self, items, costs, meanwhile=None) -> list:
+    def run_batch(self, items, costs) -> list:
         """Submit the items largest-cost first (a stable sort: ties keep
-        dispatch order), call ``meanwhile()`` while the workers train,
-        then collect the results in item order."""
+        list order), then collect the results in item order."""
         order = sorted(range(len(items)), key=lambda i: -costs[i])
         futures = [None] * len(items)
         for i in order:
             futures[i] = self.submit(items[i])
-        if meanwhile is not None:
-            meanwhile()
         return [future.result() for future in futures]
 
     def _recover(self, item: ClientWorkItem, generation: int,

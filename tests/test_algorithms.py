@@ -142,7 +142,7 @@ class TestAggregationSemantics:
         clients = assign_levels_uniformly(pool, fleet, ds, shards)  # mixed!
         algo = cls(base, ds, clients, pool=pool)
         with pytest.raises(ValueError, match="homogeneous"):
-            algo.evaluate_global()
+            _global_accuracy(algo)
 
 
 class TestTopologyAlgorithms:
@@ -229,7 +229,7 @@ class TestLearning:
         clients = assign_levels_uniformly(pool, fleet, ds, shards)
         config = LocalTrainConfig(batch_size=8, local_epochs=2, max_batches=4)
         algo = cls(base, ds, clients, train_config=config, pool=pool)
-        initial = algo.evaluate_global()
+        initial = _global_accuracy(algo)
         sim = SimulationConfig(num_rounds=25, sample_ratio=0.4, eval_every=5,
                                seed=0)
         history = run_simulation(algo, sim)
@@ -238,6 +238,20 @@ class TestLearning:
         best = max(r.global_accuracy for r in history.evaluated)
         assert best > initial + 0.05
         assert best > 0.3
+
+
+def _global_accuracy(algo):
+    """The live state's global accuracy, scored in this process."""
+    tasks, read = algo.evaluation(True, False)
+    return read([algo.score(task, algo.eval_vector(task))
+                 for task in tasks])[0]
+
+
+def _device_accuracies(algo):
+    """Each evaluation client's accuracy, scored in this process."""
+    tasks, read = algo.evaluation(False, True)
+    return read([algo.score(task, algo.eval_vector(task))
+                 for task in tasks])[1]
 
 
 def _counting(fn, calls):
@@ -312,7 +326,7 @@ class TestEvaluateOncePerDeployment:
                              algorithm.x_eval, algorithm.y_eval)
                     for cid in eval_ids]
 
-        assert algo.per_device_accuracies() == fresh(algo)
+        assert _device_accuracies(algo) == fresh(algo)
         assert len(calls) == len(eval_ids)
 
         # A round over two evaluation clients and one that is never
@@ -322,21 +336,21 @@ class TestEvaluateOncePerDeployment:
         calls.clear()
         algo.run_round(0, [eval_ids[0], eval_ids[1], outsider],
                        np.random.default_rng(0))
-        after_round = algo.per_device_accuracies()
+        after_round = _device_accuracies(algo)
         assert after_round == fresh(algo)
         assert calls == [eval_ids[0], eval_ids[1]]
         calls.clear()
-        assert algo.per_device_accuracies() == after_round
-        assert algo.evaluate_global() == float(np.mean(after_round))
+        assert _device_accuracies(algo) == after_round
+        assert _global_accuracy(algo) == float(np.mean(after_round))
         assert calls == []
 
         # A restored checkpoint rewrites personal vectors: nothing evaluated
         # before it may be trusted.
         other = recording(_build("fedproto", task))
-        other.per_device_accuracies()
+        _device_accuracies(other)
         calls.clear()
         other.restore_checkpoint_state(algo.checkpoint_state())
-        assert other.per_device_accuracies() == after_round
+        assert _device_accuracies(other) == after_round
         assert calls == eval_ids
 
     @pytest.mark.parametrize("name", ["sheterofl", "fedrolex", "fjord",
@@ -368,7 +382,7 @@ class TestEvaluateOncePerDeployment:
 
         calls = []
         monkeypatch.setattr(base, "accuracy", _counting(accuracy, calls))
-        assert algo.per_device_accuracies() == expected
+        assert _device_accuracies(algo) == expected
         # Fjord draws its width from the generator on every call: skipping
         # one build would shift every later client's draw.
         assert resolved == expected_resolved
@@ -533,7 +547,7 @@ class TestPersonalVectors:
         from repro.fl.serialization import decode_payload, encode_payload
         algo = _build(name, task)
         algo.run_round(0, sorted(algo.clients)[:6], np.random.default_rng(0))
-        expected = algo.per_device_accuracies()
+        expected = _device_accuracies(algo)
         state = algo.checkpoint_state()
         by_module = {cid: algo.personal_model(algo.clients[cid]).state_dict()
                      for cid in algo._personal}
@@ -544,9 +558,39 @@ class TestPersonalVectors:
                 assert np.array_equal(state["personal"][cid][key], value)
         state["personal"] = by_module
         other = _build(name, task)
-        other.per_device_accuracies()
+        _device_accuracies(other)
         other.restore_checkpoint_state(decode_payload(encode_payload(state)))
-        assert other.per_device_accuracies() == expected
+        assert _device_accuracies(other) == expected
+
+    def test_fedet_server_accuracy_is_fresh_every_round(self, task):
+        """Fed-ET's global task is its server model, which every round's
+        distillation moves: the device accuracies scored beside it are
+        kept, the server's never is, so round two reads round two's
+        server."""
+        algo = _build("fedet", task)
+        server = algo.global_task()
+        for round_index in range(2):
+            algo.run_round(round_index, [0, 1, 2],
+                           np.random.default_rng(round_index))
+            tasks, read = algo.evaluation(True, True)
+            assert server in tasks
+            accuracy, _ = read([algo.score(t, algo.eval_vector(t))
+                                for t in tasks])
+            assert accuracy == algo.score(server, algo._server_state.copy())
+            assert server not in algo._accuracies
+
+    def test_fedet_run_records_each_rounds_server(self, task):
+        algo = _build("fedet", task)
+        ingest, server, fresh = algo.ingest, algo.global_task(), []
+
+        def recording(updates, round_index, rng):
+            ingest(updates, round_index, rng)
+            fresh.append(algo.score(server, algo._server_state.copy()))
+
+        algo.ingest = recording
+        history = run_simulation(algo, SimulationConfig(
+            num_rounds=3, sample_ratio=0.25, eval_every=1, seed=0))
+        assert [r.global_accuracy for r in history.records] == fresh
 
     def test_fedet_server_model_is_one_buffer(self, task):
         algo = _build("fedet", task)

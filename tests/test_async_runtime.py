@@ -218,6 +218,9 @@ class _TrainingStub(_StubAlgorithm):
     def client_work(self, ctx):
         return 1.0
 
+    def evaluation(self, with_global, with_devices):
+        return [], lambda accuracies: (None, [])
+
     def run_client(self, client_id, version, rng, broadcast=None):
         return ClientResult(train_loss=1.0, weight=1.0,
                             payload=np.ones(4, dtype=np.float32),
@@ -609,6 +612,13 @@ class TestExecutionConfig:
             ExecutionConfig(buffer_size=0)
         with pytest.raises(ValueError):
             ExecutionConfig(over_select=-0.1)
+
+    def test_unknown_availability_is_refused(self):
+        """Refused where ``ConstraintSpec`` refuses the same name, not
+        first inside ``run_simulation``."""
+        with pytest.raises(ValueError, match="unknown availability model "
+                                             "'bogus'"):
+            ExecutionConfig(availability="bogus")
 
     @pytest.mark.parametrize("name, value", [
         ("max_concurrency", 0), ("max_concurrency", -1),

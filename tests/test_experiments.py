@@ -193,6 +193,34 @@ class TestHarnesses:
         assert "Traceback" not in err
         assert simulation.RUN_COUNT == before
 
+    @pytest.mark.parametrize("verb, argv, message", [
+        ("status", ["--datasets", "nosuch"], "unknown dataset 'nosuch'"),
+        ("status", ["--algorithms", "nosuch"], "unknown algorithm 'nosuch'"),
+        ("status", ["--scale", "bogus"], "unknown scale 'bogus'"),
+        ("run", ["--algorithms", "nosuch", "--no-cache", "--shard", "0/2"],
+         "unknown algorithm 'nosuch'"),
+        ("run", ["--algorithms", "sheterofl,nosuch", "--no-cache"],
+         "unknown algorithm 'nosuch'")])
+    def test_unknown_names_exit_2_before_any_cell_trains(self, verb, argv,
+                                                         message, capsys):
+        """A grid naming an unknown algorithm, dataset or scale used to
+        list phantom cells, or train every earlier cell and then die."""
+        before = simulation.RUN_COUNT
+        assert cli_main([verb, "fig4", "--scale", "smoke", *argv]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert simulation.RUN_COUNT == before
+
+    @pytest.mark.parametrize("option, value", [
+        ("--datasets", ","), ("--algorithms", " , "), ("--seeds", ",")])
+    def test_an_empty_list_option_exits_2(self, option, value, capsys):
+        """An empty list used to select every cell of the grid."""
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["status", "fig4", "--scale", "smoke", option, value])
+        assert exited.value.code == 2
+        assert f"argument {option}: expected at least one" \
+            in capsys.readouterr().err
+
     def test_fig1_radar(self):
         rows = get_artifact("fig1").run(scale="smoke", dataset="harbox")
         assert rows  # fig1 reuses fig4 rows

@@ -120,10 +120,11 @@ class TestLocalTraining:
             self, cap):
         from repro.experiments import RunSpec
         from repro.experiments.runner import prepare_scenario
-        spec = RunSpec("sheterofl", "harbox", scale="smoke",
-                       scale_overrides={"eval_max_samples": cap})
+        # Refused when the spec is built, before any scenario exists.
         with pytest.raises(ValueError, match="eval_max_samples"):
-            prepare_scenario(spec)
+            prepare_scenario(RunSpec("sheterofl", "harbox", scale="smoke",
+                                     scale_overrides={
+                                         "eval_max_samples": cap}))
 
     def test_empty_config_invalid_optimizer(self, tiny_task):
         _, model = tiny_task

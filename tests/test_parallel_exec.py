@@ -34,8 +34,8 @@ from repro.fl import (ExecutionConfig, ExecutorError, InlineExecutor,
                       sample_clients)
 from repro.fl import aggregation
 from repro.fl.aggregation import SERVER_OVERHEAD_S
-from repro.fl.executor import (ClientResult, make_executor, make_work_item,
-                               resolve_executor_kind)
+from repro.fl.executor import (ClientResult, EvalWorkItem, make_executor,
+                               make_work_item, resolve_executor_kind)
 from repro.fl.history import History, RoundRecord
 from repro.fl.seeding import client_seed_key
 
@@ -270,6 +270,11 @@ class TestWorkerCountInvariance:
                            execution=execution) == reference
 
 
+def _item_name(item):
+    return (item.task if isinstance(item, EvalWorkItem)
+            else item.client_id)
+
+
 class _RecordingPool(ProcessExecutor):
     """A pool executor whose pool only logs, in order, each submit and
     each wait on a result."""
@@ -285,22 +290,21 @@ class _RecordingPool(ProcessExecutor):
         pass
 
     def _submit_raw(self, item):
-        log = self.log
-        log.append(("submit", item.client_id))
+        log, name = self.log, _item_name(item)
+        log.append(("submit", name))
 
         class Future:
             def result(self):
-                log.append(("await", item.client_id))
+                log.append(("await", name))
                 return ClientResult(train_loss=0.0, weight=1.0,
-                                    payload=item.client_id)
+                                    payload=name)
 
         return Future()
 
 
 class TestRunBatchContract:
-    """``run_batch(items, costs, meanwhile)``: the pool starts the largest
-    items first and runs ``meanwhile`` while they train; inline runs it
-    first, then the items in dispatch order.  Both return item order."""
+    """``run_batch(items, costs)``: the pool starts the largest items
+    first, inline runs them in list order.  Both return item order."""
 
     COSTS = [1.0, 3.0, 2.0, 3.0, 0.0, 2.0]
 
@@ -308,43 +312,53 @@ class TestRunBatchContract:
         return [make_work_item(None, cid, 0, 0, needs_broadcast=False)
                 for cid in range(len(self.COSTS))]
 
-    def test_pool_submits_largest_first_then_overlaps(self):
+    def test_pool_submits_largest_first(self):
         log = []
-        executor = _RecordingPool(log)
-        results = executor.run_batch(self._items(), self.COSTS,
-                                     lambda: log.append("meanwhile"))
+        results = _RecordingPool(log).run_batch(self._items(), self.COSTS)
         # Descending cost; the ties (1, 3) and (2, 5) keep dispatch order.
         assert log == ([("submit", cid) for cid in (1, 3, 2, 5, 0, 4)]
-                       + ["meanwhile"]
                        + [("await", cid) for cid in range(6)])
         assert [r.payload for r in results] == list(range(6))
 
-    def test_pool_without_meanwhile(self):
+    def test_pool_orders_evaluations_and_clients_by_one_cost(self):
+        """An evaluation item is placed among the clients by its cost; a
+        tie keeps it ahead of the clients it was listed before."""
         log = []
-        results = _RecordingPool(log).run_batch(self._items()[:2],
-                                                [0.0, 1.0])
-        assert log == [("submit", 1), ("submit", 0),
-                       ("await", 0), ("await", 1)]
-        assert [r.payload for r in results] == [0, 1]
+        items = [EvalWorkItem(("level", ()), None), *self._items()[:3]]
+        results = _RecordingPool(log).run_batch(items, [2.0, 1.0, 3.0, 2.0])
+        assert log[:4] == [("submit", 1), ("submit", ("level", ())),
+                           ("submit", 2), ("submit", 0)]
+        assert [r.payload for r in results] == [("level", ()), 0, 1, 2]
 
-    def test_inline_runs_meanwhile_then_dispatch_order(self):
+    def test_inline_runs_list_order(self):
+        """Evaluations first, then the clients in dispatch order, whatever
+        the costs: the first client to run is the same one at any cost."""
         log = []
 
         def run_client(client_id, version, rng, broadcast=None):
             log.append(("run", client_id))
             return ClientResult(train_loss=0.0, weight=1.0, payload=client_id)
 
-        algorithm = SimpleNamespace(run_client=run_client)
-        results = InlineExecutor(algorithm).run_batch(
-            self._items(), self.COSTS, lambda: log.append("meanwhile"))
-        assert log == ["meanwhile"] + [("run", cid) for cid in range(6)]
-        assert [r.payload for r in results] == list(range(6))
+        def score(task, vector):
+            log.append(("score", task))
+            return 0.5
 
-    def test_empty_batch_still_runs_meanwhile(self):
-        log = []
-        _RecordingPool(log).run_batch([], [], lambda: log.append("pool"))
-        InlineExecutor().run_batch([], [], lambda: log.append("inline"))
-        assert log == ["pool", "inline"]
+        algorithm = SimpleNamespace(run_client=run_client, score=score)
+        items = [EvalWorkItem(("level", ()), np.zeros(2)), *self._items()]
+        results = InlineExecutor(algorithm).run_batch(items,
+                                                      [0.0, *self.COSTS])
+        assert log == ([("score", ("level", ()))]
+                       + [("run", cid) for cid in range(6)])
+        assert results[0].accuracy == 0.5
+        assert [r.payload for r in results[1:]] == list(range(6))
+
+
+def _score_here(algorithm, with_global, with_devices):
+    """What ``algorithm.evaluation`` names, scored in this process as
+    ``score(task, eval_vector(task))``, with no executor in between."""
+    tasks, read = algorithm.evaluation(with_global, with_devices)
+    return read([algorithm.score(task, algorithm.eval_vector(task))
+                 for task in tasks])
 
 
 class TestInlineReferenceSemantics:
@@ -377,13 +391,14 @@ class TestInlineReferenceSemantics:
             sim_time += round_time
             is_eval = (round_index % config.eval_every == 0
                        or round_index == config.num_rounds - 1)
-            acc = algorithm.evaluate_global() if is_eval else None
+            acc = _score_here(algorithm, True, False)[0] if is_eval else None
             history.append(RoundRecord(
                 round_index=round_index, sim_time_s=sim_time,
                 round_time_s=round_time,
                 train_loss=train_loss, global_accuracy=acc,
                 extras={}))
-        history.final_device_accuracies = algorithm.per_device_accuracies()
+        history.final_device_accuracies = _score_here(algorithm, False,
+                                                      True)[1]
         return history
 
     @pytest.mark.parametrize("algorithm", ["sheterofl", "fedproto"])
@@ -655,18 +670,31 @@ class TestFinishedRunKeepsResults:
 
 
 class TestPooledCoordinator:
-    def test_coordinator_builds_only_the_scored_level(self, monkeypatch):
-        """The coordinator of a pooled run builds a skeleton only to score
-        it (the full model, each evaluated round); uploads resolve against
-        the pool's layouts.  Workers build theirs in their own processes."""
-        cls = ALGORITHMS["fedrolex"]
-        build, built = cls._build_level, []
+    @pytest.mark.parametrize("name", ["fedrolex", "fedproto"])
+    def test_coordinator_scores_and_builds_nothing(self, name, monkeypatch):
+        """Every accuracy of a pooled run, per round and final, is scored
+        in a worker, so the coordinator builds no skeleton: uploads
+        resolve against the pool's layouts (FedProto's knowledge needs
+        none), and workers build theirs in their own processes."""
+        cls = ALGORITHMS[name]
+        build, score = cls._build_level, cls.score
+        built, scored = [], []
 
-        def recording(self, level):
+        def recording_build(self, level):
             built.append(level)
             return build(self, level)
 
-        monkeypatch.setattr(cls, "_build_level", recording)
-        execute_spec(smoke_spec("fedrolex", workers=2, executor="process"),
-                     cache=None)
-        assert built == [(("width_mult", 1.0),)]
+        def recording_score(self, task, vector):
+            scored.append(task)
+            return score(self, task, vector)
+
+        # Forked workers inherit the wrappers but append to their own
+        # copies of the lists: only the coordinator's calls show here.
+        monkeypatch.setattr(cls, "_build_level", recording_build)
+        monkeypatch.setattr(cls, "score", recording_score)
+        history = execute_spec(smoke_spec(name, workers=2,
+                                          executor="process"),
+                               cache=None).history
+        assert history.evaluated and history.final_device_accuracies
+        assert scored == []
+        assert built == []

@@ -124,9 +124,20 @@ class TestRunSpecSerialization:
 
     @pytest.mark.parametrize("ratio", [0, -0.5, 1.5])
     def test_out_of_range_sample_ratio_raises(self, ratio):
-        spec = _smoke_spec(scale_overrides={"sample_ratio": ratio})
         with pytest.raises(ValueError, match="sample_ratio"):
-            execute_spec(spec, cache=None)
+            _smoke_spec(scale_overrides={"sample_ratio": ratio})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("algorithm", "nosuch", "unknown algorithm 'nosuch'"),
+        ("dataset", "nosuch", "unknown dataset 'nosuch'"),
+        ("scale", "bogus", "unknown scale 'bogus'"),
+        ("scale_overrides", {"num_round": 2}, "unknown scale override")])
+    def test_unrunnable_cell_is_refused_at_construction(self, field, value,
+                                                        message):
+        """A spec naming nothing runnable used to be listed, hashed and
+        cached until its cell ran."""
+        with pytest.raises(ValueError, match=message):
+            _smoke_spec(**{field: value})
 
     @pytest.mark.parametrize("field", ["num_clients", "workers"])
     @pytest.mark.parametrize("value", [0, -3])
@@ -278,9 +289,9 @@ def _smoke_rows(algorithms, seeds=(0,)):
     return summarize_results(execute_specs(grid, cache=None), algorithms)
 
 
-def _history(accs, name="algo", device_accs=(0.4, 0.6)):
+def _history(accs, name="sheterofl", device_accs=(0.4, 0.6)):
     """A History evaluated every round, 10 simulated seconds apart."""
-    h = History(algorithm=name, dataset="ds")
+    h = History(algorithm=name, dataset="harbox")
     for i, acc in enumerate(accs):
         h.append(RoundRecord(round_index=i, sim_time_s=10.0 * (i + 1),
                              round_time_s=10.0, train_loss=1.0,
@@ -305,33 +316,34 @@ class TestMetricRows:
         history = _history([0.1, 0.5, 0.4], device_accs=[0.2, 0.8])
         baseline = _history([0.3], name=BASELINE_ALGORITHM)
         [row] = summarize_results([_result(history), _result(baseline)],
-                                  ["algo"])
-        assert row == {"algorithm": "algo", "dataset": "ds",
+                                  ["sheterofl"])
+        assert row == {"algorithm": "sheterofl", "dataset": "harbox",
                        "global_acc": 0.4, "tta_s": 20.0,
                        "stability_var": round(float(np.var([0.2, 0.8])), 6),
                        "effectiveness": 0.1}
 
     def test_effectiveness_sign(self):
-        results = [_result(_history([0.6], name="good")),
-                   _result(_history([0.4], name="worse")),
+        results = [_result(_history([0.6], name="fjord")),
+                   _result(_history([0.4], name="fedrolex")),
                    _result(_history([0.5], name=BASELINE_ALGORITHM))]
-        rows = summarize_results(results, ["good", "worse"])
+        rows = summarize_results(results, ["fjord", "fedrolex"])
         assert [r["effectiveness"] for r in rows] == [0.1, -0.1]
 
     def test_misses_read_none(self):
         # The best run sets the target at 0.5, which 0.3 never reaches.
         results = [_result(_history([0.3])),
-                   _result(_history([0.9], name="best"))]
-        row = summarize_results(results, ["algo", "best"])[0]
+                   _result(_history([0.9], name="fedrolex"))]
+        row = summarize_results(results, ["sheterofl", "fedrolex"])[0]
         assert row["global_acc"] == 0.3
         assert row["tta_s"] is None
         assert row["effectiveness"] is None
 
     def test_rows_follow_algorithms_duplicates_included(self):
-        results = [_result(_history([0.3], name="a")),
-                   _result(_history([0.5], name="b"))]
-        rows = summarize_results(results, ["b", "a", "b"])
-        assert [r["algorithm"] for r in rows] == ["b", "a", "b"]
+        results = [_result(_history([0.3], name="fjord")),
+                   _result(_history([0.5], name="fedrolex"))]
+        rows = summarize_results(results, ["fedrolex", "fjord", "fedrolex"])
+        assert [r["algorithm"] for r in rows] \
+            == ["fedrolex", "fjord", "fedrolex"]
         assert rows[0] == rows[2]
 
 
@@ -356,7 +368,7 @@ class TestMultiSeed:
         # Seed 1 never lifts off chance, so it never reaches its target.
         results = [_result(_history([0.1, 0.5, 0.4]), seed=0),
                    _result(_history([0.05, 0.1]), seed=1)]
-        [row] = summarize_results(results, ["algo"])
+        [row] = summarize_results(results, ["sheterofl"])
         assert row["global_acc"] == pytest.approx(0.25)
         assert row["tta_s"] == 20.0
         assert row["tta_s_std"] is None
@@ -364,7 +376,7 @@ class TestMultiSeed:
     def test_effectiveness_none_without_baseline(self):
         results = [_result(_history([0.4]), seed=0),
                    _result(_history([0.6]), seed=1)]
-        [row] = summarize_results(results, ["algo"])
+        [row] = summarize_results(results, ["sheterofl"])
         assert row["seeds"] == 2
         assert row["effectiveness"] is None
         assert row["effectiveness_std"] is None

@@ -86,18 +86,21 @@ class TestSpecRunSanitizers:
     @pytest.mark.parametrize("workers, executor",
                              [(1, "inline"), (2, "process")])
     def test_evaluation_trips_on_global_vector_write(self, workers,
-                                                     executor):
-        """Round r's evaluation runs inside round r+1's frozen batch
-        window under either executor, so writing the global model there
-        raises."""
+                                                     executor, monkeypatch):
+        """Every evaluation is a work item whose vector is read-only
+        wherever it runs (the coordinator's frozen view inline, a pool
+        worker's unpickled copy), so a ``score`` writing into the vector
+        it was handed raises under either executor."""
         algorithm = prepare_scenario(self.SPEC)[0].algorithm
-        real_evaluate = algorithm.evaluate_global
+        cls = type(algorithm)
+        real_score = cls.score
 
-        def evaluate_global():
-            algorithm.global_vector[0] = 0.0
-            return real_evaluate()
+        def score(self, task, vector):
+            vector[0] = 0.0
+            return real_score(self, task, vector)
 
-        algorithm.evaluate_global = evaluate_global
+        # Class-level, so forked pool workers score through it too.
+        monkeypatch.setattr(cls, "score", score)
         scale = self.SPEC.resolved_scale()
         config = SimulationConfig(num_rounds=scale.num_rounds,
                                   sample_ratio=scale.sample_ratio,
