@@ -1,7 +1,8 @@
 """The eight MHFL algorithms + homogeneous baseline (Table II)."""
 
-from .base import (ClientContext, SubIndex, MHFLAlgorithm, WIDTH_LEVELS,
-                   DEPTH_LEVELS, assign_levels_uniformly)
+from .base import (ClientContext, SubIndex, MHFLAlgorithm,
+                   ParameterAveragingAlgorithm, WIDTH_LEVELS, DEPTH_LEVELS,
+                   assign_levels_uniformly)
 from .fedavg import FedAvgSmallest
 from .fjord import Fjord
 from .heterofl import SHeteroFL
@@ -14,7 +15,7 @@ from .fedet import FedET
 from .registry import ALGORITHMS, MHFL_ALGORITHMS, get_algorithm
 
 __all__ = [
-    "ClientContext", "SubIndex", "MHFLAlgorithm",
+    "ClientContext", "SubIndex", "MHFLAlgorithm", "ParameterAveragingAlgorithm",
     "WIDTH_LEVELS", "DEPTH_LEVELS", "assign_levels_uniformly",
     "FedAvgSmallest", "Fjord", "SHeteroFL", "FedRolex",
     "DepthFL", "InclusiveFL", "FeDepth", "FedProto", "ProtoModel", "FedET",

@@ -13,17 +13,16 @@ import numpy as np
 
 from .. import autograd as ag
 from ..models.base import SliceableModel, depth_overrides
-from .base import ClientContext, DEPTH_LEVELS, MHFLAlgorithm
+from .base import ClientContext, DEPTH_LEVELS, ParameterAveragingAlgorithm
 
 __all__ = ["DepthFL"]
 
 
-class DepthFL(MHFLAlgorithm):
+class DepthFL(ParameterAveragingAlgorithm):
     """Depth heterogeneity with auxiliary classifiers and self-distillation."""
 
     name = "depthfl"
     level = "depth"
-    slicing_mode = "prefix"
     base_model_overrides = {"head_mode": "all"}
 
     #: weight of the mutual-distillation term (gamma in the paper).
@@ -66,7 +65,8 @@ class DepthFL(MHFLAlgorithm):
         every head."""
         if task[0] != "ensemble":
             return super().score(task, vector)
-        model = self._load_level(task[1], vector)
+        model, buffer, _ = self._level_model(task[1])
+        buffer[...] = vector
         model.eval()
         correct = 0
         with ag.no_grad():

@@ -9,17 +9,16 @@ baseline's.
 
 from __future__ import annotations
 
-from .base import MHFLAlgorithm
+from .base import ParameterAveragingAlgorithm
 
 __all__ = ["FedAvgSmallest"]
 
 
-class FedAvgSmallest(MHFLAlgorithm):
+class FedAvgSmallest(ParameterAveragingAlgorithm):
     """Homogeneous FedAvg at the smallest feasible capacity level."""
 
     name = "fedavg_smallest"
     level = "homogeneous"
-    slicing_mode = "prefix"
 
     # variant_space inherits the width levels so the constraint cases can
     # determine each client's feasible set; the scenario then assigns every

@@ -20,7 +20,7 @@ from ..hw.flops import measure_model
 from ..hw.model_pool import ModelPool, PoolEntry
 from ..models.base import SliceableModel
 from ..nn.module import Layout
-from .base import ClientContext, MHFLAlgorithm
+from .base import ClientContext, ParameterAveragingAlgorithm
 
 __all__ = ["FeDepth"]
 
@@ -31,12 +31,11 @@ def _segment_size(key: str) -> int:
     return int(key[3:])
 
 
-class FeDepth(MHFLAlgorithm):
+class FeDepth(ParameterAveragingAlgorithm):
     """Full model, sliding trainable stage segment."""
 
     name = "fedepth"
     level = "depth"
-    slicing_mode = "prefix"
 
     @classmethod
     def variant_space(cls, base_model: SliceableModel) -> dict[str, dict]:

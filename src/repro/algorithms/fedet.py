@@ -8,7 +8,9 @@ consensus is also sent back so clients regularise toward it during local
 training (the transfer-back path).
 
 Global accuracy is the server model's accuracy — the cleanest realisation of
-the paper's "final federated model" for the topology level.
+the paper's "final federated model" for the topology level.  The server
+model is a flat vector, built on the coordinator on first use and distilled
+and scored in its level's skeleton: no pool worker builds it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import autograd as ag
-from ..fl.evaluate import accuracy
+from .. import nn
 from ..models.base import SliceableModel
 from .base import ClientContext
 from .personal import PersonalModelAlgorithm
@@ -39,14 +41,10 @@ class FedET(PersonalModelAlgorithm):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # Server model: the largest family member.
+        # Server model: the largest family member (see ``_server``).
         space = self.variant_space(self.base_model)
-        largest_key = list(space)[-1]
-        self.server_model = self.base_model.variant(**space[largest_key])
-        self._server_level = tuple(sorted(space[largest_key].items()))
-        # One buffer from the start: each round's Adam adopts it in place,
-        # and an evaluation scores it from there.
-        self._server_state = self.server_model.bind_state()[0]
+        self._server_level = tuple(sorted(space[list(space)[-1]].items()))
+        self._server_model = None
         # Public transfer set: unlabeled samples from the task distribution.
         rng = np.random.default_rng(17)
         take = min(self.public_size, self.dataset.num_train)
@@ -76,6 +74,14 @@ class FedET(PersonalModelAlgorithm):
 
         return loss
 
+    def _server(self):
+        """The server model's ``(vector, layout)``: its level's fresh
+        model, packed on first use (only the coordinator ever asks)."""
+        if self._server_model is None:
+            self._server_model = self._build_level(
+                self._server_level).bind_state()
+        return self._server_model
+
     # The round half of the downlink: the current consensus (the server
     # model and its distillation stay on the coordinator — they belong to
     # ``ingest``).
@@ -103,31 +109,39 @@ class FedET(PersonalModelAlgorithm):
         self._distill_server(rng)
 
     def _distill_server(self, rng: np.random.Generator) -> None:
-        from .. import nn
-        optimizer = nn.Adam(self.server_model.parameters(), lr=self.server_lr)
+        """Distil the consensus into the server vector in its level's
+        skeleton, then copy it back (the skeleton keeps weights only)."""
+        vector = self._server()[0]
+        model, buffer, _ = self._level_model(self._server_level)
+        buffer[...] = vector
+        optimizer = nn.Adam(model.parameters(), lr=self.server_lr)
         for _ in range(self.server_steps):
             pick = rng.integers(0, len(self.x_public),
                                 size=min(32, len(self.x_public)))
             optimizer.zero_grad()
-            loss = ag.soft_cross_entropy(self.server_model(self.x_public[pick]),
+            loss = ag.soft_cross_entropy(model(self.x_public[pick]),
                                          self._consensus[pick])
             loss.backward()
             optimizer.step()
             del loss  # one tape at a time: not beside the next forward
+        vector[...] = buffer
+        model.zero_grad()
 
     # ------------------------------------------------------------------
-    # Resumable server-side state: the distilled server model and the last
-    # consensus (+ the base's personal models).  The public set and the
-    # per-round Adam are derived (seeded / rebuilt fresh each round), so
-    # they need no snapshot.
+    # Resumable server-side state: the distilled server model (written as
+    # its level's ``name -> array`` entries) and the last consensus (+ the
+    # base's personal models).  The public set and the per-round Adam are
+    # derived (seeded / rebuilt fresh each round), so they need no snapshot.
     def checkpoint_state(self) -> dict:
-        return {"server_model": self.server_model.state_dict(),
+        vector, layout = self._server()
+        return {"server_model": layout.views(vector.copy()),
                 "consensus": (None if self._consensus is None
                               else self._consensus.copy()),
                 **super().checkpoint_state()}
 
     def restore_checkpoint_state(self, state: dict) -> None:
-        self.server_model.load_state_dict(state["server_model"])
+        vector, layout = self._server()
+        vector[...] = layout.pack(state["server_model"])
         consensus = state["consensus"]
         self._consensus = (None if consensus is None
                            else np.asarray(consensus))
@@ -144,13 +158,7 @@ class FedET(PersonalModelAlgorithm):
         return ("server", self._server_level)
 
     def eval_vector(self, task: tuple) -> np.ndarray:
-        if task[0] != "server":
-            return super().eval_vector(task)
-        return self._server_state
-
-    def score(self, task: tuple, vector: np.ndarray) -> float:
-        if task[0] != "server":
-            return super().score(task, vector)
-        model, buffer, _ = self._level_model(task[1])
-        buffer[...] = vector
-        return accuracy(model, self.x_eval, self.y_eval)
+        """The server's vector for its task, a deployed client's else."""
+        if task[0] == "server":
+            return self._server()[0]
+        return self._vector(self.clients[task[2]])

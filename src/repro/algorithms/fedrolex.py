@@ -8,12 +8,12 @@ FedRolex's fix for HeteroFL's untrained-tail problem.
 
 from __future__ import annotations
 
-from .base import MHFLAlgorithm
+from .base import ParameterAveragingAlgorithm
 
 __all__ = ["FedRolex"]
 
 
-class FedRolex(MHFLAlgorithm):
+class FedRolex(ParameterAveragingAlgorithm):
     """Rolling-window width heterogeneity."""
 
     name = "fedrolex"

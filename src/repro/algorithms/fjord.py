@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import ClientContext, MHFLAlgorithm
+from .base import ClientContext, ParameterAveragingAlgorithm
 
 __all__ = ["Fjord"]
 
 
-class Fjord(MHFLAlgorithm):
+class Fjord(ParameterAveragingAlgorithm):
     """Ordered-dropout nested width training."""
 
     name = "fjord"
     level = "width"
-    slicing_mode = "prefix"
 
     def client_overrides(self, ctx: ClientContext, round_index: int,
                          rng: np.random.Generator) -> dict:

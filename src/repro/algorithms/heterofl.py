@@ -3,19 +3,19 @@
 Each client statically owns the prefix slice matching its capacity level;
 aggregation is the per-coordinate count-weighted mean over the clients that
 hold each coordinate (HeteroFL's nested aggregation rule) — implemented by
-the shared machinery in :class:`~repro.algorithms.base.MHFLAlgorithm`.
+:class:`~repro.algorithms.base.ParameterAveragingAlgorithm`, which every
+width and depth method derives from.
 """
 
 from __future__ import annotations
 
-from .base import MHFLAlgorithm
+from .base import ParameterAveragingAlgorithm
 
 __all__ = ["SHeteroFL"]
 
 
-class SHeteroFL(MHFLAlgorithm):
+class SHeteroFL(ParameterAveragingAlgorithm):
     """Static slimmable HeteroFL: the canonical width-heterogeneity method."""
 
     name = "sheterofl"
     level = "width"
-    slicing_mode = "prefix"

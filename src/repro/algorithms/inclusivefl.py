@@ -18,19 +18,18 @@ from __future__ import annotations
 import re
 
 from ..models.base import SliceableModel, depth_overrides
-from .base import DEPTH_LEVELS, MHFLAlgorithm
+from .base import DEPTH_LEVELS, ParameterAveragingAlgorithm
 
 __all__ = ["InclusiveFL"]
 
 _BLOCK_RE = re.compile(r"^stages\.(\d+)\.(\d+)\.(.+)$")
 
 
-class InclusiveFL(MHFLAlgorithm):
+class InclusiveFL(ParameterAveragingAlgorithm):
     """Depth heterogeneity with momentum distillation across blocks."""
 
     name = "inclusivefl"
     level = "depth"
-    slicing_mode = "prefix"
     # Shallow clients carry a head at their own top stage, so the server
     # model must own a head at every stage boundary.
     base_model_overrides = {"head_mode": "all"}

@@ -7,16 +7,20 @@ per-client vectors, their work-item transport (down in the broadcast, back
 as the ``client_state`` of ``run_client``'s result), the two ends of the
 shared client round (load the client's vector, hand back the trained one
 beside the knowledge upload) and their share of checkpoints and
-evaluation; a subclass supplies ``_build_personal``, its
-``local_loss_fn``, its ``_knowledge`` upload and its server side.
+evaluation; a subclass supplies ``_build_personal(ctx)`` (a client's
+freshly-initialised model, deterministic per client), its
+``local_loss_fn``, its ``_knowledge(model, ctx) -> (weight, payload)``
+upload (what a client shares instead of its parameters) and its server
+side.  There is no global vector, upload map or parameter averaging.
 
 A personal model is one float32 vector laid out like its capacity level,
 loaded into that level's one skeleton (``_level_model``) to train or
 evaluate: the load overwrites every parameter and buffer, dropout is
 reseeded, the optimiser is per round and gradients are dropped after the
 upload, so the reuse cannot change a result.  A deployed model's accuracy
-(task ``("personal", client_id)``, scored from the client's vector) is kept
-until a writer of its vector replaces it.
+(task ``("personal", level, client_id)``, scored from the client's vector
+in that level's skeleton) is kept until a writer of its vector replaces
+it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..fl.evaluate import accuracy
 from ..models.base import SliceableModel
 from ..models.zoo import MODEL_FAMILIES
 from .base import ClientContext, MHFLAlgorithm, WIDTH_LEVELS
@@ -41,9 +44,9 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
         super().__init__(*args, **kwargs)
         #: client id -> its deployed model's state, laid out like its level.
         self._personal: dict[int, np.ndarray] = {}
-        #: ``("personal", client id)`` -> accuracy of its deployed model as
-        #: it stands (derived state of the coordinator: never checkpointed,
-        #: never serialised).
+        #: ``("personal", level, client id)`` -> accuracy of its deployed
+        #: model as it stands (derived state of the coordinator: never
+        #: checkpointed, never serialised).
         self._accuracies: dict[tuple, float] = {}
 
     @classmethod
@@ -61,20 +64,15 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
         return {f"x{m:.2f}": {"width_mult": m} for m in WIDTH_LEVELS}
 
     # ------------------------------------------------------------------
-    def _build_personal(self, ctx: ClientContext) -> nn.Module:
-        """A freshly-initialised personal model (deterministic per client)."""
-        raise NotImplementedError
-
-    def _knowledge(self, model: nn.Module,
-                   ctx: ClientContext) -> tuple[float, object]:
-        """``(aggregation weight, payload)`` of a trained client: what it
-        shares with the server instead of its parameters."""
-        raise NotImplementedError
+    def _task(self, client_id: int) -> tuple:
+        """``("personal", level, client id)``: the client's deployed model,
+        scored in its level's skeleton."""
+        overrides = self.clients[int(client_id)].entry.overrides
+        return ("personal", tuple(sorted(overrides.items())), int(client_id))
 
     def _skeleton(self, client_id: int):
         """The client's level model, its state buffer and layout."""
-        overrides = self.clients[int(client_id)].entry.overrides
-        return self._level_model(tuple(sorted(overrides.items())))
+        return self._level_model(self._task(client_id)[1])
 
     def _vector(self, ctx: ClientContext) -> np.ndarray:
         """One client's deployed state (its seeded initialisation, packed
@@ -85,16 +83,12 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
             self._personal[ctx.client_id] = vector
         return vector
 
-    def personal_model(self, ctx: ClientContext,
-                       vector: np.ndarray | None = None) -> nn.Module:
+    def personal_model(self, ctx: ClientContext) -> nn.Module:
         """One client's deployed model: its level's skeleton, loaded with
-        its vector (or ``vector``, a copy of it sent elsewhere).
-        ``run_client`` trains a copy and returns it, so the deployed model
-        moves only when the coordinator absorbs that result, under every
-        executor (an in-flight client still shows its old one).
-        """
+        its vector (valid until the next load at that level; the ledger's
+        seed finder, ``benchmarks/e2e/equiv_seeds.py``, times it)."""
         model, buffer, _ = self._skeleton(ctx.client_id)
-        buffer[...] = self._vector(ctx) if vector is None else vector
+        buffer[...] = self._vector(ctx)
         return model
 
     # ------------------------------------------------------------------
@@ -109,7 +103,7 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
 
     def apply_client_state(self, client_id: int, state: np.ndarray) -> None:
         self._personal[int(client_id)] = state
-        self._accuracies.pop(("personal", int(client_id)), None)
+        self._accuracies.pop(self._task(client_id), None)
 
     def load_client(self, ctx: ClientContext, version: int, rng,
                     broadcast: dict):
@@ -146,24 +140,11 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
         return None
 
     def device_tasks(self) -> list[tuple]:
-        return [("personal", cid) for cid in self._eval_ids()]
+        return [self._task(cid) for cid in self._eval_ids()]
 
     def eval_vector(self, task: tuple) -> np.ndarray:
-        if task[0] != "personal":
-            return super().eval_vector(task)
-        return self._vector(self.clients[task[1]])
-
-    def eval_cost(self, task: tuple) -> float:
-        if task[0] != "personal":
-            return super().eval_cost(task)
-        return (self.clients[task[1]].entry.stats.flops_per_sample
-                * len(self.x_eval))
-
-    def score(self, task: tuple, vector: np.ndarray) -> float:
-        if task[0] != "personal":
-            return super().score(task, vector)
-        return accuracy(self.personal_model(self.clients[task[1]], vector),
-                        self.x_eval, self.y_eval)
+        """A deployed model's vector."""
+        return self._vector(self.clients[task[2]])
 
     def _scored(self) -> dict:
         return self._accuracies

@@ -496,10 +496,10 @@ class AggregationPolicy:
         accuracies, client results)``.
 
         The evaluation items go first: inline they run before the
-        clients.  Each carries a read-only view of the live vector its
-        task reads, so nothing is copied, and the global vector itself is
-        frozen while the batch runs (freezing views of it would leave it
-        writable)."""
+        clients.  Each carries a read-only view of the state its task's
+        level skeleton loads (a level's slice: a copy unless one run), and
+        the global vector itself is frozen while the batch runs (freezing
+        views of it would leave it writable)."""
         tasks, read = algorithm.evaluation(evaluate, devices)
         scoring = [EvalWorkItem(task, algorithm.eval_vector(task).view())
                    for task in tasks]

@@ -33,7 +33,7 @@ Two executors implement one contract:
 Every accuracy is a work item too: an :class:`EvalWorkItem` names the
 model to score (a task of
 :meth:`~repro.algorithms.base.MHFLAlgorithm.score`) and carries the
-read-only vector it is loaded from; the coordinator scores nothing.
+read-only state its level's skeleton loads; the coordinator scores nothing.
 
 A batch of items (:meth:`Executor.run_batch`; a synchronous round's is
 the previous round's evaluations, then its clients in dispatch order)
@@ -151,9 +151,9 @@ class ClientResult:
 class EvalWorkItem:
     """One evaluation as a picklable job: ``score(task, vector)``."""
 
-    #: the model to score, as the algorithm's evaluation task key.
+    #: the model to score: the algorithm's task key (``task[1]``: its level).
     task: tuple
-    #: the (read-only) vector the task's model is loaded from.
+    #: the (read-only) state of that level's skeleton.
     vector: object
 
 
@@ -203,8 +203,8 @@ def execute_work_item(item: ClientWorkItem | EvalWorkItem,
     ``algorithm`` injects the coordinator's live object (the inline
     executor); when omitted it is this pool worker's replica of the
     scenario its initializer installed.  Either way the result is a pure
-    function of the item: state comes from ``item.broadcast`` (or
-    ``item.vector``, frozen again: unpickling thaws it) and randomness
+    function of the item: state comes from ``item.broadcast`` or
+    ``item.vector`` (frozen again: unpickling thaws them) and randomness
     from the derived seed.
     """
     if algorithm is None:
@@ -216,6 +216,7 @@ def execute_work_item(item: ClientWorkItem | EvalWorkItem,
             accuracy = algorithm.score(item.task, item.vector)
         return EvalResult(accuracy,
                           {"execute_s": time.perf_counter() - start})
+    freeze_arrays(item.broadcast)
     rng = client_rng(item.run_seed, item.version, item.client_id,
                      item.dispatch_index)
     start = time.perf_counter()

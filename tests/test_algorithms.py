@@ -6,7 +6,7 @@ import pytest
 from repro.data import load_dataset, partition_dataset
 from repro.fl import LocalTrainConfig, SimulationConfig, run_simulation
 from repro.hw import sample_fleet
-from repro.models import build_model
+from repro.models import build_model, known_architectures
 from repro.algorithms import (ALGORITHMS, MHFL_ALGORITHMS, get_algorithm,
                               assign_levels_uniformly, WIDTH_LEVELS)
 
@@ -193,9 +193,27 @@ class TestTopologyAlgorithms:
         from repro.experiments.runner import prepare_scenario
         algo = prepare_scenario(
             RunSpec("fedet", dataset, scale="smoke"))[0].algorithm
-        sizes = [algo.base_model.variant(**ov).num_parameters()
-                 for ov in algo.variant_space(algo.base_model).values()]
-        assert algo.server_model.num_parameters() == max(sizes)
+        sizes = [entry.layout.size for entry in algo.pool.entries]
+        assert algo._server()[1].size == max(sizes)
+
+    @pytest.mark.parametrize("name", ["fedproto", "fedet"])
+    def test_topology_methods_hold_no_global_vector(self, name, task):
+        """Knowledge, not parameters, is exchanged: a topology method has
+        no global model to slice, so nothing resolves an upload."""
+        algo = _build(name, task)
+        algo.run_round(0, [0, 1], np.random.default_rng(0))
+        for member in ("global_vector", "layout", "resolve_upload"):
+            assert not hasattr(algo, member), member
+
+    @pytest.mark.parametrize("arch", known_architectures())
+    def test_zoo_models_draw_no_dropout_masks(self, arch):
+        """Fed-ET distils its server in the level skeleton clients train
+        in; that shares no mask stream only while no model drops."""
+        from repro import nn
+        model = build_model(arch, num_classes=4, seed=0)
+        rates = [module.p for _, module in model.named_modules()
+                 if isinstance(module, nn.Dropout)]
+        assert all(p == 0.0 for p in rates), rates
 
     def test_fedet_consensus_formed(self, task):
         algo = _build("fedet", task)
@@ -296,28 +314,20 @@ class TestEvaluateOncePerDeployment:
     """Evaluation results are reused only while they cannot have changed."""
 
     def test_fedproto_reevaluates_exactly_the_clients_it_updated(
-            self, task, monkeypatch):
-        from repro.algorithms import personal
+            self, task):
         from repro.fl.evaluate import accuracy
-        # Every deployed model is its level's skeleton, so an evaluation is
-        # attributed to the client whose model was loaded last.
-        loaded, calls = [], []
-
-        def counting(model, x, y):
-            calls.append(loaded[-1])
-            return accuracy(model, x, y)
+        calls = []
 
         def recording(algorithm):
-            personal_model = algorithm.personal_model
+            score = algorithm.score
 
-            def load(ctx, *vector):
-                loaded.append(ctx.client_id)
-                return personal_model(ctx, *vector)
+            def counting(task, vector):
+                calls.append(task[2])
+                return score(task, vector)
 
-            algorithm.personal_model = load
+            algorithm.score = counting
             return algorithm
 
-        monkeypatch.setattr(personal, "accuracy", counting)
         algo = recording(_build("fedproto", task))
         eval_ids = algo._eval_ids()
 
@@ -576,7 +586,7 @@ class TestPersonalVectors:
             assert server in tasks
             accuracy, _ = read([algo.score(t, algo.eval_vector(t))
                                 for t in tasks])
-            assert accuracy == algo.score(server, algo._server_state.copy())
+            assert accuracy == algo.score(server, algo._server()[0].copy())
             assert server not in algo._accuracies
 
     def test_fedet_run_records_each_rounds_server(self, task):
@@ -585,7 +595,7 @@ class TestPersonalVectors:
 
         def recording(updates, round_index, rng):
             ingest(updates, round_index, rng)
-            fresh.append(algo.score(server, algo._server_state.copy()))
+            fresh.append(algo.score(server, algo._server()[0].copy()))
 
         algo.ingest = recording
         history = run_simulation(algo, SimulationConfig(
@@ -595,7 +605,11 @@ class TestPersonalVectors:
     def test_fedet_server_model_is_one_buffer(self, task):
         algo = _build("fedet", task)
         algo.run_round(0, [0, 1, 2], np.random.default_rng(0))
-        assert _bound_to_one_buffer(algo.server_model)
+        vector, layout = algo._server()
+        assert type(vector) is np.ndarray
+        assert (vector.ndim, vector.dtype) == (1, np.float32)
+        assert vector.size == layout.size \
+            == algo._level_model(algo._server_level)[2].size
 
 
 #: Once every client holds the largest level, these train, aggregate and

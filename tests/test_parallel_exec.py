@@ -556,6 +556,24 @@ class TestParallelSweeps:
         assert pooled.history.to_json() == inline.history.to_json()
         assert inline.history.to_json() != run_history("fjord")
 
+    def test_ablated_cell_scores_the_full_model_in_its_own_skeleton(
+            self, monkeypatch):
+        """Dropping Fjord's pool leaves the levels a client may train
+        known, so the full model is scored in the x1.00 skeleton clients
+        train in, not in a second one built for the base model."""
+        cls = ALGORITHMS["fjord"]
+        build, built = cls._build_level, []
+
+        def recording_build(self, level):
+            built.append(level)
+            return build(self, level)
+
+        monkeypatch.setattr(cls, "_build_level", recording_build)
+        spec = smoke_spec("fjord", executor="inline").replace(
+            tag="ablation:fjord_no_ordered_dropout")
+        execute_spec(spec, cache=None)
+        assert (("width_mult", 1.0),) in built and () not in built
+
 
 class TestScenarioRebuild:
     """What a pool rebuilds from: the spec payload on the algorithm."""
@@ -580,6 +598,33 @@ class TestScenarioRebuild:
                           InlineExecutor)
         with pytest.raises(ExecutorError, match="executor='auto'"):
             make_executor(bare, workers=2, kind="process")
+
+
+    def test_fedet_replica_builds_nothing_at_the_server_level(
+            self, monkeypatch):
+        """Fed-ET's server model lives on the coordinator: a pool worker's
+        replica measures the server level into the pool, like every
+        level, and builds no model of it beside that."""
+        from repro.models.base import SliceableModel
+        cls = ALGORITHMS["fedet"]
+        variant, build = SliceableModel.variant, cls._build_level
+        variants, levels = [], []
+
+        def recording_variant(self, **overrides):
+            variants.append(tuple(sorted(overrides.items())))
+            return variant(self, **overrides)
+
+        def recording_build(self, level):
+            levels.append(level)
+            return build(self, level)
+
+        monkeypatch.setattr(SliceableModel, "variant", recording_variant)
+        monkeypatch.setattr(cls, "_build_level", recording_build)
+        replica = runner.build_worker_scenario(
+            smoke_spec("fedet").to_dict()).algorithm
+        assert levels == []
+        assert variants.count(replica._server_level) == 1
+        assert replica._server_model is None
 
 
 def _cifar_spec(way: str) -> RunSpec:
@@ -698,3 +743,38 @@ class TestPooledCoordinator:
         assert history.evaluated and history.final_device_accuracies
         assert scored == []
         assert built == []
+
+
+class TestEvaluationItems:
+    #: ``History.to_json()`` sha256 of the pooled FedRolex smoke cell, as
+    #: its evaluation items carried the whole global vector.
+    FEDROLEX_SMOKE_SHA256 = ("04c33912f1aa3dfdf74f8398f28e69630a20f2c1243"
+                             "161515f109bab67e08e18")
+
+    def test_level_items_carry_only_their_slice(self, monkeypatch):
+        """A level's evaluation item ships that level's slice of the
+        global vector and nothing more, and scoring from it moves no
+        byte of the History."""
+        import hashlib
+        batches = []
+        run_batch = ProcessExecutor.run_batch
+
+        def recording(self, items, costs):
+            batches.append([item for item in items
+                            if isinstance(item, EvalWorkItem)])
+            return run_batch(self, items, costs)
+
+        monkeypatch.setattr(ProcessExecutor, "run_batch", recording)
+        result = execute_spec(smoke_spec("fedrolex", workers=2,
+                                         executor="process"), cache=None)
+        algorithm = result.scenario.algorithm
+        final = batches[-1]
+        assert final and all(item.task[0] == "level" for item in final)
+        sizes = {tuple(sorted(entry.overrides.items())):
+                 entry.layout.size * 4 for entry in algorithm.pool.entries}
+        assert len({item.task[1] for item in final}) > 1
+        for item in final:
+            assert sizes[item.task[1]] <= len(pickle.dumps(item)) \
+                <= sizes[item.task[1]] + 300, item.task
+        assert hashlib.sha256(result.history.to_json().encode()
+                              ).hexdigest() == self.FEDROLEX_SMOKE_SHA256

@@ -109,6 +109,32 @@ class TestSpecRunSanitizers:
         with pytest.raises(ValueError, match="read-only"):
             run_simulation(algorithm, config)
 
+    @pytest.mark.parametrize("workers, executor",
+                             [(1, "inline"), (2, "process")])
+    def test_client_trips_on_downlink_write(self, workers, executor,
+                                            monkeypatch):
+        """A client's downlink is read-only wherever it trains (frozen
+        where it is packed inline, frozen again after unpickling in a
+        pool worker), so a client writing into it raises under either
+        executor."""
+        algorithm = prepare_scenario(self.SPEC)[0].algorithm
+        cls = type(algorithm)
+        real_load_client = cls.load_client
+
+        def load_client(self, ctx, version, rng, broadcast):
+            broadcast["global_state"][0] = 0.0
+            return real_load_client(self, ctx, version, rng, broadcast)
+
+        # Class-level, so forked pool workers load through it too.
+        monkeypatch.setattr(cls, "load_client", load_client)
+        scale = self.SPEC.resolved_scale()
+        config = SimulationConfig(num_rounds=scale.num_rounds,
+                                  sample_ratio=scale.sample_ratio,
+                                  eval_every=scale.eval_every, seed=0,
+                                  workers=workers, executor=executor)
+        with pytest.raises(ValueError, match="read-only"):
+            run_simulation(algorithm, config)
+
     @pytest.mark.parametrize("policy", ["sync", "buffered"])
     @pytest.mark.parametrize("algorithm, knowledge",
                              [("fedproto", "protos"),
