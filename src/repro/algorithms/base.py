@@ -21,6 +21,10 @@ level is one memoised index into it (see :mod:`repro.models.slicing`), and
 an upload is ``(values, key)``, the key naming the index the coordinator
 resolves to aggregate it.
 
+An algorithm pickles without its working set (the level skeletons), so a
+process pool started by ``spawn`` or ``forkserver`` hands each worker a copy
+that trains exactly as the coordinator's object does.
+
 The simulated clock charges each sampled client with *nominal* local
 training over its full shard (per the cost model) even when ``max_batches``
 caps the actual CPU work — the simulation runs a scaled-down computation but
@@ -123,12 +127,6 @@ class MHFLAlgorithm:
     #: (DepthFL needs auxiliary heads at every stage boundary).
     base_model_overrides: dict = {}
 
-    #: serialised RunSpec this instance was built from (set by the
-    #: experiment runner; ``None`` for hand-built scenarios).  Process-pool
-    #: executors use it to rebuild an identical replica per worker (a
-    #: tagged variant's change included: the rebuild applies it too).
-    spec_payload: dict | None = None
-
     def __init__(self, base_model: SliceableModel, dataset: FederatedDataset,
                  clients: Sequence[ClientContext],
                  train_config: LocalTrainConfig | None = None,
@@ -206,6 +204,13 @@ class MHFLAlgorithm:
         rebuild lazily on next use, which cannot change a result."""
         self._client_models.clear()
 
+    def __getstate__(self) -> dict:
+        """Pickle without the level skeletons (a pool worker's copy under
+        ``spawn`` / ``forkserver``): unpickled, a skeleton's parameters
+        would no longer be views of its bound buffer.  They rebuild lazily,
+        as after :meth:`release_working_set`."""
+        return {**self.__dict__, "_client_models": {}}
+
     # ------------------------------------------------------------------
     # Hooks
     # ------------------------------------------------------------------
@@ -269,8 +274,6 @@ class MHFLAlgorithm:
     # policy composes: the runtime runs clients at dispatch time and
     # ingests whatever survived availability, dropout and deadline
     # filtering — one code path for all nine registered algorithms.
-    # :meth:`run_round` calls them back-to-back, the reference loop the
-    # tests compare the runtime against.
     #
     # ``run_client`` is a *pure* function of ``(broadcast, rng)``: it reads
     # no coordinator state that changes between rounds, only the downlink
@@ -321,32 +324,6 @@ class MHFLAlgorithm:
         weight, payload, state = self.upload(ctx, model, key)
         return ClientResult(train_loss=loss, weight=weight, payload=payload,
                             client_state=state)
-
-    def run_round(self, round_index: int, sampled_ids: Sequence[int],
-                  rng: np.random.Generator, run_seed: int = 0) -> float:
-        """Convenience synchronous round: train ``sampled_ids`` in order,
-        then aggregate; returns the round's mean train loss.
-
-        Per-client randomness comes from the canonical
-        ``(run_seed, round, client_id)`` derivation — the same streams the
-        executor-backed loops use — while ``rng`` drives coordinator-side
-        aggregation (e.g. Fed-ET's server distillation).
-        """
-        from ..fl.seeding import client_rng
-
-        losses = []
-
-        def updates():
-            for client_id in sampled_ids:
-                result = self.run_client(
-                    client_id, round_index,
-                    client_rng(run_seed, round_index, client_id))
-                self.apply_client_state(client_id, result.client_state)
-                losses.append(result.train_loss)
-                yield result
-
-        self.ingest(updates(), round_index, rng)
-        return float(np.mean(losses)) if losses else 0.0
 
     # ------------------------------------------------------------------
     # Evaluation

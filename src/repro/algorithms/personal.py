@@ -94,7 +94,8 @@ class PersonalModelAlgorithm(MHFLAlgorithm):
     # ------------------------------------------------------------------
     # Work-item transport: beside the subclass's round broadcast, the
     # downlink carries a copy of the client's own personal vector (built
-    # here on first use; a pool worker's replica never holds it), and the
+    # here, on the coordinator, on first use; a pool worker never reads
+    # its own copy of the vectors), and the
     # shared ``run_client`` trains it in the level's skeleton and returns
     # the trained vector as the result's kept state.
     # ------------------------------------------------------------------

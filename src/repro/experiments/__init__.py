@@ -21,10 +21,9 @@ from .registry import (Artifact, all_artifacts, get_artifact,
                        register_artifact)
 from .reporting import (aggregate_seed_rows, format_radar, format_table,
                         rows_to_csv, rows_to_json, write_rows)
-from .runner import (RunDefaults, RunResult, build_worker_scenario,
-                     execute_spec, execute_specs, prepare_scenario,
-                     resolve_target_accuracy, run_defaults,
-                     summarize_results)
+from .runner import (RunDefaults, RunResult, execute_spec, execute_specs,
+                     prepare_scenario, resolve_target_accuracy,
+                     run_defaults, summarize_results)
 from .scales import SCALES, ExperimentScale, get_scale, resolve_scale
 from .spec import RunSpec, unique_specs
 from .sweep import Shard, expand_grid, shard_of, status_rows
@@ -37,7 +36,7 @@ __all__ = [
     "rows_to_csv", "rows_to_json", "write_rows",
     "RunResult", "RunSpec", "unique_specs", "execute_spec",
     "execute_specs",
-    "prepare_scenario", "build_worker_scenario",
+    "prepare_scenario",
     "resolve_target_accuracy", "summarize_results",
     "RunDefaults", "run_defaults",
     "RunCache",

@@ -16,7 +16,8 @@ Parallelism enters at two granularities, both with byte-identical results:
 
 * **within a cell** — ``RunSpec.workers`` (or the process default, which
   the CLI's ``--workers`` sets) hands client training to a process pool
-  via :mod:`repro.fl.executor`;
+  via :mod:`repro.fl.executor`, whose workers run the cell's one built
+  scenario (the pool hands them the coordinator's algorithm);
 * **across cells** — :func:`execute_specs` fans independent cells out
   over a process pool; each worker writes the shared run cache through
   atomic renames and hands its cell's telemetry back to the coordinator's
@@ -61,7 +62,7 @@ from .spec import RunSpec
 from .variants import variant_change, variant_execution
 
 __all__ = ["RunResult", "execute_spec", "execute_specs", "prepare_scenario",
-           "build_worker_scenario", "summarize_results",
+           "summarize_results",
            "resolve_target_accuracy", "DEFAULT", "RunDefaults",
            "run_defaults", "DEFAULT_CHECKPOINT_DIR"]
 
@@ -211,12 +212,8 @@ def prepare_scenario(spec: RunSpec) -> tuple[BuiltScenario, FederatedDataset]:
     reproduce pre-RunSpec runs bit-for-bit.  A ``spec.tag`` the variant
     table (:mod:`repro.experiments.variants`) does not know is refused
     before the dataset is built; one naming an algorithm change has it
-    applied to the built algorithm.
-    The built algorithm carries ``spec.to_dict()`` as its
-    ``spec_payload``, which is what lets process-pool executors rebuild an
-    identical replica, variant included, per worker.  The dataset comes
-    from the per-process memo (``_load_dataset``), on the coordinator and
-    in workers alike.
+    applied to the built algorithm.  The dataset comes from the
+    per-process memo (``_load_dataset``).
     """
     change = variant_change(spec)
     scale = spec.resolved_scale()
@@ -233,18 +230,7 @@ def prepare_scenario(spec: RunSpec) -> tuple[BuiltScenario, FederatedDataset]:
         seed=spec.seed, eval_max_samples=scale.eval_max_samples)
     if change is not None:
         change(scenario.algorithm)
-    scenario.algorithm.spec_payload = spec.to_dict()
     return scenario, dataset
-
-
-def build_worker_scenario(payload: dict) -> BuiltScenario:
-    """Rebuild the scenario a work item references, inside a pool worker.
-
-    Deterministic by construction — the payload is the spec's canonical
-    dict form, and every build step is seeded — so the replica's clients,
-    shards and initial models are bit-identical to the coordinator's.
-    """
-    return prepare_scenario(RunSpec.from_dict(payload))[0]
 
 
 def execute_spec(spec: RunSpec, *, cache=DEFAULT) -> RunResult:
@@ -306,8 +292,8 @@ def _execute_spec_live(spec: RunSpec, cache: RunCache | None) -> RunResult:
     return result
 
 
-def _execute_spec_payload(payload: dict, epoch: float | None,
-                          trace_memory: bool, defaults: RunDefaults) -> dict:
+def _execute_cell(payload: dict, epoch: float | None,
+                  trace_memory: bool, defaults: RunDefaults) -> dict:
     """Sweep-pool worker: execute one spec, return a picklable result.
 
     Runs in its own process under the parent's run ``defaults`` — the
@@ -379,7 +365,7 @@ def execute_specs(specs: Sequence[RunSpec], *,
     trace_memory = session is not None and session.tracer.trace_memory
     _log.info("sweeping %d cells across %d workers", len(misses), workers)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {i: pool.submit(_execute_spec_payload, specs[i].to_dict(),
+        futures = {i: pool.submit(_execute_cell, specs[i].to_dict(),
                                   epoch, trace_memory, worker_defaults)
                    for i in misses}
         for i, future in futures.items():

@@ -12,8 +12,8 @@ hashed with the spec and matched here character for character:
   the scale's sampled cohort.
 
 :func:`~repro.experiments.runner.prepare_scenario` refuses any other tag
-and applies :func:`variant_change`, so a pool worker's rebuilt replica
-carries the change too; the runner takes the execution block from
+and applies :func:`variant_change` to the built algorithm, which a pool
+hands its workers as it is; the runner takes the execution block from
 :func:`variant_execution`, derived from the built fleet.
 """
 
@@ -46,8 +46,13 @@ def _disable_fjord_sampling(algorithm) -> None:
     algorithm.pool = None   # no pool -> client trains its own width only
 
 
+def _static_window(round_index: int) -> int:
+    return 0
+
+
 def _freeze_fedrolex_window(algorithm) -> None:
-    algorithm.rolling_shift = lambda round_index: 0
+    # A module-level function, so the changed algorithm still pickles.
+    algorithm.rolling_shift = _static_window
 
 
 ABLATIONS = {

@@ -17,18 +17,19 @@ the item fully determines the result:
   (:mod:`repro.fl.seeding`), never a shared generator whose draws depend
   on dispatch order;
 * the **scenario** (dataset, models, clients) is not in the item at all:
-  an executor serves exactly one scenario, and a pool hands each worker
-  the run's spec payload once, from which it rebuilds an identical
-  replica.
+  an executor serves exactly one scenario, the coordinator's built
+  algorithm, which a pool hands each worker once.
 
 Two executors implement one contract:
 
 * :class:`InlineExecutor` — eager, in the coordinator's process: the
   item runs on the coordinator's own algorithm object at submit time;
-* :class:`ProcessExecutor` — process pool; each worker rebuilds the
-  scenario from the spec payload on its first item and keeps it.  Client
-  steps are Python-bound, so separate interpreters are what buys a
-  speedup; the price is pickling broadcasts and updates.
+* :class:`ProcessExecutor` — process pool; its initializer installs the
+  coordinator's algorithm in each worker (inherited under ``fork``,
+  pickled once per worker under ``spawn`` / ``forkserver``), so a cell's
+  scenario is built once, however it was built.  Client steps are
+  Python-bound, so separate interpreters are what buys a speedup; the
+  price is pickling broadcasts and updates.
 
 Every accuracy is a work item too: an :class:`EvalWorkItem` names the
 model to score (a task of
@@ -65,13 +66,13 @@ _log = get_logger("executor")
 __all__ = ["ClientWorkItem", "ClientResult", "EvalWorkItem", "EvalResult",
            "execute_work_item", "Executor", "InlineExecutor",
            "ProcessExecutor", "EXECUTOR_KINDS",
-           "make_executor", "resolve_executor_kind", "ExecutorError",
+           "make_executor", "ExecutorError",
            "TransientExecutorError", "failure_is_transient",
            "DEFAULT_RETRIES"]
 
 
 class ExecutorError(RuntimeError):
-    """A work item could not be executed (e.g. no scenario to rebuild).
+    """A work item could not be executed.
 
     Permanent by default: retrying the same pure item would fail the same
     way.  Raise :class:`TransientExecutorError` for failures where a retry
@@ -169,30 +170,15 @@ class EvalResult:
 # ----------------------------------------------------------------------
 # Worker-side execution
 # ----------------------------------------------------------------------
-#: this pool worker's scenario: the run's spec payload, installed once by
-#: the pool initializer, and the replica built from it on the first item
-#: (so a build error surfaces as that item's exception, not a broken pool).
-_worker_spec: dict | None = None
-_worker_replica = None
+#: this pool worker's algorithm: the coordinator's, installed once by the
+#: pool initializer.
+_worker_algorithm = None
 
 
-def _install_worker_spec(payload: dict | None) -> None:
+def _install_algorithm(algorithm) -> None:
     """Pool initializer: give this worker the one scenario it serves."""
-    global _worker_spec
-    _worker_spec = payload
-
-
-def _worker_algorithm():
-    """This worker's algorithm replica (built on the first item)."""
-    global _worker_replica
-    if _worker_replica is None:
-        if _worker_spec is None:
-            raise ExecutorError(
-                "no rebuildable scenario in this process; runs not built "
-                "from a RunSpec can only use the inline executor")
-        from ..experiments.runner import build_worker_scenario
-        _worker_replica = build_worker_scenario(_worker_spec).algorithm
-    return _worker_replica
+    global _worker_algorithm
+    _worker_algorithm = algorithm
 
 
 def execute_work_item(item: ClientWorkItem | EvalWorkItem,
@@ -201,14 +187,13 @@ def execute_work_item(item: ClientWorkItem | EvalWorkItem,
     function every executor calls.
 
     ``algorithm`` injects the coordinator's live object (the inline
-    executor); when omitted it is this pool worker's replica of the
-    scenario its initializer installed.  Either way the result is a pure
-    function of the item: state comes from ``item.broadcast`` or
-    ``item.vector`` (frozen again: unpickling thaws them) and randomness
-    from the derived seed.
+    executor); when omitted it is the one this pool worker's initializer
+    installed.  Either way the result is a pure function of the item:
+    state comes from ``item.broadcast`` or ``item.vector`` (frozen again:
+    unpickling thaws them) and randomness from the derived seed.
     """
     if algorithm is None:
-        algorithm = _worker_algorithm()
+        algorithm = _worker_algorithm
     if isinstance(item, EvalWorkItem):
         freeze_arrays(item.vector)
         start = time.perf_counter()
@@ -391,8 +376,7 @@ class _ResilientFuture:
 
 class ProcessExecutor(Executor):
     """Process pool serving one scenario: the pool initializer hands each
-    worker ``algorithm.spec_payload`` once, and the worker rebuilds its
-    replica from it on its first item.
+    worker the coordinator's algorithm once.
 
     The pool is rebuildable and its futures retry.  ``_recover`` is the
     crash path: when the pool itself broke (a worker process died taking
@@ -408,21 +392,16 @@ class ProcessExecutor(Executor):
     retries = DEFAULT_RETRIES
 
     def __init__(self, algorithm=None, workers: int = 2):
-        self.spec_payload = getattr(algorithm, "spec_payload", None)
-        if algorithm is not None and self.spec_payload is None:
-            raise ExecutorError(
-                "process executor needs a rebuildable scenario; run this "
-                "simulation through a RunSpec (experiments.runner) or leave "
-                "executor='auto', which runs spec-less scenarios inline")
         super().__init__(workers=workers)
+        self.algorithm = algorithm
         self._lock = threading.Lock()
         self._generation = 0
         self._pool = self._build_pool()
 
     def _build_pool(self):
         return _ProcessPool(max_workers=self.workers,
-                            initializer=_install_worker_spec,
-                            initargs=(self.spec_payload,))
+                            initializer=_install_algorithm,
+                            initargs=(self.algorithm,))
 
     def _submit_raw(self, item: ClientWorkItem):
         return self._pool.submit(execute_work_item, item)
@@ -471,34 +450,15 @@ class ProcessExecutor(Executor):
 EXECUTOR_KINDS = ("auto", InlineExecutor.kind, ProcessExecutor.kind)
 
 
-def resolve_executor_kind(kind: str | None, workers: int,
-                          has_scenario: bool) -> str:
-    """Resolve ``"auto"``: a process pool when there is more than one
-    worker and the scenario is rebuildable from a spec, otherwise inline."""
-    if kind in (None, "auto"):
-        if workers <= 1:
-            return "inline"
-        if has_scenario:
-            return "process"
-        _log.info("scenario is not rebuildable from a RunSpec (hand-built),"
-                  " so pool workers cannot replicate it: running clients "
-                  "inline instead of across %d workers", workers)
-        return "inline"
-    if kind not in EXECUTOR_KINDS:
-        raise ValueError(f"unknown executor {kind!r}; "
-                         f"known: {EXECUTOR_KINDS}")
-    return kind
-
-
 def make_executor(algorithm, workers: int = 1,
-                  kind: str | None = "auto") -> Executor:
-    """Build the executor a simulation should use.
+                  kind: str = "auto") -> Executor:
+    """Build the executor a simulation should use: a process pool when
+    ``kind`` is ``"process"``, or ``"auto"`` with more than one worker;
+    inline otherwise.
 
-    The resolved kind honours the determinism contract automatically —
-    whatever comes back, `History` output is identical; only wall-clock
-    and memory profiles differ.
+    Whatever comes back honours the determinism contract — `History`
+    output is identical; only wall-clock and memory profiles differ.
     """
-    has_scenario = getattr(algorithm, "spec_payload", None) is not None
-    if resolve_executor_kind(kind, workers, has_scenario) == "inline":
-        return InlineExecutor(algorithm=algorithm)
-    return ProcessExecutor(algorithm=algorithm, workers=workers)
+    if kind == "process" or (kind == "auto" and workers > 1):
+        return ProcessExecutor(algorithm=algorithm, workers=workers)
+    return InlineExecutor(algorithm=algorithm)

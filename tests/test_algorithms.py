@@ -10,6 +10,8 @@ from repro.models import build_model, known_architectures
 from repro.algorithms import (ALGORITHMS, MHFL_ALGORITHMS, get_algorithm,
                               assign_levels_uniformly, WIDTH_LEVELS)
 
+from reference_round import run_round
+
 
 @pytest.fixture(scope="module")
 def task():
@@ -82,7 +84,7 @@ class TestAggregationSemantics:
         # One sampled client at x0.25: only the prefix block may change.
         small_id = next(cid for cid, ctx in algo.clients.items()
                         if ctx.entry.overrides.get("width_mult") == 0.25)
-        algo.run_round(0, [small_id], rng)
+        run_round(algo, 0, [small_id], rng)
         name = "stages.3.0.conv.weight"
         mult = 0.25
         out_dim = algo.global_state[name].shape[0]
@@ -151,7 +153,7 @@ class TestTopologyAlgorithms:
         one's becomes exactly the state its accepted upload carried."""
         algo = _build("fedproto", task)
         rng = np.random.default_rng(0)
-        algo.run_round(0, [0, 1], rng)
+        run_round(algo, 0, [0, 1], rng)
         idle, before = algo._personal[1].copy(), algo._personal[0].copy()
         applied = []
         apply = algo.apply_client_state
@@ -161,7 +163,7 @@ class TestTopologyAlgorithms:
             apply(client_id, state)
 
         algo.apply_client_state = recording
-        algo.run_round(1, [0], rng)
+        run_round(algo, 1, [0], rng)
         assert [cid for cid, _ in applied] == [0]
         assert np.array_equal(algo._personal[0], applied[0][1])
         assert not np.array_equal(algo._personal[0], before)
@@ -171,7 +173,7 @@ class TestTopologyAlgorithms:
         algo = _build("fedproto", task)
         rng = np.random.default_rng(0)
         assert not algo._proto_valid.any()
-        algo.run_round(0, [0, 1, 2, 3], rng)
+        run_round(algo, 0, [0, 1, 2, 3], rng)
         assert algo._proto_valid.any()
         assert np.abs(algo.global_protos).sum() > 0
 
@@ -201,7 +203,7 @@ class TestTopologyAlgorithms:
         """Knowledge, not parameters, is exchanged: a topology method has
         no global model to slice, so nothing resolves an upload."""
         algo = _build(name, task)
-        algo.run_round(0, [0, 1], np.random.default_rng(0))
+        run_round(algo, 0, [0, 1], np.random.default_rng(0))
         for member in ("global_vector", "layout", "resolve_upload"):
             assert not hasattr(algo, member), member
 
@@ -218,7 +220,7 @@ class TestTopologyAlgorithms:
     def test_fedet_consensus_formed(self, task):
         algo = _build("fedet", task)
         rng = np.random.default_rng(0)
-        algo.run_round(0, [0, 1], rng)
+        run_round(algo, 0, [0, 1], rng)
         assert algo._consensus is not None
         assert algo._consensus.shape == (len(algo.x_public),
                                          algo.dataset.num_classes)
@@ -344,8 +346,8 @@ class TestEvaluateOncePerDeployment:
         outsider = next(cid for cid in sorted(algo.clients)
                         if cid not in eval_ids)
         calls.clear()
-        algo.run_round(0, [eval_ids[0], eval_ids[1], outsider],
-                       np.random.default_rng(0))
+        run_round(algo, 0, [eval_ids[0], eval_ids[1], outsider],
+                  np.random.default_rng(0))
         after_round = _device_accuracies(algo)
         assert after_round == fresh(algo)
         assert calls == [eval_ids[0], eval_ids[1]]
@@ -370,7 +372,7 @@ class TestEvaluateOncePerDeployment:
         from repro.algorithms import base
         from repro.fl.evaluate import accuracy
         algo = _build(name, task, eval_clients=16)
-        algo.run_round(0, [0, 1, 2, 3, 5], np.random.default_rng(0))
+        run_round(algo, 0, [0, 1, 2, 3, 5], np.random.default_rng(0))
         resolved = []
         resolve = algo.client_overrides
 
@@ -556,7 +558,8 @@ class TestPersonalVectors:
         restores to the same deployed models."""
         from repro.fl.serialization import decode_payload, encode_payload
         algo = _build(name, task)
-        algo.run_round(0, sorted(algo.clients)[:6], np.random.default_rng(0))
+        run_round(algo, 0, sorted(algo.clients)[:6],
+                  np.random.default_rng(0))
         expected = _device_accuracies(algo)
         state = algo.checkpoint_state()
         by_module = {cid: algo.personal_model(algo.clients[cid]).state_dict()
@@ -580,8 +583,8 @@ class TestPersonalVectors:
         algo = _build("fedet", task)
         server = algo.global_task()
         for round_index in range(2):
-            algo.run_round(round_index, [0, 1, 2],
-                           np.random.default_rng(round_index))
+            run_round(algo, round_index, [0, 1, 2],
+                      np.random.default_rng(round_index))
             tasks, read = algo.evaluation(True, True)
             assert server in tasks
             accuracy, _ = read([algo.score(t, algo.eval_vector(t))
@@ -604,7 +607,7 @@ class TestPersonalVectors:
 
     def test_fedet_server_model_is_one_buffer(self, task):
         algo = _build("fedet", task)
-        algo.run_round(0, [0, 1, 2], np.random.default_rng(0))
+        run_round(algo, 0, [0, 1, 2], np.random.default_rng(0))
         vector, layout = algo._server()
         assert type(vector) is np.ndarray
         assert (vector.ndim, vector.dtype) == (1, np.float32)

@@ -19,6 +19,8 @@ from repro.models import (build_model, extract_substate, finalize_mean,
 from repro.algorithms import ALGORITHMS, assign_levels_uniformly
 from repro.nn.module import Layout
 
+from reference_round import run_round
+
 
 @pytest.fixture(scope="module")
 def task():
@@ -52,7 +54,7 @@ class TestRollingCoverage:
                         if ctx.entry.overrides.get("width_mult") == 0.25)
         dim = algo.global_state[name].shape[0]
         for round_index in range(dim):
-            algo.run_round(round_index, [small_id], rng)
+            run_round(algo, round_index, [small_id], rng)
         assert not np.array_equal(algo.global_state[name][-1], before_tail)
 
     def test_sheterofl_never_touches_tail(self, task):
@@ -63,7 +65,7 @@ class TestRollingCoverage:
         small_id = next(cid for cid, ctx in algo.clients.items()
                         if ctx.entry.overrides.get("width_mult") == 0.25)
         for round_index in range(8):
-            algo.run_round(round_index, [small_id], rng)
+            run_round(algo, round_index, [small_id], rng)
         np.testing.assert_array_equal(algo.global_state[name][-1],
                                       before_tail)
 
@@ -75,7 +77,7 @@ class TestBatchNormBuffers:
         rng = np.random.default_rng(0)
         name = "stages.0.0.bn.running_mean"
         before = algo.global_state[name].copy()
-        algo.run_round(0, list(algo.clients)[:4], rng)
+        run_round(algo, 0, list(algo.clients)[:4], rng)
         assert not np.array_equal(algo.global_state[name], before)
 
 

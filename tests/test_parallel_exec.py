@@ -25,9 +25,9 @@ from repro.algorithms import ALGORITHMS
 from repro.constraints import ConstraintSpec
 from repro.experiments import (RunDefaults, RunSpec, execute_spec,
                                execute_specs, prepare_scenario, run_defaults)
-from repro.experiments import runner
+from repro.experiments import runner, variants
 from repro.experiments.cache import RunCache
-from repro.fl import (ExecutionConfig, ExecutorError, InlineExecutor,
+from repro.fl import (ExecutionConfig, InlineExecutor,
                       ProcessExecutor, SimulationConfig,
                       client_rng, execute_work_item,
                       history_to_dict, reseed_dropout, run_simulation,
@@ -35,9 +35,11 @@ from repro.fl import (ExecutionConfig, ExecutorError, InlineExecutor,
 from repro.fl import aggregation
 from repro.fl.aggregation import SERVER_OVERHEAD_S
 from repro.fl.executor import (ClientResult, EvalWorkItem, make_executor,
-                               make_work_item, resolve_executor_kind)
+                               make_work_item)
 from repro.fl.history import History, RoundRecord
 from repro.fl.seeding import client_seed_key
+
+from reference_round import run_round
 
 SMOKE = ConstraintSpec(constraints=("computation",))
 
@@ -176,37 +178,21 @@ class TestWorkItems:
         assert replay.train_loss == first.train_loss
         assert repeat.train_loss != first.train_loss
 
-    def test_resolve_executor_kind(self, monkeypatch):
-        assert resolve_executor_kind("auto", 1, True) == "inline"
-        assert resolve_executor_kind(None, 4, True) == "process"
-        assert resolve_executor_kind("process", 1, True) == "process"
-        assert resolve_executor_kind("inline", 4, True) == "inline"
-        for unknown in ("quantum", "thread"):
-            with pytest.raises(ValueError, match="unknown executor"):
-                resolve_executor_kind(unknown, 2, True)
-        # No rebuildable scenario: auto falls back to inline and says so.
-        from repro.fl import executor
-        assert executor._log.name == "repro.executor"
-        lines = []
-        monkeypatch.setattr(executor._log, "info",
-                            lambda message, *args: lines.append(message % args))
-        assert resolve_executor_kind("auto", 4, False) == "inline"
-        assert resolve_executor_kind("auto", 1, False) == "inline"
-        assert len(lines) == 1 and "inline instead of across 4" in lines[0]
-
-    def test_process_executor_requires_spec(self):
-        class Bare:
-            spec_payload = None
-
-        with pytest.raises(ExecutorError):
-            ProcessExecutor(algorithm=Bare())
-
-    def test_worker_rejects_unspecced_item(self):
-        item = make_work_item(SimpleNamespace(), 0, 0, 0,
-                              needs_broadcast=False)
-        # No pool initializer ran in this process: nothing to rebuild.
-        with pytest.raises(ExecutorError):
-            execute_work_item(item)
+    def test_make_executor_picks_the_kind(self):
+        """A pool for ``"process"`` (one worker too) and for ``"auto"``
+        above one worker, inline otherwise; a hand-built scenario is no
+        exception."""
+        algorithm = SimpleNamespace()
+        for kind, workers, want in [("auto", 1, InlineExecutor),
+                                    ("inline", 4, InlineExecutor),
+                                    ("auto", 2, ProcessExecutor),
+                                    ("process", 1, ProcessExecutor)]:
+            executor = make_executor(algorithm, workers=workers, kind=kind)
+            try:
+                assert type(executor) is want, (kind, workers)
+                assert executor.algorithm is algorithm
+            finally:
+                executor.close()
 
     def test_simulation_config_validates_mechanics(self):
         with pytest.raises(ValueError, match="workers"):
@@ -383,8 +369,8 @@ class TestInlineReferenceSemantics:
         for round_index in range(config.num_rounds):
             sampled = sample_clients(algorithm.num_clients,
                                      config.sample_ratio, rng)
-            train_loss = algorithm.run_round(round_index, sampled, rng,
-                                             run_seed=config.seed)
+            train_loss = run_round(algorithm, round_index, sampled, rng,
+                                   run_seed=config.seed)
             slowest = max(algorithm.client_round_time_s(
                 algorithm.clients[cid]) for cid in sampled)
             round_time = slowest + SERVER_OVERHEAD_S
@@ -544,13 +530,12 @@ class TestParallelSweeps:
         assert RunDefaults(workers=3, checkpoint_every=2).workers == 3
 
     def test_ablated_cell_is_worker_count_invariant(self):
-        """An ablated cell keeps its spec payload, so pool workers rebuild
-        the ablated replica: the process pool reproduces the inline
-        History, which differs from the full cell's."""
+        """Pool workers run the ablated algorithm the coordinator built:
+        the process pool reproduces the inline History, which differs
+        from the full cell's."""
         spec = smoke_spec("fjord").replace(tag="ablation:"
                                            "fjord_no_ordered_dropout")
         inline = execute_spec(spec.replace(workers=1), cache=None)
-        assert inline.scenario.algorithm.spec_payload == spec.to_dict()
         pooled = execute_spec(spec.replace(workers=2, executor="process"),
                               cache=None)
         assert pooled.history.to_json() == inline.history.to_json()
@@ -575,56 +560,143 @@ class TestParallelSweeps:
         assert (("width_mult", 1.0),) in built and () not in built
 
 
-class TestScenarioRebuild:
-    """What a pool rebuilds from: the spec payload on the algorithm."""
-
-    def test_prepare_scenario_attaches_payload(self):
-        scenario, _ = prepare_scenario(smoke_spec())
-        payload = scenario.algorithm.spec_payload
-        assert payload is not None
-        assert RunSpec.from_dict(payload) == smoke_spec()
-
-    def test_executor_factory_auto(self):
-        scenario, _ = prepare_scenario(smoke_spec())
-        ex = make_executor(scenario.algorithm, workers=1, kind="auto")
-        assert isinstance(ex, InlineExecutor)
-        ex2 = make_executor(scenario.algorithm, workers=2, kind="auto")
-        try:
-            assert isinstance(ex2, ProcessExecutor)
-        finally:
-            ex2.close()
-        bare = type("Bare", (), {"spec_payload": None})()
-        assert isinstance(make_executor(bare, workers=2, kind="auto"),
-                          InlineExecutor)
-        with pytest.raises(ExecutorError, match="executor='auto'"):
-            make_executor(bare, workers=2, kind="process")
+def _same(a, b) -> bool:
+    """Exact equality of nested payloads (tuples, lists, dicts, arrays)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
+                and a.dtype == b.dtype and np.array_equal(a, b))
+    if isinstance(a, (tuple, list)):
+        return (type(a) is type(b) and len(a) == len(b)
+                and all(_same(x, y) for x, y in zip(a, b)))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b
 
 
-    def test_fedet_replica_builds_nothing_at_the_server_level(
-            self, monkeypatch):
-        """Fed-ET's server model lives on the coordinator: a pool worker's
-        replica measures the server level into the pool, like every
-        level, and builds no model of it beside that."""
-        from repro.models.base import SliceableModel
-        cls = ALGORITHMS["fedet"]
-        variant, build = SliceableModel.variant, cls._build_level
-        variants, levels = [], []
+#: every variant tag, with the algorithm it applies to.
+VARIANT_TAGS = [*((f"ablation:{name}", ablation.algorithm)
+                  for name, ablation in variants.ABLATIONS.items()),
+                (variants.DEADLINE_TAG, "sheterofl"),
+                (variants.buffered_tag(smoke_spec()), "sheterofl")]
 
-        def recording_variant(self, **overrides):
-            variants.append(tuple(sorted(overrides.items())))
-            return variant(self, **overrides)
 
-        def recording_build(self, level):
-            levels.append(level)
-            return build(self, level)
+class TestPickledAlgorithm:
+    """What a ``spawn`` / ``forkserver`` pool worker receives: the
+    coordinator's algorithm, pickled once."""
 
-        monkeypatch.setattr(SliceableModel, "variant", recording_variant)
-        monkeypatch.setattr(cls, "_build_level", recording_build)
-        replica = runner.build_worker_scenario(
-            smoke_spec("fedet").to_dict()).algorithm
-        assert levels == []
-        assert variants.count(replica._server_level) == 1
-        assert replica._server_model is None
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    def test_copy_after_a_client_round_trains_the_same(self, name):
+        """Pickled after one client round, the copy runs that client's
+        round again to the original's loss, weight, payload and kept
+        state (at the level whose skeleton the original has built)."""
+        algo = prepare_scenario(smoke_spec(name))[0].algorithm
+        cid = sorted(algo.clients)[0]
+        algo.run_client(cid, 0, client_rng(0, 0, cid))
+        copy = pickle.loads(pickle.dumps(algo))
+        want = algo.run_client(cid, 0, client_rng(0, 0, cid))
+        got = copy.run_client(cid, 0, client_rng(0, 0, cid))
+        assert got.train_loss == want.train_loss
+        assert got.weight == want.weight
+        assert _same(got.payload, want.payload)
+        assert _same(got.client_state, want.client_state)
+
+    @pytest.mark.parametrize("tag,name", VARIANT_TAGS)
+    def test_every_variant_pickles(self, tag, name):
+        algo = prepare_scenario(smoke_spec(name).replace(tag=tag))[0] \
+            .algorithm
+        copy = pickle.loads(pickle.dumps(algo))
+        if tag == "ablation:fedrolex_static_window":
+            assert copy.rolling_shift(5) == algo.rolling_shift(5) == 0
+
+    def test_fedet_copy_carries_its_server_vector_and_no_skeleton(self):
+        """Fed-ET's coordinator distils its server in the server level's
+        skeleton; the pickled copy carries the server vector, and no
+        skeleton at any level."""
+        algo = prepare_scenario(smoke_spec("fedet"))[0].algorithm
+        run_round(algo, 0, sorted(algo.clients)[:2],
+                  np.random.default_rng(0))
+        assert algo._server_level in algo._client_models
+        copy = pickle.loads(pickle.dumps(algo))
+        assert copy._client_models == {}
+        assert _same(copy._server()[0], algo._server()[0])
+
+
+def _hand_built(algorithm="sheterofl"):
+    """A scenario built without a RunSpec."""
+    from repro.constraints import build_scenario
+    from repro.data import load_dataset
+    from repro.fl import LocalTrainConfig
+    from repro.models import build_model
+    dataset = load_dataset("harbox", seed=0, num_users=10,
+                           samples_per_user=10, test_size=60)
+    model = build_model("har_cnn", num_classes=dataset.num_classes, seed=0)
+    config = LocalTrainConfig(batch_size=8, local_epochs=1, max_batches=1)
+    return build_scenario(algorithm, model, dataset, 10, SMOKE,
+                          train_config=config, seed=0, eval_max_samples=60)
+
+
+def _spawn_pool(monkeypatch):
+    """Make every ProcessExecutor pool start its workers by ``spawn``."""
+    import functools
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from repro.fl import executor
+    monkeypatch.setattr(executor, "_ProcessPool", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")))
+
+
+class TestPoolRunsTheBuiltScenario:
+    """A pool worker runs the coordinator's algorithm: nothing is rebuilt,
+    and how the scenario was built does not matter."""
+
+    def test_hand_built_scenario_pools(self, monkeypatch):
+        started = []
+        build_pool = ProcessExecutor._build_pool
+
+        def recording(self):
+            started.append(self.workers)
+            return build_pool(self)
+
+        monkeypatch.setattr(ProcessExecutor, "_build_pool", recording)
+        config = SimulationConfig(num_rounds=3, sample_ratio=0.3,
+                                  eval_every=2, seed=3)
+        inline = run_simulation(_hand_built().algorithm, config)
+        pooled = run_simulation(_hand_built().algorithm, SimulationConfig(
+            num_rounds=3, sample_ratio=0.3, eval_every=2, seed=3,
+            workers=2, executor="process"))
+        assert started == [2]
+        assert pooled.to_json() == inline.to_json()
+
+    def test_no_worker_builds_a_scenario(self, monkeypatch):
+        """Once the coordinator has built the cell, a second build raises
+        (forked workers inherit the patch): the pooled cell completes."""
+        reference = run_history("fedrolex", workers=1, executor="inline")
+        prepare, built = runner.prepare_scenario, []
+
+        def build_once(spec):
+            if built:
+                raise AssertionError("a second scenario build")
+            built.append(spec)
+            return prepare(spec)
+
+        monkeypatch.setattr(runner, "prepare_scenario", build_once)
+        assert run_history("fedrolex", workers=2,
+                           executor="process") == reference
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("spec", [
+        smoke_spec("sheterofl"),
+        smoke_spec("fedet", execution=SMOKE.execution_config(
+            policy="buffered")),
+        smoke_spec("fedrolex").replace(tag="ablation:fedrolex_static_window"),
+    ], ids=["sheterofl", "fedet-buffered", "fedrolex_static_window"])
+    def test_spawn_workers_equal_inline(self, spec, monkeypatch):
+        reference = execute_spec(spec.replace(workers=1, executor="inline"),
+                                 cache=None).history.to_json()
+        _spawn_pool(monkeypatch)
+        pooled = execute_spec(spec.replace(workers=2, executor="process"),
+                              cache=None).history.to_json()
+        assert pooled == reference
 
 
 def _cifar_spec(way: str) -> RunSpec:

@@ -22,7 +22,7 @@ from repro.experiments import (RunDefaults, RunSpec, execute_spec,
                                execute_specs, run_defaults)
 from repro.experiments.cache import RunCache
 from repro.experiments.registry import get_artifact
-from repro.experiments.runner import _execute_spec_payload
+from repro.experiments.runner import _execute_cell
 from repro.fl import history_to_dict
 from repro.fl.history import History, RoundRecord
 from repro.telemetry import (Histogram, JsonLogFormatter, MetricsRegistry,
@@ -418,8 +418,8 @@ class TestSweepWorker:
     back, on which timeline and track, and what it leaves alone."""
 
     def _payload(self, epoch=None, trace_memory=False):
-        return _execute_spec_payload(smoke_spec().to_dict(), epoch,
-                                     trace_memory, RunDefaults())
+        return _execute_cell(smoke_spec().to_dict(), epoch,
+                             trace_memory, RunDefaults())
 
     def test_without_a_session_it_hands_back_no_telemetry(self):
         payload = self._payload()
